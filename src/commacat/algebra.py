@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import FpMatrix, _is_prime, _PRIME_CHECK_BOUND
+from .linalg import FpMatrix, _check_modulus
 
 
 class FDAlgebra:
@@ -22,8 +22,7 @@ class FDAlgebra:
     __slots__ = ("p", "dim", "mul", "unit", "label")
 
     def __init__(self, p: int, mul, unit, label: str = "") -> None:
-        if p < _PRIME_CHECK_BOUND and not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        _check_modulus(p)
         m = np.mod(np.asarray(mul, dtype=np.int64), p)
         if m.ndim != 3 or m.shape[0] != m.shape[1] or m.shape[1] != m.shape[2]:
             raise ValueError("structure constants must form a d x d x d tensor")

@@ -24,7 +24,8 @@ from .linalg import (
     FpMatrix,
     block_diag,
     column_space_basis,
-    enumerate_vectors,
+    combination_chunks,
+    first_of_rank,
     hstack,
     kernel_basis,
     kron,
@@ -39,6 +40,7 @@ from .modules import (
     RIGHT,
     AlgebraMismatch,
     HomModule,
+    IsoResult,
     IsoSearchCapExceeded,
     ModuleMap,
     ModuleRep,
@@ -487,31 +489,33 @@ def hom_comma_dim(x: CommaObject, y: CommaObject) -> int:
     return len(hom_comma(x, y))
 
 
-def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16):
-    """Exhaustive search for a comma isomorphism (both components invertible)."""
-    from .modules import IsoResult
+def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16) -> IsoResult:
+    """Exhaustive search for a comma isomorphism (both components invertible).
 
+    The witness is the first isomorphism in enumeration order; for the
+    zero object it is the zero map.
+    """
     if x.A.dim != y.A.dim or x.B.dim != y.B.dim:
-        return (False, None)
+        return IsoResult(False, None)
+    if x.total_dim == 0:
+        zero = FpMatrix.zeros(x.p, 0, 0)
+        return IsoResult(True, CommaMap(x, y, ModuleMap(x.A, y.A, zero), ModuleMap(x.B, y.B, zero)))
     basis = hom_comma(x, y)
     h = len(basis)
-    if x.total_dim == 0:
-        return (True, basis)
     if h == 0:
-        return (False, None)
+        return IsoResult(False, None)
     if h > cap:
         raise IsoSearchCapExceeded(f"comma hom dimension {h} exceeds cap {cap}")
-    p = x.p
-    for coeffs in enumerate_vectors(p, h):
-        f = FpMatrix.zeros(p, y.A.dim, x.A.dim)
-        g = FpMatrix.zeros(p, y.B.dim, x.B.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                f = f + b.f.matrix.scale(c)
-                g = g + b.g.matrix.scale(c)
-        if rank(f) == x.A.dim and rank(g) == x.B.dim:
-            return (True, CommaMap(x, y, ModuleMap(x.A, y.A, f), ModuleMap(x.B, y.B, g)))
-    return (False, None)
+    # (f, g) is invertible exactly when the block-diagonal diag(f, g) is,
+    # because f and g are square.
+    da, db = x.A.dim, x.B.dim
+    mats = [block_diag([b.f.matrix, b.g.matrix]) for b in basis]
+    mat = first_of_rank(x.p, mats, da + db, da + db, da + db)
+    if mat is None:
+        return IsoResult(False, None)
+    f = ModuleMap(x.A, y.A, mat.block(0, da, 0, da))
+    g = ModuleMap(x.B, y.B, mat.block(da, da + db, da, da + db))
+    return IsoResult(True, CommaMap(x, y, f, g))
 
 
 # -- the adjunct map and shape tests ------------------------------------------
@@ -823,20 +827,19 @@ def comma_universe(
             if a.dim + b.dim > max_total_dim:
                 continue
             tensor = tensor_over(u, a)
-            descended = hom_space(tensor.module, b)
-            for coeffs in enumerate_vectors(p, len(descended)):
-                mat = FpMatrix.zeros(p, b.dim, tensor.projection.rows)
-                for cf, h in zip(coeffs, descended):
-                    if cf:
-                        mat = mat + h.matrix.scale(cf)
-                phi = mat @ tensor.projection
-                cand = CommaObject(u, a, b, phi, label=f"({a.label},{b.label})#{len(out)}")
-                if any(
-                    cand.A.dim == seen.A.dim
-                    and cand.B.dim == seen.B.dim
-                    and comma_is_isomorphic(cand, seen, cap=iso_cap)[0]
-                    for seen in out
-                ):
-                    continue
-                out.append(cand)
+            descended = [h.matrix for h in hom_space(tensor.module, b)]
+            proj = tensor.projection
+            for chunk in combination_chunks(p, descended, b.dim, proj.rows):
+                for phi in chunk @ proj.array():
+                    cand = CommaObject(
+                        u, a, b, FpMatrix(p, phi), label=f"({a.label},{b.label})#{len(out)}"
+                    )
+                    if any(
+                        cand.A.dim == seen.A.dim
+                        and cand.B.dim == seen.B.dim
+                        and comma_is_isomorphic(cand, seen, cap=iso_cap).isomorphic
+                        for seen in out
+                    ):
+                        continue
+                    out.append(cand)
     return out

@@ -5,26 +5,47 @@ row-major integer matrix with entries reduced mod p.  All arithmetic is
 integer arithmetic followed by reduction, so results are exact.  Target
 dimensions are tiny (tens at most), so everything is dense and there are
 no randomized algorithms: identical inputs give identical outputs.
+
+Entries are stored as int64, so the modulus is validated once per value
+of p (:func:`_check_modulus`, shared with :class:`FDAlgebra`): it must be
+prime and below 2**24.  Below that bound a dot product of up to 2**15
+terms of size (p-1)**2 stays below 2**63, so no product overflows.
+
+Exhaustive searches over a space of maps share one enumeration kernel:
+:func:`combination_chunks` yields all p**h linear combinations of h basis
+matrices as (k, rows, cols) int64 chunks of bounded size, in the order of
+:func:`enumerate_vectors`, and :func:`batched_rank` does Gaussian
+elimination mod p across a whole chunk at once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+import functools
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-_PRIME_CHECK_BOUND = 2 ** 16
+# Moduli must be below this bound for exact int64 arithmetic (see above).
+MODULUS_LIMIT = 2 ** 24
+# Most combinations one enumeration chunk holds.
+ENUM_CHUNK = 4096
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+@functools.lru_cache(maxsize=64, typed=True)
+def _check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime for which int64 arithmetic is exact."""
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {p!r}")
+    if p >= MODULUS_LIMIT:
+        raise ValueError(
+            f"modulus {p} is too large: exact int64 arithmetic needs p < 2**24, "
+            "so that sums of up to 2**15 products of residues stay below 2**63"
+        )
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
+    while d * d <= p:
+        if p % d == 0:
+            raise ValueError(f"modulus {p} is not prime")
         d += 1
-    return True
 
 
 class FpMatrix:
@@ -33,10 +54,7 @@ class FpMatrix:
     __slots__ = ("p", "_a", "_hash")
 
     def __init__(self, p: int, entries) -> None:
-        if not isinstance(p, int) or p < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {p!r}")
-        if p < _PRIME_CHECK_BOUND and not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        _check_modulus(p)
         a = np.asarray(entries, dtype=np.int64)
         if a.ndim == 1:
             # Only the empty 1-d array is accepted, as the 0x0 matrix.
@@ -335,3 +353,91 @@ def enumerate_vectors(p: int, dim: int) -> Iterable[tuple[int, ...]]:
             vec.append(m % p)
             m //= p
         yield tuple(reversed(vec))
+
+
+# -- the enumeration kernel ------------------------------------------------
+
+
+def combination_chunks(
+    p: int, basis: Sequence[FpMatrix], rows: int, cols: int, chunk_size: int = ENUM_CHUNK
+) -> Iterator[np.ndarray]:
+    """Every linear combination of ``basis`` (rows x cols matrices), reduced mod p.
+
+    Yields (k, rows, cols) int64 arrays with k <= chunk_size.  Concatenated,
+    they hold sum_i c_i basis[i] for each of the p**h coefficient tuples c
+    of :func:`enumerate_vectors` (h = len(basis)), in that order; for h = 0
+    that is the single zero matrix.  Only one chunk is built at a time.
+    """
+    for b in basis:
+        if b.p != p or b.rows != rows or b.cols != cols:
+            raise ValueError(f"basis matrices must be {rows}x{cols} over F_{p}")
+    h = len(basis)
+    stack = np.zeros((h, rows * cols), dtype=np.int64)
+    for i, b in enumerate(basis):
+        stack[i] = b.array().reshape(-1)
+    total = p ** h
+    for start in range(0, total, chunk_size):
+        n = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
+        k = n.size
+        coeffs = np.empty((k, h), dtype=np.int64)
+        for j in range(h - 1, -1, -1):
+            n, coeffs[:, j] = np.divmod(n, p)
+        yield (coeffs @ stack % p).reshape(k, rows, cols)
+
+
+def _inverse_mod(p: int, x: np.ndarray) -> np.ndarray:
+    """Elementwise inverse mod p of nonzero residues, as x**(p-2)."""
+    out = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def batched_rank(p: int, stack: np.ndarray) -> np.ndarray:
+    """Rank mod p of each matrix of a (k, rows, cols) stack.
+
+    One Gaussian elimination runs over the whole stack: each column step
+    finds, swaps, normalizes and clears a pivot in every matrix that has
+    one, so the Python-level work is per column, not per matrix.
+    """
+    a = np.mod(np.asarray(stack, dtype=np.int64), p)
+    k, rows, cols = a.shape
+    ranks = np.zeros(k, dtype=np.int64)
+    row_ids = np.arange(rows)
+    for c in range(cols):
+        candidates = (a[:, :, c] != 0) & (row_ids >= ranks[:, None])
+        b = np.flatnonzero(candidates.any(axis=1))
+        if b.size == 0:
+            continue
+        piv = candidates[b].argmax(axis=1)
+        r = ranks[b]
+        prow = a[b, piv]
+        a[b, piv] = a[b, r]
+        prow = prow * _inverse_mod(p, prow[:, c])[:, None] % p
+        a[b] = (a[b] - a[b, :, c][:, :, None] * prow[:, None, :]) % p
+        a[b, r] = prow
+        ranks[b] += 1
+    return ranks
+
+
+def first_of_rank(
+    p: int, basis: Sequence[FpMatrix], rows: int, cols: int, target: int
+) -> Optional[FpMatrix]:
+    """First combination of ``basis`` (in enumeration order) of rank ``target``."""
+    for chunk in combination_chunks(p, basis, rows, cols):
+        hits = np.flatnonzero(batched_rank(p, chunk) == target)
+        if hits.size:
+            return FpMatrix(p, chunk[hits[0]])
+    return None
+
+
+def combinations(p: int, basis: Sequence[FpMatrix], rows: int, cols: int) -> Iterator[FpMatrix]:
+    """Every combination of ``basis`` as an FpMatrix, in enumeration order."""
+    for chunk in combination_chunks(p, basis, rows, cols):
+        for a in chunk:
+            yield FpMatrix(p, a)

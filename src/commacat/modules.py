@@ -12,7 +12,6 @@ computations over F_p.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from .linalg import (
     block_diag,
     column_space_basis,
     enumerate_vectors,
+    first_of_rank,
     hstack,
     kernel_basis,
     kron,
@@ -488,13 +488,9 @@ def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep, cap: int = 16) -> bool:
         basis = hom_space(power, x)
         if len(basis) > cap:
             raise IsoSearchCapExceeded(f"hom space dimension {len(basis)} exceeds cap {cap}")
-        for coeffs in enumerate_vectors(t.p, len(basis)):
-            mat = FpMatrix.zeros(t.p, x.dim, power.dim)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    mat = mat + b.matrix.scale(c)
-            if rank(mat) == x.dim:
-                return True
+        mats = [b.matrix for b in basis]
+        if first_of_rank(t.p, mats, x.dim, power.dim, x.dim) is not None:
+            return True
     return False
 
 
@@ -509,8 +505,13 @@ _ISO_CACHE: dict = {}
 def is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int = 16) -> IsoResult:
     """Exhaustive search for an invertible intertwiner.
 
-    Searches all p^h combinations of a Hom-space basis (h = dim Hom);
-    raises IsoSearchCapExceeded when h > cap rather than guessing.
+    Searches all p^h combinations of a Hom-space basis (h = dim Hom(m, n))
+    and returns the first invertible one in enumeration order; raises
+    IsoSearchCapExceeded when h > cap rather than guessing.  The cap is
+    checked first; only then are pairs with dim Hom(n, n), dim Hom(m, m)
+    or dim Hom(n, m) different from h rejected without a search, since
+    isomorphic modules have equal Hom dimensions.  Passing that necessary
+    condition still leads to the full search, so the answer stays exact.
     Memoized per (source, target, cap).
     """
     key = (m, n, cap)
@@ -534,14 +535,14 @@ def _is_isomorphic_uncached(m: ModuleRep, n: ModuleRep, cap: int) -> IsoResult:
         return IsoResult(False, None)
     if h > cap:
         raise IsoSearchCapExceeded(f"hom space dimension {h} exceeds cap {cap}")
-    for coeffs in enumerate_vectors(m.p, h):
-        mat = FpMatrix.zeros(m.p, n.dim, m.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                mat = mat + b.matrix.scale(c)
-        if rank(mat) == m.dim:
-            return IsoResult(True, ModuleMap(m, n, mat))
-    return IsoResult(False, None)
+    # n is the already-seen module in extension_middle_terms, so its End
+    # is usually cached.
+    if hom_dim(n, n) != h or hom_dim(m, m) != h or hom_dim(n, m) != h:
+        return IsoResult(False, None)
+    mat = first_of_rank(m.p, [b.matrix for b in basis], n.dim, m.dim, m.dim)
+    if mat is None:
+        return IsoResult(False, None)
+    return IsoResult(True, ModuleMap(m, n, mat))
 
 
 # -- extensions --------------------------------------------------------------

@@ -24,14 +24,17 @@ import numpy as np
 from .linalg import (
     FpMatrix,
     column_space_basis,
-    enumerate_vectors,
+    combinations,
     hstack,
     kernel_basis,
+    kron,
     rank,
     solve,
+    vstack,
 )
 from .modules import (
     AlgebraMismatch,
+    IsoSearchCapExceeded,
     ModuleMap,
     ModuleRep,
     direct_sum,
@@ -208,35 +211,25 @@ def d_sigma_member_oracle(s: Presentation, x: ModuleRep, cap: int = 16) -> bool:
     Solves the lifting system afresh for each of the p^h maps instead of
     comparing ranks.
     """
-    from .linalg import kron
-    from .modules import IsoSearchCapExceeded
-
     h1 = hom_space(s.sigma.source, x)
     if len(h1) > cap:
         raise IsoSearchCapExceeded(f"hom dimension {len(h1)} exceeds cap {cap}")
     p = x.p
     p0, p1 = s.sigma.target, s.sigma.source
-    for coeffs in enumerate_vectors(p, len(h1)):
-        target_map = FpMatrix.zeros(p, x.dim, p1.dim)
-        for c, b in zip(coeffs, h1):
-            if c:
-                target_map = target_map + b.matrix.scale(c)
-        # unknown h0 with h0 intertwining and h0 . sigma = target_map
-        if x.dim == 0 or p0.dim == 0:
-            if not target_map.is_zero():
-                return False
-            continue
-        ix = FpMatrix.identity(p, x.dim)
-        ip0 = FpMatrix.identity(p, p0.dim)
-        blocks = []
-        rhs_rows = []
-        for i in range(x.algebra.dim):
-            blocks.append(kron(x.action[i], ip0) - kron(ix, p0.action[i].transpose()))
-            rhs_rows.append(np.zeros(x.dim * p0.dim, dtype=np.int64))
-        blocks.append(kron(ix, s.sigma.matrix.transpose()))
-        rhs_rows.append(target_map.array().reshape(-1))
-        system = FpMatrix(p, np.concatenate([b.array() for b in blocks], axis=0))
-        rhs = FpMatrix(p, np.concatenate(rhs_rows).reshape(-1, 1))
+    targets = combinations(p, [b.matrix for b in h1], x.dim, p1.dim)
+    if x.dim == 0 or p0.dim == 0:
+        return all(t.is_zero() for t in targets)
+    # unknown h0 with h0 intertwining and h0 . sigma = target_map
+    ix = FpMatrix.identity(p, x.dim)
+    ip0 = FpMatrix.identity(p, p0.dim)
+    blocks = [
+        kron(x.action[i], ip0) - kron(ix, p0.action[i].transpose()) for i in range(x.algebra.dim)
+    ]
+    blocks.append(kron(ix, s.sigma.matrix.transpose()))
+    system = vstack(blocks)
+    zeros = np.zeros(x.algebra.dim * x.dim * p0.dim, dtype=np.int64)
+    for target_map in targets:
+        rhs = FpMatrix(p, np.concatenate([zeros, target_map.array().reshape(-1)]).reshape(-1, 1))
         if solve(system, rhs) is None:
             return False
     return True

@@ -20,14 +20,13 @@ import numpy as np
 
 from .algebra import TriangularAlgebra
 from .comma import family_membership, from_T_module
-from .linalg import FpMatrix, column_space_basis, enumerate_vectors, hstack, rank
+from .linalg import FpMatrix, column_space_basis, combinations, enumerate_vectors, hstack, rank
 from .modules import (
     ModuleRep,
     direct_sum,
     extension_middle_terms,
     gen_member,
     hom_space,
-    image_kernel_cokernel,
     is_isomorphic,
     quotient_module,
     submodule,
@@ -376,11 +375,7 @@ def is_torsion_class(
             if len(basis) > map_enum_cap:
                 partial = True
                 continue
-            for coeffs in enumerate_vectors(m.p, len(basis)):
-                mat = FpMatrix.zeros(m.p, n.dim, m.dim)
-                for c, b in zip(coeffs, basis):
-                    if c:
-                        mat = mat + b.matrix.scale(c)
+            for mat in combinations(m.p, [b.matrix for b in basis], n.dim, m.dim):
                 img_cols = column_space_basis(mat)
                 img, _ = submodule(n, img_cols)
                 if not f.contains(img):

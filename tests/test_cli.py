@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -30,6 +31,21 @@ def test_hom_table_a2_json(runner):
         [0, 1, 0, 1, 1],
         [0, 1, 1, 1, 2],
     ]
+
+
+# sha256 of `commacat run --fixture NAME --format json`: a change that alters
+# any verdict, witness or certificate must update these deliberately.
+REPORT_SHA256 = {
+    "a2": "5df459533ee98821e8e07854e69f7ef9b3d4b6d42ce5dcb3e8df8d3111e60bf6",
+    "dual-numbers": "b662951a7a8fcb7aac94b91f058b29358c63a72f1174267cfd7dbd339162880c",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(REPORT_SHA256))
+def test_fixture_report_is_byte_identical(runner, fixture):
+    result = runner.invoke(main, ["run", "--fixture", fixture, "--format", "json"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == REPORT_SHA256[fixture]
 
 
 def test_verify_all_deterministic(runner):
@@ -85,6 +101,17 @@ def test_run_invalid_document_exit_2(runner, tmp_path):
     doc_path.write_text(json.dumps(data))
     result = runner.invoke(main, ["run", str(doc_path)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("p", [65536, 2 ** 61 - 1])
+def test_run_unusable_modulus_exit_2(runner, tmp_path, p):
+    data = sample_document()
+    data["field"]["p"] = p
+    doc_path = tmp_path / "bad.json"
+    doc_path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["run", str(doc_path)])
+    assert result.exit_code == 2
+    assert "validation failure: field.p:" in result.stderr
 
 
 def test_validate_pristine(runner, tmp_path):

@@ -110,6 +110,20 @@ def test_round_trip_all_fixtures(a2, dual):
         assert z.comma.total_dim == 0
 
 
+def test_comma_is_isomorphic_witnesses(a2, dual):
+    for fx in (a2, dual):
+        zero = next(iter(fx.comma_universe.values()))
+        assert zero.total_dim == 0
+        res = comma_is_isomorphic(zero, zero)
+        assert res.isomorphic and res.witness.is_valid()
+        assert res.witness.f.matrix.rows == 0 and res.witness.g.matrix.rows == 0
+        for c in fx.comma_universe.values():
+            res = comma_is_isomorphic(c, c)
+            assert res.isomorphic and res.witness.is_valid()
+            assert rank(res.witness.f.matrix) == c.A.dim
+            assert rank(res.witness.g.matrix) == c.B.dim
+
+
 def test_functor_p_shapes(a2):
     u = a2.u
     p0b = functor_p(u, a2.r_universe["0"], a2.s_universe["k"])

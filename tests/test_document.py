@@ -117,6 +117,15 @@ def test_unresolved_reference():
     assert "missing" in str(err.value)
 
 
+@pytest.mark.parametrize("p", [65536, 2 ** 61 - 1])
+def test_modulus_rejected_at_field_p(p):
+    data = sample_document()
+    data["field"]["p"] = p
+    with pytest.raises(DocumentError) as err:
+        parse_document(data)
+    assert err.value.path == "field.p"
+
+
 def test_flipped_structure_constant_reported():
     data = sample_document()
     data["algebras"]["R"]["mul"][1][0][1] = 0  # x*1 = 0 breaks the unit axiom

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commacat.algebra import FDAlgebra
 from commacat.linalg import (
+    MODULUS_LIMIT,
     FpMatrix,
+    batched_rank,
     column_space_basis,
+    combination_chunks,
     enumerate_vectors,
     hstack,
     inverse,
@@ -27,6 +31,32 @@ def test_modulus_must_be_prime():
         FpMatrix(1, [[1]])
     FpMatrix(2, [[1]])
     FpMatrix(65521, [[1]])
+
+
+def test_modulus_primality_is_exact_above_two_to_the_sixteen():
+    with pytest.raises(ValueError, match="not prime"):
+        FpMatrix(65536, [[1]])
+    with pytest.raises(ValueError, match="not prime"):
+        FDAlgebra(65536, [[[1]]], [1])
+    FpMatrix(65537, [[1]])
+    FDAlgebra(65537, [[[1]]], [1])
+
+
+def test_modulus_too_large_for_int64_is_rejected():
+    big = 2 ** 61 - 1
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        FpMatrix(big, [[big - 1, big - 1], [big - 1, big - 1]])
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        FDAlgebra(big, [[[1]]], [1])
+    with pytest.raises(ValueError):
+        FpMatrix(MODULUS_LIMIT, [[1]])
+
+
+def test_largest_accepted_modulus_multiplies_exactly():
+    p = 16777213  # the largest prime below 2**24
+    a = FpMatrix(p, [[p - 1] * 3] * 3)
+    # each entry is 3 (p-1)^2 = 3 mod p
+    assert (a @ a).to_lists() == [[3] * 3] * 3
 
 
 def test_entries_reduced():
@@ -200,3 +230,98 @@ def test_kron_convention():
     a = FpMatrix(2, [[1, 0], [0, 1]])
     b = FpMatrix(2, [[1, 1]])
     assert kron(a, b).to_lists() == [[1, 1, 0, 0], [0, 0, 1, 1]]
+
+
+# -- the enumeration kernel ------------------------------------------------
+
+
+@st.composite
+def fp_stacks(draw):
+    """A modulus and a (k, rows, cols) stack of residues, 0-size shapes included."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.integers(min_value=0, max_value=5))
+    cols = draw(st.integers(min_value=0, max_value=5))
+    flat = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=p - 1),
+            min_size=k * rows * cols,
+            max_size=k * rows * cols,
+        )
+    )
+    return p, np.array(flat, dtype=np.int64).reshape(k, rows, cols)
+
+
+@given(fp_stacks())
+@settings(max_examples=200, deadline=None)
+def test_batched_rank_matches_rank_on_every_slice(case):
+    p, stack = case
+    ranks = batched_rank(p, stack)
+    assert ranks.shape == (stack.shape[0],)
+    assert [int(r) for r in ranks] == [rank(FpMatrix(p, a)) for a in stack]
+
+
+def scale_and_add_combinations(p, basis, rows, cols):
+    """Reference: the scale-and-add loop the kernel replaces."""
+    out = []
+    for coeffs in enumerate_vectors(p, len(basis)):
+        mat = FpMatrix.zeros(p, rows, cols)
+        for c, b in zip(coeffs, basis):
+            if c:
+                mat = mat + b.scale(c)
+        out.append(mat.array())
+    return out
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=7),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_combination_chunks_match_scale_and_add(p, h, rows, cols, chunk_size, data):
+    basis = [
+        FpMatrix(
+            p,
+            np.array(
+                data.draw(
+                    st.lists(
+                        st.integers(min_value=0, max_value=p - 1),
+                        min_size=rows * cols,
+                        max_size=rows * cols,
+                    )
+                ),
+                dtype=np.int64,
+            ).reshape(rows, cols),
+        )
+        for _ in range(h)
+    ]
+    chunks = list(combination_chunks(p, basis, rows, cols, chunk_size=chunk_size))
+    assert all(c.shape[0] <= chunk_size and c.shape[1:] == (rows, cols) for c in chunks)
+    got = np.concatenate(chunks)
+    expected = scale_and_add_combinations(p, basis, rows, cols)
+    assert got.shape[0] == p ** h == len(expected)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+def test_combination_chunks_cross_a_chunk_boundary():
+    basis = [FpMatrix(3, [[1, 2]]), FpMatrix(3, [[0, 1]]), FpMatrix(3, [[2, 2]])]
+    chunks = list(combination_chunks(3, basis, 1, 2, chunk_size=10))
+    assert [c.shape[0] for c in chunks] == [10, 10, 7]
+    got = np.concatenate(chunks)
+    assert all(np.array_equal(g, e) for g, e in zip(got, scale_and_add_combinations(3, basis, 1, 2)))
+
+
+def test_combination_chunks_of_no_basis_is_one_zero_matrix():
+    for rows, cols in [(0, 0), (2, 0), (0, 3), (2, 3)]:
+        chunks = list(combination_chunks(2, [], rows, cols))
+        assert len(chunks) == 1
+        assert chunks[0].shape == (1, rows, cols) and not chunks[0].any()
+
+
+def test_combination_chunks_reject_a_mismatched_basis():
+    with pytest.raises(ValueError):
+        list(combination_chunks(2, [FpMatrix(2, [[1, 0]])], 2, 1))

@@ -2,8 +2,10 @@ import pytest
 
 from commacat.algebra import dual_numbers_algebra, field_algebra
 from commacat.fixtures import load_fixture
-from commacat.linalg import FpMatrix, rank
+from commacat.linalg import FpMatrix, enumerate_vectors, rank
 from commacat.modules import (
+    IsoResult,
+    IsoSearchCapExceeded,
     ModuleMap,
     ModuleRep,
     direct_sum,
@@ -266,6 +268,62 @@ def test_is_isomorphic_cap(a2):
     big = direct_sum([treg] * 5).module
     with pytest.raises(IsoSearchCapExceeded):
         is_isomorphic(big, big, cap=2)
+
+
+def exhaustive_is_isomorphic(m, n, cap=16):
+    """Reference: the search without the Hom-dimension prefilter, one
+    scale-and-add combination and one rank at a time."""
+    if m.dim != n.dim:
+        return IsoResult(False, None)
+    if m.dim == 0:
+        return IsoResult(True, ModuleMap(m, n, FpMatrix.zeros(m.p, 0, 0)))
+    basis = hom_space(m, n)
+    h = len(basis)
+    if h == 0:
+        return IsoResult(False, None)
+    if h > cap:
+        raise IsoSearchCapExceeded(f"hom space dimension {h} exceeds cap {cap}")
+    for coeffs in enumerate_vectors(m.p, h):
+        mat = FpMatrix.zeros(m.p, n.dim, m.dim)
+        for c, b in zip(coeffs, basis):
+            if c:
+                mat = mat + b.matrix.scale(c)
+        if rank(mat) == m.dim:
+            return IsoResult(True, ModuleMap(m, n, mat))
+    return IsoResult(False, None)
+
+
+def isomorphism_test_pairs(universe, max_dim=4):
+    """Equal-dimension pairs among the universe, within the middle terms of
+    one extension (the pairs extension_middle_terms deduplicates), and
+    between middle terms and universe members."""
+    calls = [
+        extension_middle_terms(m, n).middle_terms
+        for m in universe
+        for n in universe
+        if m.dim + n.dim <= max_dim
+    ]
+    pairs = [(a, b) for a in universe for b in universe]
+    pairs += [(a, b) for terms in calls for a in terms for b in terms]
+    pairs += [(e, b) for terms in calls for e in terms for b in universe]
+    return [(a, b) for a, b in dict.fromkeys(pairs) if a.dim == b.dim]
+
+
+@pytest.mark.parametrize("name", ["a2", "dual-numbers"])
+def test_prefilter_agrees_with_exhaustive_search(name, a2, dual):
+    fx = a2 if name == "a2" else dual
+    checked = positive = 0
+    for universe in (fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()):
+        for m, n in isomorphism_test_pairs(universe):
+            expected = exhaustive_is_isomorphic(m, n)
+            got = is_isomorphic(m, n)
+            assert got.isomorphic == expected.isomorphic, (m, n)
+            if expected.isomorphic:
+                positive += 1
+                assert got.witness.matrix == expected.witness.matrix
+                assert got.witness.source == m and got.witness.target == n
+            checked += 1
+    assert positive and checked > positive
 
 
 def test_extension_split_only_for_zero(a2):
