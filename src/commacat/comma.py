@@ -32,7 +32,7 @@ from .linalg import (
     matrix_of_linear_map,
     quotient_space,
     rank,
-    solve,
+    solve_each,
     vstack,
 )
 from .modules import (
@@ -47,6 +47,7 @@ from .modules import (
     balancing_generators,
     balanced_tensor,
     direct_sum,
+    hom_coords,
     hom_module,
     hom_space,
     image_kernel_cokernel,
@@ -161,12 +162,6 @@ class CommaMap:
         return square and self.f.is_valid() and self.g.is_valid()
 
 
-def comma_zero(u: Bimodule) -> CommaObject:
-    zr = zero_module(u.r_algebra, LEFT)
-    zs = zero_module(u.s_algebra, LEFT)
-    return CommaObject(u, zr, zs, FpMatrix.zeros(u.p, 0, 0), label="0")
-
-
 def comma_from_components(
     u: Bimodule, a: Optional[ModuleRep] = None, b: Optional[ModuleRep] = None, label: str = ""
 ) -> CommaObject:
@@ -208,10 +203,6 @@ def functor_q(c: CommaObject) -> tuple[ModuleRep, ModuleRep]:
     return c.A, c.B
 
 
-def functor_q_map(m: CommaMap) -> tuple[ModuleMap, ModuleMap]:
-    return m.f, m.g
-
-
 def functor_h(u: Bimodule, a: ModuleRep, b: ModuleRep, label: str = "") -> CommaObject:
     """h(A, B) = (A + Hom_S(U, B), B) with phi the evaluation on the Hom part."""
     hm = hom_module(u, b)
@@ -233,16 +224,7 @@ def functor_h_map(u: Bimodule, f: ModuleMap, g: ModuleMap) -> CommaMap:
     tgt = functor_h(u, f.target, g.target)
     hm_src = hom_module(u, g.source)
     hm_tgt = hom_module(u, g.target)
-    p = u.p
-    if hm_tgt.basis:
-        stacked = hstack([FpMatrix(p, h.matrix.array().reshape(-1, 1)) for h in hm_tgt.basis])
-    cols = []
-    for h in hm_src.basis:
-        moved = FpMatrix(p, (g.matrix @ h.matrix).array().reshape(-1, 1))
-        coords = solve(stacked, moved) if hm_tgt.basis else FpMatrix.zeros(p, 0, 1)
-        assert coords is not None, "composition must stay S-linear"
-        cols.append(coords)
-    hom_part = hstack(cols) if cols else FpMatrix.zeros(p, hm_tgt.module.dim, 0)
+    hom_part = hom_coords(u.p, hm_tgt.basis, [g.matrix @ h.matrix for h in hm_src.basis])
     fmat = block_diag([f.matrix, hom_part])
     return CommaMap(src, tgt, ModuleMap(src.A, tgt.A, fmat), ModuleMap(src.B, tgt.B, g.matrix))
 
@@ -318,49 +300,37 @@ def from_T_module(m: ModuleRep, t: TriangularAlgebra) -> FromTResult:
         return cached
     if m.algebra != t or m.side != LEFT:
         raise AlgebraMismatch("expected a left module over the triangular algebra")
-    p = m.p
     er = m.act(t.idempotent_r())
     es = m.act(t.idempotent_s())
     a_cols = column_space_basis(er)
     b_cols = column_space_basis(es)
-    dr, du = t.r.dim, t.u.dim
+    dr, du, ds = t.r.dim, t.u.dim, t.s.dim
 
-    def restrict(cols: FpMatrix, global_idx: int) -> FpMatrix:
-        moved = m.action[global_idx] @ cols
-        coords = solve(cols, moved)
-        assert coords is not None, "idempotent slice must be invariant"
-        return coords
+    def coords(cols: FpMatrix, mats: list[FpMatrix]) -> list[FpMatrix]:
+        blocks = solve_each(cols, mats)
+        assert blocks is not None, "idempotent slices must be invariant"
+        return blocks
 
-    a_action = [restrict(a_cols, i) for i in range(dr)]
-    b_action = [restrict(b_cols, dr + du + k) for k in range(t.s.dim)]
+    # One solve per slice basis: the R-action and the projection e_R onto
+    # the R-slice; the S-action, the U-action (phi, one block per u_j,
+    # landing in the S-slice) and the projection e_S onto the S-slice.
+    *a_action, ca = coords(a_cols, [m.action[i] @ a_cols for i in range(dr)] + [er])
+    b_blocks = coords(
+        b_cols,
+        [m.action[dr + du + k] @ b_cols for k in range(ds)]
+        + [m.action[dr + j] @ a_cols for j in range(du)]
+        + [es],
+    )
+    b_action, phi_blocks, cb = b_blocks[:ds], b_blocks[ds:-1], b_blocks[-1]
     a_mod = ModuleRep(t.r, LEFT, a_cols.cols, a_action, label=f"{m.label}|R")
     b_mod = ModuleRep(t.s, LEFT, b_cols.cols, b_action, label=f"{m.label}|S")
-    da = a_mod.dim
-    phi = np.zeros((b_mod.dim, du * da), dtype=np.int64)
-    for j in range(du):
-        moved = m.action[dr + j] @ a_cols
-        coords = solve(b_cols, moved)
-        assert coords is not None, "U-action must land in the S-slice"
-        phi[:, j * da : (j + 1) * da] = coords.array()
-    comma = CommaObject(t.u, a_mod, b_mod, FpMatrix(p, phi), label=m.label)
-    wit_rows = []
-    if a_cols.cols:
-        ca = solve(a_cols, er)
-        assert ca is not None
-        wit_rows.append(ca)
-    if b_cols.cols:
-        cb = solve(b_cols, es)
-        assert cb is not None
-        wit_rows.append(cb)
-    witness_mat = vstack(wit_rows) if wit_rows else FpMatrix.zeros(p, 0, m.dim)
-    witness = ModuleMap(m, to_T_module(comma, t), witness_mat)
+    # the leading empty block keeps phi defined when U = 0
+    phi = hstack([FpMatrix.zeros(m.p, b_mod.dim, 0)] + phi_blocks)
+    comma = CommaObject(t.u, a_mod, b_mod, phi, label=m.label)
+    witness = ModuleMap(m, to_T_module(comma, t), vstack([ca, cb]))
     result = FromTResult(comma, witness)
     _FROM_T_CACHE[key] = result
     return result
-
-
-def right_t_regular(t: TriangularAlgebra) -> ModuleRep:
-    return regular_module(t, RIGHT)
 
 
 class RightTModule:
@@ -530,20 +500,10 @@ def tilde_phi(c: CommaObject) -> TildePhi:
     """The adjunct of phi: tilde_phi(a)(u) = phi(u (x) a)."""
     u = c.bimodule
     hm = hom_module(u, c.B)
-    p = c.p
-    da = c.A.dim
-    if not hm.basis:
-        return TildePhi(ModuleMap(c.A, hm.module, FpMatrix.zeros(p, 0, da)), hm)
-    stacked = hstack([FpMatrix(p, f.matrix.array().reshape(-1, 1)) for f in hm.basis])
-    cols = []
-    for j in range(da):
-        fj = np.zeros((c.B.dim, u.dim), dtype=np.int64)
-        for i in range(u.dim):
-            fj[:, i] = c.phi.array()[:, i * da + j]
-        coords = solve(stacked, FpMatrix(p, fj.reshape(-1, 1)))
-        assert coords is not None, "phi components must be S-linear"
-        cols.append(coords)
-    mat = hstack(cols) if cols else FpMatrix.zeros(p, hm.module.dim, 0)
+    # column u_i * dim A + a_j of phi is phi(u_i (x) a_j), so comps[:, :, j]
+    # is the map u -> phi(u (x) a_j)
+    comps = c.phi.array().reshape(c.B.dim, u.dim, c.A.dim)
+    mat = hom_coords(c.p, hm.basis, [FpMatrix(c.p, comps[:, :, j]) for j in range(c.A.dim)])
     return TildePhi(ModuleMap(c.A, hm.module, mat), hm)
 
 
@@ -558,11 +518,6 @@ def psi_descends_to_iso(rt: RightTModule) -> bool:
 
     proj, _ = balanced_tensor(rt.Y, bimodule_as_left_module(rt.bimodule))
     return proj.rows == rt.X.dim and rank(rt.psi) == rt.X.dim
-
-
-def tilde_phi_is_epi(c: CommaObject) -> bool:
-    tp = tilde_phi(c)
-    return rank(tp.map.matrix) == tp.map.target.dim
 
 
 # -- the five Hom formulas ------------------------------------------------------

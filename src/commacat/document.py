@@ -76,12 +76,14 @@ def _lookup(table: dict, name: str, path: str, kind: str):
     return table[name]
 
 
-def parse_document(data: dict, collect: Optional[list] = None) -> Document:
+def parse_document(data: Any, collect: Optional[list] = None) -> Document:
     """Build and validate all named objects.
 
     With ``collect`` as a list, violations are appended there and the
     offending objects skipped (best effort); otherwise the first
-    violation raises DocumentError.
+    violation raises DocumentError.  A document that is not a JSON object,
+    or a section that is not an object mapping names to entries, always
+    raises.
     """
 
     def report(exc: DocumentError) -> None:
@@ -89,6 +91,24 @@ def parse_document(data: dict, collect: Optional[list] = None) -> Document:
             raise exc
         collect.append({"path": exc.path, "message": exc.message})
 
+    def entries(section: str, kind: type = dict) -> list[tuple[str, str, Any]]:
+        """(name, path, entry) for each entry of a section that has type ``kind``."""
+        table = data.get(section, {})
+        if not isinstance(table, dict):
+            got = type(table).__name__
+            raise DocumentError(section, f"expected an object mapping names to entries, got {got}")
+        out = []
+        for name, rec in table.items():
+            path = f"{section}.{name}"
+            if isinstance(rec, kind):
+                out.append((name, path, rec))
+            else:
+                expected = "a list of module names" if kind is list else "an object"
+                report(DocumentError(path, f"expected {expected}, got {type(rec).__name__}"))
+        return out
+
+    if not isinstance(data, dict):
+        raise DocumentError("$", f"a document must be a JSON object, got {type(data).__name__}")
     fieldrec = data.get("field")
     if not isinstance(fieldrec, dict) or "p" not in fieldrec:
         raise DocumentError("field", "missing field record with the prime p")
@@ -101,8 +121,7 @@ def parse_document(data: dict, collect: Optional[list] = None) -> Document:
         raise DocumentError("field.p", str(exc)) from None
     doc = Document(p=p, raw=data)
 
-    for name, rec in (data.get("algebras") or {}).items():
-        path = f"algebras.{name}"
+    for name, path, rec in entries("algebras"):
         try:
             try:
                 alg = FDAlgebra(p, rec["mul"], rec["unit"], label=name)
@@ -115,8 +134,7 @@ def parse_document(data: dict, collect: Optional[list] = None) -> Document:
         except DocumentError as exc:
             report(exc)
 
-    for name, rec in (data.get("bimodules") or {}).items():
-        path = f"bimodules.{name}"
+    for name, path, rec in entries("bimodules"):
         try:
             s_alg = _lookup(doc.algebras, rec.get("s_algebra", ""), path, "algebra")
             r_alg = _lookup(doc.algebras, rec.get("r_algebra", ""), path, "algebra")
@@ -143,8 +161,7 @@ def parse_document(data: dict, collect: Optional[list] = None) -> Document:
         except DocumentError as exc:
             report(exc)
 
-    for name, rec in (data.get("modules") or {}).items():
-        path = f"modules.{name}"
+    for name, path, rec in entries("modules"):
         try:
             alg = _lookup(doc.algebras, rec.get("algebra", ""), path, "algebra")
             side = rec.get("side", LEFT)
@@ -167,8 +184,7 @@ def parse_document(data: dict, collect: Optional[list] = None) -> Document:
         except DocumentError as exc:
             report(exc)
 
-    for name, rec in (data.get("comma_objects") or {}).items():
-        path = f"comma_objects.{name}"
+    for name, path, rec in entries("comma_objects"):
         try:
             u = _lookup(doc.bimodules, rec.get("bimodule", ""), path, "bimodule")
             a = _lookup(doc.modules, rec.get("A", ""), path, "module")
@@ -187,8 +203,7 @@ def parse_document(data: dict, collect: Optional[list] = None) -> Document:
         except DocumentError as exc:
             report(exc)
 
-    for name, rec in (data.get("right_t_modules") or {}).items():
-        path = f"right_t_modules.{name}"
+    for name, path, rec in entries("right_t_modules"):
         try:
             u = _lookup(doc.bimodules, rec.get("bimodule", ""), path, "bimodule")
             x = _lookup(doc.modules, rec.get("X", ""), path, "module")
@@ -216,8 +231,7 @@ def parse_document(data: dict, collect: Optional[list] = None) -> Document:
             return to_T_module(c, t).relabel(name)
         raise DocumentError(path, f"unresolved module reference {name!r}")
 
-    for name, rec in (data.get("presentations") or {}).items():
-        path = f"presentations.{name}"
+    for name, path, rec in entries("presentations"):
         try:
             src = resolve_module(rec.get("source", ""), f"{path}.source")
             tgt = resolve_module(rec.get("target", ""), f"{path}.target")
@@ -236,18 +250,15 @@ def parse_document(data: dict, collect: Optional[list] = None) -> Document:
         except DocumentError as exc:
             report(exc)
 
-    for name, rec in (data.get("universes") or {}).items():
-        path = f"universes.{name}"
+    for name, path, rec in entries("universes", list):
         try:
-            if not isinstance(rec, list):
-                raise DocumentError(path, "universe must be a list of module names")
             doc.universes[name] = [resolve_module(n, f"{path}[{i}]") for i, n in enumerate(rec)]
         except DocumentError as exc:
             report(exc)
 
-    for name, rec in (data.get("families") or {}).items():
+    for name, path, rec in entries("families"):
         try:
-            doc.families[name] = _build_family(doc, name, rec, f"families.{name}")
+            doc.families[name] = _build_family(doc, name, rec, path)
         except DocumentError as exc:
             report(exc)
 

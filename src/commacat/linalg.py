@@ -275,6 +275,21 @@ def solve(m: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
     return FpMatrix(p, x)
 
 
+def solve_each(m: FpMatrix, bs: Sequence[FpMatrix]) -> Optional[list[FpMatrix]]:
+    """Solutions x_i of m x_i = b_i, one per right-hand side, from one elimination.
+
+    The blocks of ``solve(m, hstack(bs))``: None when any b_i is
+    inconsistent, and [] for no right-hand sides.
+    """
+    if not bs:
+        return []
+    x = solve(m, hstack(bs))
+    if x is None:
+        return None
+    ends = np.cumsum([b.cols for b in bs])
+    return [x.block(0, x.rows, int(e) - b.cols, int(e)) for b, e in zip(bs, ends)]
+
+
 def inverse(m: FpMatrix) -> Optional[FpMatrix]:
     if m.rows != m.cols:
         return None
@@ -316,10 +331,6 @@ def quotient_space(p: int, dim: int, sub: FpMatrix) -> tuple[FpMatrix, FpMatrix]
     projection = inv.block(k, dim, 0, dim)
     section = basis.block(0, dim, k, dim)
     return projection, section
-
-
-def span_contains(basis: FpMatrix, vec: FpMatrix) -> bool:
-    return solve(basis, vec) is not None
 
 
 def spans_equal(a: FpMatrix, b: FpMatrix) -> bool:

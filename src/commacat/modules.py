@@ -30,6 +30,7 @@ from .linalg import (
     quotient_space,
     rank,
     solve,
+    solve_each,
     vstack,
 )
 
@@ -258,14 +259,26 @@ def hom_dim(m: ModuleRep, n: ModuleRep) -> int:
     return len(hom_space(m, n))
 
 
-def coordinates_in_hom_basis(basis: Sequence[ModuleMap], matrix: FpMatrix) -> Optional[FpMatrix]:
-    """Coordinates of a map in a hom-space basis, or None if outside the span."""
+def hom_coords(p: int, basis: Sequence[ModuleMap], mats: Sequence[FpMatrix]) -> FpMatrix:
+    """Coordinates of each matrix in ``mats`` in a Hom-space basis, as columns.
+
+    Returns the len(basis) x len(mats) matrix whose j-th column writes
+    mats[j] in ``basis``.  All columns come from one multi-column solve,
+    which gives the same columns as solving for each matrix alone.  Every
+    matrix must lie in the span of the basis (AssertionError otherwise);
+    with an empty basis only zero matrices are accepted.  Callers compose
+    the maps themselves, e.g. ``hom_coords(p, tgt, [g @ b.matrix for b in src])``
+    for the matrix of composition with g.
+    """
     if not basis:
-        return None if not matrix.is_zero() else FpMatrix.zeros(matrix.p, 0, 1)
-    p = matrix.p
-    stacked = hstack([FpMatrix(p, b.matrix.array().reshape(-1, 1)) for b in basis])
-    vec = FpMatrix(p, matrix.array().reshape(-1, 1))
-    return solve(stacked, vec)
+        assert all(m.is_zero() for m in mats), "matrix outside the span of an empty Hom basis"
+        return FpMatrix.zeros(p, 0, len(mats))
+    if not mats:
+        return FpMatrix.zeros(p, len(basis), 0)
+    stacked = FpMatrix(p, np.stack([b.matrix.array().reshape(-1) for b in basis], axis=1))
+    coords = solve(stacked, FpMatrix(p, np.stack([m.array().reshape(-1) for m in mats], axis=1)))
+    assert coords is not None, "matrix outside the span of the Hom basis"
+    return coords
 
 
 # -- sums, subs, quotients --------------------------------------------------
@@ -317,13 +330,9 @@ def submodule(m: ModuleRep, basis_cols: FpMatrix, label: str = "") -> tuple[Modu
     """
     if rank(basis_cols) != basis_cols.cols:
         raise ValueError("submodule basis columns must be independent")
-    action = []
-    for i in range(m.algebra.dim):
-        moved = m.action[i] @ basis_cols
-        coords = solve(basis_cols, moved)
-        if coords is None:
-            raise ValueError(f"span is not invariant under basis element {i}")
-        action.append(coords)
+    action = solve_each(basis_cols, [a @ basis_cols for a in m.action])
+    if action is None:
+        raise ValueError("span is not invariant under the action")
     sub = ModuleRep(m.algebra, m.side, basis_cols.cols, action, label=label)
     return sub, ModuleMap(sub, m, basis_cols)
 
@@ -662,25 +671,8 @@ def hom_module(u: Bimodule, b: ModuleRep) -> HomModule:
     if b.algebra != u.s_algebra or b.side != LEFT:
         raise AlgebraMismatch("hom_module expects a left module over the bimodule's left algebra")
     basis = hom_space(bimodule_as_left_module(u), b)
-    p = u.p
-    h = len(basis)
-    r_alg = u.r_algebra
-    if h == 0:
-        result = HomModule(zero_module(r_alg, LEFT).relabel(f"Hom(U,{b.label})"), [])
-        _HOM_MODULE_CACHE[key] = result
-        return result
-    stacked = hstack([FpMatrix(p, f.matrix.array().reshape(-1, 1)) for f in basis])
-    action = []
-    for i in range(r_alg.dim):
-        ra = u.right_action[i]
-        cols = []
-        for f in basis:
-            moved = FpMatrix(p, (f.matrix @ ra).array().reshape(-1, 1))
-            coords = solve(stacked, moved)
-            assert coords is not None, "hom space must be closed under the right action"
-            cols.append(coords)
-        action.append(hstack(cols))
-    module = ModuleRep(r_alg, LEFT, h, action, label=f"Hom(U,{b.label})")
+    action = [hom_coords(u.p, basis, [f.matrix @ ra for f in basis]) for ra in u.right_action]
+    module = ModuleRep(u.r_algebra, LEFT, len(basis), action, label=f"Hom(U,{b.label})")
     result = HomModule(module, basis)
     _HOM_MODULE_CACHE[key] = result
     return result

@@ -39,6 +39,7 @@ from .modules import (
     ModuleRep,
     direct_sum,
     gen_member,
+    hom_coords,
     hom_space,
     regular_module,
     zero_module,
@@ -170,22 +171,17 @@ def _basis_vec(dim: int, i: int) -> np.ndarray:
     return e
 
 
-def _hom_composition_matrix(s: Presentation, x: ModuleRep) -> tuple[FpMatrix, int, int]:
-    """Matrix of Hom(P0, x) -> Hom(P1, x), h -> h . sigma, in hom bases."""
-    h0 = hom_space(s.sigma.target, x)
-    h1 = hom_space(s.sigma.source, x)
-    p = x.p
-    if not h1:
-        return FpMatrix.zeros(p, 0, len(h0)), len(h0), 0
-    stacked = hstack([FpMatrix(p, b.matrix.array().reshape(-1, 1)) for b in h1])
-    cols = []
-    for b in h0:
-        comp = FpMatrix(p, (b.matrix @ s.sigma.matrix).array().reshape(-1, 1))
-        coords = solve(stacked, comp)
-        assert coords is not None, "composition with sigma must stay an intertwiner"
-        cols.append(coords)
-    mat = hstack(cols) if cols else FpMatrix.zeros(p, len(h1), 0)
-    return mat, len(h0), len(h1)
+def _hom_onto(f: ModuleMap, x: ModuleRep) -> bool:
+    """True when Hom(f, x): Hom(f.target, x) -> Hom(f.source, x), h -> h . f, is onto.
+
+    Decided by the rank of its matrix in the two Hom bases.
+    """
+    h_target = hom_space(f.target, x)
+    h_source = hom_space(f.source, x)
+    if not h_source:
+        return True
+    mat = hom_coords(x.p, h_source, [b.matrix @ f.matrix for b in h_target])
+    return rank(mat) == len(h_source)
 
 
 _D_SIGMA_CACHE: dict = {}
@@ -199,8 +195,7 @@ def d_sigma_member(s: Presentation, x: ModuleRep) -> bool:
         return cached
     if x.algebra != s.target.algebra or x.side != s.target.side:
         raise AlgebraMismatch("module is not over the presentation's algebra")
-    mat, _, h1 = _hom_composition_matrix(s, x)
-    result = rank(mat) == h1
+    result = _hom_onto(s.sigma, x)
     _D_SIGMA_CACHE[key] = result
     return result
 
@@ -317,22 +312,4 @@ def is_partial_silting(
 def is_left_approximation(f: ModuleMap, family, universe: Sequence[ModuleRep]) -> bool:
     """True when every map from the source into a family member of the
     universe factors through f."""
-    for x in universe:
-        if not family.contains(x):
-            continue
-        h_target = hom_space(f.target, x)
-        h_source = hom_space(f.source, x)
-        if not h_source:
-            continue
-        p = f.source.p
-        stacked = hstack([FpMatrix(p, b.matrix.array().reshape(-1, 1)) for b in h_source])
-        cols = []
-        for b in h_target:
-            comp = FpMatrix(p, (b.matrix @ f.matrix).array().reshape(-1, 1))
-            coords = solve(stacked, comp)
-            assert coords is not None
-            cols.append(coords)
-        mat = hstack(cols) if cols else FpMatrix.zeros(p, len(h_source), 0)
-        if rank(mat) != len(h_source):
-            return False
-    return True
+    return all(_hom_onto(f, x) for x in universe if family.contains(x))

@@ -28,7 +28,7 @@ from .comma import (
     tensor_shape_predictions,
     to_T_module,
 )
-from .document import Document, DocumentError
+from .document import Document
 from .fixtures import Fixture
 from .linalg import rank
 from .modules import ModuleRep, gen_member, hom_dim
@@ -44,7 +44,6 @@ from .torsion import (
     comma_family,
     family_all,
     family_d_sigma,
-    family_explicit,
     family_gen,
     family_zero,
     is_torsion_class,
@@ -98,39 +97,6 @@ def _basic_family(kind: str, universe: Sequence[ModuleRep]) -> ModuleFamily:
     if kind == "all":
         return family_all(universe)
     raise TaskError(f"unknown basic family kind {kind!r}")
-
-
-def resolve_family_spec(spec, fixture: Fixture, universe: Sequence[ModuleRep]) -> ModuleFamily:
-    """Rebuild a family from its serialized spec over a fixture universe."""
-    if isinstance(spec, str):
-        return _basic_family(spec, universe)
-    kind = spec.get("kind")
-    if kind in _BASIC_FAMILY_KINDS:
-        return _basic_family(kind, universe)
-    if kind == "gen":
-        return family_gen(_module_by_label(fixture, spec["module"]), universe)
-    if kind == "d_sigma":
-        raise TaskError("d_sigma family specs need a named presentation; use task params")
-    if kind == "perp_right":
-        inner = resolve_family_spec(spec["of"], fixture, universe)
-        return perp_right(inner, universe)
-    if kind == "perp_left":
-        inner = resolve_family_spec(spec["of"], fixture, universe)
-        return perp_left(inner, universe)
-    if kind == "perp_right_modules":
-        mods = [_module_by_label(fixture, n) for n in spec["modules"]]
-        return perp_right_modules(mods, universe)
-    if kind == "explicit":
-        mods = [_module_by_label(fixture, n) for n in spec["modules"]]
-        return family_explicit(mods, universe)
-    raise TaskError(f"cannot resolve family spec {spec!r}")
-
-
-def _module_by_label(fixture: Fixture, label: str) -> ModuleRep:
-    for table in (fixture.r_universe, fixture.s_universe, fixture.t_universe):
-        if label in table:
-            return table[label]
-    raise TaskError(f"no module labelled {label!r} in the fixture universes")
 
 
 # -- verify-all claims --------------------------------------------------------

@@ -9,7 +9,7 @@ replays one certificate from raw data.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import TriangularAlgebra
 from .comma import sigma_for_p, tensor_over
@@ -41,7 +41,6 @@ from .torsion import (
     is_torsion_pair,
     perp_left,
     perp_right,
-    torsion_pair_oracle,
 )
 
 
@@ -352,7 +351,6 @@ def verify_final_corollaries(
     """The closing corollaries: silting reductions and the induced
     comma torsion pairs from a silting pair (A, B)."""
     from .modules import zero_module
-    from .presentations import trivial_presentation
 
     u = t.u
     subs: list[Verdict] = []

@@ -164,3 +164,16 @@ def test_max_dim_env_var(runner, tmp_path, monkeypatch):
     report = json.loads(result.output)
     # a cap of 2 shrinks the built comma universe
     assert len(report["tasks"][0]["labels"]) < 19
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2], {**sample_document(), "modules": list(sample_document()["modules"].values())}],
+    ids=["root-array", "modules-array"],
+)
+def test_malformed_document_shape_exit_2(runner, tmp_path, command, payload):
+    doc_path = tmp_path / "bad.json"
+    doc_path.write_text(json.dumps(payload))
+    result = runner.invoke(main, [command, str(doc_path)])
+    assert result.exit_code == 2, result.output

@@ -171,3 +171,25 @@ def test_multiple_violations_collected():
     data["comma_objects"]["bad"] = {"bimodule": "U", "A": "missing", "B": "Sk", "phi": [[0]]}
     report = document_validation_report(data)
     assert len(report["violations"]) >= 2
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (lambda d: [d], "$"),
+        (lambda d: {**d, "modules": list(d["modules"].values())}, "modules"),
+        (lambda d: {**d, "universes": "all"}, "universes"),
+        (lambda d: {**d, "families": []}, "families"),
+        (lambda d: {**d, "modules": {**d["modules"], "Rk": [1]}}, "modules.Rk"),
+        (lambda d: {**d, "universes": {**d["universes"], "bad": {"of": "RR"}}}, "universes.bad"),
+    ],
+    ids=["root-array", "modules-array", "universes-string", "families-empty-array", "module-entry", "universe-entry"],
+)
+def test_malformed_shape_raises_document_error(mutate, path):
+    data = mutate(sample_document())
+    with pytest.raises(DocumentError) as err:
+        parse_document(data)
+    assert err.value.path == path
+    report = document_validation_report(data)
+    assert not report["valid"]
+    assert any(v["path"] == path for v in report["violations"])

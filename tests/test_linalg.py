@@ -20,6 +20,7 @@ from commacat.linalg import (
     rank,
     rref,
     solve,
+    solve_each,
     spans_equal,
 )
 
@@ -215,15 +216,30 @@ def test_quotient_projection_properties(m):
 @given(fp_matrices(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_solve_iff_rank_criterion(m, data):
-    vec = data.draw(
-        st.lists(st.integers(min_value=0, max_value=m.p - 1), min_size=m.rows, max_size=m.rows)
-    )
-    b = FpMatrix(m.p, np.array(vec, dtype=np.int64).reshape(m.rows, 1))
-    x = solve(m, b)
-    consistent = rank(hstack([m, b])) == rank(m)
-    assert (x is not None) == consistent
-    if x is not None:
-        assert (m @ x) == b
+    """Each column solves alone by the rank criterion; 0-3 columns solved
+    together fail exactly when one of them does, and otherwise give the
+    columns solved alone (free variables zero)."""
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    entries = st.integers(min_value=0, max_value=m.p - 1)
+    bs = [
+        FpMatrix.column(m.p, data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows)))
+        for _ in range(k)
+    ]
+    singles = []
+    for b in bs:
+        x = solve(m, b)
+        consistent = rank(hstack([m, b])) == rank(m)
+        assert (x is not None) == consistent
+        if x is not None:
+            assert (m @ x) == b
+        singles.append(x)
+    joint = solve(m, hstack([FpMatrix.zeros(m.p, m.rows, 0)] + bs))
+    if any(x is None for x in singles):
+        assert joint is None
+        assert solve_each(m, bs) is None
+    else:
+        assert joint == hstack([FpMatrix.zeros(m.p, m.cols, 0)] + singles)
+        assert solve_each(m, bs) == singles
 
 
 def test_kron_convention():

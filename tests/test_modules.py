@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from commacat.algebra import dual_numbers_algebra, field_algebra
@@ -13,12 +14,14 @@ from commacat.modules import (
     extension_middle_terms,
     gen_member,
     gen_member_epi_oracle,
+    hom_coords,
     hom_dim,
     hom_space,
     image_kernel_cokernel,
     is_isomorphic,
     module_dual,
     regular_module,
+    submodule,
     tensor_map,
     tensor_over,
     trace_of,
@@ -124,6 +127,42 @@ def test_hom_additivity(a2):
                 s = direct_sum([n1, n2], algebra=a2.t).module
                 assert hom_dim(m, s) == hom_dim(m, n1) + hom_dim(m, n2)
                 assert hom_dim(s, m) == hom_dim(n1, m) + hom_dim(n2, m)
+
+
+@pytest.mark.parametrize("name", ["a2", "dual-numbers"])
+def test_hom_coords_recovers_coefficients(name, a2, dual):
+    fx = a2 if name == "a2" else dual
+    rng = np.random.default_rng(0)
+    p = fx.p
+    for universe in (fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()):
+        for m in universe:
+            for n in universe:
+                basis = hom_space(m, n)
+                c = rng.integers(0, p, size=(len(basis), 3))
+                mats = [FpMatrix.zeros(p, n.dim, m.dim) for _ in range(3)]
+                for i, b in enumerate(basis):
+                    mats = [x + b.matrix.scale(int(c[i, j])) for j, x in enumerate(mats)]
+                assert hom_coords(p, basis, mats) == FpMatrix(p, c.reshape(len(basis), 3))
+
+
+def test_hom_coords_empty_basis_accepts_only_zero(a2):
+    t = a2.t_universe
+    assert hom_space(t["S_S"], t["S_R"]) == []
+    zero = FpMatrix.zeros(a2.p, 1, 1)
+    assert hom_coords(a2.p, [], [zero, zero]) == FpMatrix.zeros(a2.p, 0, 2)
+    with pytest.raises(AssertionError):
+        hom_coords(a2.p, [], [zero, FpMatrix.identity(a2.p, 1)])
+
+
+def test_submodule_rejects_dependent_or_non_invariant_columns(a2):
+    treg = regular_module(a2.t)
+    e_r = FpMatrix.column(a2.p, [1, 0, 0])
+    with pytest.raises(ValueError, match="independent"):
+        submodule(treg, FpMatrix(a2.p, [[1, 1], [0, 0], [0, 0]]))
+    # U moves e_R into e_U, so the span of e_R alone is not a submodule
+    assert treg.action[1] @ e_r == FpMatrix.column(a2.p, [0, 1, 0])
+    with pytest.raises(ValueError, match="not invariant"):
+        submodule(treg, e_r)
 
 
 def test_direct_sum_empty_and_unit(a2):
