@@ -117,18 +117,28 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
 @click.option("--max-dim", type=int, default=None, envvar="COMMACAT_MAX_DIM")
 def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int]) -> None:
     """Check every invariant of a document, or replay a report's certificates."""
+    with open(target, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            click.echo(f"invalid JSON: {exc}", err=True)
+            sys.exit(2)
     if certificate:
-        with open(target, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        source = report.get("source", {})
-        if "fixture" not in source:
+        if not isinstance(data, dict):
+            click.echo(f"error: a report must be a JSON object, got {type(data).__name__}", err=True)
+            sys.exit(2)
+        source = data.get("source")
+        if not isinstance(source, dict) or "fixture" not in source:
             click.echo("error: certificate replay needs a fixture-based report", err=True)
             sys.exit(3)
+        if source["fixture"] not in fixture_names():
+            click.echo(f"error: unknown fixture {source['fixture']!r}", err=True)
+            sys.exit(2)
         fx = load_fixture(source["fixture"], iso_cap=iso_cap, max_total_dim=max_dim)
-        failures = replay_report(report, fx)
+        failures = replay_report(data, fx)
         total = sum(
             len(v.get("certificates", [])) + sum(len(s.get("certificates", [])) for s in v.get("sub", []))
-            for t in report.get("tasks", [])
+            for t in data.get("tasks", [])
             for v in t.get("verdicts", [])
         )
         if failures:
@@ -137,12 +147,6 @@ def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int
             sys.exit(2)
         click.echo(f"all certificates replayed ({total} checked)")
         sys.exit(0)
-    with open(target, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            click.echo(f"invalid JSON: {exc}", err=True)
-            sys.exit(2)
     result = document_validation_report(data)
     if result["valid"]:
         click.echo("valid")

@@ -70,8 +70,23 @@ def _matrix(p: int, data: Any, path: str, rows: Optional[int] = None, cols: Opti
     return m
 
 
-def _lookup(table: dict, name: str, path: str, kind: str):
-    if name not in table:
+def _dim(rec: dict, path: str) -> int:
+    dim = rec.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        raise DocumentError(f"{path}.dim", f"dim must be a nonnegative integer, got {dim!r}")
+    return dim
+
+
+def _actions(p: int, rec: dict, key: str, path: str, dim: int) -> list[FpMatrix]:
+    """The list of dim x dim matrices stored under ``key``."""
+    data = rec.get(key, [])
+    if not isinstance(data, list):
+        raise DocumentError(f"{path}.{key}", f"expected a list of matrices, got {type(data).__name__}")
+    return [_matrix(p, m, f"{path}.{key}[{i}]", dim, dim) for i, m in enumerate(data)]
+
+
+def _lookup(table: dict, name: Any, path: str, kind: str):
+    if not isinstance(name, str) or name not in table:
         raise DocumentError(path, f"unresolved {kind} reference {name!r}")
     return table[name]
 
@@ -138,17 +153,9 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
         try:
             s_alg = _lookup(doc.algebras, rec.get("s_algebra", ""), path, "algebra")
             r_alg = _lookup(doc.algebras, rec.get("r_algebra", ""), path, "algebra")
-            dim = rec.get("dim")
-            if not isinstance(dim, int) or dim < 0:
-                raise DocumentError(path, "dim must be a nonnegative integer")
-            left = [
-                _matrix(p, m, f"{path}.left_action[{i}]", dim, dim)
-                for i, m in enumerate(rec.get("left_action", []))
-            ]
-            right = [
-                _matrix(p, m, f"{path}.right_action[{i}]", dim, dim)
-                for i, m in enumerate(rec.get("right_action", []))
-            ]
+            dim = _dim(rec, path)
+            left = _actions(p, rec, "left_action", path, dim)
+            right = _actions(p, rec, "right_action", path, dim)
             try:
                 u = Bimodule(s_alg, r_alg, dim, left, right, label=name)
             except ValueError as exc:
@@ -167,13 +174,8 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
             side = rec.get("side", LEFT)
             if side not in (LEFT, RIGHT):
                 raise DocumentError(path, f"side must be 'left' or 'right', got {side!r}")
-            dim = rec.get("dim")
-            if not isinstance(dim, int) or dim < 0:
-                raise DocumentError(path, "dim must be a nonnegative integer")
-            action = [
-                _matrix(p, m, f"{path}.action[{i}]", dim, dim)
-                for i, m in enumerate(rec.get("action", []))
-            ]
+            dim = _dim(rec, path)
+            action = _actions(p, rec, "action", path, dim)
             if len(action) != alg.dim:
                 raise DocumentError(path, f"need {alg.dim} action matrices, got {len(action)}")
             mod = ModuleRep(alg, side, dim, action, label=name)
@@ -222,14 +224,11 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
         except DocumentError as exc:
             report(exc)
 
-    def resolve_module(name: str, path: str) -> ModuleRep:
-        if name in doc.modules:
-            return doc.modules[name]
-        if name in doc.comma_objects:
+    def resolve_module(name: Any, path: str) -> ModuleRep:
+        if isinstance(name, str) and name not in doc.modules and name in doc.comma_objects:
             c = doc.comma_objects[name]
-            t = doc.triangulars[c.bimodule.label]
-            return to_T_module(c, t).relabel(name)
-        raise DocumentError(path, f"unresolved module reference {name!r}")
+            return to_T_module(c, doc.triangulars[c.bimodule.label]).relabel(name)
+        return _lookup(doc.modules, name, path, "module")
 
     for name, path, rec in entries("presentations"):
         try:
@@ -272,6 +271,13 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
     return doc
 
 
+def _module_list(doc: Document, rec: dict, path: str) -> list[ModuleRep]:
+    names = rec.get("modules", [])
+    if not isinstance(names, list):
+        raise DocumentError(f"{path}.modules", f"expected a list of module names, got {type(names).__name__}")
+    return [_lookup(doc.modules, n, f"{path}.modules[{i}]", "module") for i, n in enumerate(names)]
+
+
 def _build_family(doc: Document, name: str, rec: dict, path: str) -> ModuleFamily:
     kind = rec.get("kind")
     universe = _lookup(doc.universes, rec.get("universe", ""), path, "universe")
@@ -280,11 +286,7 @@ def _build_family(doc: Document, name: str, rec: dict, path: str) -> ModuleFamil
     elif kind == "zero":
         fam = family_zero(universe)
     elif kind == "explicit":
-        mods = [
-            _lookup(doc.modules, n, f"{path}.modules[{i}]", "module")
-            for i, n in enumerate(rec.get("modules", []))
-        ]
-        fam = family_explicit(mods, universe, label=name)
+        fam = family_explicit(_module_list(doc, rec, path), universe, label=name)
     elif kind == "gen":
         mod = _lookup(doc.modules, rec.get("module", ""), path, "module")
         fam = family_gen(mod, universe, label=name)
@@ -298,11 +300,7 @@ def _build_family(doc: Document, name: str, rec: dict, path: str) -> ModuleFamil
         of = _lookup(doc.families, rec.get("of", ""), path, "family")
         fam = perp_left(of, universe)
     elif kind == "perp_right_modules":
-        mods = [
-            _lookup(doc.modules, n, f"{path}.modules[{i}]", "module")
-            for i, n in enumerate(rec.get("modules", []))
-        ]
-        fam = perp_right_modules(mods, universe, label=name)
+        fam = perp_right_modules(_module_list(doc, rec, path), universe, label=name)
     elif kind == "comma":
         cfam = _lookup(doc.families, rec.get("c", ""), path, "family")
         dfam = _lookup(doc.families, rec.get("d", ""), path, "family")

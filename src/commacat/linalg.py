@@ -2,9 +2,11 @@
 
 Every matrix in the package is an :class:`FpMatrix`: an immutable,
 row-major integer matrix with entries reduced mod p.  All arithmetic is
-integer arithmetic followed by reduction, so results are exact.  Target
-dimensions are tiny (tens at most), so everything is dense and there are
-no randomized algorithms: identical inputs give identical outputs.
+integer arithmetic followed by reduction, so results are exact.  Systems
+reach a few hundred rows (a Hom system of two 8-dimensional modules over a
+3-dimensional algebra is 192x64); everything is dense and deterministic.
+:func:`rref` does Gauss-Jordan elimination with one nonzero scan of the
+pivot column and one masked rank-1 update of all rows it hits per pivot.
 
 Entries are stored as int64, so the modulus is validated once per value
 of p (:func:`_check_modulus`, shared with :class:`FDAlgebra`): it must be
@@ -217,20 +219,21 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, tuple[int, ...]]:
     for c in range(cols):
         if r == rows:
             break
-        pr = None
-        for i in range(r, rows):
-            if a[i, c] % p:
-                pr = i
-                break
-        if pr is None:
+        nz = a[:, c].nonzero()[0]
+        below = nz[nz >= r]
+        if not below.size:
             continue
+        pr = below[0]
+        # Rows r..pr-1 are zero in column c, so after the swap the rows to
+        # clear are the nonzero ones other than pr.
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+        if a[r, c] != 1:
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        # Rows at or below r are zero left of c, so only columns c.. change.
+        hit = nz[nz != pr]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - a[hit, c : c + 1] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return FpMatrix(p, a), tuple(pivots)
@@ -243,16 +246,11 @@ def rank(m: FpMatrix) -> int:
 def kernel_basis(m: FpMatrix) -> FpMatrix:
     """Columns form a basis of the null space of ``m`` (canonical RREF basis)."""
     red, pivots = rref(m)
-    p = m.p
-    cols = m.cols
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    a = red.array()
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-a[i, f]) % p
-    return FpMatrix(p, basis)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
+    basis[free, range(len(free))] = 1
+    basis[list(pivots)] = -red.array()[: len(pivots)][:, free] % m.p
+    return FpMatrix(m.p, basis)
 
 
 def solve(m: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
@@ -263,16 +261,12 @@ def solve(m: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
     """
     if b.rows != m.rows:
         raise ValueError(f"rhs has {b.rows} rows, expected {m.rows}")
-    aug = hstack([m, b])
-    red, pivots = rref(aug)
+    red, pivots = rref(hstack([m, b]))
     if any(c >= m.cols for c in pivots):
         return None
-    p = m.p
     x = np.zeros((m.cols, b.cols), dtype=np.int64)
-    a = red.array()
-    for i, pc in enumerate(pivots):
-        x[pc, :] = a[i, m.cols :]
-    return FpMatrix(p, x)
+    x[list(pivots)] = red.array()[: len(pivots), m.cols :]
+    return FpMatrix(m.p, x)
 
 
 def solve_each(m: FpMatrix, bs: Sequence[FpMatrix]) -> Optional[list[FpMatrix]]:

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from commacat.cli import main
-from tests.test_document import sample_document
+from tests.test_document import _set, sample_document
 
 
 @pytest.fixture()
@@ -169,11 +169,34 @@ def test_max_dim_env_var(runner, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["run", "validate"])
 @pytest.mark.parametrize(
     "payload",
-    [[1, 2], {**sample_document(), "modules": list(sample_document()["modules"].values())}],
-    ids=["root-array", "modules-array"],
+    [
+        [1, 2],
+        {**sample_document(), "modules": list(sample_document()["modules"].values())},
+        _set("modules", "Rk", action=5)(sample_document()),
+        _set("bimodules", "U", dim=True)(sample_document()),
+    ],
+    ids=["root-array", "modules-array", "module-action-int", "bimodule-dim-bool"],
 )
 def test_malformed_document_shape_exit_2(runner, tmp_path, command, payload):
     doc_path = tmp_path / "bad.json"
     doc_path.write_text(json.dumps(payload))
     result = runner.invoke(main, [command, str(doc_path)])
     assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "a report must be a JSON object, got list"),
+        ("{bad", "invalid JSON"),
+        ('{"source": {"fixture": "nope"}, "tasks": []}', "unknown fixture 'nope'"),
+    ],
+    ids=["array", "not-json", "unknown-fixture"],
+)
+def test_certificate_replay_of_malformed_report_exit_2(runner, tmp_path, text, message):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(text)
+    result = runner.invoke(main, ["validate", "--certificate", str(report_path)])
+    assert result.exit_code == 2, result.output
+    assert message in result.stderr
+    assert len(result.stderr.splitlines()) == 1

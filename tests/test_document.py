@@ -173,6 +173,14 @@ def test_multiple_violations_collected():
     assert len(report["violations"]) >= 2
 
 
+def _set(section, name, **fields):
+    """A mutation that overwrites fields of one section entry."""
+    def mutate(d):
+        d[section][name].update(fields)
+        return d
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -182,8 +190,18 @@ def test_multiple_violations_collected():
         (lambda d: {**d, "families": []}, "families"),
         (lambda d: {**d, "modules": {**d["modules"], "Rk": [1]}}, "modules.Rk"),
         (lambda d: {**d, "universes": {**d["universes"], "bad": {"of": "RR"}}}, "universes.bad"),
+        (_set("modules", "Rk", action=5), "modules.Rk.action"),
+        (_set("modules", "Rk", dim=True), "modules.Rk.dim"),
+        (_set("bimodules", "U", dim=True), "bimodules.U.dim"),
+        (_set("bimodules", "U", right_action=None), "bimodules.U.right_action"),
+        (_set("comma_objects", "cP", A=["Rk"]), "comma_objects.cP"),
+        (_set("presentations", "k_from_x", module={"a": 1}), "presentations.k_from_x.module"),
+        (lambda d: {**d, "universes": {"ur": [["Rk"]]}}, "universes.ur[0]"),
+        (_set("families", "zero_r", kind="explicit", modules=5), "families.zero_r.modules"),
     ],
-    ids=["root-array", "modules-array", "universes-string", "families-empty-array", "module-entry", "universe-entry"],
+    ids=["root-array", "modules-array", "universes-string", "families-empty-array", "module-entry", "universe-entry",
+         "action-int", "module-dim-bool", "bimodule-dim-bool", "right-action-null",
+         "comma-A-list", "presentation-module-object", "universe-name-list", "family-modules-int"],
 )
 def test_malformed_shape_raises_document_error(mutate, path):
     data = mutate(sample_document())

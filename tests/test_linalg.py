@@ -341,3 +341,61 @@ def test_combination_chunks_of_no_basis_is_one_zero_matrix():
 def test_combination_chunks_reject_a_mismatched_basis():
     with pytest.raises(ValueError):
         list(combination_chunks(2, [FpMatrix(2, [[1, 0]])], 2, 1))
+
+
+def reference_rref(p, rows, cols):
+    """Gauss-Jordan elimination on lists of Python ints: (reduced rows, pivots)."""
+    a = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(a):
+            break
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
+@st.composite
+def large_fp_matrices(draw):
+    """Up to 24x24 over F_p, p up to the largest prime below 2**24, often of low rank.
+
+    The matrix is a product (rows x k) (k x cols) of factors whose entries
+    are zero about half the time, so zero rows and columns, repeated
+    pivots and every rank up to min(rows, cols) all occur.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 16777213]))
+    rows = draw(st.integers(min_value=0, max_value=24))
+    cols = draw(st.integers(min_value=0, max_value=24))
+    k = draw(st.integers(min_value=0, max_value=min(rows, cols)))
+    entry = st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1))
+    left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    product = [[sum(x * right[t][j] for t, x in enumerate(row)) % p for j in range(cols)] for row in left]
+    return p, rows, cols, product
+
+
+@given(large_fp_matrices())
+@settings(max_examples=120, deadline=None)
+def test_rref_matches_python_int_reference(case):
+    p, rows, cols, entries = case
+    m = FpMatrix(p, np.array(entries, dtype=np.int64).reshape(rows, cols))
+    red, pivots = rref(m)
+    want, want_pivots = reference_rref(p, entries, cols)
+    assert pivots == want_pivots
+    assert red.to_lists() == want
+    k = kernel_basis(m)
+    free = [c for c in range(cols) if c not in pivots]
+    assert k.rows == cols and k.cols == len(free)
+    assert k.array()[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
+    assert (m @ k).is_zero()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from commacat.algebra import dual_numbers_algebra, field_algebra
+from commacat.algebra import FDAlgebra, dual_numbers_algebra, field_algebra
 from commacat.fixtures import load_fixture
-from commacat.linalg import FpMatrix, enumerate_vectors, rank
+from commacat.linalg import FpMatrix, enumerate_vectors, inverse, rank
 from commacat.modules import (
     IsoResult,
     IsoSearchCapExceeded,
@@ -390,3 +390,39 @@ def test_extensions_of_simples(a2):
     res = extension_middle_terms(t["S_S"], t["S_R"])
     assert len(res.middle_terms) == 1
     assert is_isomorphic(res.middle_terms[0], t["N"]).isomorphic
+
+
+def jordan_module(alg, parts):
+    """The F_3[x]/(x^3)-module whose x has Jordan blocks of the given sizes, in a mixed basis.
+
+    Conjugating by a unitriangular matrix with nonzero entries above the
+    diagonal makes the Hom systems dense, as a seeded document's are.
+    """
+    dim = sum(parts)
+    x = np.zeros((dim, dim), dtype=np.int64)
+    start = 0
+    for a in parts:
+        for i in range(start, start + a - 1):
+            x[i + 1, i] = 1
+        start += a
+    g = FpMatrix(3, np.triu((np.arange(dim)[:, None] + 2 * np.arange(dim)) % 3 + 1))
+    xm = inverse(g) @ FpMatrix(3, x) @ g
+    label = "J" + "".join(map(str, parts))
+    return ModuleRep(alg, "left", dim, [FpMatrix.identity(3, dim), xm, xm @ xm], label=label)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [((3, 3, 2), (3, 3, 2)), ((3, 3, 2), (2, 2, 2, 2)), ((1,), (3, 2, 1, 1, 1)), ((2, 1, 1), (3, 1))],
+)
+def test_hom_dim_of_jordan_modules_matches_closed_form(a, b):
+    """dim Hom(+J_a_i, +J_b_j) = sum_i sum_j min(a_i, b_j); 8 by 8 is a 192 x 64 system."""
+    mul = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        for j in range(3 - i):
+            mul[i, j, i + j] = 1
+    alg = FDAlgebra(3, mul, [1, 0, 0], label="F_3[x]/(x^3)")
+    m, n = jordan_module(alg, a), jordan_module(alg, b)
+    assert not validate_module(m) and not validate_module(n)
+    assert hom_dim(m, n) == sum(min(i, j) for i in a for j in b)
+    assert all(f.is_valid() for f in hom_space(m, n))
