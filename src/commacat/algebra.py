@@ -50,11 +50,8 @@ class FDAlgebra:
         vec = np.asarray(a, dtype=np.int64)
         return FpMatrix(self.p, np.einsum("i,jik->kj", vec, self.mul))
 
-    def basis_product(self, i: int, j: int) -> np.ndarray:
-        return self.mul[i, j, :]
-
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FDAlgebra)
             and self.p == other.p
             and self.dim == other.dim

@@ -10,7 +10,8 @@ basis-free.
 Comma objects correspond to left modules over T = [[R, 0], [U, S]]:
 (r, u, s) acts on (a, b) by (r a, phi(u (x) a) + s b).  Both directions
 of that correspondence are implemented, and every Hom computation can be
-cross-checked through it.
+cross-checked through it.  :func:`hom_comma` assembles its system in closed
+form: intertwining systems for f and g, one block per side of the square.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .linalg import (
     combination_chunks,
     first_of_rank,
     hstack,
+    intertwining_system,
     kernel_basis,
     kron,
-    matrix_of_linear_map,
     quotient_space,
     rank,
     solve_each,
@@ -44,6 +45,7 @@ from .modules import (
     IsoSearchCapExceeded,
     ModuleMap,
     ModuleRep,
+    action_stack,
     balancing_generators,
     balanced_tensor,
     direct_sum,
@@ -420,36 +422,25 @@ def hom_comma(x: CommaObject, y: CommaObject) -> list[CommaMap]:
     if x.bimodule != y.bimodule:
         raise AlgebraMismatch("comma objects over different data")
     p = x.p
-    nf = y.A.dim * x.A.dim
-    ng = y.B.dim * x.B.dim
-    iu = FpMatrix.identity(p, x.bimodule.dim)
-
-    def unpack(vec: np.ndarray) -> tuple[FpMatrix, FpMatrix]:
-        f = FpMatrix(p, vec[:nf].reshape(y.A.dim, x.A.dim))
-        g = FpMatrix(p, vec[nf:].reshape(y.B.dim, x.B.dim))
-        return f, g
-
-    def residual(col: FpMatrix) -> FpMatrix:
-        f, g = unpack(col.array()[:, 0])
-        rows = []
-        for i in range(x.A.algebra.dim):
-            rows.append((y.A.action[i] @ f - f @ x.A.action[i]).array().reshape(-1))
-        for i in range(x.B.algebra.dim):
-            rows.append((y.B.action[i] @ g - g @ x.B.action[i]).array().reshape(-1))
-        rows.append((g @ x.phi - y.phi @ kron(iu, f)).array().reshape(-1))
-        flat = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        return FpMatrix(p, flat.reshape(-1, 1))
-
-    total_rows = (
-        x.A.algebra.dim * y.A.dim * x.A.dim
-        + x.B.algebra.dim * y.B.dim * x.B.dim
-        + y.B.dim * x.bimodule.dim * x.A.dim
-    )
-    system = matrix_of_linear_map(p, nf + ng, total_rows, residual)
-    basis = kernel_basis(system)
+    ya, xa, yb, xb = y.A.dim, x.A.dim, y.B.dim, x.B.dim
+    nf, ng, ns = ya * xa, yb * xb, yb * x.bimodule.dim * xa
+    a_rows = intertwining_system(p, action_stack(y.A), action_stack(x.A)).array()
+    b_rows = intertwining_system(p, action_stack(y.B), action_stack(x.B)).array()
+    # The square g phi_x - phi_y (I_U (x) f): vec(g phi_x) = kron(I, phi_x^T) vec(g),
+    # and entry (r, u, a) of phi_y (I_U (x) f) is sum_b phi_y[r, u, b] f[b, a].
+    phi_y = y.phi.array().reshape(yb, x.bimodule.dim, ya)
+    square_f = np.einsum("rub,ac->ruabc", phi_y, np.eye(xa, dtype=np.int64)).reshape(ns, nf)
+    square_g = np.kron(np.eye(yb, dtype=np.int64), x.phi.array().T).reshape(ns, ng)
+    system = np.block([
+        [a_rows, np.zeros((a_rows.shape[0], ng), dtype=np.int64)],
+        [np.zeros((b_rows.shape[0], nf), dtype=np.int64), b_rows],
+        [-square_f, square_g],
+    ])
+    basis = kernel_basis(FpMatrix(p, system)).array()
     maps = []
-    for k in range(basis.cols):
-        f, g = unpack(basis.array()[:, k])
+    for k in range(basis.shape[1]):
+        f = FpMatrix(p, basis[:nf, k].reshape(ya, xa))
+        g = FpMatrix(p, basis[nf:, k].reshape(yb, xb))
         maps.append(CommaMap(x, y, ModuleMap(x.A, y.A, f), ModuleMap(x.B, y.B, g)))
     _HOM_COMMA_CACHE[key] = maps
     return maps

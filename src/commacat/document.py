@@ -5,7 +5,8 @@ Matrices are arrays of arrays of integers (residues); structure
 constants are triply nested arrays mul[i][j][k]; a comma object's phi is
 stored dim B x (dim U * dim A) with column index u_index * dim A +
 a_index.  Every reference must resolve and every object must pass its
-validation before any task runs; errors carry the offending path.
+validation before any task runs, the references of tasks included
+(:func:`task_references`); errors carry the offending path.
 """
 
 from __future__ import annotations
@@ -89,6 +90,41 @@ def _lookup(table: dict, name: Any, path: str, kind: str):
     if not isinstance(name, str) or name not in table:
         raise DocumentError(path, f"unresolved {kind} reference {name!r}")
     return table[name]
+
+
+# For each task kind, the Document table each of its reference keys names
+# (a bimodule reference resolves to its triangular algebra).
+_TASK_REFERENCES = {
+    "hom-table": {"universe": "universes"},
+    "is-torsion-pair": {"x": "families", "y": "families", "universe": "universes"},
+    "torsion-pair-oracle": {"x": "families", "y": "families", "universe": "universes"},
+    "is-torsion-class": {"family": "families", "universe": "universes"},
+    "is-silting": {"presentation": "presentations", "universe": "universes"},
+    "is-partial-silting": {"presentation": "presentations", "universe": "universes"},
+    "d-sigma-member": {"presentation": "presentations", "module": "modules"},
+    "gen-member": {"generator": "modules", "module": "modules"},
+    "silting-transfer": {
+        "bimodule": "triangulars", "a": "modules", "sigma_a": "presentations", "b": "modules",
+        "sigma_b": "presentations", "r_universe": "universes", "s_universe": "universes", "t_universe": "universes",
+    },
+}
+_REFERENCE_KINDS = {"universes": "universe", "families": "family", "presentations": "presentation",
+                    "modules": "module", "triangulars": "bimodule"}
+
+
+def task_references(doc: Document, task: dict, path: str) -> dict[str, Any]:
+    """The object each reference key of ``task`` names, by key.
+
+    Raises DocumentError at ``path.kind`` for an unknown kind and at
+    ``path.<key>`` for a reference that does not resolve.
+    """
+    kind = task.get("kind")
+    if not isinstance(kind, str) or kind not in _TASK_REFERENCES:
+        raise DocumentError(f"{path}.kind", f"unknown task kind {kind!r}")
+    return {
+        key: _lookup(getattr(doc, table), task.get(key, ""), f"{path}.{key}", _REFERENCE_KINDS[table])
+        for key, table in _TASK_REFERENCES[kind].items()
+    }
 
 
 def parse_document(data: Any, collect: Optional[list] = None) -> Document:
@@ -267,6 +303,11 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
     for i, task in enumerate(tasks):
         if not isinstance(task, dict) or "kind" not in task:
             report(DocumentError(f"tasks[{i}]", "each task needs a 'kind'"))
+            continue
+        try:
+            task_references(doc, task, f"tasks[{i}]")
+        except DocumentError as exc:
+            report(exc)
     doc.tasks = [t for t in tasks if isinstance(t, dict) and "kind" in t]
     return doc
 

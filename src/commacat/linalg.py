@@ -23,7 +23,7 @@ elimination mod p across a whole chunk at once.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -84,12 +84,6 @@ class FpMatrix:
     @classmethod
     def column(cls, p: int, vec: Sequence[int]) -> "FpMatrix":
         return cls(p, np.asarray(vec, dtype=np.int64).reshape(-1, 1))
-
-    @classmethod
-    def from_columns(cls, p: int, cols: Sequence[Sequence[int]], rows: int) -> "FpMatrix":
-        if not cols:
-            return cls.zeros(p, rows, 0)
-        return cls(p, np.stack([np.asarray(c, dtype=np.int64) for c in cols], axis=1))
 
     # -- shape and access --------------------------------------------
 
@@ -201,6 +195,22 @@ def block_diag(ms: Sequence[FpMatrix], p: Optional[int] = None) -> FpMatrix:
         r += m.rows
         c += m.cols
     return FpMatrix(p, out)
+
+
+def intertwining_system(p: int, left: np.ndarray, right: np.ndarray) -> FpMatrix:
+    """The system L_i H = H R_i in the row-major entries of an n x m matrix H.
+
+    ``left`` and ``right`` are (d, n, n) and (d, m, m) action stacks.
+    Returns the (d*n*m) x (n*m) matrix vstack_i(kron(L_i, I_m) - kron(I_n, R_i^T)),
+    since vec(L H) = kron(L, I) vec(H) and vec(H R) = kron(I, R^T) vec(H),
+    built in one broadcast.
+    """
+    d, n, m = left.shape[0], left.shape[1], right.shape[1]
+    system = (
+        left[:, :, None, :, None] * np.eye(m, dtype=np.int64)[:, None, :]
+        - np.eye(n, dtype=np.int64)[:, None, :, None] * right.transpose(0, 2, 1)[:, None, :, None, :]
+    )
+    return FpMatrix(p, system.reshape(d * n * m, n * m))
 
 
 def kron(a: FpMatrix, b: FpMatrix) -> FpMatrix:
@@ -329,20 +339,6 @@ def quotient_space(p: int, dim: int, sub: FpMatrix) -> tuple[FpMatrix, FpMatrix]
 
 def spans_equal(a: FpMatrix, b: FpMatrix) -> bool:
     return column_space_basis(a) == column_space_basis(b)
-
-
-def matrix_of_linear_map(
-    p: int, domain_dim: int, codomain_dim: int, fn: Callable[[FpMatrix], FpMatrix]
-) -> FpMatrix:
-    """Materialize a linear map by probing it with standard basis columns."""
-    cols = []
-    for j in range(domain_dim):
-        e = np.zeros((domain_dim, 1), dtype=np.int64)
-        e[j, 0] = 1
-        cols.append(fn(FpMatrix(p, e)).array()[:, 0])
-    if not cols:
-        return FpMatrix.zeros(p, codomain_dim, 0)
-    return FpMatrix(p, np.stack(cols, axis=1))
 
 
 def enumerate_vectors(p: int, dim: int) -> Iterable[tuple[int, ...]]:

@@ -7,7 +7,9 @@ so composition reverses: action(e_i) @ action(e_j) = action(e_j e_i).
 
 Everything here is pure and deterministic; hom spaces, traces, tensor
 products and extension enumeration all reduce to exact kernel and rank
-computations over F_p.
+computations over F_p.  Hom and coboundary systems, and transposed the
+tensor balancing generators, are :func:`~commacat.linalg.intertwining_system`;
+the cocycle system is three einsum terms plus the unit rows.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ from .linalg import (
     enumerate_vectors,
     first_of_rank,
     hstack,
+    intertwining_system,
     kernel_basis,
     kron,
-    matrix_of_linear_map,
     quotient_space,
     rank,
     solve,
     solve_each,
-    vstack,
 )
 
 LEFT = "left"
@@ -159,6 +160,11 @@ def validate_module(m: ModuleRep) -> list[dict]:
     return violations
 
 
+def action_stack(m: ModuleRep) -> np.ndarray:
+    """The (algebra dim, dim, dim) stack of action matrices."""
+    return np.stack([a.array() for a in m.action])
+
+
 def _require_compatible(m: ModuleRep, n: ModuleRep) -> None:
     if m.algebra != n.algebra or m.side != n.side:
         raise AlgebraMismatch("modules are not over the same algebra and side")
@@ -226,8 +232,9 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
     """Basis of the space of maps intertwining the two actions.
 
     The intertwining conditions rho_n(e) H = H rho_m(e) form one linear
-    system in the entries of H; the returned basis is the canonical
-    kernel basis, so the order is deterministic.  Results are memoized;
+    system in the entries of H, built by :func:`intertwining_system`; the
+    returned basis is the canonical kernel basis, so the order is
+    deterministic.  Results are memoized;
     callers must not mutate the returned list.
     """
     key = (m, n)
@@ -239,18 +246,8 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
     if m.dim == 0 or n.dim == 0:
         _HOM_CACHE[key] = []
         return _HOM_CACHE[key]
-    blocks = []
-    im = FpMatrix.identity(p, m.dim)
-    i_n = FpMatrix.identity(p, n.dim)
-    for i in range(m.algebra.dim):
-        # vec is row-major: vec(A H) = kron(A, I) vec(H), vec(H B) = kron(I, B^T) vec(H)
-        blocks.append(kron(n.action[i], im) - kron(i_n, m.action[i].transpose()))
-    system = vstack(blocks)
-    basis = kernel_basis(system)
-    maps = []
-    for k in range(basis.cols):
-        h = basis.array()[:, k].reshape(n.dim, m.dim)
-        maps.append(ModuleMap(m, n, FpMatrix(p, h)))
+    basis = kernel_basis(intertwining_system(p, action_stack(n), action_stack(m))).array()
+    maps = [ModuleMap(m, n, FpMatrix(p, h.reshape(n.dim, m.dim))) for h in basis.T]
     _HOM_CACHE[key] = maps
     return maps
 
@@ -375,28 +372,15 @@ def balancing_generators(x_right: ModuleRep, a_left: ModuleRep) -> FpMatrix:
 
     Basis of the full space is x-major lexicographic (index =
     x_index * dim A + a_index); the generators are
-    (x e)⊗a - x⊗(e a) over all basis triples.
+    (x e)⊗a - x⊗(e a) over all basis triples (e, x, a), in that order.
+    Column (e, i, j) is column (i, j) of kron(X_e, I) - kron(I, A_e), so
+    the matrix is the transposed intertwining system of the transposed
+    right actions X_e^T with the left actions A_e.
     """
     if x_right.algebra != a_left.algebra or x_right.side != RIGHT or a_left.side != LEFT:
         raise AlgebraMismatch("balanced tensor needs a right and a left module over one algebra")
-    p = x_right.p
-    dx, da = x_right.dim, a_left.dim
-    full = dx * da
-    gens = []
-    for e in range(x_right.algebra.dim):
-        xr = x_right.action[e].array()
-        al = a_left.action[e].array()
-        for i in range(dx):
-            for j in range(da):
-                g = np.zeros(full, dtype=np.int64)
-                for l in range(dx):
-                    if xr[l, i]:
-                        g[l * da + j] += xr[l, i]
-                for mrow in range(da):
-                    if al[mrow, j]:
-                        g[i * da + mrow] -= al[mrow, j]
-                gens.append(g % p)
-    return FpMatrix(p, np.stack(gens, axis=1)) if gens else FpMatrix.zeros(p, full, 0)
+    xt = action_stack(x_right).transpose(0, 2, 1)
+    return intertwining_system(x_right.p, xt, action_stack(a_left)).transpose()
 
 
 def balanced_tensor(x_right: ModuleRep, a_left: ModuleRep) -> tuple[FpMatrix, FpMatrix]:
@@ -562,6 +546,26 @@ class ExtensionResult(NamedTuple):
     truncated: bool
 
 
+def _cocycle_system(m: ModuleRep, n: ModuleRep) -> FpMatrix:
+    """Conditions on the row-major blocks c(e_k) for [[rho_n(e), c(e)], [0, rho_m(e)]]
+    to be a module: rows (i, j, a, b) hold entry (a, b) of rho_n(e_i) c(e_j)
+    + c(e_i) rho_m(e_j) - c(e_i e_j) (e_j e_i on a right module), and the
+    last n.dim * m.dim rows make c(1) = 0.
+    """
+    alg = m.algebra
+    d = alg.dim
+    block = n.dim * m.dim
+    mul = alg.mul if m.side == LEFT else alg.mul.transpose(1, 0, 2)
+    i_d, i_n, i_m = (np.eye(k, dtype=np.int64) for k in (d, n.dim, m.dim))
+    cocycle = (
+        np.einsum("jk,iac,be->ijabkce", i_d, action_stack(n), i_m)
+        + np.einsum("ik,ac,jeb->ijabkce", i_d, i_n, action_stack(m))
+        - np.einsum("ijk,ac,be->ijabkce", mul, i_n, i_m)
+    ).reshape(d * d * block, d * block)
+    unit = np.einsum("k,ac,be->abkce", alg.unit, i_n, i_m).reshape(block, d * block)
+    return FpMatrix(m.p, np.concatenate([cocycle, unit]))
+
+
 def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> ExtensionResult:
     """Middle terms E of extensions 0 -> n -> E -> m -> 0, up to isomorphism.
 
@@ -579,42 +583,9 @@ def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> Extensi
     if block == 0:
         return ExtensionResult([direct_sum([n, m], algebra=alg, side=m.side).module], False)
 
-    def unpack(vec: np.ndarray) -> list[np.ndarray]:
-        return [vec[i * block : (i + 1) * block].reshape(n.dim, m.dim) for i in range(d)]
-
-    def residual(vec_mat: FpMatrix) -> FpMatrix:
-        cs = unpack(vec_mat.array()[:, 0])
-        rows = []
-        for i in range(d):
-            for j in range(d):
-                coeffs = alg.mul[i, j, :] if m.side == LEFT else alg.mul[j, i, :]
-                lhs = (n.action[i].array() @ cs[j] + cs[i] @ m.action[j].array()) % p
-                rhs = sum(int(c) * cs[k] for k, c in enumerate(coeffs) if c % p)
-                rhs = rhs % p if isinstance(rhs, np.ndarray) else np.zeros((n.dim, m.dim), dtype=np.int64)
-                rows.append((lhs - rhs).reshape(-1))
-        unit = sum(int(c) * cs[k] for k, c in enumerate(alg.unit) if c % p)
-        unit = unit % p if isinstance(unit, np.ndarray) else np.zeros((n.dim, m.dim), dtype=np.int64)
-        rows.append(unit.reshape(-1))
-        return FpMatrix(p, np.concatenate(rows).reshape(-1, 1))
-
-    probe_rows = (d * d + 1) * block
-    system = matrix_of_linear_map(p, d * block, probe_rows, residual)
-    cocycles = kernel_basis(system)
-
-    # coboundaries of arbitrary linear maps h: m -> n
-    cob_cols = []
-    for r in range(n.dim):
-        for c in range(m.dim):
-            h = np.zeros((n.dim, m.dim), dtype=np.int64)
-            h[r, c] = 1
-            vec = np.concatenate(
-                [
-                    ((n.action[i].array() @ h - h @ m.action[i].array()) % p).reshape(-1)
-                    for i in range(d)
-                ]
-            )
-            cob_cols.append(vec)
-    cob = FpMatrix(p, np.stack(cob_cols, axis=1))
+    cocycles = kernel_basis(_cocycle_system(m, n))
+    # coboundaries c(e) = rho_n(e) h - h rho_m(e) of arbitrary linear maps h: m -> n
+    cob = intertwining_system(p, action_stack(n), action_stack(m))
     if cocycles.cols == 0:
         assert cob.is_zero(), "coboundaries must be cocycles"
         cob_in_z = FpMatrix.zeros(p, 0, cob.cols)
@@ -631,8 +602,7 @@ def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> Extensi
         if idx >= limit:
             break
         rep = sect @ FpMatrix.column(p, list(coeffs))
-        cvec = (cocycles @ rep).array()[:, 0] if cocycles.cols else np.zeros(d * block, dtype=np.int64)
-        cs = unpack(cvec)
+        cs = (cocycles @ rep).array().reshape(d, n.dim, m.dim)
         action = []
         for i in range(d):
             top = np.concatenate([n.action[i].array(), cs[i]], axis=1)

@@ -28,7 +28,7 @@ from .comma import (
     tensor_shape_predictions,
     to_T_module,
 )
-from .document import Document
+from .document import Document, task_references
 from .fixtures import Fixture
 from .linalg import rank
 from .modules import ModuleRep, gen_member, hom_dim
@@ -475,47 +475,23 @@ def run_fixture(fx: Fixture, tasks: Optional[Sequence[str]] = None) -> list[dict
 def run_document_task(doc: Document, task: dict, index: int) -> dict:
     kind = task.get("kind")
     name = task.get("name", f"task{index}")
-
-    def universe(key: str = "universe") -> list[ModuleRep]:
-        uname = task.get(key, "")
-        if uname not in doc.universes:
-            raise TaskError(f"task {name!r}: unresolved universe {uname!r}")
-        return doc.universes[uname]
-
-    def family(key: str) -> ModuleFamily:
-        fname = task.get(key, "")
-        if fname not in doc.families:
-            raise TaskError(f"task {name!r}: unresolved family {fname!r}")
-        return doc.families[fname]
-
-    def presentation(key: str):
-        pname = task.get(key, "")
-        if pname not in doc.presentations:
-            raise TaskError(f"task {name!r}: unresolved presentation {pname!r}")
-        return doc.presentations[pname]
-
-    def module(key: str) -> ModuleRep:
-        mname = task.get(key, "")
-        if mname in doc.modules:
-            return doc.modules[mname]
-        raise TaskError(f"task {name!r}: unresolved module {mname!r}")
-
+    ref = task_references(doc, task, f"tasks[{index}]")
     if kind == "hom-table":
-        univ = universe()
+        univ = ref["universe"]
         table = [[hom_dim(x, y) for y in univ] for x in univ]
         return {"name": name, "kind": kind, "labels": [m.label for m in univ], "table": table}
     if kind == "is-torsion-pair":
-        v = is_torsion_pair(family("x"), family("y"), universe())
+        v = is_torsion_pair(ref["x"], ref["y"], ref["universe"])
         return {"name": name, "kind": kind, "verdicts": [v.to_dict()]}
     if kind == "torsion-pair-oracle":
-        v = torsion_pair_oracle(family("x"), family("y"), universe())
+        v = torsion_pair_oracle(ref["x"], ref["y"], ref["universe"])
         return {"name": name, "kind": kind, "verdicts": [v.to_dict()]}
     if kind == "is-torsion-class":
-        v = is_torsion_class(family("family"), universe())
+        v = is_torsion_class(ref["family"], ref["universe"])
         return {"name": name, "kind": kind, "verdicts": [v.to_dict()]}
     if kind == "is-silting":
-        pres = presentation("presentation")
-        verdict = is_silting(pres.target, pres, universe())
+        pres = ref["presentation"]
+        verdict = is_silting(pres.target, pres, ref["universe"])
         return {
             "name": name,
             "kind": kind,
@@ -524,8 +500,8 @@ def run_document_task(doc: Document, task: dict, index: int) -> dict:
             "universe_hash": verdict.universe_hash,
         }
     if kind == "is-partial-silting":
-        pres = presentation("presentation")
-        verdict = is_partial_silting(pres.target, pres, universe())
+        pres = ref["presentation"]
+        verdict = is_partial_silting(pres.target, pres, ref["universe"])
         return {
             "name": name,
             "kind": kind,
@@ -534,31 +510,28 @@ def run_document_task(doc: Document, task: dict, index: int) -> dict:
             "universe_hash": verdict.universe_hash,
         }
     if kind == "d-sigma-member":
-        pres = presentation("presentation")
+        pres = ref["presentation"]
         return {
             "name": name,
             "kind": kind,
-            "member": d_sigma_member(pres, module("module")),
+            "member": d_sigma_member(pres, ref["module"]),
         }
     if kind == "gen-member":
         return {
             "name": name,
             "kind": kind,
-            "member": gen_member(module("generator"), module("module")),
+            "member": gen_member(ref["generator"], ref["module"]),
         }
     if kind == "silting-transfer":
-        u = task.get("bimodule", "")
-        if u not in doc.triangulars:
-            raise TaskError(f"task {name!r}: unresolved bimodule {u!r}")
         v = verify_silting_transfer(
-            doc.triangulars[u],
-            module("a"),
-            presentation("sigma_a"),
-            module("b"),
-            presentation("sigma_b"),
-            universe("r_universe"),
-            universe("s_universe"),
-            universe("t_universe"),
+            ref["bimodule"],
+            ref["a"],
+            ref["sigma_a"],
+            ref["b"],
+            ref["sigma_b"],
+            ref["r_universe"],
+            ref["s_universe"],
+            ref["t_universe"],
         )
         return {"name": name, "kind": kind, "verdicts": [v.to_dict()]}
     raise TaskError(f"unknown task kind {kind!r}")

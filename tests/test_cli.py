@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from commacat.cli import main
-from tests.test_document import _set, sample_document
+from tests.test_document import _set, _task, sample_document
 
 
 @pytest.fixture()
@@ -174,8 +174,11 @@ def test_max_dim_env_var(runner, tmp_path, monkeypatch):
         {**sample_document(), "modules": list(sample_document()["modules"].values())},
         _set("modules", "Rk", action=5)(sample_document()),
         _set("bimodules", "U", dim=True)(sample_document()),
+        _task(kind="hom-table", name="h", universe="nope")(sample_document()),
+        _task(kind="bogus")(sample_document()),
     ],
-    ids=["root-array", "modules-array", "module-action-int", "bimodule-dim-bool"],
+    ids=["root-array", "modules-array", "module-action-int", "bimodule-dim-bool", "task-universe",
+         "task-kind"],
 )
 def test_malformed_document_shape_exit_2(runner, tmp_path, command, payload):
     doc_path = tmp_path / "bad.json"
@@ -190,8 +193,14 @@ def test_malformed_document_shape_exit_2(runner, tmp_path, command, payload):
         ("[1, 2]", "a report must be a JSON object, got list"),
         ("{bad", "invalid JSON"),
         ('{"source": {"fixture": "nope"}, "tasks": []}', "unknown fixture 'nope'"),
+        ('{"source": {"fixture": "a2"}, "tasks": 5}', "tasks must be a list, got int"),
+        ('{"source": {"fixture": "a2"}, "tasks": [5]}', "tasks[0] must be an object, got int"),
+        (
+            '{"source": {"fixture": "a2"}, "tasks": [{"kind": "verify-all", "verdicts": 7}]}',
+            "tasks[0].verdicts must be a list, got int",
+        ),
     ],
-    ids=["array", "not-json", "unknown-fixture"],
+    ids=["array", "not-json", "unknown-fixture", "tasks-int", "task-int", "verdicts-int"],
 )
 def test_certificate_replay_of_malformed_report_exit_2(runner, tmp_path, text, message):
     report_path = tmp_path / "report.json"

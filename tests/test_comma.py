@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from commacat.algebra import Bimodule, dual_numbers_algebra, field_algebra
 from commacat.comma import (
     CommaObject,
     canonical_tensor_comma,
@@ -31,13 +33,19 @@ from commacat.comma import (
     validate_right_t,
 )
 from commacat.fixtures import load_fixture
-from commacat.linalg import FpMatrix, kernel_basis, rank
+from commacat.linalg import FpMatrix, intertwining_system, kernel_basis, rank
 from commacat.modules import (
+    LEFT,
     ModuleMap,
+    ModuleRep,
+    _cocycle_system,
+    action_stack,
+    balancing_generators,
     direct_sum,
     hom_dim,
     identity_map,
     is_isomorphic,
+    module_dual,
     regular_module,
     validate_module,
     zero_module,
@@ -433,3 +441,153 @@ def test_componentwise_exactness(a2):
     # component rows: A-row is 0 -> k -> k -> 0 exact; B-row is k -> k -> 0 exact
     assert rank(quo.f.matrix) == 1 and inc.f.matrix.cols == 0
     assert rank(inc.g.matrix) == 1 and quo.g.matrix.rows == 0
+
+
+# Reference constructions: each system is probed with the standard basis
+# vectors of its unknowns, as one batch, through a residual function.
+
+
+def probe_matrix(p, domain_dim, codomain_dim, residual):
+    """Column j is ``residual`` at the j-th standard basis vector.
+
+    ``residual`` maps a (count, domain_dim) batch of vectors to
+    (count, codomain_dim).
+    """
+    if domain_dim == 0:
+        return FpMatrix.zeros(p, codomain_dim, 0)
+    values = residual(np.eye(domain_dim, dtype=np.int64))
+    assert values.shape == (domain_dim, codomain_dim)
+    return FpMatrix(p, values.T)
+
+
+def flat(blocks, count):
+    return np.concatenate([b.reshape(count, -1) for b in blocks], axis=1)
+
+
+def probed_hom_comma_system(x, y):
+    """Intertwining in A, in B, then the square g phi_x = phi_y (I_U (x) f)."""
+    nf, ng = y.A.dim * x.A.dim, y.B.dim * x.B.dim
+    iu = np.eye(x.bimodule.dim, dtype=np.int64)
+
+    def residual(vecs):
+        count = len(vecs)
+        f = vecs[:, :nf].reshape(count, y.A.dim, x.A.dim)
+        g = vecs[:, nf:].reshape(count, y.B.dim, x.B.dim)
+        rows = [a.array() @ f - f @ b.array() for a, b in zip(y.A.action, x.A.action)]
+        rows += [a.array() @ g - g @ b.array() for a, b in zip(y.B.action, x.B.action)]
+        uf = np.stack([np.kron(iu, fk) for fk in f])
+        rows.append(g @ x.phi.array() - y.phi.array() @ uf)
+        return flat(rows, count)
+
+    total_rows = (
+        x.A.algebra.dim * nf + x.B.algebra.dim * ng + y.B.dim * x.bimodule.dim * x.A.dim
+    )
+    return probe_matrix(x.p, nf + ng, total_rows, residual)
+
+
+def probed_cocycle_system(m, n):
+    """rho_n(e_i) c_j + c_i rho_m(e_j) - c(e_i e_j) for all i, j, then c(1)."""
+    alg, d = m.algebra, m.algebra.dim
+
+    def residual(vecs):
+        count = len(vecs)
+        cs = vecs.reshape(count, d, n.dim, m.dim)
+        rows = []
+        for i in range(d):
+            for j in range(d):
+                coeffs = alg.mul[i, j] if m.side == LEFT else alg.mul[j, i]
+                lhs = n.action[i].array() @ cs[:, j] + cs[:, i] @ m.action[j].array()
+                rows.append(lhs - sum(int(c) * cs[:, k] for k, c in enumerate(coeffs)))
+        rows.append(sum(int(c) * cs[:, k] for k, c in enumerate(alg.unit)))
+        return flat(rows, count)
+
+    block = n.dim * m.dim
+    return probe_matrix(m.p, d * block, (d * d + 1) * block, residual)
+
+
+def probed_coboundaries(m, n):
+    """Column (r, c): the coboundary rho_n(e_i) h - h rho_m(e_i) of h = E_rc."""
+
+    def residual(vecs):
+        h = vecs.reshape(len(vecs), n.dim, m.dim)
+        return flat([a.array() @ h - h @ b.array() for a, b in zip(n.action, m.action)], len(vecs))
+
+    return probe_matrix(m.p, n.dim * m.dim, m.algebra.dim * n.dim * m.dim, residual)
+
+
+def looped_balancing_generators(x, a):
+    """Column (e, i, j) is (x_i e) (x) a_j - x_i (x) (e a_j), entry by entry."""
+    gens = []
+    for xr, al in zip(x.action, a.action):
+        xr, al = xr.array(), al.array()
+        for i in range(x.dim):
+            for j in range(a.dim):
+                g = np.zeros(x.dim * a.dim, dtype=np.int64)
+                for l in range(x.dim):
+                    g[l * a.dim + j] += xr[l, i]
+                for r in range(a.dim):
+                    g[i * a.dim + r] -= al[r, j]
+                gens.append(g)
+    if not gens:
+        return FpMatrix.zeros(x.p, x.dim * a.dim, 0)
+    return FpMatrix(x.p, np.stack(gens, axis=1))
+
+
+@pytest.fixture(scope="module")
+def system_universes(a2, dual):
+    """Per name: the comma universe and the module universes to pair up.
+
+    Both fixtures are over F_2, where a sign error cannot show, so the
+    dual-numbers data is rebuilt over F_3 as well.
+    """
+    out = {
+        fx.name: (
+            list(fx.comma_universe.values()),
+            [fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()],
+        )
+        for fx in (a2, dual)
+    }
+    r, s = dual_numbers_algebra(3, "R"), field_algebra(3, "S")
+    one, zero = FpMatrix.identity(3, 1), FpMatrix.zeros(3, 1, 1)
+    u = Bimodule(s, r, 1, [one], [one, zero], label="U")
+    r_universe = [zero_module(r), ModuleRep(r, LEFT, 1, [one, zero], label="k"), regular_module(r)]
+    s_universe = [zero_module(s), regular_module(s), direct_sum([regular_module(s)] * 2).module]
+    comma = comma_universe(u, r_universe, s_universe, max_total_dim=3)
+    out["f3-dual"] = (comma, [[to_T_module(c) for c in comma], r_universe, s_universe])
+    return out
+
+
+@pytest.mark.parametrize("name", ["a2", "dual-numbers", "f3-dual"])
+def test_hom_comma_matches_probed_system(name, system_universes):
+    universe = system_universes[name][0]
+    assert any(c.A.dim == 0 and c.B.dim for c in universe)
+    assert any(c.B.dim == 0 and c.A.dim for c in universe)
+    for x in universe:
+        for y in universe:
+            expected = kernel_basis(probed_hom_comma_system(x, y)).array()
+            got = [np.concatenate([h.f.matrix.array().reshape(-1), h.g.matrix.array().reshape(-1)])
+                   for h in hom_comma(x, y)]
+            assert len(got) == expected.shape[1]
+            for k, col in enumerate(got):
+                assert np.array_equal(col, expected[:, k])
+
+
+@pytest.mark.parametrize("name", ["a2", "dual-numbers", "f3-dual"])
+def test_extension_systems_match_probed_construction(name, system_universes):
+    for universe in system_universes[name][1]:
+        # the duals are right modules, where c(e_i e_j) reads mul[j, i]
+        for modules in (universe, [module_dual(x) for x in universe]):
+            for m in modules:
+                for n in modules:
+                    assert _cocycle_system(m, n) == probed_cocycle_system(m, n)
+                    cob = intertwining_system(m.p, action_stack(n), action_stack(m))
+                    assert cob == probed_coboundaries(m, n)
+
+
+@pytest.mark.parametrize("name", ["a2", "dual-numbers", "f3-dual"])
+def test_balancing_generators_match_looped_construction(name, system_universes):
+    for universe in system_universes[name][1]:
+        for x in universe:
+            for a in universe:
+                right = module_dual(x)
+                assert balancing_generators(right, a) == looped_balancing_generators(right, a)

@@ -181,6 +181,14 @@ def _set(section, name, **fields):
     return mutate
 
 
+def _task(**task):
+    """A mutation that appends one task (it becomes tasks[5])."""
+    def mutate(d):
+        d["tasks"].append(task)
+        return d
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -198,10 +206,19 @@ def _set(section, name, **fields):
         (_set("presentations", "k_from_x", module={"a": 1}), "presentations.k_from_x.module"),
         (lambda d: {**d, "universes": {"ur": [["Rk"]]}}, "universes.ur[0]"),
         (_set("families", "zero_r", kind="explicit", modules=5), "families.zero_r.modules"),
+        (_task(kind="hom-table", name="h", universe="nope"), "tasks[5].universe"),
+        (_task(kind="is-torsion-pair", x="zero_r", y="nope", universe="ur"), "tasks[5].y"),
+        (_task(kind="is-silting", presentation="nope", universe="ur"), "tasks[5].presentation"),
+        (_task(kind="gen-member", generator="RR", module="cP"), "tasks[5].module"),
+        (_task(kind="silting-transfer", bimodule="V"), "tasks[5].bimodule"),
+        (_task(kind="bogus"), "tasks[5].kind"),
+        (_task(kind=["hom-table"]), "tasks[5].kind"),
     ],
     ids=["root-array", "modules-array", "universes-string", "families-empty-array", "module-entry", "universe-entry",
          "action-int", "module-dim-bool", "bimodule-dim-bool", "right-action-null",
-         "comma-A-list", "presentation-module-object", "universe-name-list", "family-modules-int"],
+         "comma-A-list", "presentation-module-object", "universe-name-list", "family-modules-int",
+         "task-universe", "task-family", "task-presentation", "task-module-is-comma", "task-bimodule",
+         "task-kind-unknown", "task-kind-list"],
 )
 def test_malformed_shape_raises_document_error(mutate, path):
     data = mutate(sample_document())

@@ -12,10 +12,10 @@ from commacat.linalg import (
     combination_chunks,
     enumerate_vectors,
     hstack,
+    intertwining_system,
     inverse,
     kernel_basis,
     kron,
-    matrix_of_linear_map,
     quotient_space,
     rank,
     rref,
@@ -160,12 +160,6 @@ def test_column_space_basis_canonical():
     assert column_space_basis(a).cols == 2
 
 
-def test_matrix_of_linear_map_probe():
-    f = FpMatrix(3, [[1, 2], [0, 1]])
-    probed = matrix_of_linear_map(3, 2, 2, lambda v: f @ v)
-    assert probed == f
-
-
 def test_enumerate_vectors_order():
     vs = list(enumerate_vectors(2, 2))
     assert vs == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -240,6 +234,31 @@ def test_solve_iff_rank_criterion(m, data):
     else:
         assert joint == hstack([FpMatrix.zeros(m.p, m.cols, 0)] + singles)
         assert solve_each(m, bs) == singles
+
+
+@st.composite
+def action_stacks(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4))
+    left = np.array(draw(st.lists(st.integers(0, p - 1), min_size=d * n * n, max_size=d * n * n)))
+    right = np.array(draw(st.lists(st.integers(0, p - 1), min_size=d * m * m, max_size=d * m * m)))
+    return p, left.reshape(d, n, n).astype(np.int64), right.reshape(d, m, m).astype(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(action_stacks())
+def test_intertwining_system_matches_kron_reference(stacks):
+    p, left, right = stacks
+    d, n, m = left.shape[0], left.shape[1], right.shape[1]
+    reference = np.vstack([
+        np.kron(left[i], np.eye(m, dtype=np.int64)) - np.kron(np.eye(n, dtype=np.int64), right[i].T)
+        for i in range(d)
+    ]) % p
+    system = intertwining_system(p, left, right)
+    assert (system.rows, system.cols) == (d * n * m, n * m)
+    assert np.array_equal(system.array(), reference)
 
 
 def test_kron_convention():
