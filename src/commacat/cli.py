@@ -19,7 +19,7 @@ import click
 from . import tasks as task_runner
 from .document import DocumentError, document_validation_report, load_document
 from .fixtures import fixture_names, load_fixture
-from .tasks import TaskError, replay_report
+from .tasks import MalformedReport, TaskError, replay_report
 
 
 def _report_to_text(report: dict) -> str:
@@ -165,7 +165,11 @@ def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int
             click.echo(f"error: malformed report: {shape_error}", err=True)
             sys.exit(2)
         fx = load_fixture(source["fixture"], iso_cap=iso_cap, max_total_dim=max_dim)
-        failures = replay_report(data, fx)
+        try:
+            failures = replay_report(data, fx)
+        except MalformedReport as exc:
+            click.echo(f"error: malformed report: {exc}", err=True)
+            sys.exit(2)
         total = sum(
             len(v.get("certificates", [])) + sum(len(s.get("certificates", [])) for s in v.get("sub", []))
             for t in data.get("tasks", [])

@@ -13,6 +13,18 @@ of p (:func:`_check_modulus`, shared with :class:`FDAlgebra`): it must be
 prime and below 2**24.  Below that bound a dot product of up to 2**15
 terms of size (p-1)**2 stays below 2**63, so no product overflows.
 
+Validation happens once, at the boundary: ``FpMatrix(p, entries)`` checks
+the modulus and the shape and reduces the entries, and is what other
+modules call (``modules.hom_space`` is the one exception: it cuts its
+basis maps out of a kernel basis).  Results this module computes are
+reduced by construction, since its arithmetic applies ``% p`` itself, so
+they are wrapped by the trusted ``FpMatrix._of``, which only freezes the
+array.  Those results own their memory: a slice (``block``,
+``column_vector``, an enumeration witness) is copied before it is
+wrapped, so a small matrix never keeps a larger array, such as a whole
+enumeration chunk, alive.  (A transpose is a view of a matrix of its
+own size.)
+
 Exhaustive searches over a space of maps share one enumeration kernel:
 :func:`combination_chunks` yields all p**h linear combinations of h basis
 matrices as (k, rows, cols) int64 chunks of bounded size, in the order of
@@ -71,6 +83,18 @@ class FpMatrix:
         self._a = a
         self._hash = None
 
+    @classmethod
+    def _of(cls, p: int, a: np.ndarray) -> "FpMatrix":
+        """Wrap ``a`` without validation: a 2-d int64 array already reduced mod
+        ``p``, a modulus already checked.  ``a`` is frozen in place, not copied,
+        so it must be a fresh array (or a copy of a slice) owned by no one else."""
+        a.setflags(write=False)
+        m = cls.__new__(cls)
+        m.p = p
+        m._a = a
+        m._hash = None
+        return m
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -105,13 +129,13 @@ class FpMatrix:
         return [[int(x) for x in row] for row in self._a]
 
     def column_vector(self, j: int) -> "FpMatrix":
-        return FpMatrix(self.p, self._a[:, j : j + 1])
+        return FpMatrix._of(self.p, self._a[:, j : j + 1].copy())
 
     def take_columns(self, idx: Sequence[int]) -> "FpMatrix":
-        return FpMatrix(self.p, self._a[:, list(idx)].reshape(self.rows, len(idx)))
+        return FpMatrix._of(self.p, self._a[:, list(idx)].reshape(self.rows, len(idx)))
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "FpMatrix":
-        return FpMatrix(self.p, self._a[r0:r1, c0:c1])
+        return FpMatrix._of(self.p, self._a[r0:r1, c0:c1].copy())
 
     # -- arithmetic ---------------------------------------------------
 
@@ -125,24 +149,24 @@ class FpMatrix:
             raise ValueError(
                 f"dimension mismatch: ({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})"
             )
-        return FpMatrix(self.p, self._a @ other._a)
+        return FpMatrix._of(self.p, self._a @ other._a % self.p)
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._check(other)
-        return FpMatrix(self.p, self._a + other._a)
+        return FpMatrix._of(self.p, (self._a + other._a) % self.p)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._check(other)
-        return FpMatrix(self.p, self._a - other._a)
+        return FpMatrix._of(self.p, (self._a - other._a) % self.p)
 
     def __neg__(self) -> "FpMatrix":
-        return FpMatrix(self.p, -self._a)
+        return FpMatrix._of(self.p, -self._a % self.p)
 
     def scale(self, c: int) -> "FpMatrix":
         return FpMatrix(self.p, self._a * (c % self.p))
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self._a.T)
+        return FpMatrix._of(self.p, self._a.T)
 
     def is_zero(self) -> bool:
         return not self._a.any()
@@ -166,18 +190,25 @@ class FpMatrix:
         return f"FpMatrix(p={self.p}, {self.to_lists()})"
 
 
+def _common_modulus(ms: Sequence[FpMatrix]) -> int:
+    p = ms[0].p
+    if any(m.p != p for m in ms):
+        raise ValueError("moduli differ")
+    return p
+
+
 def hstack(ms: Sequence[FpMatrix]) -> FpMatrix:
     if not ms:
         raise ValueError("hstack of no matrices")
-    p = ms[0].p
-    return FpMatrix(p, np.concatenate([m.array() for m in ms], axis=1))
+    p = _common_modulus(ms)
+    return FpMatrix._of(p, np.concatenate([m.array() for m in ms], axis=1))
 
 
 def vstack(ms: Sequence[FpMatrix]) -> FpMatrix:
     if not ms:
         raise ValueError("vstack of no matrices")
-    p = ms[0].p
-    return FpMatrix(p, np.concatenate([m.array() for m in ms], axis=0))
+    p = _common_modulus(ms)
+    return FpMatrix._of(p, np.concatenate([m.array() for m in ms], axis=0))
 
 
 def block_diag(ms: Sequence[FpMatrix], p: Optional[int] = None) -> FpMatrix:
@@ -185,7 +216,7 @@ def block_diag(ms: Sequence[FpMatrix], p: Optional[int] = None) -> FpMatrix:
         if p is None:
             raise ValueError("block_diag of no matrices needs an explicit modulus")
         return FpMatrix.zeros(p, 0, 0)
-    p = ms[0].p
+    p = _common_modulus(ms)
     rows = sum(m.rows for m in ms)
     cols = sum(m.cols for m in ms)
     out = np.zeros((rows, cols), dtype=np.int64)
@@ -194,7 +225,7 @@ def block_diag(ms: Sequence[FpMatrix], p: Optional[int] = None) -> FpMatrix:
         out[r : r + m.rows, c : c + m.cols] = m.array()
         r += m.rows
         c += m.cols
-    return FpMatrix(p, out)
+    return FpMatrix._of(p, out)
 
 
 def intertwining_system(p: int, left: np.ndarray, right: np.ndarray) -> FpMatrix:
@@ -246,7 +277,7 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, tuple[int, ...]]:
             a[hit, c:] = (a[hit, c:] - a[hit, c : c + 1] * a[r, c:]) % p
         pivots.append(c)
         r += 1
-    return FpMatrix(p, a), tuple(pivots)
+    return FpMatrix._of(p, a), tuple(pivots)
 
 
 def rank(m: FpMatrix) -> int:
@@ -260,7 +291,7 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
     basis = np.zeros((m.cols, len(free)), dtype=np.int64)
     basis[free, range(len(free))] = 1
     basis[list(pivots)] = -red.array()[: len(pivots)][:, free] % m.p
-    return FpMatrix(m.p, basis)
+    return FpMatrix._of(m.p, basis)
 
 
 def solve(m: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
@@ -276,7 +307,7 @@ def solve(m: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
         return None
     x = np.zeros((m.cols, b.cols), dtype=np.int64)
     x[list(pivots)] = red.array()[: len(pivots), m.cols :]
-    return FpMatrix(m.p, x)
+    return FpMatrix._of(m.p, x)
 
 
 def solve_each(m: FpMatrix, bs: Sequence[FpMatrix]) -> Optional[list[FpMatrix]]:
@@ -433,7 +464,7 @@ def first_of_rank(
     for chunk in combination_chunks(p, basis, rows, cols):
         hits = np.flatnonzero(batched_rank(p, chunk) == target)
         if hits.size:
-            return FpMatrix(p, chunk[hits[0]])
+            return FpMatrix._of(p, chunk[hits[0]].copy())
     return None
 
 
@@ -441,4 +472,4 @@ def combinations(p: int, basis: Sequence[FpMatrix], rows: int, cols: int) -> Ite
     """Every combination of ``basis`` as an FpMatrix, in enumeration order."""
     for chunk in combination_chunks(p, basis, rows, cols):
         for a in chunk:
-            yield FpMatrix(p, a)
+            yield FpMatrix._of(p, a.copy())

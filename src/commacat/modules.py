@@ -247,7 +247,7 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
         _HOM_CACHE[key] = []
         return _HOM_CACHE[key]
     basis = kernel_basis(intertwining_system(p, action_stack(n), action_stack(m))).array()
-    maps = [ModuleMap(m, n, FpMatrix(p, h.reshape(n.dim, m.dim))) for h in basis.T]
+    maps = [ModuleMap(m, n, FpMatrix._of(p, h.reshape(n.dim, m.dim))) for h in basis.T.copy()]
     _HOM_CACHE[key] = maps
     return maps
 

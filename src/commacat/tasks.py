@@ -567,11 +567,63 @@ def _replay_torsion_pair_sub(v: dict, x: ModuleFamily, y: ModuleFamily, universe
     _replay_verdict(v, env, failures, context)
 
 
+class MalformedReport(ValueError):
+    """A report field that replay reads is missing, of the wrong type, or
+    names nothing in the fixture."""
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    """``obj[key]``, which must hold a JSON value of exactly type ``kind``."""
+    if key not in obj:
+        raise MalformedReport(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if type(value) is not kind:
+        raise MalformedReport(f"{where}.{key} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _ref(table: dict, obj: dict, key: str, where: str):
+    """The fixture entry that ``obj[key]`` names."""
+    name = _field(obj, key, str, where)
+    if name not in table:
+        raise MalformedReport(f"{where}.{key}: no entry {name!r} in the fixture")
+    return table[name]
+
+
+def _basic_ref(obj: dict, key: str, universe: Sequence[ModuleRep], where: str) -> ModuleFamily:
+    """The zero or all family that ``obj[key]`` names."""
+    kind = _field(obj, key, str, where)
+    if kind not in _BASIC_FAMILY_KINDS:
+        raise MalformedReport(f"{where}.{key}: unknown basic family kind {kind!r}")
+    return _basic_family(kind, universe)
+
+
+def _params(v: dict, claim: str) -> dict:
+    """The ``data.params`` object of a transfer or corollary verdict."""
+    return _field(_field(v, "data", dict, claim), "params", dict, f"{claim}: data")
+
+
+def _decomposition_presentations(fx: Fixture, v: dict, claim: str):
+    """sigma_A, sigma_B and their T-presentation, as a decomposition verdict names them."""
+    data = _field(v, "data", dict, claim)
+    sigma_a = _ref(fx.presentations, data, "sigma_a", f"{claim}: data")
+    sigma_b = _ref(fx.presentations, data, "sigma_b", f"{claim}: data")
+    return sigma_a, sigma_b, sigma_for_p(fx.t, sigma_a.target, sigma_a, sigma_b.target, sigma_b)
+
+
+def _certs(v: dict, claim: str):
+    """Each certificate of a verdict with where it sits, for error messages."""
+    for k, cert in enumerate(v.get("certificates", [])):
+        yield cert, f"{claim}: certificates[{k}]"
+
+
 def replay_verify_all(fx: Fixture, verdicts: list[dict]) -> list[str]:
     """Re-check every certificate in a verify-all verdict list.
 
     Returns human-readable failure strings; empty means everything
-    replayed.
+    replayed.  Raises :class:`MalformedReport` when a field read here is
+    missing, mistyped or names nothing in the fixture (a sub-verdict's
+    certificate that cannot be rechecked is a replay failure instead).
     """
     failures: list[str] = []
     r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
@@ -579,41 +631,46 @@ def replay_verify_all(fx: Fixture, verdicts: list[dict]) -> list[str]:
         claim = v["claim"]
         context = claim
         if claim.startswith("hom-formula"):
-            for cert in v.get("certificates", []):
-                x = fx.comma_universe[cert["source"]]
-                y = fx.comma_universe[cert["target"]]
+            for cert, where in _certs(v, claim):
+                x = _ref(fx.comma_universe, cert, "source", where)
+                y = _ref(fx.comma_universe, cert, "target", where)
+                kind = _field(cert, "kind", int, where)
+                if kind not in range(1, 6):
+                    raise MalformedReport(f"{where}.kind must be 1..5, got {kind}")
+                formula = _field(cert, "formula", int, where)
+                comma_dim = _field(cert, "comma_dim", int, where)
                 ok = (
-                    hom_formula_applicable(cert["kind"], x, y)
-                    and hom_formula(cert["kind"], x, y) == cert["formula"]
-                    and hom_comma_dim(x, y) == cert["comma_dim"]
+                    hom_formula_applicable(kind, x, y)
+                    and hom_formula(kind, x, y) == formula
+                    and hom_comma_dim(x, y) == comma_dim
                 )
                 if not ok:
                     failures.append(f"{context}: certificate did not replay")
         elif claim.startswith("tensor"):
-            for cert in v.get("certificates", []):
-                rt = fx.right_t_universe[cert["right_module"]]
-                c = fx.comma_universe[cert["comma"]]
-                main = tensor_T(rt, c).dim
-                recorded = cert.get("computed", cert.get("main"))
-                if main != recorded:
+            for cert, where in _certs(v, claim):
+                rt = _ref(fx.right_t_universe, cert, "right_module", where)
+                c = _ref(fx.comma_universe, cert, "comma", where)
+                recorded = _field(cert, "computed" if "computed" in cert else "main", int, where)
+                if tensor_T(rt, c).dim != recorded:
                     failures.append(f"{context}: certificate did not replay")
         elif claim.startswith("presentation-decomposition"):
-            sigma_a = fx.presentations[v["data"]["sigma_a"]]
-            sigma_b = fx.presentations[v["data"]["sigma_b"]]
-            pres_t = sigma_for_p(fx.t, sigma_a.target, sigma_a, sigma_b.target, sigma_b)
-            for cert in v.get("certificates", []):
-                m = fx.t_universe[cert["module"]]
+            sigma_a, sigma_b, pres_t = _decomposition_presentations(fx, v, claim)
+            for cert, where in _certs(v, claim):
+                m = _ref(fx.t_universe, cert, "module", where)
+                whole = _field(cert, "whole", bool, where)
+                componentwise = _field(cert, "componentwise", bool, where)
                 comma = from_T_module(m, fx.t).comma
                 lhs = d_sigma_member(pres_t, m)
                 rhs = d_sigma_member(sigma_a, comma.A) and d_sigma_member(sigma_b, comma.B)
-                if not (lhs == cert["whole"] and rhs == cert["componentwise"] and lhs != rhs):
+                if not (lhs == whole and rhs == componentwise and lhs != rhs):
                     failures.append(f"{context}: certificate did not replay")
         elif claim.startswith("silting-transfer") or claim.startswith("partial-silting-transfer"):
-            params = v["data"]["params"]
-            a = fx.r_universe[params["a"]]
-            b = fx.s_universe[params["b"]]
-            sigma_a = fx.presentations[params["sigma_a"]]
-            sigma_b = fx.presentations[params["sigma_b"]]
+            params = _params(v, claim)
+            where = f"{claim}: data.params"
+            a = _ref(fx.r_universe, params, "a", where)
+            b = _ref(fx.s_universe, params, "b", where)
+            sigma_a = _ref(fx.presentations, params, "sigma_a", where)
+            sigma_b = _ref(fx.presentations, params, "sigma_b", where)
             pres_t = sigma_for_p(fx.t, a, sigma_a, b, sigma_b)
             partial = claim.startswith("partial")
             envs = {}
@@ -631,9 +688,7 @@ def replay_verify_all(fx: Fixture, verdicts: list[dict]) -> list[str]:
                 if env is not None:
                     _replay_verdict(sub, env, failures, f"{context}/{sub['claim']}")
         elif claim.startswith("torsion-class-decomposition"):
-            sigma_a = fx.presentations[v["data"]["sigma_a"]]
-            sigma_b = fx.presentations[v["data"]["sigma_b"]]
-            pres_t = sigma_for_p(fx.t, sigma_a.target, sigma_a, sigma_b.target, sigma_b)
+            sigma_a, sigma_b, pres_t = _decomposition_presentations(fx, v, claim)
             triples = [
                 (family_d_sigma(pres_t, t_u), t_u),
                 (family_d_sigma(sigma_a, r_u), r_u),
@@ -642,11 +697,12 @@ def replay_verify_all(fx: Fixture, verdicts: list[dict]) -> list[str]:
             for sub, (fam, univ) in zip(v.get("sub", []), triples):
                 _replay_verdict(sub, {"universe": univ, "family": fam}, failures, f"{context}/{sub['claim']}")
         elif claim.startswith("torsion-transfer"):
-            params = v["data"]["params"]
-            c1 = _basic_family(params["c1"], r_u)
-            c2 = _basic_family(params["c2"], r_u)
-            d1 = _basic_family(params["d1"], s_u)
-            d2 = _basic_family(params["d2"], s_u)
+            params = _params(v, claim)
+            where = f"{claim}: data.params"
+            c1 = _basic_ref(params, "c1", r_u, where)
+            c2 = _basic_ref(params, "c2", r_u, where)
+            d1 = _basic_ref(params, "d1", s_u, where)
+            d2 = _basic_ref(params, "d2", s_u, where)
             if "mono" in claim:
                 xfam = comma_family("B", c1, d1, fx.t, t_u)
                 yfam = comma_family("U", c2, d2, fx.t, t_u)
@@ -659,9 +715,9 @@ def replay_verify_all(fx: Fixture, verdicts: list[dict]) -> list[str]:
                 _replay_torsion_pair_sub(subs[1], d1, d2, s_u, failures, f"{context}/components-S")
                 _replay_torsion_pair_sub(subs[2], xfam, yfam, t_u, failures, f"{context}/comma-pair")
         elif claim.startswith("perp-transfer"):
-            params = v["data"]["params"]
-            cfam = _basic_family(params["c"], r_u)
-            dfam = _basic_family(params["d"], s_u)
+            params = _params(v, claim)
+            cfam = _basic_ref(params, "c", r_u, f"{claim}: data.params")
+            dfam = _basic_ref(params, "d", s_u, f"{claim}: data.params")
             mono = "mono" in claim
             if mono:
                 lhs1 = perp_right(comma_family("B", cfam, dfam, fx.t, t_u), t_u)
@@ -681,17 +737,19 @@ def replay_verify_all(fx: Fixture, verdicts: list[dict]) -> list[str]:
             for sub, env in zip(v.get("sub", []), envs):
                 _replay_verdict(sub, env, failures, f"{context}/{sub['claim']}")
         elif claim == "adjunction-p-q" or claim == "adjunction-q-h":
-            for cert in v.get("certificates", []):
-                a = fx.r_universe[cert["a"]]
-                b = fx.s_universe[cert["b"]]
-                c = fx.comma_universe[cert["comma"]]
+            for cert, where in _certs(v, claim):
+                a = _ref(fx.r_universe, cert, "a", where)
+                b = _ref(fx.s_universe, cert, "b", where)
+                c = _ref(fx.comma_universe, cert, "comma", where)
+                comma_hom = _field(cert, "comma_hom", int, where)
+                component_hom = _field(cert, "component_hom", int, where)
                 if claim.endswith("p-q"):
                     lhs = hom_comma_dim(functor_p(fx.u, a, b), c)
                     rhs = hom_dim(a, c.A) + hom_dim(b, c.B)
                 else:
                     lhs = hom_comma_dim(c, functor_h(fx.u, a, b))
                     rhs = hom_dim(c.A, a) + hom_dim(c.B, b)
-                if not (lhs == cert["comma_hom"] and rhs == cert["component_hom"] and lhs != rhs):
+                if not (lhs == comma_hom and rhs == component_hom and lhs != rhs):
                     failures.append(f"{context}: certificate did not replay")
         elif claim == "t-module-round-trip":
             for cert in v.get("certificates", []):
@@ -700,9 +758,9 @@ def replay_verify_all(fx: Fixture, verdicts: list[dict]) -> list[str]:
             for sub in v.get("sub", []):
                 for inner in sub.get("sub", []):
                     # nested torsion-pair verdicts: rebuild from the corollary params
-                    params = v["data"]["params"]
-                    a = fx.r_universe[params["a"]]
-                    b = fx.s_universe[params["b"]]
+                    params = _params(v, claim)
+                    a = _ref(fx.r_universe, params, "a", f"{claim}: data.params")
+                    b = _ref(fx.s_universe, params, "b", f"{claim}: data.params")
                     gen_a = family_gen(a, r_u)
                     gen_b = family_gen(b, s_u)
                     a_perp = perp_right_modules([a], r_u)
@@ -720,6 +778,9 @@ def replay_verify_all(fx: Fixture, verdicts: list[dict]) -> list[str]:
 
 
 def replay_report(report: dict, fx: Fixture) -> list[str]:
+    """Replay failures of every verify-all task of a report whose lists
+    are shaped as ``run`` writes them; raises :class:`MalformedReport` as
+    :func:`replay_verify_all` does."""
     failures = []
     for task in report.get("tasks", []):
         if task.get("kind") == "verify-all":

@@ -365,10 +365,20 @@ def is_torsion_class(
     universe's dimension bound); the verdict is flagged partial when a
     hom space exceeds the enumeration cap or extension classes were
     truncated.
+
+    Many maps share an image, so the image test is memoized per call on
+    (target index, canonical column-space basis of the image), across all
+    source members: only an image not seen before is built as a submodule
+    and tested.  Maps are still visited in enumeration order and each
+    (source, target) pair stops at its first map with a failing image, so
+    an ``image-closure`` certificate names the same map as testing every
+    image would, and the family predicate is called on a subset of the
+    images it would otherwise see.
     """
     certs = []
     partial = False
     members = [(i, universe[i]) for i in f.member_indices(universe)]
+    image_in_f: dict[tuple[int, bytes], bool] = {}
     for i, m in members:
         for j, n in enumerate(universe):
             basis = hom_space(m, n)
@@ -377,15 +387,18 @@ def is_torsion_class(
                 continue
             for mat in combinations(m.p, [b.matrix for b in basis], n.dim, m.dim):
                 img_cols = column_space_basis(mat)
-                img, _ = submodule(n, img_cols)
-                if not f.contains(img):
+                key = (j, img_cols.array().tobytes())
+                ok = image_in_f.get(key)
+                if ok is None:
+                    ok = image_in_f[key] = f.contains(submodule(n, img_cols)[0])
+                if not ok:
                     certs.append(
                         {
                             "clause": "image-closure",
                             "source": i,
                             "target": j,
                             "map": mat.to_lists(),
-                            "image_dim": img.dim,
+                            "image_dim": img_cols.cols,
                         }
                     )
                     break

@@ -560,7 +560,9 @@ def recheck_certificate(cert: dict, env: dict) -> bool:
         fam: ModuleFamily = env["family"]
         src = universe[cert["source"]]
         tgt = universe[cert["target"]]
-        mat = FpMatrix(src.p, cert["map"])
+        rows = cert["map"]
+        # A map into the zero module has no rows to carry its width.
+        mat = FpMatrix(src.p, rows) if rows else FpMatrix.zeros(src.p, 0, src.dim)
         mm = ModuleMap(src, tgt, mat)
         if not mm.is_valid():
             return False

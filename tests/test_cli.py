@@ -199,8 +199,35 @@ def test_malformed_document_shape_exit_2(runner, tmp_path, command, payload):
             '{"source": {"fixture": "a2"}, "tasks": [{"kind": "verify-all", "verdicts": 7}]}',
             "tasks[0].verdicts must be a list, got int",
         ),
+        (
+            '{"source": {"fixture": "a2"}, "tasks": [{"kind": "verify-all", "verdicts": '
+            '[{"claim": "hom-formula-1", "certificates": [{}]}]}]}',
+            "malformed report: hom-formula-1: certificates[0]: missing field 'source'",
+        ),
+        (
+            '{"source": {"fixture": "a2"}, "tasks": [{"kind": "verify-all", "verdicts": '
+            '[{"claim": "torsion-class-decomposition[x,y]"}]}]}',
+            "malformed report: torsion-class-decomposition[x,y]: missing field 'data'",
+        ),
+        (
+            '{"source": {"fixture": "a2"}, "tasks": [{"kind": "verify-all", "verdicts": '
+            '[{"claim": "hom-formula-1", "certificates": [{"source": 999}]}]}]}',
+            "malformed report: hom-formula-1: certificates[0].source must be str, got int",
+        ),
+        (
+            '{"source": {"fixture": "a2"}, "tasks": [{"kind": "verify-all", "verdicts": '
+            '[{"claim": "adjunction-p-q", "certificates": [{"a": "nope"}]}]}]}',
+            "malformed report: adjunction-p-q: certificates[0].a: no entry 'nope' in the fixture",
+        ),
+        (
+            '{"source": {"fixture": "a2"}, "tasks": [{"kind": "verify-all", "verdicts": '
+            '[{"claim": "perp-transfer-mono[c=zero,d=zero]", "data": {"params": {"c": "some"}}}]}]}',
+            "malformed report: perp-transfer-mono[c=zero,d=zero]: data.params.c: unknown basic family kind",
+        ),
     ],
-    ids=["array", "not-json", "unknown-fixture", "tasks-int", "task-int", "verdicts-int"],
+    ids=["array", "not-json", "unknown-fixture", "tasks-int", "task-int", "verdicts-int",
+         "certificate-missing-field", "verdict-missing-data", "reference-wrong-type",
+         "reference-unknown", "family-kind-unknown"],
 )
 def test_certificate_replay_of_malformed_report_exit_2(runner, tmp_path, text, message):
     report_path = tmp_path / "report.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,12 @@ from commacat.linalg import (
     MODULUS_LIMIT,
     FpMatrix,
     batched_rank,
+    block_diag,
     column_space_basis,
     combination_chunks,
+    combinations,
     enumerate_vectors,
+    first_of_rank,
     hstack,
     intertwining_system,
     inverse,
@@ -22,6 +27,7 @@ from commacat.linalg import (
     solve,
     solve_each,
     spans_equal,
+    vstack,
 )
 
 
@@ -418,3 +424,88 @@ def test_rref_matches_python_int_reference(case):
     assert k.rows == cols and k.cols == len(free)
     assert k.array()[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
     assert (m @ k).is_zero()
+
+
+# -- the trusted constructor -----------------------------------------------
+
+
+def _assert_trusted_result(p, m):
+    """``m`` is what validating its entries would give: reduced, 2-d int64, frozen."""
+    a = m.array()
+    assert m.p == p
+    assert a.dtype == np.int64 and a.ndim == 2
+    assert not a.flags.writeable
+    assert ((a >= 0) & (a < p)).all()
+    assert FpMatrix(p, a) == m
+
+
+@st.composite
+def trusted_cases(draw):
+    """A modulus, two r x c matrices, a c x k matrix, and rows and columns to cut."""
+    p = draw(st.sampled_from([2, 3, 5, 16777213]))
+    r, c, k = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        flat = draw(
+            st.lists(st.integers(min_value=0, max_value=p - 1), min_size=rows * cols, max_size=rows * cols)
+        )
+        return FpMatrix(p, np.array(flat, dtype=np.int64).reshape(rows, cols))
+
+    a, b, x = matrix(r, c), matrix(r, c), matrix(c, k)
+    r0 = draw(st.integers(min_value=0, max_value=r))
+    c0 = draw(st.integers(min_value=0, max_value=c))
+    idx = draw(st.lists(st.integers(min_value=0, max_value=c - 1), max_size=4)) if c else []
+    return p, a, b, x, r0, c0, idx
+
+
+@given(trusted_cases())
+@settings(max_examples=150, deadline=None)
+def test_trusted_results_equal_validated_construction(case):
+    p, a, b, x, r0, c0, idx = case
+    results = [
+        a.block(r0, a.rows, c0, a.cols),
+        a.take_columns(idx),
+        a.transpose(),
+        a @ x,
+        a + b,
+        a - b,
+        -a,
+        hstack([a, b]),
+        vstack([a, b]),
+        block_diag([a, x]),
+        rref(a)[0],
+        kernel_basis(a),
+    ]
+    if a.cols:
+        results.append(a.column_vector(c0 % a.cols))
+    y = solve(a, a @ x)
+    assert y is not None
+    results.append(y)
+    basis = [a, b]
+    results.append(first_of_rank(p, basis, a.rows, a.cols, rank(b)))
+    results.extend(itertools.islice(combinations(p, basis, a.rows, a.cols), 12))
+    for m in results:
+        _assert_trusted_result(p, m)
+
+
+def test_trusted_slices_own_their_memory():
+    # A slice that kept its base would pin the whole parent array, and a
+    # cached enumeration witness would pin a whole chunk of combinations.
+    a = FpMatrix(3, np.arange(12).reshape(3, 4))
+    basis = [FpMatrix(3, [[1, 0], [0, 0]]), FpMatrix(3, [[0, 0], [0, 1]])]
+    owned = [
+        a.block(1, 3, 1, 3),
+        a.column_vector(2),
+        first_of_rank(3, basis, 2, 2, 2),
+        *combinations(3, basis, 2, 2),
+    ]
+    assert all(m.array().base is None for m in owned)
+
+
+def test_stacking_rejects_mixed_moduli():
+    # Trusted results are not reduced again, so entries mod 3 must not
+    # pass as a matrix over F_2.
+    a, b = FpMatrix(2, [[1]]), FpMatrix(3, [[2]])
+    for stack in (hstack, vstack, block_diag):
+        with pytest.raises(ValueError, match="moduli differ"):
+            stack([a, b])

@@ -215,3 +215,104 @@ def test_monotonicity_under_universe_shrinking(a2, univ):
     sub_universe = [a2.t_universe[n] for n in ("0", "S_R", "S_S", "P")]
     small = is_torsion_pair(gen_p, y, sub_universe)
     assert small.holds
+
+
+# -- image closure memoized per (target, image) ----------------------------------
+
+
+def per_map_image_closure(f, universe, map_enum_cap=12):
+    """Reference: build and test the image of every enumerated map, as the
+    image-closure loop of ``is_torsion_class`` did before it was memoized."""
+    from commacat.linalg import column_space_basis, combinations
+    from commacat.modules import hom_space, submodule
+
+    certs, partial = [], False
+    for i in f.member_indices(universe):
+        m = universe[i]
+        for j, n in enumerate(universe):
+            basis = hom_space(m, n)
+            if len(basis) > map_enum_cap:
+                partial = True
+                continue
+            for mat in combinations(m.p, [b.matrix for b in basis], n.dim, m.dim):
+                img, _ = submodule(n, column_space_basis(mat))
+                if not f.contains(img):
+                    certs.append(
+                        {
+                            "clause": "image-closure",
+                            "source": i,
+                            "target": j,
+                            "map": mat.to_lists(),
+                            "image_dim": img.dim,
+                        }
+                    )
+                    break
+    return certs, partial
+
+
+def _with_zero(fam, member):
+    """The family {member, 0}: modules isomorphic to ``member``, and 0."""
+    inner = fam.predicate
+    fam.predicate = lambda m: m.dim == 0 or inner(m)
+    fam.label = f"{{{member.label},0}}"
+    return fam
+
+
+def _without(fam, member):
+    """Every module not isomorphic to ``member``."""
+    inner = fam.predicate
+    fam.predicate = lambda m: not inner(m)
+    fam.label = f"not {member.label}"
+    return fam
+
+
+def _closure_families(fx, universe):
+    """{M}, {M,0} for every member M; the complement of M and Gen(M) for M of
+    dimension at most 2 (larger ones cost seconds on the dual-numbers
+    T-universe and add no new kind of image); D_sigma for every presentation
+    over the universe's algebra, and over T for every pair of R- and
+    S-presentations of nonzero modules."""
+    from commacat.comma import sigma_for_p
+
+    fams = []
+    for m in universe:
+        fams.append(family_explicit([m], universe, label=f"{{{m.label}}}"))
+        fams.append(_with_zero(family_explicit([m], universe), m))
+        if m.dim <= 2:
+            # Targets of one dimension share image coordinates, and only a
+            # family that tells such targets apart checks the target index.
+            fams.append(_without(family_explicit([m], universe), m))
+            fams.append(family_gen(m, universe))
+    algebra = universe[0].algebra
+    pres = [s for s in fx.presentations.values() if s.target.algebra == algebra]
+    if algebra == fx.t:
+        r_pres = [s for s in fx.presentations.values() if s.target.algebra == fx.t.r]
+        s_pres = [s for s in fx.presentations.values() if s.target.algebra == fx.t.s]
+        pres += [
+            sigma_for_p(fx.t, a.target, a, b.target, b)
+            for a in r_pres
+            for b in s_pres
+            if a.target.dim and b.target.dim
+        ]
+    fams.extend(family_d_sigma(s, universe) for s in pres)
+    return fams
+
+
+@pytest.mark.parametrize("name", ["a2", "dual-numbers"])
+def test_image_closure_certificates_match_per_map_loop(name):
+    from commacat.verify import recheck_certificate
+
+    fx = load_fixture(name)
+    seen = 0
+    for universe in (fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()):
+        for fam in _closure_families(fx, universe):
+            # max_dim=0 leaves only the image-closure clause to compare
+            verdict = is_torsion_class(fam, universe, max_dim=0)
+            got = [c for c in verdict.certificates if c["clause"] == "image-closure"]
+            want, partial = per_map_image_closure(fam, universe)
+            assert got == want, fam.label
+            assert verdict.data["partial"] == partial
+            env = {"universe": universe, "family": fam}
+            assert all(recheck_certificate(c, env) for c in got), fam.label
+            seen += len(got)
+    assert seen
