@@ -14,9 +14,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import FpMatrix, _check_modulus
+from .memo import ContentKeyed, content_bytes
 
 
-class FDAlgebra:
+class FDAlgebra(ContentKeyed):
     """Associative unital algebra over F_p given by structure constants."""
 
     __slots__ = ("p", "dim", "mul", "unit", "label")
@@ -50,17 +51,8 @@ class FDAlgebra:
         vec = np.asarray(a, dtype=np.int64)
         return FpMatrix(self.p, np.einsum("i,jik->kj", vec, self.mul))
 
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, FDAlgebra)
-            and self.p == other.p
-            and self.dim == other.dim
-            and np.array_equal(self.mul, other.mul)
-            and np.array_equal(self.unit, other.unit)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.dim, self.mul.tobytes(), self.unit.tobytes()))
+    def _content(self) -> tuple:
+        return ("algebra", self.p, self.dim, content_bytes(self.p, self.mul, self.unit))
 
     def __repr__(self) -> str:
         name = self.label or "FDAlgebra"
@@ -98,7 +90,7 @@ def validate_algebra(a: FDAlgebra) -> list[dict]:
     return violations
 
 
-class Bimodule:
+class Bimodule(ContentKeyed):
     """(S, R)-bimodule: left S-action and right R-action on F_p^dim, commuting."""
 
     __slots__ = ("s_algebra", "r_algebra", "dim", "left_action", "right_action", "label")
@@ -117,8 +109,8 @@ class Bimodule:
         if len(left_action) != s_algebra.dim or len(right_action) != r_algebra.dim:
             raise ValueError("one action matrix per algebra basis element required")
         for m in list(left_action) + list(right_action):
-            if m.rows != dim or m.cols != dim:
-                raise ValueError("action matrices must be dim x dim")
+            if m.rows != dim or m.cols != dim or m.p != s_algebra.p:
+                raise ValueError("action matrices must be dim x dim over the algebras' field")
         self.s_algebra = s_algebra
         self.r_algebra = r_algebra
         self.dim = dim
@@ -144,18 +136,9 @@ class Bimodule:
                 out = out + self.right_action[i].scale(int(c))
         return out
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Bimodule)
-            and self.s_algebra == other.s_algebra
-            and self.r_algebra == other.r_algebra
-            and self.dim == other.dim
-            and self.left_action == other.left_action
-            and self.right_action == other.right_action
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.s_algebra, self.r_algebra, self.dim, self.left_action, self.right_action))
+    def _content(self) -> tuple:
+        actions = content_bytes(self.p, *(a.array() for a in self.left_action + self.right_action))
+        return ("bimodule", self.s_algebra.key, self.r_algebra.key, self.dim, actions)
 
 
 def validate_bimodule(u: Bimodule) -> list[dict]:

@@ -19,6 +19,7 @@ import click
 from . import tasks as task_runner
 from .document import DocumentError, document_validation_report, load_document
 from .fixtures import fixture_names, load_fixture
+from .modules import IsoSearchCapExceeded
 from .tasks import MalformedReport, TaskError, replay_report
 
 
@@ -95,9 +96,9 @@ def main() -> None:
               help="Run the built-in corpus instead of a document.")
 @click.option("--task", "task_names", multiple=True,
               help="Only run tasks with this name or kind (repeatable).")
-@click.option("--max-dim", type=int, default=None, envvar="COMMACAT_MAX_DIM",
+@click.option("--max-dim", type=click.IntRange(min=0), default=None, envvar="COMMACAT_MAX_DIM",
               help="Total-dimension cap for built universes.")
-@click.option("--iso-cap", type=int, default=16, show_default=True,
+@click.option("--iso-cap", type=click.IntRange(min=0), default=16, show_default=True,
               help="Hom-dimension cap for exhaustive isomorphism searches.")
 def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
         task_names: tuple[str, ...], max_dim: Optional[int], iso_cap: int) -> None:
@@ -106,14 +107,14 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
         click.echo("error: provide a document path or --fixture", err=True)
         sys.exit(2)
     if fixture_name:
-        fx = load_fixture(fixture_name, iso_cap=iso_cap, max_total_dim=max_dim)
         source = {"fixture": fixture_name}
-        p = fx.p
         try:
+            fx = load_fixture(fixture_name, iso_cap=iso_cap, max_total_dim=max_dim)
             results = task_runner.run_fixture(fx, task_names or None)
-        except TaskError as exc:
+        except (TaskError, IsoSearchCapExceeded) as exc:
             click.echo(f"task error: {exc}", err=True)
             sys.exit(3)
+        p = fx.p
     else:
         try:
             doc = load_document(document)
@@ -124,7 +125,7 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
         p = doc.p
         try:
             results = task_runner.run_document(doc, task_names or None)
-        except TaskError as exc:
+        except (TaskError, IsoSearchCapExceeded) as exc:
             click.echo(f"task error: {exc}", err=True)
             sys.exit(3)
     report = {"tool": "commacat", "p": p, "source": source, "tasks": results}
@@ -139,8 +140,8 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
 @click.argument("target", type=click.Path(exists=True, dir_okay=False))
 @click.option("--certificate", is_flag=True,
               help="Treat TARGET as a report and replay its certificates.")
-@click.option("--iso-cap", type=int, default=16, show_default=True)
-@click.option("--max-dim", type=int, default=None, envvar="COMMACAT_MAX_DIM")
+@click.option("--iso-cap", type=click.IntRange(min=0), default=16, show_default=True)
+@click.option("--max-dim", type=click.IntRange(min=0), default=None, envvar="COMMACAT_MAX_DIM")
 def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int]) -> None:
     """Check every invariant of a document, or replay a report's certificates."""
     with open(target, "r", encoding="utf-8") as fh:
@@ -164,12 +165,15 @@ def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int
         if shape_error:
             click.echo(f"error: malformed report: {shape_error}", err=True)
             sys.exit(2)
-        fx = load_fixture(source["fixture"], iso_cap=iso_cap, max_total_dim=max_dim)
         try:
+            fx = load_fixture(source["fixture"], iso_cap=iso_cap, max_total_dim=max_dim)
             failures = replay_report(data, fx)
         except MalformedReport as exc:
             click.echo(f"error: malformed report: {exc}", err=True)
             sys.exit(2)
+        except IsoSearchCapExceeded as exc:
+            click.echo(f"task error: {exc}", err=True)
+            sys.exit(3)
         total = sum(
             len(v.get("certificates", [])) + sum(len(s.get("certificates", [])) for s in v.get("sub", []))
             for t in data.get("tasks", [])

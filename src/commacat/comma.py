@@ -60,23 +60,19 @@ from .modules import (
     tensor_over,
     zero_module,
 )
+from .memo import ContentKeyed, content_bytes, memo
 from .presentations import Presentation
 
-_TRIANGULAR_CACHE: dict[Bimodule, TriangularAlgebra] = {}
 
-
+@memo("triangular_for")
 def triangular_for(u: Bimodule) -> TriangularAlgebra:
-    t = _TRIANGULAR_CACHE.get(u)
-    if t is None:
-        t = triangular_algebra(u.r_algebra, u.s_algebra, u)
-        _TRIANGULAR_CACHE[u] = t
-    return t
+    return triangular_algebra(u.r_algebra, u.s_algebra, u)
 
 
-class CommaObject:
+class CommaObject(ContentKeyed):
     """Triple (A, B, phi) with phi stored on the full u-major tensor space."""
 
-    __slots__ = ("bimodule", "A", "B", "phi", "label", "_hash")
+    __slots__ = ("bimodule", "A", "B", "phi", "label")
 
     def __init__(
         self, bimodule: Bimodule, a: ModuleRep, b: ModuleRep, phi: FpMatrix, label: str = ""
@@ -85,16 +81,16 @@ class CommaObject:
             raise AlgebraMismatch("A component must be a left module over R")
         if b.algebra != bimodule.s_algebra or b.side != LEFT:
             raise AlgebraMismatch("B component must be a left module over S")
-        if phi.rows != b.dim or phi.cols != bimodule.dim * a.dim:
+        if phi.rows != b.dim or phi.cols != bimodule.dim * a.dim or phi.p != bimodule.p:
             raise ValueError(
-                f"phi must be {b.dim} x {bimodule.dim * a.dim}, got {phi.rows} x {phi.cols}"
+                f"phi must be {b.dim} x {bimodule.dim * a.dim} over F_{bimodule.p}, "
+                f"got {phi.rows} x {phi.cols} over F_{phi.p}"
             )
         self.bimodule = bimodule
         self.A = a
         self.B = b
         self.phi = phi
         self.label = label
-        self._hash = None
 
     @property
     def p(self) -> int:
@@ -107,19 +103,9 @@ class CommaObject:
     def relabel(self, label: str) -> "CommaObject":
         return CommaObject(self.bimodule, self.A, self.B, self.phi, label)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CommaObject)
-            and self.bimodule == other.bimodule
-            and self.A == other.A
-            and self.B == other.B
-            and self.phi == other.phi
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.bimodule, self.A, self.B, self.phi))
-        return self._hash
+    def _content(self) -> tuple:
+        phi = content_bytes(self.p, self.phi.array())
+        return ("comma", self.bimodule.key, self.A.key, self.B.key, phi)
 
     def __repr__(self) -> str:
         return f"<comma {self.label or '?'}: A dim {self.A.dim}, B dim {self.B.dim}>"
@@ -256,34 +242,25 @@ def h_unit(c: CommaObject) -> CommaMap:
 # -- the T-module correspondence ----------------------------------------------
 
 
-_TO_T_CACHE: dict = {}
-
-
 def to_T_module(c: CommaObject, t: Optional[TriangularAlgebra] = None) -> ModuleRep:
-    """The left T-module on A + B with (r, u, s).(a, b) = (ra, phi(u (x) a) + sb)."""
-    t = t or triangular_for(c.bimodule)
-    key = (c, t)
-    cached = _TO_T_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """The left T-module on A + B with (r, u, s).(a, b) = (ra, phi(u (x) a) + sb).
+    Memoized per (c, t), with t resolved."""
+    return _to_T_module(c, t or triangular_for(c.bimodule))
+
+
+@memo("to_T_module")
+def _to_T_module(c: CommaObject, t: TriangularAlgebra) -> ModuleRep:
     bad = validate_comma(c)
     if bad:
         raise ValueError(f"invalid comma object: {bad[0]}")
-    u = c.bimodule
     da, db = c.A.dim, c.B.dim
-    p = c.p
-    action = []
-    for i in range(t.r.dim):
-        action.append(block_diag([c.A.action[i], FpMatrix.zeros(p, db, db)], p=p))
-    for j in range(u.dim):
-        mat = np.zeros((da + db, da + db), dtype=np.int64)
-        mat[da:, :da] = c.phi.array()[:, j * da : (j + 1) * da] if da else np.zeros((db, 0))
-        action.append(FpMatrix(p, mat))
-    for k in range(t.s.dim):
-        action.append(block_diag([FpMatrix.zeros(p, da, da), c.B.action[k]], p=p))
-    result = ModuleRep(t, LEFT, da + db, action, label=c.label or "T-module")
-    _TO_T_CACHE[key] = result
-    return result
+    stack = np.zeros((t.dim, da + db, da + db), dtype=np.int64)
+    stack[t.r_slice, :da, :da] = action_stack(c.A)
+    # u_j acts by the block of phi's columns u_j (x) a, from A into B
+    stack[t.u_slice, da:, :da] = c.phi.array().reshape(db, c.bimodule.dim, da).transpose(1, 0, 2)
+    stack[t.s_slice, da:, da:] = action_stack(c.B)
+    action = [FpMatrix._of(c.p, a.copy()) for a in stack]
+    return ModuleRep(t, LEFT, da + db, action, label=c.label or "T-module")
 
 
 class FromTResult(NamedTuple):
@@ -291,15 +268,9 @@ class FromTResult(NamedTuple):
     witness: ModuleMap  # isomorphism m -> to_T_module(comma)
 
 
-_FROM_T_CACHE: dict = {}
-
-
+@memo("from_T_module")
 def from_T_module(m: ModuleRep, t: TriangularAlgebra) -> FromTResult:
-    """Slice a left T-module along the block idempotents into a comma object."""
-    key = (m, t)
-    cached = _FROM_T_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Slice a left T-module along the block idempotents into a comma object.  Memoized."""
     if m.algebra != t or m.side != LEFT:
         raise AlgebraMismatch("expected a left module over the triangular algebra")
     er = m.act(t.idempotent_r())
@@ -330,9 +301,7 @@ def from_T_module(m: ModuleRep, t: TriangularAlgebra) -> FromTResult:
     phi = hstack([FpMatrix.zeros(m.p, b_mod.dim, 0)] + phi_blocks)
     comma = CommaObject(t.u, a_mod, b_mod, phi, label=m.label)
     witness = ModuleMap(m, to_T_module(comma, t), vstack([ca, cb]))
-    result = FromTResult(comma, witness)
-    _FROM_T_CACHE[key] = result
-    return result
+    return FromTResult(comma, witness)
 
 
 class RightTModule:
@@ -388,37 +357,25 @@ def right_t_to_module(rt: RightTModule, t: Optional[TriangularAlgebra] = None) -
     if bad:
         raise ValueError(f"invalid right T-module: {bad[0]}")
     t = t or triangular_for(rt.bimodule)
-    u = rt.bimodule
     dx, dy = rt.X.dim, rt.Y.dim
-    p = rt.p
-    action = []
-    for i in range(t.r.dim):
-        action.append(block_diag([rt.X.action[i], FpMatrix.zeros(p, dy, dy)], p=p))
-    for j in range(u.dim):
-        mat = np.zeros((dx + dy, dx + dy), dtype=np.int64)
-        for yi in range(dy):
-            mat[:dx, dx + yi] = rt.psi.array()[:, yi * u.dim + j]
-        action.append(FpMatrix(p, mat))
-    for k in range(t.s.dim):
-        action.append(block_diag([FpMatrix.zeros(p, dx, dx), rt.Y.action[k]], p=p))
+    stack = np.zeros((t.dim, dx + dy, dx + dy), dtype=np.int64)
+    stack[t.r_slice, :dx, :dx] = action_stack(rt.X)
+    # u_j acts by the block of psi's columns y (x) u_j, from Y into X
+    stack[t.u_slice, :dx, dx:] = rt.psi.array().reshape(dx, dy, rt.bimodule.dim).transpose(2, 0, 1)
+    stack[t.s_slice, dx:, dx:] = action_stack(rt.Y)
+    action = [FpMatrix._of(rt.p, a.copy()) for a in stack]
     return ModuleRep(t, RIGHT, dx + dy, action, label=rt.label or "right-T")
 
 
 # -- Hom computations ----------------------------------------------------------
 
 
-_HOM_COMMA_CACHE: dict = {}
-
-
+@memo("hom_comma")
 def hom_comma(x: CommaObject, y: CommaObject) -> list[CommaMap]:
     """Basis of the morphism space: joint intertwining plus the square.
 
     Memoized; callers must not mutate the returned list.
     """
-    key = (x, y)
-    cached = _HOM_COMMA_CACHE.get(key)
-    if cached is not None:
-        return cached
     if x.bimodule != y.bimodule:
         raise AlgebraMismatch("comma objects over different data")
     p = x.p
@@ -442,7 +399,6 @@ def hom_comma(x: CommaObject, y: CommaObject) -> list[CommaMap]:
         f = FpMatrix(p, basis[:nf, k].reshape(ya, xa))
         g = FpMatrix(p, basis[nf:, k].reshape(yb, xb))
         maps.append(CommaMap(x, y, ModuleMap(x.A, y.A, f), ModuleMap(x.B, y.B, g)))
-    _HOM_COMMA_CACHE[key] = maps
     return maps
 
 

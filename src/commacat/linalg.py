@@ -65,7 +65,7 @@ def _check_modulus(p: int) -> None:
 class FpMatrix:
     """Immutable matrix over F_p, stored row-major as reduced residues."""
 
-    __slots__ = ("p", "_a", "_hash")
+    __slots__ = ("p", "_a")
 
     def __init__(self, p: int, entries) -> None:
         _check_modulus(p)
@@ -81,7 +81,6 @@ class FpMatrix:
         a.setflags(write=False)
         self.p = p
         self._a = a
-        self._hash = None
 
     @classmethod
     def _of(cls, p: int, a: np.ndarray) -> "FpMatrix":
@@ -92,7 +91,6 @@ class FpMatrix:
         m = cls.__new__(cls)
         m.p = p
         m._a = a
-        m._hash = None
         return m
 
     # -- constructors ------------------------------------------------
@@ -174,7 +172,7 @@ class FpMatrix:
     # -- equality -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FpMatrix)
             and self.p == other.p
             and self._a.shape == other._a.shape
@@ -182,9 +180,7 @@ class FpMatrix:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.p, self._a.shape, self._a.tobytes()))
-        return self._hash
+        return hash((self.p, self._a.shape, self._a.tobytes()))
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.to_lists()})"

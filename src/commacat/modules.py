@@ -10,6 +10,13 @@ products and extension enumeration all reduce to exact kernel and rank
 computations over F_p.  Hom and coboundary systems, and transposed the
 tensor balancing generators, are :func:`~commacat.linalg.intertwining_system`;
 the cocycle system is three einsum terms plus the unit rows.
+
+Equality contract: algebras, bimodules, modules, maps and comma objects
+are equal exactly when their content keys are (:mod:`commacat.memo`):
+every part and every entry, never the label.  A memoized result is the
+one first stored for equal arguments and keeps that call's labels; e.g.
+``hom_space(m.relabel("x"), n)`` after ``hom_space(m, n)`` returns maps
+whose source is labelled ``m.label``.  The report bytes depend on this.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import numpy as np
 from .algebra import Bimodule, FDAlgebra
 from .linalg import (
     FpMatrix,
-    block_diag,
     column_space_basis,
     enumerate_vectors,
     first_of_rank,
@@ -34,6 +40,7 @@ from .linalg import (
     solve,
     solve_each,
 )
+from .memo import ContentKeyed, content_bytes, memo
 
 LEFT = "left"
 RIGHT = "right"
@@ -47,10 +54,10 @@ class IsoSearchCapExceeded(RuntimeError):
     """The Hom space is too large for exhaustive isomorphism search."""
 
 
-class ModuleRep:
+class ModuleRep(ContentKeyed):
     """A left or right module given by one action matrix per basis element."""
 
-    __slots__ = ("algebra", "side", "dim", "action", "label", "_hash")
+    __slots__ = ("algebra", "side", "dim", "action", "label")
 
     def __init__(
         self,
@@ -72,7 +79,6 @@ class ModuleRep:
         self.dim = dim
         self.action = tuple(action)
         self.label = label
-        self._hash = None
 
     @property
     def p(self) -> int:
@@ -89,26 +95,16 @@ class ModuleRep:
     def relabel(self, label: str) -> "ModuleRep":
         return ModuleRep(self.algebra, self.side, self.dim, self.action, label)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModuleRep)
-            and self.algebra == other.algebra
-            and self.side == other.side
-            and self.dim == other.dim
-            and self.action == other.action
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.algebra, self.side, self.dim, self.action))
-        return self._hash
+    def _content(self) -> tuple:
+        actions = content_bytes(self.p, *(a.array() for a in self.action))
+        return ("module", self.algebra.key, self.side, self.dim, actions)
 
     def __repr__(self) -> str:
         name = self.label or "module"
         return f"<{name}: {self.side} dim={self.dim} over {self.algebra!r}>"
 
 
-class ModuleMap:
+class ModuleMap(ContentKeyed):
     """A linear map intertwining the actions of source and target."""
 
     __slots__ = ("source", "target", "matrix")
@@ -125,16 +121,9 @@ class ModuleMap:
     def is_valid(self) -> bool:
         return not violated_intertwining(self)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModuleMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.matrix))
+    def _content(self) -> tuple:
+        p = self.matrix.p
+        return ("map", self.source.key, self.target.key, p, content_bytes(p, self.matrix.array()))
 
 
 def violated_intertwining(f: ModuleMap) -> list[int]:
@@ -225,9 +214,7 @@ def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
 # -- hom spaces ------------------------------------------------------------
 
 
-_HOM_CACHE: dict = {}
-
-
+@memo("hom_space")
 def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
     """Basis of the space of maps intertwining the two actions.
 
@@ -237,19 +224,12 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
     deterministic.  Results are memoized;
     callers must not mutate the returned list.
     """
-    key = (m, n)
-    cached = _HOM_CACHE.get(key)
-    if cached is not None:
-        return cached
     _require_compatible(m, n)
     p = m.p
     if m.dim == 0 or n.dim == 0:
-        _HOM_CACHE[key] = []
-        return _HOM_CACHE[key]
+        return []
     basis = kernel_basis(intertwining_system(p, action_stack(n), action_stack(m))).array()
-    maps = [ModuleMap(m, n, FpMatrix._of(p, h.reshape(n.dim, m.dim))) for h in basis.T.copy()]
-    _HOM_CACHE[key] = maps
-    return maps
+    return [ModuleMap(m, n, FpMatrix._of(p, h.reshape(n.dim, m.dim))) for h in basis.T.copy()]
 
 
 def hom_dim(m: ModuleRep, n: ModuleRep) -> int:
@@ -302,20 +282,21 @@ def direct_sum(
         _require_compatible(first, m)
     alg = first.algebra
     p = alg.p
-    total = sum(m.dim for m in summands)
-    action = [
-        block_diag([m.action[i] for m in summands], p=p) for i in range(alg.dim)
-    ]
+    offsets = np.cumsum([0] + [m.dim for m in summands]).tolist()
+    total = offsets[-1]
+    stack = np.zeros((alg.dim, total, total), dtype=np.int64)
+    for m, offset in zip(summands, offsets):
+        for i, a in enumerate(m.action):
+            stack[i, offset : offset + m.dim, offset : offset + m.dim] = a.array()
     label = "(" + "+".join(m.label or "?" for m in summands) + ")"
+    action = [FpMatrix._of(p, a.copy()) for a in stack]
     module = ModuleRep(alg, first.side, total, action, label=label)
+    eye = np.eye(total, dtype=np.int64)
     injections, projections = [], []
-    offset = 0
-    for m in summands:
-        inj = np.zeros((total, m.dim), dtype=np.int64)
-        inj[offset : offset + m.dim, :] = np.eye(m.dim, dtype=np.int64)
-        injections.append(ModuleMap(m, module, FpMatrix(p, inj)))
-        projections.append(ModuleMap(module, m, FpMatrix(p, inj.T)))
-        offset += m.dim
+    for m, offset in zip(summands, offsets):
+        proj = eye[offset : offset + m.dim].copy()
+        injections.append(ModuleMap(m, module, FpMatrix._of(p, proj.T)))
+        projections.append(ModuleMap(module, m, FpMatrix._of(p, proj)))
     return DirectSum(module, injections, projections)
 
 
@@ -403,9 +384,7 @@ def bimodule_as_right_module(u: Bimodule) -> ModuleRep:
     return ModuleRep(u.r_algebra, RIGHT, u.dim, u.right_action, label=f"{u.label or 'U'}_R")
 
 
-_TENSOR_CACHE: dict = {}
-
-
+@memo("tensor_over")
 def tensor_over(u: Bimodule, a: ModuleRep) -> TensorModule:
     """U (x)_R A as a left S-module, with the canonical projection.
 
@@ -414,10 +393,6 @@ def tensor_over(u: Bimodule, a: ModuleRep) -> TensorModule:
     balancing subspace, with the S-action induced from s.(u (x) a) =
     (s u) (x) a.  Memoized.
     """
-    key = (u, a)
-    cached = _TENSOR_CACHE.get(key)
-    if cached is not None:
-        return cached
     if a.algebra != u.r_algebra or a.side != LEFT:
         raise AlgebraMismatch("tensor_over expects a left module over the bimodule's right algebra")
     proj, sect = balanced_tensor(bimodule_as_right_module(u), a)
@@ -425,9 +400,7 @@ def tensor_over(u: Bimodule, a: ModuleRep) -> TensorModule:
     ia = FpMatrix.identity(p, a.dim)
     action = [proj @ kron(u.left_action[i], ia) @ sect for i in range(u.s_algebra.dim)]
     module = ModuleRep(u.s_algebra, LEFT, proj.rows, action, label=f"U*{a.label or '?'}")
-    result = TensorModule(module, proj, sect)
-    _TENSOR_CACHE[key] = result
-    return result
+    return TensorModule(module, proj, sect)
 
 
 def tensor_map(u: Bimodule, f: ModuleMap) -> ModuleMap:
@@ -457,18 +430,11 @@ def trace_of(generators: Sequence[ModuleRep], m: ModuleRep) -> tuple[ModuleRep, 
     return submodule(m, span, label=f"trace")
 
 
-_GEN_CACHE: dict = {}
-
-
+@memo("gen_member")
 def gen_member(t: ModuleRep, x: ModuleRep) -> bool:
-    """x lies in Gen(t): some power of t maps onto x (decided via trace)."""
-    key = (t, x)
-    cached = _GEN_CACHE.get(key)
-    if cached is None:
-        sub, _ = trace_of([t], x)
-        cached = sub.dim == x.dim
-        _GEN_CACHE[key] = cached
-    return cached
+    """x lies in Gen(t): some power of t maps onto x (decided via trace).  Memoized."""
+    sub, _ = trace_of([t], x)
+    return sub.dim == x.dim
 
 
 def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep, cap: int = 16) -> bool:
@@ -492,9 +458,6 @@ class IsoResult(NamedTuple):
     witness: Optional[ModuleMap]
 
 
-_ISO_CACHE: dict = {}
-
-
 def is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int = 16) -> IsoResult:
     """Exhaustive search for an invertible intertwiner.
 
@@ -507,16 +470,11 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int = 16) -> IsoResult:
     condition still leads to the full search, so the answer stays exact.
     Memoized per (source, target, cap).
     """
-    key = (m, n, cap)
-    cached = _ISO_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _is_isomorphic_uncached(m, n, cap)
-    _ISO_CACHE[key] = result
-    return result
+    return _is_isomorphic(m, n, cap)
 
 
-def _is_isomorphic_uncached(m: ModuleRep, n: ModuleRep, cap: int) -> IsoResult:
+@memo("is_isomorphic")
+def _is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int) -> IsoResult:
     _require_compatible(m, n)
     if m.dim != n.dim:
         return IsoResult(False, None)
@@ -629,20 +587,12 @@ class HomModule(NamedTuple):
     basis: list[ModuleMap]
 
 
-_HOM_MODULE_CACHE: dict = {}
-
-
+@memo("hom_module")
 def hom_module(u: Bimodule, b: ModuleRep) -> HomModule:
     """Hom_S(U, B) as a left R-module via (r.f)(u) = f(u r).  Memoized."""
-    key = (u, b)
-    cached = _HOM_MODULE_CACHE.get(key)
-    if cached is not None:
-        return cached
     if b.algebra != u.s_algebra or b.side != LEFT:
         raise AlgebraMismatch("hom_module expects a left module over the bimodule's left algebra")
     basis = hom_space(bimodule_as_left_module(u), b)
     action = [hom_coords(u.p, basis, [f.matrix @ ra for f in basis]) for ra in u.right_action]
     module = ModuleRep(u.r_algebra, LEFT, len(basis), action, label=f"Hom(U,{b.label})")
-    result = HomModule(module, basis)
-    _HOM_MODULE_CACHE[key] = result
-    return result
+    return HomModule(module, basis)

@@ -44,6 +44,7 @@ from .modules import (
     regular_module,
     zero_module,
 )
+from .memo import memo
 
 
 class Presentation(NamedTuple):
@@ -184,20 +185,12 @@ def _hom_onto(f: ModuleMap, x: ModuleRep) -> bool:
     return rank(mat) == len(h_source)
 
 
-_D_SIGMA_CACHE: dict = {}
-
-
+@memo("d_sigma_member")
 def d_sigma_member(s: Presentation, x: ModuleRep) -> bool:
-    """True when Hom(sigma, x) is surjective."""
-    key = (s, x)
-    cached = _D_SIGMA_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """True when Hom(sigma, x) is surjective.  Memoized."""
     if x.algebra != s.target.algebra or x.side != s.target.side:
         raise AlgebraMismatch("module is not over the presentation's algebra")
-    result = _hom_onto(s.sigma, x)
-    _D_SIGMA_CACHE[key] = result
-    return result
+    return _hom_onto(s.sigma, x)
 
 
 def d_sigma_member_oracle(s: Presentation, x: ModuleRep, cap: int = 16) -> bool:
@@ -231,6 +224,13 @@ def d_sigma_member_oracle(s: Presentation, x: ModuleRep, cap: int = 16) -> bool:
 
 
 def universe_hash(universe: Sequence[ModuleRep]) -> str:
+    return _universe_hash(tuple(universe))
+
+
+@memo("universe_hash")
+def _universe_hash(universe: tuple[ModuleRep, ...]) -> str:
+    """Memoized on the tuple of modules: the digest reads only dimensions,
+    sides and actions, which the modules' content keys fix."""
     payload = [
         {
             "dim": m.dim,

@@ -236,3 +236,28 @@ def test_certificate_replay_of_malformed_report_exit_2(runner, tmp_path, text, m
     assert result.exit_code == 2, result.output
     assert message in result.stderr
     assert len(result.stderr.splitlines()) == 1
+
+
+def _dual_numbers_target(command, tmp_path):
+    """Arguments that make ``command`` load the dual-numbers fixture."""
+    if command == "run":
+        return ["run", "--fixture", "dual-numbers"]
+    report_path = tmp_path / "report.json"
+    report_path.write_text('{"source": {"fixture": "dual-numbers"}, "tasks": []}')
+    return ["validate", "--certificate", str(report_path)]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("option, value", [("--iso-cap", "-1"), ("--max-dim", "-3")])
+def test_negative_caps_exit_2(runner, tmp_path, command, option, value):
+    result = runner.invoke(main, [*_dual_numbers_target(command, tmp_path), option, value])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_too_small_iso_cap_is_one_task_error_line(runner, tmp_path, command):
+    # building the dual-numbers comma universe needs a comma isomorphism search
+    result = runner.invoke(main, [*_dual_numbers_target(command, tmp_path), "--iso-cap", "0"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "task error: comma hom dimension 1 exceeds cap 0\n"

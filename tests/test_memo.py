@@ -1,0 +1,38 @@
+import pytest
+
+from commacat import memo
+from commacat.fixtures import load_fixture
+from commacat.modules import gen_member, is_isomorphic
+from commacat.tasks import run_fixture
+
+
+def test_hom_space_calls_of_a_dual_numbers_run():
+    # the same count as the benchmark tracer's modules.hom_space.calls
+    # (perfbench, dual-verify), whose distinct_ratio is misses / calls
+    run_fixture(load_fixture("dual-numbers"))
+    stats = memo.memo_stats()["hom_space"]
+    assert stats["hits"] + stats["misses"] == 7394
+    assert stats["misses"] == stats["size"] == 1666
+
+
+def test_cached_false_is_a_hit_and_clear_resets():
+    fx = load_fixture("a2")
+    t = fx.t_universe
+    memo.clear()
+    assert not gen_member(t["S_S"], t["S_R"])
+    assert not gen_member(t["S_S"], t["S_R"])
+    assert memo.memo_stats()["gen_member"] == {"size": 1, "hits": 1, "misses": 1}
+    memo.clear()
+    assert all(s == {"size": 0, "hits": 0, "misses": 0} for s in memo.memo_stats().values())
+
+
+def test_default_arguments_share_one_entry():
+    t = load_fixture("a2").t_universe
+    memo.clear()
+    assert is_isomorphic(t["P"], t["P"]) is is_isomorphic(t["P"], t["P"], cap=16)
+    assert memo.memo_stats()["is_isomorphic"] == {"size": 1, "hits": 1, "misses": 1}
+
+
+def test_table_names_are_unique():
+    with pytest.raises(ValueError, match="already registered"):
+        memo.memo("hom_space")

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commacat.algebra import FDAlgebra, dual_numbers_algebra, field_algebra
+from commacat.algebra import Bimodule, FDAlgebra, dual_numbers_algebra, field_algebra
+from commacat.comma import CommaObject
 from commacat.fixtures import load_fixture
 from commacat.linalg import FpMatrix, enumerate_vectors, inverse, rank
 from commacat.modules import (
+    LEFT,
+    RIGHT,
     IsoResult,
     IsoSearchCapExceeded,
     ModuleMap,
@@ -426,3 +431,159 @@ def test_hom_dim_of_jordan_modules_matches_closed_form(a, b):
     assert not validate_module(m) and not validate_module(n)
     assert hom_dim(m, n) == sum(min(i, j) for i in a for j in b)
     assert all(f.is_valid() for f in hom_space(m, n))
+
+
+# -- content-key equality ----------------------------------------------------------
+
+# Entries pack as uint8 up to p = 256 and as uint32 above; 256 % p is a residue
+# a uint8 packing would wrap onto 0.
+KEY_MODULI = [2, 3, 257, 16777213]
+KEY_KINDS = ["algebra", "module", "map", "comma"]
+
+
+def _key_shapes(kind, dims):
+    d = dims[0]
+    shapes = [(d, d, d), (d,)]
+    if kind == "module":
+        (n,) = dims[1:]
+        shapes += [(d, n, n)]
+    elif kind == "map":
+        ns, nt = dims[1:]
+        shapes += [(d, ns, ns), (d, nt, nt), (nt, ns)]
+    elif kind == "comma":
+        du, na, nb = dims[1:]
+        shapes += [(d, du, du), (d, du, du), (d, na, na), (d, nb, nb), (nb, du * na)]
+    return shapes
+
+
+def _build(kind, p, side, dims, arrays, label):
+    """A value of ``kind`` from its shapes and entries (no module laws checked)."""
+
+    def mats(stack):
+        return [FpMatrix(p, a) for a in stack]
+
+    alg = FDAlgebra(p, arrays[0], arrays[1], label=label)
+    if kind == "algebra":
+        return alg
+    if kind == "module":
+        return ModuleRep(alg, side, dims[1], mats(arrays[2]), label=label)
+    if kind == "map":
+        src = ModuleRep(alg, side, dims[1], mats(arrays[2]), label=label)
+        tgt = ModuleRep(alg, side, dims[2], mats(arrays[3]), label=label)
+        return ModuleMap(src, tgt, FpMatrix(p, arrays[4]))
+    du, na, nb = dims[1:]
+    u = Bimodule(alg, alg, du, mats(arrays[2]), mats(arrays[3]), label=label)
+    a = ModuleRep(alg, LEFT, na, mats(arrays[4]), label=label)
+    b = ModuleRep(alg, LEFT, nb, mats(arrays[5]), label=label)
+    return CommaObject(u, a, b, FpMatrix(p, arrays[6]), label=label)
+
+
+@st.composite
+def _raw_value(draw, kind):
+    p = draw(st.sampled_from(KEY_MODULI))
+    side = draw(st.sampled_from([LEFT, RIGHT])) if kind in ("module", "map") else LEFT
+    dims = tuple(draw(st.integers(0, 2)) for _ in range(KEY_KINDS.index(kind) + 1))
+    residues = st.sampled_from(sorted({0, 1, 256 % p, p - 1}))
+    arrays = []
+    for shape in _key_shapes(kind, dims):
+        size = int(np.prod(shape))
+        entries = draw(st.lists(residues, min_size=size, max_size=size))
+        arrays.append(np.array(entries, dtype=np.int64).reshape(shape))
+    return p, side, dims, arrays
+
+
+@st.composite
+def _raw_pair(draw, kind):
+    """Two values of ``kind``: equal entries, one entry moved by 256 (or 1) mod
+    p, or drawn independently (other modulus, shapes and sides included)."""
+    x = draw(_raw_value(kind))
+    mode = draw(st.sampled_from(["copy", "tweak", "fresh"]))
+    if mode == "fresh":
+        return x, draw(_raw_value(kind))
+    p, side, dims, arrays = x
+    arrays = [a.copy() for a in arrays]
+    filled = [i for i, a in enumerate(arrays) if a.size]
+    if mode == "tweak" and filled:
+        flat = arrays[draw(st.sampled_from(filled))].reshape(-1)
+        j = draw(st.integers(0, flat.size - 1))
+        flat[j] = (flat[j] + (256 if 256 % p else 1)) % p
+    return x, (p, side, dims, arrays)
+
+
+def _matrices_equal(xs, ys):
+    return len(xs) == len(ys) and all(
+        a.p == b.p and np.array_equal(a.array(), b.array()) for a, b in zip(xs, ys)
+    )
+
+
+def _reference_equal(x, y):
+    """Component-wise equality, array_equal on every matrix, labels ignored."""
+    if isinstance(x, FDAlgebra):
+        return (
+            x.p == y.p
+            and x.dim == y.dim
+            and np.array_equal(x.mul, y.mul)
+            and np.array_equal(x.unit, y.unit)
+        )
+    if isinstance(x, Bimodule):
+        return (
+            _reference_equal(x.s_algebra, y.s_algebra)
+            and _reference_equal(x.r_algebra, y.r_algebra)
+            and x.dim == y.dim
+            and _matrices_equal(x.left_action, y.left_action)
+            and _matrices_equal(x.right_action, y.right_action)
+        )
+    if isinstance(x, ModuleRep):
+        return (
+            _reference_equal(x.algebra, y.algebra)
+            and x.side == y.side
+            and x.dim == y.dim
+            and _matrices_equal(x.action, y.action)
+        )
+    if isinstance(x, ModuleMap):
+        return (
+            _reference_equal(x.source, y.source)
+            and _reference_equal(x.target, y.target)
+            and _matrices_equal([x.matrix], [y.matrix])
+        )
+    return (
+        _reference_equal(x.bimodule, y.bimodule)
+        and _reference_equal(x.A, y.A)
+        and _reference_equal(x.B, y.B)
+        and _matrices_equal([x.phi], [y.phi])
+    )
+
+
+@pytest.mark.parametrize("kind", KEY_KINDS)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_content_key_equality_matches_componentwise_reference(kind, data):
+    raw_x, raw_y = data.draw(_raw_pair(kind))
+    x, y = _build(kind, *raw_x, label="x"), _build(kind, *raw_y, label="y")
+    same = _reference_equal(x, y)
+    assert (x == y) is same and (y == x) is same
+    if same:
+        assert hash(x) == hash(y)
+    relabelled = _build(kind, *raw_x, label="relabelled")
+    assert relabelled == x and hash(relabelled) == hash(x)
+
+
+def test_content_keys_tell_shapes_apart():
+    # over the zero algebra every module has no action matrices, so only the
+    # dimension tells a 0-dimensional module from a 2-dimensional one
+    zero_alg = FDAlgebra(2, np.zeros((0, 0, 0), dtype=np.int64), [])
+    m0, m2 = ModuleRep(zero_alg, LEFT, 0, []), ModuleRep(zero_alg, LEFT, 2, [])
+    assert m0 != m2
+    assert ModuleMap(m0, m2, FpMatrix.zeros(2, 2, 0)) != ModuleMap(m2, m0, FpMatrix.zeros(2, 0, 2))
+    # equal residues over different moduli
+    assert field_algebra(2) != field_algebra(3)
+
+
+def test_memoized_hom_space_keeps_the_labels_of_the_first_call(a2):
+    m, n = a2.t_universe["P"], a2.t_universe["N"]
+    first = hom_space(m, n)
+    m2 = m.relabel("P-copy")
+    assert m2 == m and m2.label != m.label
+    again = hom_space(m2, n)
+    assert again is first
+    assert again and all(f.source.label == m.label for f in again)
