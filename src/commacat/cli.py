@@ -83,6 +83,13 @@ def _report_shape_error(items, path: str = "tasks", level: str = "task") -> Opti
     return None
 
 
+ISO_CAP_HELP = (
+    "Hom-dimension cap for the comma isomorphism searches that build a fixture's "
+    "generated comma universe (dual-numbers).  It reaches only that build: "
+    "documents, a2 and every isomorphism search of the tasks use cap 16."
+)
+
+
 @click.group()
 def main() -> None:
     """Exact comma-category verification over prime fields."""
@@ -99,7 +106,7 @@ def main() -> None:
 @click.option("--max-dim", type=click.IntRange(min=0), default=None, envvar="COMMACAT_MAX_DIM",
               help="Total-dimension cap for built universes.")
 @click.option("--iso-cap", type=click.IntRange(min=0), default=16, show_default=True,
-              help="Hom-dimension cap for exhaustive isomorphism searches.")
+              help=ISO_CAP_HELP)
 def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
         task_names: tuple[str, ...], max_dim: Optional[int], iso_cap: int) -> None:
     """Execute the tasks of DOCUMENT (or of --fixture) and print a report."""
@@ -140,7 +147,8 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
 @click.argument("target", type=click.Path(exists=True, dir_okay=False))
 @click.option("--certificate", is_flag=True,
               help="Treat TARGET as a report and replay its certificates.")
-@click.option("--iso-cap", type=click.IntRange(min=0), default=16, show_default=True)
+@click.option("--iso-cap", type=click.IntRange(min=0), default=16, show_default=True,
+              help=ISO_CAP_HELP)
 @click.option("--max-dim", type=click.IntRange(min=0), default=None, envvar="COMMACAT_MAX_DIM")
 def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int]) -> None:
     """Check every invariant of a document, or replay a report's certificates."""

@@ -49,6 +49,7 @@ from .modules import (
     balancing_generators,
     balanced_tensor,
     direct_sum,
+    generator_stack,
     hom_coords,
     hom_module,
     hom_space,
@@ -374,6 +375,9 @@ def right_t_to_module(rt: RightTModule, t: Optional[TriangularAlgebra] = None) -
 def hom_comma(x: CommaObject, y: CommaObject) -> list[CommaMap]:
     """Basis of the morphism space: joint intertwining plus the square.
 
+    The intertwining rows of f: A_x -> A_y and g: B_x -> B_y are those of
+    the algebra generators only, which has the same kernel when the four
+    modules satisfy the module law (see ``modules.hom_space``).
     Memoized; callers must not mutate the returned list.
     """
     if x.bimodule != y.bimodule:
@@ -381,8 +385,8 @@ def hom_comma(x: CommaObject, y: CommaObject) -> list[CommaMap]:
     p = x.p
     ya, xa, yb, xb = y.A.dim, x.A.dim, y.B.dim, x.B.dim
     nf, ng, ns = ya * xa, yb * xb, yb * x.bimodule.dim * xa
-    a_rows = intertwining_system(p, action_stack(y.A), action_stack(x.A)).array()
-    b_rows = intertwining_system(p, action_stack(y.B), action_stack(x.B)).array()
+    a_rows = intertwining_system(p, generator_stack(y.A), generator_stack(x.A)).array()
+    b_rows = intertwining_system(p, generator_stack(y.B), generator_stack(x.B)).array()
     # The square g phi_x - phi_y (I_U (x) f): vec(g phi_x) = kron(I, phi_x^T) vec(g),
     # and entry (r, u, a) of phi_y (I_U (x) f) is sum_b phi_y[r, u, b] f[b, a].
     phi_y = y.phi.array().reshape(yb, x.bimodule.dim, ya)

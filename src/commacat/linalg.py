@@ -15,8 +15,8 @@ terms of size (p-1)**2 stays below 2**63, so no product overflows.
 
 Validation happens once, at the boundary: ``FpMatrix(p, entries)`` checks
 the modulus and the shape and reduces the entries, and is what other
-modules call (``modules.hom_space`` is the one exception: it cuts its
-basis maps out of a kernel basis).  Results this module computes are
+modules call (``modules.hom_space`` is the one exception: its basis maps
+wrap row views of its memoized kernel basis).  Results this module computes are
 reduced by construction, since its arithmetic applies ``% p`` itself, so
 they are wrapped by the trusted ``FpMatrix._of``, which only freezes the
 array.  Those results own their memory: a slice (``block``,

@@ -14,11 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def packed_dtype(p: int) -> type:
+    """The dtype :func:`content_bytes` packs residues mod p as."""
+    return np.uint8 if p <= 256 else np.uint32
+
+
 def content_bytes(p: int, *arrays: np.ndarray) -> bytes:
     """The residues mod p of ``arrays``, concatenated as uint8 (p <= 256)
     or uint32 bytes.  Shapes are not recorded; the key holding the bytes must
     fix them."""
-    dtype = np.uint8 if p <= 256 else np.uint32
+    dtype = packed_dtype(p)
     return b"".join(a.astype(dtype).tobytes() for a in arrays)
 
 

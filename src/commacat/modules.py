@@ -9,7 +9,10 @@ Everything here is pure and deterministic; hom spaces, traces, tensor
 products and extension enumeration all reduce to exact kernel and rank
 computations over F_p.  Hom and coboundary systems, and transposed the
 tensor balancing generators, are :func:`~commacat.linalg.intertwining_system`;
-the cocycle system is three einsum terms plus the unit rows.
+the cocycle system is three einsum terms plus the unit rows.  A Hom system
+keeps only the rows of the algebra generators and splits along the
+diagonal blocks the two modules' actions share (Hom is biadditive), so a
+direct sum costs one small system per pair of blocks; see :func:`hom_space`.
 
 Equality contract: algebras, bimodules, modules, maps and comma objects
 are equal exactly when their content keys are (:mod:`commacat.memo`):
@@ -37,10 +40,11 @@ from .linalg import (
     kron,
     quotient_space,
     rank,
+    rref,
     solve,
     solve_each,
 )
-from .memo import ContentKeyed, content_bytes, memo
+from .memo import ContentKeyed, content_bytes, memo, packed_dtype
 
 LEFT = "left"
 RIGHT = "right"
@@ -214,22 +218,146 @@ def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
 # -- hom spaces ------------------------------------------------------------
 
 
+def generator_stack(m: ModuleRep) -> np.ndarray:
+    """The action matrices of the algebra generators (:func:`generator_indices`),
+    as a (generators, dim, dim) stack."""
+    gens = generator_indices(m.algebra)
+    if not gens:
+        return np.zeros((0, m.dim, m.dim), dtype=np.int64)
+    return np.array([m.action[i].array() for i in gens])
+
+
+@memo("generator_indices")
+def generator_indices(algebra: FDAlgebra) -> tuple[int, ...]:
+    """Basis indices that generate the algebra together with the unit.
+
+    Picked greedily in basis order: an index is taken when its basis
+    element lies outside the subalgebra that the unit and the indices
+    taken before it generate.  Memoized.
+    """
+    p, d = algebra.p, algebra.dim
+    chosen: list[int] = []
+    span = _generated_subalgebra(algebra, chosen)
+    for i in range(d):
+        if len(span) == d:
+            break
+        if rank(FpMatrix._of(p, np.vstack([span, _unit_vec(algebra, i)]))) > len(span):
+            chosen.append(i)
+            span = _generated_subalgebra(algebra, chosen)
+    return tuple(chosen)
+
+
+def _generated_subalgebra(algebra: FDAlgebra, gens: Sequence[int]) -> np.ndarray:
+    """Row basis of the span of all words in the basis elements ``gens``, the
+    empty word being the unit: the span is closed under right multiplication
+    by each generator."""
+    p = algebra.p
+    span = algebra.unit[None, :]
+    while True:
+        moved = [span] + [span @ algebra.mul[:, g, :] % p for g in gens]
+        red, pivots = rref(FpMatrix._of(p, np.concatenate(moved)))
+        if len(pivots) == len(span):
+            return red.array()[: len(pivots)]
+        span = red.array()[: len(pivots)]
+
+
+def diagonal_blocks(stack: np.ndarray) -> list[int]:
+    """Bounds 0 = b_0 < b_1 < ... < b_k = dim of the finest cut of a (g, dim, dim)
+    stack into contiguous diagonal blocks that every matrix of it shares.
+
+    c is a cut when no matrix has a nonzero entry coupling an index below c
+    with one at or above c.
+    """
+    dim = stack.shape[1]
+    coupled = stack.any(axis=0)
+    coupled |= coupled.T
+    # counts[c - 1, -1] - counts[c - 1, c - 1] couplings join rows below c
+    # to columns at or above c
+    counts = coupled.cumsum(0).cumsum(1)
+    cuts = np.flatnonzero(counts[:-1, -1] == counts.diagonal()[:-1]) + 1
+    return [0, *cuts.tolist(), dim]
+
+
+@memo("packed_blocks")
+def _packed_blocks(m: ModuleRep) -> tuple[tuple[int, int, bytes], ...]:
+    """The diagonal blocks of m's generator stack, as (start, stop, packed
+    block stack) triples.  Memoized."""
+    stack = generator_stack(m)
+    bounds = diagonal_blocks(stack)
+    return tuple((a, b, content_bytes(m.p, stack[:, a:b, a:b])) for a, b in zip(bounds, bounds[1:]))
+
+
+@memo("hom_block")
+def _hom_block(p: int, g: int, rows: int, cols: int, target: bytes, source: bytes) -> np.ndarray:
+    """Canonical kernel basis, one vector per row, of the intertwining system of
+    two diagonal blocks: ``target`` and ``source`` are their (g, rows, rows)
+    and (g, cols, cols) generator stacks packed by :func:`content_bytes`.
+    The returned (h, rows * cols) array is frozen.  Memoized.
+    """
+    dtype = packed_dtype(p)
+    left = np.frombuffer(target, dtype).reshape(g, rows, rows).astype(np.int64)
+    right = np.frombuffer(source, dtype).reshape(g, cols, cols).astype(np.int64)
+    basis = kernel_basis(intertwining_system(p, left, right)).array().T.copy()
+    basis.setflags(write=False)
+    return basis
+
+
+def _hom_basis(m: ModuleRep, n: ModuleRep) -> np.ndarray:
+    """The rows of the canonical kernel basis of the Hom system, assembled from
+    the diagonal blocks of both modules (see :func:`hom_space`)."""
+    p = m.p
+    g = len(generator_indices(m.algebra))
+    target_blocks, source_blocks = _packed_blocks(n), _packed_blocks(m)
+    if len(target_blocks) == len(source_blocks) == 1:
+        return _hom_block(p, g, n.dim, m.dim, target_blocks[0][2], source_blocks[0][2])
+    parts = [
+        (r0, r1, c0, c1, _hom_block(p, g, r1 - r0, c1 - c0, tb, sb))
+        for r0, r1, tb in target_blocks
+        for c0, c1, sb in source_blocks
+    ]
+    basis = np.zeros((sum(len(k) for *_, k in parts), n.dim, m.dim), dtype=np.int64)
+    h = 0
+    for r0, r1, c0, c1, k in parts:
+        basis[h : h + len(k), r0:r1, c0:c1] = k.reshape(len(k), r1 - r0, c1 - c0)
+        h += len(k)
+    basis = basis.reshape(h, n.dim * m.dim)
+    # A canonical kernel vector's last nonzero entry is its free column, and
+    # kernel_basis orders the vectors by free column.
+    last = basis.shape[1] - np.argmax(basis[:, ::-1] != 0, axis=1)
+    basis = basis[np.argsort(last)]
+    basis.setflags(write=False)
+    return basis
+
+
 @memo("hom_space")
 def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
     """Basis of the space of maps intertwining the two actions.
 
-    The intertwining conditions rho_n(e) H = H rho_m(e) form one linear
-    system in the entries of H, built by :func:`intertwining_system`; the
-    returned basis is the canonical kernel basis, so the order is
-    deterministic.  Results are memoized;
-    callers must not mutate the returned list.
+    The basis is the canonical kernel basis (:func:`kernel_basis`) of the
+    system rho_n(e) H = H rho_m(e) over all basis elements e, in the
+    row-major entries of H, so its order is deterministic.  It is computed
+    from a smaller system with the same kernel, which needs both arguments
+    to satisfy the module law (:func:`validate_module`, which documents
+    enforce at load):
+
+    * only the rows of the algebra generators (:func:`generator_indices`)
+      are built, since a map that commutes with the generators commutes
+      with the unit and with their products;
+    * Hom is biadditive: when the actions of m and n are block-diagonal
+      (:func:`diagonal_blocks`), the system splits into one independent
+      system per pair of target and source blocks.  Each block kernel is
+      memoized (table ``hom_block``) and placed in the n x m frame, and
+      the vectors are sorted by their last nonzero entry, which is the
+      free column that orders the full system's kernel basis.
+
+    The maps wrap row views of one (h, n.dim * m.dim) array.  Results are
+    memoized; callers must not mutate the returned list.
     """
     _require_compatible(m, n)
     p = m.p
     if m.dim == 0 or n.dim == 0:
         return []
-    basis = kernel_basis(intertwining_system(p, action_stack(n), action_stack(m))).array()
-    return [ModuleMap(m, n, FpMatrix._of(p, h.reshape(n.dim, m.dim))) for h in basis.T.copy()]
+    return [ModuleMap(m, n, FpMatrix._of(p, h.reshape(n.dim, m.dim))) for h in _hom_basis(m, n)]
 
 
 def hom_dim(m: ModuleRep, n: ModuleRep) -> int:

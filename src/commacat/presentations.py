@@ -303,10 +303,16 @@ def is_partial_silting(
         for j, y in members:
             if max_sum_dim is not None and x.dim + y.dim > max_sum_dim:
                 continue
-            total = direct_sum([x, y], algebra=m.algebra, side=m.side).module
-            if not d_sigma_member(s, total):
+            if not d_sigma_member(s, _pair_sum(x, y)):
                 failures.append({"clause": "sum-closure", "pair": [i, j]})
     return PartialSiltingVerdict(not failures, failures, universe_hash(universe))
+
+
+@memo("pair_sum")
+def _pair_sum(x: ModuleRep, y: ModuleRep) -> ModuleRep:
+    """The module x + y; memoized, since every partial-silting decision over
+    a universe tests the same pair sums."""
+    return direct_sum([x, y]).module
 
 
 def is_left_approximation(f: ModuleMap, family, universe: Sequence[ModuleRep]) -> bool:

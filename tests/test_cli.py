@@ -256,6 +256,20 @@ def test_negative_caps_exit_2(runner, tmp_path, command, option, value):
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
+def test_iso_cap_help_names_its_reach(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    assert "It reaches only that build" in " ".join(result.output.split())
+
+
+def test_iso_cap_does_not_reach_the_tasks(runner):
+    # a2 lists its comma universe, so no search is capped and the report is the default one
+    result = runner.invoke(main, ["run", "--fixture", "a2", "--iso-cap", "0", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == REPORT_SHA256["a2"]
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
 def test_too_small_iso_cap_is_one_task_error_line(runner, tmp_path, command):
     # building the dual-numbers comma universe needs a comma isomorphism search
     result = runner.invoke(main, [*_dual_numbers_target(command, tmp_path), "--iso-cap", "0"])

@@ -1,0 +1,233 @@
+"""hom_space solves on algebra generators and per diagonal block; its basis must
+stay the canonical kernel basis of the full all-basis-element system."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commacat import comma, modules
+from commacat.algebra import (
+    Bimodule,
+    FDAlgebra,
+    dual_numbers_algebra,
+    field_algebra,
+    scalar_bimodule,
+    triangular_algebra,
+)
+from commacat.document import parse_document
+from commacat.fixtures import load_fixture
+from commacat.linalg import (
+    FpMatrix,
+    column_space_basis,
+    hstack,
+    intertwining_system,
+    inverse,
+    kernel_basis,
+    rank,
+)
+from commacat.modules import (
+    ModuleRep,
+    action_stack,
+    diagonal_blocks,
+    direct_sum,
+    extension_middle_terms,
+    generator_indices,
+    generator_stack,
+    hom_space,
+    quotient_module,
+    regular_module,
+    validate_module,
+    zero_module,
+)
+from commacat.tasks import run_document, run_fixture
+
+
+def truncated_polynomials(p, k):
+    """F_p[x]/(x^k), basis 1, x, ..., x^(k-1)."""
+    mul = np.zeros((k, k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k - i):
+            mul[i, j, i + j] = 1
+    return FDAlgebra(p, mul, [1] + [0] * (k - 1), label=f"F_{p}[x]/(x^{k})")
+
+
+def t_a2(p):
+    r, s = field_algebra(p, "R"), field_algebra(p, "S")
+    return triangular_algebra(r, s, scalar_bimodule(s, r, "U"), label="T(A2)")
+
+
+def t_dual(p):
+    r, s = dual_numbers_algebra(p, "R"), field_algebra(p, "S")
+    one = FpMatrix.identity(p, 1)
+    u = Bimodule(s, r, 1, [one], [one, FpMatrix.zeros(p, 1, 1)], label="U")
+    return triangular_algebra(r, s, u, label="T(dual)")
+
+
+ALGEBRAS = {
+    "dual": dual_numbers_algebra,
+    "x3": lambda p: truncated_polynomials(p, 3),
+    "t_a2": t_a2,
+    "t_dual": t_dual,
+}
+
+
+def test_generator_indices():
+    assert generator_indices(dual_numbers_algebra(2)) == (1,)
+    assert generator_indices(truncated_polynomials(3, 3)) == (1,)
+    assert generator_indices(t_a2(2)) == (0, 1)
+    assert generator_indices(t_dual(2)) == (0, 1, 2)
+    assert generator_indices(field_algebra(3)) == ()
+    assert generator_indices(load_fixture("dual-numbers").t) == (0, 1, 2)
+
+
+def test_diagonal_blocks():
+    a = np.zeros((2, 5, 5), dtype=np.int64)
+    assert diagonal_blocks(a) == [0, 1, 2, 3, 4, 5]
+    a[0, 3, 1] = 1  # couples 1 with 3, so 2 cannot be cut off
+    a[1, 4, 4] = 1
+    assert diagonal_blocks(a) == [0, 1, 4, 5]
+    assert diagonal_blocks(np.ones((1, 3, 3), dtype=np.int64)) == [0, 3]
+    assert diagonal_blocks(np.zeros((0, 2, 2), dtype=np.int64)) == [0, 1, 2]
+
+
+def full_system_basis(m, n):
+    """Rows of the canonical kernel basis of the system over every basis element."""
+    system = intertwining_system(m.p, action_stack(n), action_stack(m))
+    return kernel_basis(system).array().T
+
+
+def hom_rows(m, n):
+    return np.array([f.matrix.array().reshape(-1) for f in hom_space(m, n)]).reshape(-1, n.dim * m.dim)
+
+
+def assert_matches_full_system(m, n):
+    if m.dim and n.dim:
+        np.testing.assert_array_equal(hom_rows(m, n), full_system_basis(m, n))
+    else:
+        assert hom_space(m, n) == []
+
+
+def conjugate(m, g):
+    """m with every action matrix conjugated by the invertible g."""
+    gi = inverse(g)
+    return ModuleRep(m.algebra, m.side, m.dim, [gi @ a @ g for a in m.action], label=m.label)
+
+
+def cyclic_quotient(alg, vec):
+    """The regular module modulo the submodule generated by the column ``vec``."""
+    reg = regular_module(alg)
+    span = vec
+    while True:
+        grown = column_space_basis(hstack([span] + [a @ span for a in reg.action]))
+        if grown.cols == span.cols:
+            return quotient_module(reg, grown, label="q")[0]
+        span = grown
+
+
+@st.composite
+def summands(draw, alg):
+    """A cyclic module, sometimes in a random basis, or the zero module."""
+    p = alg.p
+    if draw(st.integers(0, 4)) == 0:
+        return zero_module(alg)
+    vec = draw(st.lists(st.integers(0, p - 1), min_size=alg.dim, max_size=alg.dim))
+    m = cyclic_quotient(alg, FpMatrix.column(p, vec))
+    if m.dim > 1 and draw(st.booleans()):
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=m.dim ** 2, max_size=m.dim ** 2))
+        g = FpMatrix(p, np.array(entries).reshape(m.dim, m.dim))
+        if rank(g) == m.dim:
+            m = conjugate(m, g)
+    return m
+
+
+def hand_built_sum(parts):
+    """The block-diagonal module of ``parts`` built entry by entry, not by direct_sum."""
+    alg = parts[0].algebra
+    dim = sum(m.dim for m in parts)
+    actions = []
+    for i in range(alg.dim):
+        a = np.zeros((dim, dim), dtype=np.int64)
+        k = 0
+        for m in parts:
+            a[k : k + m.dim, k : k + m.dim] = m.action[i].array()
+            k += m.dim
+        actions.append(FpMatrix(alg.p, a))
+    return ModuleRep(alg, parts[0].side, dim, actions, label="hand")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3]), name=st.sampled_from(sorted(ALGEBRAS)))
+def test_hom_of_direct_sums_is_the_full_system_kernel(data, p, name):
+    alg = ALGEBRAS[name](p)
+    left = data.draw(st.lists(summands(alg), min_size=1, max_size=3))
+    right = data.draw(st.lists(summands(alg), min_size=1, max_size=3))
+    m, n = direct_sum(left).module, direct_sum(right).module
+    assert not validate_module(m) and not validate_module(n)
+    assert_matches_full_system(m, n)
+    assert_matches_full_system(n, m)
+    hand = hand_built_sum(right[::-1])
+    assert_matches_full_system(hand, m)
+    assert_matches_full_system(m, hand)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_non_split_extensions_are_not_split(p, name):
+    alg = ALGEBRAS[name](p)
+    eye = FpMatrix.identity(p, alg.dim)
+    quotients = {}
+    for j in range(alg.dim):
+        q = cyclic_quotient(alg, eye.column_vector(j))
+        if q.dim:
+            quotients.setdefault(q, q)
+    non_split = 0
+    for a in quotients:
+        for b in quotients:
+            if a.dim + b.dim > 6:
+                continue
+            for e in extension_middle_terms(a, b).middle_terms[1:]:
+                non_split += 1
+                # the cocycle couples the block of b with the block of a
+                assert b.dim not in diagonal_blocks(generator_stack(e))
+                split = direct_sum([b, a]).module
+                assert_matches_full_system(e, split)
+                assert_matches_full_system(split, e)
+                assert_matches_full_system(e, e)
+    assert non_split
+
+
+def _p3doc():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "p3doc.py"
+    spec = importlib.util.spec_from_file_location("p3doc_generator", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("source", ["a2", "dual-numbers", "p3-doc"])
+def test_modules_reaching_hom_solves_satisfy_the_module_law(source, monkeypatch):
+    """hom_space and hom_comma drop the unit and product rows, which the module
+    law implies; every module a run hands them must obey it."""
+    seen = {}
+    hom_basis, gen_stack = modules._hom_basis, comma.generator_stack
+
+    def record_pair(m, n):
+        seen[m] = seen[n] = None
+        return hom_basis(m, n)
+
+    def record(m):
+        seen[m] = None
+        return gen_stack(m)
+
+    monkeypatch.setattr(modules, "_hom_basis", record_pair)
+    monkeypatch.setattr(comma, "generator_stack", record)
+    if source == "p3-doc":
+        run_document(parse_document(_p3doc().generate(11)))
+    else:
+        run_fixture(load_fixture(source))
+    assert len(seen) > 20
+    assert all(validate_module(m) == [] for m in seen)

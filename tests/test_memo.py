@@ -10,9 +10,14 @@ def test_hom_space_calls_of_a_dual_numbers_run():
     # the same count as the benchmark tracer's modules.hom_space.calls
     # (perfbench, dual-verify), whose distinct_ratio is misses / calls
     run_fixture(load_fixture("dual-numbers"))
-    stats = memo.memo_stats()["hom_space"]
-    assert stats["hits"] + stats["misses"] == 7394
-    assert stats["misses"] == stats["size"] == 1666
+    stats = memo.memo_stats()
+    assert stats["hom_space"]["hits"] + stats["hom_space"]["misses"] == 7394
+    assert stats["hom_space"]["misses"] == stats["hom_space"]["size"] == 1666
+    # the 1,247 misses with nonzero dimensions solve 548 distinct block systems
+    assert stats["hom_block"]["misses"] == stats["hom_block"]["size"] == 548
+    # is_partial_silting tests 1,143 pair sums, of 386 distinct pairs
+    assert stats["pair_sum"]["hits"] + stats["pair_sum"]["misses"] == 1143
+    assert stats["pair_sum"]["misses"] == 386
 
 
 def test_cached_false_is_a_hit_and_clear_resets():
