@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import FpMatrix, _check_modulus
+from .linalg import FpMatrix, _check_modulus, int64_array
 from .memo import ContentKeyed, content_bytes
 
 
@@ -24,10 +24,10 @@ class FDAlgebra(ContentKeyed):
 
     def __init__(self, p: int, mul, unit, label: str = "") -> None:
         _check_modulus(p)
-        m = np.mod(np.asarray(mul, dtype=np.int64), p)
+        m = np.mod(int64_array(mul, "mul"), p)
         if m.ndim != 3 or m.shape[0] != m.shape[1] or m.shape[1] != m.shape[2]:
             raise ValueError("structure constants must form a d x d x d tensor")
-        u = np.mod(np.asarray(unit, dtype=np.int64), p)
+        u = np.mod(int64_array(unit, "unit"), p)
         if u.shape != (m.shape[0],):
             raise ValueError("unit must be a d-coordinate vector")
         m.setflags(write=False)

@@ -57,32 +57,6 @@ def _verdict_lines(v: dict, indent: int = 0) -> list[str]:
     return lines
 
 
-# The lists each level of a report holds, and the level of their entries.
-_REPORT_LISTS = {
-    "task": {"verdicts": "verdict"},
-    "verdict": {"certificates": "certificate", "sub": "verdict"},
-    "certificate": {},
-}
-
-
-def _report_shape_error(items, path: str = "tasks", level: str = "task") -> Optional[str]:
-    """Where a report's list of tasks (or of verdicts or certificates, below
-    ``path``) is not shaped as ``run`` writes it, or None."""
-    if not isinstance(items, list):
-        return f"{path} must be a list, got {type(items).__name__}"
-    for i, item in enumerate(items):
-        where = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            return f"{where} must be an object, got {type(item).__name__}"
-        if level == "verdict" and not isinstance(item.get("claim"), str):
-            return f"{where}.claim must be a string"
-        for key, child in _REPORT_LISTS[level].items():
-            error = _report_shape_error(item.get(key, []), f"{where}.{key}", child)
-            if error:
-                return error
-    return None
-
-
 ISO_CAP_HELP = (
     "Hom-dimension cap for the comma isomorphism searches that build a fixture's "
     "generated comma universe (dual-numbers).  It reaches only that build: "
@@ -169,29 +143,20 @@ def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int
         if source["fixture"] not in fixture_names():
             click.echo(f"error: unknown fixture {source['fixture']!r}", err=True)
             sys.exit(2)
-        shape_error = _report_shape_error(data.get("tasks", []))
-        if shape_error:
-            click.echo(f"error: malformed report: {shape_error}", err=True)
-            sys.exit(2)
         try:
             fx = load_fixture(source["fixture"], iso_cap=iso_cap, max_total_dim=max_dim)
-            failures = replay_report(data, fx)
+            failures, checked = replay_report(data, fx)
         except MalformedReport as exc:
             click.echo(f"error: malformed report: {exc}", err=True)
             sys.exit(2)
         except IsoSearchCapExceeded as exc:
             click.echo(f"task error: {exc}", err=True)
             sys.exit(3)
-        total = sum(
-            len(v.get("certificates", [])) + sum(len(s.get("certificates", [])) for s in v.get("sub", []))
-            for t in data.get("tasks", [])
-            for v in t.get("verdicts", [])
-        )
         if failures:
             for f in failures:
                 click.echo(f"REPLAY FAIL {f}")
             sys.exit(2)
-        click.echo(f"all certificates replayed ({total} checked)")
+        click.echo(f"all certificates replayed ({checked} checked)")
         sys.exit(0)
     result = document_validation_report(data)
     if result["valid"]:

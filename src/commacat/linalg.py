@@ -14,7 +14,9 @@ prime and below 2**24.  Below that bound a dot product of up to 2**15
 terms of size (p-1)**2 stays below 2**63, so no product overflows.
 
 Validation happens once, at the boundary: ``FpMatrix(p, entries)`` checks
-the modulus and the shape and reduces the entries, and is what other
+the modulus, that each entry is an exact integer in int64 range
+(:func:`int64_array`, shared with :class:`FDAlgebra` and the certificate
+schema) and the shape, and reduces the entries, and is what other
 modules call (``modules.hom_space`` is the one exception: its basis maps
 wrap row views of its memoized kernel basis).  Results this module computes are
 reduced by construction, since its arithmetic applies ``% p`` itself, so
@@ -62,6 +64,35 @@ def _check_modulus(p: int) -> None:
         d += 1
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _check_int64(x, name: str) -> None:
+    if isinstance(x, (list, tuple, np.ndarray)):
+        if set(map(type, x)) <= {int}:  # a row of Python ints: only its extremes can be out of range
+            x = [min(x), max(x)] if x else []
+        for y in x:
+            _check_int64(y, name)
+    elif isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not _INT64.min <= x <= _INT64.max:
+        raise ValueError(f"{name}: entry {x!r} is not an exact integer in int64 range")
+
+
+def int64_array(entries, name: str = "entries") -> np.ndarray:
+    """``entries`` (nested lists or an array) as an int64 array.
+
+    Raises ValueError, naming ``name``, unless every entry is an exact
+    integer (not a bool, not a float) in int64 range, so that nothing is
+    truncated, wrapped or overflows.  An integer array that int64 holds
+    (signed, or unsigned below 64 bits) is not checked entry by entry.
+    """
+    if isinstance(entries, np.ndarray) and (
+        entries.dtype.kind == "i" or entries.dtype.kind == "u" and entries.dtype.itemsize < 8
+    ):
+        return entries.astype(np.int64, copy=False)
+    _check_int64(entries, name)
+    return np.asarray(entries, dtype=np.int64)
+
+
 class FpMatrix:
     """Immutable matrix over F_p, stored row-major as reduced residues."""
 
@@ -69,7 +100,7 @@ class FpMatrix:
 
     def __init__(self, p: int, entries) -> None:
         _check_modulus(p)
-        a = np.asarray(entries, dtype=np.int64)
+        a = int64_array(entries)
         if a.ndim == 1:
             # Only the empty 1-d array is accepted, as the 0x0 matrix.
             if a.size:

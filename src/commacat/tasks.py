@@ -6,33 +6,37 @@ decomposition of presentation classes, the silting transfer, the
 adjunction dimension identities, the perpendicular and torsion-pair
 transfer statements on all zero/all family combinations, the closing
 corollaries, and the T-module round trip.  Reports are plain dicts with
-deterministic content; ``replay_report`` re-checks every certificate.
+deterministic content.
+
+Replay goes through :data:`CLAIMS`, one rule per claim base name (the
+claim up to ``[``).  A rule rebuilds, from the fixture and the verdict's
+parameters and with the constructors the claim itself used, the env of
+each verdict or sub-verdict whose certificates it rechecks; one loop,
+:func:`replay_verify_all`, then checks every certificate against its
+clause in ``verify.CLAUSES``.  A claim without a rule, a certificate no
+rule reaches, or a field that is missing, mistyped or names nothing
+raises :class:`MalformedReport`.  The ``_claim_*`` builders stay
+module-level functions called by name, so that they can be wrapped one
+by one from outside (``perfbench/tracer.py`` does).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .comma import (
-    comma_is_isomorphic,
-    from_T_module,
     functor_h,
     functor_p,
     hom_comma_dim,
-    hom_formula,
     hom_formula_applicable,
     sigma_for_p,
-    tensor_T,
-    tensor_T_bruteforce,
-    tensor_T_via_algebra,
     tensor_shape_predictions,
-    to_T_module,
 )
 from .document import Document, task_references
 from .fixtures import Fixture
-from .linalg import rank
 from .modules import ModuleRep, gen_member, hom_dim
 from .presentations import (
+    Presentation,
     d_sigma_member,
     is_partial_silting,
     is_silting,
@@ -41,27 +45,32 @@ from .presentations import (
 from .torsion import (
     ModuleFamily,
     Verdict,
-    comma_family,
     family_all,
     family_d_sigma,
-    family_gen,
     family_zero,
     is_torsion_class,
     is_torsion_pair,
-    perp_left,
-    perp_right,
-    perp_right_modules,
     torsion_pair_oracle,
 )
 from .verify import (
-    recheck_certificate,
+    MalformedReport,
+    adjunction_facts,
+    check_certificate,
+    check_field,
+    comma_pair,
+    corollary_families,
+    decomposition_facts,
+    disagree,
+    hom_formula_facts,
+    perp_transfer_families,
+    round_trip_facts,
+    silting_sides,
+    tensor_oracle_facts,
     verify_final_corollaries,
     verify_partial_silting_transfer,
-    verify_prop_B_perp,
-    verify_prop_J_perp,
+    verify_perp_transfer,
     verify_silting_transfer,
-    verify_thm_torsion_B,
-    verify_thm_torsion_J,
+    verify_torsion_transfer,
 )
 
 
@@ -89,6 +98,7 @@ _FIXTURE_CASES = {
 }
 
 _BASIC_FAMILY_KINDS = ("zero", "all")
+_SIDES = ("mono", "adjoint")
 
 
 def _basic_family(kind: str, universe: Sequence[ModuleRep]) -> ModuleFamily:
@@ -97,6 +107,19 @@ def _basic_family(kind: str, universe: Sequence[ModuleRep]) -> ModuleFamily:
     if kind == "all":
         return family_all(universe)
     raise TaskError(f"unknown basic family kind {kind!r}")
+
+
+def _decomposition(fx: Fixture, sigma_a: Presentation, sigma_b: Presentation):
+    """(sigma_A, sigma_B, sigma_T), sigma_T the T-presentation they give, and
+    the classes D[sigma_T], D[sigma_A], D[sigma_B], each with its universe."""
+    pres_t = sigma_for_p(fx.t, sigma_a.target, sigma_a, sigma_b.target, sigma_b)
+    t_u, r_u, s_u = fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()
+    classes = [
+        (family_d_sigma(pres_t, t_u, label="D[sigma_T]"), t_u),
+        (family_d_sigma(sigma_a, r_u, label="D[sigma_A]"), r_u),
+        (family_d_sigma(sigma_b, s_u, label="D[sigma_B]"), s_u),
+    ]
+    return (sigma_a, sigma_b, pres_t), classes
 
 
 # -- verify-all claims --------------------------------------------------------
@@ -109,25 +132,15 @@ def _claim_hom_formulas(fx: Fixture) -> list[Verdict]:
     for kind in range(1, 6):
         certs = []
         applicable = 0
-        for i, x in enumerate(objs):
-            for j, y in enumerate(objs):
+        for x, tx in zip(objs, tmods):
+            for y, ty in zip(objs, tmods):
                 if not hom_formula_applicable(kind, x, y):
                     continue
                 applicable += 1
-                predicted = hom_formula(kind, x, y)
-                comma_dim = hom_comma_dim(x, y)
-                t_dim = hom_dim(tmods[i], tmods[j])
-                if not (predicted == comma_dim == t_dim):
+                facts = hom_formula_facts(kind, x, y, tx, ty)
+                if disagree(facts):
                     certs.append(
-                        {
-                            "clause": "hom-dim-mismatch",
-                            "kind": kind,
-                            "source": x.label,
-                            "target": y.label,
-                            "formula": predicted,
-                            "comma_dim": comma_dim,
-                            "t_module_dim": t_dim,
-                        }
+                        {"clause": "hom-dim-mismatch", "kind": kind, "source": x.label, "target": y.label, **facts}
                     )
         verdicts.append(
             Verdict(
@@ -150,33 +163,18 @@ def _claim_tensor(fx: Fixture) -> list[Verdict]:
     agreement_certs = []
     for rt in rts:
         for c in objs:
-            main = tensor_T(rt, c).dim
-            brute = tensor_T_bruteforce(rt, c)
-            via_t = tensor_T_via_algebra(rt, c, fx.t)
-            if not (main == brute == via_t):
+            facts = tensor_oracle_facts(rt, c, fx.t)
+            if disagree(facts):
                 agreement_certs.append(
-                    {
-                        "clause": "tensor-oracle-mismatch",
-                        "right_module": rt.label,
-                        "comma": c.label,
-                        "main": main,
-                        "bruteforce": brute,
-                        "via_algebra": via_t,
-                    }
+                    {"clause": "tensor-oracle-mismatch", "right_module": rt.label, "comma": c.label, **facts}
                 )
             for shape, predicted in tensor_shape_predictions(rt, c):
                 shape_counts[shape] += 1
-                if predicted != main:
-                    per_shape[shape].append(
-                        {
-                            "clause": "tensor-dim-mismatch",
-                            "shape": shape,
-                            "right_module": rt.label,
-                            "comma": c.label,
-                            "predicted": predicted,
-                            "computed": main,
-                        }
-                    )
+                if predicted != facts["main"]:
+                    per_shape[shape].append({
+                        "clause": "tensor-dim-mismatch", "shape": shape, "right_module": rt.label, "comma": c.label,
+                        "predicted": predicted, "computed": facts["main"],
+                    })
     for shape in range(1, 6):
         verdicts.append(
             Verdict(
@@ -200,23 +198,12 @@ def _claim_tensor(fx: Fixture) -> list[Verdict]:
 def _claim_presentation_decomposition(fx: Fixture) -> list[Verdict]:
     verdicts = []
     for name_a, name_b in _FIXTURE_CASES[fx.name]["decomposition_pairs"]:
-        sigma_a = fx.presentations[name_a]
-        sigma_b = fx.presentations[name_b]
-        pres_t = sigma_for_p(fx.t, sigma_a.target, sigma_a, sigma_b.target, sigma_b)
+        presentations, classes = _decomposition(fx, fx.presentations[name_a], fx.presentations[name_b])
         certs = []
         for label, m in fx.t_universe.items():
-            comma = from_T_module(m, fx.t).comma
-            lhs = d_sigma_member(pres_t, m)
-            rhs = d_sigma_member(sigma_a, comma.A) and d_sigma_member(sigma_b, comma.B)
-            if lhs != rhs:
-                certs.append(
-                    {
-                        "clause": "decomposition-mismatch",
-                        "module": label,
-                        "whole": lhs,
-                        "componentwise": rhs,
-                    }
-                )
+            facts = decomposition_facts(presentations, m, fx.t)
+            if disagree(facts):
+                certs.append({"clause": "decomposition-mismatch", "module": label, **facts})
         verdicts.append(
             Verdict(
                 claim=f"presentation-decomposition[{name_a},{name_b}]",
@@ -227,27 +214,13 @@ def _claim_presentation_decomposition(fx: Fixture) -> list[Verdict]:
             )
         )
         bound = 4  # the universe builder's default total-dimension cap
-        lhs_tc = is_torsion_class(
-            family_d_sigma(pres_t, fx.t_universe_list(), label="D[sigma_T]"),
-            fx.t_universe_list(),
-            max_dim=bound,
-        )
-        rhs_a = is_torsion_class(
-            family_d_sigma(sigma_a, fx.r_universe_list(), label="D[sigma_A]"),
-            fx.r_universe_list(),
-            max_dim=bound,
-        )
-        rhs_b = is_torsion_class(
-            family_d_sigma(sigma_b, fx.s_universe_list(), label="D[sigma_B]"),
-            fx.s_universe_list(),
-            max_dim=bound,
-        )
+        lhs_tc, rhs_a, rhs_b = subs = [is_torsion_class(fam, u, max_dim=bound) for fam, u in classes]
         agree = lhs_tc.holds == (rhs_a.holds and rhs_b.holds)
         verdicts.append(
             Verdict(
                 claim=f"torsion-class-decomposition[{name_a},{name_b}]",
                 result="holds" if agree else "fails",
-                sub=[lhs_tc, rhs_a, rhs_b],
+                sub=subs,
                 data={
                     "sigma_a": name_a,
                     "sigma_b": name_b,
@@ -259,96 +232,57 @@ def _claim_presentation_decomposition(fx: Fixture) -> list[Verdict]:
     return verdicts
 
 
+def _case_args(fx: Fixture, a_name: str, sa_name: str, b_name: str, sb_name: str) -> tuple:
+    """The arguments (t, a, sigma_a, b, sigma_b, universes of R, S, T) of a silting-pair verifier."""
+    a, b = fx.r_universe[a_name], fx.s_universe[b_name]
+    sigma_a, sigma_b = fx.presentations[sa_name], fx.presentations[sb_name]
+    return fx.t, a, sigma_a, b, sigma_b, fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
+
+
 def _claim_silting_transfer(fx: Fixture) -> list[Verdict]:
     verdicts = []
     for a_name, sa_name, b_name, sb_name in _FIXTURE_CASES[fx.name]["transfer_cases"]:
-        a = fx.r_universe[a_name]
-        b = fx.s_universe[b_name]
-        sigma_a = fx.presentations[sa_name]
-        sigma_b = fx.presentations[sb_name]
-        v = verify_silting_transfer(
-            fx.t, a, sigma_a, b, sigma_b,
-            fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list(),
-        )
-        v.claim = f"silting-transfer[a={a_name},b={b_name}]"
-        v.data["params"] = {"a": a_name, "sigma_a": sa_name, "b": b_name, "sigma_b": sb_name}
-        verdicts.append(v)
-        vp = verify_partial_silting_transfer(
-            fx.t, a, sigma_a, b, sigma_b,
-            fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list(),
-        )
-        vp.claim = f"partial-silting-transfer[a={a_name},b={b_name}]"
-        vp.data["params"] = {"a": a_name, "sigma_a": sa_name, "b": b_name, "sigma_b": sb_name}
-        verdicts.append(vp)
+        args = _case_args(fx, a_name, sa_name, b_name, sb_name)
+        for name, verifier in (
+            ("silting-transfer", verify_silting_transfer),
+            ("partial-silting-transfer", verify_partial_silting_transfer),
+        ):
+            v = verifier(*args)
+            v.claim = f"{name}[a={a_name},b={b_name}]"
+            v.data["params"] = {"a": a_name, "sigma_a": sa_name, "b": b_name, "sigma_b": sb_name}
+            verdicts.append(v)
     return verdicts
 
 
 def _claim_adjunctions(fx: Fixture) -> list[Verdict]:
-    certs_pq = []
-    certs_qh = []
+    certs: dict[str, list] = {"p-q": [], "q-h": []}
     for a in fx.r_universe.values():
         for b in fx.s_universe.values():
-            pab = functor_p(fx.u, a, b)
-            hab = functor_h(fx.u, a, b)
+            functors = {"p-q": functor_p(fx.u, a, b), "q-h": functor_h(fx.u, a, b)}
             for c in fx.comma_universe.values():
-                lhs = hom_comma_dim(pab, c)
-                rhs = hom_dim(a, c.A) + hom_dim(b, c.B)
-                if lhs != rhs:
-                    certs_pq.append(
-                        {
-                            "clause": "adjunction-mismatch",
-                            "a": a.label,
-                            "b": b.label,
-                            "comma": c.label,
-                            "comma_hom": lhs,
-                            "component_hom": rhs,
-                        }
-                    )
-                lhs = hom_comma_dim(c, hab)
-                rhs = hom_dim(c.A, a) + hom_dim(c.B, b)
-                if lhs != rhs:
-                    certs_qh.append(
-                        {
-                            "clause": "adjunction-mismatch",
-                            "a": a.label,
-                            "b": b.label,
-                            "comma": c.label,
-                            "comma_hom": lhs,
-                            "component_hom": rhs,
-                        }
-                    )
+                for side, functor_ab in functors.items():
+                    facts = adjunction_facts(side, functor_ab, a, b, c)
+                    if disagree(facts):
+                        certs[side].append(
+                            {"clause": "adjunction-mismatch", "a": a.label, "b": b.label, "comma": c.label, **facts}
+                        )
     n_pairs = len(fx.r_universe) * len(fx.s_universe) * len(fx.comma_universe)
     return [
-        Verdict(
-            "adjunction-p-q",
-            "holds" if not certs_pq else "fails",
-            certs_pq,
-            data={"pairs": n_pairs},
-        ),
-        Verdict(
-            "adjunction-q-h",
-            "holds" if not certs_qh else "fails",
-            certs_qh,
-            data={"pairs": n_pairs},
-        ),
+        Verdict(f"adjunction-{side}", "holds" if not certs[side] else "fails", certs[side], data={"pairs": n_pairs})
+        for side in ("p-q", "q-h")
     ]
 
 
 def _claim_perp_transfer(fx: Fixture) -> list[Verdict]:
     verdicts = []
     r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
-    for ck in _BASIC_FAMILY_KINDS:
-        for dk in _BASIC_FAMILY_KINDS:
-            v = verify_prop_B_perp(fx.t, _basic_family(ck, r_u), _basic_family(dk, s_u), r_u, s_u, t_u)
-            v.claim = f"perp-transfer-mono[c={ck},d={dk}]"
-            v.data["params"] = {"c": ck, "d": dk}
-            verdicts.append(v)
-    for ck in _BASIC_FAMILY_KINDS:
-        for dk in _BASIC_FAMILY_KINDS:
-            v = verify_prop_J_perp(fx.t, _basic_family(ck, r_u), _basic_family(dk, s_u), r_u, s_u, t_u)
-            v.claim = f"perp-transfer-adjoint[c={ck},d={dk}]"
-            v.data["params"] = {"c": ck, "d": dk}
-            verdicts.append(v)
+    for side in _SIDES:
+        for ck in _BASIC_FAMILY_KINDS:
+            for dk in _BASIC_FAMILY_KINDS:
+                v = verify_perp_transfer(side, fx.t, _basic_family(ck, r_u), _basic_family(dk, s_u), r_u, s_u, t_u)
+                v.claim = f"perp-transfer-{side}[c={ck},d={dk}]"
+                v.data["params"] = {"c": ck, "d": dk}
+                verdicts.append(v)
     return verdicts
 
 
@@ -356,47 +290,21 @@ def _claim_torsion_transfer(fx: Fixture) -> list[Verdict]:
     verdicts = []
     r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
     combos = [("zero", "all"), ("all", "zero")]
-    for c1k, c2k in combos:
-        for d1k, d2k in combos:
-            v = verify_thm_torsion_B(
-                fx.t,
-                _basic_family(c1k, r_u),
-                _basic_family(c2k, r_u),
-                _basic_family(d1k, s_u),
-                _basic_family(d2k, s_u),
-                r_u, s_u, t_u,
-            )
-            v.claim = f"torsion-transfer-mono[c=({c1k},{c2k}),d=({d1k},{d2k})]"
-            v.data["params"] = {"c1": c1k, "c2": c2k, "d1": d1k, "d2": d2k}
-            verdicts.append(v)
-    for c1k, c2k in combos:
-        for d1k, d2k in combos:
-            v = verify_thm_torsion_J(
-                fx.t,
-                _basic_family(c1k, r_u),
-                _basic_family(c2k, r_u),
-                _basic_family(d1k, s_u),
-                _basic_family(d2k, s_u),
-                r_u, s_u, t_u,
-            )
-            v.claim = f"torsion-transfer-adjoint[c=({c1k},{c2k}),d=({d1k},{d2k})]"
-            v.data["params"] = {"c1": c1k, "c2": c2k, "d1": d1k, "d2": d2k}
-            verdicts.append(v)
+    for side in _SIDES:
+        for c1k, c2k in combos:
+            for d1k, d2k in combos:
+                c1, c2 = _basic_family(c1k, r_u), _basic_family(c2k, r_u)
+                d1, d2 = _basic_family(d1k, s_u), _basic_family(d2k, s_u)
+                v = verify_torsion_transfer(side, fx.t, c1, c2, d1, d2, r_u, s_u, t_u)
+                v.claim = f"torsion-transfer-{side}[c=({c1k},{c2k}),d=({d1k},{d2k})]"
+                v.data["params"] = {"c1": c1k, "c2": c2k, "d1": d1k, "d2": d2k}
+                verdicts.append(v)
     return verdicts
 
 
 def _claim_final_corollaries(fx: Fixture) -> list[Verdict]:
     a_name, sa_name, b_name, sb_name = _FIXTURE_CASES[fx.name]["corollary_case"]
-    v = verify_final_corollaries(
-        fx.t,
-        fx.r_universe[a_name],
-        fx.presentations[sa_name],
-        fx.s_universe[b_name],
-        fx.presentations[sb_name],
-        fx.r_universe_list(),
-        fx.s_universe_list(),
-        fx.t_universe_list(),
-    )
+    v = verify_final_corollaries(*_case_args(fx, a_name, sa_name, b_name, sb_name))
     v.data["params"] = {"a": a_name, "sigma_a": sa_name, "b": b_name, "sigma_b": sb_name}
     return [v]
 
@@ -404,27 +312,11 @@ def _claim_final_corollaries(fx: Fixture) -> list[Verdict]:
 def _claim_round_trip(fx: Fixture) -> list[Verdict]:
     certs = []
     for name, c in fx.comma_universe.items():
-        m = to_T_module(c, fx.t)
-        back = from_T_module(m, fx.t)
-        wit_ok = back.witness.is_valid() and rank(back.witness.matrix) == m.dim
-        iso, _ = comma_is_isomorphic(back.comma, c)
-        if not (wit_ok and iso):
-            certs.append(
-                {
-                    "clause": "roundtrip-failure",
-                    "comma": name,
-                    "witness_valid": wit_ok,
-                    "isomorphic": iso,
-                }
-            )
-    return [
-        Verdict(
-            "t-module-round-trip",
-            "holds" if not certs else "fails",
-            certs,
-            data={"objects": len(fx.comma_universe)},
-        )
-    ]
+        facts = round_trip_facts(c, fx.t)
+        if not all(facts.values()):
+            certs.append({"clause": "roundtrip-failure", "comma": name, **facts})
+    result = "holds" if not certs else "fails"
+    return [Verdict("t-module-round-trip", result, certs, data={"objects": len(fx.comma_universe)})]
 
 
 def verify_all(fx: Fixture) -> list[Verdict]:
@@ -489,50 +381,21 @@ def run_document_task(doc: Document, task: dict, index: int) -> dict:
     if kind == "is-torsion-class":
         v = is_torsion_class(ref["family"], ref["universe"])
         return {"name": name, "kind": kind, "verdicts": [v.to_dict()]}
-    if kind == "is-silting":
+    if kind in ("is-silting", "is-partial-silting"):
         pres = ref["presentation"]
-        verdict = is_silting(pres.target, pres, ref["universe"])
+        decide, key = (is_silting, "disagreements") if kind == "is-silting" else (is_partial_silting, "failures")
+        verdict = decide(pres.target, pres, ref["universe"])
         return {
-            "name": name,
-            "kind": kind,
-            "holds": verdict.holds,
-            "disagreements": verdict.disagreements,
-            "universe_hash": verdict.universe_hash,
-        }
-    if kind == "is-partial-silting":
-        pres = ref["presentation"]
-        verdict = is_partial_silting(pres.target, pres, ref["universe"])
-        return {
-            "name": name,
-            "kind": kind,
-            "holds": verdict.holds,
-            "failures": verdict.failures,
+            "name": name, "kind": kind, "holds": verdict.holds, key: getattr(verdict, key),
             "universe_hash": verdict.universe_hash,
         }
     if kind == "d-sigma-member":
-        pres = ref["presentation"]
-        return {
-            "name": name,
-            "kind": kind,
-            "member": d_sigma_member(pres, ref["module"]),
-        }
+        return {"name": name, "kind": kind, "member": d_sigma_member(ref["presentation"], ref["module"])}
     if kind == "gen-member":
-        return {
-            "name": name,
-            "kind": kind,
-            "member": gen_member(ref["generator"], ref["module"]),
-        }
+        return {"name": name, "kind": kind, "member": gen_member(ref["generator"], ref["module"])}
     if kind == "silting-transfer":
-        v = verify_silting_transfer(
-            ref["bimodule"],
-            ref["a"],
-            ref["sigma_a"],
-            ref["b"],
-            ref["sigma_b"],
-            ref["r_universe"],
-            ref["s_universe"],
-            ref["t_universe"],
-        )
+        keys = ("bimodule", "a", "sigma_a", "b", "sigma_b", "r_universe", "s_universe", "t_universe")
+        v = verify_silting_transfer(*(ref[key] for key in keys))
         return {"name": name, "kind": kind, "verdicts": [v.to_dict()]}
     raise TaskError(f"unknown task kind {kind!r}")
 
@@ -549,50 +412,28 @@ def run_document(doc: Document, task_filter: Optional[Sequence[str]] = None) -> 
 
 # -- certificate replay -------------------------------------------------------------
 
+# The clauses a torsion-pair or a torsion-class sub-verdict may carry.
+_TORSION_PAIR = ("hom-vanishing", "torsion-sequence", "perp-right", "perp-left")
+_TORSION_CLASS = ("image-closure", "sum-closure", "extension-closure")
 
-def _replay_verdict(v: dict, env: dict, failures: list, context: str) -> None:
-    for cert in v.get("certificates", []):
-        try:
-            ok = recheck_certificate(cert, env)
-        except Exception as exc:  # replay must never crash silently
-            ok = False
-            failures.append(f"{context}: certificate {cert.get('clause')} raised {exc}")
-            continue
-        if not ok:
-            failures.append(f"{context}: certificate {cert.get('clause')} did not replay")
+# A replay rule maps (fixture, verdict, claim) to its sites: each verdict or
+# sub-verdict whose certificates it rechecks, with the env they are
+# rechecked in and the clauses they may carry.
+Site = tuple[dict, dict, tuple[str, ...]]
 
 
-def _replay_torsion_pair_sub(v: dict, x: ModuleFamily, y: ModuleFamily, universe, failures, context):
-    env = {"universe": universe, "x": x, "y": y}
-    _replay_verdict(v, env, failures, context)
+def _base(claim: str) -> str:
+    return claim.split("[")[0]
 
 
-class MalformedReport(ValueError):
-    """A report field that replay reads is missing, of the wrong type, or
-    names nothing in the fixture."""
-
-
-def _field(obj: dict, key: str, kind: type, where: str):
-    """``obj[key]``, which must hold a JSON value of exactly type ``kind``."""
-    if key not in obj:
-        raise MalformedReport(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if type(value) is not kind:
-        raise MalformedReport(f"{where}.{key} must be {kind.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _ref(table: dict, obj: dict, key: str, where: str):
-    """The fixture entry that ``obj[key]`` names."""
-    name = _field(obj, key, str, where)
-    if name not in table:
-        raise MalformedReport(f"{where}.{key}: no entry {name!r} in the fixture")
-    return table[name]
+def _ref(fx: Fixture, obj: dict, key: str, table: str, where: str):
+    """The entry of the fixture table ``table`` that ``obj[key]`` names."""
+    return getattr(fx, table)[check_field(obj, key, table, {"fixture": fx}, where)]
 
 
 def _basic_ref(obj: dict, key: str, universe: Sequence[ModuleRep], where: str) -> ModuleFamily:
     """The zero or all family that ``obj[key]`` names."""
-    kind = _field(obj, key, str, where)
+    kind = check_field(obj, key, str, {}, where)
     if kind not in _BASIC_FAMILY_KINDS:
         raise MalformedReport(f"{where}.{key}: unknown basic family kind {kind!r}")
     return _basic_family(kind, universe)
@@ -600,189 +441,240 @@ def _basic_ref(obj: dict, key: str, universe: Sequence[ModuleRep], where: str) -
 
 def _params(v: dict, claim: str) -> dict:
     """The ``data.params`` object of a transfer or corollary verdict."""
-    return _field(_field(v, "data", dict, claim), "params", dict, f"{claim}: data")
+    return check_field(check_field(v, "data", dict, {}, claim), "params", dict, {}, f"{claim}: data")
 
 
-def _decomposition_presentations(fx: Fixture, v: dict, claim: str):
-    """sigma_A, sigma_B and their T-presentation, as a decomposition verdict names them."""
-    data = _field(v, "data", dict, claim)
-    sigma_a = _ref(fx.presentations, data, "sigma_a", f"{claim}: data")
-    sigma_b = _ref(fx.presentations, data, "sigma_b", f"{claim}: data")
-    return sigma_a, sigma_b, sigma_for_p(fx.t, sigma_a.target, sigma_a, sigma_b.target, sigma_b)
+def _subs(v: dict, claim: str, n: int) -> list[dict]:
+    """The sub-verdicts of ``v``, which must be ``n``."""
+    subs = v.get("sub", [])
+    if len(subs) != n:
+        raise MalformedReport(f"{claim}: expected {n} sub-verdicts, got {len(subs)}")
+    return subs
 
 
-def _certs(v: dict, claim: str):
-    """Each certificate of a verdict with where it sits, for error messages."""
-    for k, cert in enumerate(v.get("certificates", [])):
-        yield cert, f"{claim}: certificates[{k}]"
+def _top(v: dict, fx: Fixture, clause: str, **env) -> list[Site]:
+    """The one site of a claim whose certificates sit on the verdict itself."""
+    return [(v, {"fixture": fx, **env}, (clause,))]
 
 
-def replay_verify_all(fx: Fixture, verdicts: list[dict]) -> list[str]:
-    """Re-check every certificate in a verify-all verdict list.
+def _replay_hom_formula(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """Where Hom formula k applies to comma objects (X, Y), it gives dim Hom(X, Y), as do both Hom computations."""
+    return _top(v, fx, "hom-dim-mismatch", kind=int(_base(claim)[-1]))
 
-    Returns human-readable failure strings; empty means everything
-    replayed.  Raises :class:`MalformedReport` when a field read here is
-    missing, mistyped or names nothing in the fixture (a sub-verdict's
-    certificate that cannot be rechecked is a replay failure instead).
+
+def _replay_tensor_shape(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """Where tensor shape k applies to (X, Y, psi) and (A, B, phi), it gives dim of their tensor product over T."""
+    return _top(v, fx, "tensor-dim-mismatch", shape=int(_base(claim)[-1]))
+
+
+def _replay_tensor_oracle(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """The tensor product over T has one dimension by the main, the brute-force and the algebra construction."""
+    return _top(v, fx, "tensor-oracle-mismatch")
+
+
+def _named_decomposition(fx: Fixture, v: dict, claim: str):
+    data = check_field(v, "data", dict, {}, claim)
+    where = f"{claim}: data"
+    return _decomposition(fx, *(_ref(fx, data, key, "presentations", where) for key in ("sigma_a", "sigma_b")))
+
+
+def _replay_presentation_decomposition(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """A T-module (A, B, phi) lies in D[sigma_T] iff A lies in D[sigma_A] and B in D[sigma_B]."""
+    presentations, _ = _named_decomposition(fx, v, claim)
+    return _top(v, fx, "decomposition-mismatch", presentations=presentations)
+
+
+def _replay_torsion_class_decomposition(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """D[sigma_T] is a torsion class iff D[sigma_A] and D[sigma_B] are."""
+    _, classes = _named_decomposition(fx, v, claim)
+    subs = _subs(v, claim, 3)
+    return [(sub, {"universe": u, "family": fam}, _TORSION_CLASS) for sub, (fam, u) in zip(subs, classes)]
+
+
+def _silting_sites(fx: Fixture, v: dict, claim: str, clauses: tuple[str, ...]) -> list[Site]:
+    params = _params(v, claim)
+    where = f"{claim}: data.params"
+    a, b = _ref(fx, params, "a", "r_universe", where), _ref(fx, params, "b", "s_universe", where)
+    sigma_a, sigma_b = (_ref(fx, params, key, "presentations", where) for key in ("sigma_a", "sigma_b"))
+    if sigma_a.target != a or sigma_b.target != b:
+        raise MalformedReport(f"{where}: sigma_a and sigma_b must present a and b")
+    universes = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
+    sides = silting_sides(fx.t, a, sigma_a, b, sigma_b, *universes)
+    return [
+        (sub, {"universe": u, "presentation": pres, "gen_module": m, "family": family_d_sigma(pres, u)}, clauses)
+        for sub, (_, pres, m, u) in zip(_subs(v, claim, 3), sides)
+    ]
+
+
+def _replay_silting_transfer(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """(0, B) + (A, FA) is silting over T iff A and B are silting and FA lies in Gen B."""
+    return _silting_sites(fx, v, claim, ("membership-mismatch",))
+
+
+def _replay_partial_silting_transfer(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """(0, B) + (A, FA) is partial silting over T iff A and B are and FA lies in D[sigma_B]."""
+    return _silting_sites(fx, v, claim, ("self-membership", "sum-closure"))
+
+
+def _replay_adjunction(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """p -| q -| h: dim Hom(p(A, B), C) = dim Hom(A, C_A) + dim Hom(B, C_B) (p-q), and dually for h (q-h)."""
+    return _top(v, fx, "adjunction-mismatch", side=_base(claim)[len("adjunction-"):])
+
+
+def _perp_sites(side: str, fx: Fixture, v: dict, claim: str) -> list[Site]:
+    params = _params(v, claim)
+    r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
+    cfam = _basic_ref(params, "c", r_u, f"{claim}: data.params")
+    dfam = _basic_ref(params, "d", s_u, f"{claim}: data.params")
+    lhs, rhs, small, large = perp_transfer_families(side, fx.t, cfam, dfam, r_u, s_u, t_u)
+    parts = [(lhs, rhs, "perp-equality"), (small, large, "forward-inclusion"), (large, small, "converse-inclusion")]
+    return [
+        (sub, {"universe": t_u, "lhs": x, "rhs": y}, (clause,))
+        for sub, (x, y, clause) in zip(_subs(v, claim, 3), parts)
+    ]
+
+
+def _replay_perp_transfer_mono(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """(B^C_D)^perp = U^{C^perp}_{D^perp}, and B^{perp C}_{perp D} = perp(U^C_D) if S+ lies in D.
+
+    Fails on [c=zero,d=all]: the verifier finds S+ in D = all, and S_R lies
+    in perp(U^0_all) but not in B^{perp 0}_{perp all}.
+    """
+    return _perp_sites("mono", fx, v, claim)
+
+
+def _replay_perp_transfer_adjoint(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """perp(J^C_D) = U^{perp C}_{perp D}, and J^{C^perp}_{D^perp} = (U^C_D)^perp if R lies in C.
+
+    Fails on [c=all,d=zero]: the verifier finds R in C = all, and S_S lies
+    in (U^all_0)^perp but not in J^{all^perp}_{0^perp}.
+    """
+    return _perp_sites("adjoint", fx, v, claim)
+
+
+def _torsion_sites(side: str, fx: Fixture, v: dict, claim: str) -> list[Site]:
+    params = _params(v, claim)
+    where = f"{claim}: data.params"
+    r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
+    c1, c2 = _basic_ref(params, "c1", r_u, where), _basic_ref(params, "c2", r_u, where)
+    d1, d2 = _basic_ref(params, "d1", s_u, where), _basic_ref(params, "d2", s_u, where)
+    x, y, _ = comma_pair(side, fx.t, c1, c2, d1, d2, t_u)
+    pairs = [(c1, c2, r_u), (d1, d2, s_u), (x, y, t_u)]
+    return [
+        (sub, {"universe": u, "x": px, "y": py}, _TORSION_PAIR)
+        for sub, (px, py, u) in zip(_subs(v, claim, 3), pairs)
+    ]
+
+
+def _replay_torsion_transfer_mono(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """(C1, C2) and (D1, D2) are torsion pairs iff (B^{C1}_{D1}, U^{C2}_{D2}) is, if S+ lies in D2.
+
+    Fails on [c=(all,zero),d=(zero,all)]: the verifier finds S+ in D2 = all
+    and both component pairs hold, but S_R breaks the comma pair.
+    """
+    return _torsion_sites("mono", fx, v, claim)
+
+
+def _replay_torsion_transfer_adjoint(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """(C1, C2) and (D1, D2) are torsion pairs iff (U^{C1}_{D1}, J^{C2}_{D2}) is, if R lies in C1.
+
+    Fails on [c=(all,zero),d=(zero,all)]: the verifier finds R in C1 = all
+    and both component pairs hold, but S_S breaks the comma pair.
+    """
+    return _torsion_sites("adjoint", fx, v, claim)
+
+
+def _replay_final_corollaries(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """Silting over T reduces to A for B = S and to B for A = 0; a silting pair induces two comma torsion pairs."""
+    params = _params(v, claim)
+    where = f"{claim}: data.params"
+    families = corollary_families(
+        _ref(fx, params, "a", "r_universe", where), _ref(fx, params, "b", "s_universe", where),
+        fx.r_universe_list(), fx.s_universe_list(),
+    )
+    t_u = fx.t_universe_list()
+    sites = []
+    for sub in v.get("sub", []):
+        for side in _SIDES:
+            name = f"induced-torsion-pair-{side}"
+            if sub["claim"] == name and sub.get("sub"):
+                x, y, _ = comma_pair(side, fx.t, *families, t_u)
+                inner = _subs(sub, f"{claim}/{name}", 1)[0]
+                sites.append((inner, {"universe": t_u, "x": x, "y": y}, _TORSION_PAIR))
+    return sites
+
+
+def _replay_round_trip(fx: Fixture, v: dict, claim: str) -> list[Site]:
+    """Each comma object C goes to a T-module and back to an isomorphic object, through an invertible witness."""
+    return _top(v, fx, "roundtrip-failure")
+
+
+def _items(obj: dict, key: str, where: str) -> list[dict]:
+    """``obj[key]`` (absent: empty), which must be a list of JSON objects."""
+    items = obj.get(key, [])
+    if type(items) is not list:
+        raise MalformedReport(f"{where}{key} must be a list, got {type(items).__name__}")
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise MalformedReport(f"{where}{key}[{i}] must be an object, got {type(item).__name__}")
+    return items
+
+
+CLAIMS: dict[str, Callable[[Fixture, dict, str], list[Site]]] = {
+    **dict.fromkeys([f"hom-formula-{k}" for k in range(1, 6)], _replay_hom_formula),
+    **dict.fromkeys([f"tensor-shape-{k}" for k in range(1, 6)], _replay_tensor_shape),
+    "tensor-oracle-agreement": _replay_tensor_oracle,
+    "presentation-decomposition": _replay_presentation_decomposition,
+    "torsion-class-decomposition": _replay_torsion_class_decomposition,
+    "silting-transfer": _replay_silting_transfer,
+    "partial-silting-transfer": _replay_partial_silting_transfer,
+    **dict.fromkeys(["adjunction-p-q", "adjunction-q-h"], _replay_adjunction),
+    "perp-transfer-mono": _replay_perp_transfer_mono,
+    "perp-transfer-adjoint": _replay_perp_transfer_adjoint,
+    "torsion-transfer-mono": _replay_torsion_transfer_mono,
+    "torsion-transfer-adjoint": _replay_torsion_transfer_adjoint,
+    "final-corollaries": _replay_final_corollaries,
+    "t-module-round-trip": _replay_round_trip,
+}
+
+
+def _tree(v: dict, where: str):
+    """(verdict, path, certificates) for each verdict of the tree under ``v``,
+    whose lists are checked to be shaped as ``run`` writes them."""
+    yield v, where, _items(v, "certificates", f"{where}: ")
+    for k, sub in enumerate(_items(v, "sub", f"{where}: ")):
+        claim = check_field(sub, "claim", str, {}, f"{where}: sub[{k}]")
+        yield from _tree(sub, f"{where}/{claim}")
+
+
+def replay_report(report: dict, fx: Fixture) -> tuple[list[str], int]:
+    """Re-check every certificate of a report through :data:`CLAIMS`.
+
+    Returns the failure lines (empty means everything replayed) and the
+    number of certificates rechecked.  Raises :class:`MalformedReport` for
+    a list not shaped as ``run`` writes it, a claim without a rule, a
+    certificate that no site of its claim's rule reaches, and a field that
+    is missing, mistyped or names nothing.
     """
     failures: list[str] = []
-    r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
-    for v in verdicts:
-        claim = v["claim"]
-        context = claim
-        if claim.startswith("hom-formula"):
-            for cert, where in _certs(v, claim):
-                x = _ref(fx.comma_universe, cert, "source", where)
-                y = _ref(fx.comma_universe, cert, "target", where)
-                kind = _field(cert, "kind", int, where)
-                if kind not in range(1, 6):
-                    raise MalformedReport(f"{where}.kind must be 1..5, got {kind}")
-                formula = _field(cert, "formula", int, where)
-                comma_dim = _field(cert, "comma_dim", int, where)
-                ok = (
-                    hom_formula_applicable(kind, x, y)
-                    and hom_formula(kind, x, y) == formula
-                    and hom_comma_dim(x, y) == comma_dim
-                )
-                if not ok:
-                    failures.append(f"{context}: certificate did not replay")
-        elif claim.startswith("tensor"):
-            for cert, where in _certs(v, claim):
-                rt = _ref(fx.right_t_universe, cert, "right_module", where)
-                c = _ref(fx.comma_universe, cert, "comma", where)
-                recorded = _field(cert, "computed" if "computed" in cert else "main", int, where)
-                if tensor_T(rt, c).dim != recorded:
-                    failures.append(f"{context}: certificate did not replay")
-        elif claim.startswith("presentation-decomposition"):
-            sigma_a, sigma_b, pres_t = _decomposition_presentations(fx, v, claim)
-            for cert, where in _certs(v, claim):
-                m = _ref(fx.t_universe, cert, "module", where)
-                whole = _field(cert, "whole", bool, where)
-                componentwise = _field(cert, "componentwise", bool, where)
-                comma = from_T_module(m, fx.t).comma
-                lhs = d_sigma_member(pres_t, m)
-                rhs = d_sigma_member(sigma_a, comma.A) and d_sigma_member(sigma_b, comma.B)
-                if not (lhs == whole and rhs == componentwise and lhs != rhs):
-                    failures.append(f"{context}: certificate did not replay")
-        elif claim.startswith("silting-transfer") or claim.startswith("partial-silting-transfer"):
-            params = _params(v, claim)
-            where = f"{claim}: data.params"
-            a = _ref(fx.r_universe, params, "a", where)
-            b = _ref(fx.s_universe, params, "b", where)
-            sigma_a = _ref(fx.presentations, params, "sigma_a", where)
-            sigma_b = _ref(fx.presentations, params, "sigma_b", where)
-            pres_t = sigma_for_p(fx.t, a, sigma_a, b, sigma_b)
-            partial = claim.startswith("partial")
-            envs = {}
-            for sub_claim, pres, gen_mod, univ in (
-                ("left-side", pres_t, pres_t.target, t_u),
-                ("component-A", sigma_a, a, r_u),
-                ("component-B", sigma_b, b, s_u),
-            ):
-                env = {"universe": univ, "presentation": pres, "gen_module": gen_mod}
-                if partial:
-                    env["family"] = family_d_sigma(pres, univ)
-                envs[sub_claim] = env
-            for sub in v.get("sub", []):
-                env = envs.get(sub["claim"])
-                if env is not None:
-                    _replay_verdict(sub, env, failures, f"{context}/{sub['claim']}")
-        elif claim.startswith("torsion-class-decomposition"):
-            sigma_a, sigma_b, pres_t = _decomposition_presentations(fx, v, claim)
-            triples = [
-                (family_d_sigma(pres_t, t_u), t_u),
-                (family_d_sigma(sigma_a, r_u), r_u),
-                (family_d_sigma(sigma_b, s_u), s_u),
-            ]
-            for sub, (fam, univ) in zip(v.get("sub", []), triples):
-                _replay_verdict(sub, {"universe": univ, "family": fam}, failures, f"{context}/{sub['claim']}")
-        elif claim.startswith("torsion-transfer"):
-            params = _params(v, claim)
-            where = f"{claim}: data.params"
-            c1 = _basic_ref(params, "c1", r_u, where)
-            c2 = _basic_ref(params, "c2", r_u, where)
-            d1 = _basic_ref(params, "d1", s_u, where)
-            d2 = _basic_ref(params, "d2", s_u, where)
-            if "mono" in claim:
-                xfam = comma_family("B", c1, d1, fx.t, t_u)
-                yfam = comma_family("U", c2, d2, fx.t, t_u)
-            else:
-                xfam = comma_family("U", c1, d1, fx.t, t_u)
-                yfam = comma_family("J", c2, d2, fx.t, t_u)
-            subs = v.get("sub", [])
-            if len(subs) == 3:
-                _replay_torsion_pair_sub(subs[0], c1, c2, r_u, failures, f"{context}/components-R")
-                _replay_torsion_pair_sub(subs[1], d1, d2, s_u, failures, f"{context}/components-S")
-                _replay_torsion_pair_sub(subs[2], xfam, yfam, t_u, failures, f"{context}/comma-pair")
-        elif claim.startswith("perp-transfer"):
-            params = _params(v, claim)
-            cfam = _basic_ref(params, "c", r_u, f"{claim}: data.params")
-            dfam = _basic_ref(params, "d", s_u, f"{claim}: data.params")
-            mono = "mono" in claim
-            if mono:
-                lhs1 = perp_right(comma_family("B", cfam, dfam, fx.t, t_u), t_u)
-                rhs1 = comma_family("U", perp_right(cfam, r_u), perp_right(dfam, s_u), fx.t, t_u)
-                fwd_small = comma_family("B", perp_left(cfam, r_u), perp_left(dfam, s_u), fx.t, t_u)
-                fwd_large = perp_left(comma_family("U", cfam, dfam, fx.t, t_u), t_u)
-            else:
-                lhs1 = perp_left(comma_family("J", cfam, dfam, fx.t, t_u), t_u)
-                rhs1 = comma_family("U", perp_left(cfam, r_u), perp_left(dfam, s_u), fx.t, t_u)
-                fwd_small = comma_family("J", perp_right(cfam, r_u), perp_right(dfam, s_u), fx.t, t_u)
-                fwd_large = perp_right(comma_family("U", cfam, dfam, fx.t, t_u), t_u)
-            envs = [
-                {"universe": t_u, "lhs": lhs1, "rhs": rhs1},
-                {"universe": t_u, "lhs": fwd_small, "rhs": fwd_large},
-                {"universe": t_u, "lhs": fwd_large, "rhs": fwd_small},
-            ]
-            for sub, env in zip(v.get("sub", []), envs):
-                _replay_verdict(sub, env, failures, f"{context}/{sub['claim']}")
-        elif claim == "adjunction-p-q" or claim == "adjunction-q-h":
-            for cert, where in _certs(v, claim):
-                a = _ref(fx.r_universe, cert, "a", where)
-                b = _ref(fx.s_universe, cert, "b", where)
-                c = _ref(fx.comma_universe, cert, "comma", where)
-                comma_hom = _field(cert, "comma_hom", int, where)
-                component_hom = _field(cert, "component_hom", int, where)
-                if claim.endswith("p-q"):
-                    lhs = hom_comma_dim(functor_p(fx.u, a, b), c)
-                    rhs = hom_dim(a, c.A) + hom_dim(b, c.B)
-                else:
-                    lhs = hom_comma_dim(c, functor_h(fx.u, a, b))
-                    rhs = hom_dim(c.A, a) + hom_dim(c.B, b)
-                if not (lhs == comma_hom and rhs == component_hom and lhs != rhs):
-                    failures.append(f"{context}: certificate did not replay")
-        elif claim == "t-module-round-trip":
-            for cert in v.get("certificates", []):
-                failures.append(f"{context}: round-trip certificate recorded a failure")
-        elif claim == "final-corollaries":
-            for sub in v.get("sub", []):
-                for inner in sub.get("sub", []):
-                    # nested torsion-pair verdicts: rebuild from the corollary params
-                    params = _params(v, claim)
-                    a = _ref(fx.r_universe, params, "a", f"{claim}: data.params")
-                    b = _ref(fx.s_universe, params, "b", f"{claim}: data.params")
-                    gen_a = family_gen(a, r_u)
-                    gen_b = family_gen(b, s_u)
-                    a_perp = perp_right_modules([a], r_u)
-                    b_perp = perp_right_modules([b], s_u)
-                    if sub["claim"].endswith("mono"):
-                        xfam = comma_family("B", gen_a, gen_b, fx.t, t_u)
-                        yfam = comma_family("U", a_perp, b_perp, fx.t, t_u)
-                    else:
-                        xfam = comma_family("U", gen_a, gen_b, fx.t, t_u)
-                        yfam = comma_family("J", a_perp, b_perp, fx.t, t_u)
-                    _replay_torsion_pair_sub(
-                        inner, xfam, yfam, t_u, failures, f"{context}/{sub['claim']}"
-                    )
-    return failures
-
-
-def replay_report(report: dict, fx: Fixture) -> list[str]:
-    """Replay failures of every verify-all task of a report whose lists
-    are shaped as ``run`` writes them; raises :class:`MalformedReport` as
-    :func:`replay_verify_all` does."""
-    failures = []
-    for task in report.get("tasks", []):
-        if task.get("kind") == "verify-all":
-            failures.extend(replay_verify_all(fx, task.get("verdicts", [])))
-    return failures
+    checked = 0
+    for i, task in enumerate(_items(report, "tasks", "")):
+        for j, v in enumerate(_items(task, "verdicts", f"tasks[{i}].")):
+            claim = check_field(v, "claim", str, {}, f"tasks[{i}].verdicts[{j}]")
+            nodes = list(_tree(v, claim))
+            rule = CLAIMS.get(_base(claim))
+            if rule is None:
+                raise MalformedReport(f"{claim}: unknown claim, no replay rule")
+            sites = {id(node): (env, clauses) for node, env, clauses in rule(fx, v, claim)}
+            for node, where, certs in nodes:
+                if not certs:
+                    continue
+                if id(node) not in sites:
+                    raise MalformedReport(f"{where}: no replay rule rechecks these certificates")
+                env, clauses = sites[id(node)]
+                for k, cert in enumerate(certs):
+                    at = f"{where}: certificates[{k}]"
+                    if not check_certificate(cert, clauses, env, at).recheck(cert, env):
+                        failures.append(f"{at}: {cert['clause']} did not replay")
+                    checked += 1
+    return failures, checked

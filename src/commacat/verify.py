@@ -1,30 +1,62 @@
-"""Verifiers for the transfer statements, with machine-checkable verdicts.
+"""Verifiers for the transfer statements, and the certificate clauses.
 
 Each verifier computes both sides of its statement independently and
 reports whether they agree; none of them hard-codes an expected truth
-value.  Verdicts carry certificates that name concrete universe members
-and record the facts that witnessed a violation; ``recheck_certificate``
-replays one certificate from raw data.
+value.  The perpendicular and torsion-pair transfers take a ``side``:
+"mono" is the statement for the mono family B, under the hypothesis S+
+in D, and "adjoint" its mirror for the adjoint-epi family J, under R in
+C.  The families and presentations of a statement come from one
+constructor each (:func:`silting_sides`, :func:`perp_transfer_families`,
+:func:`comma_pair`), which certificate replay in ``tasks`` uses too; so
+do the facts that the top-level claims record (``*_facts``).
+
+Verdicts carry certificates that name concrete universe members or
+fixture entries and record the facts that witnessed a violation.
+:data:`CLAUSES` holds, per clause, the fields a certificate must carry
+with their kinds, and a ``recheck(cert, env)`` that recomputes those
+facts from raw data.  :func:`check_certificate` checks the fields and
+raises :class:`MalformedReport` for a missing, mistyped or dangling one.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import TriangularAlgebra
-from .comma import sigma_for_p, tensor_over
-from .linalg import FpMatrix
+from .comma import (
+    CommaObject,
+    RightTModule,
+    comma_is_isomorphic,
+    from_T_module,
+    functor_h,
+    functor_p,
+    hom_comma_dim,
+    hom_formula,
+    hom_formula_applicable,
+    sigma_for_p,
+    tensor_over,
+    tensor_shape_predictions,
+    tensor_T,
+    tensor_T_bruteforce,
+    tensor_T_via_algebra,
+    to_T_module,
+)
+from .linalg import FpMatrix, column_space_basis, int64_array, rank
 from .modules import (
     ModuleMap,
     ModuleRep,
+    direct_sum,
     dual_module,
+    extension_middle_terms,
     gen_member,
+    hom_dim,
     hom_space,
     is_isomorphic,
     quotient_module,
     regular_module,
     submodule,
     trace_of,
+    zero_module,
 )
 from .presentations import (
     Presentation,
@@ -36,31 +68,37 @@ from .presentations import (
 from .torsion import (
     ModuleFamily,
     Verdict,
-    all_submodule_bases,
     comma_family,
+    family_gen,
     is_torsion_pair,
     perp_left,
     perp_right,
+    perp_right_modules,
 )
 
 
-def _silting_subverdict(claim: str, verdict) -> Verdict:
-    certs = [{"clause": "membership-mismatch", **d} for d in verdict.disagreements]
-    return Verdict(
-        claim=claim,
-        result="holds" if verdict.holds else "fails",
-        certificates=certs,
-        universe_hash=verdict.universe_hash,
-    )
+# -- silting transfer -------------------------------------------------------------
 
 
-def _partial_subverdict(claim: str, verdict) -> Verdict:
-    return Verdict(
-        claim=claim,
-        result="holds" if verdict.holds else "fails",
-        certificates=list(verdict.failures),
-        universe_hash=verdict.universe_hash,
-    )
+def silting_sides(
+    t: TriangularAlgebra,
+    a: ModuleRep,
+    sigma_a: Presentation,
+    b: ModuleRep,
+    sigma_b: Presentation,
+    r_universe: Sequence[ModuleRep],
+    s_universe: Sequence[ModuleRep],
+    t_universe: Sequence[ModuleRep],
+) -> list[tuple[str, Presentation, ModuleRep, Sequence[ModuleRep]]]:
+    """(sub-verdict claim, presentation, presented module, universe) of the
+    three silting conditions: over T with the block presentation of
+    (0, B) + (A, FA), and over R and S for the components."""
+    pres_t = sigma_for_p(t, a, sigma_a, b, sigma_b)
+    return [
+        ("left-side", pres_t, pres_t.target, t_universe),
+        ("component-A", sigma_a, a, r_universe),
+        ("component-B", sigma_b, b, s_universe),
+    ]
 
 
 def verify_silting_transfer(
@@ -79,28 +117,24 @@ def verify_silting_transfer(
     A silting, B silting, and FA generated by B.  The verdict states
     whether the two sides agree.
     """
-    pres_t = sigma_for_p(t, a, sigma_a, b, sigma_b)
-    lhs = is_silting(pres_t.target, pres_t, t_universe)
-    rhs_a = is_silting(a, sigma_a, r_universe)
-    rhs_b = is_silting(b, sigma_b, s_universe)
+    sides = silting_sides(t, a, sigma_a, b, sigma_b, r_universe, s_universe, t_universe)
+    lhs, rhs_a, rhs_b = verdicts = [is_silting(m, pres, u) for _, pres, m, u in sides]
     fa = tensor_over(t.u, a).module
     rhs_gen = gen_member(b, fa)
     rhs = rhs_a.holds and rhs_b.holds and rhs_gen
-    agree = lhs.holds == rhs
     return Verdict(
         claim="silting-transfer",
-        result="holds" if agree else "fails",
+        result="holds" if lhs.holds == rhs else "fails",
         sub=[
-            _silting_subverdict("left-side", lhs),
-            _silting_subverdict("component-A", rhs_a),
-            _silting_subverdict("component-B", rhs_b),
+            Verdict(
+                claim,
+                "holds" if v.holds else "fails",
+                [{"clause": "membership-mismatch", **d} for d in v.disagreements],
+                universe_hash=v.universe_hash,
+            )
+            for (claim, *_), v in zip(sides, verdicts)
         ],
-        data={
-            "left_side": lhs.holds,
-            "right_side": rhs,
-            "fa_in_gen_b": rhs_gen,
-            "fa_dim": fa.dim,
-        },
+        data={"left_side": lhs.holds, "right_side": rhs, "fa_in_gen_b": rhs_gen, "fa_dim": fa.dim},
         universe_hash=universe_hash(t_universe),
     )
 
@@ -117,57 +151,70 @@ def verify_partial_silting_transfer(
 ) -> Verdict:
     """Partial-silting variant: the third clause asks FA to lie in the
     sigma_B class instead of Gen B."""
-    pres_t = sigma_for_p(t, a, sigma_a, b, sigma_b)
-    lhs = is_partial_silting(pres_t.target, pres_t, t_universe)
-    rhs_a = is_partial_silting(a, sigma_a, r_universe)
-    rhs_b = is_partial_silting(b, sigma_b, s_universe)
-    fa = tensor_over(t.u, a).module
-    rhs_fa = d_sigma_member(sigma_b, fa)
+    sides = silting_sides(t, a, sigma_a, b, sigma_b, r_universe, s_universe, t_universe)
+    lhs, rhs_a, rhs_b = verdicts = [is_partial_silting(m, pres, u) for _, pres, m, u in sides]
+    rhs_fa = d_sigma_member(sigma_b, tensor_over(t.u, a).module)
     rhs = rhs_a.holds and rhs_b.holds and rhs_fa
-    agree = lhs.holds == rhs
     return Verdict(
         claim="partial-silting-transfer",
-        result="holds" if agree else "fails",
+        result="holds" if lhs.holds == rhs else "fails",
         sub=[
-            _partial_subverdict("left-side", lhs),
-            _partial_subverdict("component-A", rhs_a),
-            _partial_subverdict("component-B", rhs_b),
+            Verdict(claim, "holds" if v.holds else "fails", list(v.failures), universe_hash=v.universe_hash)
+            for (claim, *_), v in zip(sides, verdicts)
         ],
         data={"left_side": lhs.holds, "right_side": rhs, "fa_in_d_sigma_b": rhs_fa},
         universe_hash=universe_hash(t_universe),
     )
 
 
-def _set_comparison_certs(
-    lhs: ModuleFamily, rhs: ModuleFamily, universe: Sequence[ModuleRep], clause: str
-) -> list[dict]:
-    certs = []
-    for k, m in enumerate(universe):
-        in_l, in_r = lhs.contains(m), rhs.contains(m)
-        if in_l != in_r:
-            certs.append(
-                {
-                    "clause": clause,
-                    "module": k,
-                    "label": m.label,
-                    "in_lhs": in_l,
-                    "in_rhs": in_r,
-                }
-            )
-    return certs
+# -- perpendicular and torsion-pair transfer -----------------------------------------
+
+
+def side_hypothesis(side: str, t: TriangularAlgebra, cfam: ModuleFamily, dfam: ModuleFamily) -> bool:
+    """The hypothesis of a transfer statement: the dual module S+ lies in
+    ``dfam`` (mono side), or the regular module R in ``cfam`` (adjoint)."""
+    if side == "mono":
+        return dfam.contains(dual_module(t.s))
+    return cfam.contains(regular_module(t.r))
+
+
+def perp_transfer_families(
+    side: str,
+    t: TriangularAlgebra,
+    cfam: ModuleFamily,
+    dfam: ModuleFamily,
+    r_universe: Sequence[ModuleRep],
+    s_universe: Sequence[ModuleRep],
+    t_universe: Sequence[ModuleRep],
+) -> tuple[ModuleFamily, ModuleFamily, ModuleFamily, ModuleFamily]:
+    """(lhs, rhs, small, large) of a perpendicular transfer: lhs = rhs is its
+    equality and small in large its forward inclusion.
+
+    Mono side: (B^C_D)^perp = U^{C^perp}_{D^perp}, and B on the left perps
+    of C and D lies in perp(U^C_D).  Adjoint side, with the perps swapped:
+    perp(J^C_D) = U^{perp C}_{perp D}, and J on the right perps lies in
+    (U^C_D)^perp.
+    """
+    kind, perp, other = ("B", perp_right, perp_left) if side == "mono" else ("J", perp_left, perp_right)
+    lhs = perp(comma_family(kind, cfam, dfam, t, t_universe), t_universe)
+    rhs = comma_family("U", perp(cfam, r_universe), perp(dfam, s_universe), t, t_universe)
+    small = comma_family(kind, other(cfam, r_universe), other(dfam, s_universe), t, t_universe)
+    large = other(comma_family("U", cfam, dfam, t, t_universe), t_universe)
+    return lhs, rhs, small, large
 
 
 def _inclusion_certs(
     smaller: ModuleFamily, larger: ModuleFamily, universe: Sequence[ModuleRep], clause: str
 ) -> list[dict]:
-    certs = []
-    for k, m in enumerate(universe):
-        if smaller.contains(m) and not larger.contains(m):
-            certs.append({"clause": clause, "module": k, "label": m.label})
-    return certs
+    return [
+        {"clause": clause, "module": k, "label": m.label}
+        for k, m in enumerate(universe)
+        if smaller.contains(m) and not larger.contains(m)
+    ]
 
 
-def verify_prop_B_perp(
+def verify_perp_transfer(
+    side: str,
     t: TriangularAlgebra,
     cfam: ModuleFamily,
     dfam: ModuleFamily,
@@ -175,91 +222,57 @@ def verify_prop_B_perp(
     s_universe: Sequence[ModuleRep],
     t_universe: Sequence[ModuleRep],
 ) -> Verdict:
-    """Perpendicular calculus of the mono family.
-
-    Part 1: the right perp of the mono family equals the plain family of
-    the component perps.  Part 2: the mono family on left perps embeds
-    in the left perp of the plain family, with the converse tested under
-    the dual-module hypothesis.
-    """
-    s_plus = dual_module(t.s)
-    bfam = comma_family("B", cfam, dfam, t, t_universe)
-    lhs1 = perp_right(bfam, list(t_universe))
-    rhs1 = comma_family(
-        "U", perp_right(cfam, r_universe), perp_right(dfam, s_universe), t, t_universe
-    )
-    certs1 = _set_comparison_certs(lhs1, rhs1, t_universe, "perp-equality")
-    sub1 = Verdict("right-perp-equality", "holds" if not certs1 else "fails", certs1)
-
-    b_on_perps = comma_family(
-        "B", perp_left(cfam, r_universe), perp_left(dfam, s_universe), t, t_universe
-    )
-    u_cd = comma_family("U", cfam, dfam, t, t_universe)
-    left_perp_u = perp_left(u_cd, list(t_universe))
-    certs2 = _inclusion_certs(b_on_perps, left_perp_u, t_universe, "forward-inclusion")
+    """Perpendicular calculus of the mono family (side "mono") or of the
+    adjoint-epi family ("adjoint"), as :func:`perp_transfer_families` states
+    it; the converse of the inclusion is tested under the side's hypothesis."""
+    lhs, rhs, small, large = perp_transfer_families(side, t, cfam, dfam, r_universe, s_universe, t_universe)
+    certs1 = []
+    for k, m in enumerate(t_universe):
+        facts = {"in_lhs": lhs.contains(m), "in_rhs": rhs.contains(m)}
+        if disagree(facts):
+            certs1.append({"clause": "perp-equality", "module": k, "label": m.label, **facts})
+    equality = "right-perp-equality" if side == "mono" else "left-perp-equality"
+    sub1 = Verdict(equality, "holds" if not certs1 else "fails", certs1)
+    certs2 = _inclusion_certs(small, large, t_universe, "forward-inclusion")
     sub2 = Verdict("forward-inclusion", "holds" if not certs2 else "fails", certs2)
-
-    hyp = dfam.contains(s_plus)
+    hyp = side_hypothesis(side, t, cfam, dfam)
     if hyp:
-        certs3 = _inclusion_certs(left_perp_u, b_on_perps, t_universe, "converse-inclusion")
+        certs3 = _inclusion_certs(large, small, t_universe, "converse-inclusion")
         sub3 = Verdict("converse-inclusion", "holds" if not certs3 else "fails", certs3)
     else:
         sub3 = Verdict("converse-inclusion", "out-of-scope", [], data={"hypothesis": False})
     applicable = [sub1, sub2] + ([sub3] if hyp else [])
-    ok = all(v.holds for v in applicable)
+    hyp_key = "dual_module_hypothesis" if side == "mono" else "regular_hypothesis"
     return Verdict(
-        claim="perp-transfer-mono",
-        result="holds" if ok else "fails",
+        claim=f"perp-transfer-{side}",
+        result="holds" if all(v.holds for v in applicable) else "fails",
         sub=[sub1, sub2, sub3],
-        data={"c": cfam.spec, "d": dfam.spec, "dual_module_hypothesis": hyp},
+        data={"c": cfam.spec, "d": dfam.spec, hyp_key: hyp},
         universe_hash=universe_hash(t_universe),
     )
 
 
-def verify_prop_J_perp(
+def comma_pair(
+    side: str,
     t: TriangularAlgebra,
-    cfam: ModuleFamily,
-    dfam: ModuleFamily,
-    r_universe: Sequence[ModuleRep],
-    s_universe: Sequence[ModuleRep],
+    c1: ModuleFamily,
+    c2: ModuleFamily,
+    d1: ModuleFamily,
+    d2: ModuleFamily,
     t_universe: Sequence[ModuleRep],
-) -> Verdict:
-    """Perpendicular calculus of the adjoint-epi family (mirror statement)."""
-    r_reg = regular_module(t.r)
-    jfam = comma_family("J", cfam, dfam, t, t_universe)
-    lhs1 = perp_left(jfam, list(t_universe))
-    rhs1 = comma_family(
-        "U", perp_left(cfam, r_universe), perp_left(dfam, s_universe), t, t_universe
-    )
-    certs1 = _set_comparison_certs(lhs1, rhs1, t_universe, "perp-equality")
-    sub1 = Verdict("left-perp-equality", "holds" if not certs1 else "fails", certs1)
-
-    j_on_perps = comma_family(
-        "J", perp_right(cfam, r_universe), perp_right(dfam, s_universe), t, t_universe
-    )
-    u_cd = comma_family("U", cfam, dfam, t, t_universe)
-    right_perp_u = perp_right(u_cd, list(t_universe))
-    certs2 = _inclusion_certs(j_on_perps, right_perp_u, t_universe, "forward-inclusion")
-    sub2 = Verdict("forward-inclusion", "holds" if not certs2 else "fails", certs2)
-
-    hyp = cfam.contains(r_reg)
-    if hyp:
-        certs3 = _inclusion_certs(right_perp_u, j_on_perps, t_universe, "converse-inclusion")
-        sub3 = Verdict("converse-inclusion", "holds" if not certs3 else "fails", certs3)
-    else:
-        sub3 = Verdict("converse-inclusion", "out-of-scope", [], data={"hypothesis": False})
-    applicable = [sub1, sub2] + ([sub3] if hyp else [])
-    ok = all(v.holds for v in applicable)
-    return Verdict(
-        claim="perp-transfer-adjoint",
-        result="holds" if ok else "fails",
-        sub=[sub1, sub2, sub3],
-        data={"c": cfam.spec, "d": dfam.spec, "regular_hypothesis": hyp},
-        universe_hash=universe_hash(t_universe),
+) -> tuple[ModuleFamily, ModuleFamily, bool]:
+    """The comma pair (B^{C1}_{D1}, U^{C2}_{D2}) with its hypothesis S+ in D2
+    (mono side), or (U^{C1}_{D1}, J^{C2}_{D2}) with R in C1 (adjoint)."""
+    kinds = ("B", "U") if side == "mono" else ("U", "J")
+    return (
+        comma_family(kinds[0], c1, d1, t, t_universe),
+        comma_family(kinds[1], c2, d2, t, t_universe),
+        side_hypothesis(side, t, c1, d2),
     )
 
 
-def verify_thm_torsion_B(
+def verify_torsion_transfer(
+    side: str,
     t: TriangularAlgebra,
     c1: ModuleFamily,
     c2: ModuleFamily,
@@ -269,72 +282,43 @@ def verify_thm_torsion_B(
     s_universe: Sequence[ModuleRep],
     t_universe: Sequence[ModuleRep],
 ) -> Verdict:
-    """Transfer of torsion pairs through the mono family.
+    """Transfer of torsion pairs through the mono or the adjoint-epi family.
 
-    Left side: the component pairs are torsion pairs.  Right side: the
-    pair (mono family on (c1, d1), plain family on (c2, d2)) is a
-    torsion pair over T.  Requires the dual module in d2; reports the
-    equivalence verdict with both sides attached.
+    Left side: (c1, c2) and (d1, d2) are torsion pairs.  Right side: the
+    :func:`comma_pair` of the side is a torsion pair over T.  Out of scope
+    unless the side's hypothesis holds; both sides are attached.
     """
-    s_plus = dual_module(t.s)
     p_r = is_torsion_pair(c1, c2, r_universe)
     p_s = is_torsion_pair(d1, d2, s_universe)
-    hyp = d2.contains(s_plus)
-    bfam = comma_family("B", c1, d1, t, t_universe)
-    ufam = comma_family("U", c2, d2, t, t_universe)
-    q = is_torsion_pair(bfam, ufam, t_universe)
+    x, y, hyp = comma_pair(side, t, c1, c2, d1, d2, t_universe)
+    q = is_torsion_pair(x, y, t_universe)
     left = p_r.holds and p_s.holds
-    if not hyp:
-        result = "out-of-scope"
-    else:
-        result = "holds" if left == q.holds else "fails"
     return Verdict(
-        claim="torsion-transfer-mono",
-        result=result,
+        claim=f"torsion-transfer-{side}",
+        result="out-of-scope" if not hyp else "holds" if left == q.holds else "fails",
         sub=[p_r, p_s, q],
-        data={
-            "hypothesis": hyp,
-            "component_pairs_hold": left,
-            "comma_pair_holds": q.holds,
-        },
+        data={"hypothesis": hyp, "component_pairs_hold": left, "comma_pair_holds": q.holds},
         universe_hash=universe_hash(t_universe),
     )
 
 
-def verify_thm_torsion_J(
-    t: TriangularAlgebra,
-    c1: ModuleFamily,
-    c2: ModuleFamily,
-    d1: ModuleFamily,
-    d2: ModuleFamily,
-    r_universe: Sequence[ModuleRep],
-    s_universe: Sequence[ModuleRep],
-    t_universe: Sequence[ModuleRep],
-) -> Verdict:
-    """Transfer of torsion pairs through the adjoint-epi family (mirror)."""
-    r_reg = regular_module(t.r)
-    p_r = is_torsion_pair(c1, c2, r_universe)
-    p_s = is_torsion_pair(d1, d2, s_universe)
-    hyp = c1.contains(r_reg)
-    ufam = comma_family("U", c1, d1, t, t_universe)
-    jfam = comma_family("J", c2, d2, t, t_universe)
-    q = is_torsion_pair(ufam, jfam, t_universe)
-    left = p_r.holds and p_s.holds
-    if not hyp:
-        result = "out-of-scope"
-    else:
-        result = "holds" if left == q.holds else "fails"
-    return Verdict(
-        claim="torsion-transfer-adjoint",
-        result=result,
-        sub=[p_r, p_s, q],
-        data={
-            "hypothesis": hyp,
-            "component_pairs_hold": left,
-            "comma_pair_holds": q.holds,
-        },
-        universe_hash=universe_hash(t_universe),
+# -- closing corollaries -------------------------------------------------------------
+
+
+def corollary_families(
+    a: ModuleRep, b: ModuleRep, r_universe: Sequence[ModuleRep], s_universe: Sequence[ModuleRep]
+) -> tuple[ModuleFamily, ModuleFamily, ModuleFamily, ModuleFamily]:
+    """(Gen A, A^perp, Gen B, B^perp): the torsion pairs a silting pair induces."""
+    return (
+        family_gen(a, r_universe),
+        perp_right_modules([a], r_universe, label=f"({a.label})^perp"),
+        family_gen(b, s_universe),
+        perp_right_modules([b], s_universe, label=f"({b.label})^perp"),
     )
+
+
+def _agreement(claim: str, lhs: bool, rhs: bool) -> Verdict:
+    return Verdict(claim, "holds" if lhs == rhs else "fails", data={"left_side": lhs, "right_side": rhs})
 
 
 def verify_final_corollaries(
@@ -346,36 +330,17 @@ def verify_final_corollaries(
     r_universe: Sequence[ModuleRep],
     s_universe: Sequence[ModuleRep],
     t_universe: Sequence[ModuleRep],
-    iso_cap: int = 16,
 ) -> Verdict:
     """The closing corollaries: silting reductions and the induced
     comma torsion pairs from a silting pair (A, B)."""
-    from .modules import zero_module
-
-    u = t.u
     subs: list[Verdict] = []
 
     s_reg = regular_module(t.s)
-    if b.dim == s_reg.dim and is_isomorphic(b, s_reg, cap=iso_cap).isomorphic:
+    if b.dim == s_reg.dim and is_isomorphic(b, s_reg).isomorphic:
         pres_t = sigma_for_p(t, a, sigma_a, b, sigma_b)
-        lhs = is_silting(pres_t.target, pres_t, t_universe)
-        rhs = is_silting(a, sigma_a, r_universe)
-        subs.append(
-            Verdict(
-                "silting-vs-component-A",
-                "holds" if lhs.holds == rhs.holds else "fails",
-                data={"left_side": lhs.holds, "right_side": rhs.holds},
-            )
-        )
-        lhs_p = is_partial_silting(pres_t.target, pres_t, t_universe)
-        rhs_p = is_partial_silting(a, sigma_a, r_universe)
-        subs.append(
-            Verdict(
-                "partial-silting-vs-component-A",
-                "holds" if lhs_p.holds == rhs_p.holds else "fails",
-                data={"left_side": lhs_p.holds, "right_side": rhs_p.holds},
-            )
-        )
+        for name, decide in (("silting", is_silting), ("partial-silting", is_partial_silting)):
+            lhs, rhs = decide(pres_t.target, pres_t, t_universe).holds, decide(a, sigma_a, r_universe).holds
+            subs.append(_agreement(f"{name}-vs-component-A", lhs, rhs))
     else:
         subs.append(Verdict("silting-vs-component-A", "out-of-scope", [], data={"b_is_regular": False}))
 
@@ -389,88 +354,28 @@ def verify_final_corollaries(
         witness=ModuleMap(zero_r, zero_r, FpMatrix.zeros(t.p, 0, 0)),
     )
     pres_b_only = sigma_for_p(t, zero_r, zero_cover, b, sigma_b)
-    lhs_b = is_silting(pres_b_only.target, pres_b_only, t_universe)
-    rhs_b = is_silting(b, sigma_b, s_universe)
-    subs.append(
-        Verdict(
-            "silting-vs-component-B",
-            "holds" if lhs_b.holds == rhs_b.holds else "fails",
-            data={"left_side": lhs_b.holds, "right_side": rhs_b.holds},
-        )
-    )
+    lhs_b = is_silting(pres_b_only.target, pres_b_only, t_universe).holds
+    subs.append(_agreement("silting-vs-component-B", lhs_b, is_silting(b, sigma_b, s_universe).holds))
 
     pres_t = sigma_for_p(t, a, sigma_a, b, sigma_b)
     premise_silting = is_silting(pres_t.target, pres_t, t_universe).holds
     premise_partial = is_partial_silting(pres_t.target, pres_t, t_universe).holds
 
-    gen_a = ModuleFamily(
-        f"Gen({a.label})", {"kind": "gen", "module": a.label}, list(r_universe),
-        lambda m: gen_member(a, m),
-    )
-    gen_b = ModuleFamily(
-        f"Gen({b.label})", {"kind": "gen", "module": b.label}, list(s_universe),
-        lambda m: gen_member(b, m),
-    )
-    a_perp = ModuleFamily(
-        f"({a.label})^perp", {"kind": "perp_right_modules", "modules": [a.label]},
-        list(r_universe), lambda m: len(hom_space(a, m)) == 0,
-    )
-    b_perp = ModuleFamily(
-        f"({b.label})^perp", {"kind": "perp_right_modules", "modules": [b.label]},
-        list(s_universe), lambda m: len(hom_space(b, m)) == 0,
-    )
-    s_plus = dual_module(t.s)
-    r_reg = regular_module(t.r)
-
-    hyp_mono = b_perp.contains(s_plus)
-    if (premise_silting or premise_partial) and hyp_mono:
-        q = is_torsion_pair(
-            comma_family("B", gen_a, gen_b, t, t_universe),
-            comma_family("U", a_perp, b_perp, t, t_universe),
-            t_universe,
-        )
-        subs.append(
-            Verdict(
-                "induced-torsion-pair-mono",
-                q.result,
-                sub=[q],
-                data={"hypothesis": True},
+    gen_a, a_perp, gen_b, b_perp = corollary_families(a, b, r_universe, s_universe)
+    for side in ("mono", "adjoint"):
+        x, y, hyp = comma_pair(side, t, gen_a, a_perp, gen_b, b_perp, t_universe)
+        if (premise_silting or premise_partial) and hyp:
+            q = is_torsion_pair(x, y, t_universe)
+            subs.append(Verdict(f"induced-torsion-pair-{side}", q.result, sub=[q], data={"hypothesis": True}))
+        else:
+            subs.append(
+                Verdict(
+                    f"induced-torsion-pair-{side}",
+                    "out-of-scope",
+                    [],
+                    data={"premise_silting": premise_silting, "hypothesis": hyp},
+                )
             )
-        )
-    else:
-        subs.append(
-            Verdict(
-                "induced-torsion-pair-mono",
-                "out-of-scope",
-                [],
-                data={"premise_silting": premise_silting, "hypothesis": hyp_mono},
-            )
-        )
-
-    hyp_adj = gen_a.contains(r_reg)
-    if (premise_silting or premise_partial) and hyp_adj:
-        q = is_torsion_pair(
-            comma_family("U", gen_a, gen_b, t, t_universe),
-            comma_family("J", a_perp, b_perp, t, t_universe),
-            t_universe,
-        )
-        subs.append(
-            Verdict(
-                "induced-torsion-pair-adjoint",
-                q.result,
-                sub=[q],
-                data={"hypothesis": True},
-            )
-        )
-    else:
-        subs.append(
-            Verdict(
-                "induced-torsion-pair-adjoint",
-                "out-of-scope",
-                [],
-                data={"premise_silting": premise_silting, "hypothesis": hyp_adj},
-            )
-        )
 
     applicable = [v for v in subs if v.result != "out-of-scope"]
     return Verdict(
@@ -482,106 +387,307 @@ def verify_final_corollaries(
     )
 
 
-# -- certificate replay ----------------------------------------------------------
+# -- facts the top-level claims record -------------------------------------------------
+
+
+def hom_formula_facts(kind: int, x: CommaObject, y: CommaObject, tx: ModuleRep, ty: ModuleRep) -> dict:
+    """dim Hom(X, Y) by formula ``kind``, between the comma objects, and
+    between their T-modules ``tx`` and ``ty``."""
+    return {"formula": hom_formula(kind, x, y), "comma_dim": hom_comma_dim(x, y), "t_module_dim": hom_dim(tx, ty)}
+
+
+def tensor_oracle_facts(rt: RightTModule, c: CommaObject, t: TriangularAlgebra) -> dict:
+    """dim of (X, Y, psi) (x)_T (A, B, phi) by the main, brute-force and algebra routes."""
+    return {
+        "main": tensor_T(rt, c).dim,
+        "bruteforce": tensor_T_bruteforce(rt, c),
+        "via_algebra": tensor_T_via_algebra(rt, c, t),
+    }
+
+
+def decomposition_facts(presentations: tuple, m: ModuleRep, t: TriangularAlgebra) -> dict:
+    """Whether M lies in D[sigma_T], and whether its components lie in
+    D[sigma_A] and D[sigma_B], for ``presentations`` = (sigma_A, sigma_B, sigma_T)."""
+    sigma_a, sigma_b, pres_t = presentations
+    comma = from_T_module(m, t).comma
+    return {
+        "whole": d_sigma_member(pres_t, m),
+        "componentwise": d_sigma_member(sigma_a, comma.A) and d_sigma_member(sigma_b, comma.B),
+    }
+
+
+def adjunction_facts(side: str, functor_ab: CommaObject, a: ModuleRep, b: ModuleRep, c: CommaObject) -> dict:
+    """dim Hom(p(A, B), C) against dim Hom(A, C_A) + dim Hom(B, C_B) (side
+    "p-q", ``functor_ab`` = p(A, B)), or dim Hom(C, h(A, B)) against
+    dim Hom(C_A, A) + dim Hom(C_B, B) ("q-h", ``functor_ab`` = h(A, B))."""
+    if side == "p-q":
+        return {"comma_hom": hom_comma_dim(functor_ab, c), "component_hom": hom_dim(a, c.A) + hom_dim(b, c.B)}
+    return {"comma_hom": hom_comma_dim(c, functor_ab), "component_hom": hom_dim(c.A, a) + hom_dim(c.B, b)}
+
+
+def round_trip_facts(c: CommaObject, t: TriangularAlgebra) -> dict:
+    """Whether C -> T-module -> comma object has a valid, invertible
+    witness and gives back an object isomorphic to C."""
+    m = to_T_module(c, t)
+    back = from_T_module(m, t)
+    return {
+        "witness_valid": back.witness.is_valid() and rank(back.witness.matrix) == m.dim,
+        "isomorphic": comma_is_isomorphic(back.comma, c).isomorphic,
+    }
+
+
+# -- certificate clauses ---------------------------------------------------------------
+
+
+class MalformedReport(ValueError):
+    """A report field that replay reads is missing, of the wrong type, or
+    names nothing in the fixture or universe."""
+
+
+# Field kinds besides the JSON types int, bool and str.  A field of any
+# other str kind names an entry of that table of env["fixture"].
+INDEX = "index"  # an index into env["universe"]
+PAIR = "pair"  # a list of two such indices
+MATRIX = "matrix"  # a list of rows of exact int64 integers
+
+
+class Clause(NamedTuple):
+    """The fields a certificate clause requires, and how to recheck it."""
+
+    fields: dict
+    recheck: Callable[[dict, dict], bool]
+
+
+CLAUSES: dict[str, Clause] = {}
+
+
+def _clause(*names: str, **fields) -> Callable:
+    """Register the decorated recheck under each clause name, with ``fields``."""
+
+    def register(recheck: Callable[[dict, dict], bool]) -> Callable:
+        for name in names:
+            CLAUSES[name] = Clause(fields, recheck)
+        return recheck
+
+    return register
+
+
+def _kind_error(value, kind, env: dict) -> Optional[str]:
+    """Why ``value`` is not a field of ``kind``, or None."""
+    if isinstance(kind, type):
+        return None if type(value) is kind else f" must be {kind.__name__}, got {type(value).__name__}"
+    if kind == MATRIX:
+        try:
+            rows = int64_array(value, "matrix")
+        except ValueError as exc:
+            return f": {exc}"
+        return None if type(value) is list and (rows.ndim == 2 or not value) else " must be a list of rows"
+    if kind == PAIR:
+        if type(value) is list and len(value) == 2:
+            return next(filter(None, (_kind_error(i, INDEX, env) for i in value)), None)
+        return f" must be a pair of universe indices, got {value!r}"
+    if kind == INDEX:
+        n = len(env["universe"])
+        return None if type(value) is int and 0 <= value < n else f" must be an index below {n}, got {value!r}"
+    if type(value) is not str:
+        return f" must be str, got {type(value).__name__}"
+    return None if value in getattr(env["fixture"], kind) else f": no entry {value!r} in the fixture"
+
+
+def check_field(obj: dict, key: str, kind, env: dict, where: str):
+    """``obj[key]``, checked to be a field of ``kind``; raises :class:`MalformedReport`."""
+    if key not in obj:
+        raise MalformedReport(f"{where}: missing field {key!r}")
+    error = _kind_error(obj[key], kind, env)
+    if error:
+        raise MalformedReport(f"{where}.{key}{error}")
+    return obj[key]
+
+
+def check_certificate(cert: dict, clauses: Sequence[str], env: dict, where: str) -> Clause:
+    """The entry of ``cert``'s clause, one of ``clauses``, after checking each
+    field it requires against ``env``; raises :class:`MalformedReport`.
+
+    Where only one clause is allowed its fields are checked first, then
+    that the certificate names it.
+    """
+    name = clauses[0] if len(clauses) == 1 else check_field(cert, "clause", str, {}, where)
+    if name not in clauses:
+        raise MalformedReport(f"{where}.clause: {name!r} is not one of {list(clauses)}")
+    entry = CLAUSES[name]
+    for key, kind in entry.fields.items():
+        check_field(cert, key, kind, env, where)
+    if check_field(cert, "clause", str, {}, where) != name:
+        raise MalformedReport(f"{where}.clause must be {name!r}, got {cert['clause']!r}")
+    return entry
 
 
 def recheck_certificate(cert: dict, env: dict) -> bool:
-    """Re-verify one certificate from raw data.
+    """Check the fields of one certificate of any clause and re-verify it
+    from raw data in ``env``: "universe" (the modules its indices name),
+    "x"/"y" (torsion-pair families), "family" (closure), "presentation" and
+    "gen_module" (silting), "lhs"/"rhs" (perpendicular transfer), or
+    "fixture" (top-level claims)."""
+    return check_certificate(cert, list(CLAUSES), env, "certificate").recheck(cert, env)
 
-    ``env`` supplies the context the certificate's clause needs:
-    "universe" (list of modules, for index references), "x"/"y"
-    (families for torsion clauses), "family" (for closure clauses),
-    "presentation" and "gen_module" (for silting mismatches).
-    """
-    clause = cert.get("clause")
-    universe: Sequence[ModuleRep] = env.get("universe", [])
-    if clause == "hom-vanishing":
-        src, tgt = universe[cert["x"]], universe[cert["y"]]
-        basis = hom_space(src, tgt)
-        if len(basis) != cert["hom_dim"] or not basis:
-            return False
-        witness = ModuleMap(src, tgt, FpMatrix(src.p, cert["witness"]))
-        return witness.is_valid() and not witness.matrix.is_zero()
-    if clause == "torsion-sequence":
-        x: ModuleFamily = env["x"]
-        y: ModuleFamily = env["y"]
-        m = universe[cert["module"]]
-        sub, inc = trace_of(x.members(universe), m)
-        if sub.dim != cert["trace_dim"]:
-            return False
-        quot, _ = quotient_module(m, inc.matrix)
-        t_in_x = x.contains(sub)
-        q_in_y = y.contains(quot)
-        return (
-            t_in_x == cert["trace_in_x"]
-            and q_in_y == cert["quotient_in_y"]
-            and not (t_in_x and q_in_y)
-        )
-    if clause == "no-sequence":
-        x, y = env["x"], env["y"]
-        m = universe[cert["module"]]
-        for w in all_submodule_bases(m):
-            sub, _ = submodule(m, w)
-            if not x.contains(sub):
-                continue
-            quot, _ = quotient_module(m, w)
-            if y.contains(quot):
-                return False
-        return True
-    if clause in ("perp-right", "perp-left"):
-        x, y = env["x"], env["y"]
-        m = universe[cert["module"]]
-        if clause == "perp-right":
-            in_perp = all(len(hom_space(g, m)) == 0 for g in x.members(universe))
-            in_fam = y.contains(m)
-        else:
-            in_perp = all(len(hom_space(m, g)) == 0 for g in y.members(universe))
-            in_fam = x.contains(m)
-        return in_perp == cert["in_perp"] and in_fam == cert["in_family"] and in_perp != in_fam
-    if clause == "membership-mismatch":
-        pres: Presentation = env["presentation"]
-        gen_mod: ModuleRep = env["gen_module"]
-        m = universe[cert["module"]]
-        in_d = d_sigma_member(pres, m)
-        in_g = gen_member(gen_mod, m)
-        return in_d == cert["in_d_sigma"] and in_g == cert["in_gen"] and in_d != in_g
-    if clause == "self-membership":
-        pres = env["presentation"]
-        return not d_sigma_member(pres, pres.target)
-    if clause in ("perp-equality", "forward-inclusion", "converse-inclusion"):
-        lhs: ModuleFamily = env["lhs"]
-        rhs: ModuleFamily = env["rhs"]
-        m = universe[cert["module"]]
-        in_l, in_r = lhs.contains(m), rhs.contains(m)
-        if clause == "perp-equality":
-            return in_l == cert["in_lhs"] and in_r == cert["in_rhs"] and in_l != in_r
-        return in_l and not in_r
-    if clause == "image-closure":
-        fam: ModuleFamily = env["family"]
-        src = universe[cert["source"]]
-        tgt = universe[cert["target"]]
-        rows = cert["map"]
-        # A map into the zero module has no rows to carry its width.
-        mat = FpMatrix(src.p, rows) if rows else FpMatrix.zeros(src.p, 0, src.dim)
-        mm = ModuleMap(src, tgt, mat)
-        if not mm.is_valid():
-            return False
-        from .linalg import column_space_basis
 
-        img, _ = submodule(tgt, column_space_basis(mat))
-        return img.dim == cert["image_dim"] and not fam.contains(img)
-    if clause == "sum-closure":
-        fam = env["family"]
-        from .modules import direct_sum
+def _records(cert: dict, facts: dict) -> bool:
+    """Whether ``cert`` records exactly ``facts``."""
+    return all(cert[key] == value for key, value in facts.items())
 
-        i, j = cert["pair"]
-        total = direct_sum([universe[i], universe[j]], algebra=universe[i].algebra).module
-        return not fam.contains(total)
-    if clause == "extension-closure":
-        fam = env["family"]
-        from .modules import extension_middle_terms
 
-        i, j = cert["pair"]
-        res = extension_middle_terms(universe[i], universe[j])
-        return any(e.dim == cert["middle_dim"] and not fam.contains(e) for e in res.middle_terms)
-    raise ValueError(f"unknown certificate clause: {clause!r}")
+def disagree(facts: dict) -> bool:
+    """Whether the facts a claim compares disagree, so that it records a certificate."""
+    return len(set(facts.values())) > 1
+
+
+def _records_mismatch(cert: dict, facts: dict) -> bool:
+    """Whether ``cert`` records exactly ``facts``, and they disagree."""
+    return _records(cert, facts) and disagree(facts)
+
+
+def _map(src: ModuleRep, tgt: ModuleRep, rows: list) -> Optional[ModuleMap]:
+    """The map src -> tgt with matrix ``rows`` (no rows: into the zero
+    module), or None if its shape is wrong."""
+    mat = FpMatrix(src.p, rows) if rows else FpMatrix.zeros(src.p, 0, src.dim)
+    if (mat.rows, mat.cols) != (tgt.dim, src.dim):
+        return None
+    return ModuleMap(src, tgt, mat)
+
+
+@_clause("hom-vanishing", x=INDEX, y=INDEX, hom_dim=int, witness=MATRIX)
+def _hom_vanishing(cert: dict, env: dict) -> bool:
+    src, tgt = env["universe"][cert["x"]], env["universe"][cert["y"]]
+    basis = hom_space(src, tgt)
+    if len(basis) != cert["hom_dim"] or not basis:
+        return False
+    witness = _map(src, tgt, cert["witness"])
+    return witness is not None and witness.is_valid() and not witness.matrix.is_zero()
+
+
+@_clause("torsion-sequence", module=INDEX, trace_dim=int, trace_in_x=bool, quotient_in_y=bool)
+def _torsion_sequence(cert: dict, env: dict) -> bool:
+    universe = env["universe"]
+    m = universe[cert["module"]]
+    sub, inc = trace_of(env["x"].members(universe), m)
+    if sub.dim != cert["trace_dim"]:
+        return False
+    quot, _ = quotient_module(m, inc.matrix)
+    facts = {"trace_in_x": env["x"].contains(sub), "quotient_in_y": env["y"].contains(quot)}
+    return _records(cert, facts) and not all(facts.values())
+
+
+@_clause("perp-right", "perp-left", module=INDEX, in_perp=bool, in_family=bool)
+def _perp(cert: dict, env: dict) -> bool:
+    universe, x, y = env["universe"], env["x"], env["y"]
+    m = universe[cert["module"]]
+    if cert["clause"] == "perp-right":
+        facts = {"in_perp": all(len(hom_space(g, m)) == 0 for g in x.members(universe)), "in_family": y.contains(m)}
+    else:
+        facts = {"in_perp": all(len(hom_space(m, g)) == 0 for g in y.members(universe)), "in_family": x.contains(m)}
+    return _records_mismatch(cert, facts)
+
+
+@_clause("membership-mismatch", module=INDEX, in_d_sigma=bool, in_gen=bool)
+def _membership_mismatch(cert: dict, env: dict) -> bool:
+    m = env["universe"][cert["module"]]
+    facts = {"in_d_sigma": d_sigma_member(env["presentation"], m), "in_gen": gen_member(env["gen_module"], m)}
+    return _records_mismatch(cert, facts)
+
+
+@_clause("self-membership")
+def _self_membership(cert: dict, env: dict) -> bool:
+    return not d_sigma_member(env["presentation"], env["presentation"].target)
+
+
+@_clause("perp-equality", module=INDEX, in_lhs=bool, in_rhs=bool)
+def _perp_equality(cert: dict, env: dict) -> bool:
+    m = env["universe"][cert["module"]]
+    return _records_mismatch(cert, {"in_lhs": env["lhs"].contains(m), "in_rhs": env["rhs"].contains(m)})
+
+
+@_clause("forward-inclusion", "converse-inclusion", module=INDEX)
+def _inclusion(cert: dict, env: dict) -> bool:
+    m = env["universe"][cert["module"]]
+    return env["lhs"].contains(m) and not env["rhs"].contains(m)
+
+
+@_clause("image-closure", source=INDEX, target=INDEX, map=MATRIX, image_dim=int)
+def _image_closure(cert: dict, env: dict) -> bool:
+    src, tgt = env["universe"][cert["source"]], env["universe"][cert["target"]]
+    mm = _map(src, tgt, cert["map"])
+    if mm is None or not mm.is_valid():
+        return False
+    img, _ = submodule(tgt, column_space_basis(mm.matrix))
+    return img.dim == cert["image_dim"] and not env["family"].contains(img)
+
+
+@_clause("sum-closure", pair=PAIR)
+def _sum_closure(cert: dict, env: dict) -> bool:
+    x, y = (env["universe"][i] for i in cert["pair"])
+    return not env["family"].contains(direct_sum([x, y], algebra=x.algebra).module)
+
+
+@_clause("extension-closure", pair=PAIR, middle_dim=int)
+def _extension_closure(cert: dict, env: dict) -> bool:
+    x, y = (env["universe"][i] for i in cert["pair"])
+    res = extension_middle_terms(x, y)
+    return any(e.dim == cert["middle_dim"] and not env["family"].contains(e) for e in res.middle_terms)
+
+
+@_clause(
+    "hom-dim-mismatch",
+    source="comma_universe", target="comma_universe", kind=int, formula=int, comma_dim=int, t_module_dim=int,
+)
+def _hom_dim_mismatch(cert: dict, env: dict) -> bool:
+    fx = env["fixture"]
+    x, y = fx.comma_universe[cert["source"]], fx.comma_universe[cert["target"]]
+    if cert["kind"] != env["kind"] or not hom_formula_applicable(env["kind"], x, y):
+        return False
+    facts = hom_formula_facts(env["kind"], x, y, fx.t_universe[x.label], fx.t_universe[y.label])
+    return _records_mismatch(cert, facts)
+
+
+@_clause(
+    "tensor-dim-mismatch",
+    shape=int, right_module="right_t_universe", comma="comma_universe", predicted=int, computed=int,
+)
+def _tensor_dim_mismatch(cert: dict, env: dict) -> bool:
+    fx = env["fixture"]
+    rt, c = fx.right_t_universe[cert["right_module"]], fx.comma_universe[cert["comma"]]
+    predicted = dict(tensor_shape_predictions(rt, c)).get(env["shape"])
+    facts = {"predicted": predicted, "computed": tensor_T(rt, c).dim}
+    return cert["shape"] == env["shape"] and _records_mismatch(cert, facts)
+
+
+@_clause(
+    "tensor-oracle-mismatch",
+    right_module="right_t_universe", comma="comma_universe", main=int, bruteforce=int, via_algebra=int,
+)
+def _tensor_oracle_mismatch(cert: dict, env: dict) -> bool:
+    fx = env["fixture"]
+    rt, c = fx.right_t_universe[cert["right_module"]], fx.comma_universe[cert["comma"]]
+    return _records_mismatch(cert, tensor_oracle_facts(rt, c, fx.t))
+
+
+@_clause("decomposition-mismatch", module="t_universe", whole=bool, componentwise=bool)
+def _decomposition_mismatch(cert: dict, env: dict) -> bool:
+    fx = env["fixture"]
+    return _records_mismatch(cert, decomposition_facts(env["presentations"], fx.t_universe[cert["module"]], fx.t))
+
+
+@_clause(
+    "adjunction-mismatch",
+    a="r_universe", b="s_universe", comma="comma_universe", comma_hom=int, component_hom=int,
+)
+def _adjunction_mismatch(cert: dict, env: dict) -> bool:
+    fx, side = env["fixture"], env["side"]
+    a, b, c = fx.r_universe[cert["a"]], fx.s_universe[cert["b"]], fx.comma_universe[cert["comma"]]
+    functor_ab = (functor_p if side == "p-q" else functor_h)(fx.u, a, b)
+    return _records_mismatch(cert, adjunction_facts(side, functor_ab, a, b, c))
+
+
+@_clause("roundtrip-failure", comma="comma_universe", witness_valid=bool, isomorphic=bool)
+def _roundtrip_failure(cert: dict, env: dict) -> bool:
+    facts = round_trip_facts(env["fixture"].comma_universe[cert["comma"]], env["fixture"].t)
+    return _records(cert, facts) and not all(facts.values())

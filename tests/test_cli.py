@@ -275,3 +275,22 @@ def test_too_small_iso_cap_is_one_task_error_line(runner, tmp_path, command):
     result = runner.invoke(main, [*_dual_numbers_target(command, tmp_path), "--iso-cap", "0"])
     assert result.exit_code == 3, result.output
     assert result.stderr == "task error: comma hom dimension 1 exceeds cap 0\n"
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "section, name, path",
+    [("modules", "Rk", ("action", 0, 0, 0)), ("algebras", "R", ("unit", 0))],
+    ids=["module-action", "algebra-unit"],
+)
+def test_entry_beyond_int64_exit_2(runner, tmp_path, command, section, name, path):
+    payload = sample_document()
+    target = payload[section][name]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 2 ** 70
+    doc_path = tmp_path / "bad.json"
+    doc_path.write_text(json.dumps(payload))
+    result = runner.invoke(main, [command, str(doc_path)])
+    assert result.exit_code == 2, result.output
+    assert f"{section}.{name}" in result.output

@@ -2,6 +2,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commacat.document import (
     DocumentError,
@@ -228,3 +230,73 @@ def test_malformed_shape_raises_document_error(mutate, path):
     report = document_validation_report(data)
     assert not report["valid"]
     assert any(v["path"] == path for v in report["violations"])
+
+
+def _put(section, name, *path, value):
+    """A mutation that sets one entry inside a section entry, by index path."""
+    def mutate(d):
+        target = d[section][name]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return d
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, path, message",
+    [
+        (_put("modules", "Rk", "action", 0, 0, 0, value=2 ** 70), "modules.Rk.action[0]", "int64 range"),
+        (_put("modules", "Rk", "action", 0, 0, 0, value=-(2 ** 63) - 1), "modules.Rk.action[0]", "int64 range"),
+        (_put("modules", "Rk", "action", 0, 0, 0, value=1.5), "modules.Rk.action[0]", "entry 1.5"),
+        (_put("modules", "Rk", "action", 0, 0, 0, value=True), "modules.Rk.action[0]", "entry True"),
+        (_put("modules", "RR", "action", 1, 1, value=[1, True]), "modules.RR.action[1]", "entry True"),
+        (_put("comma_objects", "cP", "phi", 0, 0, value=1.0), "comma_objects.cP.phi", "entry 1.0"),
+        (_put("algebras", "R", "unit", 0, value=2 ** 70), "algebras.R", "unit: entry"),
+        (_put("algebras", "R", "mul", 0, 0, 0, value=True), "algebras.R", "mul: entry True"),
+    ],
+    ids=["action-2**70", "action-below-int64", "action-float", "action-bool", "action-bool-in-row", "phi-float",
+         "unit-2**70", "mul-bool"],
+)
+def test_matrix_entries_must_be_exact_int64_integers(mutate, path, message):
+    data = mutate(sample_document())
+    with pytest.raises(DocumentError) as err:
+        parse_document(data)
+    assert err.value.path == path
+    assert message in err.value.message
+
+
+def _paths(value, path=()):
+    """The path of every entry inside a JSON value."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2 ** 63, 2 ** 70, -(2 ** 63) - 1])
+    | st.floats(allow_nan=False) | st.sampled_from(["", "Rk", "ur", "all", "left"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["dim", "kind", "a"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_document_mutations_raise_only_document_errors(data):
+    doc = sample_document()
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        if data.draw(st.booleans()):
+            owner[path[-1]] = data.draw(_JSON)
+        else:
+            del owner[path[-1]]
+    try:
+        parse_document(doc)
+    except DocumentError:
+        pass

@@ -6,11 +6,9 @@ from commacat.verify import (
     recheck_certificate,
     verify_final_corollaries,
     verify_partial_silting_transfer,
-    verify_prop_B_perp,
-    verify_prop_J_perp,
+    verify_perp_transfer,
     verify_silting_transfer,
-    verify_thm_torsion_B,
-    verify_thm_torsion_J,
+    verify_torsion_transfer,
 )
 
 
@@ -62,8 +60,8 @@ def test_torsion_transfer_mono_frozen_outcomes(a2):
     combos = {}
     for c in (("zero", "all"), ("all", "zero")):
         for d in (("zero", "all"), ("all", "zero")):
-            v = verify_thm_torsion_B(
-                a2.t, _fam(c[0], r_u), _fam(c[1], r_u), _fam(d[0], s_u), _fam(d[1], s_u),
+            v = verify_torsion_transfer(
+                "mono", a2.t, _fam(c[0], r_u), _fam(c[1], r_u), _fam(d[0], s_u), _fam(d[1], s_u),
                 r_u, s_u, t_u,
             )
             combos[(c, d)] = v
@@ -84,8 +82,8 @@ def test_torsion_transfer_adjoint_frozen_outcomes(a2):
     combos = {}
     for c in (("zero", "all"), ("all", "zero")):
         for d in (("zero", "all"), ("all", "zero")):
-            v = verify_thm_torsion_J(
-                a2.t, _fam(c[0], r_u), _fam(c[1], r_u), _fam(d[0], s_u), _fam(d[1], s_u),
+            v = verify_torsion_transfer(
+                "adjoint", a2.t, _fam(c[0], r_u), _fam(c[1], r_u), _fam(d[0], s_u), _fam(d[1], s_u),
                 r_u, s_u, t_u,
             )
             combos[(c, d)] = v
@@ -106,7 +104,7 @@ def test_prop_B_perp_frozen_outcomes(a2):
     outcomes = {}
     for ck in ("zero", "all"):
         for dk in ("zero", "all"):
-            v = verify_prop_B_perp(a2.t, _fam(ck, r_u), _fam(dk, s_u), r_u, s_u, t_u)
+            v = verify_perp_transfer("mono", a2.t, _fam(ck, r_u), _fam(dk, s_u), r_u, s_u, t_u)
             outcomes[(ck, dk)] = v
             # part (1) always holds on the fixture
             assert v.sub[0].holds, (ck, dk)
@@ -125,7 +123,7 @@ def test_prop_J_perp_frozen_outcomes(a2):
     outcomes = {}
     for ck in ("zero", "all"):
         for dk in ("zero", "all"):
-            v = verify_prop_J_perp(a2.t, _fam(ck, r_u), _fam(dk, s_u), r_u, s_u, t_u)
+            v = verify_perp_transfer("adjoint", a2.t, _fam(ck, r_u), _fam(dk, s_u), r_u, s_u, t_u)
             outcomes[(ck, dk)] = v
             assert v.sub[0].holds, (ck, dk)
             assert v.sub[1].holds, (ck, dk)
@@ -159,8 +157,8 @@ def test_final_corollaries_a2(a2):
 
 def test_certificates_replay(a2):
     r_u, s_u, t_u = a2.r_universe_list(), a2.s_universe_list(), a2.t_universe_list()
-    v = verify_thm_torsion_B(
-        a2.t, _fam("all", r_u), _fam("zero", r_u), _fam("zero", s_u), _fam("all", s_u),
+    v = verify_torsion_transfer(
+        "mono", a2.t, _fam("all", r_u), _fam("zero", r_u), _fam("zero", s_u), _fam("all", s_u),
         r_u, s_u, t_u,
     )
     q = v.sub[2]
