@@ -10,8 +10,8 @@ basis-free.
 Comma objects correspond to left modules over T = [[R, 0], [U, S]]:
 (r, u, s) acts on (a, b) by (r a, phi(u (x) a) + s b).  Both directions
 of that correspondence are implemented, and every Hom computation can be
-cross-checked through it.  :func:`hom_comma` assembles its system in closed
-form: intertwining systems for f and g, one block per side of the square.
+cross-checked through it.  :func:`hom_comma` solves one closed-form system per
+pair of comma summands: intertwining for f and g, then the square.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .modules import (
     action_stack,
     balancing_generators,
     balanced_tensor,
+    diagonal_blocks,
     direct_sum,
     generator_stack,
     hom_coords,
@@ -57,11 +58,12 @@ from .modules import (
     is_isomorphic,
     quotient_module,
     regular_module,
+    scatter_blocks,
     tensor_map,
     tensor_over,
     zero_module,
 )
-from .memo import ContentKeyed, content_bytes, memo
+from .memo import ContentKeyed, content_bytes, memo, unpack_bytes
 from .presentations import Presentation
 
 
@@ -371,43 +373,88 @@ def right_t_to_module(rt: RightTModule, t: Optional[TriangularAlgebra] = None) -
 # -- Hom computations ----------------------------------------------------------
 
 
-@memo("hom_comma")
-def hom_comma(x: CommaObject, y: CommaObject) -> list[CommaMap]:
-    """Basis of the morphism space: joint intertwining plus the square.
+@memo("comma_groups")
+def _comma_groups(c: CommaObject) -> tuple[tuple[np.ndarray, np.ndarray, tuple], ...]:
+    """The comma summands of c as (A indices, B indices, content): the diagonal blocks of A and of B
+    (:func:`diagonal_blocks`), each A-block joined with every B-block that phi maps U (x) (it) into.
+    The content holds (shape, packed bytes) of the summand's generator stacks and phi.  Memoized."""
+    if c.total_dim == 0:
+        return ()
+    da = c.A.dim
+    a_stack, b_stack = generator_stack(c.A), generator_stack(c.B)
+    cuts = diagonal_blocks(a_stack) + [da + b for b in diagonal_blocks(b_stack)[1:]]
+    # one-hot rows: the block of each index on the line of A's indices, then B's
+    block = np.repeat(np.eye(len(cuts) - 1, dtype=bool), np.diff(cuts), axis=0)
+    phi = c.phi.array().reshape(c.B.dim, c.bimodule.dim, da)
+    joined = block[da:].T @ phi.any(axis=1) @ block[:da]
+    reach = joined | joined.T | np.eye(len(joined), dtype=bool)
+    while ((closed := reach @ reach) != reach).any():
+        reach = closed
+    root = (block @ reach).argmax(axis=1)  # per index, the first block its block reaches
+    groups = [(np.flatnonzero(root[:da] == r), np.flatnonzero(root[da:] == r)) for r in sorted(set(root.tolist()))]
+    return tuple(
+        (ai, bi, tuple((a.shape, content_bytes(c.p, a)) for a in (a_stack[:, ai[:, None], ai],
+                                                                  b_stack[:, bi[:, None], bi], phi[bi][:, :, ai])))
+        for ai, bi in groups
+    )
 
-    The intertwining rows of f: A_x -> A_y and g: B_x -> B_y are those of
-    the algebra generators only, which has the same kernel when the four
-    modules satisfy the module law (see ``modules.hom_space``).
-    Memoized; callers must not mutate the returned list.
-    """
-    if x.bimodule != y.bimodule:
-        raise AlgebraMismatch("comma objects over different data")
-    p = x.p
-    ya, xa, yb, xb = y.A.dim, x.A.dim, y.B.dim, x.B.dim
-    nf, ng, ns = ya * xa, yb * xb, yb * x.bimodule.dim * xa
-    a_rows = intertwining_system(p, generator_stack(y.A), generator_stack(x.A)).array()
-    b_rows = intertwining_system(p, generator_stack(y.B), generator_stack(x.B)).array()
+
+@memo("comma_block")
+def _comma_block(p: int, target: tuple, source: tuple) -> np.ndarray:
+    """Canonical kernel basis, one frozen row per vector, of the joint system in (vec f, vec g)
+    between two summands packed by :func:`_comma_groups`, on the rows of the algebra generators
+    only: the same kernel under the module law (see ``modules.hom_space``).  Memoized."""
+    unpacked = ([unpack_bytes(p, data, shape) for shape, data in group] for group in (target, source))
+    (ya_stack, yb_stack, phi_y), (xa_stack, xb_stack, phi_x) = unpacked
+    (yb, du, ya), xa, xb = phi_y.shape, xa_stack.shape[1], xb_stack.shape[1]
+    nf, ng, ns = ya * xa, yb * xb, yb * du * xa
+    a_rows = intertwining_system(p, ya_stack, xa_stack).array()
+    b_rows = intertwining_system(p, yb_stack, xb_stack).array()
     # The square g phi_x - phi_y (I_U (x) f): vec(g phi_x) = kron(I, phi_x^T) vec(g),
     # and entry (r, u, a) of phi_y (I_U (x) f) is sum_b phi_y[r, u, b] f[b, a].
-    phi_y = y.phi.array().reshape(yb, x.bimodule.dim, ya)
     square_f = np.einsum("rub,ac->ruabc", phi_y, np.eye(xa, dtype=np.int64)).reshape(ns, nf)
-    square_g = np.kron(np.eye(yb, dtype=np.int64), x.phi.array().T).reshape(ns, ng)
+    square_g = np.kron(np.eye(yb, dtype=np.int64), phi_x.reshape(xb, du * xa).T).reshape(ns, ng)
     system = np.block([
         [a_rows, np.zeros((a_rows.shape[0], ng), dtype=np.int64)],
         [np.zeros((b_rows.shape[0], nf), dtype=np.int64), b_rows],
         [-square_f, square_g],
     ])
-    basis = kernel_basis(FpMatrix(p, system)).array()
-    maps = []
-    for k in range(basis.shape[1]):
-        f = FpMatrix(p, basis[:nf, k].reshape(ya, xa))
-        g = FpMatrix(p, basis[nf:, k].reshape(yb, xb))
-        maps.append(CommaMap(x, y, ModuleMap(x.A, y.A, f), ModuleMap(x.B, y.B, g)))
-    return maps
+    basis = kernel_basis(FpMatrix(p, system)).array().T.copy()
+    basis.setflags(write=False)
+    return basis
+
+
+def _group_pairs(x: CommaObject, y: CommaObject) -> list[tuple[tuple, tuple, np.ndarray]]:
+    """(source group, target group, kernel rows) for each pair of groups."""
+    if x.bimodule != y.bimodule:
+        raise AlgebraMismatch("comma objects over different data")
+    return [(s, t, _comma_block(x.p, t[2], s[2])) for s in _comma_groups(x) for t in _comma_groups(y)]
+
+
+@memo("hom_comma")
+def hom_comma(x: CommaObject, y: CommaObject) -> list[CommaMap]:
+    """Basis of the morphism space: the canonical kernel basis of the joint
+    system in (vec f, vec g).  Hom is biadditive, so each pair of comma summands
+    (:func:`_comma_groups`) is solved once (table ``comma_block``) and
+    :func:`scatter_blocks` places the kernels.  Memoized; do not mutate the list.
+    """
+    p, nf = x.p, y.A.dim * x.A.dim
+    frame_f = np.arange(nf).reshape(y.A.dim, x.A.dim)
+    frame_g = nf + np.arange(y.B.dim * x.B.dim).reshape(y.B.dim, x.B.dim)
+    parts = [
+        (np.concatenate([frame_f[ya[:, None], xa].ravel(), frame_g[yb[:, None], xb].ravel()]), k)
+        for (xa, xb, _), (ya, yb, _), k in _group_pairs(x, y) if len(k)
+    ]
+    return [
+        CommaMap(x, y, ModuleMap(x.A, y.A, FpMatrix._of(p, vec[:nf].reshape(y.A.dim, x.A.dim).copy())),
+                 ModuleMap(x.B, y.B, FpMatrix._of(p, vec[nf:].reshape(y.B.dim, x.B.dim).copy())))
+        for vec in scatter_blocks(nf + y.B.dim * x.B.dim, parts)
+    ]
 
 
 def hom_comma_dim(x: CommaObject, y: CommaObject) -> int:
-    return len(hom_comma(x, y))
+    """dim Hom(x, y): the sum of the group-pair kernel sizes; builds no map."""
+    return sum(len(k) for *_, k in _group_pairs(x, y))
 
 
 def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16) -> IsoResult:

@@ -115,16 +115,21 @@ _REFERENCE_KINDS = {"universes": "universe", "families": "family", "presentation
 def task_references(doc: Document, task: dict, path: str) -> dict[str, Any]:
     """The object each reference key of ``task`` names, by key.
 
-    Raises DocumentError at ``path.kind`` for an unknown kind and at
-    ``path.<key>`` for a reference that does not resolve.
+    Raises DocumentError at ``path.kind`` for an unknown kind, at ``path.<key>``
+    for a reference that does not resolve, and at ``path.sigma_a`` (``sigma_b``)
+    for a presentation that does not present the task's ``a`` (``b``).
     """
     kind = task.get("kind")
     if not isinstance(kind, str) or kind not in _TASK_REFERENCES:
         raise DocumentError(f"{path}.kind", f"unknown task kind {kind!r}")
-    return {
+    refs = {
         key: _lookup(getattr(doc, table), task.get(key, ""), f"{path}.{key}", _REFERENCE_KINDS[table])
         for key, table in _TASK_REFERENCES[kind].items()
     }
+    for sigma, module in (("sigma_a", "a"), ("sigma_b", "b")):
+        if sigma in refs and refs[sigma].target != refs[module]:
+            raise DocumentError(f"{path}.{sigma}", f"{task[sigma]!r} does not present {task[module]!r}")
+    return refs
 
 
 def parse_document(data: Any, collect: Optional[list] = None) -> Document:

@@ -27,6 +27,11 @@ def content_bytes(p: int, *arrays: np.ndarray) -> bytes:
     return b"".join(a.astype(dtype).tobytes() for a in arrays)
 
 
+def unpack_bytes(p: int, data: bytes, shape: tuple) -> np.ndarray:
+    """The int64 array of ``shape`` that :func:`content_bytes` packed as ``data``."""
+    return np.frombuffer(data, packed_dtype(p)).astype(np.int64).reshape(shape)
+
+
 class ContentKeyed:
     """Equality and hash by ``key``, built once by the subclass's ``_content()``.
 

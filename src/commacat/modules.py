@@ -44,7 +44,7 @@ from .linalg import (
     solve,
     solve_each,
 )
-from .memo import ContentKeyed, content_bytes, memo, packed_dtype
+from .memo import ContentKeyed, content_bytes, memo, unpack_bytes
 
 LEFT = "left"
 RIGHT = "right"
@@ -269,6 +269,8 @@ def diagonal_blocks(stack: np.ndarray) -> list[int]:
     with one at or above c.
     """
     dim = stack.shape[1]
+    if dim == 0:
+        return [0]
     coupled = stack.any(axis=0)
     coupled |= coupled.T
     # counts[c - 1, -1] - counts[c - 1, c - 1] couplings join rows below c
@@ -294,10 +296,24 @@ def _hom_block(p: int, g: int, rows: int, cols: int, target: bytes, source: byte
     and (g, cols, cols) generator stacks packed by :func:`content_bytes`.
     The returned (h, rows * cols) array is frozen.  Memoized.
     """
-    dtype = packed_dtype(p)
-    left = np.frombuffer(target, dtype).reshape(g, rows, rows).astype(np.int64)
-    right = np.frombuffer(source, dtype).reshape(g, cols, cols).astype(np.int64)
+    left, right = unpack_bytes(p, target, (g, rows, rows)), unpack_bytes(p, source, (g, cols, cols))
     basis = kernel_basis(intertwining_system(p, left, right)).array().T.copy()
+    basis.setflags(write=False)
+    return basis
+
+
+def scatter_blocks(width: int, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Canonical kernel basis, one frozen row per vector, of a system split into
+    blocks, from (increasing positions of its unknowns among all ``width``, rows
+    of its canonical kernel basis) per block.  A canonical kernel vector's last
+    nonzero entry is its free column, which orders :func:`kernel_basis`."""
+    if len(parts) == 1 and len(parts[0][0]) == width:
+        return parts[0][1]
+    basis = np.zeros((sum(len(k) for _, k in parts), width), dtype=np.int64)
+    for (cols, k), h in zip(parts, np.cumsum([0] + [len(k) for _, k in parts])):
+        basis[h : h + len(k), cols] = k
+    if len(basis) > 1:
+        basis = basis[np.argsort(width - np.argmax(basis[:, ::-1] != 0, axis=1))]
     basis.setflags(write=False)
     return basis
 
@@ -305,28 +321,14 @@ def _hom_block(p: int, g: int, rows: int, cols: int, target: bytes, source: byte
 def _hom_basis(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     """The rows of the canonical kernel basis of the Hom system, assembled from
     the diagonal blocks of both modules (see :func:`hom_space`)."""
-    p = m.p
-    g = len(generator_indices(m.algebra))
-    target_blocks, source_blocks = _packed_blocks(n), _packed_blocks(m)
-    if len(target_blocks) == len(source_blocks) == 1:
-        return _hom_block(p, g, n.dim, m.dim, target_blocks[0][2], source_blocks[0][2])
+    p, g, source_blocks = m.p, len(generator_indices(m.algebra)), _packed_blocks(m)
+    frame = np.arange(n.dim * m.dim).reshape(n.dim, m.dim)
     parts = [
-        (r0, r1, c0, c1, _hom_block(p, g, r1 - r0, c1 - c0, tb, sb))
-        for r0, r1, tb in target_blocks
+        (frame[r0:r1, c0:c1].ravel(), _hom_block(p, g, r1 - r0, c1 - c0, tb, sb))
+        for r0, r1, tb in _packed_blocks(n)
         for c0, c1, sb in source_blocks
     ]
-    basis = np.zeros((sum(len(k) for *_, k in parts), n.dim, m.dim), dtype=np.int64)
-    h = 0
-    for r0, r1, c0, c1, k in parts:
-        basis[h : h + len(k), r0:r1, c0:c1] = k.reshape(len(k), r1 - r0, c1 - c0)
-        h += len(k)
-    basis = basis.reshape(h, n.dim * m.dim)
-    # A canonical kernel vector's last nonzero entry is its free column, and
-    # kernel_basis orders the vectors by free column.
-    last = basis.shape[1] - np.argmax(basis[:, ::-1] != 0, axis=1)
-    basis = basis[np.argsort(last)]
-    basis.setflags(write=False)
-    return basis
+    return scatter_blocks(frame.size, parts)
 
 
 @memo("hom_space")
@@ -346,9 +348,8 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
     * Hom is biadditive: when the actions of m and n are block-diagonal
       (:func:`diagonal_blocks`), the system splits into one independent
       system per pair of target and source blocks.  Each block kernel is
-      memoized (table ``hom_block``) and placed in the n x m frame, and
-      the vectors are sorted by their last nonzero entry, which is the
-      free column that orders the full system's kernel basis.
+      memoized (table ``hom_block``), and :func:`scatter_blocks` places
+      them in the n x m frame in the full system's order.
 
     The maps wrap row views of one (h, n.dim * m.dim) array.  Results are
     memoized; callers must not mutate the returned list.

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from commacat.cli import main
-from tests.test_document import _set, _task, sample_document
+from tests.test_document import SILTING_TRANSFER_MISFIT, _set, _task, sample_document
 
 
 @pytest.fixture()
@@ -176,9 +176,10 @@ def test_max_dim_env_var(runner, tmp_path, monkeypatch):
         _set("bimodules", "U", dim=True)(sample_document()),
         _task(kind="hom-table", name="h", universe="nope")(sample_document()),
         _task(kind="bogus")(sample_document()),
+        _task(**SILTING_TRANSFER_MISFIT)(sample_document()),
     ],
     ids=["root-array", "modules-array", "module-action-int", "bimodule-dim-bool", "task-universe",
-         "task-kind"],
+         "task-kind", "task-sigma-misfit"],
 )
 def test_malformed_document_shape_exit_2(runner, tmp_path, command, payload):
     doc_path = tmp_path / "bad.json"

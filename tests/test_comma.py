@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from commacat import comma
 from commacat.algebra import Bimodule, dual_numbers_algebra, field_algebra
 from commacat.comma import (
     CommaObject,
@@ -33,7 +36,7 @@ from commacat.comma import (
     validate_right_t,
 )
 from commacat.fixtures import load_fixture
-from commacat.linalg import FpMatrix, intertwining_system, kernel_basis, rank
+from commacat.linalg import FpMatrix, intertwining_system, inverse, kernel_basis, kron, rank
 from commacat.modules import (
     LEFT,
     ModuleMap,
@@ -557,6 +560,15 @@ def system_universes(a2, dual):
     return out
 
 
+def assert_matches_probed_system(x, y):
+    expected = kernel_basis(probed_hom_comma_system(x, y)).array()
+    got = [np.concatenate([h.f.matrix.array().reshape(-1), h.g.matrix.array().reshape(-1)])
+           for h in hom_comma(x, y)]
+    assert len(got) == expected.shape[1]
+    for k, col in enumerate(got):
+        assert np.array_equal(col, expected[:, k])
+
+
 @pytest.mark.parametrize("name", ["a2", "dual-numbers", "f3-dual"])
 def test_hom_comma_matches_probed_system(name, system_universes):
     universe = system_universes[name][0]
@@ -564,12 +576,84 @@ def test_hom_comma_matches_probed_system(name, system_universes):
     assert any(c.B.dim == 0 and c.A.dim for c in universe)
     for x in universe:
         for y in universe:
-            expected = kernel_basis(probed_hom_comma_system(x, y)).array()
-            got = [np.concatenate([h.f.matrix.array().reshape(-1), h.g.matrix.array().reshape(-1)])
-                   for h in hom_comma(x, y)]
-            assert len(got) == expected.shape[1]
-            for k, col in enumerate(got):
-                assert np.array_equal(col, expected[:, k])
+            assert_matches_probed_system(x, y)
+
+
+@pytest.mark.parametrize("name", ["a2", "dual-numbers", "f3-dual"])
+def test_hom_comma_dim_counts_the_basis(name, system_universes):
+    universe = system_universes[name][0]
+    for x in universe:
+        for y in universe:
+            assert hom_comma_dim(x, y) == len(hom_comma(x, y))
+
+
+def comma_sum(parts, b_order=None):
+    """The comma sum of ``parts`` built entry by entry: A and B are the sums of
+    their A and B parts, the B parts in ``b_order`` (default: in order), and
+    phi maps U (x) (A part i) into B part i."""
+    u = parts[0].bimodule
+    b_order = list(range(len(parts))) if b_order is None else b_order
+    a = direct_sum([c.A for c in parts], algebra=u.r_algebra).module
+    b = direct_sum([parts[i].B for i in b_order], algebra=u.s_algebra).module
+    a_off = np.cumsum([0] + [c.A.dim for c in parts])
+    b_off = dict(zip(b_order, np.cumsum([0] + [parts[i].B.dim for i in b_order])))
+    phi = np.zeros((b.dim, u.dim, a.dim), dtype=np.int64)
+    for i, c in enumerate(parts):
+        block = c.phi.array().reshape(c.B.dim, u.dim, c.A.dim)
+        phi[b_off[i] : b_off[i] + c.B.dim, :, a_off[i] : a_off[i + 1]] = block
+    return CommaObject(u, a, b, FpMatrix(u.p, phi.reshape(b.dim, u.dim * a.dim)), label="sum")
+
+
+def comma_in_basis(c, ga, gb):
+    """c transported along the invertible ga on A and gb on B."""
+    ga_inv, gb_inv = inverse(ga), inverse(gb)
+    a = ModuleRep(c.A.algebra, LEFT, c.A.dim, [ga_inv @ m @ ga for m in c.A.action])
+    b = ModuleRep(c.B.algebra, LEFT, c.B.dim, [gb_inv @ m @ gb for m in c.B.action])
+    phi = gb_inv @ c.phi @ kron(FpMatrix.identity(c.p, c.bimodule.dim), ga)
+    return CommaObject(c.bimodule, a, b, phi, label=c.label)
+
+
+@st.composite
+def invertible(draw, p, n):
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    g = FpMatrix(p, np.array(entries, dtype=np.int64).reshape(n, n))
+    return g if rank(g) == n else FpMatrix.identity(p, n)
+
+
+@st.composite
+def comma_sums(draw, universe):
+    """A sum of 1-3 universe objects, each sometimes in a random basis, with
+    the B parts sometimes reversed so that the groups interleave."""
+    parts = draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3))
+    for i, c in enumerate(parts):
+        if c.total_dim > 1 and draw(st.booleans()):
+            parts[i] = comma_in_basis(c, draw(invertible(c.p, c.A.dim)), draw(invertible(c.p, c.B.dim)))
+    return comma_sum(parts, list(range(len(parts)))[:: draw(st.sampled_from([1, -1]))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["a2", "dual-numbers", "f3-dual"]))
+def test_hom_comma_of_comma_sums_is_the_joint_system_kernel(data, name, system_universes):
+    """p = 2 on the fixtures, p = 3 on the F_3 rebuild."""
+    universe = system_universes[name][0]
+    x, y = data.draw(comma_sums(universe)), data.draw(comma_sums(universe))
+    assert validate_comma(x) == [] and validate_comma(y) == []
+    assert_matches_probed_system(x, y)
+    assert_matches_probed_system(y, x)
+    assert hom_comma_dim(x, y) == len(hom_comma(x, y))
+
+
+def test_interleaved_groups(system_universes):
+    """phi joins A-block 1 to B-block 2 and A-block 2 to B-block 1."""
+    universe = system_universes["f3-dual"][0]
+    c = next(c for c in universe if c.A.dim == c.B.dim == 1 and not c.phi.is_zero())
+    d = next(d for d in universe if d.A.dim == 2 and d.B.dim == 1 and not d.phi.is_zero())
+    x = comma_sum([c, d], [1, 0])
+    groups = sorted((a.tolist(), b.tolist()) for a, b, _ in comma._comma_groups(x))
+    assert groups == [([0], [1]), ([1, 2], [0])]
+    for y in (x, comma_sum([c, d]), comma_sum([d, c], [1, 0]), *universe):
+        assert_matches_probed_system(x, y)
+        assert_matches_probed_system(y, x)
 
 
 @pytest.mark.parametrize("name", ["a2", "dual-numbers", "f3-dual"])

@@ -183,6 +183,13 @@ def _set(section, name, **fields):
     return mutate
 
 
+# A silting-transfer task whose presentations present neither its a nor its b.
+SILTING_TRANSFER_MISFIT = {
+    "kind": "silting-transfer", "name": "st", "bimodule": "U", "a": "RR", "sigma_a": "k_from_x", "b": "Sk",
+    "sigma_b": "k_from_x", "r_universe": "ur", "s_universe": "us", "t_universe": "ut",
+}
+
+
 def _task(**task):
     """A mutation that appends one task (it becomes tasks[5])."""
     def mutate(d):
@@ -213,6 +220,8 @@ def _task(**task):
         (_task(kind="is-silting", presentation="nope", universe="ur"), "tasks[5].presentation"),
         (_task(kind="gen-member", generator="RR", module="cP"), "tasks[5].module"),
         (_task(kind="silting-transfer", bimodule="V"), "tasks[5].bimodule"),
+        (_task(**SILTING_TRANSFER_MISFIT), "tasks[5].sigma_a"),
+        (_task(**{**SILTING_TRANSFER_MISFIT, "a": "Rk"}), "tasks[5].sigma_b"),
         (_task(kind="bogus"), "tasks[5].kind"),
         (_task(kind=["hom-table"]), "tasks[5].kind"),
     ],
@@ -220,7 +229,7 @@ def _task(**task):
          "action-int", "module-dim-bool", "bimodule-dim-bool", "right-action-null",
          "comma-A-list", "presentation-module-object", "universe-name-list", "family-modules-int",
          "task-universe", "task-family", "task-presentation", "task-module-is-comma", "task-bimodule",
-         "task-kind-unknown", "task-kind-list"],
+         "task-sigma-a-misfit", "task-sigma-b-misfit", "task-kind-unknown", "task-kind-list"],
 )
 def test_malformed_shape_raises_document_error(mutate, path):
     data = mutate(sample_document())

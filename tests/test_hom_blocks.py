@@ -92,6 +92,7 @@ def test_diagonal_blocks():
     assert diagonal_blocks(a) == [0, 1, 4, 5]
     assert diagonal_blocks(np.ones((1, 3, 3), dtype=np.int64)) == [0, 3]
     assert diagonal_blocks(np.zeros((0, 2, 2), dtype=np.int64)) == [0, 1, 2]
+    assert diagonal_blocks(np.zeros((2, 0, 0), dtype=np.int64)) == [0]
 
 
 def full_system_basis(m, n):

@@ -15,6 +15,10 @@ def test_hom_space_calls_of_a_dual_numbers_run():
     assert stats["hom_space"]["misses"] == stats["hom_space"]["size"] == 1666
     # the 1,247 misses with nonzero dimensions solve 548 distinct block systems
     assert stats["hom_block"]["misses"] == stats["hom_block"]["size"] == 548
+    # hom_comma splits the 47 distinct comma objects into groups once each, and
+    # its maps and dimensions rest on 63 distinct group-pair solves
+    assert stats["comma_groups"]["misses"] == stats["comma_groups"]["size"] == 47
+    assert stats["comma_block"]["misses"] == stats["comma_block"]["size"] == 63
     # is_partial_silting tests 1,143 pair sums, of 386 distinct pairs
     assert stats["pair_sum"]["hits"] + stats["pair_sum"]["misses"] == 1143
     assert stats["pair_sum"]["misses"] == 386
