@@ -683,34 +683,36 @@ FAMILY_B = "B"
 FAMILY_J = "J"
 
 
-def family_membership(c: CommaObject, kind: str, cfam, dfam) -> bool:
-    """Membership in the comma families built from a class of R-modules
-    and a class of S-modules.
-
-    U: A in C and B in D.
-    B: phi injective on U (x) A, A in C, B / im(phi) in D.
-    J: tilde_phi surjective, ker tilde_phi in C, B in D.
-    """
+@memo("family_parts")
+def family_parts(c: CommaObject, kind: str) -> Optional[tuple[ModuleRep, ModuleRep]]:
+    """(R-module tested against C, S-module tested against D) for membership of
+    c in the comma family ``kind``: (A, B) for U, (A, B / im phi) for B and
+    (ker tilde_phi, B) for J; None when phi is not injective on U (x) A (B) or
+    tilde_phi is not surjective (J).  Neither depends on C or D.  Memoized."""
     if kind == FAMILY_U:
-        return cfam.contains(c.A) and dfam.contains(c.B)
+        return c.A, c.B
     if kind == FAMILY_B:
-        q_dim = tensor_over(c.bimodule, c.A).module.dim
-        if rank(c.phi) != q_dim:
-            return False
-        if not cfam.contains(c.A):
-            return False
-        img = column_space_basis(c.phi)
-        coker, _ = quotient_module(c.B, img, label="B/im(phi)")
-        return dfam.contains(coker)
+        if rank(c.phi) != tensor_over(c.bimodule, c.A).module.dim:
+            return None
+        coker, _ = quotient_module(c.B, column_space_basis(c.phi), label="B/im(phi)")
+        return c.A, coker
     if kind == FAMILY_J:
         tp = tilde_phi(c)
         if rank(tp.map.matrix) != tp.map.target.dim:
-            return False
-        if not dfam.contains(c.B):
-            return False
-        ker = image_kernel_cokernel(tp.map).kernel
-        return cfam.contains(ker)
+            return None
+        return image_kernel_cokernel(tp.map).kernel, c.B
     raise ValueError(f"family kind must be one of U, B, J: {kind!r}")
+
+
+def family_membership(c: CommaObject, kind: str, cfam, dfam) -> bool:
+    """Membership in the comma family ``kind`` built from a class C of R-modules
+    and a class D of S-modules (:func:`family_parts`); D is asked first for J."""
+    parts = family_parts(c, kind)
+    if parts is None:
+        return False
+    if kind == FAMILY_J:
+        return dfam.contains(parts[1]) and cfam.contains(parts[0])
+    return cfam.contains(parts[0]) and dfam.contains(parts[1])
 
 
 # -- presentations of p(A, B) ------------------------------------------------------

@@ -321,11 +321,15 @@ def scatter_blocks(width: int, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -
 def _hom_basis(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     """The rows of the canonical kernel basis of the Hom system, assembled from
     the diagonal blocks of both modules (see :func:`hom_space`)."""
-    p, g, source_blocks = m.p, len(generator_indices(m.algebra)), _packed_blocks(m)
+    p, g = m.p, len(generator_indices(m.algebra))
+    source_blocks, target_blocks = _packed_blocks(m), _packed_blocks(n)
+    if len(source_blocks) == len(target_blocks) == 1:
+        # one block pair: its kernel basis is the whole basis, in order
+        return _hom_block(p, g, n.dim, m.dim, target_blocks[0][2], source_blocks[0][2])
     frame = np.arange(n.dim * m.dim).reshape(n.dim, m.dim)
     parts = [
         (frame[r0:r1, c0:c1].ravel(), _hom_block(p, g, r1 - r0, c1 - c0, tb, sb))
-        for r0, r1, tb in _packed_blocks(n)
+        for r0, r1, tb in target_blocks
         for c0, c1, sb in source_blocks
     ]
     return scatter_blocks(frame.size, parts)
@@ -615,8 +619,6 @@ def _is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int) -> IsoResult:
         return IsoResult(False, None)
     if h > cap:
         raise IsoSearchCapExceeded(f"hom space dimension {h} exceeds cap {cap}")
-    # n is the already-seen module in extension_middle_terms, so its End
-    # is usually cached.
     if hom_dim(n, n) != h or hom_dim(m, m) != h or hom_dim(n, m) != h:
         return IsoResult(False, None)
     mat = first_of_rank(m.p, [b.matrix for b in basis], n.dim, m.dim, m.dim)
@@ -654,20 +656,18 @@ def _cocycle_system(m: ModuleRep, n: ModuleRep) -> FpMatrix:
 
 
 def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> ExtensionResult:
-    """Middle terms E of extensions 0 -> n -> E -> m -> 0, up to isomorphism.
+    """Middle terms E of extensions 0 -> n -> E -> m -> 0, one per extension class.
 
     Solves for the cocycle blocks c(e) making
     [[rho_n(e), c(e)], [0, rho_m(e)]] a module structure, quotients by
-    coboundaries, and realizes one E per class (split class first).
-    The list of enumerated classes is capped; ``truncated`` reports
-    whether classes were dropped.
+    coboundaries, and realizes one E per class in enumeration order (split
+    class first), isomorphic middle terms of distinct classes included.  The
+    list of enumerated classes is capped; ``truncated`` reports whether
+    classes were dropped.
     """
     _require_compatible(m, n)
-    alg = m.algebra
-    p = m.p
-    d = alg.dim
-    block = n.dim * m.dim
-    if block == 0:
+    alg, p, d = m.algebra, m.p, m.algebra.dim
+    if n.dim * m.dim == 0:
         return ExtensionResult([direct_sum([n, m], algebra=alg, side=m.side).module], False)
 
     cocycles = kernel_basis(_cocycle_system(m, n))
@@ -681,31 +681,20 @@ def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> Extensi
         assert cob_in_z is not None, "coboundaries must be cocycles"
     proj, sect = quotient_space(p, cocycles.cols, cob_in_z)
 
-    total = p ** proj.rows
-    limit = min(total, cap)
-    truncated = total > cap
-    terms: list[ModuleRep] = []
-    for idx, coeffs in enumerate(enumerate_vectors(p, proj.rows)):
-        if idx >= limit:
-            break
-        rep = sect @ FpMatrix.column(p, list(coeffs))
-        cs = (cocycles @ rep).array().reshape(d, n.dim, m.dim)
-        action = []
-        for i in range(d):
-            top = np.concatenate([n.action[i].array(), cs[i]], axis=1)
-            bottom = np.concatenate(
-                [np.zeros((m.dim, n.dim), dtype=np.int64), m.action[i].array()], axis=1
-            )
-            action.append(FpMatrix(p, np.concatenate([top, bottom], axis=0)))
-        e = ModuleRep(alg, m.side, n.dim + m.dim, action, label=f"ext({m.label},{n.label})")
-        try:
-            seen_before = any(is_isomorphic(e, seen).isomorphic for seen in terms)
-        except IsoSearchCapExceeded:
-            # too large to deduplicate; keep the (correct) middle term
-            seen_before = False
-        if not seen_before:
-            terms.append(e)
-    return ExtensionResult(terms, truncated)
+    classes = [v for _, v in zip(range(cap), enumerate_vectors(p, proj.rows))]
+    coeffs = np.array(classes, dtype=np.int64).reshape(len(classes), proj.rows)
+    # column k holds the cocycle blocks c(e) of the k-th enumerated class
+    blocks = cocycles @ sect @ FpMatrix._of(p, coeffs.T.copy())
+    base = np.zeros((d, n.dim + m.dim, n.dim + m.dim), dtype=np.int64)
+    base[:, : n.dim, : n.dim] = action_stack(n)
+    base[:, n.dim :, n.dim :] = action_stack(m)
+    terms = []
+    for cs in blocks.array().T:
+        stack = base.copy()
+        stack[:, : n.dim, n.dim :] = cs.reshape(d, n.dim, m.dim)
+        action = [FpMatrix._of(p, a.copy()) for a in stack]
+        terms.append(ModuleRep(alg, m.side, n.dim + m.dim, action, label=f"ext({m.label},{n.label})"))
+    return ExtensionResult(terms, p ** proj.rows > cap)
 
 
 # -- Hom_S(U, B) as a left R-module -----------------------------------------

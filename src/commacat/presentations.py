@@ -299,11 +299,16 @@ def is_partial_silting(
     if not d_sigma_member(s, m):
         failures.append({"clause": "self-membership", "label": m.label})
     members = [(i, x) for i, x in enumerate(universe) if d_sigma_member(s, x)]
+    # x + y = y + x and the class is closed under isomorphism: (j, i) reuses (i, j)
+    in_class: dict[tuple[int, int], bool] = {}
     for i, x in members:
         for j, y in members:
             if max_sum_dim is not None and x.dim + y.dim > max_sum_dim:
                 continue
-            if not d_sigma_member(s, _pair_sum(x, y)):
+            ok = in_class.get((j, i))
+            if ok is None:
+                ok = in_class[i, j] = d_sigma_member(s, _pair_sum(x, y))
+            if not ok:
                 failures.append({"clause": "sum-closure", "pair": [i, j]})
     return PartialSiltingVerdict(not failures, failures, universe_hash(universe))
 

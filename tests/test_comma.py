@@ -36,7 +36,15 @@ from commacat.comma import (
     validate_right_t,
 )
 from commacat.fixtures import load_fixture
-from commacat.linalg import FpMatrix, intertwining_system, inverse, kernel_basis, kron, rank
+from commacat.linalg import (
+    FpMatrix,
+    column_space_basis,
+    intertwining_system,
+    inverse,
+    kernel_basis,
+    kron,
+    rank,
+)
 from commacat.modules import (
     LEFT,
     ModuleMap,
@@ -47,13 +55,17 @@ from commacat.modules import (
     direct_sum,
     hom_dim,
     identity_map,
+    image_kernel_cokernel,
     is_isomorphic,
     module_dual,
+    quotient_module,
     regular_module,
+    tensor_over,
     validate_module,
     zero_module,
 )
 from commacat.presentations import validate_presentation
+from commacat.torsion import family_all, family_explicit, family_gen, family_zero
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +320,71 @@ def test_family_membership_examples(a2):
     assert family_membership(cm["P"], "J", Zero(), All())
     assert family_membership(cm["S_R"], "J", All(), All())
     assert family_membership(cm["N"], "U", All(), All())
+
+
+def family_membership_oracle(c, kind, cfam, dfam):
+    """family_membership as it was before its structural part was memoized
+    (comma.family_parts): everything recomputed on every call."""
+    if kind == "U":
+        return cfam.contains(c.A) and dfam.contains(c.B)
+    if kind == "B":
+        if rank(c.phi) != tensor_over(c.bimodule, c.A).module.dim:
+            return False
+        if not cfam.contains(c.A):
+            return False
+        coker, _ = quotient_module(c.B, column_space_basis(c.phi), label="B/im(phi)")
+        return dfam.contains(coker)
+    tp = tilde_phi(c)
+    if rank(tp.map.matrix) != tp.map.target.dim:
+        return False
+    if not dfam.contains(c.B):
+        return False
+    return cfam.contains(image_kernel_cokernel(tp.map).kernel)
+
+
+class RecordingFamily:
+    """A module family that logs each module it is asked about."""
+
+    def __init__(self, family, log):
+        self.family, self.log = family, log
+
+    def contains(self, m):
+        self.log.append((self.family.label, m.key))
+        return self.family.contains(m)
+
+
+def component_families(universe):
+    nonzero = [m for m in universe if m.dim]
+    return (
+        [family_all(universe), family_zero(universe)]
+        + [family_gen(m, universe) for m in nonzero]
+        + [family_explicit([m], universe, label=f"{{{m.label}}}") for m in nonzero]
+        + [family_explicit(nonzero[:2], universe, label="first-two")]
+    )
+
+
+@pytest.mark.parametrize("name", ["a2", "dual-numbers"])
+def test_family_membership_matches_the_unmemoized_oracle(name, a2, dual):
+    fx = a2 if name == "a2" else dual
+    cfams = component_families(fx.r_universe_list())
+    dfams = component_families(fx.s_universe_list())
+    members = {"U": 0, "B": 0, "J": 0}
+    for c in fx.comma_universe.values():
+        for kind in members:
+            for cfam in cfams:
+                for dfam in dfams:
+                    got_log, want_log = [], []
+                    got = family_membership(
+                        c, kind, RecordingFamily(cfam, got_log), RecordingFamily(dfam, got_log)
+                    )
+                    want = family_membership_oracle(
+                        c, kind, RecordingFamily(cfam, want_log), RecordingFamily(dfam, want_log)
+                    )
+                    assert got == want, (c.label, kind, cfam.label, dfam.label)
+                    # the same questions, in the same order
+                    assert got_log == want_log, (c.label, kind, cfam.label, dfam.label)
+                    members[kind] += got
+    assert all(members.values())
 
 
 def test_sigma_for_p_zero_presentations(a2):

@@ -11,17 +11,21 @@ def test_hom_space_calls_of_a_dual_numbers_run():
     # (perfbench, dual-verify), whose distinct_ratio is misses / calls
     run_fixture(load_fixture("dual-numbers"))
     stats = memo.memo_stats()
-    assert stats["hom_space"]["hits"] + stats["hom_space"]["misses"] == 7394
-    assert stats["hom_space"]["misses"] == stats["hom_space"]["size"] == 1666
-    # the 1,247 misses with nonzero dimensions solve 548 distinct block systems
-    assert stats["hom_block"]["misses"] == stats["hom_block"]["size"] == 548
+    assert stats["hom_space"]["hits"] + stats["hom_space"]["misses"] == 6582
+    assert stats["hom_space"]["misses"] == stats["hom_space"]["size"] == 1082
+    # the 704 misses with nonzero dimensions solve 207 distinct block systems
+    assert stats["hom_block"]["misses"] == stats["hom_block"]["size"] == 207
     # hom_comma splits the 47 distinct comma objects into groups once each, and
     # its maps and dimensions rest on 63 distinct group-pair solves
     assert stats["comma_groups"]["misses"] == stats["comma_groups"]["size"] == 47
     assert stats["comma_block"]["misses"] == stats["comma_block"]["size"] == 63
-    # is_partial_silting tests 1,143 pair sums, of 386 distinct pairs
-    assert stats["pair_sum"]["hits"] + stats["pair_sum"]["misses"] == 1143
-    assert stats["pair_sum"]["misses"] == 386
+    # is_partial_silting builds 609 pair sums, one per unordered pair it tests,
+    # of 206 distinct ordered pairs
+    assert stats["pair_sum"]["hits"] + stats["pair_sum"]["misses"] == 609
+    assert stats["pair_sum"]["misses"] == 206
+    # the comma-family predicates ask 2,505 times about 19 comma objects x 3 kinds
+    assert stats["family_parts"]["hits"] + stats["family_parts"]["misses"] == 2505
+    assert stats["family_parts"]["misses"] == stats["family_parts"]["size"] == 57
 
 
 def test_cached_false_is_a_hit_and_clear_resets():

@@ -339,7 +339,7 @@ def exhaustive_is_isomorphic(m, n, cap=16):
 
 def isomorphism_test_pairs(universe, max_dim=4):
     """Equal-dimension pairs among the universe, within the middle terms of
-    one extension (the pairs extension_middle_terms deduplicates), and
+    one extension (distinct classes often have isomorphic middle terms), and
     between middle terms and universe members."""
     calls = [
         extension_middle_terms(m, n).middle_terms
@@ -395,6 +395,30 @@ def test_extensions_of_simples(a2):
     res = extension_middle_terms(t["S_S"], t["S_R"])
     assert len(res.middle_terms) == 1
     assert is_isomorphic(res.middle_terms[0], t["N"]).isomorphic
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_middle_term_per_extension_class(p):
+    # over F_p[x]/(x^2), Ext(k, k) has dimension 1 and Ext(k, k + k) dimension 2
+    alg = dual_numbers_algebra(p)
+    k = ModuleRep(alg, LEFT, 1, [FpMatrix.identity(p, 1), FpMatrix.zeros(p, 1, 1)], label="k")
+    kk = direct_sum([k, k]).module
+    regular = regular_module(alg)
+    for n, ext_dim in ((k, 1), (kk, 2)):
+        res = extension_middle_terms(k, n)
+        assert not res.truncated
+        assert len(res.middle_terms) == p**ext_dim
+        # a cap keeps the first classes in the same order
+        capped = extension_middle_terms(k, n, cap=p)
+        assert capped.truncated == (ext_dim > 1)
+        assert capped.middle_terms == res.middle_terms[:p]
+        split, *non_split = res.middle_terms
+        assert split == direct_sum([n, k]).module
+        assert all(not is_isomorphic(e, split).isomorphic for e in non_split)
+        if n is k:
+            # every non-split class has the regular module as its middle term,
+            # and each class keeps its own copy
+            assert all(is_isomorphic(e, regular).isomorphic for e in non_split)
 
 
 def jordan_module(alg, parts):
