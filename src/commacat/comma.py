@@ -52,6 +52,7 @@ from .modules import (
     direct_sum,
     generator_stack,
     hom_coords,
+    hom_dim,
     hom_module,
     hom_space,
     image_kernel_cokernel,
@@ -307,7 +308,7 @@ def from_T_module(m: ModuleRep, t: TriangularAlgebra) -> FromTResult:
     return FromTResult(comma, witness)
 
 
-class RightTModule:
+class RightTModule(ContentKeyed):
     """Right T-module as a triple (X, Y, psi: Y (x)_S U -> X).
 
     psi is stored on the full tensor space in y-major order (column
@@ -335,6 +336,9 @@ class RightTModule:
     def p(self) -> int:
         return self.bimodule.p
 
+    def _content(self) -> tuple:
+        return ("right-t", self.bimodule.key, self.X.key, self.Y.key, content_bytes(self.p, self.psi.array()))
+
 
 def validate_right_t(rt: RightTModule) -> list[dict]:
     from .modules import bimodule_as_left_module, validate_module
@@ -354,8 +358,9 @@ def validate_right_t(rt: RightTModule) -> list[dict]:
     return violations
 
 
+@memo("right_t_to_module")
 def right_t_to_module(rt: RightTModule, t: Optional[TriangularAlgebra] = None) -> ModuleRep:
-    """The right T-module on X + Y with (x, y).(r, u, s) = (xr + psi(y (x) u), ys)."""
+    """The right T-module on X + Y with (x, y).(r, u, s) = (xr + psi(y (x) u), ys).  Memoized."""
     bad = validate_right_t(rt)
     if bad:
         raise ValueError(f"invalid right T-module: {bad[0]}")
@@ -551,9 +556,9 @@ def hom_formula(kind: int, source: CommaObject, target: CommaObject) -> int:
     if not hom_formula_applicable(kind, source, target):
         raise ValueError(f"shape {kind} does not apply to this pair")
     if kind in (1, 3):
-        return len(hom_space(source.A, target.A))
+        return hom_dim(source.A, target.A)
     if kind in (2, 4):
-        return len(hom_space(source.B, target.B))
+        return hom_dim(source.B, target.B)
     tp = tilde_phi(target)
     return kernel_basis(tp.map.matrix).cols
 

@@ -151,9 +151,6 @@ class FpMatrix:
     def array(self) -> np.ndarray:
         return self._a
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
-
     def to_lists(self) -> list:
         return [[int(x) for x in row] for row in self._a]
 

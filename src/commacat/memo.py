@@ -1,7 +1,7 @@
 """Content keys for the package's values, and the one registry of memo tables.
 
-Algebras, bimodules, modules, maps and comma objects compare and hash by
-an exact key built once from their parts (the equality contract is in
+Algebras, bimodules, modules, maps, comma objects and right T-modules
+compare and hash by an exact key built once from their parts (the equality contract is in
 :mod:`commacat.modules`).  Every memoized function is declared with
 :func:`memo`, which keys on the positional arguments.
 """

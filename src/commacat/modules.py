@@ -7,17 +7,22 @@ so composition reverses: action(e_i) @ action(e_j) = action(e_j e_i).
 
 Everything here is pure and deterministic; hom spaces, traces, tensor
 products and extension enumeration all reduce to exact kernel and rank
-computations over F_p.  Hom and coboundary systems, and transposed the
-tensor balancing generators, are :func:`~commacat.linalg.intertwining_system`;
-the cocycle system is three einsum terms plus the unit rows.  A Hom system
-keeps only the rows of the algebra generators and splits along the
-diagonal blocks the two modules' actions share (Hom is biadditive), so a
-direct sum costs one small system per pair of blocks; see :func:`hom_space`.
+computations over F_p.  Coboundary systems, and transposed the tensor
+balancing generators, are :func:`~commacat.linalg.intertwining_system`;
+the cocycle system is three einsum terms plus the unit rows.
 
-Equality contract: algebras, bimodules, modules, maps and comma objects
-are equal exactly when their content keys are (:mod:`commacat.memo`):
-every part and every entry, never the label.  A memoized result is the
-one first stored for equal arguments and keeps that call's labels; e.g.
+Hom(-, N) is left exact, so Hom(M, N) is the images in N of M's generators
+that satisfy M's relations (Assem, Simson and Skowronski, Elements of the
+Representation Theory of Associative Algebras 1, ch. I-III).  A MeatAxe spin
+(Parker 1984) under the algebra generators, enough by the module law, presents
+each diagonal block of M (:func:`_spin`); each block pair is solved once
+(:func:`_hom_block`).  :func:`hom_dim` counts its kernel, :func:`trace_of`
+spans its images, and only :func:`hom_space` lifts it to maps.
+
+Equality contract: algebras, bimodules, modules, maps, comma objects and right
+T-modules are equal exactly when their content keys are (:mod:`commacat.memo`):
+every part and every entry, never the label.  A memoized result is the one
+first stored for equal arguments and keeps that call's labels; e.g.
 ``hom_space(m.relabel("x"), n)`` after ``hom_space(m, n)`` returns maps
 whose source is labelled ``m.label``.  The report bytes depend on this.
 """
@@ -34,8 +39,8 @@ from .linalg import (
     column_space_basis,
     enumerate_vectors,
     first_of_rank,
-    hstack,
     intertwining_system,
+    inverse,
     kernel_basis,
     kron,
     quotient_space,
@@ -289,17 +294,52 @@ def _packed_blocks(m: ModuleRep) -> tuple[tuple[int, int, bytes], ...]:
     return tuple((a, b, content_bytes(m.p, stack[:, a:b, a:b])) for a, b in zip(bounds, bounds[1:]))
 
 
+@memo("spin")
+def _spin(p: int, g: int, dim: int, source: bytes) -> tuple[np.ndarray, ...]:
+    """Spin presentation (parent, via, S^-1 R_a S, S^-1) of a block with packed
+    (g, dim, dim) generator stack R: each standard basis vector outside the span
+    so far is a generator of the basis S (parent -1), spun breadth-first under
+    R; spin vector k is R_via[k] times vector parent[k] < k.  Memoized."""
+    stack = unpack_bytes(p, source, (g, dim, dim))
+    vectors, tree, echelon = [], [], []  # echelon: (pivot, row with 1 there) of the span
+    for unit in np.eye(dim, dtype=np.int64):
+        queue = [(unit, -1, 0)]
+        for v, k, a in queue:
+            r = v
+            for pivot, row in echelon:
+                r = (r - r[pivot] * row) % p
+            if r.any():
+                pivot = np.flatnonzero(r)[0]
+                echelon.append((pivot, r * pow(int(r[pivot]), -1, p) % p))
+                queue += [(stack[b] @ v % p, len(vectors), b) for b in range(g)]
+                vectors.append(v)
+                tree.append((k, a))
+    (parent, via), basis = np.array(tree).T, np.array(vectors).T
+    inv = inverse(FpMatrix._of(p, basis.copy())).array()
+    for a in (parent, via, coords := inv @ stack @ basis % p, inv):
+        a.setflags(write=False)
+    return parent, via, coords, inv
+
+
 @memo("hom_block")
 def _hom_block(p: int, g: int, rows: int, cols: int, target: bytes, source: bytes) -> np.ndarray:
-    """Canonical kernel basis, one vector per row, of the intertwining system of
-    two diagonal blocks: ``target`` and ``source`` are their (g, rows, rows)
-    and (g, cols, cols) generator stacks packed by :func:`content_bytes`.
-    The returned (h, rows * cols) array is frozen.  Memoized.
-    """
-    left, right = unpack_bytes(p, target, (g, rows, rows)), unpack_bytes(p, source, (g, cols, cols))
-    basis = kernel_basis(intertwining_system(p, left, right)).array().T.copy()
-    basis.setflags(write=False)
-    return basis
+    """Hom between blocks with packed (g, rows, rows) and (g, cols, cols) generator
+    stacks L and R, as the frozen (h, rows, cols) array of H S, S the spin basis of
+    the source (:func:`_spin`).  H s_k = W_k v for the images v of the G spin
+    generators: W_k is the identity in generator k's slot, or L_a W_parent.  H
+    intertwines when L_a W_k = sum_i C_a[i, k] W_i, C_a = S^-1 R_a S, on v for
+    each (a, k) off the tree: G * rows unknowns, not rows * cols.  Memoized."""
+    parent, via, coords, _ = _spin(p, g, cols, source)
+    left = unpack_bytes(p, target, (g, rows, rows))
+    w = np.zeros((cols, rows, (parent < 0).sum() * rows), dtype=np.int64)
+    w[parent < 0] = np.eye(w.shape[2], dtype=np.int64).reshape(-1, rows, w.shape[2])
+    for k in np.flatnonzero(parent >= 0):
+        w[k] = left[via[k]] @ w[parent[k]] % p
+    system = (np.einsum("aij,kjx->akix", left, w) - np.einsum("aik,ijx->akjx", coords, w)).reshape(-1, w.shape[2]) % p
+    kernel = kernel_basis(FpMatrix._of(p, system[system.any(axis=1)])).array()  # tree rows are 0
+    block = np.einsum("kix,xh->hik", w, kernel) % p
+    block.setflags(write=False)
+    return block
 
 
 def scatter_blocks(width: int, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -318,21 +358,24 @@ def scatter_blocks(width: int, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -
     return basis
 
 
-def _hom_basis(m: ModuleRep, n: ModuleRep) -> np.ndarray:
-    """The rows of the canonical kernel basis of the Hom system, assembled from
-    the diagonal blocks of both modules (see :func:`hom_space`)."""
+def _block_pairs(m: ModuleRep, n: ModuleRep) -> list[tuple[int, int, int, int, tuple]]:
+    """(rows r0:r1 of n, columns c0:c1 of m, :func:`_hom_block` arguments) per block pair."""
+    _require_compatible(m, n)
     p, g = m.p, len(generator_indices(m.algebra))
-    source_blocks, target_blocks = _packed_blocks(m), _packed_blocks(n)
-    if len(source_blocks) == len(target_blocks) == 1:
-        # one block pair: its kernel basis is the whole basis, in order
-        return _hom_block(p, g, n.dim, m.dim, target_blocks[0][2], source_blocks[0][2])
-    frame = np.arange(n.dim * m.dim).reshape(n.dim, m.dim)
-    parts = [
-        (frame[r0:r1, c0:c1].ravel(), _hom_block(p, g, r1 - r0, c1 - c0, tb, sb))
-        for r0, r1, tb in target_blocks
-        for c0, c1, sb in source_blocks
-    ]
-    return scatter_blocks(frame.size, parts)
+    return [(r0, r1, c0, c1, (p, g, r1 - r0, c1 - c0, tb, sb))
+            for r0, r1, tb in _packed_blocks(n) for c0, c1, sb in _packed_blocks(m)]
+
+
+@memo("hom_lift")
+def _hom_lift(p: int, g: int, rows: int, cols: int, target: bytes, source: bytes) -> np.ndarray:
+    """Canonical kernel basis, one frozen row per vector, of a block pair: the
+    lifted maps of :func:`_hom_block` in reduced row form with columns reversed,
+    read back reversed (a canonical kernel vector ends in its free column)."""
+    block = _hom_block(p, g, rows, cols, target, source)
+    lifted = (block @ _spin(p, g, cols, source)[3] % p).reshape(len(block), rows * cols)
+    basis = rref(FpMatrix._of(p, lifted[:, ::-1].copy()))[0].array()[: len(block)][::-1, ::-1].copy()
+    basis.setflags(write=False)
+    return basis
 
 
 @memo("hom_space")
@@ -341,32 +384,24 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
 
     The basis is the canonical kernel basis (:func:`kernel_basis`) of the
     system rho_n(e) H = H rho_m(e) over all basis elements e, in the
-    row-major entries of H, so its order is deterministic.  It is computed
-    from a smaller system with the same kernel, which needs both arguments
-    to satisfy the module law (:func:`validate_module`, which documents
-    enforce at load):
-
-    * only the rows of the algebra generators (:func:`generator_indices`)
-      are built, since a map that commutes with the generators commutes
-      with the unit and with their products;
-    * Hom is biadditive: when the actions of m and n are block-diagonal
-      (:func:`diagonal_blocks`), the system splits into one independent
-      system per pair of target and source blocks.  Each block kernel is
-      memoized (table ``hom_block``), and :func:`scatter_blocks` places
-      them in the n x m frame in the full system's order.
+    row-major entries of H, so its order is deterministic.  Each pair of
+    diagonal blocks is solved on the algebra generators only (see the module
+    docstring), which needs both arguments to satisfy the module law
+    (:func:`validate_module`, which documents enforce at load), lifted to its
+    canonical basis (:func:`_hom_lift`) and placed by :func:`scatter_blocks`.
 
     The maps wrap row views of one (h, n.dim * m.dim) array.  Results are
     memoized; callers must not mutate the returned list.
     """
-    _require_compatible(m, n)
-    p = m.p
-    if m.dim == 0 or n.dim == 0:
-        return []
-    return [ModuleMap(m, n, FpMatrix._of(p, h.reshape(n.dim, m.dim))) for h in _hom_basis(m, n)]
+    frame = np.arange(n.dim * m.dim).reshape(n.dim, m.dim)
+    parts = [(frame[r0:r1, c0:c1].ravel(), _hom_lift(*key)) for r0, r1, c0, c1, key in _block_pairs(m, n)]
+    return [ModuleMap(m, n, FpMatrix._of(m.p, h.reshape(n.dim, m.dim))) for h in scatter_blocks(frame.size, parts)]
 
 
+@memo("hom_dim")
 def hom_dim(m: ModuleRep, n: ModuleRep) -> int:
-    return len(hom_space(m, n))
+    """dim Hom(m, n): the sum of the block kernel sizes; builds no map.  Memoized."""
+    return sum(len(_hom_block(*key)) for *_, key in _block_pairs(m, n))
 
 
 def hom_coords(p: int, basis: Sequence[ModuleMap], mats: Sequence[FpMatrix]) -> FpMatrix:
@@ -551,16 +586,19 @@ def tensor_map(u: Bimodule, f: ModuleMap) -> ModuleMap:
 def trace_of(generators: Sequence[ModuleRep], m: ModuleRep) -> tuple[ModuleRep, ModuleMap]:
     """Largest submodule of m generated by the given modules.
 
-    Computed as the span of the images of a hom-space basis from each
-    generator; the span of basis images equals the sum of all images.
+    Computed as the span of the images of a Hom-space basis from each
+    generator, read as H S (:func:`_hom_block`), which has the span of H;
+    the span of basis images equals the sum of all images.
     """
-    cols = [FpMatrix.zeros(m.p, m.dim, 0)]
+    cols = [np.zeros((m.dim, 0), dtype=np.int64)]
     for g in generators:
-        _require_compatible(g, m)
-        for h in hom_space(g, m):
-            cols.append(h.matrix)
-    span = column_space_basis(hstack(cols))
-    return submodule(m, span, label=f"trace")
+        for r0, r1, _, _, key in _block_pairs(g, m):
+            if len(block := _hom_block(*key)):
+                placed = np.zeros((m.dim, block.shape[0] * block.shape[2]), dtype=np.int64)
+                placed[r0:r1] = block.transpose(1, 0, 2).reshape(r1 - r0, -1)
+                cols.append(placed)
+    span = column_space_basis(FpMatrix._of(m.p, np.concatenate(cols, axis=1)))
+    return submodule(m, span, label="trace")
 
 
 @memo("gen_member")

@@ -40,6 +40,7 @@ from .modules import (
     direct_sum,
     gen_member,
     hom_coords,
+    hom_dim,
     hom_space,
     regular_module,
     zero_module,
@@ -177,10 +178,10 @@ def _hom_onto(f: ModuleMap, x: ModuleRep) -> bool:
 
     Decided by the rank of its matrix in the two Hom bases.
     """
+    if not hom_dim(f.source, x):
+        return True
     h_target = hom_space(f.target, x)
     h_source = hom_space(f.source, x)
-    if not h_source:
-        return True
     mat = hom_coords(x.p, h_source, [b.matrix @ f.matrix for b in h_target])
     return rank(mat) == len(h_source)
 

@@ -26,6 +26,7 @@ from .modules import (
     direct_sum,
     extension_middle_terms,
     gen_member,
+    hom_dim,
     hom_space,
     is_isomorphic,
     quotient_module,
@@ -102,8 +103,8 @@ def family_d_sigma(pres: Presentation, universe: Sequence[ModuleRep], label: str
 
 def _perp_predicate(generators: list[ModuleRep], side: str) -> Callable[[ModuleRep], bool]:
     if side == "right":
-        return lambda m: all(len(hom_space(g, m)) == 0 for g in generators)
-    return lambda m: all(len(hom_space(m, g)) == 0 for g in generators)
+        return lambda m: all(hom_dim(g, m) == 0 for g in generators)
+    return lambda m: all(hom_dim(m, g) == 0 for g in generators)
 
 
 def perp_right(f: ModuleFamily, universe: Sequence[ModuleRep]) -> ModuleFamily:
@@ -233,20 +234,19 @@ def _hom_vanishing_certs(x: ModuleFamily, y: ModuleFamily, universe: Sequence[Mo
     xi = x.member_indices(universe)
     yi = y.member_indices(universe)
     for i in xi:
-        for j in yi:
+        for j in [j for j in yi if hom_dim(universe[i], universe[j])]:
             basis = hom_space(universe[i], universe[j])
-            if basis:
-                certs.append(
-                    {
-                        "clause": "hom-vanishing",
-                        "x": i,
-                        "y": j,
-                        "x_label": universe[i].label,
-                        "y_label": universe[j].label,
-                        "hom_dim": len(basis),
-                        "witness": basis[0].matrix.to_lists(),
-                    }
-                )
+            certs.append(
+                {
+                    "clause": "hom-vanishing",
+                    "x": i,
+                    "y": j,
+                    "x_label": universe[i].label,
+                    "y_label": universe[j].label,
+                    "hom_dim": len(basis),
+                    "witness": basis[0].matrix.to_lists(),
+                }
+            )
     return certs
 
 
@@ -255,7 +255,7 @@ def _perp_certs(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleRep])
     x_members = [universe[i] for i in x.member_indices(universe)]
     y_members = [universe[i] for i in y.member_indices(universe)]
     for k, m in enumerate(universe):
-        in_pr = all(len(hom_space(g, m)) == 0 for g in x_members)
+        in_pr = all(hom_dim(g, m) == 0 for g in x_members)
         in_y = y.contains(m)
         if in_pr != in_y:
             certs.append(
@@ -267,7 +267,7 @@ def _perp_certs(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleRep])
                     "in_family": in_y,
                 }
             )
-        in_pl = all(len(hom_space(m, g)) == 0 for g in y_members)
+        in_pl = all(hom_dim(m, g) == 0 for g in y_members)
         in_x = x.contains(m)
         if in_pl != in_x:
             certs.append(

@@ -50,7 +50,6 @@ from .modules import (
     extension_middle_terms,
     gen_member,
     hom_dim,
-    hom_space,
     is_isomorphic,
     quotient_module,
     regular_module,
@@ -558,8 +557,7 @@ def _map(src: ModuleRep, tgt: ModuleRep, rows: list) -> Optional[ModuleMap]:
 @_clause("hom-vanishing", x=INDEX, y=INDEX, hom_dim=int, witness=MATRIX)
 def _hom_vanishing(cert: dict, env: dict) -> bool:
     src, tgt = env["universe"][cert["x"]], env["universe"][cert["y"]]
-    basis = hom_space(src, tgt)
-    if len(basis) != cert["hom_dim"] or not basis:
+    if not cert["hom_dim"] or hom_dim(src, tgt) != cert["hom_dim"]:
         return False
     witness = _map(src, tgt, cert["witness"])
     return witness is not None and witness.is_valid() and not witness.matrix.is_zero()
@@ -582,9 +580,9 @@ def _perp(cert: dict, env: dict) -> bool:
     universe, x, y = env["universe"], env["x"], env["y"]
     m = universe[cert["module"]]
     if cert["clause"] == "perp-right":
-        facts = {"in_perp": all(len(hom_space(g, m)) == 0 for g in x.members(universe)), "in_family": y.contains(m)}
+        facts = {"in_perp": all(hom_dim(g, m) == 0 for g in x.members(universe)), "in_family": y.contains(m)}
     else:
-        facts = {"in_perp": all(len(hom_space(m, g)) == 0 for g in y.members(universe)), "in_family": x.contains(m)}
+        facts = {"in_perp": all(hom_dim(m, g) == 0 for g in y.members(universe)), "in_family": x.contains(m)}
     return _records_mismatch(cert, facts)
 
 

@@ -7,6 +7,7 @@ from commacat import comma
 from commacat.algebra import Bimodule, dual_numbers_algebra, field_algebra
 from commacat.comma import (
     CommaObject,
+    RightTModule,
     canonical_tensor_comma,
     comma_from_components,
     comma_is_isomorphic,
@@ -302,6 +303,19 @@ def test_right_t_to_module_valid(a2, dual):
         for rt in fx.right_t_universe.values():
             m = right_t_to_module(rt, fx.t)
             assert validate_module(m) == []
+
+
+def test_right_t_to_module_is_memoized_on_content_and_rejects_every_time(dual):
+    rts = dual.right_t_universe
+    et = rts["ET"]
+    same = RightTModule(et.bimodule, et.X, et.Y, et.psi, label="other")
+    assert same == et and hash(same) == hash(et)
+    assert right_t_to_module(same, dual.t) is right_t_to_module(et, dual.t)
+    # psi = [[1], [0]] from Y = k into X = R is not R-linear: x kills k but not 1
+    bad = RightTModule(et.bimodule, rts["XR"].X, rts["Yk"].Y, FpMatrix(2, [[1], [0]]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="psi-linearity"):
+            right_t_to_module(bad, dual.t)
 
 
 def test_family_membership_examples(a2):

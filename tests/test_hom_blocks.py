@@ -1,5 +1,7 @@
-"""hom_space solves on algebra generators and per diagonal block; its basis must
-stay the canonical kernel basis of the full all-basis-element system."""
+"""Hom solves on algebra generators, per diagonal block, in the spin presentation
+of the source block; every reader must agree with the full all-basis-element
+system: hom_space with its canonical kernel basis, hom_dim with its nullity and
+trace_of with the span of the images."""
 
 import importlib.util
 from pathlib import Path
@@ -37,9 +39,11 @@ from commacat.modules import (
     extension_middle_terms,
     generator_indices,
     generator_stack,
+    hom_dim,
     hom_space,
     quotient_module,
     regular_module,
+    trace_of,
     validate_module,
     zero_module,
 )
@@ -107,9 +111,14 @@ def hom_rows(m, n):
 
 def assert_matches_full_system(m, n):
     if m.dim and n.dim:
-        np.testing.assert_array_equal(hom_rows(m, n), full_system_basis(m, n))
+        full = full_system_basis(m, n)
+        np.testing.assert_array_equal(hom_rows(m, n), full)
+        assert hom_dim(m, n) == len(full)
     else:
         assert hom_space(m, n) == []
+        assert hom_dim(m, n) == 0
+    images = [FpMatrix.zeros(n.p, n.dim, 0)] + [f.matrix for f in hom_space(m, n)]
+    assert trace_of([m], n)[1].matrix == column_space_basis(hstack(images))
 
 
 def conjugate(m, g):
@@ -161,9 +170,9 @@ def hand_built_sum(parts):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), p=st.sampled_from([2, 3]), name=st.sampled_from(sorted(ALGEBRAS)))
+@given(data=st.data(), p=st.sampled_from([2, 3]), name=st.sampled_from(sorted(ALGEBRAS) + ["field"]))
 def test_hom_of_direct_sums_is_the_full_system_kernel(data, p, name):
-    alg = ALGEBRAS[name](p)
+    alg = field_algebra(p) if name == "field" else ALGEBRAS[name](p)
     left = data.draw(st.lists(summands(alg), min_size=1, max_size=3))
     right = data.draw(st.lists(summands(alg), min_size=1, max_size=3))
     m, n = direct_sum(left).module, direct_sum(right).module
@@ -173,6 +182,37 @@ def test_hom_of_direct_sums_is_the_full_system_kernel(data, p, name):
     hand = hand_built_sum(right[::-1])
     assert_matches_full_system(hand, m)
     assert_matches_full_system(m, hand)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dim_one_algebra_has_no_generators(p):
+    """Over F_p itself there are no generators and no relations: every block
+    is 1 x 1 and every map intertwines."""
+    alg = field_algebra(p)
+    assert generator_indices(alg) == ()
+    k = regular_module(alg)
+    m = direct_sum([k, k, k]).module
+    for a, b in [(k, m), (m, k), (m, m), (m, zero_module(alg))]:
+        assert_matches_full_system(a, b)
+    assert hom_dim(m, m) == 9
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_spin_with_more_generators_than_needed(p):
+    """J2 over the dual numbers with x e_2 = e_1: the spin takes e_1, which x
+    kills, and then e_2, so it keeps two generators where e_2 alone suffices."""
+    alg = dual_numbers_algebra(p)
+    j2 = ModuleRep(alg, "left", 2, [FpMatrix.identity(p, 2), FpMatrix(p, [[0, 1], [0, 0]])], label="J2")
+    assert not validate_module(j2)
+    parent = modules._spin(p, 1, 2, modules._packed_blocks(j2)[0][2])[0]
+    assert parent.tolist() == [-1, -1]
+    k = cyclic_quotient(alg, FpMatrix.column(p, [0, 1]))
+    mixed = conjugate(direct_sum([j2, k]).module, FpMatrix(p, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    found = [j2, k, regular_module(alg), direct_sum([k, j2]).module, mixed]
+    for a in found:
+        for b in found:
+            assert_matches_full_system(a, b)
+    assert hom_dim(j2, j2) == 2
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -211,20 +251,20 @@ def _p3doc():
 
 @pytest.mark.parametrize("source", ["a2", "dual-numbers", "p3-doc"])
 def test_modules_reaching_hom_solves_satisfy_the_module_law(source, monkeypatch):
-    """hom_space and hom_comma drop the unit and product rows, which the module
-    law implies; every module a run hands them must obey it."""
+    """The Hom readers and hom_comma drop the unit and product rows, which the
+    module law implies; every module a run hands them must obey it."""
     seen = {}
-    hom_basis, gen_stack = modules._hom_basis, comma.generator_stack
+    block_pairs, gen_stack = modules._block_pairs, comma.generator_stack
 
     def record_pair(m, n):
         seen[m] = seen[n] = None
-        return hom_basis(m, n)
+        return block_pairs(m, n)
 
     def record(m):
         seen[m] = None
         return gen_stack(m)
 
-    monkeypatch.setattr(modules, "_hom_basis", record_pair)
+    monkeypatch.setattr(modules, "_block_pairs", record_pair)
     monkeypatch.setattr(comma, "generator_stack", record)
     if source == "p3-doc":
         run_document(parse_document(_p3doc().generate(11)))

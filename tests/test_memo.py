@@ -11,10 +11,19 @@ def test_hom_space_calls_of_a_dual_numbers_run():
     # (perfbench, dual-verify), whose distinct_ratio is misses / calls
     run_fixture(load_fixture("dual-numbers"))
     stats = memo.memo_stats()
-    assert stats["hom_space"]["hits"] + stats["hom_space"]["misses"] == 6582
-    assert stats["hom_space"]["misses"] == stats["hom_space"]["size"] == 1082
-    # the 704 misses with nonzero dimensions solve 207 distinct block systems
-    assert stats["hom_block"]["misses"] == stats["hom_block"]["size"] == 207
+    assert stats["hom_space"]["hits"] + stats["hom_space"]["misses"] == 547
+    assert stats["hom_space"]["misses"] == stats["hom_space"]["size"] == 405
+    # dimension-only questions go to hom_dim, which builds no maps
+    assert stats["hom_dim"]["hits"] + stats["hom_dim"]["misses"] == 4335
+    assert stats["hom_dim"]["misses"] == stats["hom_dim"]["size"] == 588
+    # both rest on 69 distinct block systems, posed on 11 distinct spun source
+    # blocks; hom_space lifts each of them to its canonical basis once
+    assert stats["hom_block"]["misses"] == stats["hom_block"]["size"] == 69
+    assert stats["spin"]["misses"] == stats["spin"]["size"] == 11
+    assert stats["hom_lift"]["misses"] == stats["hom_lift"]["size"] == 69
+    # the tensor claims turn the 6 right T-modules into T-modules 114 times
+    assert stats["right_t_to_module"]["hits"] + stats["right_t_to_module"]["misses"] == 114
+    assert stats["right_t_to_module"]["misses"] == stats["right_t_to_module"]["size"] == 6
     # hom_comma splits the 47 distinct comma objects into groups once each, and
     # its maps and dimensions rest on 63 distinct group-pair solves
     assert stats["comma_groups"]["misses"] == stats["comma_groups"]["size"] == 47
