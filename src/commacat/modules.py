@@ -316,7 +316,7 @@ def _spin(p: int, g: int, dim: int, source: bytes) -> tuple[np.ndarray, ...]:
                 tree.append((k, a))
     (parent, via), basis = np.array(tree).T, np.array(vectors).T
     inv = inverse(FpMatrix._of(p, basis.copy())).array()
-    for a in (parent, via, coords := inv @ stack @ basis % p, inv):
+    for a in (parent, via, coords := inv @ (stack @ basis % p) % p, inv):
         a.setflags(write=False)
     return parent, via, coords, inv
 

@@ -234,19 +234,20 @@ def _hom_vanishing_certs(x: ModuleFamily, y: ModuleFamily, universe: Sequence[Mo
     xi = x.member_indices(universe)
     yi = y.member_indices(universe)
     for i in xi:
-        for j in [j for j in yi if hom_dim(universe[i], universe[j])]:
-            basis = hom_space(universe[i], universe[j])
-            certs.append(
-                {
-                    "clause": "hom-vanishing",
-                    "x": i,
-                    "y": j,
-                    "x_label": universe[i].label,
-                    "y_label": universe[j].label,
-                    "hom_dim": len(basis),
-                    "witness": basis[0].matrix.to_lists(),
-                }
-            )
+        for j in yi:
+            if hom_dim(universe[i], universe[j]):
+                basis = hom_space(universe[i], universe[j])
+                certs.append(
+                    {
+                        "clause": "hom-vanishing",
+                        "x": i,
+                        "y": j,
+                        "x_label": universe[i].label,
+                        "y_label": universe[j].label,
+                        "hom_dim": len(basis),
+                        "witness": basis[0].matrix.to_lists(),
+                    }
+                )
     return certs
 
 

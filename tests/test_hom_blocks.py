@@ -50,6 +50,9 @@ from commacat.modules import (
 from commacat.tasks import run_document, run_fixture
 
 
+LARGEST_P = 16777213  # the largest prime below 2**24, the modulus bound
+
+
 def truncated_polynomials(p, k):
     """F_p[x]/(x^k), basis 1, x, ..., x^(k-1)."""
     mul = np.zeros((k, k, k), dtype=np.int64)
@@ -144,7 +147,9 @@ def summands(draw, alg):
     p = alg.p
     if draw(st.integers(0, 4)) == 0:
         return zero_module(alg)
-    vec = draw(st.lists(st.integers(0, p - 1), min_size=alg.dim, max_size=alg.dim))
+    # zero half the time: over a large field a uniform vector is almost always
+    # a unit, whose cyclic quotient is zero
+    vec = draw(st.lists(st.just(0) | st.integers(0, p - 1), min_size=alg.dim, max_size=alg.dim))
     m = cyclic_quotient(alg, FpMatrix.column(p, vec))
     if m.dim > 1 and draw(st.booleans()):
         entries = draw(st.lists(st.integers(0, p - 1), min_size=m.dim ** 2, max_size=m.dim ** 2))
@@ -169,8 +174,8 @@ def hand_built_sum(parts):
     return ModuleRep(alg, parts[0].side, dim, actions, label="hand")
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), p=st.sampled_from([2, 3]), name=st.sampled_from(sorted(ALGEBRAS) + ["field"]))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, LARGEST_P]), name=st.sampled_from(sorted(ALGEBRAS) + ["field"]))
 def test_hom_of_direct_sums_is_the_full_system_kernel(data, p, name):
     alg = field_algebra(p) if name == "field" else ALGEBRAS[name](p)
     left = data.draw(st.lists(summands(alg), min_size=1, max_size=3))
@@ -184,7 +189,7 @@ def test_hom_of_direct_sums_is_the_full_system_kernel(data, p, name):
     assert_matches_full_system(m, hand)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, LARGEST_P])
 def test_dim_one_algebra_has_no_generators(p):
     """Over F_p itself there are no generators and no relations: every block
     is 1 x 1 and every map intertwines."""
@@ -197,7 +202,7 @@ def test_dim_one_algebra_has_no_generators(p):
     assert hom_dim(m, m) == 9
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, LARGEST_P])
 def test_spin_with_more_generators_than_needed(p):
     """J2 over the dual numbers with x e_2 = e_1: the spin takes e_1, which x
     kills, and then e_2, so it keeps two generators where e_2 alone suffices."""
@@ -213,6 +218,21 @@ def test_spin_with_more_generators_than_needed(p):
         for b in found:
             assert_matches_full_system(a, b)
     assert hom_dim(j2, j2) == 2
+
+
+def test_spin_basis_stays_exact_at_the_largest_modulus():
+    """Dual numbers acting by x = [[1, 1], [-1, -1]]: the spin basis (e_1, x e_1)
+    and its inverse carry residues near p, so C_a = S^-1 R_a S overflows int64
+    unless each product is reduced before the next one."""
+    p = LARGEST_P
+    alg = dual_numbers_algebra(p)
+    m = ModuleRep(alg, "left", 2, [FpMatrix.identity(p, 2), FpMatrix(p, [[1, 1], [p - 1, p - 1]])], label="M")
+    assert not validate_module(m)
+    assert modules._spin(p, 1, 2, modules._packed_blocks(m)[0][2])[0].tolist() == [-1, 0]
+    k = regular_module(alg)
+    for a, b in [(m, m), (m, k), (k, m)]:
+        assert_matches_full_system(a, b)
+    assert hom_dim(m, m) == 2
 
 
 @pytest.mark.parametrize("p", [2, 3])
