@@ -4,6 +4,12 @@ Algebras, bimodules, modules, maps, comma objects and right T-modules
 compare and hash by an exact key built once from their parts (the equality contract is in
 :mod:`commacat.modules`).  Every memoized function is declared with
 :func:`memo`, which keys on the positional arguments.
+
+A table that keeps residues mod p only to read them back (the Hom blocks of
+:func:`commacat.modules._hom_block`) stores them at :func:`packed_dtype`, like
+the content keys, and its readers convert them to int64 before any arithmetic;
+two packed arrays are never multiplied together, since uint32 products overflow
+for p near 2**24.  Arrays that back an ``FpMatrix`` stay int64.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ from .linalg import (
     solve,
     solve_each,
 )
-from .memo import ContentKeyed, content_bytes, memo, unpack_bytes
+from .memo import ContentKeyed, content_bytes, memo, packed_dtype, unpack_bytes
 
 LEFT = "left"
 RIGHT = "right"
@@ -325,10 +325,12 @@ def _spin(p: int, g: int, dim: int, source: bytes) -> tuple[np.ndarray, ...]:
 def _hom_block(p: int, g: int, rows: int, cols: int, target: bytes, source: bytes) -> np.ndarray:
     """Hom between blocks with packed (g, rows, rows) and (g, cols, cols) generator
     stacks L and R, as the frozen (h, rows, cols) array of H S, S the spin basis of
-    the source (:func:`_spin`).  H s_k = W_k v for the images v of the G spin
-    generators: W_k is the identity in generator k's slot, or L_a W_parent.  H
-    intertwines when L_a W_k = sum_i C_a[i, k] W_i, C_a = S^-1 R_a S, on v for
-    each (a, k) off the tree: G * rows unknowns, not rows * cols.  Memoized."""
+    the source (:func:`_spin`), stored at :func:`~commacat.memo.packed_dtype`
+    (readers convert it to int64 before any arithmetic).  H s_k = W_k v for the
+    images v of the G spin generators: W_k is the identity in generator k's slot,
+    or L_a W_parent.  H intertwines when L_a W_k = sum_i C_a[i, k] W_i, C_a =
+    S^-1 R_a S, on v for each (a, k) off the tree: G * rows unknowns, not
+    rows * cols.  Memoized."""
     parent, via, coords, _ = _spin(p, g, cols, source)
     left = unpack_bytes(p, target, (g, rows, rows))
     w = np.zeros((cols, rows, (parent < 0).sum() * rows), dtype=np.int64)
@@ -337,7 +339,7 @@ def _hom_block(p: int, g: int, rows: int, cols: int, target: bytes, source: byte
         w[k] = left[via[k]] @ w[parent[k]] % p
     system = (np.einsum("aij,kjx->akix", left, w) - np.einsum("aik,ijx->akjx", coords, w)).reshape(-1, w.shape[2]) % p
     kernel = kernel_basis(FpMatrix._of(p, system[system.any(axis=1)])).array()  # tree rows are 0
-    block = np.einsum("kix,xh->hik", w, kernel) % p
+    block = (np.einsum("kix,xh->hik", w, kernel) % p).astype(packed_dtype(p))
     block.setflags(write=False)
     return block
 
@@ -372,7 +374,7 @@ def _hom_lift(p: int, g: int, rows: int, cols: int, target: bytes, source: bytes
     lifted maps of :func:`_hom_block` in reduced row form with columns reversed,
     read back reversed (a canonical kernel vector ends in its free column)."""
     block = _hom_block(p, g, rows, cols, target, source)
-    lifted = (block @ _spin(p, g, cols, source)[3] % p).reshape(len(block), rows * cols)
+    lifted = (block.astype(np.int64) @ _spin(p, g, cols, source)[3] % p).reshape(len(block), rows * cols)
     basis = rref(FpMatrix._of(p, lifted[:, ::-1].copy()))[0].array()[: len(block)][::-1, ::-1].copy()
     basis.setflags(write=False)
     return basis
@@ -583,29 +585,33 @@ def tensor_map(u: Bimodule, f: ModuleMap) -> ModuleMap:
 # -- trace, Gen, isomorphism -------------------------------------------------
 
 
-def trace_of(generators: Sequence[ModuleRep], m: ModuleRep) -> tuple[ModuleRep, ModuleMap]:
-    """Largest submodule of m generated by the given modules.
+def _trace_span(generators: Sequence[ModuleRep], m: ModuleRep) -> FpMatrix:
+    """Canonical column basis of the trace of the given modules in m.
 
-    Computed as the span of the images of a Hom-space basis from each
+    The trace is the span of the images of a Hom-space basis from each
     generator, read as H S (:func:`_hom_block`), which has the span of H;
-    the span of basis images equals the sum of all images.
+    the span of basis images equals the sum of all images.  Each block's
+    columns are written into one array for a single :func:`column_space_basis`.
     """
-    cols = [np.zeros((m.dim, 0), dtype=np.int64)]
-    for g in generators:
-        for r0, r1, _, _, key in _block_pairs(g, m):
-            if len(block := _hom_block(*key)):
-                placed = np.zeros((m.dim, block.shape[0] * block.shape[2]), dtype=np.int64)
-                placed[r0:r1] = block.transpose(1, 0, 2).reshape(r1 - r0, -1)
-                cols.append(placed)
-    span = column_space_basis(FpMatrix._of(m.p, np.concatenate(cols, axis=1)))
-    return submodule(m, span, label="trace")
+    blocks = [(r0, r1, block) for g in generators for r0, r1, _, _, key in _block_pairs(g, m)
+              if len(block := _hom_block(*key))]
+    widths = [block.shape[0] * block.shape[2] for *_, block in blocks]
+    cols = np.zeros((m.dim, sum(widths)), dtype=np.int64)
+    for (r0, r1, block), c, w in zip(blocks, np.cumsum([0] + widths).tolist(), widths):
+        cols[r0:r1, c : c + w] = block.transpose(1, 0, 2).reshape(r1 - r0, w)
+    return column_space_basis(FpMatrix._of(m.p, cols))
+
+
+def trace_of(generators: Sequence[ModuleRep], m: ModuleRep) -> tuple[ModuleRep, ModuleMap]:
+    """Largest submodule of m generated by the given modules, with its inclusion."""
+    return submodule(m, _trace_span(generators, m), label="trace")
 
 
 @memo("gen_member")
 def gen_member(t: ModuleRep, x: ModuleRep) -> bool:
-    """x lies in Gen(t): some power of t maps onto x (decided via trace).  Memoized."""
-    sub, _ = trace_of([t], x)
-    return sub.dim == x.dim
+    """x lies in Gen(t): some power of t maps onto x, i.e. the trace of t in x
+    is all of x; builds no submodule.  Memoized."""
+    return _trace_span([t], x).cols == x.dim
 
 
 def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep, cap: int = 16) -> bool:

@@ -14,7 +14,6 @@ universe so certificates are reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -46,6 +45,16 @@ from .modules import (
     zero_module,
 )
 from .memo import memo
+
+# sha256 from the interpreter's builtin module, as Lib/random.py takes sha512:
+# hashlib would load OpenSSL's libcrypto (about 3.6 MB resident) for one digest.
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class Presentation(NamedTuple):
@@ -240,7 +249,7 @@ def _universe_hash(universe: tuple[ModuleRep, ...]) -> str:
         }
         for m in universe
     ]
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    digest = sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     return digest[:16]
 
 

@@ -382,7 +382,7 @@ def is_torsion_class(
     image_in_f: dict[tuple[int, bytes], bool] = {}
     for i, m in members:
         for j, n in enumerate(universe):
-            basis = hom_space(m, n)
+            basis = hom_space(m, n) if hom_dim(m, n) else []
             if len(basis) > map_enum_cap:
                 partial = True
                 continue

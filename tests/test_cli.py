@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -295,3 +299,24 @@ def test_entry_beyond_int64_exit_2(runner, tmp_path, command, section, name, pat
     result = runner.invoke(main, [command, str(doc_path)])
     assert result.exit_code == 2, result.output
     assert f"{section}.{name}" in result.output
+
+
+HASHLIB_PROBE = """
+import sys
+from commacat.cli import main
+try:
+    main(["run", "--fixture", "a2"])
+except SystemExit as done:
+    code = done.code
+sys.stderr.write(f"exit {code}, _hashlib loaded: {'_hashlib' in sys.modules}")
+"""
+
+
+def test_cli_process_does_not_load_openssl_hashlib():
+    """The universe hashes use the builtin sha256, so a CLI process never maps
+    OpenSSL's libcrypto.  A fresh interpreter, since pytest loads hashlib."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", HASHLIB_PROBE], capture_output=True, text=True, env=env, timeout=120)
+    assert done.stderr == "exit 0, _hashlib loaded: False"
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == REPORT_SHA256["a2"]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commacat import comma, modules
+from commacat import comma, memo, modules
 from commacat.algebra import (
     Bimodule,
     FDAlgebra,
@@ -233,6 +233,22 @@ def test_spin_basis_stays_exact_at_the_largest_modulus():
     for a, b in [(m, m), (m, k), (k, m)]:
         assert_matches_full_system(a, b)
     assert hom_dim(m, m) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, LARGEST_P])
+def test_hom_blocks_are_memoized_packed_and_read_only(p):
+    """Every hom_block value holds residues at memo.packed_dtype(p), the content
+    key width (uint8 for p <= 256, uint32 above), and is frozen."""
+    alg = dual_numbers_algebra(p)
+    m = ModuleRep(alg, "left", 2, [FpMatrix.identity(p, 2), FpMatrix(p, [[1, 1], [p - 1, p - 1]])], label="M")
+    k = regular_module(alg)
+    for a, b in [(m, m), (m, k), (k, m), (k, k)]:
+        assert_matches_full_system(a, b)
+    table = memo._REGISTRY["hom_block"].table
+    assert table and {key[0] for key in table} == {p}
+    for block in table.values():
+        assert block.dtype == memo.packed_dtype(p) and not block.flags.writeable
+    assert memo.packed_dtype(p) == (np.uint8 if p <= 256 else np.uint32)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -11,11 +11,12 @@ def test_hom_space_calls_of_a_dual_numbers_run():
     # (perfbench, dual-verify), whose distinct_ratio is misses / calls
     run_fixture(load_fixture("dual-numbers"))
     stats = memo.memo_stats()
-    assert stats["hom_space"]["hits"] + stats["hom_space"]["misses"] == 547
-    assert stats["hom_space"]["misses"] == stats["hom_space"]["size"] == 405
+    # (is_torsion_class asks hom_dim first and builds no basis for a zero Hom)
+    assert stats["hom_space"]["hits"] + stats["hom_space"]["misses"] == 433
+    assert stats["hom_space"]["misses"] == stats["hom_space"]["size"] == 335
     # dimension-only questions go to hom_dim, which builds no maps
-    assert stats["hom_dim"]["hits"] + stats["hom_dim"]["misses"] == 4335
-    assert stats["hom_dim"]["misses"] == stats["hom_dim"]["size"] == 588
+    assert stats["hom_dim"]["hits"] + stats["hom_dim"]["misses"] == 4791
+    assert stats["hom_dim"]["misses"] == stats["hom_dim"]["size"] == 717
     # both rest on 69 distinct block systems, posed on 11 distinct spun source
     # blocks; hom_space lifts each of them to its canonical basis once
     assert stats["hom_block"]["misses"] == stats["hom_block"]["size"] == 69

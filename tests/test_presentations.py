@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from commacat.document import parse_document
 from commacat.fixtures import load_fixture
 from commacat.linalg import FpMatrix
 from commacat.modules import ModuleMap, direct_sum, regular_module, zero_module
@@ -12,8 +16,10 @@ from commacat.presentations import (
     is_partial_silting,
     is_silting,
     trivial_presentation,
+    universe_hash,
     validate_presentation,
 )
+from tests.test_hom_blocks import _p3doc
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +225,25 @@ def test_left_approximation_regular_into_class(a2):
     treg = regular_module(a2.t)
     fam = _DSigmaFamily(trivial_presentation(treg))
     assert is_left_approximation(identity_map(treg), fam, a2.t_universe_list())
+
+
+def _universes():
+    for name in ("a2", "dual-numbers"):
+        fx = load_fixture(name)
+        for side in ("t", "r", "s"):
+            yield f"{name} {side}", getattr(fx, f"{side}_universe_list")()
+    for seed in (11, 12):
+        for name, universe in parse_document(_p3doc().generate(seed)).universes.items():
+            yield f"p3-doc seed {seed} {name}", universe
+
+
+def test_universe_hash_is_the_hashlib_sha256_prefix():
+    """The builtin sha256 the digest uses gives hashlib's digest."""
+    seen = {}
+    for name, universe in _universes():
+        payload = [{"dim": m.dim, "side": m.side, "action": [a.to_lists() for a in m.action]} for m in universe]
+        expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+        seen[name] = universe_hash(universe)
+        assert seen[name] == expected, name
+    assert seen["dual-numbers t"] == "f01ede28f778bb53"  # as in the reference report
+    assert any(name.startswith("p3-doc seed 12") for name in seen)
