@@ -47,7 +47,7 @@ from .modules import (
 from .memo import memo
 
 # sha256 from the interpreter's builtin module, as Lib/random.py takes sha512:
-# hashlib would load OpenSSL's libcrypto (about 3.6 MB resident) for one digest.
+# hashlib would load OpenSSL's libcrypto (about 3.5 MB resident) for one digest.
 try:
     from _sha2 import sha256  # CPython >= 3.12
 except ImportError:
