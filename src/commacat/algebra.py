@@ -90,6 +90,21 @@ def validate_algebra(a: FDAlgebra) -> list[dict]:
     return violations
 
 
+def module_law(p: int, mul: np.ndarray, unit: np.ndarray, stack: np.ndarray) -> tuple[bool, list[list[int]]]:
+    """The module law for a (d, n, n) stack of action matrices A_k.
+
+    Returns whether sum_k unit[k] A_k is the identity, and the pairs [i, j],
+    in row-major order, with A_i A_j != sum_k mul[i, j, k] A_k.  A right
+    action reverses products, so its caller passes ``mul`` with the first
+    two axes swapped.  Each side is reduced mod p before it is compared.
+    """
+    unit_ok = np.array_equal(np.einsum("k,kab->ab", unit, stack) % p, np.eye(stack.shape[1], dtype=np.int64))
+    lhs = np.einsum("iab,jbc->ijac", stack, stack) % p
+    rhs = np.einsum("ijk,kac->ijac", mul, stack) % p
+    bad = np.nonzero((lhs != rhs).any(axis=(2, 3)))
+    return unit_ok, [[int(i), int(j)] for i, j in zip(*bad)]
+
+
 class Bimodule(ContentKeyed):
     """(S, R)-bimodule: left S-action and right R-action on F_p^dim, commuting."""
 
@@ -122,20 +137,6 @@ class Bimodule(ContentKeyed):
     def p(self) -> int:
         return self.s_algebra.p
 
-    def left_act(self, s_vec: np.ndarray) -> FpMatrix:
-        out = FpMatrix.zeros(self.p, self.dim, self.dim)
-        for i, c in enumerate(s_vec):
-            if c % self.p:
-                out = out + self.left_action[i].scale(int(c))
-        return out
-
-    def right_act(self, r_vec: np.ndarray) -> FpMatrix:
-        out = FpMatrix.zeros(self.p, self.dim, self.dim)
-        for i, c in enumerate(r_vec):
-            if c % self.p:
-                out = out + self.right_action[i].scale(int(c))
-        return out
-
     def _content(self) -> tuple:
         actions = content_bytes(self.p, *(a.array() for a in self.left_action + self.right_action))
         return ("bimodule", self.s_algebra.key, self.r_algebra.key, self.dim, actions)
@@ -143,29 +144,18 @@ class Bimodule(ContentKeyed):
 
 def validate_bimodule(u: Bimodule) -> list[dict]:
     violations: list[dict] = []
-    p = u.p
     s, r = u.s_algebra, u.r_algebra
-
-    def expand(action, coeffs):
-        out = FpMatrix.zeros(p, u.dim, u.dim)
-        for k, c in enumerate(coeffs):
-            if c % p:
-                out = out + action[k].scale(int(c))
-        return out
-
-    if u.left_act(s.unit) != FpMatrix.identity(p, u.dim):
+    left = np.stack([a.array() for a in u.left_action])
+    right = np.stack([a.array() for a in u.right_action])
+    left_unit, left_bad = module_law(u.p, s.mul, s.unit, left)
+    # right action reverses: u*(e_j e_i) = (u*e_j)*e_i
+    right_unit, right_bad = module_law(u.p, r.mul.transpose(1, 0, 2), r.unit, right)
+    if not left_unit:
         violations.append({"kind": "left-unit"})
-    if u.right_act(r.unit) != FpMatrix.identity(p, u.dim):
+    if not right_unit:
         violations.append({"kind": "right-unit"})
-    for i in range(s.dim):
-        for j in range(s.dim):
-            if u.left_action[i] @ u.left_action[j] != expand(u.left_action, s.mul[i, j, :]):
-                violations.append({"kind": "left-composition", "pair": [i, j]})
-    for i in range(r.dim):
-        for j in range(r.dim):
-            # right action reverses: u*(e_j e_i) = (u*e_j)*e_i
-            if u.right_action[i] @ u.right_action[j] != expand(u.right_action, r.mul[j, i, :]):
-                violations.append({"kind": "right-composition", "pair": [i, j]})
+    violations += [{"kind": "left-composition", "pair": ij} for ij in left_bad]
+    violations += [{"kind": "right-composition", "pair": ij} for ij in right_bad]
     for i in range(s.dim):
         for j in range(r.dim):
             if u.left_action[i] @ u.right_action[j] != u.right_action[j] @ u.left_action[i]:

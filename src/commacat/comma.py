@@ -436,12 +436,11 @@ def _group_pairs(x: CommaObject, y: CommaObject) -> list[tuple[tuple, tuple, np.
     return [(s, t, _comma_block(x.p, t[2], s[2])) for s in _comma_groups(x) for t in _comma_groups(y)]
 
 
-@memo("hom_comma")
 def hom_comma(x: CommaObject, y: CommaObject) -> list[CommaMap]:
     """Basis of the morphism space: the canonical kernel basis of the joint
     system in (vec f, vec g).  Hom is biadditive, so each pair of comma summands
     (:func:`_comma_groups`) is solved once (table ``comma_block``) and
-    :func:`scatter_blocks` places the kernels.  Memoized; do not mutate the list.
+    :func:`scatter_blocks` places the kernels.
     """
     p, nf = x.p, y.A.dim * x.A.dim
     frame_f = np.arange(nf).reshape(y.A.dim, x.A.dim)

@@ -358,84 +358,6 @@ def _build_family(doc: Document, name: str, rec: dict, path: str) -> ModuleFamil
     return fam
 
 
-def serialize_document(doc: Document) -> dict:
-    """Canonical dict form: rebuilt from the parsed objects, sorted names."""
-    out: dict[str, Any] = {"field": {"p": doc.p}}
-    if doc.algebras:
-        out["algebras"] = {
-            name: {
-                "dim": alg.dim,
-                "mul": [[[int(x) for x in row] for row in plane] for plane in alg.mul],
-                "unit": [int(x) for x in alg.unit],
-            }
-            for name, alg in sorted(doc.algebras.items())
-        }
-    if doc.bimodules:
-        out["bimodules"] = {
-            name: {
-                "s_algebra": u.s_algebra.label,
-                "r_algebra": u.r_algebra.label,
-                "dim": u.dim,
-                "left_action": [m.to_lists() for m in u.left_action],
-                "right_action": [m.to_lists() for m in u.right_action],
-            }
-            for name, u in sorted(doc.bimodules.items())
-        }
-    if doc.modules:
-        out["modules"] = {
-            name: {
-                "algebra": m.algebra.label,
-                "side": m.side,
-                "dim": m.dim,
-                "action": [a.to_lists() for a in m.action],
-            }
-            for name, m in sorted(doc.modules.items())
-        }
-    if doc.comma_objects:
-        out["comma_objects"] = {
-            name: {
-                "bimodule": c.bimodule.label,
-                "A": c.A.label,
-                "B": c.B.label,
-                "phi": c.phi.to_lists(),
-            }
-            for name, c in sorted(doc.comma_objects.items())
-        }
-    if doc.right_t_modules:
-        out["right_t_modules"] = {
-            name: {
-                "bimodule": rt.bimodule.label,
-                "X": rt.X.label,
-                "Y": rt.Y.label,
-                "psi": rt.psi.to_lists(),
-            }
-            for name, rt in sorted(doc.right_t_modules.items())
-        }
-    if doc.presentations:
-        out["presentations"] = {
-            name: {
-                "source": pres.sigma.source.label,
-                "target": pres.sigma.target.label,
-                "module": pres.target.label,
-                "sigma": pres.sigma.matrix.to_lists(),
-                "witness": pres.witness.matrix.to_lists(),
-            }
-            for name, pres in sorted(doc.presentations.items())
-        }
-    if doc.universes:
-        out["universes"] = {
-            name: [m.label for m in mods] for name, mods in sorted(doc.universes.items())
-        }
-    if doc.families:
-        out["families"] = {
-            name: dict(doc.raw.get("families", {}).get(name, fam.spec))
-            for name, fam in sorted(doc.families.items())
-        }
-    if doc.tasks:
-        out["tasks"] = doc.tasks
-    return out
-
-
 def load_document(path: str) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -157,9 +157,6 @@ class FpMatrix:
     def column_vector(self, j: int) -> "FpMatrix":
         return FpMatrix._of(self.p, self._a[:, j : j + 1].copy())
 
-    def take_columns(self, idx: Sequence[int]) -> "FpMatrix":
-        return FpMatrix._of(self.p, self._a[:, list(idx)].reshape(self.rows, len(idx)))
-
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "FpMatrix":
         return FpMatrix._of(self.p, self._a[r0:r1, c0:c1].copy())
 
@@ -371,29 +368,21 @@ def quotient_space(p: int, dim: int, sub: FpMatrix) -> tuple[FpMatrix, FpMatrix]
     Returns (projection, section) with projection @ sub = 0,
     projection @ section = identity on the quotient, and
     ker(projection) exactly the span of ``sub``.
+
+    Both are the blocks of B = [R^T | e_C] and B^-1 that belong to e_C, where
+    R is the reduced rows of sub^T, P their pivot columns and C the other
+    columns.  They are read off R, with no inverse: the section is e_C, and
+    the projection is the identity on columns C and -R[:, C]^T on columns P.
     """
     if sub.cols and sub.rows != dim:
         raise ValueError(f"subspace columns live in dimension {sub.rows}, expected {dim}")
     red, pivots = rref(sub.transpose()) if sub.cols else (FpMatrix.zeros(p, 0, dim), ())
-    k = len(pivots)
     complement = [j for j in range(dim) if j not in pivots]
-    cols = [red.array()[i, :] for i in range(k)]
-    for j in complement:
-        e = np.zeros(dim, dtype=np.int64)
-        e[j] = 1
-        cols.append(e)
-    basis = FpMatrix(p, np.stack(cols, axis=1) if cols else np.zeros((dim, 0), dtype=np.int64))
-    inv = inverse(basis)
-    if dim == 0:
-        return FpMatrix.zeros(p, 0, 0), FpMatrix.zeros(p, 0, 0)
-    assert inv is not None
-    projection = inv.block(k, dim, 0, dim)
-    section = basis.block(0, dim, k, dim)
-    return projection, section
-
-
-def spans_equal(a: FpMatrix, b: FpMatrix) -> bool:
-    return column_space_basis(a) == column_space_basis(b)
+    section = np.zeros((dim, len(complement)), dtype=np.int64)
+    section[complement, range(len(complement))] = 1
+    projection = section.T.copy()
+    projection[:, list(pivots)] = -red.array()[: len(pivots)][:, complement].T % p
+    return FpMatrix._of(p, projection), FpMatrix._of(p, section)
 
 
 def enumerate_vectors(p: int, dim: int) -> Iterable[tuple[int, ...]]:

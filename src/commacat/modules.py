@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Bimodule, FDAlgebra
+from .algebra import Bimodule, FDAlgebra, module_law
 from .linalg import (
     FpMatrix,
     column_space_basis,
@@ -95,11 +95,8 @@ class ModuleRep(ContentKeyed):
 
     def act(self, coeffs) -> FpMatrix:
         """Action matrix of a general algebra element."""
-        out = FpMatrix.zeros(self.p, self.dim, self.dim)
-        for i, c in enumerate(np.asarray(coeffs, dtype=np.int64)):
-            if c % self.p:
-                out = out + self.action[i].scale(int(c))
-        return out
+        c = np.asarray(coeffs, dtype=np.int64) % self.p
+        return FpMatrix._of(self.p, np.einsum("k,kab->ab", c, action_stack(self)) % self.p)
 
     def relabel(self, label: str) -> "ModuleRep":
         return ModuleRep(self.algebra, self.side, self.dim, self.action, label)
@@ -146,16 +143,11 @@ def violated_intertwining(f: ModuleMap) -> list[int]:
 
 def validate_module(m: ModuleRep) -> list[dict]:
     """Violations of the module law (unit acts as identity, composition)."""
-    violations: list[dict] = []
     alg = m.algebra
-    if m.act(alg.unit) != FpMatrix.identity(m.p, m.dim):
-        violations.append({"kind": "unit-action"})
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            coeffs = alg.mul[i, j, :] if m.side == LEFT else alg.mul[j, i, :]
-            if m.action[i] @ m.action[j] != m.act(coeffs):
-                violations.append({"kind": "composition", "pair": [i, j]})
-    return violations
+    mul = alg.mul if m.side == LEFT else alg.mul.transpose(1, 0, 2)
+    unit_ok, bad = module_law(m.p, mul, alg.unit, action_stack(m))
+    violations = [] if unit_ok else [{"kind": "unit-action"}]
+    return violations + [{"kind": "composition", "pair": ij} for ij in bad]
 
 
 def action_stack(m: ModuleRep) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Projective presentations, the class they cut out, and silting decisions.
 
 A presentation is an exact pair P1 --sigma--> P0 --witness--> M -> 0.
-Projectivity of P1, P0 is declared by the caller (free presentations use
-powers of the regular module, which are projective by construction);
-exactness is verified, projectivity is not derived.
+Projectivity of P1, P0 is declared by the caller; exactness is verified,
+projectivity is not derived.
 
 For a presentation sigma, a module X belongs to the associated class
 when composition with sigma maps Hom(P0, X) onto Hom(P1, X).  Silting
@@ -16,16 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .linalg import (
     FpMatrix,
-    column_space_basis,
     combinations,
-    hstack,
-    kernel_basis,
     kron,
     rank,
     solve,
@@ -41,7 +37,6 @@ from .modules import (
     hom_coords,
     hom_dim,
     hom_space,
-    regular_module,
     zero_module,
 )
 from .memo import memo
@@ -96,90 +91,6 @@ def trivial_presentation(m: ModuleRep) -> Presentation:
         target=m,
         witness=ModuleMap(m, m, FpMatrix.identity(m.p, m.dim)),
     )
-
-
-def _minimal_generating_subset(m: ModuleRep, cols: FpMatrix) -> list[int]:
-    """Greedy minimal subset of the given columns generating their span
-    as a submodule (closure under the action)."""
-    chosen: list[int] = []
-    target_rank = rank(_module_closure(m, cols))
-    current = FpMatrix.zeros(m.p, m.dim, 0)
-    current_rank = 0
-    for j in range(cols.cols):
-        if current_rank == target_rank:
-            break
-        closed = _module_closure(m, hstack([current, cols.column_vector(j)]))
-        if rank(closed) > current_rank:
-            chosen.append(j)
-            current = closed
-            current_rank = rank(closed)
-    return chosen
-
-
-def _module_closure(m: ModuleRep, cols: FpMatrix) -> FpMatrix:
-    """Basis of the submodule generated by the given columns."""
-    if cols.cols == 0:
-        return cols
-    span = cols
-    while True:
-        moved = [span] + [m.action[i] @ span for i in range(m.algebra.dim)]
-        new_span = column_space_basis(hstack(moved))
-        if rank(new_span) == rank(span):
-            return new_span
-        span = new_span
-
-
-def free_presentation(m: ModuleRep, minimize: bool = False) -> Presentation:
-    """Presentation by powers of the regular module.
-
-    P0 has one regular summand per chosen generator of M (all basis
-    vectors by default), P1 one per chosen generator of ker(P0 -> M).
-    With ``minimize`` a greedy pass picks minimal generating subsets;
-    the result is not radical-minimal, just smaller.
-    """
-    alg = m.algebra
-    p = m.p
-    reg = regular_module(alg, m.side)
-    gens = FpMatrix.identity(p, m.dim)
-    if minimize and m.dim:
-        idx = _minimal_generating_subset(m, gens)
-        gens = gens.take_columns(idx)
-    g = gens.cols
-    p0 = direct_sum([reg] * g, algebra=alg, side=m.side).module
-    # P0 -> M: the j-th regular summand sends its unit to the j-th generator
-    cols = []
-    for j in range(g):
-        target_vec = gens.column_vector(j)
-        for i in range(alg.dim):
-            cols.append((m.act(_basis_vec(alg.dim, i)) @ target_vec).array()[:, 0])
-    wit_mat = (
-        FpMatrix(p, np.stack(cols, axis=1)) if cols else FpMatrix.zeros(p, m.dim, 0)
-    )
-    witness = ModuleMap(p0, m, wit_mat)
-    ker = kernel_basis(wit_mat)
-    if minimize and ker.cols:
-        idx = _minimal_generating_subset(p0, ker)
-        ker = ker.take_columns(idx)
-    h = ker.cols
-    p1 = direct_sum([reg] * h, algebra=alg, side=m.side).module
-    cols = []
-    for j in range(h):
-        kv = ker.column_vector(j)
-        for i in range(alg.dim):
-            cols.append((p0.act(_basis_vec(alg.dim, i)) @ kv).array()[:, 0])
-    sig_mat = (
-        FpMatrix(p, np.stack(cols, axis=1)) if cols else FpMatrix.zeros(p, p0.dim, 0)
-    )
-    pres = Presentation(sigma=ModuleMap(p1, p0, sig_mat), target=m, witness=witness)
-    bad = validate_presentation(pres)
-    assert not bad, f"free presentation failed its own exactness check: {bad[0]}"
-    return pres
-
-
-def _basis_vec(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=np.int64)
-    e[i] = 1
-    return e
 
 
 def _hom_onto(f: ModuleMap, x: ModuleRep) -> bool:
@@ -295,7 +206,6 @@ def is_partial_silting(
     m: ModuleRep,
     s: Presentation,
     universe: Sequence[ModuleRep],
-    max_sum_dim: Optional[int] = None,
 ) -> PartialSiltingVerdict:
     """Partial silting: m is in its own sigma-class, and the class meets
     the universe in a set closed under pairwise direct sums.
@@ -313,8 +223,6 @@ def is_partial_silting(
     in_class: dict[tuple[int, int], bool] = {}
     for i, x in members:
         for j, y in members:
-            if max_sum_dim is not None and x.dim + y.dim > max_sum_dim:
-                continue
             ok = in_class.get((j, i))
             if ok is None:
                 ok = in_class[i, j] = d_sigma_member(s, _pair_sum(x, y))
@@ -329,8 +237,3 @@ def _pair_sum(x: ModuleRep, y: ModuleRep) -> ModuleRep:
     a universe tests the same pair sums."""
     return direct_sum([x, y]).module
 
-
-def is_left_approximation(f: ModuleMap, family, universe: Sequence[ModuleRep]) -> bool:
-    """True when every map from the source into a family member of the
-    universe factors through f."""
-    return all(_hom_onto(f, x) for x in universe if family.contains(x))

@@ -351,12 +351,16 @@ def torsion_pair_oracle(x: ModuleFamily, y: ModuleFamily, universe: Sequence[Mod
 
 # -- torsion class --------------------------------------------------------------
 
+# is_torsion_class enumerates the maps of a member/universe pair only up to
+# this Hom dimension, and forms at most EXT_CAP extension classes per pair of
+# members; past either the verdict is flagged partial.
+MAP_ENUM_CAP = 12
+EXT_CAP = 64
+
 
 def is_torsion_class(
     f: ModuleFamily,
     universe: Sequence[ModuleRep],
-    ext_cap: int = 64,
-    map_enum_cap: int = 12,
     max_dim: Optional[int] = None,
 ) -> Verdict:
     """Closure under images of maps into the universe, pairwise direct
@@ -383,7 +387,7 @@ def is_torsion_class(
     for i, m in members:
         for j, n in enumerate(universe):
             basis = hom_space(m, n) if hom_dim(m, n) else []
-            if len(basis) > map_enum_cap:
+            if len(basis) > MAP_ENUM_CAP:
                 partial = True
                 continue
             for mat in combinations(m.p, [b.matrix for b in basis], n.dim, m.dim):
@@ -414,7 +418,7 @@ def is_torsion_class(
         for j, n in members:
             if max_dim is not None and m.dim + n.dim > max_dim:
                 continue
-            res = extension_middle_terms(m, n, cap=ext_cap)
+            res = extension_middle_terms(m, n, cap=EXT_CAP)
             if res.truncated:
                 partial = True
             for e in res.middle_terms:

@@ -1,5 +1,4 @@
 import copy
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +8,6 @@ from commacat.document import (
     DocumentError,
     document_validation_report,
     parse_document,
-    serialize_document,
 )
 
 
@@ -100,14 +98,6 @@ def test_parse_sample():
     assert len(doc.universes["ut"]) == 4
     assert doc.families["gen_k"].contains(doc.modules["Rk"])
     assert not doc.families["gen_k"].contains(doc.modules["RR"])
-
-
-def test_round_trip_canonical():
-    data = sample_document()
-    doc = parse_document(data)
-    once = json.dumps(serialize_document(doc), sort_keys=True)
-    again = json.dumps(serialize_document(parse_document(json.loads(once))), sort_keys=True)
-    assert once == again
 
 
 def test_unresolved_reference():

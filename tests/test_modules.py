@@ -1,10 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commacat.algebra import Bimodule, FDAlgebra, dual_numbers_algebra, field_algebra
+from commacat.algebra import Bimodule, FDAlgebra, dual_numbers_algebra, field_algebra, validate_bimodule
 from commacat.comma import CommaObject
+from commacat.document import parse_document
 from commacat.fixtures import load_fixture
 from commacat.linalg import FpMatrix, enumerate_vectors, inverse, rank
 from commacat.modules import (
@@ -33,6 +36,7 @@ from commacat.modules import (
     validate_module,
     zero_module,
 )
+from tests.test_hom_blocks import _p3doc
 
 
 @pytest.fixture(scope="module")
@@ -611,3 +615,100 @@ def test_memoized_hom_space_keeps_the_labels_of_the_first_call(a2):
     again = hom_space(m2, n)
     assert again is first
     assert again and all(f.source.label == m.label for f in again)
+
+
+# -- the module law, checked at once -----------------------------------------------
+
+
+def expand(p, dim, action, coeffs):
+    """Reference: sum_k coeffs[k] action[k], scaled and added one term at a time
+    (the loop ``ModuleRep.act`` was)."""
+    out = FpMatrix.zeros(p, dim, dim)
+    for k, c in enumerate(np.asarray(coeffs, dtype=np.int64)):
+        if c % p:
+            out = out + action[k].scale(int(c))
+    return out
+
+
+def looped_validate_module(m):
+    """Reference: ``validate_module`` as one check per pair of basis elements."""
+    violations = []
+    alg = m.algebra
+    if expand(m.p, m.dim, m.action, alg.unit) != FpMatrix.identity(m.p, m.dim):
+        violations.append({"kind": "unit-action"})
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            coeffs = alg.mul[i, j, :] if m.side == LEFT else alg.mul[j, i, :]
+            if m.action[i] @ m.action[j] != expand(m.p, m.dim, m.action, coeffs):
+                violations.append({"kind": "composition", "pair": [i, j]})
+    return violations
+
+
+def looped_validate_bimodule(u):
+    """Reference: ``validate_bimodule`` as one check per pair of basis elements."""
+    violations = []
+    p, s, r = u.p, u.s_algebra, u.r_algebra
+    if expand(p, u.dim, u.left_action, s.unit) != FpMatrix.identity(p, u.dim):
+        violations.append({"kind": "left-unit"})
+    if expand(p, u.dim, u.right_action, r.unit) != FpMatrix.identity(p, u.dim):
+        violations.append({"kind": "right-unit"})
+    for i in range(s.dim):
+        for j in range(s.dim):
+            if u.left_action[i] @ u.left_action[j] != expand(p, u.dim, u.left_action, s.mul[i, j, :]):
+                violations.append({"kind": "left-composition", "pair": [i, j]})
+    for i in range(r.dim):
+        for j in range(r.dim):
+            if u.right_action[i] @ u.right_action[j] != expand(p, u.dim, u.right_action, r.mul[j, i, :]):
+                violations.append({"kind": "right-composition", "pair": [i, j]})
+    for i in range(s.dim):
+        for j in range(r.dim):
+            if u.left_action[i] @ u.right_action[j] != u.right_action[j] @ u.left_action[i]:
+                violations.append({"kind": "actions-commute", "pair": [i, j]})
+    return violations
+
+
+def _regular_bimodule(alg):
+    e = np.eye(alg.dim, dtype=np.int64)
+    return Bimodule(alg, alg, alg.dim, [alg.left_mult_matrix(x) for x in e], [alg.right_mult_matrix(x) for x in e])
+
+
+@functools.lru_cache(maxsize=None)
+def _law_cases():
+    """Modules and bimodules over a2, dual numbers (also at p = 16777213, where
+    an unreduced product of two products overflows int64) and F_3[x]/(x^3)."""
+    a2, dual = load_fixture("a2"), load_fixture("dual-numbers")
+    p3 = parse_document(_p3doc().generate(11))
+    big = dual_numbers_algebra(16777213)
+    algebras = [a2.t, dual.r, dual.t, p3.algebras["A"], big]
+    modules = [
+        *a2.t_universe_list(), *a2.r_universe_list(), *a2.s_universe_list(),
+        *dual.t_universe_list(), *dual.r_universe_list(), *dual.s_universe_list(),
+        *p3.modules.values(),
+        *(regular_module(alg, side) for alg in algebras for side in (LEFT, RIGHT)),
+    ]
+    return modules, [a2.u, dual.u, *map(_regular_bimodule, algebras)]
+
+
+def _perturbed(data, p, dim, actions):
+    """``actions`` with up to three entries set to drawn residues."""
+    arrays = [a.array().copy() for a in actions]
+    for _ in range(data.draw(st.integers(0, 3)) if dim else 0):
+        k, i, j = (data.draw(st.integers(0, bound - 1)) for bound in (len(arrays), dim, dim))
+        arrays[k][i, j] = data.draw(st.integers(0, p - 1))
+    return [FpMatrix(p, a) for a in arrays]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_module_law_matches_looped_check(data):
+    modules, bimodules = _law_cases()
+    m = data.draw(st.sampled_from(modules))
+    m = ModuleRep(m.algebra, m.side, m.dim, _perturbed(data, m.p, m.dim, m.action))
+    assert validate_module(m) == looped_validate_module(m)
+    coeffs = data.draw(st.lists(st.integers(0, m.p - 1), min_size=m.algebra.dim, max_size=m.algebra.dim))
+    assert m.act(coeffs) == expand(m.p, m.dim, m.action, coeffs)
+    u = data.draw(st.sampled_from(bimodules))
+    actions = _perturbed(data, u.p, u.dim, u.left_action + u.right_action)
+    d = u.s_algebra.dim
+    u = Bimodule(u.s_algebra, u.r_algebra, u.dim, actions[:d], actions[d:])
+    assert validate_bimodule(u) == looped_validate_bimodule(u)

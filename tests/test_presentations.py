@@ -5,14 +5,11 @@ import pytest
 
 from commacat.document import parse_document
 from commacat.fixtures import load_fixture
-from commacat.linalg import FpMatrix
-from commacat.modules import ModuleMap, direct_sum, regular_module, zero_module
+from commacat.modules import direct_sum, regular_module, zero_module
 from commacat.presentations import (
     Presentation,
     d_sigma_member,
     d_sigma_member_oracle,
-    free_presentation,
-    is_left_approximation,
     is_partial_silting,
     is_silting,
     trivial_presentation,
@@ -32,53 +29,10 @@ def dual():
     return load_fixture("dual-numbers")
 
 
-class _AllFamily:
-    def contains(self, m):
-        return True
-
-
-class _DSigmaFamily:
-    def __init__(self, pres):
-        self.pres = pres
-
-    def contains(self, m):
-        return d_sigma_member(self.pres, m)
-
-
 def test_fixture_presentations_exact(a2, dual):
     for fx in (a2, dual):
         for name, pres in fx.presentations.items():
             assert validate_presentation(pres) == [], name
-
-
-def test_free_presentation_zero_module(a2):
-    pres = free_presentation(zero_module(a2.r))
-    assert pres.sigma.source.dim == 0
-    assert pres.sigma.target.dim == 0
-    assert validate_presentation(pres) == []
-
-
-def test_free_presentation_simple_dual_numbers(dual):
-    # ker(R -> k) = xR, one generator: R --(.x)--> R -> k
-    pres = free_presentation(dual.r_universe["k"], minimize=True)
-    assert validate_presentation(pres) == []
-    assert pres.sigma.source.dim == 2
-    assert pres.sigma.target.dim == 2
-    assert pres.sigma.matrix == dual.presentations["k_from_x"].sigma.matrix
-
-
-def test_free_presentation_regular_target(dual):
-    pres = free_presentation(dual.r_universe["R"], minimize=True)
-    assert validate_presentation(pres) == []
-    # a single regular generator suffices and the kernel is zero
-    assert pres.sigma.target.dim == 2
-    assert pres.sigma.source.dim == 0
-
-
-def test_free_presentation_unminimized(dual):
-    pres = free_presentation(dual.r_universe["k"])
-    assert validate_presentation(pres) == []
-    assert pres.sigma.target.dim == 2  # one regular copy per basis vector of k
 
 
 def test_d_sigma_trivial_presentation_everything(a2):
@@ -202,29 +156,6 @@ def test_pairwise_sum_closure_extends_to_triples(a2):
             for z in members:
                 triple = direct_sum([x, y, z], algebra=a2.t).module
                 assert d_sigma_member(pres, triple)
-
-
-def test_left_approximation_identity(a2):
-    from commacat.modules import identity_map
-
-    treg = regular_module(a2.t)
-    fam = _AllFamily()
-    assert is_left_approximation(identity_map(treg), fam, a2.t_universe_list())
-
-
-def test_left_approximation_to_zero_fails(a2):
-    m = a2.t_universe["P"]
-    f = ModuleMap(m, zero_module(a2.t), FpMatrix.zeros(2, 0, 2))
-    fam = _AllFamily()
-    assert not is_left_approximation(f, fam, a2.t_universe_list())
-
-
-def test_left_approximation_regular_into_class(a2):
-    from commacat.modules import identity_map
-
-    treg = regular_module(a2.t)
-    fam = _DSigmaFamily(trivial_presentation(treg))
-    assert is_left_approximation(identity_map(treg), fam, a2.t_universe_list())
 
 
 def _universes():

@@ -3,6 +3,7 @@ import pytest
 from commacat.fixtures import load_fixture
 from commacat.modules import regular_module
 from commacat.torsion import (
+    MAP_ENUM_CAP,
     all_submodule_bases,
     all_subspace_bases,
     comma_family,
@@ -220,7 +221,7 @@ def test_monotonicity_under_universe_shrinking(a2, univ):
 # -- image closure memoized per (target, image) ----------------------------------
 
 
-def per_map_image_closure(f, universe, map_enum_cap=12):
+def per_map_image_closure(f, universe):
     """Reference: build and test the image of every enumerated map, as the
     image-closure loop of ``is_torsion_class`` did before it was memoized."""
     from commacat.linalg import column_space_basis, combinations
@@ -231,7 +232,7 @@ def per_map_image_closure(f, universe, map_enum_cap=12):
         m = universe[i]
         for j, n in enumerate(universe):
             basis = hom_space(m, n)
-            if len(basis) > map_enum_cap:
+            if len(basis) > MAP_ENUM_CAP:
                 partial = True
                 continue
             for mat in combinations(m.p, [b.matrix for b in basis], n.dim, m.dim):
