@@ -60,7 +60,9 @@ def _verdict_lines(v: dict, indent: int = 0) -> list[str]:
 ISO_CAP_HELP = (
     "Hom-dimension cap for the comma isomorphism searches that build a fixture's "
     "generated comma universe (dual-numbers).  It reaches only that build: "
-    "documents, a2 and every isomorphism search of the tasks use cap 16."
+    "documents, a2 and every isomorphism search of the tasks use cap 16.  Pairs "
+    "that the universe's invariant key (dimensions and ranks) tells apart are "
+    "never searched, so the cap meets only pairs with equal keys."
 )
 
 
@@ -111,7 +113,8 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
             sys.exit(3)
     report = {"tool": "commacat", "p": p, "source": source, "tasks": results}
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     else:
         click.echo(_report_to_text(report), nl=False)
     sys.exit(0)

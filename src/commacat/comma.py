@@ -31,7 +31,6 @@ from .linalg import (
     intertwining_system,
     kernel_basis,
     kron,
-    quotient_space,
     rank,
     solve_each,
     vstack,
@@ -565,43 +564,23 @@ def hom_formula(kind: int, source: CommaObject, target: CommaObject) -> int:
 # -- tensor over T ---------------------------------------------------------------
 
 
-class TensorTResult(NamedTuple):
-    dim: int
-    projection: FpMatrix  # from (X (x) A) + (Y (x) B) onto the result
-    h_generators: FpMatrix
-
-
-def tensor_T(rt: RightTModule, c: CommaObject) -> TensorTResult:
-    """((X (x)_R A) + (Y (x)_S B)) / H, with H spanned by
+def tensor_T(rt: RightTModule, c: CommaObject) -> int:
+    """dim ((X (x)_R A) + (Y (x)_S B)) / H, with H spanned by
     psi(y (x) u) (x) a - y (x) phi(u (x) a) over basis triples."""
     if rt.bimodule != c.bimodule:
         raise AlgebraMismatch("mismatched triangular data")
     p = c.p
-    u = c.bimodule
+    dx, dy, du, da, db = rt.X.dim, rt.Y.dim, c.bimodule.dim, c.A.dim, c.B.dim
     px, _ = balanced_tensor(rt.X, c.A)
     py, _ = balanced_tensor(rt.Y, c.B)
-    dxa, dyb = px.rows, py.rows
-    da, db = c.A.dim, c.B.dim
-    gens = []
-    for yi in range(rt.Y.dim):
-        for uj in range(u.dim):
-            xvec = rt.psi.array()[:, yi * u.dim + uj]
-            for am in range(da):
-                v1 = np.zeros(rt.X.dim * da, dtype=np.int64)
-                for xl in range(rt.X.dim):
-                    v1[xl * da + am] = xvec[xl]
-                bvec = c.phi.array()[:, uj * da + am]
-                v2 = np.zeros(rt.Y.dim * db, dtype=np.int64)
-                for bl in range(db):
-                    v2[yi * db + bl] = bvec[bl]
-                top = px @ FpMatrix(p, v1.reshape(-1, 1))
-                bottom = py @ FpMatrix(p, v2.reshape(-1, 1))
-                gens.append(np.concatenate([top.array()[:, 0], (-bottom).array()[:, 0]]) % p)
-    hmat = (
-        FpMatrix(p, np.stack(gens, axis=1)) if gens else FpMatrix.zeros(p, dxa + dyb, 0)
-    )
-    proj, _ = quotient_space(p, dxa + dyb, hmat)
-    return TensorTResult(proj.rows, proj, hmat)
+    # generator (y, u, a) is column (y * du + u) * da + a: psi(y (x) u) (x) a on the full
+    # X (x) A, and y (x) phi(u (x) a) on the full Y (x) B
+    n = dy * du * da
+    psi, phi = rt.psi.array().reshape(dx, dy, du), c.phi.array().reshape(db, du, da)
+    on_xa = np.einsum("xyu,am->xayum", psi, np.eye(da, dtype=np.int64)).reshape(dx * da, n)
+    on_yb = np.einsum("zy,bum->zbyum", np.eye(dy, dtype=np.int64), phi).reshape(dy * db, n)
+    h = np.vstack([px.array() @ on_xa, -(py.array() @ on_yb)]) % p
+    return px.rows + py.rows - rank(FpMatrix._of(p, h))
 
 
 def tensor_T_bruteforce(rt: RightTModule, c: CommaObject) -> int:
@@ -766,6 +745,12 @@ def sigma_for_p(
 # -- universe builder ---------------------------------------------------------------
 
 
+def components_key(a: ModuleRep, b: ModuleRep) -> tuple:
+    """(dim A, dim B, the rank of every action matrix of A, and of B): the part of
+    the :func:`comma_universe` key that phi does not enter."""
+    return a.dim, b.dim, tuple(rank(x) for x in a.action), tuple(rank(x) for x in b.action)
+
+
 def comma_universe(
     u: Bimodule,
     r_universe: Sequence[ModuleRep],
@@ -778,13 +763,22 @@ def comma_universe(
 
     Deterministic order: component universes in the given order, phi
     candidates by lexicographic coefficients over the S-linear basis.
+
+    A candidate is searched only against the kept objects with the same key
+    (dim A, dim B, the rank of every action matrix of A and of B, rank phi),
+    in the order they were kept; objects with different keys are never
+    searched.  The key is an isomorphism invariant: a comma isomorphism
+    (f, g) conjugates the actions (f r f^-1 on A, g s g^-1 on B) and sends
+    phi to g phi (1_U (x) f)^-1, and none of these changes a rank.
     """
     out: list[CommaObject] = []
+    kept: dict[tuple, list[CommaObject]] = {}
     p = u.p
     for a in r_universe:
         for b in s_universe:
             if a.dim + b.dim > max_total_dim:
                 continue
+            pair_key = components_key(a, b)
             tensor = tensor_over(u, a)
             descended = [h.matrix for h in hom_space(tensor.module, b)]
             proj = tensor.projection
@@ -793,12 +787,9 @@ def comma_universe(
                     cand = CommaObject(
                         u, a, b, FpMatrix(p, phi), label=f"({a.label},{b.label})#{len(out)}"
                     )
-                    if any(
-                        cand.A.dim == seen.A.dim
-                        and cand.B.dim == seen.B.dim
-                        and comma_is_isomorphic(cand, seen, cap=iso_cap).isomorphic
-                        for seen in out
-                    ):
+                    bucket = kept.setdefault((pair_key, rank(cand.phi)), [])
+                    if any(comma_is_isomorphic(cand, seen, cap=iso_cap).isomorphic for seen in bucket):
                         continue
+                    bucket.append(cand)
                     out.append(cand)
     return out

@@ -398,7 +398,7 @@ def hom_formula_facts(kind: int, x: CommaObject, y: CommaObject, tx: ModuleRep, 
 def tensor_oracle_facts(rt: RightTModule, c: CommaObject, t: TriangularAlgebra) -> dict:
     """dim of (X, Y, psi) (x)_T (A, B, phi) by the main, brute-force and algebra routes."""
     return {
-        "main": tensor_T(rt, c).dim,
+        "main": tensor_T(rt, c),
         "bruteforce": tensor_T_bruteforce(rt, c),
         "via_algebra": tensor_T_via_algebra(rt, c, t),
     }
@@ -654,7 +654,7 @@ def _tensor_dim_mismatch(cert: dict, env: dict) -> bool:
     fx = env["fixture"]
     rt, c = fx.right_t_universe[cert["right_module"]], fx.comma_universe[cert["comma"]]
     predicted = dict(tensor_shape_predictions(rt, c)).get(env["shape"])
-    facts = {"predicted": predicted, "computed": tensor_T(rt, c).dim}
+    facts = {"predicted": predicted, "computed": tensor_T(rt, c)}
     return cert["shape"] == env["shape"] and _records_mismatch(cert, facts)
 
 

@@ -276,10 +276,11 @@ def test_iso_cap_does_not_reach_the_tasks(runner):
 
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_too_small_iso_cap_is_one_task_error_line(runner, tmp_path, command):
-    # building the dual-numbers comma universe needs a comma isomorphism search
+    # building the dual-numbers comma universe needs a comma isomorphism search; the
+    # first one the invariant key does not rule out is between objects with a 3-dim Hom
     result = runner.invoke(main, [*_dual_numbers_target(command, tmp_path), "--iso-cap", "0"])
     assert result.exit_code == 3, result.output
-    assert result.stderr == "task error: comma hom dimension 1 exceeds cap 0\n"
+    assert result.stderr == "task error: comma hom dimension 3 exceeds cap 0\n"
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

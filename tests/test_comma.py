@@ -8,10 +8,10 @@ from commacat.algebra import Bimodule, dual_numbers_algebra, field_algebra
 from commacat.comma import (
     CommaObject,
     RightTModule,
-    canonical_tensor_comma,
     comma_from_components,
     comma_is_isomorphic,
     comma_universe,
+    components_key,
     family_membership,
     from_T_module,
     functor_h,
@@ -40,6 +40,7 @@ from commacat.fixtures import load_fixture
 from commacat.linalg import (
     FpMatrix,
     column_space_basis,
+    combinations,
     intertwining_system,
     inverse,
     kernel_basis,
@@ -55,6 +56,7 @@ from commacat.modules import (
     balancing_generators,
     direct_sum,
     hom_dim,
+    hom_space,
     identity_map,
     image_kernel_cokernel,
     is_isomorphic,
@@ -270,18 +272,18 @@ def test_hom_formula_rejects_wrong_shape(a2):
 def test_tensor_T_examples(a2):
     rt = a2.right_t_universe
     cm = a2.comma_universe
-    assert tensor_T(rt["YS"], cm["P"]).dim == 0
-    assert tensor_T(rt["YS"], cm["N"]).dim == 1
-    assert tensor_T(rt["XR"], cm["S_R"]).dim == 1
-    assert tensor_T(rt["ET"], cm["P"]).dim == 1
-    assert tensor_T(rt["NT"], cm["N"]).dim == 2
+    assert tensor_T(rt["YS"], cm["P"]) == 0
+    assert tensor_T(rt["YS"], cm["N"]) == 1
+    assert tensor_T(rt["XR"], cm["S_R"]) == 1
+    assert tensor_T(rt["ET"], cm["P"]) == 1
+    assert tensor_T(rt["NT"], cm["N"]) == 2
 
 
 def test_tensor_T_three_ways(a2, dual):
     for fx in (a2, dual):
         for rt in fx.right_t_universe.values():
             for c in fx.comma_universe.values():
-                main = tensor_T(rt, c).dim
+                main = tensor_T(rt, c)
                 assert main == tensor_T_bruteforce(rt, c), (rt.label, c.label)
                 assert main == tensor_T_via_algebra(rt, c, fx.t), (rt.label, c.label)
 
@@ -294,7 +296,7 @@ def test_tensor_shape_predictions(a2):
         for c in cm.values():
             for shape, predicted in tensor_shape_predictions(r, c):
                 covered.add(shape)
-                assert predicted == tensor_T(r, c).dim, (r.label, c.label, shape)
+                assert predicted == tensor_T(r, c), (r.label, c.label, shape)
     assert covered == {1, 2, 3, 4, 5}
 
 
@@ -766,3 +768,60 @@ def test_balancing_generators_match_looped_construction(name, system_universes):
             for a in universe:
                 right = module_dual(x)
                 assert balancing_generators(right, a) == looped_balancing_generators(right, a)
+
+
+def universe_key(c):
+    return components_key(c.A, c.B), rank(c.phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["dual-numbers", "f3-dual"]))
+def test_universe_key_is_an_isomorphism_invariant(data, name, system_universes):
+    """A comma sum and its transport along random invertible (f, g) get equal keys."""
+    c = data.draw(comma_sums(system_universes[name][0]))
+    ga, gb = data.draw(invertible(c.p, c.A.dim)), data.draw(invertible(c.p, c.B.dim))
+    d = comma_in_basis(c, ga, gb)
+    assert validate_comma(d) == []
+    assert universe_key(d) == universe_key(c)
+
+
+def linear_scan_universe(u, r_universe, s_universe, max_total_dim):
+    """comma_universe without the key: each candidate is searched against every
+    kept object with the same component dimensions."""
+    out = []
+    for a in r_universe:
+        for b in s_universe:
+            if a.dim + b.dim > max_total_dim:
+                continue
+            tensor = tensor_over(u, a)
+            descended = [h.matrix for h in hom_space(tensor.module, b)]
+            for m in combinations(u.p, descended, b.dim, tensor.projection.rows):
+                cand = CommaObject(u, a, b, m @ tensor.projection, label=f"({a.label},{b.label})#{len(out)}")
+                if not any(
+                    cand.A.dim == seen.A.dim and cand.B.dim == seen.B.dim and comma_is_isomorphic(cand, seen).isomorphic
+                    for seen in out
+                ):
+                    out.append(cand)
+    return out
+
+
+@pytest.mark.parametrize("max_total_dim", range(6))
+def test_bucketed_universe_equals_linear_scan(dual, max_total_dim):
+    args = (dual.u, dual.r_universe_list(), dual.s_universe_list(), max_total_dim)
+    built, expected = comma_universe(*args), linear_scan_universe(*args)
+    assert [(c.label, c.key) for c in built] == [(c.label, c.key) for c in expected]
+
+
+def test_dual_numbers_universe_build_searches_19_pairs(dual, monkeypatch):
+    # the key is complete on this fixture: every search it leaves finds an isomorphism
+    results = []
+
+    def counted(x, y, cap=16):
+        result = comma_is_isomorphic(x, y, cap=cap)
+        results.append(result.isomorphic)
+        return result
+
+    monkeypatch.setattr(comma, "comma_is_isomorphic", counted)
+    built = comma_universe(dual.u, dual.r_universe_list(), dual.s_universe_list())
+    assert [c.key for c in built] == [c.key for c in dual.comma_universe.values()]
+    assert results == [True] * 19

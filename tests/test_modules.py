@@ -233,7 +233,7 @@ def test_tensor_balancing_kills_radical(dual):
 
 def test_tensor_map_functorial(dual):
     r_univ = dual.r_universe
-    from commacat.modules import identity_map
+    from commacat.modules import compose, identity_map
 
     f = identity_map(r_univ["R"])
     tf = tensor_map(dual.u, f)
@@ -241,13 +241,12 @@ def test_tensor_map_functorial(dual):
     # zero map tensors to zero
     z = ModuleMap(r_univ["R"], r_univ["k"], FpMatrix.zeros(2, 1, 2))
     assert tensor_map(dual.u, z).matrix.is_zero()
-    # composition: (g . f) tensors to the composition
+    # composition: (g . h) tensors to the composition, for h multiplication by 1 + x
+    h = ModuleMap(r_univ["R"], r_univ["R"], FpMatrix(2, [[1, 0], [1, 1]]))
     g = ModuleMap(r_univ["R"], r_univ["k"], FpMatrix(2, [[1, 0]]))
-    assert g.is_valid()
-    from commacat.modules import compose
-
-    lhs = tensor_map(dual.u, g)
-    assert lhs.matrix == (tensor_map(dual.u, g).matrix @ tf.matrix)
+    assert g.is_valid() and h.is_valid()
+    lhs = tensor_map(dual.u, compose(g, h))
+    assert lhs.matrix == tensor_map(dual.u, g).matrix @ tensor_map(dual.u, h).matrix
 
 
 def test_tensor_right_exactness(dual):

@@ -7,7 +7,6 @@ from commacat.document import parse_document
 from commacat.fixtures import load_fixture
 from commacat.modules import direct_sum, regular_module, zero_module
 from commacat.presentations import (
-    Presentation,
     d_sigma_member,
     d_sigma_member_oracle,
     is_partial_silting,

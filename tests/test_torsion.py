@@ -1,7 +1,6 @@
 import pytest
 
 from commacat.fixtures import load_fixture
-from commacat.modules import regular_module
 from commacat.torsion import (
     MAP_ENUM_CAP,
     all_submodule_bases,
@@ -48,8 +47,6 @@ def test_submodules_of_projective(a2):
 
 def test_family_membership_invariance(a2, univ):
     # membership is isomorphism-invariant: evaluate on an isomorphic copy
-    import numpy as np
-
     from commacat.linalg import FpMatrix, inverse
     from commacat.modules import ModuleRep
 

@@ -1,10 +1,12 @@
-"""Every name a ``commacat`` module imports is used in that module.
+"""Every name a ``commacat`` module or test file imports is used in that file.
 
 A static check with ``ast``: it collects the names bound by every import
-statement (module level or local) and the names the module reads.
+statement (module level or local) and the names the file reads.
 Quoted annotations are not parsed; every module uses
 ``from __future__ import annotations``, so none is needed for an imported
-name.  ``__init__`` is exempt because its imports are re-exports.
+name.  ``__init__`` is exempt because its imports are re-exports.  Test
+files import no pytest fixtures (those live in ``conftest.py`` or in the
+file itself), so an imported name is used only where the file reads it.
 """
 
 import ast
@@ -12,8 +14,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "commacat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "commacat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+# package modules keep their bare file names as ids; test files are marked as such
+PATHS = [pytest.param(p, id=p.name) for p in MODULES] + [pytest.param(p, id=f"tests/{p.name}") for p in TESTS]
 
 
 def _imported_names(tree: ast.AST) -> dict[str, int]:
@@ -28,7 +34,7 @@ def _imported_names(tree: ast.AST) -> dict[str, int]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PATHS)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
