@@ -17,7 +17,7 @@ from typing import Optional
 import click
 
 from . import tasks as task_runner
-from .document import DocumentError, document_validation_report, load_document
+from .document import JSON_ERRORS, DocumentError, document_validation_report, load_document
 from .fixtures import fixture_names, load_fixture
 from .modules import IsoSearchCapExceeded
 from .tasks import MalformedReport, TaskError, replay_report
@@ -132,7 +132,7 @@ def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int
     with open(target, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except JSON_ERRORS as exc:
             click.echo(f"invalid JSON: {exc}", err=True)
             sys.exit(2)
     if certificate:

@@ -358,11 +358,15 @@ def _build_family(doc: Document, name: str, rec: dict, path: str) -> ModuleFamil
     return fam
 
 
+# Bad JSON, bytes that are not UTF-8, and nesting past the decoder's recursion limit
+JSON_ERRORS = (json.JSONDecodeError, UnicodeDecodeError, RecursionError)
+
+
 def load_document(path: str) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except JSON_ERRORS as exc:
             raise DocumentError("$", f"not valid JSON: {exc}") from None
     return parse_document(data)
 

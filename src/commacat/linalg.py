@@ -30,8 +30,9 @@ own size.)
 Exhaustive searches over a space of maps share one enumeration kernel:
 :func:`combination_chunks` yields all p**h linear combinations of h basis
 matrices as (k, rows, cols) int64 chunks of bounded size, in the order of
-:func:`enumerate_vectors`, and :func:`batched_rank` does Gaussian
-elimination mod p across a whole chunk at once.
+:func:`enumerate_vectors`, and :func:`batched_rref` runs one Gauss-Jordan
+elimination mod p across a whole chunk at once, giving the reduced form
+and rank of every matrix in it.
 """
 
 from __future__ import annotations
@@ -67,14 +68,17 @@ def _check_modulus(p: int) -> None:
 _INT64 = np.iinfo(np.int64)
 
 
-def _check_int64(x, name: str) -> None:
-    if isinstance(x, (list, tuple, np.ndarray)):
-        if set(map(type, x)) <= {int}:  # a row of Python ints: only its extremes can be out of range
-            x = [min(x), max(x)] if x else []
-        for y in x:
-            _check_int64(y, name)
-    elif isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not _INT64.min <= x <= _INT64.max:
-        raise ValueError(f"{name}: entry {x!r} is not an exact integer in int64 range")
+def _check_int64(entries, name: str) -> None:
+    # An explicit stack, not recursion: too deep a nesting is then rejected by its shape
+    stack = [entries]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (list, tuple, np.ndarray)):
+            if set(map(type, x)) <= {int}:  # a row of Python ints: only its extremes can be out of range
+                x = [min(x), max(x)] if x else []
+            stack.extend(reversed(x))
+        elif isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not _INT64.min <= x <= _INT64.max:
+            raise ValueError(f"{name}: entry {x!r} is not an exact integer in int64 range")
 
 
 def int64_array(entries, name: str = "entries") -> np.ndarray:
@@ -443,12 +447,14 @@ def _inverse_mod(p: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def batched_rank(p: int, stack: np.ndarray) -> np.ndarray:
-    """Rank mod p of each matrix of a (k, rows, cols) stack.
+def batched_rref(p: int, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon form and rank mod p of each matrix of a (k, rows, cols) stack.
 
-    One Gaussian elimination runs over the whole stack: each column step
+    One Gauss-Jordan elimination runs over the whole stack: each column step
     finds, swaps, normalizes and clears a pivot in every matrix that has
-    one, so the Python-level work is per column, not per matrix.
+    one, so the Python-level work is per column, not per matrix.  Every row
+    is cleared, and the reduced form is unique, so slice i of the result
+    equals the reduced matrix :func:`rref` gives for matrix i.
     """
     a = np.mod(np.asarray(stack, dtype=np.int64), p)
     k, rows, cols = a.shape
@@ -467,7 +473,7 @@ def batched_rank(p: int, stack: np.ndarray) -> np.ndarray:
         a[b] = (a[b] - a[b, :, c][:, :, None] * prow[:, None, :]) % p
         a[b, r] = prow
         ranks[b] += 1
-    return ranks
+    return a, ranks
 
 
 def first_of_rank(
@@ -475,7 +481,7 @@ def first_of_rank(
 ) -> Optional[FpMatrix]:
     """First combination of ``basis`` (in enumeration order) of rank ``target``."""
     for chunk in combination_chunks(p, basis, rows, cols):
-        hits = np.flatnonzero(batched_rank(p, chunk) == target)
+        hits = np.flatnonzero(batched_rref(p, chunk)[1] == target)
         if hits.size:
             return FpMatrix._of(p, chunk[hits[0]].copy())
     return None

@@ -501,7 +501,7 @@ def _silting_sites(fx: Fixture, v: dict, claim: str, clauses: tuple[str, ...]) -
     universes = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
     sides = silting_sides(fx.t, a, sigma_a, b, sigma_b, *universes)
     return [
-        (sub, {"universe": u, "presentation": pres, "gen_module": m, "family": family_d_sigma(pres, u)}, clauses)
+        (sub, {"universe": u, "presentation": pres, "gen_module": m}, clauses)
         for sub, (_, pres, m, u) in zip(_subs(v, claim, 3), sides)
     ]
 
@@ -513,7 +513,7 @@ def _replay_silting_transfer(fx: Fixture, v: dict, claim: str) -> list[Site]:
 
 def _replay_partial_silting_transfer(fx: Fixture, v: dict, claim: str) -> list[Site]:
     """(0, B) + (A, FA) is partial silting over T iff A and B are and FA lies in D[sigma_B]."""
-    return _silting_sites(fx, v, claim, ("self-membership", "sum-closure"))
+    return _silting_sites(fx, v, claim, ("self-membership",))
 
 
 def _replay_adjunction(fx: Fixture, v: dict, claim: str) -> list[Site]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import TriangularAlgebra
 from .comma import family_membership, from_T_module
-from .linalg import FpMatrix, column_space_basis, combinations, enumerate_vectors, hstack, rank
+from .linalg import FpMatrix, batched_rref, combination_chunks, enumerate_vectors, hstack, rank
 from .modules import (
     ModuleRep,
     direct_sum,
@@ -372,11 +372,13 @@ def is_torsion_class(
     truncated.
 
     Many maps share an image, so the image test is memoized per call on
-    (target index, canonical column-space basis of the image), across all
-    source members: only an image not seen before is built as a submodule
-    and tested.  Maps are still visited in enumeration order and each
-    (source, target) pair stops at its first map with a failing image, so
-    an ``image-closure`` certificate names the same map as testing every
+    (target index, canonical basis of the image), across all source
+    members: only an image not seen before is built as a submodule and
+    tested.  The bases come from one :func:`batched_rref` of the
+    transposed maps per enumeration chunk, not from one ``rref`` per map.
+    Maps are still visited in enumeration order and each (source, target)
+    pair stops at its first map with a failing image, so an
+    ``image-closure`` certificate names the same map as testing every
     image would, and the family predicate is called on a subset of the
     images it would otherwise see.
     """
@@ -390,23 +392,21 @@ def is_torsion_class(
             if len(basis) > MAP_ENUM_CAP:
                 partial = True
                 continue
-            for mat in combinations(m.p, [b.matrix for b in basis], n.dim, m.dim):
-                img_cols = column_space_basis(mat)
-                key = (j, img_cols.array().tobytes())
-                ok = image_in_f.get(key)
-                if ok is None:
-                    ok = image_in_f[key] = f.contains(submodule(n, img_cols)[0])
-                if not ok:
-                    certs.append(
-                        {
-                            "clause": "image-closure",
-                            "source": i,
-                            "target": j,
-                            "map": mat.to_lists(),
-                            "image_dim": img_cols.cols,
-                        }
-                    )
-                    break
+            for chunk in combination_chunks(m.p, [b.matrix for b in basis], n.dim, m.dim):
+                reduced, ranks = batched_rref(m.p, chunk.transpose(0, 2, 1))
+                for k, r in enumerate(ranks.tolist()):
+                    rows = reduced[k, :r]  # the transposed canonical basis of the image
+                    key = (j, rows.tobytes())
+                    ok = image_in_f.get(key)
+                    if ok is None:
+                        ok = image_in_f[key] = f.contains(submodule(n, FpMatrix._of(m.p, rows.T.copy()))[0])
+                    if not ok:
+                        certs.append({"clause": "image-closure", "source": i, "target": j,
+                                      "map": chunk[k].tolist(), "image_dim": r})
+                        break
+                else:
+                    continue
+                break  # the pair's first failing map ends its enumeration
     for i, m in members:
         for j, n in members:
             if max_dim is not None and m.dim + n.dim > max_dim:

@@ -243,6 +243,25 @@ def test_certificate_replay_of_malformed_report_exit_2(runner, tmp_path, text, m
     assert len(result.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [["run"], ["validate"], ["validate", "--certificate"]],
+                         ids=["run", "validate", "certificate"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf-8", "deeply-nested"],
+)
+def test_undecodable_input_is_one_line_exit_2(runner, tmp_path, command, content, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, [*command, str(path)])
+    assert result.exit_code == 2, result.output
+    assert message in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+
+
 def _dual_numbers_target(command, tmp_path):
     """Arguments that make ``command`` load the dual-numbers fixture."""
     if command == "run":

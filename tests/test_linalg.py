@@ -2,14 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commacat.algebra import FDAlgebra
 from commacat.linalg import (
     MODULUS_LIMIT,
     FpMatrix,
-    batched_rank,
+    batched_rref,
     block_diag,
     column_space_basis,
     combination_chunks,
@@ -315,30 +315,44 @@ def test_kron_convention():
 # -- the enumeration kernel ------------------------------------------------
 
 
+def test_deeply_nested_entries_are_rejected_without_recursion():
+    # far deeper than the interpreter's recursion limit, as a parsed document may be
+    entries = 1
+    for _ in range(10_000):
+        entries = [entries]
+    with pytest.raises(ValueError):
+        FpMatrix(2, entries)
+
+
 @st.composite
 def fp_stacks(draw):
-    """A modulus and a (k, rows, cols) stack of residues, 0-size shapes included."""
-    p = draw(st.sampled_from([2, 3, 5]))
+    """A modulus and a (k, rows, cols) stack of residues, 0-size shapes included.
+
+    Entries are zero about half the time, so zero rows and columns,
+    repeated pivots and every rank occur at every modulus.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 16777213]))
     k = draw(st.integers(min_value=0, max_value=6))
     rows = draw(st.integers(min_value=0, max_value=5))
     cols = draw(st.integers(min_value=0, max_value=5))
-    flat = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=p - 1),
-            min_size=k * rows * cols,
-            max_size=k * rows * cols,
-        )
-    )
+    entry = st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1))
+    flat = draw(st.lists(entry, min_size=k * rows * cols, max_size=k * rows * cols))
     return p, np.array(flat, dtype=np.int64).reshape(k, rows, cols)
 
 
 @given(fp_stacks())
+@example((2, np.zeros((0, 3, 2), dtype=np.int64)))
+@example((3, np.ones((2, 0, 4), dtype=np.int64)))
+@example((16777213, np.ones((2, 3, 0), dtype=np.int64)))
 @settings(max_examples=200, deadline=None)
-def test_batched_rank_matches_rank_on_every_slice(case):
+def test_batched_rref_matches_rref_on_every_slice(case):
     p, stack = case
-    ranks = batched_rank(p, stack)
-    assert ranks.shape == (stack.shape[0],)
-    assert [int(r) for r in ranks] == [rank(FpMatrix(p, a)) for a in stack]
+    reduced, ranks = batched_rref(p, stack)
+    assert reduced.shape == stack.shape and ranks.shape == (stack.shape[0],)
+    for a, red, r in zip(stack, reduced, ranks):
+        want, pivots = rref(FpMatrix(p, a))
+        assert np.array_equal(red, want.array())
+        assert r == len(pivots)
 
 
 def scale_and_add_combinations(p, basis, rows, cols):

@@ -15,8 +15,8 @@ def test_hom_space_calls_of_a_dual_numbers_run():
     assert stats["hom_space"]["hits"] + stats["hom_space"]["misses"] == 433
     assert stats["hom_space"]["misses"] == stats["hom_space"]["size"] == 335
     # dimension-only questions go to hom_dim, which builds no maps
-    assert stats["hom_dim"]["hits"] + stats["hom_dim"]["misses"] == 4791
-    assert stats["hom_dim"]["misses"] == stats["hom_dim"]["size"] == 717
+    assert stats["hom_dim"]["hits"] + stats["hom_dim"]["misses"] == 4660
+    assert stats["hom_dim"]["misses"] == stats["hom_dim"]["size"] == 586
     # both rest on 69 distinct block systems, posed on 11 distinct spun source
     # blocks; hom_space lifts each of them to its canonical basis once
     assert stats["hom_block"]["misses"] == stats["hom_block"]["size"] == 69
@@ -30,10 +30,10 @@ def test_hom_space_calls_of_a_dual_numbers_run():
     # build searches only pairs with equal invariant keys)
     assert stats["comma_groups"]["misses"] == stats["comma_groups"]["size"] == 47
     assert stats["comma_block"]["misses"] == stats["comma_block"]["size"] == 40
-    # is_partial_silting builds 609 pair sums, one per unordered pair it tests,
-    # of 206 distinct ordered pairs
-    assert stats["pair_sum"]["hits"] + stats["pair_sum"]["misses"] == 609
-    assert stats["pair_sum"]["misses"] == 206
+    # is_partial_silting tests only self-membership: 961 class questions about
+    # 267 distinct (presentation, module) pairs
+    assert stats["d_sigma_member"]["hits"] + stats["d_sigma_member"]["misses"] == 961
+    assert stats["d_sigma_member"]["misses"] == stats["d_sigma_member"]["size"] == 267
     # the comma-family predicates ask 2,505 times about 19 comma objects x 3 kinds
     assert stats["family_parts"]["hits"] + stats["family_parts"]["misses"] == 2505
     assert stats["family_parts"]["misses"] == stats["family_parts"]["size"] == 57

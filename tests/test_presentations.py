@@ -157,6 +157,35 @@ def test_pairwise_sum_closure_extends_to_triples(a2):
                 assert d_sigma_member(pres, triple)
 
 
+@pytest.mark.parametrize("name", ["a2", "dual-numbers"])
+def test_d_sigma_of_a_direct_sum_is_both_summands(name):
+    """Hom(sigma, X + Y) = Hom(sigma, X) + Hom(sigma, Y) is onto exactly when
+    both parts are, so the class is closed under direct sums and
+    is_partial_silting need not test them.  Over T the presentations are
+    the fixture's and sigma_T of every pair of R- and S-presentations."""
+    from commacat.comma import sigma_for_p
+
+    fx = load_fixture(name)
+    pres = list(fx.presentations.values())
+    pres += [
+        sigma_for_p(fx.t, a.target, a, b.target, b)
+        for a in pres
+        if a.target.algebra == fx.t.r
+        for b in pres
+        if b.target.algebra == fx.t.s
+    ]
+    checked = 0
+    for universe in (fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()):
+        algebra = universe[0].algebra
+        for s in (s for s in pres if s.target.algebra == algebra):
+            for x in universe:
+                for y in universe:
+                    total = direct_sum([x, y], algebra=algebra).module
+                    assert d_sigma_member(s, total) == (d_sigma_member(s, x) and d_sigma_member(s, y))
+                    checked += 1
+    assert checked
+
+
 def _universes():
     for name in ("a2", "dual-numbers"):
         fx = load_fixture(name)

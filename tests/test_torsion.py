@@ -296,14 +296,50 @@ def _closure_families(fx, universe):
     return fams
 
 
-@pytest.mark.parametrize("name", ["a2", "dual-numbers"])
+def _fixture_closure_cases(name):
+    fx = load_fixture(name)
+    universes = fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()
+    return [(universe, _closure_families(fx, universe)) for universe in universes]
+
+
+def _jordan_closure_case():
+    """Over F_3[x]/(x^3), Hom(J2111, J22) has dimension 10: 3^10 maps, several
+    enumeration chunks.  (End J2111 has dimension 17, past MAP_ENUM_CAP, so
+    that pair is skipped and the verdict is partial.)  J22 is no image of
+    J2111, and the span of its first two basis vectors is first an image at
+    map 6561, in the second chunk: the family of every module but those two
+    first fails there."""
+    from commacat.linalg import FpMatrix
+    from commacat.modules import submodule
+    from commacat.torsion import ModuleFamily
+    from tests.test_hom_blocks import truncated_polynomials
+    from tests.test_modules import jordan_module
+
+    alg = truncated_polynomials(3, 3)
+    src, tgt = jordan_module(alg, (2, 1, 1, 1)), jordan_module(alg, (2, 2))
+    late, _ = submodule(tgt, FpMatrix(3, [[1, 0], [0, 1], [0, 0], [0, 0]]))
+    universe = [src, tgt]
+    # Content, not isomorphism, decides membership: an isomorphism search on
+    # End J2111 would pass the search cap.
+    fams = [
+        ModuleFamily("{J2111}", {"kind": "test"}, universe, lambda m: m == src),
+        ModuleFamily("{J2111,0}", {"kind": "test"}, universe, lambda m: m == src or m.dim == 0),
+        ModuleFamily("late", {"kind": "test"}, universe, lambda m: m != tgt and m != late),
+    ]
+    return universe, fams
+
+
+def _closure_cases(name):
+    return [_jordan_closure_case()] if name == "F_3[x]/(x^3)" else _fixture_closure_cases(name)
+
+
+@pytest.mark.parametrize("name", ["a2", "dual-numbers", "F_3[x]/(x^3)"])
 def test_image_closure_certificates_match_per_map_loop(name):
     from commacat.verify import recheck_certificate
 
-    fx = load_fixture(name)
     seen = 0
-    for universe in (fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()):
-        for fam in _closure_families(fx, universe):
+    for universe, fams in _closure_cases(name):
+        for fam in fams:
             # max_dim=0 leaves only the image-closure clause to compare
             verdict = is_torsion_class(fam, universe, max_dim=0)
             got = [c for c in verdict.certificates if c["clause"] == "image-closure"]
@@ -314,3 +350,22 @@ def test_image_closure_certificates_match_per_map_loop(name):
             assert all(recheck_certificate(c, env) for c in got), fam.label
             seen += len(got)
     assert seen
+
+
+def test_image_closure_first_failure_past_the_first_chunk():
+    import numpy as np
+
+    from commacat.linalg import ENUM_CHUNK, combination_chunks
+    from commacat.modules import hom_space
+
+    universe, fams = _jordan_closure_case()
+    src, tgt = universe
+    verdict = is_torsion_class(fams[-1], universe, max_dim=0)
+    assert verdict.data["partial"]
+    [cert] = verdict.certificates
+    assert (cert["source"], cert["target"], cert["image_dim"]) == (0, 1, 2)
+    chunks = combination_chunks(3, [b.matrix for b in hom_space(src, tgt)], tgt.dim, src.dim)
+    first = next(chunks)
+    assert len(first) == ENUM_CHUNK
+    assert not any(np.array_equal(a, cert["map"]) for a in first)
+    assert any(np.array_equal(a, cert["map"]) for a in next(chunks))
