@@ -5,12 +5,21 @@ tasks of a fixture, and writes a deterministic report (text or JSON) to
 stdout.  ``commacat validate`` checks every invariant of a document, or
 replays the certificates of a previously produced report.
 
-Exit codes: 0 all tasks executed, 2 validation failure, 3 task error.
+Exit codes: 0 all tasks executed, 1 output could not be written, 2
+validation failure, 3 task error.
+
+A process runs the CLI through ``entry()``, both as ``python -m
+commacat.cli`` and as the ``commacat`` console script.  It flushes stdout
+and stderr and then ends with ``os._exit``, skipping interpreter teardown,
+so nothing in a CLI process may rely on ``atexit`` handlers or finalizers.
+``main`` is the click group itself, for callers that run it in-process.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import sys
 from typing import Optional
 
@@ -170,5 +179,40 @@ def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int
     sys.exit(2)
 
 
+def entry() -> None:
+    """Run the CLI in standalone mode, flush, and leave with ``os._exit``.
+
+    The exit status is read from the ``SystemExit`` as the interpreter
+    would: ``None`` is 0, an int is used as it is, anything else is printed
+    to stderr and gives 1.  An ``OSError`` raised while writing or flushing
+    stdout prints one line and gives 1 (silently for a broken pipe, as click
+    does).  Any other exception propagates with a normal interpreter exit.
+    """
+    status = 0
+    try:
+        try:
+            main()
+        except SystemExit as exc:
+            if isinstance(exc.code, int):
+                status = exc.code
+            elif exc.code is not None:
+                print(exc.code, file=sys.stderr)
+                status = 1
+        sys.stdout.flush()
+    except OSError as exc:
+        # a failed open() of an input names its file; a failed write to a
+        # stream does not
+        if exc.filename is not None:
+            raise
+        status = 1
+        if exc.errno != errno.EPIPE:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    main()
+    entry()

@@ -229,10 +229,8 @@ def all_submodule_bases(m: ModuleRep) -> list[FpMatrix]:
 # -- torsion pair --------------------------------------------------------------
 
 
-def _hom_vanishing_certs(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleRep]) -> list[dict]:
+def _hom_vanishing_certs(xi: list[int], yi: list[int], universe: Sequence[ModuleRep]) -> list[dict]:
     certs = []
-    xi = x.member_indices(universe)
-    yi = y.member_indices(universe)
     for i in xi:
         for j in yi:
             if hom_dim(universe[i], universe[j]):
@@ -251,13 +249,14 @@ def _hom_vanishing_certs(x: ModuleFamily, y: ModuleFamily, universe: Sequence[Mo
     return certs
 
 
-def _perp_certs(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleRep]) -> list[dict]:
+def _perp_certs(xi: list[int], yi: list[int], universe: Sequence[ModuleRep]) -> list[dict]:
     certs = []
-    x_members = [universe[i] for i in x.member_indices(universe)]
-    y_members = [universe[i] for i in y.member_indices(universe)]
+    x_members = [universe[i] for i in xi]
+    y_members = [universe[i] for i in yi]
+    x_set, y_set = set(xi), set(yi)
     for k, m in enumerate(universe):
         in_pr = all(hom_dim(g, m) == 0 for g in x_members)
-        in_y = y.contains(m)
+        in_y = k in y_set
         if in_pr != in_y:
             certs.append(
                 {
@@ -269,7 +268,7 @@ def _perp_certs(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleRep])
                 }
             )
         in_pl = all(hom_dim(m, g) == 0 for g in y_members)
-        in_x = x.contains(m)
+        in_x = k in x_set
         if in_pl != in_x:
             certs.append(
                 {
@@ -289,9 +288,12 @@ def is_torsion_pair(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleR
     Checks (a) Hom vanishing between members, (b) for every universe
     member M the trace t of the x-members satisfies t in x and M/t in y,
     (c) the two perpendicular equalities restricted to the universe.
+    Each family's predicate is evaluated once per universe member.
     """
-    certs = _hom_vanishing_certs(x, y, universe)
-    x_members = [universe[i] for i in x.member_indices(universe)]
+    xi = x.member_indices(universe)
+    yi = y.member_indices(universe)
+    certs = _hom_vanishing_certs(xi, yi, universe)
+    x_members = [universe[i] for i in xi]
     for k, m in enumerate(universe):
         sub, inc = trace_of(x_members, m)
         t_in_x = x.contains(sub)
@@ -308,7 +310,7 @@ def is_torsion_pair(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleR
                     "quotient_in_y": q_in_y,
                 }
             )
-    certs.extend(_perp_certs(x, y, universe))
+    certs.extend(_perp_certs(xi, yi, universe))
     return Verdict(
         claim=f"torsion-pair({x.label}, {y.label})",
         result="holds" if not certs else "fails",
@@ -316,8 +318,8 @@ def is_torsion_pair(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleR
         data={
             "x": x.spec,
             "y": y.spec,
-            "x_members": x.member_indices(universe),
-            "y_members": y.member_indices(universe),
+            "x_members": xi,
+            "y_members": yi,
         },
         universe_hash=universe_hash(universe),
     )
@@ -326,7 +328,9 @@ def is_torsion_pair(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleR
 def torsion_pair_oracle(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleRep]) -> Verdict:
     """Exhaustive torsion-pair test: sequence existence by enumerating
     every invariant subspace of every universe member."""
-    certs = _hom_vanishing_certs(x, y, universe)
+    xi = x.member_indices(universe)
+    yi = y.member_indices(universe)
+    certs = _hom_vanishing_certs(xi, yi, universe)
     for k, m in enumerate(universe):
         found = False
         for w in all_submodule_bases(m):
@@ -339,7 +343,7 @@ def torsion_pair_oracle(x: ModuleFamily, y: ModuleFamily, universe: Sequence[Mod
                 break
         if not found:
             certs.append({"clause": "no-sequence", "module": k, "label": m.label})
-    certs.extend(_perp_certs(x, y, universe))
+    certs.extend(_perp_certs(xi, yi, universe))
     return Verdict(
         claim=f"torsion-pair-oracle({x.label}, {y.label})",
         result="holds" if not certs else "fails",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from commacat import cli
 from commacat.cli import main
 from tests.test_document import SILTING_TRANSFER_MISFIT, _set, _task, sample_document
+
+ROOT = Path(__file__).resolve().parents[1]
+DUAL_NUMBERS_REPORT = ROOT / "perfbench" / "data" / "dual-numbers.report.json"
 
 
 @pytest.fixture()
@@ -332,11 +337,111 @@ sys.stderr.write(f"exit {code}, _hashlib loaded: {'_hashlib' in sys.modules}")
 """
 
 
+def _process_env() -> dict[str, str]:
+    """This environment with ``src`` on the path and stdout block-buffered, so
+    a short report is first written by the flush at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def _process(argv: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, env=_process_env(), timeout=300
+    )
+
+
 def test_cli_process_does_not_load_openssl_hashlib():
     """The universe hashes use the builtin sha256, so a CLI process never maps
     OpenSSL's libcrypto.  A fresh interpreter, since pytest loads hashlib."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", HASHLIB_PROBE], capture_output=True, text=True, env=env, timeout=120)
-    assert done.stderr == "exit 0, _hashlib loaded: False"
-    assert hashlib.sha256(done.stdout.encode()).hexdigest() == REPORT_SHA256["a2"]
+    done = _process(["-c", HASHLIB_PROBE])
+    assert done.stderr.decode() == "exit 0, _hashlib loaded: False"
+    assert hashlib.sha256(done.stdout).hexdigest() == REPORT_SHA256["a2"]
+
+
+# Process-level tests: `python -m commacat.cli` runs through cli.entry, which
+# flushes and leaves with os._exit instead of a normal interpreter exit.
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_process_stdout_is_the_cli_runner_output(runner, fmt):
+    args = ["run", "--fixture", "a2", "--format", fmt]
+    done = _process(["-m", "commacat.cli", *args])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == runner.invoke(main, args).stdout_bytes
+
+
+def test_process_exit_codes_and_error_lines(runner, tmp_path):
+    data = sample_document()
+    data["field"]["p"] = 65536
+    doc_path = tmp_path / "bad.json"
+    doc_path.write_text(json.dumps(data))
+    for args, code in [
+        (["run", str(doc_path)], 2),
+        (["run", "--fixture", "dual-numbers", "--iso-cap", "0"], 3),
+    ]:
+        done = _process(["-m", "commacat.cli", *args])
+        expected = runner.invoke(main, args)
+        assert done.returncode == expected.exit_code == code
+        assert done.stderr.decode() == expected.stderr
+        assert done.stderr.count(b"\n") == 1
+
+
+UNWRITABLE = {
+    "run-json": ["run", "--fixture", "a2", "--format", "json"],
+    # small enough to stay in the stdout buffer until the flush at exit
+    "run-hom-table": ["run", "--fixture", "a2", "--task", "hom-table"],
+    "replay": ["validate", "--certificate", str(DUAL_NUMBERS_REPORT)],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_stdout_is_one_error_line_exit_1(args):
+    with open("/dev/full", "wb") as full:
+        done = _process(["-m", "commacat.cli", *args], stdout=full)
+    assert done.returncode == 1
+    assert done.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("args", [UNWRITABLE["run-json"], UNWRITABLE["run-hom-table"]], ids=["run-json", "run-hom-table"])
+def test_broken_pipe_exits_1_without_a_message(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _process(["-m", "commacat.cli", *args], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+EXIT_PROBE = """
+import ast, sys
+from commacat import cli
+def main():
+    raise SystemExit(ast.literal_eval(sys.argv[1]))
+cli.main = main
+cli.entry()
+"""
+
+
+@pytest.mark.parametrize("code, status, stderr", [("None", 0, b""), ("5", 5, b""), ("'stop'", 1, b"stop\n")])
+def test_entry_reads_the_exit_status_as_the_interpreter_does(code, status, stderr):
+    done = _process(["-c", EXIT_PROBE, code])
+    assert (done.returncode, done.stderr) == (status, stderr)
+
+
+def test_main_stays_the_click_group(capsys):
+    """In-process callers (the CliRunner tests, the benchmark's tracer) call
+    the group and get its SystemExit, never the hard exit of cli.entry."""
+    with pytest.raises(SystemExit) as done:
+        main.main(args=["run", "--fixture", "a2"], prog_name="commacat")
+    assert done.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == REPORT_SHA256["a2"]
+
+
+def test_console_script_runs_entry():
+    # a text match: tomllib is not in Python 3.10
+    target = re.search(r'^commacat\s*=\s*"([\w.]+):(\w+)"\s*$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert target and target.groups() == ("commacat.cli", "entry")
+    assert callable(getattr(cli, target.group(2)))
