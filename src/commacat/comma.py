@@ -59,6 +59,7 @@ from .modules import (
     quotient_module,
     regular_module,
     scatter_blocks,
+    tensor_dim,
     tensor_map,
     tensor_over,
     zero_module,
@@ -171,12 +172,12 @@ def canonical_tensor_comma(u: Bimodule, a: ModuleRep, label: str = "") -> CommaO
 # -- the three functors ------------------------------------------------------
 
 
-def functor_p(u: Bimodule, a: ModuleRep, b: ModuleRep, label: str = "") -> CommaObject:
+def functor_p(u: Bimodule, a: ModuleRep, b: ModuleRep) -> CommaObject:
     """p(A, B) = (A, FA + B) with phi the inclusion of FA."""
     tensor = tensor_over(u, a)
     bsum = direct_sum([tensor.module, b], algebra=u.s_algebra, side=LEFT)
     phi = vstack([tensor.projection, FpMatrix.zeros(u.p, b.dim, tensor.projection.cols)])
-    return CommaObject(u, a, bsum.module, phi, label=label or f"p({a.label},{b.label})")
+    return CommaObject(u, a, bsum.module, phi, label=f"p({a.label},{b.label})")
 
 
 def functor_p_map(u: Bimodule, f: ModuleMap, g: ModuleMap) -> CommaMap:
@@ -194,18 +195,16 @@ def functor_q(c: CommaObject) -> tuple[ModuleRep, ModuleRep]:
     return c.A, c.B
 
 
-def functor_h(u: Bimodule, a: ModuleRep, b: ModuleRep, label: str = "") -> CommaObject:
+def functor_h(u: Bimodule, a: ModuleRep, b: ModuleRep) -> CommaObject:
     """h(A, B) = (A + Hom_S(U, B), B) with phi the evaluation on the Hom part."""
     hm = hom_module(u, b)
     asum = direct_sum([a, hm.module], algebra=u.r_algebra, side=LEFT)
     da = asum.module.dim
-    du = u.dim
-    phi = np.zeros((b.dim, du * da), dtype=np.int64)
-    for i in range(du):
-        for l, hbasis in enumerate(hm.basis):
-            phi[:, i * da + (a.dim + l)] = hbasis.matrix.array()[:, i]
+    # column u_i * da + (a.dim + l) of phi is the image of u_i under basis map l
+    phi = np.zeros((b.dim, u.dim, da), dtype=np.int64)
+    phi[:, :, a.dim :] = hm.basis.transpose(1, 2, 0)
     return CommaObject(
-        u, asum.module, b, FpMatrix(u.p, phi), label=label or f"h({a.label},{b.label})"
+        u, asum.module, b, FpMatrix(u.p, phi.reshape(b.dim, u.dim * da)), label=f"h({a.label},{b.label})"
     )
 
 
@@ -215,7 +214,7 @@ def functor_h_map(u: Bimodule, f: ModuleMap, g: ModuleMap) -> CommaMap:
     tgt = functor_h(u, f.target, g.target)
     hm_src = hom_module(u, g.source)
     hm_tgt = hom_module(u, g.target)
-    hom_part = hom_coords(u.p, hm_tgt.basis, [g.matrix @ h.matrix for h in hm_src.basis])
+    hom_part = hom_coords(u.p, hm_tgt.basis, g.matrix.array() @ hm_src.basis % u.p)
     fmat = block_diag([f.matrix, hom_part])
     return CommaMap(src, tgt, ModuleMap(src.A, tgt.A, fmat), ModuleMap(src.B, tgt.B, g.matrix))
 
@@ -435,24 +434,28 @@ def _group_pairs(x: CommaObject, y: CommaObject) -> list[tuple[tuple, tuple, np.
     return [(s, t, _comma_block(x.p, t[2], s[2])) for s in _comma_groups(x) for t in _comma_groups(y)]
 
 
-def hom_comma(x: CommaObject, y: CommaObject) -> list[CommaMap]:
+def hom_comma(x: CommaObject, y: CommaObject) -> tuple[np.ndarray, np.ndarray]:
     """Basis of the morphism space: the canonical kernel basis of the joint
     system in (vec f, vec g).  Hom is biadditive, so each pair of comma summands
     (:func:`_comma_groups`) is solved once (table ``comma_block``) and
     :func:`scatter_blocks` places the kernels.
+
+    Returns the f parts and the g parts of the basis maps as two frozen int64
+    stacks, (h, y.A.dim, x.A.dim) and (h, y.B.dim, x.B.dim).
     """
-    p, nf = x.p, y.A.dim * x.A.dim
+    nf = y.A.dim * x.A.dim
     frame_f = np.arange(nf).reshape(y.A.dim, x.A.dim)
     frame_g = nf + np.arange(y.B.dim * x.B.dim).reshape(y.B.dim, x.B.dim)
     parts = [
         (np.concatenate([frame_f[ya[:, None], xa].ravel(), frame_g[yb[:, None], xb].ravel()]), k)
         for (xa, xb, _), (ya, yb, _), k in _group_pairs(x, y) if len(k)
     ]
-    return [
-        CommaMap(x, y, ModuleMap(x.A, y.A, FpMatrix._of(p, vec[:nf].reshape(y.A.dim, x.A.dim).copy())),
-                 ModuleMap(x.B, y.B, FpMatrix._of(p, vec[nf:].reshape(y.B.dim, x.B.dim).copy())))
-        for vec in scatter_blocks(nf + y.B.dim * x.B.dim, parts)
-    ]
+    basis = scatter_blocks(nf + y.B.dim * x.B.dim, parts)
+    fs = basis[:, :nf].reshape(len(basis), y.A.dim, x.A.dim)
+    gs = basis[:, nf:].reshape(len(basis), y.B.dim, x.B.dim)
+    fs.setflags(write=False)
+    gs.setflags(write=False)
+    return fs, gs
 
 
 def hom_comma_dim(x: CommaObject, y: CommaObject) -> int:
@@ -471,8 +474,8 @@ def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16) -> IsoRes
     if x.total_dim == 0:
         zero = FpMatrix.zeros(x.p, 0, 0)
         return IsoResult(True, CommaMap(x, y, ModuleMap(x.A, y.A, zero), ModuleMap(x.B, y.B, zero)))
-    basis = hom_comma(x, y)
-    h = len(basis)
+    fs, gs = hom_comma(x, y)
+    h = len(fs)
     if h == 0:
         return IsoResult(False, None)
     if h > cap:
@@ -480,8 +483,10 @@ def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16) -> IsoRes
     # (f, g) is invertible exactly when the block-diagonal diag(f, g) is,
     # because f and g are square.
     da, db = x.A.dim, x.B.dim
-    mats = [block_diag([b.f.matrix, b.g.matrix]) for b in basis]
-    mat = first_of_rank(x.p, mats, da + db, da + db, da + db)
+    diag = np.zeros((h, da + db, da + db), dtype=np.int64)
+    diag[:, :da, :da] = fs
+    diag[:, da:, da:] = gs
+    mat = first_of_rank(x.p, diag, da + db)
     if mat is None:
         return IsoResult(False, None)
     f = ModuleMap(x.A, y.A, mat.block(0, da, 0, da))
@@ -504,7 +509,7 @@ def tilde_phi(c: CommaObject) -> TildePhi:
     # column u_i * dim A + a_j of phi is phi(u_i (x) a_j), so comps[:, :, j]
     # is the map u -> phi(u (x) a_j)
     comps = c.phi.array().reshape(c.B.dim, u.dim, c.A.dim)
-    mat = hom_coords(c.p, hm.basis, [FpMatrix(c.p, comps[:, :, j]) for j in range(c.A.dim)])
+    mat = hom_coords(c.p, hm.basis, comps.transpose(2, 0, 1))
     return TildePhi(ModuleMap(c.A, hm.module, mat), hm)
 
 
@@ -517,14 +522,13 @@ def phi_descends_to_iso(c: CommaObject) -> bool:
 def psi_descends_to_iso(rt: RightTModule) -> bool:
     from .modules import bimodule_as_left_module
 
-    proj, _ = balanced_tensor(rt.Y, bimodule_as_left_module(rt.bimodule))
-    return proj.rows == rt.X.dim and rank(rt.psi) == rt.X.dim
+    return tensor_dim(rt.Y, bimodule_as_left_module(rt.bimodule)) == rt.X.dim and rank(rt.psi) == rt.X.dim
 
 
 # -- the five Hom formulas ------------------------------------------------------
 
 
-def hom_formula_applicable(kind: int, source: CommaObject, target: CommaObject, iso_cap: int = 16) -> bool:
+def hom_formula_applicable(kind: int, source: CommaObject, target: CommaObject) -> bool:
     if kind == 1:
         return target.B.dim == 0
     if kind == 2:
@@ -538,7 +542,7 @@ def hom_formula_applicable(kind: int, source: CommaObject, target: CommaObject, 
         if source.B.dim != 0:
             return False
         reg = regular_module(source.bimodule.r_algebra, LEFT)
-        return is_isomorphic(source.A, reg, cap=iso_cap).isomorphic
+        return is_isomorphic(source.A, reg).isomorphic
     raise ValueError(f"kind must be 1..5, got {kind}")
 
 
@@ -629,31 +633,24 @@ def tensor_T_bruteforce(rt: RightTModule, c: CommaObject) -> int:
 def tensor_T_via_algebra(rt: RightTModule, c: CommaObject, t: Optional[TriangularAlgebra] = None) -> int:
     """Dimension of the honest balanced tensor product over the algebra T."""
     t = t or triangular_for(c.bimodule)
-    proj, _ = balanced_tensor(right_t_to_module(rt, t), to_T_module(c, t))
-    return proj.rows
+    return tensor_dim(right_t_to_module(rt, t), to_T_module(c, t))
 
 
-def tensor_shape_predictions(rt: RightTModule, c: CommaObject, iso_cap: int = 16) -> list[tuple[int, int]]:
+def tensor_shape_predictions(rt: RightTModule, c: CommaObject) -> list[tuple[int, int]]:
     """(shape, predicted dimension) for each special shape that applies."""
-    from .modules import bimodule_as_left_module
-
     preds = []
     u = c.bimodule
     if rt.Y.dim == 0:
-        proj, _ = balanced_tensor(rt.X, c.A)
-        preds.append((1, proj.rows))
+        preds.append((1, tensor_dim(rt.X, c.A)))
     if c.A.dim == 0:
-        proj, _ = balanced_tensor(rt.Y, c.B)
-        preds.append((2, proj.rows))
+        preds.append((2, tensor_dim(rt.Y, c.B)))
     if phi_descends_to_iso(c):
-        proj, _ = balanced_tensor(rt.X, c.A)
-        preds.append((3, proj.rows))
+        preds.append((3, tensor_dim(rt.X, c.A)))
     if psi_descends_to_iso(rt):
-        proj, _ = balanced_tensor(rt.Y, c.B)
-        preds.append((4, proj.rows))
+        preds.append((4, tensor_dim(rt.Y, c.B)))
     if rt.X.dim == 0:
         reg = regular_module(u.s_algebra, RIGHT)
-        if is_isomorphic(rt.Y, reg, cap=iso_cap).isomorphic:
+        if is_isomorphic(rt.Y, reg).isomorphic:
             preds.append((5, c.B.dim - rank(c.phi)))
     return preds
 
@@ -780,10 +777,8 @@ def comma_universe(
                 continue
             pair_key = components_key(a, b)
             tensor = tensor_over(u, a)
-            descended = [h.matrix for h in hom_space(tensor.module, b)]
-            proj = tensor.projection
-            for chunk in combination_chunks(p, descended, b.dim, proj.rows):
-                for phi in chunk @ proj.array():
+            for chunk in combination_chunks(p, hom_space(tensor.module, b)):
+                for phi in chunk @ tensor.projection.array():
                     cand = CommaObject(
                         u, a, b, FpMatrix(p, phi), label=f"({a.label},{b.label})#{len(out)}"
                     )

@@ -77,7 +77,7 @@ class Fixture:
         return list(self.s_universe.values())
 
 
-def a2_fixture(iso_cap: int = 16) -> Fixture:
+def a2_fixture() -> Fixture:
     p = 2
     r = field_algebra(p, "R")
     s = field_algebra(p, "S")
@@ -219,6 +219,8 @@ def fixture_names() -> list[str]:
 def load_fixture(name: str, iso_cap: int = 16, max_total_dim: Optional[int] = None) -> Fixture:
     if name not in _FIXTURE_BUILDERS:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(fixture_names())}")
-    if name == "dual-numbers" and max_total_dim is not None:
-        return dual_numbers_fixture(iso_cap=iso_cap, max_total_dim=max_total_dim)
-    return _FIXTURE_BUILDERS[name](iso_cap=iso_cap)
+    if name != "dual-numbers":
+        return _FIXTURE_BUILDERS[name]()
+    if max_total_dim is None:
+        return dual_numbers_fixture(iso_cap=iso_cap)
+    return dual_numbers_fixture(iso_cap=iso_cap, max_total_dim=max_total_dim)

@@ -17,8 +17,7 @@ Validation happens once, at the boundary: ``FpMatrix(p, entries)`` checks
 the modulus, that each entry is an exact integer in int64 range
 (:func:`int64_array`, shared with :class:`FDAlgebra` and the certificate
 schema) and the shape, and reduces the entries, and is what other
-modules call (``modules.hom_space`` is the one exception: its basis maps
-wrap row views of its memoized kernel basis).  Results this module computes are
+modules call.  Results this module computes are
 reduced by construction, since its arithmetic applies ``% p`` itself, so
 they are wrapped by the trusted ``FpMatrix._of``, which only freezes the
 array.  Those results own their memory: a slice (``block``,
@@ -28,8 +27,9 @@ enumeration chunk, alive.  (A transpose is a view of a matrix of its
 own size.)
 
 Exhaustive searches over a space of maps share one enumeration kernel:
-:func:`combination_chunks` yields all p**h linear combinations of h basis
-matrices as (k, rows, cols) int64 chunks of bounded size, in the order of
+:func:`combination_chunks` yields all p**h linear combinations of a basis
+given as one (h, rows, cols) int64 stack, such as ``modules.hom_space``
+returns, as (k, rows, cols) int64 chunks of bounded size, in the order of
 :func:`enumerate_vectors`, and :func:`batched_rref` runs one Gauss-Jordan
 elimination mod p across a whole chunk at once, giving the reduced form
 and rank of every matrix in it.
@@ -138,10 +138,6 @@ class FpMatrix:
     def identity(cls, p: int, n: int) -> "FpMatrix":
         return cls(p, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def column(cls, p: int, vec: Sequence[int]) -> "FpMatrix":
-        return cls(p, np.asarray(vec, dtype=np.int64).reshape(-1, 1))
-
     # -- shape and access --------------------------------------------
 
     @property
@@ -189,9 +185,6 @@ class FpMatrix:
     def __neg__(self) -> "FpMatrix":
         return FpMatrix._of(self.p, -self._a % self.p)
 
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.p, self._a * (c % self.p))
-
     def transpose(self) -> "FpMatrix":
         return FpMatrix._of(self.p, self._a.T)
 
@@ -236,11 +229,7 @@ def vstack(ms: Sequence[FpMatrix]) -> FpMatrix:
     return FpMatrix._of(p, np.concatenate([m.array() for m in ms], axis=0))
 
 
-def block_diag(ms: Sequence[FpMatrix], p: Optional[int] = None) -> FpMatrix:
-    if not ms:
-        if p is None:
-            raise ValueError("block_diag of no matrices needs an explicit modulus")
-        return FpMatrix.zeros(p, 0, 0)
+def block_diag(ms: Sequence[FpMatrix]) -> FpMatrix:
     p = _common_modulus(ms)
     rows = sum(m.rows for m in ms)
     cols = sum(m.cols for m in ms)
@@ -407,23 +396,16 @@ def enumerate_vectors(p: int, dim: int) -> Iterable[tuple[int, ...]]:
 # -- the enumeration kernel ------------------------------------------------
 
 
-def combination_chunks(
-    p: int, basis: Sequence[FpMatrix], rows: int, cols: int, chunk_size: int = ENUM_CHUNK
-) -> Iterator[np.ndarray]:
-    """Every linear combination of ``basis`` (rows x cols matrices), reduced mod p.
+def combination_chunks(p: int, basis: np.ndarray, chunk_size: int = ENUM_CHUNK) -> Iterator[np.ndarray]:
+    """Every linear combination of the (h, rows, cols) int64 stack ``basis``, reduced mod p.
 
     Yields (k, rows, cols) int64 arrays with k <= chunk_size.  Concatenated,
     they hold sum_i c_i basis[i] for each of the p**h coefficient tuples c
-    of :func:`enumerate_vectors` (h = len(basis)), in that order; for h = 0
-    that is the single zero matrix.  Only one chunk is built at a time.
+    of :func:`enumerate_vectors`, in that order; for h = 0 that is the
+    single zero matrix.  Only one chunk is built at a time.
     """
-    for b in basis:
-        if b.p != p or b.rows != rows or b.cols != cols:
-            raise ValueError(f"basis matrices must be {rows}x{cols} over F_{p}")
-    h = len(basis)
-    stack = np.zeros((h, rows * cols), dtype=np.int64)
-    for i, b in enumerate(basis):
-        stack[i] = b.array().reshape(-1)
+    h, rows, cols = basis.shape
+    stack = basis.reshape(h, rows * cols)
     total = p ** h
     for start in range(0, total, chunk_size):
         n = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
@@ -476,19 +458,11 @@ def batched_rref(p: int, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, ranks
 
 
-def first_of_rank(
-    p: int, basis: Sequence[FpMatrix], rows: int, cols: int, target: int
-) -> Optional[FpMatrix]:
-    """First combination of ``basis`` (in enumeration order) of rank ``target``."""
-    for chunk in combination_chunks(p, basis, rows, cols):
+def first_of_rank(p: int, basis: np.ndarray, target: int) -> Optional[FpMatrix]:
+    """First combination of the stack ``basis`` (in enumeration order) of rank ``target``."""
+    for chunk in combination_chunks(p, basis):
         hits = np.flatnonzero(batched_rref(p, chunk)[1] == target)
         if hits.size:
             return FpMatrix._of(p, chunk[hits[0]].copy())
     return None
 
-
-def combinations(p: int, basis: Sequence[FpMatrix], rows: int, cols: int) -> Iterator[FpMatrix]:
-    """Every combination of ``basis`` as an FpMatrix, in enumeration order."""
-    for chunk in combination_chunks(p, basis, rows, cols):
-        for a in chunk:
-            yield FpMatrix._of(p, a.copy())

@@ -17,14 +17,16 @@ Representation Theory of Associative Algebras 1, ch. I-III).  A MeatAxe spin
 (Parker 1984) under the algebra generators, enough by the module law, presents
 each diagonal block of M (:func:`_spin`); each block pair is solved once
 (:func:`_hom_block`).  :func:`hom_dim` counts its kernel, :func:`trace_of`
-spans its images, and only :func:`hom_space` lifts it to maps.
+spans its images, and only :func:`hom_space` lifts it to a basis: one frozen
+(h, n.dim, m.dim) stack of matrices, which callers compose in one batched
+product and enumerate with :func:`~commacat.linalg.combination_chunks`.
 
 Equality contract: algebras, bimodules, modules, maps, comma objects and right
 T-modules are equal exactly when their content keys are (:mod:`commacat.memo`):
 every part and every entry, never the label.  A memoized result is the one
 first stored for equal arguments and keeps that call's labels; e.g.
-``hom_space(m.relabel("x"), n)`` after ``hom_space(m, n)`` returns maps
-whose source is labelled ``m.label``.  The report bytes depend on this.
+``tensor_over(u, a.relabel("x"))`` after ``tensor_over(u, a)`` returns the
+module labelled ``"U*" + a.label``, not ``U*x``.  The report bytes depend on this.
 """
 
 from __future__ import annotations
@@ -373,7 +375,7 @@ def _hom_lift(p: int, g: int, rows: int, cols: int, target: bytes, source: bytes
 
 
 @memo("hom_space")
-def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
+def hom_space(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     """Basis of the space of maps intertwining the two actions.
 
     The basis is the canonical kernel basis (:func:`kernel_basis`) of the
@@ -384,12 +386,13 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleMap]:
     (:func:`validate_module`, which documents enforce at load), lifted to its
     canonical basis (:func:`_hom_lift`) and placed by :func:`scatter_blocks`.
 
-    The maps wrap row views of one (h, n.dim * m.dim) array.  Results are
-    memoized; callers must not mutate the returned list.
+    Returns the basis as one frozen (h, n.dim, m.dim) int64 stack of
+    matrices, reduced mod p.  Memoized.
     """
     frame = np.arange(n.dim * m.dim).reshape(n.dim, m.dim)
     parts = [(frame[r0:r1, c0:c1].ravel(), _hom_lift(*key)) for r0, r1, c0, c1, key in _block_pairs(m, n)]
-    return [ModuleMap(m, n, FpMatrix._of(m.p, h.reshape(n.dim, m.dim))) for h in scatter_blocks(frame.size, parts)]
+    basis = scatter_blocks(frame.size, parts)
+    return basis.reshape(len(basis), n.dim, m.dim)
 
 
 @memo("hom_dim")
@@ -398,24 +401,24 @@ def hom_dim(m: ModuleRep, n: ModuleRep) -> int:
     return sum(len(_hom_block(*key)) for *_, key in _block_pairs(m, n))
 
 
-def hom_coords(p: int, basis: Sequence[ModuleMap], mats: Sequence[FpMatrix]) -> FpMatrix:
-    """Coordinates of each matrix in ``mats`` in a Hom-space basis, as columns.
+def hom_coords(p: int, basis: np.ndarray, mats: np.ndarray) -> FpMatrix:
+    """Coordinates of each matrix of the stack ``mats`` in a Hom-space basis stack, as columns.
 
     Returns the len(basis) x len(mats) matrix whose j-th column writes
     mats[j] in ``basis``.  All columns come from one multi-column solve,
     which gives the same columns as solving for each matrix alone.  Every
     matrix must lie in the span of the basis (AssertionError otherwise);
     with an empty basis only zero matrices are accepted.  Callers compose
-    the maps themselves, e.g. ``hom_coords(p, tgt, [g @ b.matrix for b in src])``
+    the whole basis in one product, e.g. ``hom_coords(p, tgt, g @ src % p)``
     for the matrix of composition with g.
     """
-    if not basis:
-        assert all(m.is_zero() for m in mats), "matrix outside the span of an empty Hom basis"
+    if not len(basis):
+        assert not mats.any(), "matrix outside the span of an empty Hom basis"
         return FpMatrix.zeros(p, 0, len(mats))
-    if not mats:
+    if not len(mats):
         return FpMatrix.zeros(p, len(basis), 0)
-    stacked = FpMatrix(p, np.stack([b.matrix.array().reshape(-1) for b in basis], axis=1))
-    coords = solve(stacked, FpMatrix(p, np.stack([m.array().reshape(-1) for m in mats], axis=1)))
+    stacked = FpMatrix(p, basis.reshape(len(basis), -1).T)
+    coords = solve(stacked, FpMatrix(p, mats.reshape(len(mats), -1).T))
     assert coords is not None, "matrix outside the span of the Hom basis"
     return coords
 
@@ -532,6 +535,12 @@ def balanced_tensor(x_right: ModuleRep, a_left: ModuleRep) -> tuple[FpMatrix, Fp
     return quotient_space(x_right.p, x_right.dim * a_left.dim, sub)
 
 
+def tensor_dim(x_right: ModuleRep, a_left: ModuleRep) -> int:
+    """dim X (x)_A M, the codimension of the balancing subspace, ranked as rows
+    like :func:`balanced_tensor` does; builds no projection or section."""
+    return x_right.dim * a_left.dim - rank(balancing_generators(x_right, a_left).transpose())
+
+
 class TensorModule(NamedTuple):
     module: ModuleRep
     projection: FpMatrix
@@ -616,8 +625,7 @@ def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep, cap: int = 16) -> bool:
         basis = hom_space(power, x)
         if len(basis) > cap:
             raise IsoSearchCapExceeded(f"hom space dimension {len(basis)} exceeds cap {cap}")
-        mats = [b.matrix for b in basis]
-        if first_of_rank(t.p, mats, x.dim, power.dim, x.dim) is not None:
+        if first_of_rank(t.p, basis, x.dim) is not None:
             return True
     return False
 
@@ -657,7 +665,7 @@ def _is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int) -> IsoResult:
         raise IsoSearchCapExceeded(f"hom space dimension {h} exceeds cap {cap}")
     if hom_dim(n, n) != h or hom_dim(m, m) != h or hom_dim(n, m) != h:
         return IsoResult(False, None)
-    mat = first_of_rank(m.p, [b.matrix for b in basis], n.dim, m.dim, m.dim)
+    mat = first_of_rank(m.p, basis, m.dim)
     if mat is None:
         return IsoResult(False, None)
     return IsoResult(True, ModuleMap(m, n, mat))
@@ -738,7 +746,7 @@ def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> Extensi
 
 class HomModule(NamedTuple):
     module: ModuleRep
-    basis: list[ModuleMap]
+    basis: np.ndarray  # the hom_space(U, B) stack
 
 
 @memo("hom_module")
@@ -747,6 +755,6 @@ def hom_module(u: Bimodule, b: ModuleRep) -> HomModule:
     if b.algebra != u.s_algebra or b.side != LEFT:
         raise AlgebraMismatch("hom_module expects a left module over the bimodule's left algebra")
     basis = hom_space(bimodule_as_left_module(u), b)
-    action = [hom_coords(u.p, basis, [f.matrix @ ra for f in basis]) for ra in u.right_action]
+    action = [hom_coords(u.p, basis, basis @ ra.array() % u.p) for ra in u.right_action]
     module = ModuleRep(u.r_algebra, LEFT, len(basis), action, label=f"Hom(U,{b.label})")
     return HomModule(module, basis)

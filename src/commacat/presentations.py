@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import (
     FpMatrix,
-    combinations,
+    combination_chunks,
     kron,
     rank,
     solve,
@@ -33,7 +33,6 @@ from .modules import (
     ModuleMap,
     ModuleRep,
     gen_member,
-    hom_coords,
     hom_dim,
     hom_space,
     zero_module,
@@ -95,14 +94,15 @@ def trivial_presentation(m: ModuleRep) -> Presentation:
 def _hom_onto(f: ModuleMap, x: ModuleRep) -> bool:
     """True when Hom(f, x): Hom(f.target, x) -> Hom(f.source, x), h -> h . f, is onto.
 
-    Decided by the rank of its matrix in the two Hom bases.
+    The composites of a basis of Hom(f.target, x) with f span the image, which
+    lies in Hom(f.source, x), so it is onto exactly when their rank is
+    dim Hom(f.source, x); no basis of Hom(f.source, x) is built.
     """
-    if not hom_dim(f.source, x):
+    h_source = hom_dim(f.source, x)
+    if not h_source:
         return True
-    h_target = hom_space(f.target, x)
-    h_source = hom_space(f.source, x)
-    mat = hom_coords(x.p, h_source, [b.matrix @ f.matrix for b in h_target])
-    return rank(mat) == len(h_source)
+    composites = hom_space(f.target, x) @ f.matrix.array() % x.p
+    return rank(FpMatrix._of(x.p, composites.reshape(len(composites), x.dim * f.source.dim))) == h_source
 
 
 @memo("d_sigma_member")
@@ -123,10 +123,10 @@ def d_sigma_member_oracle(s: Presentation, x: ModuleRep, cap: int = 16) -> bool:
     if len(h1) > cap:
         raise IsoSearchCapExceeded(f"hom dimension {len(h1)} exceeds cap {cap}")
     p = x.p
-    p0, p1 = s.sigma.target, s.sigma.source
-    targets = combinations(p, [b.matrix for b in h1], x.dim, p1.dim)
+    p0 = s.sigma.target
+    targets = (t for chunk in combination_chunks(p, h1) for t in chunk)
     if x.dim == 0 or p0.dim == 0:
-        return all(t.is_zero() for t in targets)
+        return all(not t.any() for t in targets)
     # unknown h0 with h0 intertwining and h0 . sigma = target_map
     ix = FpMatrix.identity(p, x.dim)
     ip0 = FpMatrix.identity(p, p0.dim)
@@ -137,7 +137,7 @@ def d_sigma_member_oracle(s: Presentation, x: ModuleRep, cap: int = 16) -> bool:
     system = vstack(blocks)
     zeros = np.zeros(x.algebra.dim * x.dim * p0.dim, dtype=np.int64)
     for target_map in targets:
-        rhs = FpMatrix(p, np.concatenate([zeros, target_map.array().reshape(-1)]).reshape(-1, 1))
+        rhs = FpMatrix(p, np.concatenate([zeros, target_map.reshape(-1)]).reshape(-1, 1))
         if solve(system, rhs) is None:
             return False
     return True

@@ -66,13 +66,13 @@ def family_zero(universe: Sequence[ModuleRep]) -> ModuleFamily:
 
 
 def family_explicit(
-    members: Sequence[ModuleRep], universe: Sequence[ModuleRep], label: str = "", iso_cap: int = 16
+    members: Sequence[ModuleRep], universe: Sequence[ModuleRep], label: str = ""
 ) -> ModuleFamily:
     reps = list(members)
 
     def pred(m: ModuleRep) -> bool:
         return any(
-            m.dim == r.dim and is_isomorphic(m, r, cap=iso_cap).isomorphic for r in reps
+            m.dim == r.dim and is_isomorphic(m, r).isomorphic for r in reps
         )
 
     return ModuleFamily(
@@ -243,7 +243,7 @@ def _hom_vanishing_certs(xi: list[int], yi: list[int], universe: Sequence[Module
                         "x_label": universe[i].label,
                         "y_label": universe[j].label,
                         "hom_dim": len(basis),
-                        "witness": basis[0].matrix.to_lists(),
+                        "witness": basis[0].tolist(),
                     }
                 )
     return certs
@@ -392,11 +392,11 @@ def is_torsion_class(
     image_in_f: dict[tuple[int, bytes], bool] = {}
     for i, m in members:
         for j, n in enumerate(universe):
-            basis = hom_space(m, n) if hom_dim(m, n) else []
+            basis = hom_space(m, n) if hom_dim(m, n) else np.zeros((0, n.dim, m.dim), dtype=np.int64)
             if len(basis) > MAP_ENUM_CAP:
                 partial = True
                 continue
-            for chunk in combination_chunks(m.p, [b.matrix for b in basis], n.dim, m.dim):
+            for chunk in combination_chunks(m.p, basis):
                 reduced, ranks = batched_rref(m.p, chunk.transpose(0, 2, 1))
                 for k, r in enumerate(ranks.tolist()):
                     rows = reduced[k, :r]  # the transposed canonical basis of the image

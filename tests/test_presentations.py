@@ -67,7 +67,8 @@ def test_d_sigma_matches_oracle(a2, dual):
 
 def test_d_sigma_closed_under_images(a2):
     # sigma-class membership survives epimorphic images inside the universe
-    from commacat.modules import hom_space, image_kernel_cokernel
+    from commacat.linalg import FpMatrix
+    from commacat.modules import ModuleMap, hom_space, image_kernel_cokernel
 
     pres = a2.presentations["S_R_from_P"]
     univ = a2.t_universe_list()
@@ -75,7 +76,7 @@ def test_d_sigma_closed_under_images(a2):
     for m in members:
         for n in univ:
             for h in hom_space(m, n):
-                img = image_kernel_cokernel(h).image
+                img = image_kernel_cokernel(ModuleMap(m, n, FpMatrix(m.p, h))).image
                 assert d_sigma_member(pres, img)
 
 

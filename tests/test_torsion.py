@@ -221,7 +221,7 @@ def test_monotonicity_under_universe_shrinking(a2, univ):
 def per_map_image_closure(f, universe):
     """Reference: build and test the image of every enumerated map, as the
     image-closure loop of ``is_torsion_class`` did before it was memoized."""
-    from commacat.linalg import column_space_basis, combinations
+    from commacat.linalg import FpMatrix, column_space_basis, combination_chunks
     from commacat.modules import hom_space, submodule
 
     certs, partial = [], False
@@ -232,7 +232,7 @@ def per_map_image_closure(f, universe):
             if len(basis) > MAP_ENUM_CAP:
                 partial = True
                 continue
-            for mat in combinations(m.p, [b.matrix for b in basis], n.dim, m.dim):
+            for mat in (FpMatrix(m.p, a) for chunk in combination_chunks(m.p, basis) for a in chunk):
                 img, _ = submodule(n, column_space_basis(mat))
                 if not f.contains(img):
                     certs.append(
@@ -364,7 +364,7 @@ def test_image_closure_first_failure_past_the_first_chunk():
     assert verdict.data["partial"]
     [cert] = verdict.certificates
     assert (cert["source"], cert["target"], cert["image_dim"]) == (0, 1, 2)
-    chunks = combination_chunks(3, [b.matrix for b in hom_space(src, tgt)], tgt.dim, src.dim)
+    chunks = combination_chunks(3, hom_space(src, tgt))
     first = next(chunks)
     assert len(first) == ENUM_CHUNK
     assert not any(np.array_equal(a, cert["map"]) for a in first)

@@ -6,6 +6,12 @@ reads its name (so a recursive call or a docstring is not a use), when a
 decorator registers it (verify's ``@_clause``, or the CLI's
 ``@main.command()``), or when it is on ``TEST_FACING``: API that only the
 tests call, every name of which some test must use.
+
+Two more checks of the same kind: every defaulted parameter of a
+module-level function is passed by some call in the package (by keyword, by
+position or through ``*``/``**``) unless its function or the parameter itself
+is test-facing, and every method other than a dunder is read somewhere in
+the package outside its own body.
 """
 
 import ast
@@ -81,3 +87,89 @@ def test_test_facing_names_are_defined_and_used_by_the_tests():
         if path.name != Path(__file__).name:
             used |= _names_read(ast.parse(path.read_text(), filename=str(path)))
     assert TEST_FACING <= used, f"no test uses: {TEST_FACING - used}"
+
+
+# Defaulted parameters, as "function(parameter)", that only the tests pass: the
+# enumeration chunk size (to cross a chunk boundary) and the isomorphism cap
+# (to provoke IsoSearchCapExceeded).  Some test must pass each of them.
+TEST_FACING_PARAMETERS = {"combination_chunks(chunk_size)", "is_isomorphic(cap)"}
+
+
+def _calls(tree: ast.AST) -> list[ast.Call]:
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+
+def _callee(call: ast.Call) -> str:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else ""
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[int, str]]:
+    """(position, or -1 for keyword-only, name) of each parameter with a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return [(i, a.arg) for i, a in enumerate(positional) if i >= first] + [
+        (-1, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+    ]
+
+
+def _passes(call: ast.Call, position: int, name: str) -> bool:
+    """True when ``call`` passes the parameter by keyword, by position or through ``*``/``**``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+    return position >= 0 and (position < len(call.args) or bool(starred) and starred[0] <= position)
+
+
+def _unpassed_parameters(calls: list[ast.Call]) -> set[str]:
+    """"function(parameter)" for each defaulted parameter of a module-level
+    function of the package that none of ``calls`` passes."""
+    unpassed = set()
+    for _, stmt in _statements():
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            callers = [c for c in calls if _callee(c) == stmt.name]
+            unpassed |= {
+                f"{stmt.name}({name})"
+                for position, name in _defaulted(stmt)
+                if not any(_passes(c, position, name) for c in callers)
+            }
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = [c for _, stmt in _statements() for c in _calls(stmt)]
+    unpassed = {
+        entry for entry in _unpassed_parameters(calls) if entry.split("(")[0] not in TEST_FACING
+    }
+    assert unpassed == TEST_FACING_PARAMETERS, (
+        f"parameters no call in src/commacat passes: {sorted(unpassed - TEST_FACING_PARAMETERS)}; "
+        f"passed after all: {sorted(TEST_FACING_PARAMETERS - unpassed)}"
+    )
+
+
+def test_test_facing_parameters_are_passed_by_the_tests():
+    calls = [
+        c
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        for c in _calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not TEST_FACING_PARAMETERS & _unpassed_parameters(calls)
+
+
+def test_every_method_is_read():
+    statements = _statements()
+    unread = [
+        f"{module}: {cls.name}.{method.name}"
+        for module, cls in statements
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and method.name not in TEST_FACING
+        # read anywhere in the package but inside the method itself
+        and not any(
+            method.name in _names_read(s)
+            for s in [s for _, s in statements if s is not cls] + [s for s in cls.body if s is not method]
+        )
+    ]
+    assert not unread, f"methods nothing in src/commacat reads: {unread}"
