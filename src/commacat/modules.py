@@ -538,7 +538,8 @@ def balanced_tensor(x_right: ModuleRep, a_left: ModuleRep) -> tuple[FpMatrix, Fp
 def tensor_dim(x_right: ModuleRep, a_left: ModuleRep) -> int:
     """dim X (x)_A M, the codimension of the balancing subspace, ranked as rows
     like :func:`balanced_tensor` does; builds no projection or section."""
-    return x_right.dim * a_left.dim - rank(balancing_generators(x_right, a_left).transpose())
+    sub = balancing_generators(x_right, a_left)
+    return sub.rows - (rank(sub.transpose()) if sub.cols else 0)
 
 
 class TensorModule(NamedTuple):
