@@ -9,11 +9,11 @@ ordered R-block, U-block, S-block.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .linalg import FpMatrix, _check_modulus, int64_array
+from .linalg import _check_modulus, int64_array
 from .memo import ContentKeyed, content_bytes
 
 
@@ -40,16 +40,6 @@ class FDAlgebra(ContentKeyed):
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijk->k", a, b, self.mul) % self.p
-
-    def left_mult_matrix(self, a) -> FpMatrix:
-        """Matrix of x -> a*x in the basis."""
-        vec = np.asarray(a, dtype=np.int64)
-        return FpMatrix(self.p, np.einsum("i,ijk->kj", vec, self.mul))
-
-    def right_mult_matrix(self, a) -> FpMatrix:
-        """Matrix of x -> x*a in the basis."""
-        vec = np.asarray(a, dtype=np.int64)
-        return FpMatrix(self.p, np.einsum("i,jik->kj", vec, self.mul))
 
     def _content(self) -> tuple:
         return ("algebra", self.p, self.dim, content_bytes(self.p, self.mul, self.unit))
@@ -90,6 +80,21 @@ def validate_algebra(a: FDAlgebra) -> list[dict]:
     return violations
 
 
+def frozen_actions(p: int, count: int, dim: int, action) -> np.ndarray:
+    """``action`` (anything :func:`int64_array` takes) as a read-only (count, dim,
+    dim) int64 stack reduced mod p: one dim x dim matrix per basis element of an
+    algebra of dimension ``count``.  Raises ValueError on any other count or shape."""
+    a = int64_array(action, "action")
+    if a.ndim == 0 or len(a) != count:
+        raise ValueError("one action matrix per algebra basis element required")
+    # an empty stack may come as nested empty lists of any depth
+    if a.shape != (count, dim, dim) and (a.size or count * dim):
+        raise ValueError("action matrices must be dim x dim over the algebra's field")
+    a = np.mod(a.reshape(count, dim, dim), p)
+    a.setflags(write=False)
+    return a
+
+
 def module_law(p: int, mul: np.ndarray, unit: np.ndarray, stack: np.ndarray) -> tuple[bool, list[list[int]]]:
     """The module law for a (d, n, n) stack of action matrices A_k.
 
@@ -115,22 +120,17 @@ class Bimodule(ContentKeyed):
         s_algebra: FDAlgebra,
         r_algebra: FDAlgebra,
         dim: int,
-        left_action: Sequence[FpMatrix],
-        right_action: Sequence[FpMatrix],
+        left_action,
+        right_action,
         label: str = "",
     ) -> None:
         if s_algebra.p != r_algebra.p:
             raise ValueError("component algebras have different moduli")
-        if len(left_action) != s_algebra.dim or len(right_action) != r_algebra.dim:
-            raise ValueError("one action matrix per algebra basis element required")
-        for m in list(left_action) + list(right_action):
-            if m.rows != dim or m.cols != dim or m.p != s_algebra.p:
-                raise ValueError("action matrices must be dim x dim over the algebras' field")
         self.s_algebra = s_algebra
         self.r_algebra = r_algebra
         self.dim = dim
-        self.left_action = tuple(left_action)
-        self.right_action = tuple(right_action)
+        self.left_action = frozen_actions(s_algebra.p, s_algebra.dim, dim, left_action)
+        self.right_action = frozen_actions(s_algebra.p, r_algebra.dim, dim, right_action)
         self.label = label
 
     @property
@@ -138,15 +138,13 @@ class Bimodule(ContentKeyed):
         return self.s_algebra.p
 
     def _content(self) -> tuple:
-        actions = content_bytes(self.p, *(a.array() for a in self.left_action + self.right_action))
+        actions = content_bytes(self.p, self.left_action, self.right_action)
         return ("bimodule", self.s_algebra.key, self.r_algebra.key, self.dim, actions)
 
 
 def validate_bimodule(u: Bimodule) -> list[dict]:
     violations: list[dict] = []
-    s, r = u.s_algebra, u.r_algebra
-    left = np.stack([a.array() for a in u.left_action])
-    right = np.stack([a.array() for a in u.right_action])
+    s, r, left, right = u.s_algebra, u.r_algebra, u.left_action, u.right_action
     left_unit, left_bad = module_law(u.p, s.mul, s.unit, left)
     # right action reverses: u*(e_j e_i) = (u*e_j)*e_i
     right_unit, right_bad = module_law(u.p, r.mul.transpose(1, 0, 2), r.unit, right)
@@ -156,10 +154,10 @@ def validate_bimodule(u: Bimodule) -> list[dict]:
         violations.append({"kind": "right-unit"})
     violations += [{"kind": "left-composition", "pair": ij} for ij in left_bad]
     violations += [{"kind": "right-composition", "pair": ij} for ij in right_bad]
-    for i in range(s.dim):
-        for j in range(r.dim):
-            if u.left_action[i] @ u.right_action[j] != u.right_action[j] @ u.left_action[i]:
-                violations.append({"kind": "actions-commute", "pair": [i, j]})
+    left_right = np.einsum("iab,jbc->ijac", left, right) % u.p
+    right_left = np.einsum("jab,ibc->ijac", right, left) % u.p
+    bad = np.nonzero((left_right != right_left).any(axis=(2, 3)))
+    violations += [{"kind": "actions-commute", "pair": [int(i), int(j)]} for i, j in zip(*bad)]
     return violations
 
 
@@ -210,14 +208,9 @@ def triangular_algebra(r: FDAlgebra, s: FDAlgebra, u: Bimodule, label: str = "")
     mul = np.zeros((d, d, d), dtype=np.int64)
     mul[:dr, :dr, :dr] = r.mul
     mul[dr + du :, dr + du :, dr + du :] = s.mul
-    for j in range(dr):
-        ra = u.right_action[j].array()
-        for i in range(du):
-            mul[dr + i, j, dr : dr + du] = ra[:, i]
-    for i in range(ds):
-        la = u.left_action[i].array()
-        for j in range(du):
-            mul[dr + du + i, dr + j, dr : dr + du] = la[:, j]
+    # u_i e_j = sum_k right_action[j][k, i] u_k, and e_i u_j = sum_k left_action[i][k, j] u_k
+    mul[dr : dr + du, :dr, dr : dr + du] = u.right_action.transpose(2, 0, 1)
+    mul[dr + du :, dr : dr + du, dr : dr + du] = u.left_action.transpose(0, 2, 1)
     unit = np.zeros(d, dtype=np.int64)
     unit[:dr] = r.unit
     unit[dr + du :] = s.unit
@@ -246,5 +239,4 @@ def scalar_bimodule(s: FDAlgebra, r: FDAlgebra, label: str = "") -> Optional[Bim
     """The one-dimensional bimodule with both units acting as 1 (only for fields)."""
     if s.dim != 1 or r.dim != 1:
         raise ValueError("scalar bimodule needs one-dimensional algebras")
-    one = FpMatrix.identity(s.p, 1)
-    return Bimodule(s, r, 1, [one], [one], label=label)
+    return Bimodule(s, r, 1, [[[1]]], [[[1]]], label=label)

@@ -44,7 +44,6 @@ from .modules import (
     IsoSearchCapExceeded,
     ModuleMap,
     ModuleRep,
-    action_stack,
     balancing_generators,
     balanced_tensor,
     diagonal_blocks,
@@ -127,13 +126,13 @@ def validate_comma(c: CommaObject) -> list[dict]:
     from .modules import bimodule_as_right_module
 
     gens = balancing_generators(bimodule_as_right_module(u), c.A)
-    if gens.cols and not (c.phi @ gens).is_zero():
-        bad = [j for j in range(gens.cols) if not (c.phi @ gens.column_vector(j)).is_zero()]
-        violations.append({"kind": "phi-balance", "relations": bad})
-    ia = FpMatrix.identity(c.p, c.A.dim)
-    for i in range(u.s_algebra.dim):
-        if c.phi @ kron(u.left_action[i], ia) != c.B.action[i] @ c.phi:
-            violations.append({"kind": "phi-linearity", "basis": i})
+    if gens.cols and not (balance := c.phi @ gens).is_zero():
+        violations.append({"kind": "phi-balance", "relations": np.flatnonzero(balance.array().any(axis=0)).tolist()})
+    # phi @ kron(s_i, I_A), as in modules.tensor_over, against s_i @ phi
+    phi = c.phi.array()
+    through = np.einsum("rub,iuv->irvb", phi.reshape(c.B.dim, u.dim, c.A.dim), u.left_action)
+    linear = (through.reshape(u.s_algebra.dim, c.B.dim, u.dim * c.A.dim) - c.B.action @ phi) % c.p
+    violations += [{"kind": "phi-linearity", "basis": int(i)} for i in np.flatnonzero(linear.any(axis=(1, 2)))]
     return violations
 
 
@@ -257,12 +256,11 @@ def _to_T_module(c: CommaObject, t: TriangularAlgebra) -> ModuleRep:
         raise ValueError(f"invalid comma object: {bad[0]}")
     da, db = c.A.dim, c.B.dim
     stack = np.zeros((t.dim, da + db, da + db), dtype=np.int64)
-    stack[t.r_slice, :da, :da] = action_stack(c.A)
+    stack[t.r_slice, :da, :da] = c.A.action
     # u_j acts by the block of phi's columns u_j (x) a, from A into B
     stack[t.u_slice, da:, :da] = c.phi.array().reshape(db, c.bimodule.dim, da).transpose(1, 0, 2)
-    stack[t.s_slice, da:, da:] = action_stack(c.B)
-    action = [FpMatrix._of(c.p, a.copy()) for a in stack]
-    return ModuleRep(t, LEFT, da + db, action, label=c.label or "T-module")
+    stack[t.s_slice, da:, da:] = c.B.action
+    return ModuleRep(t, LEFT, da + db, stack, label=c.label or "T-module")
 
 
 class FromTResult(NamedTuple):
@@ -275,34 +273,22 @@ def from_T_module(m: ModuleRep, t: TriangularAlgebra) -> FromTResult:
     """Slice a left T-module along the block idempotents into a comma object.  Memoized."""
     if m.algebra != t or m.side != LEFT:
         raise AlgebraMismatch("expected a left module over the triangular algebra")
-    er = m.act(t.idempotent_r())
-    es = m.act(t.idempotent_s())
-    a_cols = column_space_basis(er)
-    b_cols = column_space_basis(es)
-    dr, du, ds = t.r.dim, t.u.dim, t.s.dim
-
-    def coords(cols: FpMatrix, mats: list[FpMatrix]) -> list[FpMatrix]:
-        blocks = solve_each(cols, mats)
-        assert blocks is not None, "idempotent slices must be invariant"
-        return blocks
-
+    p, er, es = m.p, m.act(t.idempotent_r()), m.act(t.idempotent_s())
+    a_cols, b_cols = column_space_basis(er), column_space_basis(es)
+    ac, bc = a_cols.array(), b_cols.array()
     # One solve per slice basis: the R-action and the projection e_R onto
     # the R-slice; the S-action, the U-action (phi, one block per u_j,
     # landing in the S-slice) and the projection e_S onto the S-slice.
-    *a_action, ca = coords(a_cols, [m.action[i] @ a_cols for i in range(dr)] + [er])
-    b_blocks = coords(
-        b_cols,
-        [m.action[dr + du + k] @ b_cols for k in range(ds)]
-        + [m.action[dr + j] @ a_cols for j in range(du)]
-        + [es],
-    )
-    b_action, phi_blocks, cb = b_blocks[:ds], b_blocks[ds:-1], b_blocks[-1]
+    a_solved = solve_each(a_cols, m.action[t.r_slice] @ ac % p, er.array()[None])
+    b_solved = solve_each(b_cols, m.action[t.s_slice] @ bc % p, m.action[t.u_slice] @ ac % p, es.array()[None])
+    assert a_solved is not None and b_solved is not None, "idempotent slices must be invariant"
+    (a_action, ca), (b_action, phi_blocks, cb) = a_solved, b_solved
     a_mod = ModuleRep(t.r, LEFT, a_cols.cols, a_action, label=f"{m.label}|R")
     b_mod = ModuleRep(t.s, LEFT, b_cols.cols, b_action, label=f"{m.label}|S")
-    # the leading empty block keeps phi defined when U = 0
-    phi = hstack([FpMatrix.zeros(m.p, b_mod.dim, 0)] + phi_blocks)
-    comma = CommaObject(t.u, a_mod, b_mod, phi, label=m.label)
-    witness = ModuleMap(m, to_T_module(comma, t), vstack([ca, cb]))
+    # phi's columns u_j (x) a hold block j
+    phi = phi_blocks.transpose(1, 0, 2).reshape(b_mod.dim, t.u.dim * a_mod.dim).copy()
+    comma = CommaObject(t.u, a_mod, b_mod, FpMatrix._of(p, phi), label=m.label)
+    witness = ModuleMap(m, to_T_module(comma, t), FpMatrix._of(p, np.vstack([ca[0], cb[0]])))
     return FromTResult(comma, witness)
 
 
@@ -349,10 +335,11 @@ def validate_right_t(rt: RightTModule) -> list[dict]:
     gens = balancing_generators(rt.Y, bimodule_as_left_module(u))
     if gens.cols and not (rt.psi @ gens).is_zero():
         violations.append({"kind": "psi-balance"})
-    iy = FpMatrix.identity(rt.p, rt.Y.dim)
-    for i in range(u.r_algebra.dim):
-        if rt.psi @ kron(iy, u.right_action[i]) != rt.X.action[i] @ rt.psi:
-            violations.append({"kind": "psi-linearity", "basis": i})
+    # column y * dim U + v of psi @ kron(I_Y, r_i) is the sum over w of psi[:, y * dim U + w] r_i[w, v]
+    psi = rt.psi.array()
+    through = psi.reshape(rt.X.dim, rt.Y.dim, u.dim)[None] @ u.right_action[:, None]
+    linear = (through.reshape(u.r_algebra.dim, rt.X.dim, rt.Y.dim * u.dim) - rt.X.action @ psi) % rt.p
+    violations += [{"kind": "psi-linearity", "basis": int(i)} for i in np.flatnonzero(linear.any(axis=(1, 2)))]
     return violations
 
 
@@ -365,12 +352,11 @@ def right_t_to_module(rt: RightTModule, t: Optional[TriangularAlgebra] = None) -
     t = t or triangular_for(rt.bimodule)
     dx, dy = rt.X.dim, rt.Y.dim
     stack = np.zeros((t.dim, dx + dy, dx + dy), dtype=np.int64)
-    stack[t.r_slice, :dx, :dx] = action_stack(rt.X)
+    stack[t.r_slice, :dx, :dx] = rt.X.action
     # u_j acts by the block of psi's columns y (x) u_j, from Y into X
     stack[t.u_slice, :dx, dx:] = rt.psi.array().reshape(dx, dy, rt.bimodule.dim).transpose(2, 0, 1)
-    stack[t.s_slice, dx:, dx:] = action_stack(rt.Y)
-    action = [FpMatrix._of(rt.p, a.copy()) for a in stack]
-    return ModuleRep(t, RIGHT, dx + dy, action, label=rt.label or "right-T")
+    stack[t.s_slice, dx:, dx:] = rt.Y.action
+    return ModuleRep(t, RIGHT, dx + dy, stack, label=rt.label or "right-T")
 
 
 # -- Hom computations ----------------------------------------------------------
@@ -745,7 +731,7 @@ def sigma_for_p(
 def components_key(a: ModuleRep, b: ModuleRep) -> tuple:
     """(dim A, dim B, the rank of every action matrix of A, and of B): the part of
     the :func:`comma_universe` key that phi does not enter."""
-    return a.dim, b.dim, tuple(rank(x) for x in a.action), tuple(rank(x) for x in b.action)
+    return a.dim, b.dim, *(tuple(rank(FpMatrix._of(m.p, x)) for x in m.action) for m in (a, b))
 
 
 def comma_universe(

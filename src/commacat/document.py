@@ -15,8 +15,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+import numpy as np
+
 from .algebra import Bimodule, FDAlgebra, TriangularAlgebra, triangular_algebra, validate_algebra, validate_bimodule
-from .comma import CommaObject, RightTModule, to_T_module, validate_comma, validate_right_t
+from .comma import (FAMILY_B, FAMILY_J, FAMILY_U, CommaObject, RightTModule, to_T_module, validate_comma,
+                    validate_right_t)
 from .linalg import FpMatrix
 from .modules import LEFT, RIGHT, ModuleMap, ModuleRep, validate_module
 from .presentations import Presentation, validate_presentation
@@ -55,6 +58,8 @@ class Document:
     presentations: dict[str, Presentation] = field(default_factory=dict)
     families: dict[str, ModuleFamily] = field(default_factory=dict)
     universes: dict[str, list[ModuleRep]] = field(default_factory=dict)
+    # the (algebra, side) of the modules each family decides on; None when nothing fixes it
+    family_over: dict[str, Optional[tuple]] = field(default_factory=dict)
     tasks: list[dict] = field(default_factory=list)
     raw: dict = field(default_factory=dict)
 
@@ -78,12 +83,24 @@ def _dim(rec: dict, path: str) -> int:
     return dim
 
 
-def _actions(p: int, rec: dict, key: str, path: str, dim: int) -> list[FpMatrix]:
-    """The list of dim x dim matrices stored under ``key``."""
+def _actions(p: int, rec: dict, key: str, path: str, dim: int) -> np.ndarray:
+    """The dim x dim matrices stored under ``key``, as one int64 stack."""
     data = rec.get(key, [])
     if not isinstance(data, list):
         raise DocumentError(f"{path}.{key}", f"expected a list of matrices, got {type(data).__name__}")
-    return [_matrix(p, m, f"{path}.{key}[{i}]", dim, dim) for i, m in enumerate(data)]
+    mats = [_matrix(p, m, f"{path}.{key}[{i}]", dim, dim).array() for i, m in enumerate(data)]
+    return np.array(mats, dtype=np.int64).reshape(len(mats), dim, dim)
+
+
+def _over(modules: list[ModuleRep]) -> Optional[tuple]:
+    """The (algebra, side) of the first of ``modules``; None for none."""
+    return (modules[0].algebra, modules[0].side) if modules else None
+
+
+def _require_over(over: Optional[tuple], got: Optional[tuple], path: str) -> None:
+    """DocumentError at ``path`` unless ``got`` is ``over`` or either is unknown (None)."""
+    if over is not None and got is not None and got != over:
+        raise DocumentError(path, f"over {got[0].label} ({got[1]}), expected {over[0].label} ({over[1]})")
 
 
 def _lookup(table: dict, name: Any, path: str, kind: str):
@@ -129,6 +146,9 @@ def task_references(doc: Document, task: dict, path: str) -> dict[str, Any]:
     for sigma, module in (("sigma_a", "a"), ("sigma_b", "b")):
         if sigma in refs and refs[sigma].target != refs[module]:
             raise DocumentError(f"{path}.{sigma}", f"{task[sigma]!r} does not present {task[module]!r}")
+    for key in ("x", "y", "family"):
+        if key in refs:
+            _require_over(_over(refs["universe"]), doc.family_over[task.get(key, "")], f"{path}.{key}")
     return refs
 
 
@@ -292,7 +312,10 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
 
     for name, path, rec in entries("universes", list):
         try:
-            doc.universes[name] = [resolve_module(n, f"{path}[{i}]") for i, n in enumerate(rec)]
+            universe = [resolve_module(n, f"{path}[{i}]") for i, n in enumerate(rec)]
+            for i, m in enumerate(universe):
+                _require_over(_over(universe), _over([m]), f"{path}[{i}]")
+            doc.universes[name] = universe
         except DocumentError as exc:
             report(exc)
 
@@ -325,35 +348,54 @@ def _module_list(doc: Document, rec: dict, path: str) -> list[ModuleRep]:
 
 
 def _build_family(doc: Document, name: str, rec: dict, path: str) -> ModuleFamily:
+    """The family ``rec`` describes; it decides on modules over the algebra and side of its universe (or, for an
+    empty universe, of the first thing it names), as ``doc.family_over`` records, and all it names must match."""
     kind = rec.get("kind")
     universe = _lookup(doc.universes, rec.get("universe", ""), path, "universe")
+    over = _over(universe)
+    named: list[tuple[str, Optional[tuple]]] = []  # (path, over) of each thing the family names
     if kind == "all":
         fam = family_all(universe)
     elif kind == "zero":
         fam = family_zero(universe)
-    elif kind == "explicit":
-        fam = family_explicit(_module_list(doc, rec, path), universe, label=name)
+    elif kind in ("explicit", "perp_right_modules"):
+        mods = _module_list(doc, rec, path)
+        named = [(f"{path}.modules[{i}]", _over([m])) for i, m in enumerate(mods)]
+        if kind == "explicit":
+            fam = family_explicit(mods, universe, label=name)
+        else:
+            fam = perp_right_modules(mods, universe, label=name)
     elif kind == "gen":
         mod = _lookup(doc.modules, rec.get("module", ""), path, "module")
+        named = [(f"{path}.module", _over([mod]))]
         fam = family_gen(mod, universe, label=name)
     elif kind == "d_sigma":
         pres = _lookup(doc.presentations, rec.get("presentation", ""), path, "presentation")
+        named = [(f"{path}.presentation", _over([pres.target]))]
         fam = family_d_sigma(pres, universe, label=name)
-    elif kind == "perp_right":
+    elif kind in ("perp_right", "perp_left"):
         of = _lookup(doc.families, rec.get("of", ""), path, "family")
-        fam = perp_right(of, universe)
-    elif kind == "perp_left":
-        of = _lookup(doc.families, rec.get("of", ""), path, "family")
-        fam = perp_left(of, universe)
-    elif kind == "perp_right_modules":
-        fam = perp_right_modules(_module_list(doc, rec, path), universe, label=name)
+        named = [(f"{path}.of", doc.family_over[rec.get("of", "")])]
+        fam = (perp_right if kind == "perp_right" else perp_left)(of, universe)
     elif kind == "comma":
         cfam = _lookup(doc.families, rec.get("c", ""), path, "family")
         dfam = _lookup(doc.families, rec.get("d", ""), path, "family")
         u = _lookup(doc.bimodules, rec.get("bimodule", ""), path, "bimodule")
-        fam = comma_family(rec.get("family", "U"), cfam, dfam, doc.triangulars[u.label], universe, label=name)
+        family = rec.get("family", FAMILY_U)
+        if family not in (FAMILY_U, FAMILY_B, FAMILY_J):
+            raise DocumentError(f"{path}.family", f"comma family must be U, B or J, got {family!r}")
+        _require_over((u.r_algebra, LEFT), doc.family_over[rec.get("c", "")], f"{path}.c")
+        _require_over((u.s_algebra, LEFT), doc.family_over[rec.get("d", "")], f"{path}.d")
+        t = doc.triangulars[u.label]
+        _require_over((t, LEFT), over, f"{path}.universe")
+        over = (t, LEFT)
+        fam = comma_family(family, cfam, dfam, t, universe, label=name)
     else:
         raise DocumentError(path, f"unknown family kind {kind!r}")
+    for sub, got in named:
+        _require_over(over, got, sub)
+        over = over or got
+    doc.family_over[name] = over
     fam.label = name
     return fam
 

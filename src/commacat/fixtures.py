@@ -142,11 +142,11 @@ def dual_numbers_fixture(iso_cap: int = 16, max_total_dim: int = 4) -> Fixture:
     s = field_algebra(p, "S")
     one = FpMatrix.identity(p, 1)
     zero_mat = FpMatrix.zeros(p, 1, 1)
-    u = Bimodule(s, r, 1, [one], [one, zero_mat], label="U")
+    u = Bimodule(s, r, 1, [[[1]]], [[[1]], [[0]]], label="U")
     t = triangular_algebra(r, s, u, label="T(dual)")
 
     rr = regular_module(r, LEFT).relabel("R")
-    rk = ModuleRep(r, LEFT, 1, [FpMatrix(p, [[1]]), FpMatrix(p, [[0]])], label="k")
+    rk = ModuleRep(r, LEFT, 1, [[[1]], [[0]]], label="k")
     rk2 = direct_sum([rk, rk], algebra=r, side=LEFT).module.relabel("k2")
     r_universe = {"0": zero_module(r, LEFT), "k": rk, "R": rr, "k2": rk2}
 
@@ -166,7 +166,7 @@ def dual_numbers_fixture(iso_cap: int = 16, max_total_dim: int = 4) -> Fixture:
         name = f"c{idx:02d}[{c.A.label},{c.B.label}]"
         comma[name] = c.relabel(name)
 
-    rkr = ModuleRep(r, RIGHT, 1, [FpMatrix(p, [[1]]), FpMatrix(p, [[0]])], label="k")
+    rkr = ModuleRep(r, RIGHT, 1, [[[1]], [[0]]], label="k")
     rrr = regular_module(r, RIGHT).relabel("R")
     skr = regular_module(s, RIGHT).relabel("k")
     zr = zero_module(r, RIGHT)

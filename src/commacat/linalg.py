@@ -1,12 +1,14 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Every matrix in the package is an :class:`FpMatrix`: an immutable,
-row-major integer matrix with entries reduced mod p.  All arithmetic is
-integer arithmetic followed by reduction, so results are exact.  Systems
-reach a few hundred rows (a Hom system of two 8-dimensional modules over a
-3-dimensional algebra is 192x64); everything is dense and deterministic.
-:func:`rref` does Gauss-Jordan elimination with one nonzero scan of the
-pivot column and one masked rank-1 update of all rows it hits per pivot.
+Every matrix handed on as a value is an :class:`FpMatrix`: an immutable,
+row-major integer matrix with entries reduced mod p.  A stack of matrices,
+such as a module's action or a Hom-space basis, is one frozen (k, rows,
+cols) int64 array, reduced mod p.  All arithmetic is integer arithmetic
+followed by reduction, so results are exact.  Systems reach a few hundred
+rows (a Hom system of two 8-dimensional modules over a 3-dimensional
+algebra is 192x64); everything is dense and deterministic.  :func:`rref`
+does Gauss-Jordan elimination with one nonzero scan of the pivot column
+and one masked rank-1 update of all rows it hits per pivot.
 
 Entries are stored as int64, so the modulus is validated once per value
 of p (:func:`_check_modulus`, shared with :class:`FDAlgebra`): it must be
@@ -15,16 +17,15 @@ terms of size (p-1)**2 stays below 2**63, so no product overflows.
 
 Validation happens once, at the boundary: ``FpMatrix(p, entries)`` checks
 the modulus, that each entry is an exact integer in int64 range
-(:func:`int64_array`, shared with :class:`FDAlgebra` and the certificate
-schema) and the shape, and reduces the entries, and is what other
-modules call.  Results this module computes are
-reduced by construction, since its arithmetic applies ``% p`` itself, so
-they are wrapped by the trusted ``FpMatrix._of``, which only freezes the
-array.  Those results own their memory: a slice (``block``,
-``column_vector``, an enumeration witness) is copied before it is
-wrapped, so a small matrix never keeps a larger array, such as a whole
-enumeration chunk, alive.  (A transpose is a view of a matrix of its
-own size.)
+(:func:`int64_array`, shared with :class:`FDAlgebra`, the action stacks and
+the certificate schema) and the shape, and reduces the entries, and is what
+other modules call.  Results this module computes are reduced by
+construction, since its arithmetic applies ``% p`` itself, so they are
+wrapped by the trusted ``FpMatrix._of``, which only freezes the array.
+Those results own their memory: a slice (``block``, an enumeration witness)
+is copied before it is wrapped, so a small matrix never keeps a larger
+array, such as a whole enumeration chunk, alive.  (A transpose is a view of
+a matrix of its own size.)
 
 Exhaustive searches over a space of maps share one enumeration kernel:
 :func:`combination_chunks` yields all p**h linear combinations of a basis
@@ -75,7 +76,7 @@ def _check_int64(entries, name: str) -> None:
         x = stack.pop()
         if isinstance(x, (list, tuple, np.ndarray)):
             if set(map(type, x)) <= {int}:  # a row of Python ints: only its extremes can be out of range
-                x = [min(x), max(x)] if x else []
+                x = [min(x), max(x)] if len(x) else []
             stack.extend(reversed(x))
         elif isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not _INT64.min <= x <= _INT64.max:
             raise ValueError(f"{name}: entry {x!r} is not an exact integer in int64 range")
@@ -153,9 +154,6 @@ class FpMatrix:
 
     def to_lists(self) -> list:
         return [[int(x) for x in row] for row in self._a]
-
-    def column_vector(self, j: int) -> "FpMatrix":
-        return FpMatrix._of(self.p, self._a[:, j : j + 1].copy())
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "FpMatrix":
         return FpMatrix._of(self.p, self._a[r0:r1, c0:c1].copy())
@@ -324,19 +322,20 @@ def solve(m: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
     return FpMatrix._of(m.p, x)
 
 
-def solve_each(m: FpMatrix, bs: Sequence[FpMatrix]) -> Optional[list[FpMatrix]]:
-    """Solutions x_i of m x_i = b_i, one per right-hand side, from one elimination.
+def solve_each(m: FpMatrix, *stacks: np.ndarray) -> Optional[list[np.ndarray]]:
+    """Solutions X of m X = B for every matrix B of each (k, m.rows, w) int64
+    stack, reduced mod p, from one elimination.
 
-    The blocks of ``solve(m, hstack(bs))``: None when any b_i is
-    inconsistent, and [] for no right-hand sides.
+    Returns one (k, m.cols, w) stack per given stack, each matrix the one
+    :func:`solve` gives for it alone; None when any B is inconsistent.
     """
-    if not bs:
-        return []
-    x = solve(m, hstack(bs))
+    rhs = np.concatenate([s.transpose(1, 0, 2).reshape(m.rows, s.shape[0] * s.shape[2]) for s in stacks], axis=1)
+    x = solve(m, FpMatrix._of(m.p, rhs))
     if x is None:
         return None
-    ends = np.cumsum([b.cols for b in bs])
-    return [x.block(0, x.rows, int(e) - b.cols, int(e)) for b, e in zip(bs, ends)]
+    ends = np.cumsum([s.shape[0] * s.shape[2] for s in stacks]).tolist()
+    return [x.array()[:, e - k * w : e].reshape(m.cols, k, w).transpose(1, 0, 2)
+            for (k, _, w), e in zip((s.shape for s in stacks), ends)]
 
 
 def inverse(m: FpMatrix) -> Optional[FpMatrix]:

@@ -1,9 +1,10 @@
 """Modules as action-matrix representations, and the operations on them.
 
-A left module of dimension n over an algebra with basis e_1..e_d is a
-tuple of n x n matrices, one per basis element, satisfying the module
-law.  Right modules store the matrix of x -> x*e_i per basis element,
-so composition reverses: action(e_i) @ action(e_j) = action(e_j e_i).
+A left module of dimension n over an algebra with basis e_1..e_d is one
+frozen (d, n, n) int64 stack of action matrices, one per basis element,
+satisfying the module law; operations read and build whole stacks.  Right
+modules store the matrix of x -> x*e_i per basis element, so composition
+reverses: action(e_i) @ action(e_j) = action(e_j e_i).
 
 Everything here is pure and deterministic; hom spaces, traces, tensor
 products and extension enumeration all reduce to exact kernel and rank
@@ -35,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Bimodule, FDAlgebra, module_law
+from .algebra import Bimodule, FDAlgebra, frozen_actions, module_law
 from .linalg import (
     FpMatrix,
     column_space_basis,
@@ -66,7 +67,8 @@ class IsoSearchCapExceeded(RuntimeError):
 
 
 class ModuleRep(ContentKeyed):
-    """A left or right module given by one action matrix per basis element."""
+    """A left or right module given by one action matrix per basis element: ``action``
+    is the read-only (algebra.dim, dim, dim) int64 stack of them, reduced mod p."""
 
     __slots__ = ("algebra", "side", "dim", "action", "label")
 
@@ -75,20 +77,15 @@ class ModuleRep(ContentKeyed):
         algebra: FDAlgebra,
         side: str,
         dim: int,
-        action: Sequence[FpMatrix],
+        action,
         label: str = "",
     ) -> None:
         if side not in (LEFT, RIGHT):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if len(action) != algebra.dim:
-            raise ValueError("one action matrix per algebra basis element required")
-        for m in action:
-            if m.rows != dim or m.cols != dim or m.p != algebra.p:
-                raise ValueError("action matrices must be dim x dim over the algebra's field")
         self.algebra = algebra
         self.side = side
         self.dim = dim
-        self.action = tuple(action)
+        self.action = frozen_actions(algebra.p, algebra.dim, dim, action)
         self.label = label
 
     @property
@@ -98,14 +95,13 @@ class ModuleRep(ContentKeyed):
     def act(self, coeffs) -> FpMatrix:
         """Action matrix of a general algebra element."""
         c = np.asarray(coeffs, dtype=np.int64) % self.p
-        return FpMatrix._of(self.p, np.einsum("k,kab->ab", c, action_stack(self)) % self.p)
+        return FpMatrix._of(self.p, np.einsum("k,kab->ab", c, self.action) % self.p)
 
     def relabel(self, label: str) -> "ModuleRep":
         return ModuleRep(self.algebra, self.side, self.dim, self.action, label)
 
     def _content(self) -> tuple:
-        actions = content_bytes(self.p, *(a.array() for a in self.action))
-        return ("module", self.algebra.key, self.side, self.dim, actions)
+        return ("module", self.algebra.key, self.side, self.dim, content_bytes(self.p, self.action))
 
     def __repr__(self) -> str:
         name = self.label or "module"
@@ -136,25 +132,17 @@ class ModuleMap(ContentKeyed):
 
 def violated_intertwining(f: ModuleMap) -> list[int]:
     """Basis indices where the intertwining condition fails."""
-    bad = []
-    for i in range(f.source.algebra.dim):
-        if f.target.action[i] @ f.matrix != f.matrix @ f.source.action[i]:
-            bad.append(i)
-    return bad
+    h = f.matrix.array()
+    return np.flatnonzero(((f.target.action @ h - h @ f.source.action) % f.matrix.p).any(axis=(1, 2))).tolist()
 
 
 def validate_module(m: ModuleRep) -> list[dict]:
     """Violations of the module law (unit acts as identity, composition)."""
     alg = m.algebra
     mul = alg.mul if m.side == LEFT else alg.mul.transpose(1, 0, 2)
-    unit_ok, bad = module_law(m.p, mul, alg.unit, action_stack(m))
+    unit_ok, bad = module_law(m.p, mul, alg.unit, m.action)
     violations = [] if unit_ok else [{"kind": "unit-action"}]
     return violations + [{"kind": "composition", "pair": ij} for ij in bad]
-
-
-def action_stack(m: ModuleRep) -> np.ndarray:
-    """The (algebra dim, dim, dim) stack of action matrices."""
-    return np.stack([a.array() for a in m.action])
 
 
 def _require_compatible(m: ModuleRep, n: ModuleRep) -> None:
@@ -166,29 +154,20 @@ def _require_compatible(m: ModuleRep, n: ModuleRep) -> None:
 
 
 def zero_module(algebra: FDAlgebra, side: str = LEFT) -> ModuleRep:
-    z = FpMatrix.zeros(algebra.p, 0, 0)
-    return ModuleRep(algebra, side, 0, [z] * algebra.dim, label="0")
+    return ModuleRep(algebra, side, 0, np.zeros((algebra.dim, 0, 0), dtype=np.int64), label="0")
 
 
 def regular_module(algebra: FDAlgebra, side: str = LEFT) -> ModuleRep:
     """The algebra acting on itself by multiplication on the chosen side."""
-    if side == LEFT:
-        mats = [algebra.left_mult_matrix(_unit_vec(algebra, i)) for i in range(algebra.dim)]
-    else:
-        mats = [algebra.right_mult_matrix(_unit_vec(algebra, i)) for i in range(algebra.dim)]
-    return ModuleRep(algebra, side, algebra.dim, mats, label=f"{algebra.label or 'A'}_{side}")
-
-
-def _unit_vec(algebra: FDAlgebra, i: int) -> np.ndarray:
-    e = np.zeros(algebra.dim, dtype=np.int64)
-    e[i] = 1
-    return e
+    # entry (k, j) of e_i on the left is mul[i, j, k]; on the right, mul[j, i, k]
+    stack = algebra.mul.transpose(0, 2, 1) if side == LEFT else algebra.mul.transpose(1, 2, 0)
+    return ModuleRep(algebra, side, algebra.dim, stack, label=f"{algebra.label or 'A'}_{side}")
 
 
 def module_dual(m: ModuleRep) -> ModuleRep:
     """Linear dual with the side flipped; actions are the transposes."""
     side = RIGHT if m.side == LEFT else LEFT
-    return ModuleRep(m.algebra, side, m.dim, [a.transpose() for a in m.action], label=f"{m.label}+")
+    return ModuleRep(m.algebra, side, m.dim, m.action.transpose(0, 2, 1), label=f"{m.label}+")
 
 
 def dual_module(s: FDAlgebra) -> ModuleRep:
@@ -220,10 +199,7 @@ def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
 def generator_stack(m: ModuleRep) -> np.ndarray:
     """The action matrices of the algebra generators (:func:`generator_indices`),
     as a (generators, dim, dim) stack."""
-    gens = generator_indices(m.algebra)
-    if not gens:
-        return np.zeros((0, m.dim, m.dim), dtype=np.int64)
-    return np.array([m.action[i].array() for i in gens])
+    return m.action[list(generator_indices(m.algebra))]
 
 
 @memo("generator_indices")
@@ -240,7 +216,7 @@ def generator_indices(algebra: FDAlgebra) -> tuple[int, ...]:
     for i in range(d):
         if len(span) == d:
             break
-        if rank(FpMatrix._of(p, np.vstack([span, _unit_vec(algebra, i)]))) > len(span):
+        if rank(FpMatrix._of(p, np.vstack([span, np.eye(d, dtype=np.int64)[i]]))) > len(span):
             chosen.append(i)
             span = _generated_subalgebra(algebra, chosen)
     return tuple(chosen)
@@ -451,11 +427,9 @@ def direct_sum(
     total = offsets[-1]
     stack = np.zeros((alg.dim, total, total), dtype=np.int64)
     for m, offset in zip(summands, offsets):
-        for i, a in enumerate(m.action):
-            stack[i, offset : offset + m.dim, offset : offset + m.dim] = a.array()
+        stack[:, offset : offset + m.dim, offset : offset + m.dim] = m.action
     label = "(" + "+".join(m.label or "?" for m in summands) + ")"
-    action = [FpMatrix._of(p, a.copy()) for a in stack]
-    module = ModuleRep(alg, first.side, total, action, label=label)
+    module = ModuleRep(alg, first.side, total, stack, label=label)
     eye = np.eye(total, dtype=np.int64)
     injections, projections = [], []
     for m, offset in zip(summands, offsets):
@@ -473,21 +447,22 @@ def submodule(m: ModuleRep, basis_cols: FpMatrix, label: str = "") -> tuple[Modu
     """
     if rank(basis_cols) != basis_cols.cols:
         raise ValueError("submodule basis columns must be independent")
-    action = solve_each(basis_cols, [a @ basis_cols for a in m.action])
+    action = solve_each(basis_cols, m.action @ basis_cols.array() % m.p)
     if action is None:
         raise ValueError("span is not invariant under the action")
-    sub = ModuleRep(m.algebra, m.side, basis_cols.cols, action, label=label)
+    sub = ModuleRep(m.algebra, m.side, basis_cols.cols, action[0], label=label)
     return sub, ModuleMap(sub, m, basis_cols)
 
 
 def quotient_module(m: ModuleRep, sub_cols: FpMatrix, label: str = "") -> tuple[ModuleRep, ModuleMap]:
     """Quotient by an invariant column span, with its projection."""
-    proj, sect = quotient_space(m.p, m.dim, sub_cols)
-    action = []
-    for i in range(m.algebra.dim):
-        if sub_cols.cols and not (proj @ (m.action[i] @ sub_cols)).is_zero():
-            raise ValueError(f"span is not invariant under basis element {i}")
-        action.append(proj @ m.action[i] @ sect)
+    p = m.p
+    proj, sect = quotient_space(p, m.dim, sub_cols)
+    if sub_cols.cols:
+        moved = (proj.array() @ (m.action @ sub_cols.array() % p) % p).any(axis=(1, 2))
+        if moved.any():
+            raise ValueError(f"span is not invariant under basis element {np.flatnonzero(moved)[0]}")
+    action = proj.array() @ m.action % p @ sect.array() % p
     quot = ModuleRep(m.algebra, m.side, proj.rows, action, label=label)
     return quot, ModuleMap(m, quot, proj)
 
@@ -525,8 +500,7 @@ def balancing_generators(x_right: ModuleRep, a_left: ModuleRep) -> FpMatrix:
     """
     if x_right.algebra != a_left.algebra or x_right.side != RIGHT or a_left.side != LEFT:
         raise AlgebraMismatch("balanced tensor needs a right and a left module over one algebra")
-    xt = action_stack(x_right).transpose(0, 2, 1)
-    return intertwining_system(x_right.p, xt, action_stack(a_left)).transpose()
+    return intertwining_system(x_right.p, x_right.action.transpose(0, 2, 1), a_left.action).transpose()
 
 
 def balanced_tensor(x_right: ModuleRep, a_left: ModuleRep) -> tuple[FpMatrix, FpMatrix]:
@@ -569,8 +543,9 @@ def tensor_over(u: Bimodule, a: ModuleRep) -> TensorModule:
         raise AlgebraMismatch("tensor_over expects a left module over the bimodule's right algebra")
     proj, sect = balanced_tensor(bimodule_as_right_module(u), a)
     p = u.p
-    ia = FpMatrix.identity(p, a.dim)
-    action = [proj @ kron(u.left_action[i], ia) @ sect for i in range(u.s_algebra.dim)]
+    # column v * dim A + b of proj @ kron(s_i, I_A) is the sum over w of proj[:, w * dim A + b] s_i[w, v]
+    through = np.einsum("rub,iuv->irvb", proj.array().reshape(proj.rows, u.dim, a.dim), u.left_action) % p
+    action = through.reshape(u.s_algebra.dim, proj.rows, u.dim * a.dim) @ sect.array() % p
     module = ModuleRep(u.s_algebra, LEFT, proj.rows, action, label=f"U*{a.label or '?'}")
     return TensorModule(module, proj, sect)
 
@@ -692,8 +667,8 @@ def _cocycle_system(m: ModuleRep, n: ModuleRep) -> FpMatrix:
     mul = alg.mul if m.side == LEFT else alg.mul.transpose(1, 0, 2)
     i_d, i_n, i_m = (np.eye(k, dtype=np.int64) for k in (d, n.dim, m.dim))
     cocycle = (
-        np.einsum("jk,iac,be->ijabkce", i_d, action_stack(n), i_m)
-        + np.einsum("ik,ac,jeb->ijabkce", i_d, i_n, action_stack(m))
+        np.einsum("jk,iac,be->ijabkce", i_d, n.action, i_m)
+        + np.einsum("ik,ac,jeb->ijabkce", i_d, i_n, m.action)
         - np.einsum("ijk,ac,be->ijabkce", mul, i_n, i_m)
     ).reshape(d * d * block, d * block)
     unit = np.einsum("k,ac,be->abkce", alg.unit, i_n, i_m).reshape(block, d * block)
@@ -717,7 +692,7 @@ def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> Extensi
 
     cocycles = kernel_basis(_cocycle_system(m, n))
     # coboundaries c(e) = rho_n(e) h - h rho_m(e) of arbitrary linear maps h: m -> n
-    cob = intertwining_system(p, action_stack(n), action_stack(m))
+    cob = intertwining_system(p, n.action, m.action)
     if cocycles.cols == 0:
         assert cob.is_zero(), "coboundaries must be cocycles"
         cob_in_z = FpMatrix.zeros(p, 0, cob.cols)
@@ -731,14 +706,13 @@ def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> Extensi
     # column k holds the cocycle blocks c(e) of the k-th enumerated class
     blocks = cocycles @ sect @ FpMatrix._of(p, coeffs.T.copy())
     base = np.zeros((d, n.dim + m.dim, n.dim + m.dim), dtype=np.int64)
-    base[:, : n.dim, : n.dim] = action_stack(n)
-    base[:, n.dim :, n.dim :] = action_stack(m)
+    base[:, : n.dim, : n.dim] = n.action
+    base[:, n.dim :, n.dim :] = m.action
     terms = []
-    for cs in blocks.array().T:
+    for cs in blocks.array().T:  # one stack at a time: all classes at once can be a large transient
         stack = base.copy()
         stack[:, : n.dim, n.dim :] = cs.reshape(d, n.dim, m.dim)
-        action = [FpMatrix._of(p, a.copy()) for a in stack]
-        terms.append(ModuleRep(alg, m.side, n.dim + m.dim, action, label=f"ext({m.label},{n.label})"))
+        terms.append(ModuleRep(alg, m.side, n.dim + m.dim, stack, label=f"ext({m.label},{n.label})"))
     return ExtensionResult(terms, p ** proj.rows > cap)
 
 
@@ -756,6 +730,9 @@ def hom_module(u: Bimodule, b: ModuleRep) -> HomModule:
     if b.algebra != u.s_algebra or b.side != LEFT:
         raise AlgebraMismatch("hom_module expects a left module over the bimodule's left algebra")
     basis = hom_space(bimodule_as_left_module(u), b)
-    action = [hom_coords(u.p, basis, basis @ ra.array() % u.p) for ra in u.right_action]
-    module = ModuleRep(u.r_algebra, LEFT, len(basis), action, label=f"Hom(U,{b.label})")
+    h, dr = len(basis), u.r_algebra.dim
+    # (r.f) = f r, for all r at once: column i * h + k of the coordinates is basis[k] @ r_i
+    moved = (basis[None] @ u.right_action[:, None] % u.p).reshape(dr * h, b.dim, u.dim)
+    action = hom_coords(u.p, basis, moved).array().reshape(h, dr, h).transpose(1, 0, 2)
+    module = ModuleRep(u.r_algebra, LEFT, h, action, label=f"Hom(U,{b.label})")
     return HomModule(module, basis)

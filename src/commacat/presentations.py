@@ -22,10 +22,8 @@ import numpy as np
 from .linalg import (
     FpMatrix,
     combination_chunks,
-    kron,
     rank,
     solve,
-    vstack,
 )
 from .modules import (
     AlgebraMismatch,
@@ -128,13 +126,13 @@ def d_sigma_member_oracle(s: Presentation, x: ModuleRep, cap: int = 16) -> bool:
     if x.dim == 0 or p0.dim == 0:
         return all(not t.any() for t in targets)
     # unknown h0 with h0 intertwining and h0 . sigma = target_map
-    ix = FpMatrix.identity(p, x.dim)
-    ip0 = FpMatrix.identity(p, p0.dim)
+    ix = np.eye(x.dim, dtype=np.int64)
+    ip0 = np.eye(p0.dim, dtype=np.int64)
     blocks = [
-        kron(x.action[i], ip0) - kron(ix, p0.action[i].transpose()) for i in range(x.algebra.dim)
+        np.kron(x.action[i], ip0) - np.kron(ix, p0.action[i].T) for i in range(x.algebra.dim)
     ]
-    blocks.append(kron(ix, s.sigma.matrix.transpose()))
-    system = vstack(blocks)
+    blocks.append(np.kron(ix, s.sigma.matrix.array().T))
+    system = FpMatrix(p, np.vstack(blocks))
     zeros = np.zeros(x.algebra.dim * x.dim * p0.dim, dtype=np.int64)
     for target_map in targets:
         rhs = FpMatrix(p, np.concatenate([zeros, target_map.reshape(-1)]).reshape(-1, 1))
@@ -155,7 +153,7 @@ def _universe_hash(universe: tuple[ModuleRep, ...]) -> str:
         {
             "dim": m.dim,
             "side": m.side,
-            "action": [a.to_lists() for a in m.action],
+            "action": m.action.tolist(),
         }
         for m in universe
     ]

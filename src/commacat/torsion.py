@@ -221,7 +221,7 @@ def all_submodule_bases(m: ModuleRep) -> list[FpMatrix]:
             out.append(w)
             continue
         width = rank(w)
-        if all(rank(hstack([w, act @ w])) == width for act in m.action):
+        if all(rank(hstack([w, FpMatrix._of(m.p, act @ w.array() % m.p)])) == width for act in m.action):
             out.append(w)
     return out
 

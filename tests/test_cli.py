@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from commacat import cli
 from commacat.cli import main
+from commacat.document import DocumentError, parse_document
 from tests.test_document import SILTING_TRANSFER_MISFIT, _set, _task, sample_document
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -195,6 +196,51 @@ def test_malformed_document_shape_exit_2(runner, tmp_path, command, payload):
     doc_path.write_text(json.dumps(payload))
     result = runner.invoke(main, [command, str(doc_path)])
     assert result.exit_code == 2, result.output
+
+
+def _with(families=(), universes=(), task=None):
+    """The sample document with more families and universes, and ``task`` as its only task."""
+    data = sample_document()
+    data["families"].update(families)
+    data["universes"].update(universes)
+    data["tasks"] = [task]
+    return data
+
+
+COMMA_FAMILY = {"kind": "comma", "family": "U", "c": "all_r", "bimodule": "U", "universe": "ut"}
+
+
+@pytest.mark.parametrize(
+    "payload, path",
+    [
+        (_with(universes={"mixed": ["Rk", "Sk"]}, task={"kind": "hom-table", "universe": "mixed"}),
+         "universes.mixed[1]"),
+        (_with(families={"gen_s": {"kind": "gen", "module": "Rk", "universe": "us"}},
+               task={"kind": "is-torsion-class", "family": "gen_s", "universe": "us"}),
+         "families.gen_s.module"),
+        (_with(families={"cm": {**COMMA_FAMILY, "d": "gen_k"}},
+               task={"kind": "is-torsion-pair", "x": "cm", "y": "cm", "universe": "ut"}),
+         "families.cm.d"),
+        (_with(families={"all_s": {"kind": "all", "universe": "us"},
+                         "cx": {**COMMA_FAMILY, "family": "X", "d": "all_s"}},
+               task={"kind": "is-torsion-pair", "x": "cx", "y": "cx", "universe": "ut"}),
+         "families.cx.family"),
+        (_with(task={"kind": "is-torsion-class", "family": "gen_k", "universe": "us"}), "tasks[0].family"),
+    ],
+    ids=["universe-over-two-algebras", "gen-module-off-universe", "comma-d-over-r", "comma-family-x",
+         "task-family-off-universe"],
+)
+def test_algebra_or_side_mismatch_is_a_document_error(runner, tmp_path, payload, path):
+    with pytest.raises(DocumentError) as err:
+        parse_document(payload)
+    assert err.value.path == path
+    doc_path = tmp_path / "mismatch.json"
+    doc_path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["validate", str(doc_path)])
+    assert result.exit_code == 2 and f"INVALID {path}: " in result.output
+    result = runner.invoke(main, ["run", str(doc_path)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert f"validation failure: {path}: " in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import pytest
 
 from commacat import memo
 from commacat.fixtures import load_fixture
+from commacat.linalg import FpMatrix
 from commacat.modules import gen_member, is_isomorphic
 from commacat.tasks import run_fixture
 
@@ -39,6 +40,24 @@ def test_hom_space_calls_of_a_dual_numbers_run():
     # (is_torsion_pair evaluates each family once per universe member)
     assert stats["family_parts"]["hits"] + stats["family_parts"]["misses"] == 1308
     assert stats["family_parts"]["misses"] == stats["family_parts"]["size"] == 57
+
+
+def test_validated_matrices_of_a_dual_numbers_run(monkeypatch):
+    # the same count as the benchmark tracer's linalg.FpMatrix.new (perfbench,
+    # dual-verify): FpMatrix.__init__ validates, FpMatrix._of wraps trusted results.
+    # Action stacks are validated by their module's constructor and are no
+    # FpMatrix, so they add nothing here (2,800 while each action matrix was an FpMatrix).
+    count = 0
+    init = FpMatrix.__init__
+
+    def counted(self, *args):
+        nonlocal count
+        count += 1
+        init(self, *args)
+
+    monkeypatch.setattr(FpMatrix, "__init__", counted)
+    run_fixture(load_fixture("dual-numbers"))
+    assert count == 2408
 
 
 def test_cached_false_is_a_hit_and_clear_resets():

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commacat.algebra import Bimodule, FDAlgebra, dual_numbers_algebra, field_algebra, validate_bimodule
-from commacat.comma import CommaObject
+from commacat.comma import CommaObject, RightTModule, validate_comma, validate_right_t
 from commacat.document import parse_document
-from commacat.fixtures import load_fixture
-from commacat.linalg import FpMatrix, enumerate_vectors, inverse, rank
+from commacat.fixtures import fixture_names, load_fixture
+from commacat.linalg import FpMatrix, enumerate_vectors, inverse, kron, quotient_space, rank
 from commacat.modules import (
     LEFT,
     RIGHT,
@@ -17,6 +17,9 @@ from commacat.modules import (
     IsoSearchCapExceeded,
     ModuleMap,
     ModuleRep,
+    balancing_generators,
+    bimodule_as_left_module,
+    bimodule_as_right_module,
     direct_sum,
     dual_module,
     extension_middle_terms,
@@ -28,12 +31,14 @@ from commacat.modules import (
     image_kernel_cokernel,
     is_isomorphic,
     module_dual,
+    quotient_module,
     regular_module,
     submodule,
     tensor_map,
     tensor_over,
     trace_of,
     validate_module,
+    violated_intertwining,
     zero_module,
 )
 from tests.test_hom_blocks import _p3doc
@@ -61,8 +66,8 @@ def test_regular_module_dual_numbers_nilpotent():
     r = dual_numbers_algebra(2)
     reg = regular_module(r)
     # x acts by the nilpotent Jordan block in basis {1, x}
-    assert reg.action[1].to_lists() == [[0, 0], [1, 0]]
-    assert (reg.action[1] @ reg.action[1]).is_zero()
+    assert reg.action[1].tolist() == [[0, 0], [1, 0]]
+    assert not (reg.action[1] @ reg.action[1] % 2).any()
     assert validate_module(reg) == []
 
 
@@ -95,7 +100,7 @@ def test_dual_module_dual_numbers_transpose():
     reg_right = regular_module(s, side="right")
     assert d.dim == 2
     for i in range(2):
-        assert d.action[i] == reg_right.action[i].transpose()
+        assert np.array_equal(d.action[i], reg_right.action[i].T)
     assert validate_module(d) == []
 
 
@@ -175,7 +180,7 @@ def test_submodule_rejects_dependent_or_non_invariant_columns(a2):
     with pytest.raises(ValueError, match="independent"):
         submodule(treg, FpMatrix(a2.p, [[1, 1], [0, 0], [0, 0]]))
     # U moves e_R into e_U, so the span of e_R alone is not a submodule
-    assert treg.action[1] @ e_r == FpMatrix(a2.p, [[0], [1], [0]])
+    assert FpMatrix(a2.p, treg.action[1] @ e_r.array()) == FpMatrix(a2.p, [[0], [1], [0]])
     with pytest.raises(ValueError, match="not invariant"):
         submodule(treg, e_r)
 
@@ -219,7 +224,7 @@ def test_tensor_zero_bimodule(dual):
     from commacat.algebra import Bimodule
 
     s, r = dual.s, dual.r
-    zero_u = Bimodule(s, r, 0, [FpMatrix.zeros(2, 0, 0)], [FpMatrix.zeros(2, 0, 0)] * 2)
+    zero_u = Bimodule(s, r, 0, np.zeros((1, 0, 0), dtype=np.int64), np.zeros((2, 0, 0), dtype=np.int64))
     res = tensor_over(zero_u, dual.r_universe["R"])
     assert res.module.dim == 0
 
@@ -410,7 +415,7 @@ def test_extensions_of_simples(a2):
 def test_one_middle_term_per_extension_class(p):
     # over F_p[x]/(x^2), Ext(k, k) has dimension 1 and Ext(k, k + k) dimension 2
     alg = dual_numbers_algebra(p)
-    k = ModuleRep(alg, LEFT, 1, [FpMatrix.identity(p, 1), FpMatrix.zeros(p, 1, 1)], label="k")
+    k = ModuleRep(alg, LEFT, 1, [[[1]], [[0]]], label="k")
     kk = direct_sum([k, k]).module
     regular = regular_module(alg)
     for n, ext_dim in ((k, 1), (kk, 2)):
@@ -446,7 +451,8 @@ def jordan_module(alg, parts):
     g = FpMatrix(3, np.triu((np.arange(dim)[:, None] + 2 * np.arange(dim)) % 3 + 1))
     xm = inverse(g) @ FpMatrix(3, x) @ g
     label = "J" + "".join(map(str, parts))
-    return ModuleRep(alg, "left", dim, [FpMatrix.identity(3, dim), xm, xm @ xm], label=label)
+    action = np.array([np.eye(dim, dtype=np.int64), xm.array(), (xm @ xm).array()])
+    return ModuleRep(alg, "left", dim, action, label=label)
 
 
 @pytest.mark.parametrize(
@@ -492,22 +498,19 @@ def _key_shapes(kind, dims):
 def _build(kind, p, side, dims, arrays, label):
     """A value of ``kind`` from its shapes and entries (no module laws checked)."""
 
-    def mats(stack):
-        return [FpMatrix(p, a) for a in stack]
-
     alg = FDAlgebra(p, arrays[0], arrays[1], label=label)
     if kind == "algebra":
         return alg
     if kind == "module":
-        return ModuleRep(alg, side, dims[1], mats(arrays[2]), label=label)
+        return ModuleRep(alg, side, dims[1], arrays[2], label=label)
     if kind == "map":
-        src = ModuleRep(alg, side, dims[1], mats(arrays[2]), label=label)
-        tgt = ModuleRep(alg, side, dims[2], mats(arrays[3]), label=label)
+        src = ModuleRep(alg, side, dims[1], arrays[2], label=label)
+        tgt = ModuleRep(alg, side, dims[2], arrays[3], label=label)
         return ModuleMap(src, tgt, FpMatrix(p, arrays[4]))
     du, na, nb = dims[1:]
-    u = Bimodule(alg, alg, du, mats(arrays[2]), mats(arrays[3]), label=label)
-    a = ModuleRep(alg, LEFT, na, mats(arrays[4]), label=label)
-    b = ModuleRep(alg, LEFT, nb, mats(arrays[5]), label=label)
+    u = Bimodule(alg, alg, du, arrays[2], arrays[3], label=label)
+    a = ModuleRep(alg, LEFT, na, arrays[4], label=label)
+    b = ModuleRep(alg, LEFT, nb, arrays[5], label=label)
     return CommaObject(u, a, b, FpMatrix(p, arrays[6]), label=label)
 
 
@@ -549,6 +552,10 @@ def _matrices_equal(xs, ys):
     )
 
 
+def _stacks_equal(xs, ys):
+    return xs.shape == ys.shape and np.array_equal(xs, ys)
+
+
 def _reference_equal(x, y):
     """Component-wise equality, array_equal on every matrix, labels ignored."""
     if isinstance(x, FDAlgebra):
@@ -563,15 +570,15 @@ def _reference_equal(x, y):
             _reference_equal(x.s_algebra, y.s_algebra)
             and _reference_equal(x.r_algebra, y.r_algebra)
             and x.dim == y.dim
-            and _matrices_equal(x.left_action, y.left_action)
-            and _matrices_equal(x.right_action, y.right_action)
+            and _stacks_equal(x.left_action, y.left_action)
+            and _stacks_equal(x.right_action, y.right_action)
         )
     if isinstance(x, ModuleRep):
         return (
             _reference_equal(x.algebra, y.algebra)
             and x.side == y.side
             and x.dim == y.dim
-            and _matrices_equal(x.action, y.action)
+            and _stacks_equal(x.action, y.action)
         )
     if isinstance(x, ModuleMap):
         return (
@@ -634,20 +641,25 @@ def expand(p, dim, action, coeffs):
     out = FpMatrix.zeros(p, dim, dim)
     for k, c in enumerate(np.asarray(coeffs, dtype=np.int64)):
         if c % p:
-            out = out + FpMatrix(p, action[k].array() * int(c))
+            out = out + FpMatrix(p, action[k] * int(c))
     return out
+
+
+def _mats(p, stack):
+    """A stack of action matrices as one FpMatrix per basis element."""
+    return [FpMatrix(p, a) for a in stack]
 
 
 def looped_validate_module(m):
     """Reference: ``validate_module`` as one check per pair of basis elements."""
     violations = []
-    alg = m.algebra
+    alg, action = m.algebra, _mats(m.p, m.action)
     if expand(m.p, m.dim, m.action, alg.unit) != FpMatrix.identity(m.p, m.dim):
         violations.append({"kind": "unit-action"})
     for i in range(alg.dim):
         for j in range(alg.dim):
             coeffs = alg.mul[i, j, :] if m.side == LEFT else alg.mul[j, i, :]
-            if m.action[i] @ m.action[j] != expand(m.p, m.dim, m.action, coeffs):
+            if action[i] @ action[j] != expand(m.p, m.dim, m.action, coeffs):
                 violations.append({"kind": "composition", "pair": [i, j]})
     return violations
 
@@ -656,34 +668,80 @@ def looped_validate_bimodule(u):
     """Reference: ``validate_bimodule`` as one check per pair of basis elements."""
     violations = []
     p, s, r = u.p, u.s_algebra, u.r_algebra
+    left, right = _mats(p, u.left_action), _mats(p, u.right_action)
     if expand(p, u.dim, u.left_action, s.unit) != FpMatrix.identity(p, u.dim):
         violations.append({"kind": "left-unit"})
     if expand(p, u.dim, u.right_action, r.unit) != FpMatrix.identity(p, u.dim):
         violations.append({"kind": "right-unit"})
     for i in range(s.dim):
         for j in range(s.dim):
-            if u.left_action[i] @ u.left_action[j] != expand(p, u.dim, u.left_action, s.mul[i, j, :]):
+            if left[i] @ left[j] != expand(p, u.dim, u.left_action, s.mul[i, j, :]):
                 violations.append({"kind": "left-composition", "pair": [i, j]})
     for i in range(r.dim):
         for j in range(r.dim):
-            if u.right_action[i] @ u.right_action[j] != expand(p, u.dim, u.right_action, r.mul[j, i, :]):
+            if right[i] @ right[j] != expand(p, u.dim, u.right_action, r.mul[j, i, :]):
                 violations.append({"kind": "right-composition", "pair": [i, j]})
     for i in range(s.dim):
         for j in range(r.dim):
-            if u.left_action[i] @ u.right_action[j] != u.right_action[j] @ u.left_action[i]:
+            if left[i] @ right[j] != right[j] @ left[i]:
                 violations.append({"kind": "actions-commute", "pair": [i, j]})
     return violations
 
 
+def looped_violated_intertwining(f):
+    """Reference: ``violated_intertwining`` as one check per basis element."""
+    source, target = _mats(f.matrix.p, f.source.action), _mats(f.matrix.p, f.target.action)
+    return [i for i in range(f.source.algebra.dim) if target[i] @ f.matrix != f.matrix @ source[i]]
+
+
+def looped_validate_comma(c):
+    """Reference: ``validate_comma`` with one check per balancing relation and per basis element of S."""
+    violations = [{"kind": f"component-{name}", "detail": v}
+                  for name, comp in (("A", c.A), ("B", c.B)) for v in looped_validate_module(comp)]
+    u = c.bimodule
+    gens = balancing_generators(bimodule_as_right_module(u), c.A)
+    bad = [j for j in range(gens.cols) if not (c.phi @ gens.block(0, gens.rows, j, j + 1)).is_zero()]
+    if bad:
+        violations.append({"kind": "phi-balance", "relations": bad})
+    ia, left, b_action = FpMatrix.identity(c.p, c.A.dim), _mats(c.p, u.left_action), _mats(c.p, c.B.action)
+    for i in range(u.s_algebra.dim):
+        if c.phi @ kron(left[i], ia) != b_action[i] @ c.phi:
+            violations.append({"kind": "phi-linearity", "basis": i})
+    return violations
+
+
+def looped_validate_right_t(rt):
+    """Reference: ``validate_right_t`` with one psi-linearity check per basis element of R."""
+    violations = [{"kind": f"component-{name}", "detail": v}
+                  for name, comp in (("X", rt.X), ("Y", rt.Y)) for v in looped_validate_module(comp)]
+    u = rt.bimodule
+    gens = balancing_generators(rt.Y, bimodule_as_left_module(u))
+    if gens.cols and not (rt.psi @ gens).is_zero():
+        violations.append({"kind": "psi-balance"})
+    iy, right, x_action = FpMatrix.identity(rt.p, rt.Y.dim), _mats(rt.p, u.right_action), _mats(rt.p, rt.X.action)
+    for i in range(u.r_algebra.dim):
+        if rt.psi @ kron(iy, right[i]) != x_action[i] @ rt.psi:
+            violations.append({"kind": "psi-linearity", "basis": i})
+    return violations
+
+
+def looped_non_invariant_index(m, sub):
+    """Reference: the first basis element that moves the span of ``sub`` out of
+    itself, or None, by the loop ``quotient_module`` was."""
+    proj, _ = quotient_space(m.p, m.dim, sub)
+    action = _mats(m.p, m.action)
+    return next((i for i in range(m.algebra.dim) if not (proj @ (action[i] @ sub)).is_zero()), None)
+
+
 def _regular_bimodule(alg):
-    e = np.eye(alg.dim, dtype=np.int64)
-    return Bimodule(alg, alg, alg.dim, [alg.left_mult_matrix(x) for x in e], [alg.right_mult_matrix(x) for x in e])
+    return Bimodule(alg, alg, alg.dim, alg.mul.transpose(0, 2, 1), alg.mul.transpose(1, 2, 0))
 
 
 @functools.lru_cache(maxsize=None)
 def _law_cases():
-    """Modules and bimodules over a2, dual numbers (also at p = 16777213, where
-    an unreduced product of two products overflows int64) and F_3[x]/(x^3)."""
+    """Modules, bimodules, comma objects and right T-modules over a2, dual numbers
+    (also at p = 16777213, where an unreduced product of two products overflows
+    int64) and F_3[x]/(x^3)."""
     a2, dual = load_fixture("a2"), load_fixture("dual-numbers")
     p3 = parse_document(_p3doc().generate(11))
     big = dual_numbers_algebra(16777213)
@@ -694,29 +752,78 @@ def _law_cases():
         *p3.modules.values(),
         *(regular_module(alg, side) for alg in algebras for side in (LEFT, RIGHT)),
     ]
-    return modules, [a2.u, dual.u, *map(_regular_bimodule, algebras)]
+    commas = [*a2.comma_universe.values(), *dual.comma_universe.values()]
+    right_ts = [*a2.right_t_universe.values(), *dual.right_t_universe.values()]
+    return modules, [a2.u, dual.u, *map(_regular_bimodule, algebras)], commas, right_ts
 
 
-def _perturbed(data, p, dim, actions):
-    """``actions`` with up to three entries set to drawn residues."""
-    arrays = [a.array().copy() for a in actions]
-    for _ in range(data.draw(st.integers(0, 3)) if dim else 0):
-        k, i, j = (data.draw(st.integers(0, bound - 1)) for bound in (len(arrays), dim, dim))
-        arrays[k][i, j] = data.draw(st.integers(0, p - 1))
-    return [FpMatrix(p, a) for a in arrays]
+def _perturbed(data, p, array):
+    """A copy of ``array`` with up to three entries set to drawn residues."""
+    out = np.array(array)
+    flat = out.reshape(-1)
+    for _ in range(data.draw(st.integers(0, 3)) if flat.size else 0):
+        flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(st.integers(0, p - 1))
+    return out
+
+
+def _perturbed_module(data, m):
+    return ModuleRep(m.algebra, m.side, m.dim, _perturbed(data, m.p, m.action), label=m.label)
 
 
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_module_law_matches_looped_check(data):
-    modules, bimodules = _law_cases()
-    m = data.draw(st.sampled_from(modules))
-    m = ModuleRep(m.algebra, m.side, m.dim, _perturbed(data, m.p, m.dim, m.action))
+    modules, bimodules, commas, right_ts = _law_cases()
+    original = data.draw(st.sampled_from(modules))
+    m = _perturbed_module(data, original)
     assert validate_module(m) == looped_validate_module(m)
     coeffs = data.draw(st.lists(st.integers(0, m.p - 1), min_size=m.algebra.dim, max_size=m.algebra.dim))
     assert m.act(coeffs) == expand(m.p, m.dim, m.action, coeffs)
+    f = ModuleMap(original, m, FpMatrix(m.p, _perturbed(data, m.p, np.eye(m.dim, dtype=np.int64))))
+    assert violated_intertwining(f) == looped_violated_intertwining(f)
+    sub = FpMatrix(m.p, _perturbed(data, m.p, np.eye(m.dim, dtype=np.int64)[:, : data.draw(st.integers(0, m.dim))]))
+    moved = looped_non_invariant_index(m, sub)
+    if moved is None:
+        quotient_module(m, sub)
+    else:
+        with pytest.raises(ValueError, match=f"basis element {moved}$"):
+            quotient_module(m, sub)
     u = data.draw(st.sampled_from(bimodules))
-    actions = _perturbed(data, u.p, u.dim, u.left_action + u.right_action)
+    actions = _perturbed(data, u.p, np.concatenate([u.left_action, u.right_action]))
     d = u.s_algebra.dim
     u = Bimodule(u.s_algebra, u.r_algebra, u.dim, actions[:d], actions[d:])
     assert validate_bimodule(u) == looped_validate_bimodule(u)
+    c = data.draw(st.sampled_from(commas))
+    phi = FpMatrix(c.p, _perturbed(data, c.p, c.phi.array()))
+    c = CommaObject(c.bimodule, _perturbed_module(data, c.A), _perturbed_module(data, c.B), phi)
+    assert validate_comma(c) == looped_validate_comma(c)
+    rt = data.draw(st.sampled_from(right_ts))
+    psi = FpMatrix(rt.p, _perturbed(data, rt.p, rt.psi.array()))
+    rt = RightTModule(rt.bimodule, _perturbed_module(data, rt.X), _perturbed_module(data, rt.Y), psi)
+    assert validate_right_t(rt) == looped_validate_right_t(rt)
+
+
+def test_every_action_is_a_frozen_reduced_stack():
+    """Every module and bimodule of the fixtures and of the p3 documents holds
+    its action as one read-only int64 stack of the right shape, reduced mod p."""
+    values = []
+    for name in fixture_names():
+        fx = load_fixture(name)
+        values += [fx.u, *fx.r_universe_list(), *fx.s_universe_list(), *fx.t_universe_list()]
+        values += [m for c in fx.comma_universe.values() for m in (c.A, c.B)]
+        values += [m for rt in fx.right_t_universe.values() for m in (rt.X, rt.Y)]
+        values += [m for pres in fx.presentations.values() for m in (pres.sigma.source, pres.sigma.target, pres.target)]
+    for seed in (11, 12):
+        doc = parse_document(_p3doc().generate(seed))
+        values += [*doc.modules.values(), *doc.bimodules.values()]
+    assert len(values) > 100
+    for v in values:
+        if isinstance(v, Bimodule):
+            stacks = [(v.left_action, v.s_algebra.dim), (v.right_action, v.r_algebra.dim)]
+        else:
+            stacks = [(v.action, v.algebra.dim)]
+        for stack, count in stacks:
+            assert isinstance(stack, np.ndarray) and stack.dtype == np.int64
+            assert stack.shape == (count, v.dim, v.dim)
+            assert not stack.flags.writeable
+            assert ((0 <= stack) & (stack < v.p)).all()

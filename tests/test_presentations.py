@@ -201,7 +201,8 @@ def test_universe_hash_is_the_hashlib_sha256_prefix():
     """The builtin sha256 the digest uses gives hashlib's digest."""
     seen = {}
     for name, universe in _universes():
-        payload = [{"dim": m.dim, "side": m.side, "action": [a.to_lists() for a in m.action]} for m in universe]
+        action = [[[[int(x) for x in row] for row in a] for a in m.action] for m in universe]
+        payload = [{"dim": m.dim, "side": m.side, "action": a} for m, a in zip(universe, action)]
         expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
         seen[name] = universe_hash(universe)
         assert seen[name] == expected, name

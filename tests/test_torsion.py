@@ -58,7 +58,7 @@ def test_family_membership_invariance(a2, univ):
         m.algebra,
         m.side,
         m.dim,
-        [change @ a @ inv for a in m.action],
+        change.array() @ m.action @ inv.array(),
         label="P-twisted",
     )
     assert fam.contains(m) == fam.contains(twisted)
