@@ -1,10 +1,9 @@
 """Exact comma-category machinery for modules over triangular matrix rings."""
 
-from .linalg import FpMatrix, kernel_basis, quotient_space, rank, rref, solve
+from .linalg import fp_array, kernel_basis, quotient_space, rank, solve
 
 __all__ = [
-    "FpMatrix",
-    "rref",
+    "fp_array",
     "rank",
     "kernel_basis",
     "solve",

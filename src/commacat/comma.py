@@ -22,18 +22,14 @@ import numpy as np
 
 from .algebra import Bimodule, TriangularAlgebra, triangular_algebra
 from .linalg import (
-    FpMatrix,
-    block_diag,
     column_space_basis,
     combination_chunks,
     first_of_rank,
-    hstack,
+    fp_array,
     intertwining_system,
     kernel_basis,
-    kron,
     rank,
     solve_each,
-    vstack,
 )
 from .modules import (
     LEFT,
@@ -73,21 +69,22 @@ def triangular_for(u: Bimodule) -> TriangularAlgebra:
 
 
 class CommaObject(ContentKeyed):
-    """Triple (A, B, phi) with phi stored on the full u-major tensor space."""
+    """Triple (A, B, phi) with phi stored on the full u-major tensor space:
+    ``phi`` is the read-only (dim B, dim U * dim A) int64 array, reduced mod p,
+    that the constructor validates (:func:`~commacat.linalg.fp_array`) and copies."""
 
     __slots__ = ("bimodule", "A", "B", "phi", "label")
 
-    def __init__(
-        self, bimodule: Bimodule, a: ModuleRep, b: ModuleRep, phi: FpMatrix, label: str = ""
-    ) -> None:
+    def __init__(self, bimodule: Bimodule, a: ModuleRep, b: ModuleRep, phi, label: str = "") -> None:
         if a.algebra != bimodule.r_algebra or a.side != LEFT:
             raise AlgebraMismatch("A component must be a left module over R")
         if b.algebra != bimodule.s_algebra or b.side != LEFT:
             raise AlgebraMismatch("B component must be a left module over S")
-        if phi.rows != b.dim or phi.cols != bimodule.dim * a.dim or phi.p != bimodule.p:
+        shape = (b.dim, bimodule.dim * a.dim)
+        phi = fp_array(bimodule.p, phi, "phi", shape)
+        if phi.shape != shape:
             raise ValueError(
-                f"phi must be {b.dim} x {bimodule.dim * a.dim} over F_{bimodule.p}, "
-                f"got {phi.rows} x {phi.cols} over F_{phi.p}"
+                f"phi must be {shape[0]} x {shape[1]} over F_{bimodule.p}, got {phi.shape[0]} x {phi.shape[1]}"
             )
         self.bimodule = bimodule
         self.A = a
@@ -107,8 +104,7 @@ class CommaObject(ContentKeyed):
         return CommaObject(self.bimodule, self.A, self.B, self.phi, label)
 
     def _content(self) -> tuple:
-        phi = content_bytes(self.p, self.phi.array())
-        return ("comma", self.bimodule.key, self.A.key, self.B.key, phi)
+        return ("comma", self.bimodule.key, self.A.key, self.B.key, content_bytes(self.p, self.phi))
 
     def __repr__(self) -> str:
         return f"<comma {self.label or '?'}: A dim {self.A.dim}, B dim {self.B.dim}>"
@@ -126,10 +122,10 @@ def validate_comma(c: CommaObject) -> list[dict]:
     from .modules import bimodule_as_right_module
 
     gens = balancing_generators(bimodule_as_right_module(u), c.A)
-    if gens.cols and not (balance := c.phi @ gens).is_zero():
-        violations.append({"kind": "phi-balance", "relations": np.flatnonzero(balance.array().any(axis=0)).tolist()})
+    if gens.shape[1] and (balance := c.phi @ gens % c.p).any():
+        violations.append({"kind": "phi-balance", "relations": np.flatnonzero(balance.any(axis=0)).tolist()})
     # phi @ kron(s_i, I_A), as in modules.tensor_over, against s_i @ phi
-    phi = c.phi.array()
+    phi = c.phi
     through = np.einsum("rub,iuv->irvb", phi.reshape(c.B.dim, u.dim, c.A.dim), u.left_action)
     linear = (through.reshape(u.s_algebra.dim, c.B.dim, u.dim * c.A.dim) - c.B.action @ phi) % c.p
     violations += [{"kind": "phi-linearity", "basis": int(i)} for i in np.flatnonzero(linear.any(axis=(1, 2)))]
@@ -148,8 +144,8 @@ class CommaMap:
         self.g = g
 
     def is_valid(self) -> bool:
-        iu = FpMatrix.identity(self.source.p, self.source.bimodule.dim)
-        square = self.g.matrix @ self.source.phi == self.target.phi @ kron(iu, self.f.matrix)
+        p, iu = self.source.p, np.eye(self.source.bimodule.dim, dtype=np.int64)
+        square = np.array_equal(self.g.matrix @ self.source.phi % p, self.target.phi @ np.kron(iu, self.f.matrix) % p)
         return square and self.f.is_valid() and self.g.is_valid()
 
 
@@ -159,7 +155,7 @@ def comma_from_components(
     """Comma object with zero phi; either component may be omitted (zero)."""
     a = a if a is not None else zero_module(u.r_algebra, LEFT)
     b = b if b is not None else zero_module(u.s_algebra, LEFT)
-    return CommaObject(u, a, b, FpMatrix.zeros(u.p, b.dim, u.dim * a.dim), label=label)
+    return CommaObject(u, a, b, np.zeros((b.dim, u.dim * a.dim), dtype=np.int64), label=label)
 
 
 def canonical_tensor_comma(u: Bimodule, a: ModuleRep, label: str = "") -> CommaObject:
@@ -171,11 +167,21 @@ def canonical_tensor_comma(u: Bimodule, a: ModuleRep, label: str = "") -> CommaO
 # -- the three functors ------------------------------------------------------
 
 
+def _block_diag(*mats: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix with diagonal blocks ``mats``, in order."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=np.int64)
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
 def functor_p(u: Bimodule, a: ModuleRep, b: ModuleRep) -> CommaObject:
     """p(A, B) = (A, FA + B) with phi the inclusion of FA."""
     tensor = tensor_over(u, a)
     bsum = direct_sum([tensor.module, b], algebra=u.s_algebra, side=LEFT)
-    phi = vstack([tensor.projection, FpMatrix.zeros(u.p, b.dim, tensor.projection.cols)])
+    phi = np.vstack([tensor.projection, np.zeros((b.dim, tensor.projection.shape[1]), dtype=np.int64)])
     return CommaObject(u, a, bsum.module, phi, label=f"p({a.label},{b.label})")
 
 
@@ -184,8 +190,7 @@ def functor_p_map(u: Bimodule, f: ModuleMap, g: ModuleMap) -> CommaMap:
     src = functor_p(u, f.source, g.source)
     tgt = functor_p(u, f.target, g.target)
     ff = tensor_map(u, f)
-    gmat = block_diag([ff.matrix, g.matrix])
-    gmap = ModuleMap(src.B, tgt.B, gmat)
+    gmap = ModuleMap(src.B, tgt.B, _block_diag(ff.matrix, g.matrix))
     return CommaMap(src, tgt, ModuleMap(src.A, tgt.A, f.matrix), gmap)
 
 
@@ -202,9 +207,7 @@ def functor_h(u: Bimodule, a: ModuleRep, b: ModuleRep) -> CommaObject:
     # column u_i * da + (a.dim + l) of phi is the image of u_i under basis map l
     phi = np.zeros((b.dim, u.dim, da), dtype=np.int64)
     phi[:, :, a.dim :] = hm.basis.transpose(1, 2, 0)
-    return CommaObject(
-        u, asum.module, b, FpMatrix(u.p, phi.reshape(b.dim, u.dim * da)), label=f"h({a.label},{b.label})"
-    )
+    return CommaObject(u, asum.module, b, phi.reshape(b.dim, u.dim * da), label=f"h({a.label},{b.label})")
 
 
 def functor_h_map(u: Bimodule, f: ModuleMap, g: ModuleMap) -> CommaMap:
@@ -213,8 +216,8 @@ def functor_h_map(u: Bimodule, f: ModuleMap, g: ModuleMap) -> CommaMap:
     tgt = functor_h(u, f.target, g.target)
     hm_src = hom_module(u, g.source)
     hm_tgt = hom_module(u, g.target)
-    hom_part = hom_coords(u.p, hm_tgt.basis, g.matrix.array() @ hm_src.basis % u.p)
-    fmat = block_diag([f.matrix, hom_part])
+    hom_part = hom_coords(u.p, hm_tgt.basis, g.matrix @ hm_src.basis % u.p)
+    fmat = _block_diag(f.matrix, hom_part)
     return CommaMap(src, tgt, ModuleMap(src.A, tgt.A, fmat), ModuleMap(src.B, tgt.B, g.matrix))
 
 
@@ -226,9 +229,8 @@ def p_counit(c: CommaObject) -> CommaMap:
     u = c.bimodule
     src = functor_p(u, c.A, c.B)
     tensor = tensor_over(u, c.A)
-    descended = c.phi @ tensor.section
-    g = hstack([descended, FpMatrix.identity(c.p, c.B.dim)])
-    return CommaMap(src, c, ModuleMap(src.A, c.A, FpMatrix.identity(c.p, c.A.dim)), ModuleMap(src.B, c.B, g))
+    g = np.hstack([c.phi @ tensor.section % c.p, np.eye(c.B.dim, dtype=np.int64)])
+    return CommaMap(src, c, ModuleMap(src.A, c.A, np.eye(c.A.dim, dtype=np.int64)), ModuleMap(src.B, c.B, g))
 
 
 def h_unit(c: CommaObject) -> CommaMap:
@@ -236,8 +238,8 @@ def h_unit(c: CommaObject) -> CommaMap:
     u = c.bimodule
     tgt = functor_h(u, c.A, c.B)
     tp = tilde_phi(c)
-    fmat = vstack([FpMatrix.identity(c.p, c.A.dim), tp.map.matrix])
-    return CommaMap(c, tgt, ModuleMap(c.A, tgt.A, fmat), ModuleMap(c.B, tgt.B, FpMatrix.identity(c.p, c.B.dim)))
+    fmat = np.vstack([np.eye(c.A.dim, dtype=np.int64), tp.map.matrix])
+    return CommaMap(c, tgt, ModuleMap(c.A, tgt.A, fmat), ModuleMap(c.B, tgt.B, np.eye(c.B.dim, dtype=np.int64)))
 
 
 # -- the T-module correspondence ----------------------------------------------
@@ -258,7 +260,7 @@ def _to_T_module(c: CommaObject, t: TriangularAlgebra) -> ModuleRep:
     stack = np.zeros((t.dim, da + db, da + db), dtype=np.int64)
     stack[t.r_slice, :da, :da] = c.A.action
     # u_j acts by the block of phi's columns u_j (x) a, from A into B
-    stack[t.u_slice, da:, :da] = c.phi.array().reshape(db, c.bimodule.dim, da).transpose(1, 0, 2)
+    stack[t.u_slice, da:, :da] = c.phi.reshape(db, c.bimodule.dim, da).transpose(1, 0, 2)
     stack[t.s_slice, da:, da:] = c.B.action
     return ModuleRep(t, LEFT, da + db, stack, label=c.label or "T-module")
 
@@ -274,21 +276,20 @@ def from_T_module(m: ModuleRep, t: TriangularAlgebra) -> FromTResult:
     if m.algebra != t or m.side != LEFT:
         raise AlgebraMismatch("expected a left module over the triangular algebra")
     p, er, es = m.p, m.act(t.idempotent_r()), m.act(t.idempotent_s())
-    a_cols, b_cols = column_space_basis(er), column_space_basis(es)
-    ac, bc = a_cols.array(), b_cols.array()
+    a_cols, b_cols = column_space_basis(p, er), column_space_basis(p, es)
     # One solve per slice basis: the R-action and the projection e_R onto
     # the R-slice; the S-action, the U-action (phi, one block per u_j,
     # landing in the S-slice) and the projection e_S onto the S-slice.
-    a_solved = solve_each(a_cols, m.action[t.r_slice] @ ac % p, er.array()[None])
-    b_solved = solve_each(b_cols, m.action[t.s_slice] @ bc % p, m.action[t.u_slice] @ ac % p, es.array()[None])
+    a_solved = solve_each(p, a_cols, m.action[t.r_slice] @ a_cols % p, er[None])
+    b_solved = solve_each(p, b_cols, m.action[t.s_slice] @ b_cols % p, m.action[t.u_slice] @ a_cols % p, es[None])
     assert a_solved is not None and b_solved is not None, "idempotent slices must be invariant"
     (a_action, ca), (b_action, phi_blocks, cb) = a_solved, b_solved
-    a_mod = ModuleRep(t.r, LEFT, a_cols.cols, a_action, label=f"{m.label}|R")
-    b_mod = ModuleRep(t.s, LEFT, b_cols.cols, b_action, label=f"{m.label}|S")
+    a_mod = ModuleRep(t.r, LEFT, a_cols.shape[1], a_action, label=f"{m.label}|R")
+    b_mod = ModuleRep(t.s, LEFT, b_cols.shape[1], b_action, label=f"{m.label}|S")
     # phi's columns u_j (x) a hold block j
-    phi = phi_blocks.transpose(1, 0, 2).reshape(b_mod.dim, t.u.dim * a_mod.dim).copy()
-    comma = CommaObject(t.u, a_mod, b_mod, FpMatrix._of(p, phi), label=m.label)
-    witness = ModuleMap(m, to_T_module(comma, t), FpMatrix._of(p, np.vstack([ca[0], cb[0]])))
+    phi = phi_blocks.transpose(1, 0, 2).reshape(b_mod.dim, t.u.dim * a_mod.dim)
+    comma = CommaObject(t.u, a_mod, b_mod, phi, label=m.label)
+    witness = ModuleMap(m, to_T_module(comma, t), np.vstack([ca[0], cb[0]]))
     return FromTResult(comma, witness)
 
 
@@ -296,19 +297,21 @@ class RightTModule(ContentKeyed):
     """Right T-module as a triple (X, Y, psi: Y (x)_S U -> X).
 
     psi is stored on the full tensor space in y-major order (column
-    index = y_index * dim U + u_index).
+    index = y_index * dim U + u_index), as the read-only (dim X, dim Y * dim U)
+    int64 array, reduced mod p, that the constructor validates
+    (:func:`~commacat.linalg.fp_array`) and copies.
     """
 
     __slots__ = ("bimodule", "X", "Y", "psi", "label")
 
-    def __init__(
-        self, bimodule: Bimodule, x: ModuleRep, y: ModuleRep, psi: FpMatrix, label: str = ""
-    ) -> None:
+    def __init__(self, bimodule: Bimodule, x: ModuleRep, y: ModuleRep, psi, label: str = "") -> None:
         if x.algebra != bimodule.r_algebra or x.side != RIGHT:
             raise AlgebraMismatch("X component must be a right module over R")
         if y.algebra != bimodule.s_algebra or y.side != RIGHT:
             raise AlgebraMismatch("Y component must be a right module over S")
-        if psi.rows != x.dim or psi.cols != y.dim * bimodule.dim:
+        shape = (x.dim, y.dim * bimodule.dim)
+        psi = fp_array(bimodule.p, psi, "psi", shape)
+        if psi.shape != shape:
             raise ValueError("psi must be dim X x (dim Y * dim U)")
         self.bimodule = bimodule
         self.X = x
@@ -321,7 +324,7 @@ class RightTModule(ContentKeyed):
         return self.bimodule.p
 
     def _content(self) -> tuple:
-        return ("right-t", self.bimodule.key, self.X.key, self.Y.key, content_bytes(self.p, self.psi.array()))
+        return ("right-t", self.bimodule.key, self.X.key, self.Y.key, content_bytes(self.p, self.psi))
 
 
 def validate_right_t(rt: RightTModule) -> list[dict]:
@@ -333,10 +336,10 @@ def validate_right_t(rt: RightTModule) -> list[dict]:
             violations.append({"kind": f"component-{name}", "detail": v})
     u = rt.bimodule
     gens = balancing_generators(rt.Y, bimodule_as_left_module(u))
-    if gens.cols and not (rt.psi @ gens).is_zero():
+    if gens.shape[1] and (rt.psi @ gens % rt.p).any():
         violations.append({"kind": "psi-balance"})
     # column y * dim U + v of psi @ kron(I_Y, r_i) is the sum over w of psi[:, y * dim U + w] r_i[w, v]
-    psi = rt.psi.array()
+    psi = rt.psi
     through = psi.reshape(rt.X.dim, rt.Y.dim, u.dim)[None] @ u.right_action[:, None]
     linear = (through.reshape(u.r_algebra.dim, rt.X.dim, rt.Y.dim * u.dim) - rt.X.action @ psi) % rt.p
     violations += [{"kind": "psi-linearity", "basis": int(i)} for i in np.flatnonzero(linear.any(axis=(1, 2)))]
@@ -354,7 +357,7 @@ def right_t_to_module(rt: RightTModule, t: Optional[TriangularAlgebra] = None) -
     stack = np.zeros((t.dim, dx + dy, dx + dy), dtype=np.int64)
     stack[t.r_slice, :dx, :dx] = rt.X.action
     # u_j acts by the block of psi's columns y (x) u_j, from Y into X
-    stack[t.u_slice, :dx, dx:] = rt.psi.array().reshape(dx, dy, rt.bimodule.dim).transpose(2, 0, 1)
+    stack[t.u_slice, :dx, dx:] = rt.psi.reshape(dx, dy, rt.bimodule.dim).transpose(2, 0, 1)
     stack[t.s_slice, dx:, dx:] = rt.Y.action
     return ModuleRep(t, RIGHT, dx + dy, stack, label=rt.label or "right-T")
 
@@ -374,7 +377,7 @@ def _comma_groups(c: CommaObject) -> tuple[tuple[np.ndarray, np.ndarray, tuple],
     cuts = diagonal_blocks(a_stack) + [da + b for b in diagonal_blocks(b_stack)[1:]]
     # one-hot rows: the block of each index on the line of A's indices, then B's
     block = np.repeat(np.eye(len(cuts) - 1, dtype=bool), np.diff(cuts), axis=0)
-    phi = c.phi.array().reshape(c.B.dim, c.bimodule.dim, da)
+    phi = c.phi.reshape(c.B.dim, c.bimodule.dim, da)
     joined = block[da:].T @ phi.any(axis=1) @ block[:da]
     reach = joined | joined.T | np.eye(len(joined), dtype=bool)
     while ((closed := reach @ reach) != reach).any():
@@ -397,8 +400,8 @@ def _comma_block(p: int, target: tuple, source: tuple) -> np.ndarray:
     (ya_stack, yb_stack, phi_y), (xa_stack, xb_stack, phi_x) = unpacked
     (yb, du, ya), xa, xb = phi_y.shape, xa_stack.shape[1], xb_stack.shape[1]
     nf, ng, ns = ya * xa, yb * xb, yb * du * xa
-    a_rows = intertwining_system(p, ya_stack, xa_stack).array()
-    b_rows = intertwining_system(p, yb_stack, xb_stack).array()
+    a_rows = intertwining_system(p, ya_stack, xa_stack)
+    b_rows = intertwining_system(p, yb_stack, xb_stack)
     # The square g phi_x - phi_y (I_U (x) f): vec(g phi_x) = kron(I, phi_x^T) vec(g),
     # and entry (r, u, a) of phi_y (I_U (x) f) is sum_b phi_y[r, u, b] f[b, a].
     square_f = np.einsum("rub,ac->ruabc", phi_y, np.eye(xa, dtype=np.int64)).reshape(ns, nf)
@@ -408,7 +411,7 @@ def _comma_block(p: int, target: tuple, source: tuple) -> np.ndarray:
         [np.zeros((b_rows.shape[0], nf), dtype=np.int64), b_rows],
         [-square_f, square_g],
     ])
-    basis = kernel_basis(FpMatrix(p, system)).array().T.copy()
+    basis = kernel_basis(p, system % p).T.copy()
     basis.setflags(write=False)
     return basis
 
@@ -458,7 +461,7 @@ def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16) -> IsoRes
     if x.A.dim != y.A.dim or x.B.dim != y.B.dim:
         return IsoResult(False, None)
     if x.total_dim == 0:
-        zero = FpMatrix.zeros(x.p, 0, 0)
+        zero = np.zeros((0, 0), dtype=np.int64)
         return IsoResult(True, CommaMap(x, y, ModuleMap(x.A, y.A, zero), ModuleMap(x.B, y.B, zero)))
     fs, gs = hom_comma(x, y)
     h = len(fs)
@@ -475,8 +478,8 @@ def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16) -> IsoRes
     mat = first_of_rank(x.p, diag, da + db)
     if mat is None:
         return IsoResult(False, None)
-    f = ModuleMap(x.A, y.A, mat.block(0, da, 0, da))
-    g = ModuleMap(x.B, y.B, mat.block(da, da + db, da, da + db))
+    f = ModuleMap(x.A, y.A, mat[:da, :da])
+    g = ModuleMap(x.B, y.B, mat[da:, da:])
     return IsoResult(True, CommaMap(x, y, f, g))
 
 
@@ -494,7 +497,7 @@ def tilde_phi(c: CommaObject) -> TildePhi:
     hm = hom_module(u, c.B)
     # column u_i * dim A + a_j of phi is phi(u_i (x) a_j), so comps[:, :, j]
     # is the map u -> phi(u (x) a_j)
-    comps = c.phi.array().reshape(c.B.dim, u.dim, c.A.dim)
+    comps = c.phi.reshape(c.B.dim, u.dim, c.A.dim)
     mat = hom_coords(c.p, hm.basis, comps.transpose(2, 0, 1))
     return TildePhi(ModuleMap(c.A, hm.module, mat), hm)
 
@@ -502,13 +505,13 @@ def tilde_phi(c: CommaObject) -> TildePhi:
 def phi_descends_to_iso(c: CommaObject) -> bool:
     """True when phi induces an isomorphism U (x)_R A -> B."""
     q_dim = tensor_over(c.bimodule, c.A).module.dim
-    return q_dim == c.B.dim and rank(c.phi) == q_dim
+    return q_dim == c.B.dim and rank(c.p, c.phi) == q_dim
 
 
 def psi_descends_to_iso(rt: RightTModule) -> bool:
     from .modules import bimodule_as_left_module
 
-    return tensor_dim(rt.Y, bimodule_as_left_module(rt.bimodule)) == rt.X.dim and rank(rt.psi) == rt.X.dim
+    return tensor_dim(rt.Y, bimodule_as_left_module(rt.bimodule)) == rt.X.dim and rank(rt.p, rt.psi) == rt.X.dim
 
 
 # -- the five Hom formulas ------------------------------------------------------
@@ -523,7 +526,7 @@ def hom_formula_applicable(kind: int, source: CommaObject, target: CommaObject) 
         return phi_descends_to_iso(source)
     if kind == 4:
         tp = tilde_phi(target)
-        return tp.map.target.dim == target.A.dim and rank(tp.map.matrix) == target.A.dim
+        return tp.map.target.dim == target.A.dim and rank(target.p, tp.map.matrix) == target.A.dim
     if kind == 5:
         if source.B.dim != 0:
             return False
@@ -548,7 +551,7 @@ def hom_formula(kind: int, source: CommaObject, target: CommaObject) -> int:
     if kind in (2, 4):
         return hom_dim(source.B, target.B)
     tp = tilde_phi(target)
-    return kernel_basis(tp.map.matrix).cols
+    return kernel_basis(target.p, tp.map.matrix).shape[1]
 
 
 # -- tensor over T ---------------------------------------------------------------
@@ -566,11 +569,11 @@ def tensor_T(rt: RightTModule, c: CommaObject) -> int:
     # generator (y, u, a) is column (y * du + u) * da + a: psi(y (x) u) (x) a on the full
     # X (x) A, and y (x) phi(u (x) a) on the full Y (x) B
     n = dy * du * da
-    psi, phi = rt.psi.array().reshape(dx, dy, du), c.phi.array().reshape(db, du, da)
+    psi, phi = rt.psi.reshape(dx, dy, du), c.phi.reshape(db, du, da)
     on_xa = np.einsum("xyu,am->xayum", psi, np.eye(da, dtype=np.int64)).reshape(dx * da, n)
     on_yb = np.einsum("zy,bum->zbyum", np.eye(dy, dtype=np.int64), phi).reshape(dy * db, n)
-    h = np.vstack([px.array() @ on_xa, -(py.array() @ on_yb)]) % p
-    return px.rows + py.rows - rank(FpMatrix._of(p, h))
+    h = np.vstack([px @ on_xa, -(py @ on_yb)]) % p
+    return len(px) + len(py) - rank(p, h)
 
 
 def tensor_T_bruteforce(rt: RightTModule, c: CommaObject) -> int:
@@ -590,30 +593,29 @@ def tensor_T_bruteforce(rt: RightTModule, c: CommaObject) -> int:
     full = nxa + nyb
     cols = []
     bx = balancing_generators(rt.X, c.A)
-    for j in range(bx.cols):
+    for j in range(bx.shape[1]):
         v = np.zeros(full, dtype=np.int64)
-        v[:nxa] = bx.array()[:, j]
+        v[:nxa] = bx[:, j]
         cols.append(v)
     by = balancing_generators(rt.Y, c.B)
-    for j in range(by.cols):
+    for j in range(by.shape[1]):
         v = np.zeros(full, dtype=np.int64)
-        v[nxa:] = by.array()[:, j]
+        v[nxa:] = by[:, j]
         cols.append(v)
     for yi in range(dy):
         for uj in range(u.dim):
-            xvec = rt.psi.array()[:, yi * u.dim + uj]
+            xvec = rt.psi[:, yi * u.dim + uj]
             for am in range(da):
                 v = np.zeros(full, dtype=np.int64)
                 for xl in range(dx):
                     v[xl * da + am] += xvec[xl]
-                bvec = c.phi.array()[:, uj * da + am]
+                bvec = c.phi[:, uj * da + am]
                 for bl in range(db):
                     v[nxa + yi * db + bl] -= bvec[bl]
                 cols.append(v % p)
     if not cols:
         return full
-    rel = FpMatrix(p, np.stack(cols, axis=1))
-    return full - rank(rel)
+    return full - rank(p, np.stack(cols, axis=1))
 
 
 def tensor_T_via_algebra(rt: RightTModule, c: CommaObject, t: Optional[TriangularAlgebra] = None) -> int:
@@ -637,7 +639,7 @@ def tensor_shape_predictions(rt: RightTModule, c: CommaObject) -> list[tuple[int
     if rt.X.dim == 0:
         reg = regular_module(u.s_algebra, RIGHT)
         if is_isomorphic(rt.Y, reg).isomorphic:
-            preds.append((5, c.B.dim - rank(c.phi)))
+            preds.append((5, c.B.dim - rank(c.p, c.phi)))
     return preds
 
 
@@ -658,13 +660,13 @@ def family_parts(c: CommaObject, kind: str) -> Optional[tuple[ModuleRep, ModuleR
     if kind == FAMILY_U:
         return c.A, c.B
     if kind == FAMILY_B:
-        if rank(c.phi) != tensor_over(c.bimodule, c.A).module.dim:
+        if rank(c.p, c.phi) != tensor_over(c.bimodule, c.A).module.dim:
             return None
-        coker, _ = quotient_module(c.B, column_space_basis(c.phi), label="B/im(phi)")
+        coker, _ = quotient_module(c.B, column_space_basis(c.p, c.phi), label="B/im(phi)")
         return c.A, coker
     if kind == FAMILY_J:
         tp = tilde_phi(c)
-        if rank(tp.map.matrix) != tp.map.target.dim:
+        if rank(c.p, tp.map.matrix) != tp.map.target.dim:
             return None
         return image_kernel_cokernel(tp.map).kernel, c.B
     raise ValueError(f"family kind must be one of U, B, J: {kind!r}")
@@ -703,9 +705,7 @@ def sigma_for_p(
     p1 = direct_sum([tq1, tp1], algebra=t, side=LEFT)
     p0 = direct_sum([tq0, tp0], algebra=t, side=LEFT)
     f_sigma_a = tensor_map(u, sigma_a.sigma)
-    sigma_mat = block_diag(
-        [sigma_b.sigma.matrix, block_diag([sigma_a.sigma.matrix, f_sigma_a.matrix])]
-    )
+    sigma_mat = _block_diag(sigma_b.sigma.matrix, sigma_a.sigma.matrix, f_sigma_a.matrix)
     target = direct_sum(
         [
             to_T_module(comma_from_components(u, b=b, label=f"(0,{b.label})"), t),
@@ -715,9 +715,7 @@ def sigma_for_p(
         side=LEFT,
     )
     f_witness_a = tensor_map(u, sigma_a.witness)
-    witness_mat = block_diag(
-        [sigma_b.witness.matrix, block_diag([sigma_a.witness.matrix, f_witness_a.matrix])]
-    )
+    witness_mat = _block_diag(sigma_b.witness.matrix, sigma_a.witness.matrix, f_witness_a.matrix)
     return Presentation(
         sigma=ModuleMap(p1.module, p0.module, sigma_mat),
         target=target.module.relabel(f"(0,{b.label})+({a.label},F{a.label})"),
@@ -731,7 +729,7 @@ def sigma_for_p(
 def components_key(a: ModuleRep, b: ModuleRep) -> tuple:
     """(dim A, dim B, the rank of every action matrix of A, and of B): the part of
     the :func:`comma_universe` key that phi does not enter."""
-    return a.dim, b.dim, *(tuple(rank(FpMatrix._of(m.p, x)) for x in m.action) for m in (a, b))
+    return a.dim, b.dim, *(tuple(rank(m.p, x) for x in m.action) for m in (a, b))
 
 
 def comma_universe(
@@ -764,11 +762,9 @@ def comma_universe(
             pair_key = components_key(a, b)
             tensor = tensor_over(u, a)
             for chunk in combination_chunks(p, hom_space(tensor.module, b)):
-                for phi in chunk @ tensor.projection.array():
-                    cand = CommaObject(
-                        u, a, b, FpMatrix(p, phi), label=f"({a.label},{b.label})#{len(out)}"
-                    )
-                    bucket = kept.setdefault((pair_key, rank(cand.phi)), [])
+                for phi in chunk @ tensor.projection:
+                    cand = CommaObject(u, a, b, phi, label=f"({a.label},{b.label})#{len(out)}")
+                    bucket = kept.setdefault((pair_key, rank(p, cand.phi)), [])
                     if any(comma_is_isomorphic(cand, seen, cap=iso_cap).isomorphic for seen in bucket):
                         continue
                     bucket.append(cand)

@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import Bimodule, FDAlgebra, TriangularAlgebra, triangular_algebra, validate_algebra, validate_bimodule
 from .comma import (FAMILY_B, FAMILY_J, FAMILY_U, CommaObject, RightTModule, to_T_module, validate_comma,
                     validate_right_t)
-from .linalg import FpMatrix
+from .linalg import _check_modulus, fp_array
 from .modules import LEFT, RIGHT, ModuleMap, ModuleRep, validate_module
 from .presentations import Presentation, validate_presentation
 from .torsion import (
@@ -64,15 +64,16 @@ class Document:
     raw: dict = field(default_factory=dict)
 
 
-def _matrix(p: int, data: Any, path: str, rows: Optional[int] = None, cols: Optional[int] = None) -> FpMatrix:
+def _matrix(p: int, data: Any, path: str, shape: Optional[tuple[int, int]] = None) -> np.ndarray:
+    """``data`` as a matrix over F_p (:func:`~commacat.linalg.fp_array`), of ``shape`` if given."""
     try:
-        m = FpMatrix(p, data)
+        m = fp_array(p, data, shape=shape)
     except (ValueError, TypeError) as exc:
         raise DocumentError(path, f"malformed matrix: {exc}") from None
-    if rows is not None and m.rows != rows:
-        raise DocumentError(path, f"expected {rows} rows, got {m.rows}")
-    if cols is not None and m.cols != cols:
-        raise DocumentError(path, f"expected {cols} columns, got {m.cols}")
+    if shape is not None and m.shape[0] != shape[0]:
+        raise DocumentError(path, f"expected {shape[0]} rows, got {m.shape[0]}")
+    if shape is not None and m.shape[1] != shape[1]:
+        raise DocumentError(path, f"expected {shape[1]} columns, got {m.shape[1]}")
     return m
 
 
@@ -88,7 +89,7 @@ def _actions(p: int, rec: dict, key: str, path: str, dim: int) -> np.ndarray:
     data = rec.get(key, [])
     if not isinstance(data, list):
         raise DocumentError(f"{path}.{key}", f"expected a list of matrices, got {type(data).__name__}")
-    mats = [_matrix(p, m, f"{path}.{key}[{i}]", dim, dim).array() for i, m in enumerate(data)]
+    mats = [_matrix(p, m, f"{path}.{key}[{i}]", (dim, dim)) for i, m in enumerate(data)]
     return np.array(mats, dtype=np.int64).reshape(len(mats), dim, dim)
 
 
@@ -133,8 +134,9 @@ def task_references(doc: Document, task: dict, path: str) -> dict[str, Any]:
     """The object each reference key of ``task`` names, by key.
 
     Raises DocumentError at ``path.kind`` for an unknown kind, at ``path.<key>``
-    for a reference that does not resolve, and at ``path.sigma_a`` (``sigma_b``)
-    for a presentation that does not present the task's ``a`` (``b``).
+    for a reference that does not resolve or a module, universe or family over
+    another algebra or side than the task needs, and at ``path.sigma_a``
+    (``sigma_b``) for a presentation that does not present the task's ``a`` (``b``).
     """
     kind = task.get("kind")
     if not isinstance(kind, str) or kind not in _TASK_REFERENCES:
@@ -149,6 +151,19 @@ def task_references(doc: Document, task: dict, path: str) -> dict[str, Any]:
     for key in ("x", "y", "family"):
         if key in refs:
             _require_over(_over(refs["universe"]), doc.family_over[task.get(key, "")], f"{path}.{key}")
+    # (module or universe key, the (algebra, side) it must be over)
+    expected = []
+    if kind == "gen-member":
+        expected.append(("module", _over([refs["generator"]])))
+    if "presentation" in refs:
+        expected.append(("module" if "module" in refs else "universe", _over([refs["presentation"].target])))
+    if kind == "silting-transfer":
+        t = refs["bimodule"]
+        expected += [("a", (t.r, LEFT)), ("b", (t.s, LEFT)),
+                     ("r_universe", (t.r, LEFT)), ("s_universe", (t.s, LEFT)), ("t_universe", (t, LEFT))]
+    for key, over in expected:
+        ref = refs[key]
+        _require_over(over, _over(ref if isinstance(ref, list) else [ref]), f"{path}.{key}")
     return refs
 
 
@@ -192,7 +207,7 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
     if not isinstance(p, int):
         raise DocumentError("field.p", "p must be an integer")
     try:
-        FpMatrix(p, [[0]])
+        _check_modulus(p)
     except ValueError as exc:
         raise DocumentError("field.p", str(exc)) from None
     doc = Document(p=p, raw=data)
@@ -253,8 +268,8 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
             a = _lookup(doc.modules, rec.get("A", ""), path, "module")
             b = _lookup(doc.modules, rec.get("B", ""), path, "module")
             phi = _matrix(p, rec.get("phi", []), f"{path}.phi")
-            if phi.rows == 0 and phi.cols == 0:
-                phi = FpMatrix.zeros(p, b.dim, u.dim * a.dim)
+            if phi.shape == (0, 0):
+                phi = np.zeros((b.dim, u.dim * a.dim), dtype=np.int64)
             try:
                 c = CommaObject(u, a, b, phi, label=name)
             except ValueError as exc:
@@ -272,8 +287,8 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
             x = _lookup(doc.modules, rec.get("X", ""), path, "module")
             y = _lookup(doc.modules, rec.get("Y", ""), path, "module")
             psi = _matrix(p, rec.get("psi", []), f"{path}.psi")
-            if psi.rows == 0 and psi.cols == 0:
-                psi = FpMatrix.zeros(p, x.dim, y.dim * u.dim)
+            if psi.shape == (0, 0):
+                psi = np.zeros((x.dim, y.dim * u.dim), dtype=np.int64)
             try:
                 rt = RightTModule(u, x, y, psi, label=name)
             except ValueError as exc:
@@ -296,12 +311,8 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
             src = resolve_module(rec.get("source", ""), f"{path}.source")
             tgt = resolve_module(rec.get("target", ""), f"{path}.target")
             mod = resolve_module(rec.get("module", ""), f"{path}.module")
-            sigma = ModuleMap(
-                src, tgt, _matrix(p, rec.get("sigma", []), f"{path}.sigma", tgt.dim, src.dim)
-            )
-            witness = ModuleMap(
-                tgt, mod, _matrix(p, rec.get("witness", []), f"{path}.witness", mod.dim, tgt.dim)
-            )
+            sigma = ModuleMap(src, tgt, _matrix(p, rec.get("sigma", []), f"{path}.sigma", (tgt.dim, src.dim)))
+            witness = ModuleMap(tgt, mod, _matrix(p, rec.get("witness", []), f"{path}.witness", (mod.dim, tgt.dim)))
             pres = Presentation(sigma=sigma, target=mod, witness=witness)
             bad = validate_presentation(pres)
             if bad:

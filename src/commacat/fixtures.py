@@ -32,7 +32,6 @@ from .comma import (
     comma_universe,
     to_T_module,
 )
-from .linalg import FpMatrix
 from .modules import (
     LEFT,
     RIGHT,
@@ -92,9 +91,8 @@ def a2_fixture() -> Fixture:
     zero = comma_from_components(u, label="0")
     s_r = comma_from_components(u, a=rk, label="S_R")
     s_s = comma_from_components(u, b=sk, label="S_S")
-    one = FpMatrix.identity(p, 1)
-    proj = CommaObject(u, rk, sk, one, label="P")
-    split = CommaObject(u, rk, sk, FpMatrix.zeros(p, 1, 1), label="N")
+    proj = CommaObject(u, rk, sk, [[1]], label="P")
+    split = CommaObject(u, rk, sk, [[0]], label="N")
     comma = {"0": zero, "S_R": s_r, "S_S": s_s, "P": proj, "N": split}
 
     rkr = regular_module(r, RIGHT).relabel("k")
@@ -102,11 +100,11 @@ def a2_fixture() -> Fixture:
     zr = zero_module(r, RIGHT)
     zs = zero_module(s, RIGHT)
     right = {
-        "0": RightTModule(u, zr, zs, FpMatrix.zeros(p, 0, 0), label="0"),
-        "XR": RightTModule(u, rkr, zs, FpMatrix.zeros(p, 1, 0), label="XR"),
-        "YS": RightTModule(u, zr, skr, FpMatrix.zeros(p, 0, 1), label="YS"),
-        "ET": RightTModule(u, rkr, skr, one, label="ET"),
-        "NT": RightTModule(u, rkr, skr, FpMatrix.zeros(p, 1, 1), label="NT"),
+        "0": RightTModule(u, zr, zs, [], label="0"),
+        "XR": RightTModule(u, rkr, zs, [[]], label="XR"),
+        "YS": RightTModule(u, zr, skr, [], label="YS"),
+        "ET": RightTModule(u, rkr, skr, [[1]], label="ET"),
+        "NT": RightTModule(u, rkr, skr, [[0]], label="NT"),
     }
 
     fixture = Fixture(
@@ -124,8 +122,8 @@ def a2_fixture() -> Fixture:
 
     t_univ = fixture.t_universe
     # sigma: S_S -> P, the inclusion of the socle; presents S_R
-    sigma = ModuleMap(t_univ["S_S"], t_univ["P"], FpMatrix(p, [[0], [1]]))
-    witness = ModuleMap(t_univ["P"], t_univ["S_R"], FpMatrix(p, [[1, 0]]))
+    sigma = ModuleMap(t_univ["S_S"], t_univ["P"], [[0], [1]])
+    witness = ModuleMap(t_univ["P"], t_univ["S_R"], [[1, 0]])
     fixture.presentations = {
         "triv_k_R": trivial_presentation(rk),
         "triv_k_S": trivial_presentation(sk),
@@ -140,8 +138,6 @@ def dual_numbers_fixture(iso_cap: int = 16, max_total_dim: int = 4) -> Fixture:
     p = 2
     r = dual_numbers_algebra(p, "R")
     s = field_algebra(p, "S")
-    one = FpMatrix.identity(p, 1)
-    zero_mat = FpMatrix.zeros(p, 1, 1)
     u = Bimodule(s, r, 1, [[[1]]], [[[1]], [[0]]], label="U")
     t = triangular_algebra(r, s, u, label="T(dual)")
 
@@ -172,12 +168,12 @@ def dual_numbers_fixture(iso_cap: int = 16, max_total_dim: int = 4) -> Fixture:
     zr = zero_module(r, RIGHT)
     zs = zero_module(s, RIGHT)
     right = {
-        "0": RightTModule(u, zr, zs, FpMatrix.zeros(p, 0, 0), label="0"),
-        "Xk": RightTModule(u, rkr, zs, FpMatrix.zeros(p, 1, 0), label="Xk"),
-        "XR": RightTModule(u, rrr, zs, FpMatrix.zeros(p, 2, 0), label="XR"),
-        "Yk": RightTModule(u, zr, skr, FpMatrix.zeros(p, 0, 1), label="Yk"),
-        "ET": RightTModule(u, rkr, skr, one, label="ET"),
-        "NT": RightTModule(u, rkr, skr, zero_mat, label="NT"),
+        "0": RightTModule(u, zr, zs, [], label="0"),
+        "Xk": RightTModule(u, rkr, zs, [[]], label="Xk"),
+        "XR": RightTModule(u, rrr, zs, [[], []], label="XR"),
+        "Yk": RightTModule(u, zr, skr, [], label="Yk"),
+        "ET": RightTModule(u, rkr, skr, [[1]], label="ET"),
+        "NT": RightTModule(u, rkr, skr, [[0]], label="NT"),
     }
 
     fixture = Fixture(
@@ -194,8 +190,8 @@ def dual_numbers_fixture(iso_cap: int = 16, max_total_dim: int = 4) -> Fixture:
     )
 
     # sigma = (.x): R -> R presents k; exact since ker(R -> k) = xR
-    sigma = ModuleMap(rr, rr, FpMatrix(p, [[0, 0], [1, 0]]))
-    witness = ModuleMap(rr, rk, FpMatrix(p, [[1, 0]]))
+    sigma = ModuleMap(rr, rr, [[0, 0], [1, 0]])
+    witness = ModuleMap(rr, rk, [[1, 0]])
     fixture.presentations = {
         "k_from_x": Presentation(sigma=sigma, target=rk, witness=witness),
         "triv_R": trivial_presentation(rr),

@@ -1,31 +1,38 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Every matrix handed on as a value is an :class:`FpMatrix`: an immutable,
-row-major integer matrix with entries reduced mod p.  A stack of matrices,
-such as a module's action or a Hom-space basis, is one frozen (k, rows,
-cols) int64 array, reduced mod p.  All arithmetic is integer arithmetic
-followed by reduction, so results are exact.  Systems reach a few hundred
-rows (a Hom system of two 8-dimensional modules over a 3-dimensional
-algebra is 192x64); everything is dense and deterministic.  :func:`rref`
-does Gauss-Jordan elimination with one nonzero scan of the pivot column
-and one masked rank-1 update of all rows it hits per pivot.
+A matrix over F_p is a 2-d int64 array with entries reduced mod p, and a
+stack of matrices, such as a module's action or a Hom-space basis, is one
+(k, rows, cols) int64 array.  The kernels take the modulus beside the array
+(``rank(p, a)``, ``solve(p, m, b)``) and return fresh arrays.  All arithmetic
+is integer arithmetic followed by reduction, so results are exact.  Systems
+reach a few hundred rows (a Hom system of two 8-dimensional modules over a
+3-dimensional algebra is 192x64); everything is dense and deterministic.
+:func:`rref` does Gauss-Jordan elimination with one nonzero scan of the pivot
+column and one masked rank-1 update of all rows it hits per pivot.
 
 Entries are stored as int64, so the modulus is validated once per value
 of p (:func:`_check_modulus`, shared with :class:`FDAlgebra`): it must be
 prime and below 2**24.  Below that bound a dot product of up to 2**15
-terms of size (p-1)**2 stays below 2**63, so no product overflows.
+terms of size (p-1)**2 stays below 2**63, so no product overflows, but a
+product of unreduced products can: chained products reduce between them,
+as in ``a @ b % p @ c % p``.
 
-Validation happens once, at the boundary: ``FpMatrix(p, entries)`` checks
-the modulus, that each entry is an exact integer in int64 range
+Validation happens once, at the boundary: :func:`fp_array` checks the
+modulus, that each entry is an exact integer in int64 range
 (:func:`int64_array`, shared with :class:`FDAlgebra`, the action stacks and
-the certificate schema) and the shape, and reduces the entries, and is what
-other modules call.  Results this module computes are reduced by
-construction, since its arithmetic applies ``% p`` itself, so they are
-wrapped by the trusted ``FpMatrix._of``, which only freezes the array.
-Those results own their memory: a slice (``block``, an enumeration witness)
-is copied before it is wrapped, so a small matrix never keeps a larger
-array, such as a whole enumeration chunk, alive.  (A transpose is a view of
-a matrix of its own size.)
+the certificate schema) and the shape, reduces the entries and freezes the
+result.  Maps, comma objects and right T-modules validate their matrix
+through it, whether it comes from a document, a certificate or a
+computation.  Results this module computes are reduced by construction,
+since its arithmetic applies ``% p`` itself.  A result cut out of a larger
+array (:func:`inverse`, :func:`column_space_basis`, an enumeration witness)
+is copied, so a small matrix never keeps a larger array, such as a whole
+enumeration chunk, alive.
+
+:class:`FpMatrix` is only the argument of :func:`rref`: the benchmark tracer
+(``perfbench/tracer.py``) reads the shape of every traced elimination off
+``rows`` and ``cols``.  Each kernel wraps its array with the unvalidated ``FpMatrix._of``
+once per elimination, and :func:`rref` returns the reduced array.
 
 Exhaustive searches over a space of maps share one enumeration kernel:
 :func:`combination_chunks` yields all p**h linear combinations of a basis
@@ -39,7 +46,7 @@ and rank of every matrix in it.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -98,48 +105,42 @@ def int64_array(entries, name: str = "entries") -> np.ndarray:
     return np.asarray(entries, dtype=np.int64)
 
 
+def fp_array(p: int, entries, name: str = "entries", shape: Optional[tuple[int, int]] = None) -> np.ndarray:
+    """``entries`` (nested lists or an array) as a matrix over F_p: a fresh
+    read-only 2-d int64 array, reduced mod p.
+
+    Raises ValueError unless p is a modulus :func:`_check_modulus` accepts,
+    every entry passes :func:`int64_array` (which names ``name``) and the
+    entries form a 2-d array of rows.  The empty 1-d array is the 0x0 matrix;
+    given ``shape``, an array with no entries takes that shape when it has no
+    entries either.
+    """
+    _check_modulus(p)
+    a = int64_array(entries, name)
+    if a.ndim == 1 and not a.size:
+        a = a.reshape(0, 0)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-d array of rows")
+    if shape is not None and not a.size and not shape[0] * shape[1]:
+        a = a.reshape(shape)
+    a = np.mod(a, p)
+    a.setflags(write=False)
+    return a
+
+
 class FpMatrix:
-    """Immutable matrix over F_p, stored row-major as reduced residues."""
+    """The argument of :func:`rref`: a 2-d int64 array reduced mod ``p``, with its shape."""
 
     __slots__ = ("p", "_a")
 
-    def __init__(self, p: int, entries) -> None:
-        _check_modulus(p)
-        a = int64_array(entries)
-        if a.ndim == 1:
-            # Only the empty 1-d array is accepted, as the 0x0 matrix.
-            if a.size:
-                raise ValueError("entries must be a 2-d array of rows")
-            a = a.reshape(0, 0)
-        if a.ndim != 2:
-            raise ValueError("entries must be a 2-d array of rows")
-        a = np.mod(a, p)
-        a.setflags(write=False)
-        self.p = p
-        self._a = a
-
     @classmethod
     def _of(cls, p: int, a: np.ndarray) -> "FpMatrix":
-        """Wrap ``a`` without validation: a 2-d int64 array already reduced mod
-        ``p``, a modulus already checked.  ``a`` is frozen in place, not copied,
-        so it must be a fresh array (or a copy of a slice) owned by no one else."""
-        a.setflags(write=False)
+        """Wrap ``a``, a 2-d int64 array already reduced mod ``p`` (a modulus
+        already checked), without validation or copy."""
         m = cls.__new__(cls)
         m.p = p
         m._a = a
         return m
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    # -- shape and access --------------------------------------------
 
     @property
     def rows(self) -> int:
@@ -152,121 +153,30 @@ class FpMatrix:
     def array(self) -> np.ndarray:
         return self._a
 
-    def to_lists(self) -> list:
-        return [[int(x) for x in row] for row in self._a]
 
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> "FpMatrix":
-        return FpMatrix._of(self.p, self._a[r0:r1, c0:c1].copy())
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _check(self, other: "FpMatrix") -> None:
-        if self.p != other.p:
-            raise ValueError(f"moduli differ: {self.p} vs {other.p}")
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        self._check(other)
-        if self.cols != other.rows:
-            raise ValueError(
-                f"dimension mismatch: ({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})"
-            )
-        return FpMatrix._of(self.p, self._a @ other._a % self.p)
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._check(other)
-        return FpMatrix._of(self.p, (self._a + other._a) % self.p)
-
-    def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        self._check(other)
-        return FpMatrix._of(self.p, (self._a - other._a) % self.p)
-
-    def __neg__(self) -> "FpMatrix":
-        return FpMatrix._of(self.p, -self._a % self.p)
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix._of(self.p, self._a.T)
-
-    def is_zero(self) -> bool:
-        return not self._a.any()
-
-    # -- equality -----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self._a.shape == other._a.shape
-            and np.array_equal(self._a, other._a)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self._a.shape, self._a.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"FpMatrix(p={self.p}, {self.to_lists()})"
-
-
-def _common_modulus(ms: Sequence[FpMatrix]) -> int:
-    p = ms[0].p
-    if any(m.p != p for m in ms):
-        raise ValueError("moduli differ")
-    return p
-
-
-def hstack(ms: Sequence[FpMatrix]) -> FpMatrix:
-    if not ms:
-        raise ValueError("hstack of no matrices")
-    p = _common_modulus(ms)
-    return FpMatrix._of(p, np.concatenate([m.array() for m in ms], axis=1))
-
-
-def vstack(ms: Sequence[FpMatrix]) -> FpMatrix:
-    if not ms:
-        raise ValueError("vstack of no matrices")
-    p = _common_modulus(ms)
-    return FpMatrix._of(p, np.concatenate([m.array() for m in ms], axis=0))
-
-
-def block_diag(ms: Sequence[FpMatrix]) -> FpMatrix:
-    p = _common_modulus(ms)
-    rows = sum(m.rows for m in ms)
-    cols = sum(m.cols for m in ms)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    r = c = 0
-    for m in ms:
-        out[r : r + m.rows, c : c + m.cols] = m.array()
-        r += m.rows
-        c += m.cols
-    return FpMatrix._of(p, out)
-
-
-def intertwining_system(p: int, left: np.ndarray, right: np.ndarray) -> FpMatrix:
+def intertwining_system(p: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The system L_i H = H R_i in the row-major entries of an n x m matrix H.
 
     ``left`` and ``right`` are (d, n, n) and (d, m, m) action stacks.
     Returns the (d*n*m) x (n*m) matrix vstack_i(kron(L_i, I_m) - kron(I_n, R_i^T)),
-    since vec(L H) = kron(L, I) vec(H) and vec(H R) = kron(I, R^T) vec(H),
-    built in one broadcast.
+    reduced mod p, since vec(L H) = kron(L, I) vec(H) and vec(H R) = kron(I, R^T)
+    vec(H), built in one broadcast.
     """
     d, n, m = left.shape[0], left.shape[1], right.shape[1]
     system = (
         left[:, :, None, :, None] * np.eye(m, dtype=np.int64)[:, None, :]
         - np.eye(n, dtype=np.int64)[:, None, :, None] * right.transpose(0, 2, 1)[:, None, :, None, :]
     )
-    return FpMatrix(p, system.reshape(d * n * m, n * m))
+    return system.reshape(d * n * m, n * m) % p
 
 
-def kron(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    if a.p != b.p:
-        raise ValueError("moduli differ")
-    return FpMatrix(a.p, np.kron(a.array(), b.array()))
+def rref(m: FpMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row-echelon form, as a fresh array, and the tuple of pivot columns.
 
-
-def rref(m: FpMatrix) -> tuple[FpMatrix, tuple[int, ...]]:
-    """Reduced row-echelon form and the tuple of pivot columns."""
-    p = m.p
+    The elimination runs on a copy, so ``m`` may wrap a view such as ``a.T``.
+    """
+    p, rows, cols = m.p, m.rows, m.cols
     a = m.array().copy()
-    rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -289,72 +199,75 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, tuple[int, ...]]:
             a[hit, c:] = (a[hit, c:] - a[hit, c : c + 1] * a[r, c:]) % p
         pivots.append(c)
         r += 1
-    return FpMatrix._of(p, a), tuple(pivots)
+    return a, tuple(pivots)
 
 
-def rank(m: FpMatrix) -> int:
-    return len(rref(m)[1])
+def rank(p: int, a: np.ndarray) -> int:
+    return len(rref(FpMatrix._of(p, a))[1])
 
 
-def kernel_basis(m: FpMatrix) -> FpMatrix:
-    """Columns form a basis of the null space of ``m`` (canonical RREF basis)."""
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
+def kernel_basis(p: int, a: np.ndarray) -> np.ndarray:
+    """Columns form a basis of the null space of ``a`` (canonical RREF basis)."""
+    red, pivots = rref(FpMatrix._of(p, a))
+    cols = a.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
     basis[free, range(len(free))] = 1
-    basis[list(pivots)] = -red.array()[: len(pivots)][:, free] % m.p
-    return FpMatrix._of(m.p, basis)
+    basis[list(pivots)] = -red[: len(pivots)][:, free] % p
+    return basis
 
 
-def solve(m: FpMatrix, b: FpMatrix) -> Optional[FpMatrix]:
+def solve(p: int, m: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """One solution x of m x = b, or None when the system is inconsistent.
 
     ``b`` may carry several right-hand sides as columns; a solution is
     returned only when every column is consistent.
     """
-    if b.rows != m.rows:
-        raise ValueError(f"rhs has {b.rows} rows, expected {m.rows}")
-    red, pivots = rref(hstack([m, b]))
-    if any(c >= m.cols for c in pivots):
+    (rows, cols), width = m.shape, b.shape[1]
+    if b.shape[0] != rows:
+        raise ValueError(f"rhs has {b.shape[0]} rows, expected {rows}")
+    red, pivots = rref(FpMatrix._of(p, np.concatenate([m, b], axis=1)))
+    if any(c >= cols for c in pivots):
         return None
-    x = np.zeros((m.cols, b.cols), dtype=np.int64)
-    x[list(pivots)] = red.array()[: len(pivots), m.cols :]
-    return FpMatrix._of(m.p, x)
+    x = np.zeros((cols, width), dtype=np.int64)
+    x[list(pivots)] = red[: len(pivots), cols:]
+    return x
 
 
-def solve_each(m: FpMatrix, *stacks: np.ndarray) -> Optional[list[np.ndarray]]:
+def solve_each(p: int, m: np.ndarray, *stacks: np.ndarray) -> Optional[list[np.ndarray]]:
     """Solutions X of m X = B for every matrix B of each (k, m.rows, w) int64
     stack, reduced mod p, from one elimination.
 
     Returns one (k, m.cols, w) stack per given stack, each matrix the one
     :func:`solve` gives for it alone; None when any B is inconsistent.
     """
-    rhs = np.concatenate([s.transpose(1, 0, 2).reshape(m.rows, s.shape[0] * s.shape[2]) for s in stacks], axis=1)
-    x = solve(m, FpMatrix._of(m.p, rhs))
+    rows, cols = m.shape
+    rhs = np.concatenate([s.transpose(1, 0, 2).reshape(rows, s.shape[0] * s.shape[2]) for s in stacks], axis=1)
+    x = solve(p, m, rhs)
     if x is None:
         return None
     ends = np.cumsum([s.shape[0] * s.shape[2] for s in stacks]).tolist()
-    return [x.array()[:, e - k * w : e].reshape(m.cols, k, w).transpose(1, 0, 2)
+    return [x[:, e - k * w : e].reshape(cols, k, w).transpose(1, 0, 2)
             for (k, _, w), e in zip((s.shape for s in stacks), ends)]
 
 
-def inverse(m: FpMatrix) -> Optional[FpMatrix]:
-    if m.rows != m.cols:
+def inverse(p: int, a: np.ndarray) -> Optional[np.ndarray]:
+    n = a.shape[0]
+    if a.shape[1] != n:
         return None
-    red, pivots = rref(hstack([m, FpMatrix.identity(m.p, m.rows)]))
-    if len(pivots) != m.rows or any(c >= m.cols for c in pivots):
+    red, pivots = rref(FpMatrix._of(p, np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)))
+    if len(pivots) != n or any(c >= n for c in pivots):
         return None
-    return red.block(0, m.rows, m.cols, 2 * m.cols)
+    return red[:, n:].copy()
 
 
-def column_space_basis(m: FpMatrix) -> FpMatrix:
+def column_space_basis(p: int, a: np.ndarray) -> np.ndarray:
     """Canonical basis of the column span (RREF of the transpose, transposed back)."""
-    red, pivots = rref(m.transpose())
-    k = len(pivots)
-    return red.block(0, k, 0, m.rows).transpose()
+    red, pivots = rref(FpMatrix._of(p, a.T))
+    return red[: len(pivots)].T.copy()
 
 
-def quotient_space(p: int, dim: int, sub: FpMatrix) -> tuple[FpMatrix, FpMatrix]:
+def quotient_space(p: int, dim: int, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projection and section for F_p^dim modulo the column span of ``sub``.
 
     Returns (projection, section) with projection @ sub = 0,
@@ -366,15 +279,16 @@ def quotient_space(p: int, dim: int, sub: FpMatrix) -> tuple[FpMatrix, FpMatrix]
     columns.  They are read off R, with no inverse: the section is e_C, and
     the projection is the identity on columns C and -R[:, C]^T on columns P.
     """
-    if sub.cols and sub.rows != dim:
-        raise ValueError(f"subspace columns live in dimension {sub.rows}, expected {dim}")
-    red, pivots = rref(sub.transpose()) if sub.cols else (FpMatrix.zeros(p, 0, dim), ())
+    rows, cols = sub.shape
+    if cols and rows != dim:
+        raise ValueError(f"subspace columns live in dimension {rows}, expected {dim}")
+    red, pivots = rref(FpMatrix._of(p, sub.T)) if cols else (np.zeros((0, dim), dtype=np.int64), ())
     complement = [j for j in range(dim) if j not in pivots]
     section = np.zeros((dim, len(complement)), dtype=np.int64)
     section[complement, range(len(complement))] = 1
     projection = section.T.copy()
-    projection[:, list(pivots)] = -red.array()[: len(pivots)][:, complement].T % p
-    return FpMatrix._of(p, projection), FpMatrix._of(p, section)
+    projection[:, list(pivots)] = -red[: len(pivots)][:, complement].T % p
+    return projection, section
 
 
 def enumerate_vectors(p: int, dim: int) -> Iterable[tuple[int, ...]]:
@@ -457,11 +371,11 @@ def batched_rref(p: int, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, ranks
 
 
-def first_of_rank(p: int, basis: np.ndarray, target: int) -> Optional[FpMatrix]:
+def first_of_rank(p: int, basis: np.ndarray, target: int) -> Optional[np.ndarray]:
     """First combination of the stack ``basis`` (in enumeration order) of rank ``target``."""
     for chunk in combination_chunks(p, basis):
         hits = np.flatnonzero(batched_rref(p, chunk)[1] == target)
         if hits.size:
-            return FpMatrix._of(p, chunk[hits[0]].copy())
+            return chunk[hits[0]].copy()
     return None
 

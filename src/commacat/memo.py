@@ -9,8 +9,8 @@ A table that keeps residues mod p only to read them back (the Hom blocks of
 :func:`commacat.modules._hom_block`) stores them at :func:`packed_dtype`, like
 the content keys, and its readers convert them to int64 before any arithmetic;
 two packed arrays are never multiplied together, since uint32 products overflow
-for p near 2**24.  Arrays that back an ``FpMatrix``, and the action stacks of
-modules and bimodules, stay int64.
+for p near 2**24.  The matrices of maps, comma objects and right T-modules, and
+the action stacks of modules and bimodules, stay int64.
 """
 
 from __future__ import annotations

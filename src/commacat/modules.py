@@ -42,10 +42,10 @@ from .linalg import (
     column_space_basis,
     enumerate_vectors,
     first_of_rank,
+    fp_array,
     intertwining_system,
     inverse,
     kernel_basis,
-    kron,
     quotient_space,
     rank,
     rref,
@@ -92,10 +92,10 @@ class ModuleRep(ContentKeyed):
     def p(self) -> int:
         return self.algebra.p
 
-    def act(self, coeffs) -> FpMatrix:
+    def act(self, coeffs) -> np.ndarray:
         """Action matrix of a general algebra element."""
         c = np.asarray(coeffs, dtype=np.int64) % self.p
-        return FpMatrix._of(self.p, np.einsum("k,kab->ab", c, self.action) % self.p)
+        return np.einsum("k,kab->ab", c, self.action) % self.p
 
     def relabel(self, label: str) -> "ModuleRep":
         return ModuleRep(self.algebra, self.side, self.dim, self.action, label)
@@ -109,14 +109,21 @@ class ModuleRep(ContentKeyed):
 
 
 class ModuleMap(ContentKeyed):
-    """A linear map intertwining the actions of source and target."""
+    """A linear map intertwining the actions of source and target: ``matrix``
+    is its read-only (target.dim, source.dim) int64 array, reduced mod p.
+
+    The constructor validates the matrix (anything
+    :func:`~commacat.linalg.fp_array` takes) and copies it.
+    """
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: ModuleRep, target: ModuleRep, matrix: FpMatrix) -> None:
-        if matrix.rows != target.dim or matrix.cols != source.dim:
+    def __init__(self, source: ModuleRep, target: ModuleRep, matrix) -> None:
+        shape = (target.dim, source.dim)
+        matrix = fp_array(source.p, matrix, "map matrix", shape)
+        if matrix.shape != shape:
             raise ValueError(
-                f"map matrix must be {target.dim} x {source.dim}, got {matrix.rows} x {matrix.cols}"
+                f"map matrix must be {target.dim} x {source.dim}, got {matrix.shape[0]} x {matrix.shape[1]}"
             )
         self.source = source
         self.target = target
@@ -126,14 +133,14 @@ class ModuleMap(ContentKeyed):
         return not violated_intertwining(self)
 
     def _content(self) -> tuple:
-        p = self.matrix.p
-        return ("map", self.source.key, self.target.key, p, content_bytes(p, self.matrix.array()))
+        p = self.source.p
+        return ("map", self.source.key, self.target.key, p, content_bytes(p, self.matrix))
 
 
 def violated_intertwining(f: ModuleMap) -> list[int]:
     """Basis indices where the intertwining condition fails."""
-    h = f.matrix.array()
-    return np.flatnonzero(((f.target.action @ h - h @ f.source.action) % f.matrix.p).any(axis=(1, 2))).tolist()
+    h = f.matrix
+    return np.flatnonzero(((f.target.action @ h - h @ f.source.action) % f.source.p).any(axis=(1, 2))).tolist()
 
 
 def validate_module(m: ModuleRep) -> list[dict]:
@@ -180,17 +187,17 @@ def dual_module(s: FDAlgebra) -> ModuleRep:
 
 
 def identity_map(m: ModuleRep) -> ModuleMap:
-    return ModuleMap(m, m, FpMatrix.identity(m.p, m.dim))
+    return ModuleMap(m, m, np.eye(m.dim, dtype=np.int64))
 
 
 def zero_map(m: ModuleRep, n: ModuleRep) -> ModuleMap:
-    return ModuleMap(m, n, FpMatrix.zeros(m.p, n.dim, m.dim))
+    return ModuleMap(m, n, np.zeros((n.dim, m.dim), dtype=np.int64))
 
 
 def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
     if f.target != g.source:
         raise AlgebraMismatch("maps do not compose")
-    return ModuleMap(f.source, g.target, g.matrix @ f.matrix)
+    return ModuleMap(f.source, g.target, g.matrix @ f.matrix % f.source.p)
 
 
 # -- hom spaces ------------------------------------------------------------
@@ -216,7 +223,7 @@ def generator_indices(algebra: FDAlgebra) -> tuple[int, ...]:
     for i in range(d):
         if len(span) == d:
             break
-        if rank(FpMatrix._of(p, np.vstack([span, np.eye(d, dtype=np.int64)[i]]))) > len(span):
+        if rank(p, np.vstack([span, np.eye(d, dtype=np.int64)[i]])) > len(span):
             chosen.append(i)
             span = _generated_subalgebra(algebra, chosen)
     return tuple(chosen)
@@ -232,8 +239,8 @@ def _generated_subalgebra(algebra: FDAlgebra, gens: Sequence[int]) -> np.ndarray
         moved = [span] + [span @ algebra.mul[:, g, :] % p for g in gens]
         red, pivots = rref(FpMatrix._of(p, np.concatenate(moved)))
         if len(pivots) == len(span):
-            return red.array()[: len(pivots)]
-        span = red.array()[: len(pivots)]
+            return red[: len(pivots)]
+        span = red[: len(pivots)]
 
 
 def diagonal_blocks(stack: np.ndarray) -> list[int]:
@@ -285,7 +292,7 @@ def _spin(p: int, g: int, dim: int, source: bytes) -> tuple[np.ndarray, ...]:
                 vectors.append(v)
                 tree.append((k, a))
     (parent, via), basis = np.array(tree).T, np.array(vectors).T
-    inv = inverse(FpMatrix._of(p, basis.copy())).array()
+    inv = inverse(p, basis)
     for a in (parent, via, coords := inv @ (stack @ basis % p) % p, inv):
         a.setflags(write=False)
     return parent, via, coords, inv
@@ -308,7 +315,7 @@ def _hom_block(p: int, g: int, rows: int, cols: int, target: bytes, source: byte
     for k in np.flatnonzero(parent >= 0):
         w[k] = left[via[k]] @ w[parent[k]] % p
     system = (np.einsum("aij,kjx->akix", left, w) - np.einsum("aik,ijx->akjx", coords, w)).reshape(-1, w.shape[2]) % p
-    kernel = kernel_basis(FpMatrix._of(p, system[system.any(axis=1)])).array()  # tree rows are 0
+    kernel = kernel_basis(p, system[system.any(axis=1)])  # tree rows are 0
     block = (np.einsum("kix,xh->hik", w, kernel) % p).astype(packed_dtype(p))
     block.setflags(write=False)
     return block
@@ -345,7 +352,7 @@ def _hom_lift(p: int, g: int, rows: int, cols: int, target: bytes, source: bytes
     read back reversed (a canonical kernel vector ends in its free column)."""
     block = _hom_block(p, g, rows, cols, target, source)
     lifted = (block.astype(np.int64) @ _spin(p, g, cols, source)[3] % p).reshape(len(block), rows * cols)
-    basis = rref(FpMatrix._of(p, lifted[:, ::-1].copy()))[0].array()[: len(block)][::-1, ::-1].copy()
+    basis = rref(FpMatrix._of(p, lifted[:, ::-1]))[0][: len(block)][::-1, ::-1].copy()
     basis.setflags(write=False)
     return basis
 
@@ -377,7 +384,7 @@ def hom_dim(m: ModuleRep, n: ModuleRep) -> int:
     return sum(len(_hom_block(*key)) for *_, key in _block_pairs(m, n))
 
 
-def hom_coords(p: int, basis: np.ndarray, mats: np.ndarray) -> FpMatrix:
+def hom_coords(p: int, basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Coordinates of each matrix of the stack ``mats`` in a Hom-space basis stack, as columns.
 
     Returns the len(basis) x len(mats) matrix whose j-th column writes
@@ -390,11 +397,10 @@ def hom_coords(p: int, basis: np.ndarray, mats: np.ndarray) -> FpMatrix:
     """
     if not len(basis):
         assert not mats.any(), "matrix outside the span of an empty Hom basis"
-        return FpMatrix.zeros(p, 0, len(mats))
+        return np.zeros((0, len(mats)), dtype=np.int64)
     if not len(mats):
-        return FpMatrix.zeros(p, len(basis), 0)
-    stacked = FpMatrix(p, basis.reshape(len(basis), -1).T)
-    coords = solve(stacked, FpMatrix(p, mats.reshape(len(mats), -1).T))
+        return np.zeros((len(basis), 0), dtype=np.int64)
+    coords = solve(p, basis.reshape(len(basis), -1).T, mats.reshape(len(mats), -1).T)
     assert coords is not None, "matrix outside the span of the Hom basis"
     return coords
 
@@ -422,7 +428,6 @@ def direct_sum(
     for m in summands[1:]:
         _require_compatible(first, m)
     alg = first.algebra
-    p = alg.p
     offsets = np.cumsum([0] + [m.dim for m in summands]).tolist()
     total = offsets[-1]
     stack = np.zeros((alg.dim, total, total), dtype=np.int64)
@@ -433,37 +438,40 @@ def direct_sum(
     eye = np.eye(total, dtype=np.int64)
     injections, projections = [], []
     for m, offset in zip(summands, offsets):
-        proj = eye[offset : offset + m.dim].copy()
-        injections.append(ModuleMap(m, module, FpMatrix._of(p, proj.T)))
-        projections.append(ModuleMap(module, m, FpMatrix._of(p, proj)))
+        proj = eye[offset : offset + m.dim]
+        injections.append(ModuleMap(m, module, proj.T))
+        projections.append(ModuleMap(module, m, proj))
     return DirectSum(module, injections, projections)
 
 
-def submodule(m: ModuleRep, basis_cols: FpMatrix, label: str = "") -> tuple[ModuleRep, ModuleMap]:
+def submodule(m: ModuleRep, basis_cols: np.ndarray, label: str = "") -> tuple[ModuleRep, ModuleMap]:
     """Submodule on an invariant column span, with its inclusion.
 
-    The columns must be linearly independent and the span invariant
-    under every action matrix; otherwise ValueError.
+    ``basis_cols`` is a 2-d int64 array reduced mod p.  Its columns must be
+    linearly independent and their span invariant under every action
+    matrix; otherwise ValueError.
     """
-    if rank(basis_cols) != basis_cols.cols:
+    width = basis_cols.shape[1]
+    if rank(m.p, basis_cols) != width:
         raise ValueError("submodule basis columns must be independent")
-    action = solve_each(basis_cols, m.action @ basis_cols.array() % m.p)
+    action = solve_each(m.p, basis_cols, m.action @ basis_cols % m.p)
     if action is None:
         raise ValueError("span is not invariant under the action")
-    sub = ModuleRep(m.algebra, m.side, basis_cols.cols, action[0], label=label)
+    sub = ModuleRep(m.algebra, m.side, width, action[0], label=label)
     return sub, ModuleMap(sub, m, basis_cols)
 
 
-def quotient_module(m: ModuleRep, sub_cols: FpMatrix, label: str = "") -> tuple[ModuleRep, ModuleMap]:
-    """Quotient by an invariant column span, with its projection."""
+def quotient_module(m: ModuleRep, sub_cols: np.ndarray, label: str = "") -> tuple[ModuleRep, ModuleMap]:
+    """Quotient by the invariant column span of ``sub_cols`` (a 2-d int64
+    array reduced mod p), with its projection."""
     p = m.p
     proj, sect = quotient_space(p, m.dim, sub_cols)
-    if sub_cols.cols:
-        moved = (proj.array() @ (m.action @ sub_cols.array() % p) % p).any(axis=(1, 2))
+    if sub_cols.shape[1]:
+        moved = (proj @ (m.action @ sub_cols % p) % p).any(axis=(1, 2))
         if moved.any():
             raise ValueError(f"span is not invariant under basis element {np.flatnonzero(moved)[0]}")
-    action = proj.array() @ m.action % p @ sect.array() % p
-    quot = ModuleRep(m.algebra, m.side, proj.rows, action, label=label)
+    action = proj @ m.action % p @ sect % p
+    quot = ModuleRep(m.algebra, m.side, len(proj), action, label=label)
     return quot, ModuleMap(m, quot, proj)
 
 
@@ -477,9 +485,9 @@ class ImageKernelCokernel(NamedTuple):
 
 
 def image_kernel_cokernel(f: ModuleMap) -> ImageKernelCokernel:
-    ker_cols = kernel_basis(f.matrix)
+    ker_cols = kernel_basis(f.source.p, f.matrix)
     kernel, ker_inc = submodule(f.source, ker_cols, label=f"ker")
-    img_cols = column_space_basis(f.matrix)
+    img_cols = column_space_basis(f.source.p, f.matrix)
     image, img_inc = submodule(f.target, img_cols, label=f"im")
     cokernel, coker_proj = quotient_module(f.target, img_cols, label=f"coker")
     return ImageKernelCokernel(image, img_inc, kernel, ker_inc, cokernel, coker_proj)
@@ -488,7 +496,7 @@ def image_kernel_cokernel(f: ModuleMap) -> ImageKernelCokernel:
 # -- tensor products --------------------------------------------------------
 
 
-def balancing_generators(x_right: ModuleRep, a_left: ModuleRep) -> FpMatrix:
+def balancing_generators(x_right: ModuleRep, a_left: ModuleRep) -> np.ndarray:
     """Columns spanning the balancing subspace of the full tensor space.
 
     Basis of the full space is x-major lexicographic (index =
@@ -500,10 +508,10 @@ def balancing_generators(x_right: ModuleRep, a_left: ModuleRep) -> FpMatrix:
     """
     if x_right.algebra != a_left.algebra or x_right.side != RIGHT or a_left.side != LEFT:
         raise AlgebraMismatch("balanced tensor needs a right and a left module over one algebra")
-    return intertwining_system(x_right.p, x_right.action.transpose(0, 2, 1), a_left.action).transpose()
+    return intertwining_system(x_right.p, x_right.action.transpose(0, 2, 1), a_left.action).T
 
 
-def balanced_tensor(x_right: ModuleRep, a_left: ModuleRep) -> tuple[FpMatrix, FpMatrix]:
+def balanced_tensor(x_right: ModuleRep, a_left: ModuleRep) -> tuple[np.ndarray, np.ndarray]:
     """Projection and section for X (x)_A M as a plain F_p-space."""
     sub = balancing_generators(x_right, a_left)
     return quotient_space(x_right.p, x_right.dim * a_left.dim, sub)
@@ -513,13 +521,13 @@ def tensor_dim(x_right: ModuleRep, a_left: ModuleRep) -> int:
     """dim X (x)_A M, the codimension of the balancing subspace, ranked as rows
     like :func:`balanced_tensor` does; builds no projection or section."""
     sub = balancing_generators(x_right, a_left)
-    return sub.rows - (rank(sub.transpose()) if sub.cols else 0)
+    return len(sub) - (rank(x_right.p, sub.T) if sub.shape[1] else 0)
 
 
 class TensorModule(NamedTuple):
     module: ModuleRep
-    projection: FpMatrix
-    section: FpMatrix
+    projection: np.ndarray
+    section: np.ndarray
 
 
 def bimodule_as_left_module(u: Bimodule) -> ModuleRep:
@@ -537,16 +545,18 @@ def tensor_over(u: Bimodule, a: ModuleRep) -> TensorModule:
     The full tensor space has basis u_i (x) a_j in u-major lexicographic
     order (index = i * dim A + j); the module is its quotient by the
     balancing subspace, with the S-action induced from s.(u (x) a) =
-    (s u) (x) a.  Memoized.
+    (s u) (x) a.  The projection and section are read-only.  Memoized.
     """
     if a.algebra != u.r_algebra or a.side != LEFT:
         raise AlgebraMismatch("tensor_over expects a left module over the bimodule's right algebra")
     proj, sect = balanced_tensor(bimodule_as_right_module(u), a)
-    p = u.p
+    proj.setflags(write=False)
+    sect.setflags(write=False)
+    p, q = u.p, len(proj)
     # column v * dim A + b of proj @ kron(s_i, I_A) is the sum over w of proj[:, w * dim A + b] s_i[w, v]
-    through = np.einsum("rub,iuv->irvb", proj.array().reshape(proj.rows, u.dim, a.dim), u.left_action) % p
-    action = through.reshape(u.s_algebra.dim, proj.rows, u.dim * a.dim) @ sect.array() % p
-    module = ModuleRep(u.s_algebra, LEFT, proj.rows, action, label=f"U*{a.label or '?'}")
+    through = np.einsum("rub,iuv->irvb", proj.reshape(q, u.dim, a.dim), u.left_action) % p
+    action = through.reshape(u.s_algebra.dim, q, u.dim * a.dim) @ sect % p
+    module = ModuleRep(u.s_algebra, LEFT, q, action, label=f"U*{a.label or '?'}")
     return TensorModule(module, proj, sect)
 
 
@@ -554,15 +564,15 @@ def tensor_map(u: Bimodule, f: ModuleMap) -> ModuleMap:
     """The induced map U (x) f between the tensor quotients."""
     src = tensor_over(u, f.source)
     tgt = tensor_over(u, f.target)
-    iu = FpMatrix.identity(u.p, u.dim)
-    mat = tgt.projection @ kron(iu, f.matrix) @ src.section
+    p = u.p
+    mat = tgt.projection @ np.kron(np.eye(u.dim, dtype=np.int64), f.matrix) % p @ src.section % p
     return ModuleMap(src.module, tgt.module, mat)
 
 
 # -- trace, Gen, isomorphism -------------------------------------------------
 
 
-def _trace_span(generators: Sequence[ModuleRep], m: ModuleRep) -> FpMatrix:
+def _trace_span(generators: Sequence[ModuleRep], m: ModuleRep) -> np.ndarray:
     """Canonical column basis of the trace of the given modules in m.
 
     The trace is the span of the images of a Hom-space basis from each
@@ -576,7 +586,7 @@ def _trace_span(generators: Sequence[ModuleRep], m: ModuleRep) -> FpMatrix:
     cols = np.zeros((m.dim, sum(widths)), dtype=np.int64)
     for (r0, r1, block), c, w in zip(blocks, np.cumsum([0] + widths).tolist(), widths):
         cols[r0:r1, c : c + w] = block.transpose(1, 0, 2).reshape(r1 - r0, w)
-    return column_space_basis(FpMatrix._of(m.p, cols))
+    return column_space_basis(m.p, cols)
 
 
 def trace_of(generators: Sequence[ModuleRep], m: ModuleRep) -> tuple[ModuleRep, ModuleMap]:
@@ -588,7 +598,7 @@ def trace_of(generators: Sequence[ModuleRep], m: ModuleRep) -> tuple[ModuleRep, 
 def gen_member(t: ModuleRep, x: ModuleRep) -> bool:
     """x lies in Gen(t): some power of t maps onto x, i.e. the trace of t in x
     is all of x; builds no submodule.  Memoized."""
-    return _trace_span([t], x).cols == x.dim
+    return _trace_span([t], x).shape[1] == x.dim
 
 
 def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep, cap: int = 16) -> bool:
@@ -632,7 +642,7 @@ def _is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int) -> IsoResult:
     if m.dim != n.dim:
         return IsoResult(False, None)
     if m.dim == 0:
-        return IsoResult(True, ModuleMap(m, n, FpMatrix.zeros(m.p, 0, 0)))
+        return IsoResult(True, ModuleMap(m, n, np.zeros((0, 0), dtype=np.int64)))
     basis = hom_space(m, n)
     h = len(basis)
     if h == 0:
@@ -655,11 +665,11 @@ class ExtensionResult(NamedTuple):
     truncated: bool
 
 
-def _cocycle_system(m: ModuleRep, n: ModuleRep) -> FpMatrix:
+def _cocycle_system(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     """Conditions on the row-major blocks c(e_k) for [[rho_n(e), c(e)], [0, rho_m(e)]]
     to be a module: rows (i, j, a, b) hold entry (a, b) of rho_n(e_i) c(e_j)
     + c(e_i) rho_m(e_j) - c(e_i e_j) (e_j e_i on a right module), and the
-    last n.dim * m.dim rows make c(1) = 0.
+    last n.dim * m.dim rows make c(1) = 0.  Reduced mod p.
     """
     alg = m.algebra
     d = alg.dim
@@ -672,7 +682,7 @@ def _cocycle_system(m: ModuleRep, n: ModuleRep) -> FpMatrix:
         - np.einsum("ijk,ac,be->ijabkce", mul, i_n, i_m)
     ).reshape(d * d * block, d * block)
     unit = np.einsum("k,ac,be->abkce", alg.unit, i_n, i_m).reshape(block, d * block)
-    return FpMatrix(m.p, np.concatenate([cocycle, unit]))
+    return np.concatenate([cocycle, unit]) % m.p
 
 
 def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> ExtensionResult:
@@ -690,30 +700,31 @@ def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> Extensi
     if n.dim * m.dim == 0:
         return ExtensionResult([direct_sum([n, m], algebra=alg, side=m.side).module], False)
 
-    cocycles = kernel_basis(_cocycle_system(m, n))
+    cocycles = kernel_basis(p, _cocycle_system(m, n))
     # coboundaries c(e) = rho_n(e) h - h rho_m(e) of arbitrary linear maps h: m -> n
     cob = intertwining_system(p, n.action, m.action)
-    if cocycles.cols == 0:
-        assert cob.is_zero(), "coboundaries must be cocycles"
-        cob_in_z = FpMatrix.zeros(p, 0, cob.cols)
+    if cocycles.shape[1] == 0:
+        assert not cob.any(), "coboundaries must be cocycles"
+        cob_in_z = np.zeros((0, cob.shape[1]), dtype=np.int64)
     else:
-        cob_in_z = solve(cocycles, cob)
+        cob_in_z = solve(p, cocycles, cob)
         assert cob_in_z is not None, "coboundaries must be cocycles"
-    proj, sect = quotient_space(p, cocycles.cols, cob_in_z)
+    proj, sect = quotient_space(p, cocycles.shape[1], cob_in_z)
+    q = len(proj)
 
-    classes = [v for _, v in zip(range(cap), enumerate_vectors(p, proj.rows))]
-    coeffs = np.array(classes, dtype=np.int64).reshape(len(classes), proj.rows)
+    classes = [v for _, v in zip(range(cap), enumerate_vectors(p, q))]
+    coeffs = np.array(classes, dtype=np.int64).reshape(len(classes), q)
     # column k holds the cocycle blocks c(e) of the k-th enumerated class
-    blocks = cocycles @ sect @ FpMatrix._of(p, coeffs.T.copy())
+    blocks = cocycles @ sect % p @ coeffs.T % p
     base = np.zeros((d, n.dim + m.dim, n.dim + m.dim), dtype=np.int64)
     base[:, : n.dim, : n.dim] = n.action
     base[:, n.dim :, n.dim :] = m.action
     terms = []
-    for cs in blocks.array().T:  # one stack at a time: all classes at once can be a large transient
+    for cs in blocks.T:  # one stack at a time: all classes at once can be a large transient
         stack = base.copy()
         stack[:, : n.dim, n.dim :] = cs.reshape(d, n.dim, m.dim)
         terms.append(ModuleRep(alg, m.side, n.dim + m.dim, stack, label=f"ext({m.label},{n.label})"))
-    return ExtensionResult(terms, p ** proj.rows > cap)
+    return ExtensionResult(terms, p ** q > cap)
 
 
 # -- Hom_S(U, B) as a left R-module -----------------------------------------
@@ -733,6 +744,6 @@ def hom_module(u: Bimodule, b: ModuleRep) -> HomModule:
     h, dr = len(basis), u.r_algebra.dim
     # (r.f) = f r, for all r at once: column i * h + k of the coordinates is basis[k] @ r_i
     moved = (basis[None] @ u.right_action[:, None] % u.p).reshape(dr * h, b.dim, u.dim)
-    action = hom_coords(u.p, basis, moved).array().reshape(h, dr, h).transpose(1, 0, 2)
+    action = hom_coords(u.p, basis, moved).reshape(h, dr, h).transpose(1, 0, 2)
     module = ModuleRep(u.r_algebra, LEFT, h, action, label=f"Hom(U,{b.label})")
     return HomModule(module, basis)

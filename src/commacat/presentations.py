@@ -19,12 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import (
-    FpMatrix,
-    combination_chunks,
-    rank,
-    solve,
-)
+from .linalg import combination_chunks, rank, solve
 from .modules import (
     AlgebraMismatch,
     IsoSearchCapExceeded,
@@ -70,11 +65,11 @@ def validate_presentation(s: Presentation) -> list[dict]:
         violations.append({"kind": "sigma-not-a-map"})
     if not s.witness.is_valid():
         violations.append({"kind": "witness-not-a-map"})
-    if not (s.witness.matrix @ s.sigma.matrix).is_zero():
+    if (s.witness.matrix @ s.sigma.matrix % s.p).any():
         violations.append({"kind": "composite-nonzero"})
-    if rank(s.witness.matrix) != s.target.dim:
+    if rank(s.p, s.witness.matrix) != s.target.dim:
         violations.append({"kind": "witness-not-epi"})
-    if rank(s.sigma.matrix) != s.sigma.target.dim - s.target.dim:
+    if rank(s.p, s.sigma.matrix) != s.sigma.target.dim - s.target.dim:
         violations.append({"kind": "not-exact-at-P0"})
     return violations
 
@@ -83,9 +78,9 @@ def trivial_presentation(m: ModuleRep) -> Presentation:
     """Presentation with P1 = 0 and P0 = M itself (for projective targets)."""
     zero = zero_module(m.algebra, m.side)
     return Presentation(
-        sigma=ModuleMap(zero, m, FpMatrix.zeros(m.p, m.dim, 0)),
+        sigma=ModuleMap(zero, m, np.zeros((m.dim, 0), dtype=np.int64)),
         target=m,
-        witness=ModuleMap(m, m, FpMatrix.identity(m.p, m.dim)),
+        witness=ModuleMap(m, m, np.eye(m.dim, dtype=np.int64)),
     )
 
 
@@ -99,8 +94,8 @@ def _hom_onto(f: ModuleMap, x: ModuleRep) -> bool:
     h_source = hom_dim(f.source, x)
     if not h_source:
         return True
-    composites = hom_space(f.target, x) @ f.matrix.array() % x.p
-    return rank(FpMatrix._of(x.p, composites.reshape(len(composites), x.dim * f.source.dim))) == h_source
+    composites = hom_space(f.target, x) @ f.matrix % x.p
+    return rank(x.p, composites.reshape(len(composites), x.dim * f.source.dim)) == h_source
 
 
 @memo("d_sigma_member")
@@ -131,12 +126,12 @@ def d_sigma_member_oracle(s: Presentation, x: ModuleRep, cap: int = 16) -> bool:
     blocks = [
         np.kron(x.action[i], ip0) - np.kron(ix, p0.action[i].T) for i in range(x.algebra.dim)
     ]
-    blocks.append(np.kron(ix, s.sigma.matrix.array().T))
-    system = FpMatrix(p, np.vstack(blocks))
+    blocks.append(np.kron(ix, s.sigma.matrix.T))
+    system = np.vstack(blocks) % p
     zeros = np.zeros(x.algebra.dim * x.dim * p0.dim, dtype=np.int64)
     for target_map in targets:
-        rhs = FpMatrix(p, np.concatenate([zeros, target_map.reshape(-1)]).reshape(-1, 1))
-        if solve(system, rhs) is None:
+        rhs = np.concatenate([zeros, target_map.reshape(-1)]).reshape(-1, 1)
+        if solve(p, system, rhs) is None:
             return False
     return True
 

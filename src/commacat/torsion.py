@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import TriangularAlgebra
 from .comma import family_membership, from_T_module
-from .linalg import FpMatrix, batched_rref, combination_chunks, enumerate_vectors, hstack, rank
+from .linalg import batched_rref, combination_chunks, enumerate_vectors, rank
 from .modules import (
     ModuleRep,
     direct_sum,
@@ -192,9 +192,9 @@ class Verdict:
 # -- submodule enumeration -----------------------------------------------------
 
 
-def all_subspace_bases(p: int, n: int) -> list[FpMatrix]:
-    """Every subspace of F_p^n exactly once, as its canonical RREF basis."""
-    out = [FpMatrix.zeros(p, n, 0)]
+def all_subspace_bases(p: int, n: int) -> list[np.ndarray]:
+    """Every subspace of F_p^n exactly once, as the columns of its canonical RREF basis."""
+    out = [np.zeros((n, 0), dtype=np.int64)]
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
             free_positions = [
@@ -209,19 +209,19 @@ def all_subspace_bases(p: int, n: int) -> list[FpMatrix]:
                     rows[i, pivots[i]] = 1
                 for (i, j), v in zip(free_positions, values):
                     rows[i, j] = v
-                out.append(FpMatrix(p, rows.T))
+                out.append(rows.T)
     return out
 
 
-def all_submodule_bases(m: ModuleRep) -> list[FpMatrix]:
+def all_submodule_bases(m: ModuleRep) -> list[np.ndarray]:
     """Bases of all action-invariant subspaces."""
     out = []
     for w in all_subspace_bases(m.p, m.dim):
-        if w.cols == 0:
+        if w.shape[1] == 0:
             out.append(w)
             continue
-        width = rank(w)
-        if all(rank(hstack([w, FpMatrix._of(m.p, act @ w.array() % m.p)])) == width for act in m.action):
+        width = rank(m.p, w)
+        if all(rank(m.p, np.hstack([w, act @ w % m.p])) == width for act in m.action):
             out.append(w)
     return out
 
@@ -403,7 +403,7 @@ def is_torsion_class(
                     key = (j, rows.tobytes())
                     ok = image_in_f.get(key)
                     if ok is None:
-                        ok = image_in_f[key] = f.contains(submodule(n, FpMatrix._of(m.p, rows.T.copy()))[0])
+                        ok = image_in_f[key] = f.contains(submodule(n, rows.T)[0])
                     if not ok:
                         certs.append({"clause": "image-closure", "source": i, "target": j,
                                       "map": chunk[k].tolist(), "image_dim": r})

@@ -41,7 +41,7 @@ from .comma import (
     tensor_T_via_algebra,
     to_T_module,
 )
-from .linalg import FpMatrix, column_space_basis, int64_array, rank
+from .linalg import column_space_basis, int64_array, rank
 from .modules import (
     ModuleMap,
     ModuleRep,
@@ -348,9 +348,9 @@ def verify_final_corollaries(
     # (its class is then exactly {0} = Gen 0), so that is the one used.
     zero_r = zero_module(t.r)
     zero_cover = Presentation(
-        sigma=ModuleMap(regular_module(t.r), zero_r, FpMatrix.zeros(t.p, 0, t.r.dim)),
+        sigma=ModuleMap(regular_module(t.r), zero_r, []),
         target=zero_r,
-        witness=ModuleMap(zero_r, zero_r, FpMatrix.zeros(t.p, 0, 0)),
+        witness=ModuleMap(zero_r, zero_r, []),
     )
     pres_b_only = sigma_for_p(t, zero_r, zero_cover, b, sigma_b)
     lhs_b = is_silting(pres_b_only.target, pres_b_only, t_universe).holds
@@ -430,7 +430,7 @@ def round_trip_facts(c: CommaObject, t: TriangularAlgebra) -> dict:
     m = to_T_module(c, t)
     back = from_T_module(m, t)
     return {
-        "witness_valid": back.witness.is_valid() and rank(back.witness.matrix) == m.dim,
+        "witness_valid": back.witness.is_valid() and rank(m.p, back.witness.matrix) == m.dim,
         "isomorphic": comma_is_isomorphic(back.comma, c).isomorphic,
     }
 
@@ -548,10 +548,10 @@ def _records_mismatch(cert: dict, facts: dict) -> bool:
 def _map(src: ModuleRep, tgt: ModuleRep, rows: list) -> Optional[ModuleMap]:
     """The map src -> tgt with matrix ``rows`` (no rows: into the zero
     module), or None if its shape is wrong."""
-    mat = FpMatrix(src.p, rows) if rows else FpMatrix.zeros(src.p, 0, src.dim)
-    if (mat.rows, mat.cols) != (tgt.dim, src.dim):
+    try:
+        return ModuleMap(src, tgt, rows)
+    except ValueError:
         return None
-    return ModuleMap(src, tgt, mat)
 
 
 @_clause("hom-vanishing", x=INDEX, y=INDEX, hom_dim=int, witness=MATRIX)
@@ -560,7 +560,7 @@ def _hom_vanishing(cert: dict, env: dict) -> bool:
     if not cert["hom_dim"] or hom_dim(src, tgt) != cert["hom_dim"]:
         return False
     witness = _map(src, tgt, cert["witness"])
-    return witness is not None and witness.is_valid() and not witness.matrix.is_zero()
+    return witness is not None and witness.is_valid() and bool(witness.matrix.any())
 
 
 @_clause("torsion-sequence", module=INDEX, trace_dim=int, trace_in_x=bool, quotient_in_y=bool)
@@ -616,7 +616,7 @@ def _image_closure(cert: dict, env: dict) -> bool:
     mm = _map(src, tgt, cert["map"])
     if mm is None or not mm.is_valid():
         return False
-    img, _ = submodule(tgt, column_space_basis(mm.matrix))
+    img, _ = submodule(tgt, column_space_basis(src.p, mm.matrix))
     return img.dim == cert["image_dim"] and not env["family"].contains(img)
 
 

@@ -199,15 +199,25 @@ def test_malformed_document_shape_exit_2(runner, tmp_path, command, payload):
 
 
 def _with(families=(), universes=(), task=None):
-    """The sample document with more families and universes, and ``task`` as its only task."""
+    """The sample document with more families and universes, an S-presentation
+    ``triv_Sk`` of Sk, and ``task`` as its only task."""
     data = sample_document()
     data["families"].update(families)
     data["universes"].update(universes)
+    data["presentations"]["triv_Sk"] = {
+        "source": "zeroS", "target": "Sk", "module": "Sk", "sigma": [[]], "witness": [[1]]
+    }
     data["tasks"] = [task]
     return data
 
 
 COMMA_FAMILY = {"kind": "comma", "family": "U", "c": "all_r", "bimodule": "U", "universe": "ut"}
+SILTING_TRANSFER = {"kind": "silting-transfer", "bimodule": "U", "a": "Rk", "sigma_a": "k_from_x", "b": "Sk",
+                    "sigma_b": "triv_Sk", "r_universe": "ur", "s_universe": "us", "t_universe": "ut"}
+
+
+def test_silting_transfer_task_over_matching_universes_parses():
+    parse_document(_with(task=SILTING_TRANSFER))
 
 
 @pytest.mark.parametrize(
@@ -226,9 +236,19 @@ COMMA_FAMILY = {"kind": "comma", "family": "U", "c": "all_r", "bimodule": "U", "
                task={"kind": "is-torsion-pair", "x": "cx", "y": "cx", "universe": "ut"}),
          "families.cx.family"),
         (_with(task={"kind": "is-torsion-class", "family": "gen_k", "universe": "us"}), "tasks[0].family"),
+        (_with(task={"kind": "gen-member", "generator": "Sk", "module": "Rk"}), "tasks[0].module"),
+        (_with(task={"kind": "is-silting", "presentation": "k_from_x", "universe": "us"}), "tasks[0].universe"),
+        (_with(task={"kind": "is-partial-silting", "presentation": "k_from_x", "universe": "us"}),
+         "tasks[0].universe"),
+        (_with(task={"kind": "d-sigma-member", "presentation": "k_from_x", "module": "Sk"}), "tasks[0].module"),
+        (_with(task={**SILTING_TRANSFER, "r_universe": "us"}), "tasks[0].r_universe"),
+        (_with(task={**SILTING_TRANSFER, "s_universe": "ur"}), "tasks[0].s_universe"),
+        (_with(task={**SILTING_TRANSFER, "t_universe": "ur"}), "tasks[0].t_universe"),
     ],
     ids=["universe-over-two-algebras", "gen-module-off-universe", "comma-d-over-r", "comma-family-x",
-         "task-family-off-universe"],
+         "task-family-off-universe", "gen-member-over-two-algebras", "silting-universe-off-presentation",
+         "partial-silting-universe-off-presentation", "d-sigma-module-off-presentation",
+         "transfer-r-universe-over-s", "transfer-s-universe-over-r", "transfer-t-universe-over-r"],
 )
 def test_algebra_or_side_mismatch_is_a_document_error(runner, tmp_path, payload, path):
     with pytest.raises(DocumentError) as err:

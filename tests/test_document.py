@@ -92,7 +92,7 @@ def test_parse_sample():
     assert doc.p == 2
     assert set(doc.algebras) == {"R", "S"}
     assert doc.modules["RR"].dim == 2
-    assert doc.comma_objects["cP"].phi.to_lists() == [[1]]
+    assert doc.comma_objects["cP"].phi.tolist() == [[1]]
     assert len(doc.universes["ut"]) == 4
     assert doc.families["gen_k"].contains(doc.modules["Rk"])
     assert not doc.families["gen_k"].contains(doc.modules["RR"])

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from commacat import memo
+from commacat import linalg, memo
 from commacat.fixtures import load_fixture
 from commacat.linalg import FpMatrix
 from commacat.modules import gen_member, is_isomorphic
@@ -43,21 +45,30 @@ def test_hom_space_calls_of_a_dual_numbers_run():
 
 
 def test_validated_matrices_of_a_dual_numbers_run(monkeypatch):
-    # the same count as the benchmark tracer's linalg.FpMatrix.new (perfbench,
-    # dual-verify): FpMatrix.__init__ validates, FpMatrix._of wraps trusted results.
-    # Action stacks are validated by their module's constructor and are no
-    # FpMatrix, so they add nothing here (2,800 while each action matrix was an FpMatrix).
+    # Maps, comma objects and right T-modules validate their matrix through
+    # linalg.fp_array whether it comes from a document, a fixture or a
+    # computation; this counts those validations over building the dual-numbers
+    # fixture and running it.  Action stacks are validated by their module's
+    # constructor (algebra.frozen_actions) and add nothing here.
     count = 0
-    init = FpMatrix.__init__
+    validate = linalg.fp_array
 
-    def counted(self, *args):
+    def counted(*args, **kwargs):
         nonlocal count
         count += 1
-        init(self, *args)
+        return validate(*args, **kwargs)
 
-    monkeypatch.setattr(FpMatrix, "__init__", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "commacat" and getattr(module, "fp_array", None) is validate:
+            monkeypatch.setattr(module, "fp_array", counted)
+    # FpMatrix is only the argument of rref, wrapped by the unvalidated
+    # FpMatrix._of: the benchmark tracer's linalg.FpMatrix.new, which counts
+    # __init__ calls, reads 0 (2,408 while FpMatrix was the validated value type)
+    inits = []
+    monkeypatch.setattr(FpMatrix, "__init__", lambda self, *args: inits.append(args))
     run_fixture(load_fixture("dual-numbers"))
-    assert count == 2408
+    assert not inits
+    assert count == 2555
 
 
 def test_cached_false_is_a_hit_and_clear_resets():

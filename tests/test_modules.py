@@ -9,7 +9,7 @@ from commacat.algebra import Bimodule, FDAlgebra, dual_numbers_algebra, field_al
 from commacat.comma import CommaObject, RightTModule, validate_comma, validate_right_t
 from commacat.document import parse_document
 from commacat.fixtures import fixture_names, load_fixture
-from commacat.linalg import FpMatrix, enumerate_vectors, inverse, kron, quotient_space, rank
+from commacat.linalg import enumerate_vectors, fp_array, inverse, quotient_space, rank
 from commacat.modules import (
     LEFT,
     RIGHT,
@@ -75,8 +75,8 @@ def test_regular_module_a2_decomposes_into_projectives(a2):
     treg = regular_module(a2.t)
     assert validate_module(treg) == []
     # fixture-supplied idempotent columns: T e11 spans (e_R, e_U), T e22 spans (e_S)
-    cols_e11 = FpMatrix(2, [[1, 0], [0, 1], [0, 0]])
-    cols_e22 = FpMatrix(2, [[0], [0], [1]])
+    cols_e11 = fp_array(2, [[1, 0], [0, 1], [0, 0]])
+    cols_e22 = fp_array(2, [[0], [0], [1]])
     from commacat.modules import submodule
 
     p1, _ = submodule(treg, cols_e11)
@@ -135,7 +135,7 @@ def test_hom_intertwiner_invariant(a2, dual):
                     basis = hom_space(x, y)
                     assert basis.dtype == np.int64 and not basis.flags.writeable
                     assert basis.shape == (hom_dim(x, y), y.dim, x.dim)
-                    assert all(ModuleMap(x, y, FpMatrix(fx.p, h)).is_valid() for h in basis)
+                    assert all(ModuleMap(x, y, h).is_valid() for h in basis)
 
 
 def test_hom_additivity(a2):
@@ -158,29 +158,29 @@ def test_hom_coords_recovers_coefficients(name, a2, dual):
             for n in universe:
                 basis = hom_space(m, n)
                 c = rng.integers(0, p, size=(len(basis), 3))
-                mats = [FpMatrix.zeros(p, n.dim, m.dim) for _ in range(3)]
+                mats = [np.zeros((n.dim, m.dim), dtype=np.int64) for _ in range(3)]
                 for i, b in enumerate(basis):
-                    mats = [x + FpMatrix(p, b * int(c[i, j])) for j, x in enumerate(mats)]
-                got = hom_coords(p, basis, np.stack([x.array() for x in mats]))
-                assert got == FpMatrix(p, c.reshape(len(basis), 3))
+                    mats = [(x + b * int(c[i, j])) % p for j, x in enumerate(mats)]
+                got = hom_coords(p, basis, np.stack(mats))
+                assert np.array_equal(got, c.reshape(len(basis), 3))
 
 
 def test_hom_coords_empty_basis_accepts_only_zero(a2):
     t = a2.t_universe
     basis = hom_space(t["S_S"], t["S_R"])
     assert basis.shape == (0, 1, 1)
-    assert hom_coords(a2.p, basis, np.zeros((2, 1, 1), dtype=np.int64)) == FpMatrix.zeros(a2.p, 0, 2)
+    assert hom_coords(a2.p, basis, np.zeros((2, 1, 1), dtype=np.int64)).shape == (0, 2)
     with pytest.raises(AssertionError):
         hom_coords(a2.p, basis, np.array([[[0]], [[1]]]))
 
 
 def test_submodule_rejects_dependent_or_non_invariant_columns(a2):
     treg = regular_module(a2.t)
-    e_r = FpMatrix(a2.p, [[1], [0], [0]])
+    e_r = fp_array(a2.p, [[1], [0], [0]])
     with pytest.raises(ValueError, match="independent"):
-        submodule(treg, FpMatrix(a2.p, [[1, 1], [0, 0], [0, 0]]))
+        submodule(treg, fp_array(a2.p, [[1, 1], [0, 0], [0, 0]]))
     # U moves e_R into e_U, so the span of e_R alone is not a submodule
-    assert FpMatrix(a2.p, treg.action[1] @ e_r.array()) == FpMatrix(a2.p, [[0], [1], [0]])
+    assert (treg.action[1] @ e_r % a2.p).tolist() == [[0], [1], [0]]
     with pytest.raises(ValueError, match="not invariant"):
         submodule(treg, e_r)
 
@@ -198,7 +198,7 @@ def test_direct_sum_maps_compose_to_identity(a2):
     ds = direct_sum([m, n])
     for inj, proj in zip(ds.injections, ds.projections):
         assert inj.is_valid() and proj.is_valid()
-        assert (proj.matrix @ inj.matrix) == FpMatrix.identity(2, inj.source.dim)
+        assert np.array_equal(proj.matrix @ inj.matrix % 2, np.eye(inj.source.dim, dtype=np.int64))
 
 
 def test_image_kernel_cokernel_identity_and_zero(a2):
@@ -213,7 +213,7 @@ def test_image_kernel_cokernel_identity_and_zero(a2):
 
 def test_kernel_of_projective_cover_is_socle(a2):
     t = a2.t_universe
-    epi = ModuleMap(t["P"], t["S_R"], FpMatrix(2, [[1, 0]]))
+    epi = ModuleMap(t["P"], t["S_R"], [[1, 0]])
     assert epi.is_valid()
     ikc = image_kernel_cokernel(epi)
     assert ikc.image.dim == 1
@@ -248,16 +248,16 @@ def test_tensor_map_functorial(dual):
 
     f = identity_map(r_univ["R"])
     tf = tensor_map(dual.u, f)
-    assert tf.matrix == FpMatrix.identity(2, 1)
+    assert tf.matrix.tolist() == [[1]]
     # zero map tensors to zero
-    z = ModuleMap(r_univ["R"], r_univ["k"], FpMatrix.zeros(2, 1, 2))
-    assert tensor_map(dual.u, z).matrix.is_zero()
+    z = ModuleMap(r_univ["R"], r_univ["k"], [[0, 0]])
+    assert not tensor_map(dual.u, z).matrix.any()
     # composition: (g . h) tensors to the composition, for h multiplication by 1 + x
-    h = ModuleMap(r_univ["R"], r_univ["R"], FpMatrix(2, [[1, 0], [1, 1]]))
-    g = ModuleMap(r_univ["R"], r_univ["k"], FpMatrix(2, [[1, 0]]))
+    h = ModuleMap(r_univ["R"], r_univ["R"], [[1, 0], [1, 1]])
+    g = ModuleMap(r_univ["R"], r_univ["k"], [[1, 0]])
     assert g.is_valid() and h.is_valid()
     lhs = tensor_map(dual.u, compose(g, h))
-    assert lhs.matrix == tensor_map(dual.u, g).matrix @ tensor_map(dual.u, h).matrix
+    assert np.array_equal(lhs.matrix, tensor_map(dual.u, g).matrix @ tensor_map(dual.u, h).matrix % dual.p)
 
 
 def test_tensor_right_exactness(dual):
@@ -266,10 +266,10 @@ def test_tensor_right_exactness(dual):
     for m in univ:
         for n in univ:
             for h in hom_space(m, n):
-                if rank(FpMatrix(dual.p, h)) != n.dim:
+                if rank(dual.p, h) != n.dim:
                     continue
-                th = tensor_map(dual.u, ModuleMap(m, n, FpMatrix(dual.p, h)))
-                assert rank(th.matrix) == th.target.dim
+                th = tensor_map(dual.u, ModuleMap(m, n, h))
+                assert rank(dual.p, th.matrix) == th.target.dim
 
 
 def test_trace_examples(a2):
@@ -334,7 +334,7 @@ def exhaustive_is_isomorphic(m, n, cap=16):
     if m.dim != n.dim:
         return IsoResult(False, None)
     if m.dim == 0:
-        return IsoResult(True, ModuleMap(m, n, FpMatrix.zeros(m.p, 0, 0)))
+        return IsoResult(True, ModuleMap(m, n, []))
     basis = hom_space(m, n)
     h = len(basis)
     if h == 0:
@@ -342,11 +342,11 @@ def exhaustive_is_isomorphic(m, n, cap=16):
     if h > cap:
         raise IsoSearchCapExceeded(f"hom space dimension {h} exceeds cap {cap}")
     for coeffs in enumerate_vectors(m.p, h):
-        mat = FpMatrix.zeros(m.p, n.dim, m.dim)
+        mat = np.zeros((n.dim, m.dim), dtype=np.int64)
         for c, b in zip(coeffs, basis):
             if c:
-                mat = mat + FpMatrix(m.p, b * c)
-        if rank(mat) == m.dim:
+                mat = (mat + b * c) % m.p
+        if rank(m.p, mat) == m.dim:
             return IsoResult(True, ModuleMap(m, n, mat))
     return IsoResult(False, None)
 
@@ -378,7 +378,7 @@ def test_prefilter_agrees_with_exhaustive_search(name, a2, dual):
             assert got.isomorphic == expected.isomorphic, (m, n)
             if expected.isomorphic:
                 positive += 1
-                assert got.witness.matrix == expected.witness.matrix
+                assert np.array_equal(got.witness.matrix, expected.witness.matrix)
                 assert got.witness.source == m and got.witness.target == n
             checked += 1
     assert positive and checked > positive
@@ -448,10 +448,10 @@ def jordan_module(alg, parts):
         for i in range(start, start + a - 1):
             x[i + 1, i] = 1
         start += a
-    g = FpMatrix(3, np.triu((np.arange(dim)[:, None] + 2 * np.arange(dim)) % 3 + 1))
-    xm = inverse(g) @ FpMatrix(3, x) @ g
+    g = np.triu((np.arange(dim)[:, None] + 2 * np.arange(dim)) % 3 + 1)
+    xm = inverse(3, g) @ x % 3 @ g % 3
     label = "J" + "".join(map(str, parts))
-    action = np.array([np.eye(dim, dtype=np.int64), xm.array(), (xm @ xm).array()])
+    action = np.array([np.eye(dim, dtype=np.int64), xm, xm @ xm % 3])
     return ModuleRep(alg, "left", dim, action, label=label)
 
 
@@ -469,7 +469,7 @@ def test_hom_dim_of_jordan_modules_matches_closed_form(a, b):
     m, n = jordan_module(alg, a), jordan_module(alg, b)
     assert not validate_module(m) and not validate_module(n)
     assert hom_dim(m, n) == sum(min(i, j) for i in a for j in b)
-    assert all(ModuleMap(m, n, FpMatrix(3, h)).is_valid() for h in hom_space(m, n))
+    assert all(ModuleMap(m, n, h).is_valid() for h in hom_space(m, n))
 
 
 # -- content-key equality ----------------------------------------------------------
@@ -506,12 +506,12 @@ def _build(kind, p, side, dims, arrays, label):
     if kind == "map":
         src = ModuleRep(alg, side, dims[1], arrays[2], label=label)
         tgt = ModuleRep(alg, side, dims[2], arrays[3], label=label)
-        return ModuleMap(src, tgt, FpMatrix(p, arrays[4]))
+        return ModuleMap(src, tgt, arrays[4])
     du, na, nb = dims[1:]
     u = Bimodule(alg, alg, du, arrays[2], arrays[3], label=label)
     a = ModuleRep(alg, LEFT, na, arrays[4], label=label)
     b = ModuleRep(alg, LEFT, nb, arrays[5], label=label)
-    return CommaObject(u, a, b, FpMatrix(p, arrays[6]), label=label)
+    return CommaObject(u, a, b, arrays[6], label=label)
 
 
 @st.composite
@@ -546,13 +546,7 @@ def _raw_pair(draw, kind):
     return x, (p, side, dims, arrays)
 
 
-def _matrices_equal(xs, ys):
-    return len(xs) == len(ys) and all(
-        a.p == b.p and np.array_equal(a.array(), b.array()) for a, b in zip(xs, ys)
-    )
-
-
-def _stacks_equal(xs, ys):
+def _arrays_equal(xs, ys):
     return xs.shape == ys.shape and np.array_equal(xs, ys)
 
 
@@ -570,27 +564,27 @@ def _reference_equal(x, y):
             _reference_equal(x.s_algebra, y.s_algebra)
             and _reference_equal(x.r_algebra, y.r_algebra)
             and x.dim == y.dim
-            and _stacks_equal(x.left_action, y.left_action)
-            and _stacks_equal(x.right_action, y.right_action)
+            and _arrays_equal(x.left_action, y.left_action)
+            and _arrays_equal(x.right_action, y.right_action)
         )
     if isinstance(x, ModuleRep):
         return (
             _reference_equal(x.algebra, y.algebra)
             and x.side == y.side
             and x.dim == y.dim
-            and _stacks_equal(x.action, y.action)
+            and _arrays_equal(x.action, y.action)
         )
     if isinstance(x, ModuleMap):
         return (
             _reference_equal(x.source, y.source)
             and _reference_equal(x.target, y.target)
-            and _matrices_equal([x.matrix], [y.matrix])
+            and _arrays_equal(x.matrix, y.matrix)
         )
     return (
         _reference_equal(x.bimodule, y.bimodule)
         and _reference_equal(x.A, y.A)
         and _reference_equal(x.B, y.B)
-        and _matrices_equal([x.phi], [y.phi])
+        and _arrays_equal(x.phi, y.phi)
     )
 
 
@@ -614,7 +608,7 @@ def test_content_keys_tell_shapes_apart():
     zero_alg = FDAlgebra(2, np.zeros((0, 0, 0), dtype=np.int64), [])
     m0, m2 = ModuleRep(zero_alg, LEFT, 0, []), ModuleRep(zero_alg, LEFT, 2, [])
     assert m0 != m2
-    assert ModuleMap(m0, m2, FpMatrix.zeros(2, 2, 0)) != ModuleMap(m2, m0, FpMatrix.zeros(2, 0, 2))
+    assert ModuleMap(m0, m2, [[], []]) != ModuleMap(m2, m0, [])
     # equal residues over different moduli
     assert field_algebra(2) != field_algebra(3)
 
@@ -638,28 +632,28 @@ def test_memoized_hom_space_keeps_the_labels_of_the_first_call(a2):
 def expand(p, dim, action, coeffs):
     """Reference: sum_k coeffs[k] action[k], scaled and added one term at a time
     (the loop ``ModuleRep.act`` was)."""
-    out = FpMatrix.zeros(p, dim, dim)
+    out = np.zeros((dim, dim), dtype=np.int64)
     for k, c in enumerate(np.asarray(coeffs, dtype=np.int64)):
         if c % p:
-            out = out + FpMatrix(p, action[k] * int(c))
+            out = (out + action[k] * int(c) % p) % p
     return out
 
 
-def _mats(p, stack):
-    """A stack of action matrices as one FpMatrix per basis element."""
-    return [FpMatrix(p, a) for a in stack]
+def _eq_mod(p, a, b):
+    """a = b mod p."""
+    return np.array_equal(a % p, b % p)
 
 
 def looped_validate_module(m):
     """Reference: ``validate_module`` as one check per pair of basis elements."""
     violations = []
-    alg, action = m.algebra, _mats(m.p, m.action)
-    if expand(m.p, m.dim, m.action, alg.unit) != FpMatrix.identity(m.p, m.dim):
+    p, alg, action = m.p, m.algebra, m.action
+    if not _eq_mod(p, expand(p, m.dim, action, alg.unit), np.eye(m.dim, dtype=np.int64)):
         violations.append({"kind": "unit-action"})
     for i in range(alg.dim):
         for j in range(alg.dim):
             coeffs = alg.mul[i, j, :] if m.side == LEFT else alg.mul[j, i, :]
-            if action[i] @ action[j] != expand(m.p, m.dim, m.action, coeffs):
+            if not _eq_mod(p, action[i] @ action[j], expand(p, m.dim, action, coeffs)):
                 violations.append({"kind": "composition", "pair": [i, j]})
     return violations
 
@@ -668,44 +662,44 @@ def looped_validate_bimodule(u):
     """Reference: ``validate_bimodule`` as one check per pair of basis elements."""
     violations = []
     p, s, r = u.p, u.s_algebra, u.r_algebra
-    left, right = _mats(p, u.left_action), _mats(p, u.right_action)
-    if expand(p, u.dim, u.left_action, s.unit) != FpMatrix.identity(p, u.dim):
+    left, right = u.left_action, u.right_action
+    if not _eq_mod(p, expand(p, u.dim, left, s.unit), np.eye(u.dim, dtype=np.int64)):
         violations.append({"kind": "left-unit"})
-    if expand(p, u.dim, u.right_action, r.unit) != FpMatrix.identity(p, u.dim):
+    if not _eq_mod(p, expand(p, u.dim, right, r.unit), np.eye(u.dim, dtype=np.int64)):
         violations.append({"kind": "right-unit"})
     for i in range(s.dim):
         for j in range(s.dim):
-            if left[i] @ left[j] != expand(p, u.dim, u.left_action, s.mul[i, j, :]):
+            if not _eq_mod(p, left[i] @ left[j], expand(p, u.dim, left, s.mul[i, j, :])):
                 violations.append({"kind": "left-composition", "pair": [i, j]})
     for i in range(r.dim):
         for j in range(r.dim):
-            if right[i] @ right[j] != expand(p, u.dim, u.right_action, r.mul[j, i, :]):
+            if not _eq_mod(p, right[i] @ right[j], expand(p, u.dim, right, r.mul[j, i, :])):
                 violations.append({"kind": "right-composition", "pair": [i, j]})
     for i in range(s.dim):
         for j in range(r.dim):
-            if left[i] @ right[j] != right[j] @ left[i]:
+            if not _eq_mod(p, left[i] @ right[j], right[j] @ left[i]):
                 violations.append({"kind": "actions-commute", "pair": [i, j]})
     return violations
 
 
 def looped_violated_intertwining(f):
     """Reference: ``violated_intertwining`` as one check per basis element."""
-    source, target = _mats(f.matrix.p, f.source.action), _mats(f.matrix.p, f.target.action)
-    return [i for i in range(f.source.algebra.dim) if target[i] @ f.matrix != f.matrix @ source[i]]
+    p, source, target = f.source.p, f.source.action, f.target.action
+    return [i for i in range(f.source.algebra.dim) if not _eq_mod(p, target[i] @ f.matrix, f.matrix @ source[i])]
 
 
 def looped_validate_comma(c):
     """Reference: ``validate_comma`` with one check per balancing relation and per basis element of S."""
     violations = [{"kind": f"component-{name}", "detail": v}
                   for name, comp in (("A", c.A), ("B", c.B)) for v in looped_validate_module(comp)]
-    u = c.bimodule
+    u, p = c.bimodule, c.p
     gens = balancing_generators(bimodule_as_right_module(u), c.A)
-    bad = [j for j in range(gens.cols) if not (c.phi @ gens.block(0, gens.rows, j, j + 1)).is_zero()]
+    bad = [j for j in range(gens.shape[1]) if (c.phi @ gens[:, j : j + 1] % p).any()]
     if bad:
         violations.append({"kind": "phi-balance", "relations": bad})
-    ia, left, b_action = FpMatrix.identity(c.p, c.A.dim), _mats(c.p, u.left_action), _mats(c.p, c.B.action)
+    ia = np.eye(c.A.dim, dtype=np.int64)
     for i in range(u.s_algebra.dim):
-        if c.phi @ kron(left[i], ia) != b_action[i] @ c.phi:
+        if not _eq_mod(p, c.phi @ np.kron(u.left_action[i], ia), c.B.action[i] @ c.phi):
             violations.append({"kind": "phi-linearity", "basis": i})
     return violations
 
@@ -714,13 +708,13 @@ def looped_validate_right_t(rt):
     """Reference: ``validate_right_t`` with one psi-linearity check per basis element of R."""
     violations = [{"kind": f"component-{name}", "detail": v}
                   for name, comp in (("X", rt.X), ("Y", rt.Y)) for v in looped_validate_module(comp)]
-    u = rt.bimodule
+    u, p = rt.bimodule, rt.p
     gens = balancing_generators(rt.Y, bimodule_as_left_module(u))
-    if gens.cols and not (rt.psi @ gens).is_zero():
+    if gens.shape[1] and (rt.psi @ gens % p).any():
         violations.append({"kind": "psi-balance"})
-    iy, right, x_action = FpMatrix.identity(rt.p, rt.Y.dim), _mats(rt.p, u.right_action), _mats(rt.p, rt.X.action)
+    iy = np.eye(rt.Y.dim, dtype=np.int64)
     for i in range(u.r_algebra.dim):
-        if rt.psi @ kron(iy, right[i]) != x_action[i] @ rt.psi:
+        if not _eq_mod(p, rt.psi @ np.kron(iy, u.right_action[i]), rt.X.action[i] @ rt.psi):
             violations.append({"kind": "psi-linearity", "basis": i})
     return violations
 
@@ -728,9 +722,9 @@ def looped_validate_right_t(rt):
 def looped_non_invariant_index(m, sub):
     """Reference: the first basis element that moves the span of ``sub`` out of
     itself, or None, by the loop ``quotient_module`` was."""
-    proj, _ = quotient_space(m.p, m.dim, sub)
-    action = _mats(m.p, m.action)
-    return next((i for i in range(m.algebra.dim) if not (proj @ (action[i] @ sub)).is_zero()), None)
+    p = m.p
+    proj, _ = quotient_space(p, m.dim, sub)
+    return next((i for i in range(m.algebra.dim) if (proj @ (m.action[i] @ sub % p) % p).any()), None)
 
 
 def _regular_bimodule(alg):
@@ -778,10 +772,10 @@ def test_module_law_matches_looped_check(data):
     m = _perturbed_module(data, original)
     assert validate_module(m) == looped_validate_module(m)
     coeffs = data.draw(st.lists(st.integers(0, m.p - 1), min_size=m.algebra.dim, max_size=m.algebra.dim))
-    assert m.act(coeffs) == expand(m.p, m.dim, m.action, coeffs)
-    f = ModuleMap(original, m, FpMatrix(m.p, _perturbed(data, m.p, np.eye(m.dim, dtype=np.int64))))
+    assert np.array_equal(m.act(coeffs), expand(m.p, m.dim, m.action, coeffs))
+    f = ModuleMap(original, m, _perturbed(data, m.p, np.eye(m.dim, dtype=np.int64)))
     assert violated_intertwining(f) == looped_violated_intertwining(f)
-    sub = FpMatrix(m.p, _perturbed(data, m.p, np.eye(m.dim, dtype=np.int64)[:, : data.draw(st.integers(0, m.dim))]))
+    sub = fp_array(m.p, _perturbed(data, m.p, np.eye(m.dim, dtype=np.int64)[:, : data.draw(st.integers(0, m.dim))]))
     moved = looped_non_invariant_index(m, sub)
     if moved is None:
         quotient_module(m, sub)
@@ -794,36 +788,50 @@ def test_module_law_matches_looped_check(data):
     u = Bimodule(u.s_algebra, u.r_algebra, u.dim, actions[:d], actions[d:])
     assert validate_bimodule(u) == looped_validate_bimodule(u)
     c = data.draw(st.sampled_from(commas))
-    phi = FpMatrix(c.p, _perturbed(data, c.p, c.phi.array()))
+    phi = _perturbed(data, c.p, c.phi)
     c = CommaObject(c.bimodule, _perturbed_module(data, c.A), _perturbed_module(data, c.B), phi)
     assert validate_comma(c) == looped_validate_comma(c)
     rt = data.draw(st.sampled_from(right_ts))
-    psi = FpMatrix(rt.p, _perturbed(data, rt.p, rt.psi.array()))
+    psi = _perturbed(data, rt.p, rt.psi)
     rt = RightTModule(rt.bimodule, _perturbed_module(data, rt.X), _perturbed_module(data, rt.Y), psi)
     assert validate_right_t(rt) == looped_validate_right_t(rt)
 
 
 def test_every_action_is_a_frozen_reduced_stack():
     """Every module and bimodule of the fixtures and of the p3 documents holds
-    its action as one read-only int64 stack of the right shape, reduced mod p."""
+    its action as one read-only int64 stack of the right shape, reduced mod p;
+    so does every presentation's sigma and witness matrix, every phi of a comma
+    object and every psi of a right T-module, as a 2-d array."""
     values = []
     for name in fixture_names():
         fx = load_fixture(name)
         values += [fx.u, *fx.r_universe_list(), *fx.s_universe_list(), *fx.t_universe_list()]
-        values += [m for c in fx.comma_universe.values() for m in (c.A, c.B)]
-        values += [m for rt in fx.right_t_universe.values() for m in (rt.X, rt.Y)]
-        values += [m for pres in fx.presentations.values() for m in (pres.sigma.source, pres.sigma.target, pres.target)]
+        values += [m for c in fx.comma_universe.values() for m in (c, c.A, c.B)]
+        values += [m for rt in fx.right_t_universe.values() for m in (rt, rt.X, rt.Y)]
+        values += [m for pres in fx.presentations.values()
+                   for m in (pres.sigma, pres.witness, pres.sigma.source, pres.sigma.target, pres.target)]
     for seed in (11, 12):
         doc = parse_document(_p3doc().generate(seed))
-        values += [*doc.modules.values(), *doc.bimodules.values()]
+        values += [*doc.modules.values(), *doc.bimodules.values(), *doc.comma_objects.values()]
+        values += [*doc.right_t_modules.values(), *(m for pres in doc.presentations.values()
+                                                    for m in (pres.sigma, pres.witness))]
     assert len(values) > 100
+    assert {type(v) for v in values} == {Bimodule, ModuleRep, ModuleMap, CommaObject, RightTModule}
     for v in values:
         if isinstance(v, Bimodule):
-            stacks = [(v.left_action, v.s_algebra.dim), (v.right_action, v.r_algebra.dim)]
+            arrays = [(v.left_action, (v.s_algebra.dim, v.dim, v.dim)),
+                      (v.right_action, (v.r_algebra.dim, v.dim, v.dim))]
+        elif isinstance(v, ModuleRep):
+            arrays = [(v.action, (v.algebra.dim, v.dim, v.dim))]
+        elif isinstance(v, ModuleMap):
+            arrays = [(v.matrix, (v.target.dim, v.source.dim))]
+        elif isinstance(v, CommaObject):
+            arrays = [(v.phi, (v.B.dim, v.bimodule.dim * v.A.dim))]
         else:
-            stacks = [(v.action, v.algebra.dim)]
-        for stack, count in stacks:
-            assert isinstance(stack, np.ndarray) and stack.dtype == np.int64
-            assert stack.shape == (count, v.dim, v.dim)
-            assert not stack.flags.writeable
-            assert ((0 <= stack) & (stack < v.p)).all()
+            arrays = [(v.psi, (v.X.dim, v.Y.dim * v.bimodule.dim))]
+        p = v.source.p if isinstance(v, ModuleMap) else v.p
+        for array, shape in arrays:
+            assert isinstance(array, np.ndarray) and array.dtype == np.int64
+            assert array.shape == shape
+            assert not array.flags.writeable
+            assert ((0 <= array) & (array < p)).all()

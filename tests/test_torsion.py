@@ -41,24 +41,24 @@ def test_submodules_of_projective(a2):
     # P = (k, k, id) has exactly 0, socle S_S, P
     subs = all_submodule_bases(a2.t_universe["P"])
     assert len(subs) == 3
-    dims = sorted(w.cols for w in subs)
+    dims = sorted(w.shape[1] for w in subs)
     assert dims == [0, 1, 2]
 
 
 def test_family_membership_invariance(a2, univ):
     # membership is isomorphism-invariant: evaluate on an isomorphic copy
-    from commacat.linalg import FpMatrix, inverse
+    from commacat.linalg import fp_array, inverse
     from commacat.modules import ModuleRep
 
     fam = family_gen(a2.t_universe["P"], univ)
-    change = FpMatrix(2, [[1, 1], [0, 1]])
-    inv = inverse(change)
+    change = fp_array(2, [[1, 1], [0, 1]])
+    inv = inverse(2, change)
     m = a2.t_universe["P"]
     twisted = ModuleRep(
         m.algebra,
         m.side,
         m.dim,
-        change.array() @ m.action @ inv.array(),
+        change @ m.action @ inv,
         label="P-twisted",
     )
     assert fam.contains(m) == fam.contains(twisted)
@@ -221,7 +221,7 @@ def test_monotonicity_under_universe_shrinking(a2, univ):
 def per_map_image_closure(f, universe):
     """Reference: build and test the image of every enumerated map, as the
     image-closure loop of ``is_torsion_class`` did before it was memoized."""
-    from commacat.linalg import FpMatrix, column_space_basis, combination_chunks
+    from commacat.linalg import column_space_basis, combination_chunks
     from commacat.modules import hom_space, submodule
 
     certs, partial = [], False
@@ -232,15 +232,15 @@ def per_map_image_closure(f, universe):
             if len(basis) > MAP_ENUM_CAP:
                 partial = True
                 continue
-            for mat in (FpMatrix(m.p, a) for chunk in combination_chunks(m.p, basis) for a in chunk):
-                img, _ = submodule(n, column_space_basis(mat))
+            for mat in (a for chunk in combination_chunks(m.p, basis) for a in chunk):
+                img, _ = submodule(n, column_space_basis(m.p, mat))
                 if not f.contains(img):
                     certs.append(
                         {
                             "clause": "image-closure",
                             "source": i,
                             "target": j,
-                            "map": mat.to_lists(),
+                            "map": mat.tolist(),
                             "image_dim": img.dim,
                         }
                     )
@@ -309,7 +309,7 @@ def _jordan_closure_case():
     J2111, and the span of its first two basis vectors is first an image at
     map 6561, in the second chunk: the family of every module but those two
     first fails there."""
-    from commacat.linalg import FpMatrix
+    from commacat.linalg import fp_array
     from commacat.modules import submodule
     from commacat.torsion import ModuleFamily
     from tests.test_hom_blocks import truncated_polynomials
@@ -317,7 +317,7 @@ def _jordan_closure_case():
 
     alg = truncated_polynomials(3, 3)
     src, tgt = jordan_module(alg, (2, 1, 1, 1)), jordan_module(alg, (2, 2))
-    late, _ = submodule(tgt, FpMatrix(3, [[1, 0], [0, 1], [0, 0], [0, 0]]))
+    late, _ = submodule(tgt, fp_array(3, [[1, 0], [0, 1], [0, 0], [0, 0]]))
     universe = [src, tgt]
     # Content, not isomorphism, decides membership: an isomorphism search on
     # End J2111 would pass the search cap.
