@@ -68,10 +68,12 @@ def _verdict_lines(v: dict, indent: int = 0) -> list[str]:
 
 ISO_CAP_HELP = (
     "Hom-dimension cap for the comma isomorphism searches that build a fixture's "
-    "generated comma universe (dual-numbers).  It reaches only that build: "
-    "documents, a2 and every isomorphism search of the tasks use cap 16.  Pairs "
-    "that the universe's invariant key (dimensions and ranks) tells apart are "
-    "never searched, so the cap meets only pairs with equal keys."
+    "generated comma universe (dual-numbers).  It reaches only that build: the "
+    "other searches, of documents, a2 and the tasks, use cap 16, and modules over "
+    "an algebra with at most one generator are compared by Hom dimensions, with "
+    "no search and no cap.  Pairs that the universe's invariant key (dimensions "
+    "and ranks) tells apart are never searched, so the cap meets only pairs with "
+    "equal keys."
 )
 
 

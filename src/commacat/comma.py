@@ -24,8 +24,8 @@ from .algebra import Bimodule, TriangularAlgebra, triangular_algebra
 from .linalg import (
     column_space_basis,
     combination_chunks,
-    first_of_rank,
     fp_array,
+    has_rank,
     intertwining_system,
     kernel_basis,
     rank,
@@ -35,7 +35,6 @@ from .modules import (
     LEFT,
     RIGHT,
     AlgebraMismatch,
-    HomModule,
     IsoResult,
     IsoSearchCapExceeded,
     ModuleMap,
@@ -49,11 +48,11 @@ from .modules import (
     hom_dim,
     hom_module,
     hom_space,
-    image_kernel_cokernel,
     is_isomorphic,
     quotient_module,
     regular_module,
     scatter_blocks,
+    submodule,
     tensor_dim,
     tensor_map,
     tensor_over,
@@ -180,9 +179,9 @@ def _block_diag(*mats: np.ndarray) -> np.ndarray:
 def functor_p(u: Bimodule, a: ModuleRep, b: ModuleRep) -> CommaObject:
     """p(A, B) = (A, FA + B) with phi the inclusion of FA."""
     tensor = tensor_over(u, a)
-    bsum = direct_sum([tensor.module, b], algebra=u.s_algebra, side=LEFT)
+    bsum = direct_sum([tensor.module, b])
     phi = np.vstack([tensor.projection, np.zeros((b.dim, tensor.projection.shape[1]), dtype=np.int64)])
-    return CommaObject(u, a, bsum.module, phi, label=f"p({a.label},{b.label})")
+    return CommaObject(u, a, bsum, phi, label=f"p({a.label},{b.label})")
 
 
 def functor_p_map(u: Bimodule, f: ModuleMap, g: ModuleMap) -> CommaMap:
@@ -202,12 +201,12 @@ def functor_q(c: CommaObject) -> tuple[ModuleRep, ModuleRep]:
 def functor_h(u: Bimodule, a: ModuleRep, b: ModuleRep) -> CommaObject:
     """h(A, B) = (A + Hom_S(U, B), B) with phi the evaluation on the Hom part."""
     hm = hom_module(u, b)
-    asum = direct_sum([a, hm.module], algebra=u.r_algebra, side=LEFT)
-    da = asum.module.dim
+    asum = direct_sum([a, hm.module])
+    da = asum.dim
     # column u_i * da + (a.dim + l) of phi is the image of u_i under basis map l
     phi = np.zeros((b.dim, u.dim, da), dtype=np.int64)
     phi[:, :, a.dim :] = hm.basis.transpose(1, 2, 0)
-    return CommaObject(u, asum.module, b, phi.reshape(b.dim, u.dim * da), label=f"h({a.label},{b.label})")
+    return CommaObject(u, asum, b, phi.reshape(b.dim, u.dim * da), label=f"h({a.label},{b.label})")
 
 
 def functor_h_map(u: Bimodule, f: ModuleMap, g: ModuleMap) -> CommaMap:
@@ -237,8 +236,7 @@ def h_unit(c: CommaObject) -> CommaMap:
     """The unit C -> h(q(C)) of the q -| h adjunction."""
     u = c.bimodule
     tgt = functor_h(u, c.A, c.B)
-    tp = tilde_phi(c)
-    fmat = np.vstack([np.eye(c.A.dim, dtype=np.int64), tp.map.matrix])
+    fmat = np.vstack([np.eye(c.A.dim, dtype=np.int64), tilde_phi(c).matrix])
     return CommaMap(c, tgt, ModuleMap(c.A, tgt.A, fmat), ModuleMap(c.B, tgt.B, np.eye(c.B.dim, dtype=np.int64)))
 
 
@@ -453,20 +451,17 @@ def hom_comma_dim(x: CommaObject, y: CommaObject) -> int:
 
 
 def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16) -> IsoResult:
-    """Exhaustive search for a comma isomorphism (both components invertible).
-
-    The witness is the first isomorphism in enumeration order; for the
-    zero object it is the zero map.
-    """
+    """Exhaustive search for a comma isomorphism (both components invertible)
+    among the p^h morphisms, h = dim Hom(x, y); raises IsoSearchCapExceeded
+    when h > cap.  The zero object is isomorphic to itself."""
     if x.A.dim != y.A.dim or x.B.dim != y.B.dim:
-        return IsoResult(False, None)
+        return IsoResult(False)
     if x.total_dim == 0:
-        zero = np.zeros((0, 0), dtype=np.int64)
-        return IsoResult(True, CommaMap(x, y, ModuleMap(x.A, y.A, zero), ModuleMap(x.B, y.B, zero)))
+        return IsoResult(True)
     fs, gs = hom_comma(x, y)
     h = len(fs)
     if h == 0:
-        return IsoResult(False, None)
+        return IsoResult(False)
     if h > cap:
         raise IsoSearchCapExceeded(f"comma hom dimension {h} exceeds cap {cap}")
     # (f, g) is invertible exactly when the block-diagonal diag(f, g) is,
@@ -475,31 +470,21 @@ def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16) -> IsoRes
     diag = np.zeros((h, da + db, da + db), dtype=np.int64)
     diag[:, :da, :da] = fs
     diag[:, da:, da:] = gs
-    mat = first_of_rank(x.p, diag, da + db)
-    if mat is None:
-        return IsoResult(False, None)
-    f = ModuleMap(x.A, y.A, mat[:da, :da])
-    g = ModuleMap(x.B, y.B, mat[da:, da:])
-    return IsoResult(True, CommaMap(x, y, f, g))
+    return IsoResult(has_rank(x.p, diag, da + db))
 
 
 # -- the adjunct map and shape tests ------------------------------------------
 
 
-class TildePhi(NamedTuple):
-    map: ModuleMap  # A -> Hom_S(U, B) as left R-modules
-    hom: HomModule
-
-
-def tilde_phi(c: CommaObject) -> TildePhi:
-    """The adjunct of phi: tilde_phi(a)(u) = phi(u (x) a)."""
+def tilde_phi(c: CommaObject) -> ModuleMap:
+    """The adjunct of phi, A -> Hom_S(U, B) as left R-modules: tilde_phi(a)(u) = phi(u (x) a)."""
     u = c.bimodule
     hm = hom_module(u, c.B)
     # column u_i * dim A + a_j of phi is phi(u_i (x) a_j), so comps[:, :, j]
     # is the map u -> phi(u (x) a_j)
     comps = c.phi.reshape(c.B.dim, u.dim, c.A.dim)
     mat = hom_coords(c.p, hm.basis, comps.transpose(2, 0, 1))
-    return TildePhi(ModuleMap(c.A, hm.module, mat), hm)
+    return ModuleMap(c.A, hm.module, mat)
 
 
 def phi_descends_to_iso(c: CommaObject) -> bool:
@@ -526,7 +511,7 @@ def hom_formula_applicable(kind: int, source: CommaObject, target: CommaObject) 
         return phi_descends_to_iso(source)
     if kind == 4:
         tp = tilde_phi(target)
-        return tp.map.target.dim == target.A.dim and rank(target.p, tp.map.matrix) == target.A.dim
+        return tp.target.dim == target.A.dim and rank(target.p, tp.matrix) == target.A.dim
     if kind == 5:
         if source.B.dim != 0:
             return False
@@ -550,8 +535,7 @@ def hom_formula(kind: int, source: CommaObject, target: CommaObject) -> int:
         return hom_dim(source.A, target.A)
     if kind in (2, 4):
         return hom_dim(source.B, target.B)
-    tp = tilde_phi(target)
-    return kernel_basis(target.p, tp.map.matrix).shape[1]
+    return kernel_basis(target.p, tilde_phi(target).matrix).shape[1]
 
 
 # -- tensor over T ---------------------------------------------------------------
@@ -666,9 +650,9 @@ def family_parts(c: CommaObject, kind: str) -> Optional[tuple[ModuleRep, ModuleR
         return c.A, coker
     if kind == FAMILY_J:
         tp = tilde_phi(c)
-        if rank(c.p, tp.map.matrix) != tp.map.target.dim:
+        if rank(c.p, tp.matrix) != tp.target.dim:
             return None
-        return image_kernel_cokernel(tp.map).kernel, c.B
+        return submodule(c.A, kernel_basis(c.p, tp.matrix), label="ker")[0], c.B
     raise ValueError(f"family kind must be one of U, B, J: {kind!r}")
 
 
@@ -702,24 +686,20 @@ def sigma_for_p(
     tq0 = to_T_module(comma_from_components(u, b=sigma_b.sigma.target, label="(0,Q0)"), t)
     tp1 = to_T_module(canonical_tensor_comma(u, sigma_a.sigma.source, label="(P1,FP1)"), t)
     tp0 = to_T_module(canonical_tensor_comma(u, sigma_a.sigma.target, label="(P0,FP0)"), t)
-    p1 = direct_sum([tq1, tp1], algebra=t, side=LEFT)
-    p0 = direct_sum([tq0, tp0], algebra=t, side=LEFT)
+    p1 = direct_sum([tq1, tp1])
+    p0 = direct_sum([tq0, tp0])
     f_sigma_a = tensor_map(u, sigma_a.sigma)
     sigma_mat = _block_diag(sigma_b.sigma.matrix, sigma_a.sigma.matrix, f_sigma_a.matrix)
-    target = direct_sum(
-        [
-            to_T_module(comma_from_components(u, b=b, label=f"(0,{b.label})"), t),
-            to_T_module(canonical_tensor_comma(u, a, label=f"({a.label},F{a.label})"), t),
-        ],
-        algebra=t,
-        side=LEFT,
-    )
+    target = direct_sum([
+        to_T_module(comma_from_components(u, b=b, label=f"(0,{b.label})"), t),
+        to_T_module(canonical_tensor_comma(u, a, label=f"({a.label},F{a.label})"), t),
+    ])
     f_witness_a = tensor_map(u, sigma_a.witness)
     witness_mat = _block_diag(sigma_b.witness.matrix, sigma_a.witness.matrix, f_witness_a.matrix)
     return Presentation(
-        sigma=ModuleMap(p1.module, p0.module, sigma_mat),
-        target=target.module.relabel(f"(0,{b.label})+({a.label},F{a.label})"),
-        witness=ModuleMap(p0.module, target.module, witness_mat),
+        sigma=ModuleMap(p1, p0, sigma_mat),
+        target=target.relabel(f"(0,{b.label})+({a.label},F{a.label})"),
+        witness=ModuleMap(p0, target, witness_mat),
     )
 
 

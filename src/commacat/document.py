@@ -61,7 +61,6 @@ class Document:
     # the (algebra, side) of the modules each family decides on; None when nothing fixes it
     family_over: dict[str, Optional[tuple]] = field(default_factory=dict)
     tasks: list[dict] = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
 
 
 def _matrix(p: int, data: Any, path: str, shape: Optional[tuple[int, int]] = None) -> np.ndarray:
@@ -210,7 +209,7 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
         _check_modulus(p)
     except ValueError as exc:
         raise DocumentError("field.p", str(exc)) from None
-    doc = Document(p=p, raw=data)
+    doc = Document(p=p)
 
     for name, path, rec in entries("algebras"):
         try:
@@ -311,6 +310,8 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
             src = resolve_module(rec.get("source", ""), f"{path}.source")
             tgt = resolve_module(rec.get("target", ""), f"{path}.target")
             mod = resolve_module(rec.get("module", ""), f"{path}.module")
+            for key, m in (("source", src), ("module", mod)):
+                _require_over(_over([tgt]), _over([m]), f"{path}.{key}")
             sigma = ModuleMap(src, tgt, _matrix(p, rec.get("sigma", []), f"{path}.sigma", (tgt.dim, src.dim)))
             witness = ModuleMap(tgt, mod, _matrix(p, rec.get("witness", []), f"{path}.witness", (mod.dim, tgt.dim)))
             pres = Presentation(sigma=sigma, target=mod, witness=witness)

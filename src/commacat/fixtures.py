@@ -143,11 +143,11 @@ def dual_numbers_fixture(iso_cap: int = 16, max_total_dim: int = 4) -> Fixture:
 
     rr = regular_module(r, LEFT).relabel("R")
     rk = ModuleRep(r, LEFT, 1, [[[1]], [[0]]], label="k")
-    rk2 = direct_sum([rk, rk], algebra=r, side=LEFT).module.relabel("k2")
+    rk2 = direct_sum([rk, rk]).relabel("k2")
     r_universe = {"0": zero_module(r, LEFT), "k": rk, "R": rr, "k2": rk2}
 
     sk = regular_module(s, LEFT).relabel("k")
-    sk2 = direct_sum([sk, sk], algebra=s, side=LEFT).module.relabel("k2")
+    sk2 = direct_sum([sk, sk]).relabel("k2")
     s_universe = {"0": zero_module(s, LEFT), "k": sk, "k2": sk2}
 
     built = comma_universe(

@@ -25,9 +25,8 @@ result.  Maps, comma objects and right T-modules validate their matrix
 through it, whether it comes from a document, a certificate or a
 computation.  Results this module computes are reduced by construction,
 since its arithmetic applies ``% p`` itself.  A result cut out of a larger
-array (:func:`inverse`, :func:`column_space_basis`, an enumeration witness)
-is copied, so a small matrix never keeps a larger array, such as a whole
-enumeration chunk, alive.
+array (:func:`inverse`, :func:`column_space_basis`) is copied, so a small
+matrix never keeps a larger array alive.
 
 :class:`FpMatrix` is only the argument of :func:`rref`: the benchmark tracer
 (``perfbench/tracer.py``) reads the shape of every traced elimination off
@@ -37,16 +36,16 @@ once per elimination, and :func:`rref` returns the reduced array.
 Exhaustive searches over a space of maps share one enumeration kernel:
 :func:`combination_chunks` yields all p**h linear combinations of a basis
 given as one (h, rows, cols) int64 stack, such as ``modules.hom_space``
-returns, as (k, rows, cols) int64 chunks of bounded size, in the order of
-:func:`enumerate_vectors`, and :func:`batched_rref` runs one Gauss-Jordan
-elimination mod p across a whole chunk at once, giving the reduced form
-and rank of every matrix in it.
+returns, as (k, rows, cols) int64 chunks of bounded size, with coefficient
+tuples in ``itertools.product(range(p), repeat=h)`` order, and
+:func:`batched_rref` runs one Gauss-Jordan elimination mod p across a whole
+chunk at once, giving the reduced form and rank of every matrix in it.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -291,21 +290,6 @@ def quotient_space(p: int, dim: int, sub: np.ndarray) -> tuple[np.ndarray, np.nd
     return projection, section
 
 
-def enumerate_vectors(p: int, dim: int) -> Iterable[tuple[int, ...]]:
-    """All coordinate tuples of F_p^dim in lexicographic order."""
-    if dim == 0:
-        yield ()
-        return
-    total = p ** dim
-    for n in range(total):
-        vec = []
-        m = n
-        for _ in range(dim):
-            vec.append(m % p)
-            m //= p
-        yield tuple(reversed(vec))
-
-
 # -- the enumeration kernel ------------------------------------------------
 
 
@@ -314,8 +298,8 @@ def combination_chunks(p: int, basis: np.ndarray, chunk_size: int = ENUM_CHUNK) 
 
     Yields (k, rows, cols) int64 arrays with k <= chunk_size.  Concatenated,
     they hold sum_i c_i basis[i] for each of the p**h coefficient tuples c
-    of :func:`enumerate_vectors`, in that order; for h = 0 that is the
-    single zero matrix.  Only one chunk is built at a time.
+    of ``itertools.product(range(p), repeat=h)``, in that order; for h = 0
+    that is the single zero matrix.  Only one chunk is built at a time.
     """
     h, rows, cols = basis.shape
     stack = basis.reshape(h, rows * cols)
@@ -371,11 +355,7 @@ def batched_rref(p: int, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, ranks
 
 
-def first_of_rank(p: int, basis: np.ndarray, target: int) -> Optional[np.ndarray]:
-    """First combination of the stack ``basis`` (in enumeration order) of rank ``target``."""
-    for chunk in combination_chunks(p, basis):
-        hits = np.flatnonzero(batched_rref(p, chunk)[1] == target)
-        if hits.size:
-            return chunk[hits[0]].copy()
-    return None
+def has_rank(p: int, basis: np.ndarray, target: int) -> bool:
+    """Whether some combination of the stack ``basis`` has rank ``target``."""
+    return any((batched_rref(p, chunk)[1] == target).any() for chunk in combination_chunks(p, basis))
 

@@ -32,7 +32,8 @@ module labelled ``"U*" + a.label``, not ``U*x``.  The report bytes depend on thi
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+import itertools
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,9 +41,8 @@ from .algebra import Bimodule, FDAlgebra, frozen_actions, module_law
 from .linalg import (
     FpMatrix,
     column_space_basis,
-    enumerate_vectors,
-    first_of_rank,
     fp_array,
+    has_rank,
     intertwining_system,
     inverse,
     kernel_basis,
@@ -408,22 +408,8 @@ def hom_coords(p: int, basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
 # -- sums, subs, quotients --------------------------------------------------
 
 
-class DirectSum(NamedTuple):
-    module: ModuleRep
-    injections: list[ModuleMap]
-    projections: list[ModuleMap]
-
-
-def direct_sum(
-    summands: Sequence[ModuleRep],
-    algebra: Optional[FDAlgebra] = None,
-    side: str = LEFT,
-) -> DirectSum:
-    """Block-diagonal direct sum with its injections and projections."""
-    if not summands:
-        if algebra is None:
-            raise ValueError("empty direct sum needs an explicit algebra")
-        return DirectSum(zero_module(algebra, side), [], [])
+def direct_sum(summands: Sequence[ModuleRep]) -> ModuleRep:
+    """Block-diagonal direct sum of a nonempty list of modules."""
     first = summands[0]
     for m in summands[1:]:
         _require_compatible(first, m)
@@ -434,14 +420,7 @@ def direct_sum(
     for m, offset in zip(summands, offsets):
         stack[:, offset : offset + m.dim, offset : offset + m.dim] = m.action
     label = "(" + "+".join(m.label or "?" for m in summands) + ")"
-    module = ModuleRep(alg, first.side, total, stack, label=label)
-    eye = np.eye(total, dtype=np.int64)
-    injections, projections = [], []
-    for m, offset in zip(summands, offsets):
-        proj = eye[offset : offset + m.dim]
-        injections.append(ModuleMap(m, module, proj.T))
-        projections.append(ModuleMap(module, m, proj))
-    return DirectSum(module, injections, projections)
+    return ModuleRep(alg, first.side, total, stack, label=label)
 
 
 def submodule(m: ModuleRep, basis_cols: np.ndarray, label: str = "") -> tuple[ModuleRep, ModuleMap]:
@@ -473,24 +452,6 @@ def quotient_module(m: ModuleRep, sub_cols: np.ndarray, label: str = "") -> tupl
     action = proj @ m.action % p @ sect % p
     quot = ModuleRep(m.algebra, m.side, len(proj), action, label=label)
     return quot, ModuleMap(m, quot, proj)
-
-
-class ImageKernelCokernel(NamedTuple):
-    image: ModuleRep
-    image_inclusion: ModuleMap
-    kernel: ModuleRep
-    kernel_inclusion: ModuleMap
-    cokernel: ModuleRep
-    cokernel_projection: ModuleMap
-
-
-def image_kernel_cokernel(f: ModuleMap) -> ImageKernelCokernel:
-    ker_cols = kernel_basis(f.source.p, f.matrix)
-    kernel, ker_inc = submodule(f.source, ker_cols, label=f"ker")
-    img_cols = column_space_basis(f.source.p, f.matrix)
-    image, img_inc = submodule(f.target, img_cols, label=f"im")
-    cokernel, coker_proj = quotient_module(f.target, img_cols, label=f"coker")
-    return ImageKernelCokernel(image, img_inc, kernel, ker_inc, cokernel, coker_proj)
 
 
 # -- tensor products --------------------------------------------------------
@@ -607,31 +568,35 @@ def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep, cap: int = 16) -> bool:
     if x.dim == 0:
         return True
     for j in range(1, x.dim + 1):
-        power = direct_sum([t] * j, algebra=t.algebra, side=t.side).module
-        basis = hom_space(power, x)
+        basis = hom_space(direct_sum([t] * j), x)
         if len(basis) > cap:
             raise IsoSearchCapExceeded(f"hom space dimension {len(basis)} exceeds cap {cap}")
-        if first_of_rank(t.p, basis, x.dim) is not None:
+        if has_rank(t.p, basis, x.dim):
             return True
     return False
 
 
 class IsoResult(NamedTuple):
     isomorphic: bool
-    witness: Optional[ModuleMap]
 
 
 def is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int = 16) -> IsoResult:
-    """Exhaustive search for an invertible intertwiner.
+    """Whether m and n are isomorphic.
 
-    Searches all p^h combinations of a Hom-space basis (h = dim Hom(m, n))
-    and returns the first invertible one in enumeration order; raises
-    IsoSearchCapExceeded when h > cap rather than guessing.  The cap is
-    checked first; only then are pairs with dim Hom(n, n), dim Hom(m, m)
-    or dim Hom(n, m) different from h rejected without a search, since
-    isomorphic modules have equal Hom dimensions.  Passing that necessary
-    condition still leads to the full search, so the answer stays exact.
-    Memoized per (source, target, cap).
+    Isomorphic modules have dim Hom(m, n) = dim End m = dim End n =
+    dim Hom(n, m).  Over an algebra with at most one generator
+    (:func:`generator_indices`), F_p[x]/(f), the converse holds too: on each
+    primary part g, dim Hom(M, N) = deg g * sum_k r_k(M) r_k(N), r_k the
+    number of Jordan blocks of size >= k for g(x), so
+    dim End m + dim End n - 2 dim Hom(m, n) = sum_g deg g |r(m) - r(n)|^2
+    (Byrnes and Gauger, Linear and Multilinear Algebra 5, 1977).  There the
+    answer is that equality, with no search and no cap.
+
+    Over other algebras, all p^h combinations of a Hom-space basis
+    (h = dim Hom(m, n)) are searched for an invertible one, and
+    IsoSearchCapExceeded is raised when h > cap rather than guessing.  The
+    cap is checked first; only then are pairs whose Hom dimensions differ
+    rejected without a search.  Memoized per (source, target, cap).
     """
     return _is_isomorphic(m, n, cap)
 
@@ -640,21 +605,21 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int = 16) -> IsoResult:
 def _is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int) -> IsoResult:
     _require_compatible(m, n)
     if m.dim != n.dim:
-        return IsoResult(False, None)
+        return IsoResult(False)
+    if len(generator_indices(m.algebra)) <= 1:
+        h = hom_dim(m, n)
+        return IsoResult(hom_dim(m, m) == h and hom_dim(n, n) == h and hom_dim(n, m) == h)
     if m.dim == 0:
-        return IsoResult(True, ModuleMap(m, n, np.zeros((0, 0), dtype=np.int64)))
+        return IsoResult(True)
     basis = hom_space(m, n)
     h = len(basis)
     if h == 0:
-        return IsoResult(False, None)
+        return IsoResult(False)
     if h > cap:
         raise IsoSearchCapExceeded(f"hom space dimension {h} exceeds cap {cap}")
     if hom_dim(n, n) != h or hom_dim(m, m) != h or hom_dim(n, m) != h:
-        return IsoResult(False, None)
-    mat = first_of_rank(m.p, basis, m.dim)
-    if mat is None:
-        return IsoResult(False, None)
-    return IsoResult(True, ModuleMap(m, n, mat))
+        return IsoResult(False)
+    return IsoResult(has_rank(m.p, basis, m.dim))
 
 
 # -- extensions --------------------------------------------------------------
@@ -698,7 +663,7 @@ def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> Extensi
     _require_compatible(m, n)
     alg, p, d = m.algebra, m.p, m.algebra.dim
     if n.dim * m.dim == 0:
-        return ExtensionResult([direct_sum([n, m], algebra=alg, side=m.side).module], False)
+        return ExtensionResult([direct_sum([n, m])], False)
 
     cocycles = kernel_basis(p, _cocycle_system(m, n))
     # coboundaries c(e) = rho_n(e) h - h rho_m(e) of arbitrary linear maps h: m -> n
@@ -712,7 +677,7 @@ def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> Extensi
     proj, sect = quotient_space(p, cocycles.shape[1], cob_in_z)
     q = len(proj)
 
-    classes = [v for _, v in zip(range(cap), enumerate_vectors(p, q))]
+    classes = list(itertools.islice(itertools.product(range(p), repeat=q), cap))
     coeffs = np.array(classes, dtype=np.int64).reshape(len(classes), q)
     # column k holds the cocycle blocks c(e) of the k-th enumerated class
     blocks = cocycles @ sect % p @ coeffs.T % p

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import TriangularAlgebra
 from .comma import family_membership, from_T_module
-from .linalg import batched_rref, combination_chunks, enumerate_vectors, rank
+from .linalg import batched_rref, combination_chunks, rank
 from .modules import (
     ModuleRep,
     direct_sum,
@@ -203,7 +203,7 @@ def all_subspace_bases(p: int, n: int) -> list[np.ndarray]:
                 for j in range(n)
                 if j > pivots[i] and j not in pivots
             ]
-            for values in enumerate_vectors(p, len(free_positions)):
+            for values in itertools.product(range(p), repeat=len(free_positions)):
                 rows = np.zeros((k, n), dtype=np.int64)
                 for i in range(k):
                     rows[i, pivots[i]] = 1
@@ -415,8 +415,7 @@ def is_torsion_class(
         for j, n in members:
             if max_dim is not None and m.dim + n.dim > max_dim:
                 continue
-            total = direct_sum([m, n], algebra=m.algebra, side=m.side).module
-            if not f.contains(total):
+            if not f.contains(direct_sum([m, n])):
                 certs.append({"clause": "sum-closure", "pair": [i, j]})
     for i, m in members:
         for j, n in members:

@@ -623,7 +623,7 @@ def _image_closure(cert: dict, env: dict) -> bool:
 @_clause("sum-closure", pair=PAIR)
 def _sum_closure(cert: dict, env: dict) -> bool:
     x, y = (env["universe"][i] for i in cert["pair"])
-    return not env["family"].contains(direct_sum([x, y], algebra=x.algebra).module)
+    return not env["family"].contains(direct_sum([x, y]))
 
 
 @_clause("extension-closure", pair=PAIR, middle_dim=int)

@@ -198,15 +198,16 @@ def test_malformed_document_shape_exit_2(runner, tmp_path, command, payload):
     assert result.exit_code == 2, result.output
 
 
-def _with(families=(), universes=(), task=None):
-    """The sample document with more families and universes, an S-presentation
-    ``triv_Sk`` of Sk, and ``task`` as its only task."""
+def _with(families=(), universes=(), task=None, presentations=()):
+    """The sample document with more families, universes and presentations, an
+    S-presentation ``triv_Sk`` of Sk, and ``task`` as its only task."""
     data = sample_document()
     data["families"].update(families)
     data["universes"].update(universes)
     data["presentations"]["triv_Sk"] = {
         "source": "zeroS", "target": "Sk", "module": "Sk", "sigma": [[]], "witness": [[1]]
     }
+    data["presentations"].update(presentations)
     data["tasks"] = [task]
     return data
 
@@ -244,11 +245,19 @@ def test_silting_transfer_task_over_matching_universes_parses():
         (_with(task={**SILTING_TRANSFER, "r_universe": "us"}), "tasks[0].r_universe"),
         (_with(task={**SILTING_TRANSFER, "s_universe": "ur"}), "tasks[0].s_universe"),
         (_with(task={**SILTING_TRANSFER, "t_universe": "ur"}), "tasks[0].t_universe"),
+        (_with(presentations={"s_id": {"source": "zeroR", "target": "Sk", "module": "Sk", "sigma": []}},
+               task={**SILTING_TRANSFER, "sigma_b": "s_id"}),
+         "presentations.s_id.source"),
+        (_with(presentations={"s_r": {"source": "zeroS", "target": "Sk", "module": "Rk", "sigma": [[]],
+                                      "witness": [[1]]}},
+               task={"kind": "hom-table", "universe": "us"}),
+         "presentations.s_r.module"),
     ],
     ids=["universe-over-two-algebras", "gen-module-off-universe", "comma-d-over-r", "comma-family-x",
          "task-family-off-universe", "gen-member-over-two-algebras", "silting-universe-off-presentation",
          "partial-silting-universe-off-presentation", "d-sigma-module-off-presentation",
-         "transfer-r-universe-over-s", "transfer-s-universe-over-r", "transfer-t-universe-over-r"],
+         "transfer-r-universe-over-s", "transfer-s-universe-over-r", "transfer-t-universe-over-r",
+         "presentation-source-over-r", "presentation-module-over-r"],
 )
 def test_algebra_or_side_mismatch_is_a_document_error(runner, tmp_path, payload, path):
     with pytest.raises(DocumentError) as err:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commacat.document import (
@@ -7,6 +7,8 @@ from commacat.document import (
     document_validation_report,
     parse_document,
 )
+from commacat.modules import IsoSearchCapExceeded
+from commacat.tasks import TaskError, run_document
 
 
 def sample_document() -> dict:
@@ -296,4 +298,77 @@ def test_document_mutations_raise_only_document_errors(data):
     try:
         parse_document(doc)
     except DocumentError:
+        pass
+
+
+def rich_document() -> dict:
+    """The sample document with an S-presentation ``triv_Sk`` of Sk, a comma
+    family, and a T hom-table, torsion-class, torsion-pair-oracle,
+    partial-silting and silting-transfer task."""
+    data = sample_document()
+    data["presentations"]["triv_Sk"] = {
+        "source": "zeroS", "target": "Sk", "module": "Sk", "sigma": [[]], "witness": [[1]]
+    }
+    data["families"]["all_s"] = {"kind": "all", "universe": "us"}
+    data["families"]["comma_u"] = {
+        "kind": "comma", "family": "U", "c": "all_r", "d": "all_s", "bimodule": "U", "universe": "ut"
+    }
+    data["tasks"] += [
+        {"kind": "hom-table", "name": "t-homs", "universe": "ut"},
+        {"kind": "is-torsion-class", "name": "tc", "family": "comma_u", "universe": "ut"},
+        {"kind": "torsion-pair-oracle", "name": "tpo", "x": "zero_r", "y": "all_r", "universe": "ur"},
+        {"kind": "is-partial-silting", "name": "psilt", "presentation": "k_from_x", "universe": "ur"},
+        {"kind": "silting-transfer", "name": "st", "bimodule": "U", "a": "Rk", "sigma_a": "k_from_x", "b": "Sk",
+         "sigma_b": "triv_Sk", "r_universe": "ur", "s_universe": "us", "t_universe": "ut"},
+    ]
+    return data
+
+
+_SECTIONS = ("algebras", "bimodules", "modules", "comma_objects", "presentations", "universes", "families")
+
+
+def _references(data):
+    """(path, section) of every string in ``data`` that names an entry of a section."""
+    section_of = {name: section for section in _SECTIONS for name in data[section]}
+    out = []
+    for path in _paths(data):
+        if path[-1] in ("kind", "name", "side") or path[0] == "families" and path[-1] == "family":
+            continue
+        value = data
+        for key in path:
+            value = value[key]
+        if isinstance(value, str) and value in section_of:
+            out.append((path, section_of[value]))
+    return out
+
+
+# Each swap puts another name of the same section at one reference of the rich document.
+_SWAPS = st.lists(
+    st.sampled_from(_references(rich_document())).flatmap(
+        lambda ref: st.tuples(st.just(ref[0]), st.sampled_from(sorted(rich_document()[ref[1]])))
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(swaps=_SWAPS)
+@example(swaps=[(("presentations", "triv_Sk", "source"), "zeroR")])
+def test_reference_swaps_are_rejected_or_run(swaps):
+    """A document that parses runs without a traceback: to a report, a TaskError
+    or an IsoSearchCapExceeded."""
+    data = rich_document()
+    for path, name in swaps:
+        owner = data
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = name
+    try:
+        doc = parse_document(data)
+    except DocumentError:
+        return
+    try:
+        run_document(doc)
+    except (TaskError, IsoSearchCapExceeded):
         pass

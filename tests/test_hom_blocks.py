@@ -171,7 +171,7 @@ def test_hom_of_direct_sums_is_the_full_system_kernel(data, p, name):
     alg = field_algebra(p) if name == "field" else ALGEBRAS[name](p)
     left = data.draw(st.lists(summands(alg), min_size=1, max_size=3))
     right = data.draw(st.lists(summands(alg), min_size=1, max_size=3))
-    m, n = direct_sum(left).module, direct_sum(right).module
+    m, n = direct_sum(left), direct_sum(right)
     assert not validate_module(m) and not validate_module(n)
     assert_matches_full_system(m, n)
     assert_matches_full_system(n, m)
@@ -187,7 +187,7 @@ def test_dim_one_algebra_has_no_generators(p):
     alg = field_algebra(p)
     assert generator_indices(alg) == ()
     k = regular_module(alg)
-    m = direct_sum([k, k, k]).module
+    m = direct_sum([k, k, k])
     for a, b in [(k, m), (m, k), (m, m), (m, zero_module(alg))]:
         assert_matches_full_system(a, b)
     assert hom_dim(m, m) == 9
@@ -203,8 +203,8 @@ def test_spin_with_more_generators_than_needed(p):
     parent = modules._spin(p, 1, 2, modules._packed_blocks(j2)[0][2])[0]
     assert parent.tolist() == [-1, -1]
     k = cyclic_quotient(alg, fp_array(p, [[0], [1]]))
-    mixed = conjugate(direct_sum([j2, k]).module, fp_array(p, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
-    found = [j2, k, regular_module(alg), direct_sum([k, j2]).module, mixed]
+    mixed = conjugate(direct_sum([j2, k]), fp_array(p, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    found = [j2, k, regular_module(alg), direct_sum([k, j2]), mixed]
     for a in found:
         for b in found:
             assert_matches_full_system(a, b)
@@ -261,7 +261,7 @@ def test_non_split_extensions_are_not_split(p, name):
                 non_split += 1
                 # the cocycle couples the block of b with the block of a
                 assert b.dim not in diagonal_blocks(generator_stack(e))
-                split = direct_sum([b, a]).module
+                split = direct_sum([b, a])
                 assert_matches_full_system(e, split)
                 assert_matches_full_system(split, e)
                 assert_matches_full_system(e, e)

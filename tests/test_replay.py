@@ -170,7 +170,7 @@ def _flipped_over_t(fx):
 
 
 def _never_isomorphic(fx):
-    return [(verify, "comma_is_isomorphic", lambda *args: IsoResult(False, None))]
+    return [(verify, "comma_is_isomorphic", lambda *args: IsoResult(False))]
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,15 @@ decorator registers it (verify's ``@_clause``, or the CLI's
 ``@main.command()``), or when it is on ``TEST_FACING``: API that only the
 tests call, every name of which some test must use.
 
-Two more checks of the same kind: every defaulted parameter of a
+Three more checks of the same kind: every defaulted parameter of a
 module-level function is passed by some call in the package (by keyword, by
 position or through ``*``/``**``) unless its function or the parameter itself
-is test-facing, and every method other than a dunder is read somewhere in
-the package outside its own body.
+is test-facing, every method other than a dunder is read somewhere in
+the package outside its own body, and every field of a ``NamedTuple`` or
+dataclass is read as an attribute somewhere in the package.  The field check
+matches by name only, so a field is missed when a field or attribute of the
+same name elsewhere is read: an unread ``witness`` field of one result type
+would pass while ``Presentation.witness`` is read.
 """
 
 import ast
@@ -173,3 +177,29 @@ def test_every_method_is_read():
         )
     ]
     assert not unread, f"methods nothing in src/commacat reads: {unread}"
+
+
+def _record_fields() -> list[str]:
+    """"module: Class.field" for each field of a NamedTuple or dataclass of the package."""
+    return [
+        f"{module}: {cls.name}.{stmt.target.id}"
+        for module, cls in _statements()
+        if isinstance(cls, ast.ClassDef)
+        and (any(ast.unparse(b) == "NamedTuple" for b in cls.bases)
+             or any(ast.unparse(d).split("(")[0] == "dataclass" for d in cls.decorator_list))
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def test_every_record_field_is_read():
+    read = {
+        n.attr
+        for _, stmt in _statements()
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    fields = _record_fields()
+    assert fields
+    unread = [f for f in fields if f.rsplit(".", 1)[1] not in read]
+    assert not unread, f"fields nothing in src/commacat reads: {unread}"
