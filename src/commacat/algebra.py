@@ -235,7 +235,7 @@ def dual_numbers_algebra(p: int, label: str = "") -> FDAlgebra:
     return FDAlgebra(p, mul, [1, 0], label=label or f"F_{p}[x]/(x^2)")
 
 
-def scalar_bimodule(s: FDAlgebra, r: FDAlgebra, label: str = "") -> Optional[Bimodule]:
+def scalar_bimodule(s: FDAlgebra, r: FDAlgebra, label: str) -> Optional[Bimodule]:
     """The one-dimensional bimodule with both units acting as 1 (only for fields)."""
     if s.dim != 1 or r.dim != 1:
         raise ValueError("scalar bimodule needs one-dimensional algebras")

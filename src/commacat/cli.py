@@ -3,7 +3,10 @@
 ``commacat run`` executes the tasks of a JSON document, or the built-in
 tasks of a fixture, and writes a deterministic report (text or JSON) to
 stdout.  ``commacat validate`` checks every invariant of a document, or
-replays the certificates of a previously produced report.
+replays the certificates of a previously produced report.  A fixture
+report records in its ``source`` the fixture and, when ``--max-dim`` was
+given, the bound its comma universe was built within; the replay rebuilds
+the fixture from exactly that, so a report needs no settings repeated.
 
 Exit codes: 0 all tasks executed, 1 output could not be written, 2
 validation failure, 3 task error.
@@ -26,6 +29,7 @@ from typing import Optional
 import click
 
 from . import tasks as task_runner
+from .comma import MAX_TOTAL_DIM
 from .document import JSON_ERRORS, DocumentError, document_validation_report, load_document
 from .fixtures import fixture_names, load_fixture
 from .modules import IsoSearchCapExceeded
@@ -54,7 +58,7 @@ def _report_to_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _verdict_lines(v: dict, indent: int = 0) -> list[str]:
+def _verdict_lines(v: dict, indent: int) -> list[str]:
     pad = " " * indent
     mark = {"holds": "PASS", "fails": "FAIL", "out-of-scope": "SKIP"}[v["result"]]
     lines = [f"{pad}[{mark}] {v['claim']}"]
@@ -64,17 +68,6 @@ def _verdict_lines(v: dict, indent: int = 0) -> list[str]:
     for sub in v.get("sub", []):
         lines.extend(_verdict_lines(sub, indent + 2))
     return lines
-
-
-ISO_CAP_HELP = (
-    "Hom-dimension cap for the comma isomorphism searches that build a fixture's "
-    "generated comma universe (dual-numbers).  It reaches only that build: the "
-    "other searches, of documents, a2 and the tasks, use cap 16, and modules over "
-    "an algebra with at most one generator are compared by Hom dimensions, with "
-    "no search and no cap.  Pairs that the universe's invariant key (dimensions "
-    "and ranks) tells apart are never searched, so the cap meets only pairs with "
-    "equal keys."
-)
 
 
 @click.group()
@@ -91,19 +84,21 @@ def main() -> None:
 @click.option("--task", "task_names", multiple=True,
               help="Only run tasks with this name or kind (repeatable).")
 @click.option("--max-dim", type=click.IntRange(min=0), default=None, envvar="COMMACAT_MAX_DIM",
-              help="Total-dimension cap for built universes.")
-@click.option("--iso-cap", type=click.IntRange(min=0), default=16, show_default=True,
-              help=ISO_CAP_HELP)
+              help=f"Total-dimension bound for a fixture's generated comma universe (default {MAX_TOTAL_DIM}).  "
+                   "When given, it is recorded in the report's source, and validate --certificate reads it "
+                   "from there.")
 def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
-        task_names: tuple[str, ...], max_dim: Optional[int], iso_cap: int) -> None:
+        task_names: tuple[str, ...], max_dim: Optional[int]) -> None:
     """Execute the tasks of DOCUMENT (or of --fixture) and print a report."""
     if not document and not fixture_name:
         click.echo("error: provide a document path or --fixture", err=True)
         sys.exit(2)
     if fixture_name:
         source = {"fixture": fixture_name}
+        if max_dim is not None:
+            source["max_dim"] = max_dim
         try:
-            fx = load_fixture(fixture_name, iso_cap=iso_cap, max_total_dim=max_dim)
+            fx = load_fixture(fixture_name, source.get("max_dim", MAX_TOTAL_DIM))
             results = task_runner.run_fixture(fx, task_names or None)
         except (TaskError, IsoSearchCapExceeded) as exc:
             click.echo(f"task error: {exc}", err=True)
@@ -135,10 +130,7 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
 @click.argument("target", type=click.Path(exists=True, dir_okay=False))
 @click.option("--certificate", is_flag=True,
               help="Treat TARGET as a report and replay its certificates.")
-@click.option("--iso-cap", type=click.IntRange(min=0), default=16, show_default=True,
-              help=ISO_CAP_HELP)
-@click.option("--max-dim", type=click.IntRange(min=0), default=None, envvar="COMMACAT_MAX_DIM")
-def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int]) -> None:
+def validate(target: str, certificate: bool) -> None:
     """Check every invariant of a document, or replay a report's certificates."""
     with open(target, "r", encoding="utf-8") as fh:
         try:
@@ -157,8 +149,13 @@ def validate(target: str, certificate: bool, iso_cap: int, max_dim: Optional[int
         if source["fixture"] not in fixture_names():
             click.echo(f"error: unknown fixture {source['fixture']!r}", err=True)
             sys.exit(2)
+        max_dim = source.get("max_dim", MAX_TOTAL_DIM)
+        if type(max_dim) is not int or max_dim < 0:
+            click.echo(f"error: malformed report: source.max_dim must be a non-negative int, got {max_dim!r}",
+                       err=True)
+            sys.exit(2)
         try:
-            fx = load_fixture(source["fixture"], iso_cap=iso_cap, max_total_dim=max_dim)
+            fx = load_fixture(source["fixture"], max_dim)
             failures, checked = replay_report(data, fx)
         except MalformedReport as exc:
             click.echo(f"error: malformed report: {exc}", err=True)

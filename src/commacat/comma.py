@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Bimodule, TriangularAlgebra, triangular_algebra
+from .algebra import Bimodule, TriangularAlgebra
 from .linalg import (
     column_space_basis,
     combination_chunks,
@@ -32,6 +32,7 @@ from .linalg import (
     solve_each,
 )
 from .modules import (
+    ISO_CAP,
     LEFT,
     RIGHT,
     AlgebraMismatch,
@@ -41,6 +42,8 @@ from .modules import (
     ModuleRep,
     balancing_generators,
     balanced_tensor,
+    bimodule_as_left_module,
+    bimodule_as_right_module,
     diagonal_blocks,
     direct_sum,
     generator_stack,
@@ -56,15 +59,11 @@ from .modules import (
     tensor_dim,
     tensor_map,
     tensor_over,
+    validate_module,
     zero_module,
 )
 from .memo import ContentKeyed, content_bytes, memo, unpack_bytes
 from .presentations import Presentation
-
-
-@memo("triangular_for")
-def triangular_for(u: Bimodule) -> TriangularAlgebra:
-    return triangular_algebra(u.r_algebra, u.s_algebra, u)
 
 
 class CommaObject(ContentKeyed):
@@ -111,15 +110,11 @@ class CommaObject(ContentKeyed):
 
 def validate_comma(c: CommaObject) -> list[dict]:
     """Balance and S-linearity violations of phi (plus component validity)."""
-    from .modules import validate_module
-
     violations = []
     for name, comp in (("A", c.A), ("B", c.B)):
         for v in validate_module(comp):
             violations.append({"kind": f"component-{name}", "detail": v})
     u = c.bimodule
-    from .modules import bimodule_as_right_module
-
     gens = balancing_generators(bimodule_as_right_module(u), c.A)
     if gens.shape[1] and (balance := c.phi @ gens % c.p).any():
         violations.append({"kind": "phi-balance", "relations": np.flatnonzero(balance.any(axis=0)).tolist()})
@@ -157,10 +152,10 @@ def comma_from_components(
     return CommaObject(u, a, b, np.zeros((b.dim, u.dim * a.dim), dtype=np.int64), label=label)
 
 
-def canonical_tensor_comma(u: Bimodule, a: ModuleRep, label: str = "") -> CommaObject:
+def canonical_tensor_comma(u: Bimodule, a: ModuleRep, label: str) -> CommaObject:
     """The object (A, U (x) A) with phi the canonical projection."""
     tensor = tensor_over(u, a)
-    return CommaObject(u, a, tensor.module, tensor.projection, label=label or f"({a.label},F{a.label})")
+    return CommaObject(u, a, tensor.module, tensor.projection, label=label)
 
 
 # -- the three functors ------------------------------------------------------
@@ -243,14 +238,10 @@ def h_unit(c: CommaObject) -> CommaMap:
 # -- the T-module correspondence ----------------------------------------------
 
 
-def to_T_module(c: CommaObject, t: Optional[TriangularAlgebra] = None) -> ModuleRep:
-    """The left T-module on A + B with (r, u, s).(a, b) = (ra, phi(u (x) a) + sb).
-    Memoized per (c, t), with t resolved."""
-    return _to_T_module(c, t or triangular_for(c.bimodule))
-
-
 @memo("to_T_module")
-def _to_T_module(c: CommaObject, t: TriangularAlgebra) -> ModuleRep:
+def to_T_module(c: CommaObject, t: TriangularAlgebra) -> ModuleRep:
+    """The left T-module on A + B with (r, u, s).(a, b) = (ra, phi(u (x) a) + sb).
+    Memoized."""
     bad = validate_comma(c)
     if bad:
         raise ValueError(f"invalid comma object: {bad[0]}")
@@ -326,8 +317,6 @@ class RightTModule(ContentKeyed):
 
 
 def validate_right_t(rt: RightTModule) -> list[dict]:
-    from .modules import bimodule_as_left_module, validate_module
-
     violations = []
     for name, comp in (("X", rt.X), ("Y", rt.Y)):
         for v in validate_module(comp):
@@ -345,12 +334,11 @@ def validate_right_t(rt: RightTModule) -> list[dict]:
 
 
 @memo("right_t_to_module")
-def right_t_to_module(rt: RightTModule, t: Optional[TriangularAlgebra] = None) -> ModuleRep:
+def right_t_to_module(rt: RightTModule, t: TriangularAlgebra) -> ModuleRep:
     """The right T-module on X + Y with (x, y).(r, u, s) = (xr + psi(y (x) u), ys).  Memoized."""
     bad = validate_right_t(rt)
     if bad:
         raise ValueError(f"invalid right T-module: {bad[0]}")
-    t = t or triangular_for(rt.bimodule)
     dx, dy = rt.X.dim, rt.Y.dim
     stack = np.zeros((t.dim, dx + dy, dx + dy), dtype=np.int64)
     stack[t.r_slice, :dx, :dx] = rt.X.action
@@ -450,10 +438,10 @@ def hom_comma_dim(x: CommaObject, y: CommaObject) -> int:
     return sum(len(k) for *_, k in _group_pairs(x, y))
 
 
-def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16) -> IsoResult:
+def comma_is_isomorphic(x: CommaObject, y: CommaObject) -> IsoResult:
     """Exhaustive search for a comma isomorphism (both components invertible)
     among the p^h morphisms, h = dim Hom(x, y); raises IsoSearchCapExceeded
-    when h > cap.  The zero object is isomorphic to itself."""
+    when h > ISO_CAP.  The zero object is isomorphic to itself."""
     if x.A.dim != y.A.dim or x.B.dim != y.B.dim:
         return IsoResult(False)
     if x.total_dim == 0:
@@ -462,8 +450,8 @@ def comma_is_isomorphic(x: CommaObject, y: CommaObject, cap: int = 16) -> IsoRes
     h = len(fs)
     if h == 0:
         return IsoResult(False)
-    if h > cap:
-        raise IsoSearchCapExceeded(f"comma hom dimension {h} exceeds cap {cap}")
+    if h > ISO_CAP:
+        raise IsoSearchCapExceeded(f"comma hom dimension {h} exceeds cap {ISO_CAP}")
     # (f, g) is invertible exactly when the block-diagonal diag(f, g) is,
     # because f and g are square.
     da, db = x.A.dim, x.B.dim
@@ -494,8 +482,6 @@ def phi_descends_to_iso(c: CommaObject) -> bool:
 
 
 def psi_descends_to_iso(rt: RightTModule) -> bool:
-    from .modules import bimodule_as_left_module
-
     return tensor_dim(rt.Y, bimodule_as_left_module(rt.bimodule)) == rt.X.dim and rank(rt.p, rt.psi) == rt.X.dim
 
 
@@ -567,8 +553,6 @@ def tensor_T_bruteforce(rt: RightTModule, c: CommaObject) -> int:
     generators as raw columns and takes the codimension, without going
     through the quotient-space machinery.
     """
-    from .modules import bimodule_as_left_module, bimodule_as_right_module
-
     p = c.p
     u = c.bimodule
     da, db = c.A.dim, c.B.dim
@@ -602,9 +586,8 @@ def tensor_T_bruteforce(rt: RightTModule, c: CommaObject) -> int:
     return full - rank(p, np.stack(cols, axis=1))
 
 
-def tensor_T_via_algebra(rt: RightTModule, c: CommaObject, t: Optional[TriangularAlgebra] = None) -> int:
+def tensor_T_via_algebra(rt: RightTModule, c: CommaObject, t: TriangularAlgebra) -> int:
     """Dimension of the honest balanced tensor product over the algebra T."""
-    t = t or triangular_for(c.bimodule)
     return tensor_dim(right_t_to_module(rt, t), to_T_module(c, t))
 
 
@@ -712,12 +695,15 @@ def components_key(a: ModuleRep, b: ModuleRep) -> tuple:
     return a.dim, b.dim, *(tuple(rank(m.p, x) for x in m.action) for m in (a, b))
 
 
+# The total dimension within which the built-in comma universe is generated.
+MAX_TOTAL_DIM = 4
+
+
 def comma_universe(
     u: Bimodule,
     r_universe: Sequence[ModuleRep],
     s_universe: Sequence[ModuleRep],
-    max_total_dim: int = 4,
-    iso_cap: int = 16,
+    max_total_dim: int = MAX_TOTAL_DIM,
 ) -> list[CommaObject]:
     """All comma objects over pairs from the component universes, every
     valid phi, deduplicated up to comma isomorphism.
@@ -745,7 +731,7 @@ def comma_universe(
                 for phi in chunk @ tensor.projection:
                     cand = CommaObject(u, a, b, phi, label=f"({a.label},{b.label})#{len(out)}")
                     bucket = kept.setdefault((pair_key, rank(p, cand.phi)), [])
-                    if any(comma_is_isomorphic(cand, seen, cap=iso_cap).isomorphic for seen in bucket):
+                    if any(comma_is_isomorphic(cand, seen).isomorphic for seen in bucket):
                         continue
                     bucket.append(cand)
                     out.append(cand)

@@ -14,7 +14,6 @@ Two fixtures, defined in code so they cannot drift:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .algebra import (
     Bimodule,
@@ -26,6 +25,7 @@ from .algebra import (
     triangular_algebra,
 )
 from .comma import (
+    MAX_TOTAL_DIM,
     CommaObject,
     RightTModule,
     comma_from_components,
@@ -134,7 +134,7 @@ def a2_fixture() -> Fixture:
     return fixture
 
 
-def dual_numbers_fixture(iso_cap: int = 16, max_total_dim: int = 4) -> Fixture:
+def dual_numbers_fixture(max_total_dim: int) -> Fixture:
     p = 2
     r = dual_numbers_algebra(p, "R")
     s = field_algebra(p, "S")
@@ -150,13 +150,7 @@ def dual_numbers_fixture(iso_cap: int = 16, max_total_dim: int = 4) -> Fixture:
     sk2 = direct_sum([sk, sk]).relabel("k2")
     s_universe = {"0": zero_module(s, LEFT), "k": sk, "k2": sk2}
 
-    built = comma_universe(
-        u,
-        list(r_universe.values()),
-        list(s_universe.values()),
-        max_total_dim=max_total_dim,
-        iso_cap=iso_cap,
-    )
+    built = comma_universe(u, list(r_universe.values()), list(s_universe.values()), max_total_dim)
     comma = {}
     for idx, c in enumerate(built):
         name = f"c{idx:02d}[{c.A.label},{c.B.label}]"
@@ -202,21 +196,15 @@ def dual_numbers_fixture(iso_cap: int = 16, max_total_dim: int = 4) -> Fixture:
     return fixture
 
 
-_FIXTURE_BUILDERS = {
-    "a2": a2_fixture,
-    "dual-numbers": dual_numbers_fixture,
-}
-
-
 def fixture_names() -> list[str]:
-    return sorted(_FIXTURE_BUILDERS)
+    return ["a2", "dual-numbers"]
 
 
-def load_fixture(name: str, iso_cap: int = 16, max_total_dim: Optional[int] = None) -> Fixture:
-    if name not in _FIXTURE_BUILDERS:
-        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(fixture_names())}")
-    if name != "dual-numbers":
-        return _FIXTURE_BUILDERS[name]()
-    if max_total_dim is None:
-        return dual_numbers_fixture(iso_cap=iso_cap)
-    return dual_numbers_fixture(iso_cap=iso_cap, max_total_dim=max_total_dim)
+def load_fixture(name: str, max_total_dim: int = MAX_TOTAL_DIM) -> Fixture:
+    """The fixture ``name``.  Only dual-numbers generates its comma universe,
+    within ``max_total_dim``; a2 lists its own."""
+    if name == "a2":
+        return a2_fixture()
+    if name == "dual-numbers":
+        return dual_numbers_fixture(max_total_dim)
+    raise KeyError(f"unknown fixture {name!r}; available: {', '.join(fixture_names())}")

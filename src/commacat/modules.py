@@ -66,6 +66,12 @@ class IsoSearchCapExceeded(RuntimeError):
     """The Hom space is too large for exhaustive isomorphism search."""
 
 
+# An exhaustive isomorphism search tries p^h maps, so it is refused past Hom
+# dimension ISO_CAP; at most EXT_CAP extension classes are enumerated per pair.
+ISO_CAP = 16
+EXT_CAP = 64
+
+
 class ModuleRep(ContentKeyed):
     """A left or right module given by one action matrix per basis element: ``action``
     is the read-only (algebra.dim, dim, dim) int64 stack of them, reduced mod p."""
@@ -119,6 +125,7 @@ class ModuleMap(ContentKeyed):
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: ModuleRep, target: ModuleRep, matrix) -> None:
+        _require_compatible(source, target)
         shape = (target.dim, source.dim)
         matrix = fp_array(source.p, matrix, "map matrix", shape)
         if matrix.shape != shape:
@@ -562,7 +569,7 @@ def gen_member(t: ModuleRep, x: ModuleRep) -> bool:
     return _trace_span([t], x).shape[1] == x.dim
 
 
-def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep, cap: int = 16) -> bool:
+def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep, cap: int = ISO_CAP) -> bool:
     """Brute-force surjection search t^j -> x for j <= dim x."""
     _require_compatible(t, x)
     if x.dim == 0:
@@ -580,7 +587,7 @@ class IsoResult(NamedTuple):
     isomorphic: bool
 
 
-def is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int = 16) -> IsoResult:
+def is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int = ISO_CAP) -> IsoResult:
     """Whether m and n are isomorphic.
 
     Isomorphic modules have dim Hom(m, n) = dim End m = dim End n =
@@ -650,7 +657,7 @@ def _cocycle_system(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     return np.concatenate([cocycle, unit]) % m.p
 
 
-def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = 64) -> ExtensionResult:
+def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = EXT_CAP) -> ExtensionResult:
     """Middle terms E of extensions 0 -> n -> E -> m -> 0, one per extension class.
 
     Solves for the cocycle blocks c(e) making

@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg import combination_chunks, rank, solve
 from .modules import (
+    ISO_CAP,
     AlgebraMismatch,
     IsoSearchCapExceeded,
     ModuleMap,
@@ -106,7 +107,7 @@ def d_sigma_member(s: Presentation, x: ModuleRep) -> bool:
     return _hom_onto(s.sigma, x)
 
 
-def d_sigma_member_oracle(s: Presentation, x: ModuleRep, cap: int = 16) -> bool:
+def d_sigma_member_oracle(s: Presentation, x: ModuleRep, cap: int = ISO_CAP) -> bool:
     """Enumerative check: every element of Hom(P1, x) lifts through sigma.
 
     Solves the lifting system afresh for each of the p^h maps instead of

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .comma import (
+    MAX_TOTAL_DIM,
     functor_h,
     functor_p,
     hom_comma_dim,
@@ -213,8 +214,7 @@ def _claim_presentation_decomposition(fx: Fixture) -> list[Verdict]:
                 universe_hash=universe_hash(fx.t_universe_list()),
             )
         )
-        bound = 4  # the universe builder's default total-dimension cap
-        lhs_tc, rhs_a, rhs_b = subs = [is_torsion_class(fam, u, max_dim=bound) for fam, u in classes]
+        lhs_tc, rhs_a, rhs_b = subs = [is_torsion_class(fam, u, max_dim=MAX_TOTAL_DIM) for fam, u in classes]
         agree = lhs_tc.holds == (rhs_a.holds and rhs_b.holds)
         verdicts.append(
             Verdict(

@@ -356,10 +356,9 @@ def torsion_pair_oracle(x: ModuleFamily, y: ModuleFamily, universe: Sequence[Mod
 # -- torsion class --------------------------------------------------------------
 
 # is_torsion_class enumerates the maps of a member/universe pair only up to
-# this Hom dimension, and forms at most EXT_CAP extension classes per pair of
-# members; past either the verdict is flagged partial.
+# this Hom dimension, and forms at most modules.EXT_CAP extension classes per
+# pair of members; past either the verdict is flagged partial.
 MAP_ENUM_CAP = 12
-EXT_CAP = 64
 
 
 def is_torsion_class(
@@ -421,7 +420,7 @@ def is_torsion_class(
         for j, n in members:
             if max_dim is not None and m.dim + n.dim > max_dim:
                 continue
-            res = extension_middle_terms(m, n, cap=EXT_CAP)
+            res = extension_middle_terms(m, n)
             if res.truncated:
                 partial = True
             for e in res.middle_terms:

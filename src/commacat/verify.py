@@ -333,13 +333,17 @@ def verify_final_corollaries(
     """The closing corollaries: silting reductions and the induced
     comma torsion pairs from a silting pair (A, B)."""
     subs: list[Verdict] = []
+    pres_t = sigma_for_p(t, a, sigma_a, b, sigma_b)
+    premise_silting = is_silting(pres_t.target, pres_t, t_universe).holds
+    premise_partial = is_partial_silting(pres_t.target, pres_t, t_universe).holds
 
     s_reg = regular_module(t.s)
     if b.dim == s_reg.dim and is_isomorphic(b, s_reg).isomorphic:
-        pres_t = sigma_for_p(t, a, sigma_a, b, sigma_b)
-        for name, decide in (("silting", is_silting), ("partial-silting", is_partial_silting)):
-            lhs, rhs = decide(pres_t.target, pres_t, t_universe).holds, decide(a, sigma_a, r_universe).holds
-            subs.append(_agreement(f"{name}-vs-component-A", lhs, rhs))
+        for name, decide, lhs in (
+            ("silting", is_silting, premise_silting),
+            ("partial-silting", is_partial_silting, premise_partial),
+        ):
+            subs.append(_agreement(f"{name}-vs-component-A", lhs, decide(a, sigma_a, r_universe).holds))
     else:
         subs.append(Verdict("silting-vs-component-A", "out-of-scope", [], data={"b_is_regular": False}))
 
@@ -355,10 +359,6 @@ def verify_final_corollaries(
     pres_b_only = sigma_for_p(t, zero_r, zero_cover, b, sigma_b)
     lhs_b = is_silting(pres_b_only.target, pres_b_only, t_universe).holds
     subs.append(_agreement("silting-vs-component-B", lhs_b, is_silting(b, sigma_b, s_universe).holds))
-
-    pres_t = sigma_for_p(t, a, sigma_a, b, sigma_b)
-    premise_silting = is_silting(pres_t.target, pres_t, t_universe).holds
-    premise_partial = is_partial_silting(pres_t.target, pres_t, t_universe).holds
 
     gen_a, a_perp, gen_b, b_perp = corollary_families(a, b, r_universe, s_universe)
     for side in ("mono", "adjoint"):
@@ -547,7 +547,8 @@ def _records_mismatch(cert: dict, facts: dict) -> bool:
 
 def _map(src: ModuleRep, tgt: ModuleRep, rows: list) -> Optional[ModuleMap]:
     """The map src -> tgt with matrix ``rows`` (no rows: into the zero
-    module), or None if its shape is wrong."""
+    module), or None if its shape is wrong or src and tgt are not over one
+    algebra and side."""
     try:
         return ModuleMap(src, tgt, rows)
     except ValueError:

@@ -342,44 +342,72 @@ def test_undecodable_input_is_one_line_exit_2(runner, tmp_path, command, content
     assert len(result.stderr.splitlines()) == 1
 
 
-def _dual_numbers_target(command, tmp_path):
-    """Arguments that make ``command`` load the dual-numbers fixture."""
-    if command == "run":
-        return ["run", "--fixture", "dual-numbers"]
-    report_path = tmp_path / "report.json"
-    report_path.write_text('{"source": {"fixture": "dual-numbers"}, "tasks": []}')
-    return ["validate", "--certificate", str(report_path)]
-
-
-@pytest.mark.parametrize("command", ["run", "validate"])
-@pytest.mark.parametrize("option, value", [("--iso-cap", "-1"), ("--max-dim", "-3")])
-def test_negative_caps_exit_2(runner, tmp_path, command, option, value):
-    result = runner.invoke(main, [*_dual_numbers_target(command, tmp_path), option, value])
+@pytest.mark.parametrize("command", ["run"])
+@pytest.mark.parametrize("option, value", [("--max-dim", "-3")])
+def test_negative_caps_exit_2(runner, command, option, value):
+    result = runner.invoke(main, [command, "--fixture", "dual-numbers", option, value])
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.stderr
 
 
-@pytest.mark.parametrize("command", ["run", "validate"])
-def test_iso_cap_help_names_its_reach(runner, command):
+@pytest.mark.parametrize("command, options", [("run", ["--max-dim"]), ("validate", [])], ids=["run", "validate"])
+def test_help_offers_only_the_settings_a_report_cannot_fix(runner, command, options):
     result = runner.invoke(main, [command, "--help"])
     assert result.exit_code == 0
-    assert "It reaches only that build" in " ".join(result.output.split())
+    assert sorted(set(re.findall(r"--(?:iso-cap|max-dim)\b", result.output))) == options
+    if options:
+        assert "recorded in the report's source" in " ".join(result.output.split())
 
 
-def test_iso_cap_does_not_reach_the_tasks(runner):
-    # a2 lists its comma universe, so no search is capped and the report is the default one
-    result = runner.invoke(main, ["run", "--fixture", "a2", "--iso-cap", "0", "--format", "json"])
-    assert result.exit_code == 0, result.output
-    assert hashlib.sha256(result.stdout.encode()).hexdigest() == REPORT_SHA256["a2"]
+def test_max_dim_report_replays_without_the_flag(runner, tmp_path):
+    report = runner.invoke(main, ["run", "--fixture", "dual-numbers", "--max-dim", "3"])
+    assert report.exit_code == 0, report.output
+    assert json.loads(report.stdout)["source"] == {"fixture": "dual-numbers", "max_dim": 3}
+    report_path = tmp_path / "report.json"
+    report_path.write_text(report.stdout)
+    replay = runner.invoke(main, ["validate", "--certificate", str(report_path)])
+    assert (replay.exit_code, replay.output) == (0, "all certificates replayed (71 checked)\n")
 
 
-@pytest.mark.parametrize("command", ["run", "validate"])
-def test_too_small_iso_cap_is_one_task_error_line(runner, tmp_path, command):
-    # building the dual-numbers comma universe needs a comma isomorphism search; the
-    # first one the invariant key does not rule out is between objects with a 3-dim Hom
-    result = runner.invoke(main, [*_dual_numbers_target(command, tmp_path), "--iso-cap", "0"])
+@pytest.mark.parametrize("value", [-1, True, "3", None], ids=["negative", "bool", "str", "null"])
+def test_malformed_source_max_dim_is_one_line_exit_2(runner, tmp_path, value):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps({"source": {"fixture": "dual-numbers", "max_dim": value}, "tasks": []}))
+    result = runner.invoke(main, ["validate", "--certificate", str(report_path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (
+        f"error: malformed report: source.max_dim must be a non-negative int, got {value!r}\n"
+    )
+
+
+# F_2[x, y]/(x, y)^2 on the basis 1, x, y, and its simple module k^5: Hom(k^5, k^5)
+# has dimension 25, so an explicit family's isomorphism search is past the cap.
+WIDE_LOCAL_DOCUMENT = {
+    "field": {"p": 2},
+    "algebras": {
+        "A": {
+            "dim": 3,
+            "mul": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                    [[0, 0, 1], [0, 0, 0], [0, 0, 0]]],
+            "unit": [1, 0, 0],
+        }
+    },
+    "modules": {
+        "k5": {"algebra": "A", "side": "left", "dim": 5,
+               "action": [[[int(i == j) for j in range(5)] for i in range(5)], [[0] * 5] * 5, [[0] * 5] * 5]}
+    },
+    "universes": {"u": ["k5"]},
+    "families": {"k5s": {"kind": "explicit", "modules": ["k5"], "universe": "u"}},
+    "tasks": [{"kind": "is-torsion-class", "family": "k5s", "universe": "u"}],
+}
+
+
+def test_iso_search_past_the_cap_is_one_task_error_line(runner, tmp_path):
+    doc_path = tmp_path / "wide.json"
+    doc_path.write_text(json.dumps(WIDE_LOCAL_DOCUMENT))
+    result = runner.invoke(main, ["run", str(doc_path)])
     assert result.exit_code == 3, result.output
-    assert result.stderr == "task error: comma hom dimension 3 exceeds cap 0\n"
+    assert result.stderr == "task error: hom space dimension 25 exceeds cap 16\n"
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -453,7 +481,7 @@ def test_process_exit_codes_and_error_lines(runner, tmp_path):
     doc_path.write_text(json.dumps(data))
     for args, code in [
         (["run", str(doc_path)], 2),
-        (["run", "--fixture", "dual-numbers", "--iso-cap", "0"], 3),
+        (["run", "--fixture", "a2", "--task", "nope"], 3),
     ]:
         done = _process(["-m", "commacat.cli", *args])
         expected = runner.invoke(main, args)

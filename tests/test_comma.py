@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commacat import comma
-from commacat.algebra import Bimodule, dual_numbers_algebra, field_algebra
+from commacat.algebra import Bimodule, dual_numbers_algebra, field_algebra, triangular_algebra
 from commacat.comma import (
     CommaMap,
     CommaObject,
@@ -661,7 +661,8 @@ def system_universes(a2, dual):
     r_universe = [zero_module(r), ModuleRep(r, LEFT, 1, [[[1]], [[0]]], label="k"), regular_module(r)]
     s_universe = [zero_module(s), regular_module(s), direct_sum([regular_module(s)] * 2)]
     comma = comma_universe(u, r_universe, s_universe, max_total_dim=3)
-    out["f3-dual"] = (comma, [[to_T_module(c) for c in comma], r_universe, s_universe])
+    t = triangular_algebra(r, s, u)
+    out["f3-dual"] = (comma, [[to_T_module(c, t) for c in comma], r_universe, s_universe])
     return out
 
 
@@ -830,8 +831,8 @@ def test_dual_numbers_universe_build_searches_19_pairs(dual, monkeypatch):
     # the key is complete on this fixture: every search it leaves finds an isomorphism
     results = []
 
-    def counted(x, y, cap=16):
-        result = comma_is_isomorphic(x, y, cap=cap)
+    def counted(x, y):
+        result = comma_is_isomorphic(x, y)
         results.append(result.isomorphic)
         return result
 

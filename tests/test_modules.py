@@ -14,6 +14,7 @@ from commacat.linalg import batched_rref, column_space_basis, fp_array, inverse,
 from commacat.modules import (
     LEFT,
     RIGHT,
+    AlgebraMismatch,
     IsoSearchCapExceeded,
     ModuleMap,
     ModuleRep,
@@ -834,6 +835,15 @@ def _perturbed(data, p, array):
     for _ in range(data.draw(st.integers(0, 3)) if flat.size else 0):
         flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(st.integers(0, p - 1))
     return out
+
+
+def test_map_between_algebras_or_sides_is_rejected():
+    r, s = dual_numbers_algebra(2, "R"), field_algebra(2, "S")
+    # before the check, this map validated: the zero module's stack broadcasts
+    with pytest.raises(AlgebraMismatch):
+        ModuleMap(zero_module(r), regular_module(s), np.zeros((1, 0), dtype=np.int64))
+    with pytest.raises(AlgebraMismatch):
+        ModuleMap(regular_module(r, LEFT), regular_module(r, RIGHT), np.eye(2, dtype=np.int64))
 
 
 def _perturbed_module(data, m):

@@ -7,10 +7,12 @@ decorator registers it (verify's ``@_clause``, or the CLI's
 ``@main.command()``), or when it is on ``TEST_FACING``: API that only the
 tests call, every name of which some test must use.
 
-Three more checks of the same kind: every defaulted parameter of a
+Four more checks of the same kind: every defaulted parameter of a
 module-level function is passed by some call in the package (by keyword, by
 position or through ``*``/``**``) unless its function or the parameter itself
-is test-facing, every method other than a dunder is read somewhere in
+is test-facing, and is left out by some call in the package or the tests
+unless its function is test-facing, so that no default goes unused; every
+method other than a dunder is read somewhere in
 the package outside its own body, and every field of a ``NamedTuple`` or
 dataclass is read as an attribute somewhere in the package.  The field check
 matches by name only, so a field is missed when a field or attribute of the
@@ -94,9 +96,14 @@ def test_test_facing_names_are_defined_and_used_by_the_tests():
 
 
 # Defaulted parameters, as "function(parameter)", that only the tests pass: the
-# enumeration chunk size (to cross a chunk boundary) and the isomorphism cap
-# (to provoke IsoSearchCapExceeded).  Some test must pass each of them.
-TEST_FACING_PARAMETERS = {"combination_chunks(chunk_size)", "is_isomorphic(cap)"}
+# enumeration chunk size (to cross a chunk boundary), the isomorphism cap (to
+# provoke IsoSearchCapExceeded) and the extension cap (to truncate).  Some test
+# must pass each of them.
+TEST_FACING_PARAMETERS = {
+    "combination_chunks(chunk_size)",
+    "is_isomorphic(cap)",
+    "extension_middle_terms(cap)",
+}
 
 
 def _calls(tree: ast.AST) -> list[ast.Call]:
@@ -125,25 +132,26 @@ def _passes(call: ast.Call, position: int, name: str) -> bool:
     return position >= 0 and (position < len(call.args) or bool(starred) and starred[0] <= position)
 
 
-def _unpassed_parameters(calls: list[ast.Call]) -> set[str]:
+def _parameters_where(calls: list[ast.Call], passed: bool) -> set[str]:
     """"function(parameter)" for each defaulted parameter of a module-level
-    function of the package that none of ``calls`` passes."""
-    unpassed = set()
+    function of the package that no call of ``calls`` passes (``passed``
+    false) or that every one of them passes (``passed`` true)."""
+    found = set()
     for _, stmt in _statements():
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             callers = [c for c in calls if _callee(c) == stmt.name]
-            unpassed |= {
+            found |= {
                 f"{stmt.name}({name})"
                 for position, name in _defaulted(stmt)
-                if not any(_passes(c, position, name) for c in callers)
+                if all(_passes(c, position, name) == passed for c in callers)
             }
-    return unpassed
+    return found
 
 
 def test_every_defaulted_parameter_is_passed():
     calls = [c for _, stmt in _statements() for c in _calls(stmt)]
     unpassed = {
-        entry for entry in _unpassed_parameters(calls) if entry.split("(")[0] not in TEST_FACING
+        entry for entry in _parameters_where(calls, passed=False) if entry.split("(")[0] not in TEST_FACING
     }
     assert unpassed == TEST_FACING_PARAMETERS, (
         f"parameters no call in src/commacat passes: {sorted(unpassed - TEST_FACING_PARAMETERS)}; "
@@ -151,13 +159,24 @@ def test_every_defaulted_parameter_is_passed():
     )
 
 
-def test_test_facing_parameters_are_passed_by_the_tests():
-    calls = [
+def _test_calls() -> list[ast.Call]:
+    return [
         c
-        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        for path in sorted((ROOT / "tests").glob("*.py"))
         for c in _calls(ast.parse(path.read_text(), filename=str(path)))
     ]
-    assert not TEST_FACING_PARAMETERS & _unpassed_parameters(calls)
+
+
+def test_test_facing_parameters_are_passed_by_the_tests():
+    assert not TEST_FACING_PARAMETERS & _parameters_where(_test_calls(), passed=False)
+
+
+def test_every_default_is_used():
+    """A default that every call in the package and the tests overrides is
+    dead: the parameter should be required."""
+    calls = [c for _, stmt in _statements() for c in _calls(stmt)] + _test_calls()
+    always = {entry for entry in _parameters_where(calls, passed=True) if entry.split("(")[0] not in TEST_FACING}
+    assert not always, f"defaults no call in src/commacat or tests/ uses: {sorted(always)}"
 
 
 def test_every_method_is_read():
