@@ -629,13 +629,13 @@ def family_parts(c: CommaObject, kind: str) -> Optional[tuple[ModuleRep, ModuleR
     if kind == FAMILY_B:
         if rank(c.p, c.phi) != tensor_over(c.bimodule, c.A).module.dim:
             return None
-        coker, _ = quotient_module(c.B, column_space_basis(c.p, c.phi), label="B/im(phi)")
+        coker = quotient_module(c.B, column_space_basis(c.p, c.phi), label="B/im(phi)")
         return c.A, coker
     if kind == FAMILY_J:
         tp = tilde_phi(c)
         if rank(c.p, tp.matrix) != tp.target.dim:
             return None
-        return submodule(c.A, kernel_basis(c.p, tp.matrix), label="ker")[0], c.B
+        return submodule(c.A, kernel_basis(c.p, tp.matrix), label="ker"), c.B
     raise ValueError(f"family kind must be one of U, B, J: {kind!r}")
 
 

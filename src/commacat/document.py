@@ -58,6 +58,8 @@ class Document:
     presentations: dict[str, Presentation] = field(default_factory=dict)
     families: dict[str, ModuleFamily] = field(default_factory=dict)
     universes: dict[str, list[ModuleRep]] = field(default_factory=dict)
+    # the universe each family is declared over: a perp family takes its generators from its ``of`` family's
+    family_universes: dict[str, list[ModuleRep]] = field(default_factory=dict)
     # the (algebra, side) of the modules each family decides on; None when nothing fixes it
     family_over: dict[str, Optional[tuple]] = field(default_factory=dict)
     tasks: list[dict] = field(default_factory=list)
@@ -367,28 +369,25 @@ def _build_family(doc: Document, name: str, rec: dict, path: str) -> ModuleFamil
     over = _over(universe)
     named: list[tuple[str, Optional[tuple]]] = []  # (path, over) of each thing the family names
     if kind == "all":
-        fam = family_all(universe)
+        fam = family_all()
     elif kind == "zero":
-        fam = family_zero(universe)
+        fam = family_zero()
     elif kind in ("explicit", "perp_right_modules"):
         mods = _module_list(doc, rec, path)
         named = [(f"{path}.modules[{i}]", _over([m])) for i, m in enumerate(mods)]
-        if kind == "explicit":
-            fam = family_explicit(mods, universe, label=name)
-        else:
-            fam = perp_right_modules(mods, universe, label=name)
+        fam = (family_explicit if kind == "explicit" else perp_right_modules)(mods)
     elif kind == "gen":
         mod = _lookup(doc.modules, rec.get("module", ""), path, "module")
         named = [(f"{path}.module", _over([mod]))]
-        fam = family_gen(mod, universe, label=name)
+        fam = family_gen(mod)
     elif kind == "d_sigma":
         pres = _lookup(doc.presentations, rec.get("presentation", ""), path, "presentation")
         named = [(f"{path}.presentation", _over([pres.target]))]
-        fam = family_d_sigma(pres, universe, label=name)
+        fam = family_d_sigma(pres)
     elif kind in ("perp_right", "perp_left"):
         of = _lookup(doc.families, rec.get("of", ""), path, "family")
         named = [(f"{path}.of", doc.family_over[rec.get("of", "")])]
-        fam = (perp_right if kind == "perp_right" else perp_left)(of, universe)
+        fam = (perp_right if kind == "perp_right" else perp_left)(of, doc.family_universes[rec["of"]])
     elif kind == "comma":
         cfam = _lookup(doc.families, rec.get("c", ""), path, "family")
         dfam = _lookup(doc.families, rec.get("d", ""), path, "family")
@@ -401,13 +400,14 @@ def _build_family(doc: Document, name: str, rec: dict, path: str) -> ModuleFamil
         t = doc.triangulars[u.label]
         _require_over((t, LEFT), over, f"{path}.universe")
         over = (t, LEFT)
-        fam = comma_family(family, cfam, dfam, t, universe, label=name)
+        fam = comma_family(family, cfam, dfam, t)
     else:
         raise DocumentError(path, f"unknown family kind {kind!r}")
     for sub, got in named:
         _require_over(over, got, sub)
         over = over or got
     doc.family_over[name] = over
+    doc.family_universes[name] = universe
     fam.label = name
     return fam
 

@@ -48,6 +48,7 @@ from .presentations import Presentation, trivial_presentation
 class Fixture:
     name: str
     p: int
+    max_dim: int  # the bound load_fixture received: sums and extensions of torsion-class checks stay within it
     r: FDAlgebra
     s: FDAlgebra
     u: Bimodule
@@ -76,7 +77,7 @@ class Fixture:
         return list(self.s_universe.values())
 
 
-def a2_fixture() -> Fixture:
+def a2_fixture(max_total_dim: int) -> Fixture:
     p = 2
     r = field_algebra(p, "R")
     s = field_algebra(p, "S")
@@ -110,6 +111,7 @@ def a2_fixture() -> Fixture:
     fixture = Fixture(
         name="a2",
         p=p,
+        max_dim=max_total_dim,
         r=r,
         s=s,
         u=u,
@@ -173,6 +175,7 @@ def dual_numbers_fixture(max_total_dim: int) -> Fixture:
     fixture = Fixture(
         name="dual-numbers",
         p=p,
+        max_dim=max_total_dim,
         r=r,
         s=s,
         u=u,
@@ -201,10 +204,10 @@ def fixture_names() -> list[str]:
 
 
 def load_fixture(name: str, max_total_dim: int = MAX_TOTAL_DIM) -> Fixture:
-    """The fixture ``name``.  Only dual-numbers generates its comma universe,
-    within ``max_total_dim``; a2 lists its own."""
+    """The fixture ``name``, recording ``max_total_dim`` as its ``max_dim``.
+    Only dual-numbers generates its comma universe within it; a2 lists its own."""
     if name == "a2":
-        return a2_fixture()
+        return a2_fixture(max_total_dim)
     if name == "dual-numbers":
         return dual_numbers_fixture(max_total_dim)
     raise KeyError(f"unknown fixture {name!r}; available: {', '.join(fixture_names())}")

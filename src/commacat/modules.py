@@ -17,7 +17,7 @@ that satisfy M's relations (Assem, Simson and Skowronski, Elements of the
 Representation Theory of Associative Algebras 1, ch. I-III).  A MeatAxe spin
 (Parker 1984) under the algebra generators, enough by the module law, presents
 each diagonal block of M (:func:`_spin`); each block pair is solved once
-(:func:`_hom_block`).  :func:`hom_dim` counts its kernel, :func:`trace_of`
+(:func:`_hom_block`).  :func:`hom_dim` counts its kernel, :func:`trace_span`
 spans its images, and only :func:`hom_space` lifts it to a basis: one frozen
 (h, n.dim, m.dim) stack of matrices, which callers compose in one batched
 product and enumerate with :func:`~commacat.linalg.combination_chunks`.
@@ -32,7 +32,6 @@ module labelled ``"U*" + a.label``, not ``U*x``.  The report bytes depend on thi
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +40,7 @@ from .algebra import Bimodule, FDAlgebra, frozen_actions, module_law
 from .linalg import (
     FpMatrix,
     column_space_basis,
+    combination_chunks,
     fp_array,
     has_rank,
     intertwining_system,
@@ -430,8 +430,8 @@ def direct_sum(summands: Sequence[ModuleRep]) -> ModuleRep:
     return ModuleRep(alg, first.side, total, stack, label=label)
 
 
-def submodule(m: ModuleRep, basis_cols: np.ndarray, label: str = "") -> tuple[ModuleRep, ModuleMap]:
-    """Submodule on an invariant column span, with its inclusion.
+def submodule(m: ModuleRep, basis_cols: np.ndarray, label: str = "") -> ModuleRep:
+    """Submodule on an invariant column span.
 
     ``basis_cols`` is a 2-d int64 array reduced mod p.  Its columns must be
     linearly independent and their span invariant under every action
@@ -443,13 +443,12 @@ def submodule(m: ModuleRep, basis_cols: np.ndarray, label: str = "") -> tuple[Mo
     action = solve_each(m.p, basis_cols, m.action @ basis_cols % m.p)
     if action is None:
         raise ValueError("span is not invariant under the action")
-    sub = ModuleRep(m.algebra, m.side, width, action[0], label=label)
-    return sub, ModuleMap(sub, m, basis_cols)
+    return ModuleRep(m.algebra, m.side, width, action[0], label=label)
 
 
-def quotient_module(m: ModuleRep, sub_cols: np.ndarray, label: str = "") -> tuple[ModuleRep, ModuleMap]:
+def quotient_module(m: ModuleRep, sub_cols: np.ndarray, label: str = "") -> ModuleRep:
     """Quotient by the invariant column span of ``sub_cols`` (a 2-d int64
-    array reduced mod p), with its projection."""
+    array reduced mod p), on the complement :func:`~commacat.linalg.quotient_space` picks."""
     p = m.p
     proj, sect = quotient_space(p, m.dim, sub_cols)
     if sub_cols.shape[1]:
@@ -457,8 +456,7 @@ def quotient_module(m: ModuleRep, sub_cols: np.ndarray, label: str = "") -> tupl
         if moved.any():
             raise ValueError(f"span is not invariant under basis element {np.flatnonzero(moved)[0]}")
     action = proj @ m.action % p @ sect % p
-    quot = ModuleRep(m.algebra, m.side, len(proj), action, label=label)
-    return quot, ModuleMap(m, quot, proj)
+    return ModuleRep(m.algebra, m.side, len(proj), action, label=label)
 
 
 # -- tensor products --------------------------------------------------------
@@ -540,7 +538,7 @@ def tensor_map(u: Bimodule, f: ModuleMap) -> ModuleMap:
 # -- trace, Gen, isomorphism -------------------------------------------------
 
 
-def _trace_span(generators: Sequence[ModuleRep], m: ModuleRep) -> np.ndarray:
+def trace_span(generators: Sequence[ModuleRep], m: ModuleRep) -> np.ndarray:
     """Canonical column basis of the trace of the given modules in m.
 
     The trace is the span of the images of a Hom-space basis from each
@@ -557,16 +555,11 @@ def _trace_span(generators: Sequence[ModuleRep], m: ModuleRep) -> np.ndarray:
     return column_space_basis(m.p, cols)
 
 
-def trace_of(generators: Sequence[ModuleRep], m: ModuleRep) -> tuple[ModuleRep, ModuleMap]:
-    """Largest submodule of m generated by the given modules, with its inclusion."""
-    return submodule(m, _trace_span(generators, m), label="trace")
-
-
 @memo("gen_member")
 def gen_member(t: ModuleRep, x: ModuleRep) -> bool:
     """x lies in Gen(t): some power of t maps onto x, i.e. the trace of t in x
     is all of x; builds no submodule.  Memoized."""
-    return _trace_span([t], x).shape[1] == x.dim
+    return trace_span([t], x).shape[1] == x.dim
 
 
 def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep, cap: int = ISO_CAP) -> bool:
@@ -587,7 +580,8 @@ class IsoResult(NamedTuple):
     isomorphic: bool
 
 
-def is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int = ISO_CAP) -> IsoResult:
+@memo("is_isomorphic")
+def is_isomorphic(m: ModuleRep, n: ModuleRep) -> IsoResult:
     """Whether m and n are isomorphic.
 
     Isomorphic modules have dim Hom(m, n) = dim End m = dim End n =
@@ -601,15 +595,10 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int = ISO_CAP) -> IsoResult:
 
     Over other algebras, all p^h combinations of a Hom-space basis
     (h = dim Hom(m, n)) are searched for an invertible one, and
-    IsoSearchCapExceeded is raised when h > cap rather than guessing.  The
-    cap is checked first; only then are pairs whose Hom dimensions differ
-    rejected without a search.  Memoized per (source, target, cap).
+    IsoSearchCapExceeded is raised when h > ISO_CAP rather than guessing.
+    The cap is checked first; only then are pairs whose Hom dimensions differ
+    rejected without a search.  Memoized.
     """
-    return _is_isomorphic(m, n, cap)
-
-
-@memo("is_isomorphic")
-def _is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int) -> IsoResult:
     _require_compatible(m, n)
     if m.dim != n.dim:
         return IsoResult(False)
@@ -622,8 +611,8 @@ def _is_isomorphic(m: ModuleRep, n: ModuleRep, cap: int) -> IsoResult:
     h = len(basis)
     if h == 0:
         return IsoResult(False)
-    if h > cap:
-        raise IsoSearchCapExceeded(f"hom space dimension {h} exceeds cap {cap}")
+    if h > ISO_CAP:
+        raise IsoSearchCapExceeded(f"hom space dimension {h} exceeds cap {ISO_CAP}")
     if hom_dim(n, n) != h or hom_dim(m, m) != h or hom_dim(n, m) != h:
         return IsoResult(False)
     return IsoResult(has_rank(m.p, basis, m.dim))
@@ -657,15 +646,15 @@ def _cocycle_system(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     return np.concatenate([cocycle, unit]) % m.p
 
 
-def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = EXT_CAP) -> ExtensionResult:
+def extension_middle_terms(m: ModuleRep, n: ModuleRep) -> ExtensionResult:
     """Middle terms E of extensions 0 -> n -> E -> m -> 0, one per extension class.
 
     Solves for the cocycle blocks c(e) making
     [[rho_n(e), c(e)], [0, rho_m(e)]] a module structure, quotients by
     coboundaries, and realizes one E per class in enumeration order (split
     class first), isomorphic middle terms of distinct classes included.  The
-    list of enumerated classes is capped; ``truncated`` reports whether
-    classes were dropped.
+    list of enumerated classes is capped at EXT_CAP; ``truncated`` reports
+    whether classes were dropped.
     """
     _require_compatible(m, n)
     alg, p, d = m.algebra, m.p, m.algebra.dim
@@ -684,19 +673,19 @@ def extension_middle_terms(m: ModuleRep, n: ModuleRep, cap: int = EXT_CAP) -> Ex
     proj, sect = quotient_space(p, cocycles.shape[1], cob_in_z)
     q = len(proj)
 
-    classes = list(itertools.islice(itertools.product(range(p), repeat=q), cap))
-    coeffs = np.array(classes, dtype=np.int64).reshape(len(classes), q)
-    # column k holds the cocycle blocks c(e) of the k-th enumerated class
-    blocks = cocycles @ sect % p @ coeffs.T % p
+    # row k of the first chunk holds the cocycle blocks c(e) of the k-th class,
+    # combined from the lifts of a basis of cocycles modulo coboundaries
+    lifts = (cocycles @ sect % p).T
+    blocks = next(combination_chunks(p, lifts[:, :, None], EXT_CAP))
     base = np.zeros((d, n.dim + m.dim, n.dim + m.dim), dtype=np.int64)
     base[:, : n.dim, : n.dim] = n.action
     base[:, n.dim :, n.dim :] = m.action
     terms = []
-    for cs in blocks.T:  # one stack at a time: all classes at once can be a large transient
+    for cs in blocks:  # one stack at a time: all classes at once can be a large transient
         stack = base.copy()
         stack[:, : n.dim, n.dim :] = cs.reshape(d, n.dim, m.dim)
         terms.append(ModuleRep(alg, m.side, n.dim + m.dim, stack, label=f"ext({m.label},{n.label})"))
-    return ExtensionResult(terms, p ** q > cap)
+    return ExtensionResult(terms, p ** q > EXT_CAP)
 
 
 # -- Hom_S(U, B) as a left R-module -----------------------------------------

@@ -8,7 +8,8 @@ For a presentation sigma, a module X belongs to the associated class
 when composition with sigma maps Hom(P0, X) onto Hom(P1, X).  Silting
 and partial silting are decided against a declared finite universe of
 modules, and the verdicts carry the failing witnesses plus a hash of the
-universe so certificates are reproducible.
+universe so certificates are reproducible.  :class:`Verdict` is the record
+every decider of the package returns, these two and the torsion deciders included.
 """
 
 from __future__ import annotations
@@ -158,48 +159,51 @@ def _universe_hash(universe: tuple[ModuleRep, ...]) -> str:
 
 
 @dataclass
-class SiltingVerdict:
-    holds: bool
-    disagreements: list[dict] = field(default_factory=list)
+class Verdict:
+    claim: str
+    result: str  # "holds" | "fails" | "out-of-scope"
+    certificates: list[dict] = field(default_factory=list)
+    sub: list["Verdict"] = field(default_factory=list)
+    data: dict = field(default_factory=dict)
     universe_hash: str = ""
 
+    @property
+    def holds(self) -> bool:
+        return self.result == "holds"
 
-def is_silting(m: ModuleRep, s: Presentation, universe: Sequence[ModuleRep]) -> SiltingVerdict:
+    def to_dict(self) -> dict:
+        return {
+            "claim": self.claim,
+            "result": self.result,
+            "certificates": self.certificates,
+            "data": self.data,
+            "universe_hash": self.universe_hash,
+            "sub": [s.to_dict() for s in self.sub],
+        }
+
+
+def is_silting(m: ModuleRep, s: Presentation, universe: Sequence[ModuleRep]) -> Verdict:
     """Silting with respect to sigma: the sigma-class equals Gen(m) on the universe.
 
-    The verdict lists every universe member where the two predicates
-    disagree, with the direction of the disagreement.
+    The verdict has a ``membership-mismatch`` certificate for every universe
+    member where the two predicates disagree, with the direction of the
+    disagreement.
     """
     if s.target != m:
         raise ValueError("presentation does not present the module")
-    disagreements = []
+    certs = []
     for idx, x in enumerate(universe):
         in_d = d_sigma_member(s, x)
         in_gen = gen_member(m, x)
         if in_d != in_gen:
-            disagreements.append(
-                {
-                    "module": idx,
-                    "label": x.label,
-                    "in_d_sigma": in_d,
-                    "in_gen": in_gen,
-                }
+            certs.append(
+                {"clause": "membership-mismatch", "module": idx, "label": x.label, "in_d_sigma": in_d, "in_gen": in_gen}
             )
-    return SiltingVerdict(not disagreements, disagreements, universe_hash(universe))
+    result = "holds" if not certs else "fails"
+    return Verdict(f"silting({m.label})", result, certs, universe_hash=universe_hash(universe))
 
 
-@dataclass
-class PartialSiltingVerdict:
-    holds: bool
-    failures: list[dict] = field(default_factory=list)
-    universe_hash: str = ""
-
-
-def is_partial_silting(
-    m: ModuleRep,
-    s: Presentation,
-    universe: Sequence[ModuleRep],
-) -> PartialSiltingVerdict:
+def is_partial_silting(m: ModuleRep, s: Presentation, universe: Sequence[ModuleRep]) -> Verdict:
     """Partial silting: m is in its own sigma-class.
 
     No closure of the class is checked: Hom(sigma, X + Y) is Hom(sigma, X)
@@ -210,7 +214,6 @@ def is_partial_silting(
     """
     if s.target != m:
         raise ValueError("presentation does not present the module")
-    failures = []
-    if not d_sigma_member(s, m):
-        failures.append({"clause": "self-membership", "label": m.label})
-    return PartialSiltingVerdict(not failures, failures, universe_hash(universe))
+    certs = [] if d_sigma_member(s, m) else [{"clause": "self-membership", "label": m.label}]
+    result = "holds" if not certs else "fails"
+    return Verdict(f"partial-silting({m.label})", result, certs, universe_hash=universe_hash(universe))

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .comma import (
-    MAX_TOTAL_DIM,
     functor_h,
     functor_p,
     hom_comma_dim,
@@ -35,9 +34,10 @@ from .comma import (
 )
 from .document import Document, task_references
 from .fixtures import Fixture
-from .modules import ModuleRep, gen_member, hom_dim
+from .modules import gen_member, hom_dim
 from .presentations import (
     Presentation,
+    Verdict,
     d_sigma_member,
     is_partial_silting,
     is_silting,
@@ -45,7 +45,6 @@ from .presentations import (
 )
 from .torsion import (
     ModuleFamily,
-    Verdict,
     family_all,
     family_d_sigma,
     family_zero,
@@ -102,11 +101,11 @@ _BASIC_FAMILY_KINDS = ("zero", "all")
 _SIDES = ("mono", "adjoint")
 
 
-def _basic_family(kind: str, universe: Sequence[ModuleRep]) -> ModuleFamily:
+def _basic_family(kind: str) -> ModuleFamily:
     if kind == "zero":
-        return family_zero(universe)
+        return family_zero()
     if kind == "all":
-        return family_all(universe)
+        return family_all()
     raise TaskError(f"unknown basic family kind {kind!r}")
 
 
@@ -116,9 +115,9 @@ def _decomposition(fx: Fixture, sigma_a: Presentation, sigma_b: Presentation):
     pres_t = sigma_for_p(fx.t, sigma_a.target, sigma_a, sigma_b.target, sigma_b)
     t_u, r_u, s_u = fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()
     classes = [
-        (family_d_sigma(pres_t, t_u, label="D[sigma_T]"), t_u),
-        (family_d_sigma(sigma_a, r_u, label="D[sigma_A]"), r_u),
-        (family_d_sigma(sigma_b, s_u, label="D[sigma_B]"), s_u),
+        (family_d_sigma(pres_t, label="D[sigma_T]"), t_u),
+        (family_d_sigma(sigma_a, label="D[sigma_A]"), r_u),
+        (family_d_sigma(sigma_b, label="D[sigma_B]"), s_u),
     ]
     return (sigma_a, sigma_b, pres_t), classes
 
@@ -214,7 +213,7 @@ def _claim_presentation_decomposition(fx: Fixture) -> list[Verdict]:
                 universe_hash=universe_hash(fx.t_universe_list()),
             )
         )
-        lhs_tc, rhs_a, rhs_b = subs = [is_torsion_class(fam, u, max_dim=MAX_TOTAL_DIM) for fam, u in classes]
+        lhs_tc, rhs_a, rhs_b = subs = [is_torsion_class(fam, u, max_dim=fx.max_dim) for fam, u in classes]
         agree = lhs_tc.holds == (rhs_a.holds and rhs_b.holds)
         verdicts.append(
             Verdict(
@@ -279,7 +278,7 @@ def _claim_perp_transfer(fx: Fixture) -> list[Verdict]:
     for side in _SIDES:
         for ck in _BASIC_FAMILY_KINDS:
             for dk in _BASIC_FAMILY_KINDS:
-                v = verify_perp_transfer(side, fx.t, _basic_family(ck, r_u), _basic_family(dk, s_u), r_u, s_u, t_u)
+                v = verify_perp_transfer(side, fx.t, _basic_family(ck), _basic_family(dk), r_u, s_u, t_u)
                 v.claim = f"perp-transfer-{side}[c={ck},d={dk}]"
                 v.data["params"] = {"c": ck, "d": dk}
                 verdicts.append(v)
@@ -293,8 +292,7 @@ def _claim_torsion_transfer(fx: Fixture) -> list[Verdict]:
     for side in _SIDES:
         for c1k, c2k in combos:
             for d1k, d2k in combos:
-                c1, c2 = _basic_family(c1k, r_u), _basic_family(c2k, r_u)
-                d1, d2 = _basic_family(d1k, s_u), _basic_family(d2k, s_u)
+                c1, c2, d1, d2 = map(_basic_family, (c1k, c2k, d1k, d2k))
                 v = verify_torsion_transfer(side, fx.t, c1, c2, d1, d2, r_u, s_u, t_u)
                 v.claim = f"torsion-transfer-{side}[c=({c1k},{c2k}),d=({d1k},{d2k})]"
                 v.data["params"] = {"c1": c1k, "c2": c2k, "d1": d1k, "d2": d2k}
@@ -383,12 +381,13 @@ def run_document_task(doc: Document, task: dict, index: int) -> dict:
         return {"name": name, "kind": kind, "verdicts": [v.to_dict()]}
     if kind in ("is-silting", "is-partial-silting"):
         pres = ref["presentation"]
-        decide, key = (is_silting, "disagreements") if kind == "is-silting" else (is_partial_silting, "failures")
-        verdict = decide(pres.target, pres, ref["universe"])
-        return {
-            "name": name, "kind": kind, "holds": verdict.holds, key: getattr(verdict, key),
-            "universe_hash": verdict.universe_hash,
-        }
+        if kind == "is-silting":
+            v = is_silting(pres.target, pres, ref["universe"])
+            found = {"disagreements": [{k: x for k, x in c.items() if k != "clause"} for c in v.certificates]}
+        else:
+            v = is_partial_silting(pres.target, pres, ref["universe"])
+            found = {"failures": v.certificates}
+        return {"name": name, "kind": kind, "holds": v.holds, **found, "universe_hash": v.universe_hash}
     if kind == "d-sigma-member":
         return {"name": name, "kind": kind, "member": d_sigma_member(ref["presentation"], ref["module"])}
     if kind == "gen-member":
@@ -431,12 +430,12 @@ def _ref(fx: Fixture, obj: dict, key: str, table: str, where: str):
     return getattr(fx, table)[check_field(obj, key, table, {"fixture": fx}, where)]
 
 
-def _basic_ref(obj: dict, key: str, universe: Sequence[ModuleRep], where: str) -> ModuleFamily:
+def _basic_ref(obj: dict, key: str, where: str) -> ModuleFamily:
     """The zero or all family that ``obj[key]`` names."""
     kind = check_field(obj, key, str, {}, where)
     if kind not in _BASIC_FAMILY_KINDS:
         raise MalformedReport(f"{where}.{key}: unknown basic family kind {kind!r}")
-    return _basic_family(kind, universe)
+    return _basic_family(kind)
 
 
 def _params(v: dict, claim: str) -> dict:
@@ -524,8 +523,8 @@ def _replay_adjunction(fx: Fixture, v: dict, claim: str) -> list[Site]:
 def _perp_sites(side: str, fx: Fixture, v: dict, claim: str) -> list[Site]:
     params = _params(v, claim)
     r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
-    cfam = _basic_ref(params, "c", r_u, f"{claim}: data.params")
-    dfam = _basic_ref(params, "d", s_u, f"{claim}: data.params")
+    cfam = _basic_ref(params, "c", f"{claim}: data.params")
+    dfam = _basic_ref(params, "d", f"{claim}: data.params")
     lhs, rhs, small, large = perp_transfer_families(side, fx.t, cfam, dfam, r_u, s_u, t_u)
     parts = [(lhs, rhs, "perp-equality"), (small, large, "forward-inclusion"), (large, small, "converse-inclusion")]
     return [
@@ -556,9 +555,8 @@ def _torsion_sites(side: str, fx: Fixture, v: dict, claim: str) -> list[Site]:
     params = _params(v, claim)
     where = f"{claim}: data.params"
     r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
-    c1, c2 = _basic_ref(params, "c1", r_u, where), _basic_ref(params, "c2", r_u, where)
-    d1, d2 = _basic_ref(params, "d1", s_u, where), _basic_ref(params, "d2", s_u, where)
-    x, y, _ = comma_pair(side, fx.t, c1, c2, d1, d2, t_u)
+    c1, c2, d1, d2 = (_basic_ref(params, key, where) for key in ("c1", "c2", "d1", "d2"))
+    x, y, _ = comma_pair(side, fx.t, c1, c2, d1, d2)
     pairs = [(c1, c2, r_u), (d1, d2, s_u), (x, y, t_u)]
     return [
         (sub, {"universe": u, "x": px, "y": py}, _TORSION_PAIR)
@@ -588,17 +586,15 @@ def _replay_final_corollaries(fx: Fixture, v: dict, claim: str) -> list[Site]:
     """Silting over T reduces to A for B = S and to B for A = 0; a silting pair induces two comma torsion pairs."""
     params = _params(v, claim)
     where = f"{claim}: data.params"
-    families = corollary_families(
-        _ref(fx, params, "a", "r_universe", where), _ref(fx, params, "b", "s_universe", where),
-        fx.r_universe_list(), fx.s_universe_list(),
-    )
+    a, b = _ref(fx, params, "a", "r_universe", where), _ref(fx, params, "b", "s_universe", where)
+    families = corollary_families(a, b)
     t_u = fx.t_universe_list()
     sites = []
     for sub in v.get("sub", []):
         for side in _SIDES:
             name = f"induced-torsion-pair-{side}"
             if sub["claim"] == name and sub.get("sub"):
-                x, y, _ = comma_pair(side, fx.t, *families, t_u)
+                x, y, _ = comma_pair(side, fx.t, *families)
                 inner = _subs(sub, f"{claim}/{name}", 1)[0]
                 sites.append((inner, {"universe": t_u, "x": x, "y": y}, _TORSION_PAIR))
     return sites

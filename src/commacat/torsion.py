@@ -1,9 +1,11 @@
 """Module families, perpendicular classes, and the torsion-pair decision.
 
-A family is an intrinsic membership predicate together with a declared
-finite universe of representatives.  All decisions (torsion pair,
-torsion class) are taken over such universes and produce verdicts whose
-certificates can be re-checked instance by instance from raw data.
+A family is an intrinsic membership predicate with a label and a spec;
+it stores no universe.  Every decision (torsion pair, torsion class) is
+taken over a finite universe passed to it, and produces a
+:class:`~commacat.presentations.Verdict` whose certificates can be
+re-checked instance by instance from raw data.  A perpendicular class
+takes its generators from the universe it is built over.
 
 The torsion-pair test has an exhaustive counterpart that enumerates all
 invariant subspaces instead of using the trace; acceptance requires the
@@ -13,7 +15,7 @@ two to agree on the fixtures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,74 +33,53 @@ from .modules import (
     is_isomorphic,
     quotient_module,
     submodule,
-    trace_of,
+    trace_span,
 )
-from .presentations import Presentation, d_sigma_member, universe_hash
+from .presentations import Presentation, Verdict, d_sigma_member, universe_hash
 
 
 @dataclass
 class ModuleFamily:
-    """Intrinsic membership predicate plus a universe of representatives."""
+    """An intrinsic membership predicate, with the label and spec a report names it by."""
 
     label: str
     spec: dict
-    universe: list[ModuleRep]
     predicate: Callable[[ModuleRep], bool]
 
     def contains(self, m: ModuleRep) -> bool:
         return self.predicate(m)
 
-    def member_indices(self, universe: Optional[Sequence[ModuleRep]] = None) -> list[int]:
-        univ = self.universe if universe is None else universe
-        return [i for i, m in enumerate(univ) if self.predicate(m)]
+    def member_indices(self, universe: Sequence[ModuleRep]) -> list[int]:
+        return [i for i, m in enumerate(universe) if self.predicate(m)]
 
-    def members(self, universe: Optional[Sequence[ModuleRep]] = None) -> list[ModuleRep]:
-        univ = self.universe if universe is None else universe
-        return [m for m in univ if self.predicate(m)]
+    def members(self, universe: Sequence[ModuleRep]) -> list[ModuleRep]:
+        return [m for m in universe if self.predicate(m)]
 
 
-def family_all(universe: Sequence[ModuleRep]) -> ModuleFamily:
-    return ModuleFamily("all", {"kind": "all"}, list(universe), lambda m: True)
+def family_all() -> ModuleFamily:
+    return ModuleFamily("all", {"kind": "all"}, lambda m: True)
 
 
-def family_zero(universe: Sequence[ModuleRep]) -> ModuleFamily:
-    return ModuleFamily("zero", {"kind": "zero"}, list(universe), lambda m: m.dim == 0)
+def family_zero() -> ModuleFamily:
+    return ModuleFamily("zero", {"kind": "zero"}, lambda m: m.dim == 0)
 
 
-def family_explicit(
-    members: Sequence[ModuleRep], universe: Sequence[ModuleRep], label: str = ""
-) -> ModuleFamily:
+def family_explicit(members: Sequence[ModuleRep]) -> ModuleFamily:
     reps = list(members)
 
     def pred(m: ModuleRep) -> bool:
-        return any(
-            m.dim == r.dim and is_isomorphic(m, r).isomorphic for r in reps
-        )
+        return any(m.dim == r.dim and is_isomorphic(m, r).isomorphic for r in reps)
 
-    return ModuleFamily(
-        label or "explicit",
-        {"kind": "explicit", "modules": [r.label for r in reps]},
-        list(universe),
-        pred,
-    )
+    return ModuleFamily("explicit", {"kind": "explicit", "modules": [r.label for r in reps]}, pred)
 
 
-def family_gen(t: ModuleRep, universe: Sequence[ModuleRep], label: str = "") -> ModuleFamily:
-    return ModuleFamily(
-        label or f"Gen({t.label})",
-        {"kind": "gen", "module": t.label},
-        list(universe),
-        lambda m: gen_member(t, m),
-    )
+def family_gen(t: ModuleRep) -> ModuleFamily:
+    return ModuleFamily(f"Gen({t.label})", {"kind": "gen", "module": t.label}, lambda m: gen_member(t, m))
 
 
-def family_d_sigma(pres: Presentation, universe: Sequence[ModuleRep], label: str = "") -> ModuleFamily:
-    return ModuleFamily(
-        label or "D_sigma",
-        {"kind": "d_sigma", "target": pres.target.label},
-        list(universe),
-        lambda m: d_sigma_member(pres, m),
-    )
+def family_d_sigma(pres: Presentation, label: str = "") -> ModuleFamily:
+    spec = {"kind": "d_sigma", "target": pres.target.label}
+    return ModuleFamily(label or "D_sigma", spec, lambda m: d_sigma_member(pres, m))
 
 
 def _perp_predicate(generators: list[ModuleRep], side: str) -> Callable[[ModuleRep], bool]:
@@ -108,85 +89,31 @@ def _perp_predicate(generators: list[ModuleRep], side: str) -> Callable[[ModuleR
 
 
 def perp_right(f: ModuleFamily, universe: Sequence[ModuleRep]) -> ModuleFamily:
-    """Members vanishing under Hom from every family member of the universe."""
-    gens = f.members()
-    return ModuleFamily(
-        f"({f.label})^perp",
-        {"kind": "perp_right", "of": f.spec},
-        list(universe),
-        _perp_predicate(gens, "right"),
-    )
+    """Modules with no nonzero map from a member of ``f`` in ``universe``."""
+    spec = {"kind": "perp_right", "of": f.spec}
+    return ModuleFamily(f"({f.label})^perp", spec, _perp_predicate(f.members(universe), "right"))
 
 
 def perp_left(f: ModuleFamily, universe: Sequence[ModuleRep]) -> ModuleFamily:
-    gens = f.members()
-    return ModuleFamily(
-        f"perp^({f.label})",
-        {"kind": "perp_left", "of": f.spec},
-        list(universe),
-        _perp_predicate(gens, "left"),
-    )
+    """Modules with no nonzero map to a member of ``f`` in ``universe``."""
+    spec = {"kind": "perp_left", "of": f.spec}
+    return ModuleFamily(f"perp^({f.label})", spec, _perp_predicate(f.members(universe), "left"))
 
 
-def perp_right_modules(
-    mods: Sequence[ModuleRep], universe: Sequence[ModuleRep], label: str = ""
-) -> ModuleFamily:
+def perp_right_modules(mods: Sequence[ModuleRep], label: str = "") -> ModuleFamily:
     gens = list(mods)
-    return ModuleFamily(
-        label or "perp-right",
-        {"kind": "perp_right_modules", "modules": [m.label for m in gens]},
-        list(universe),
-        _perp_predicate(gens, "right"),
-    )
+    spec = {"kind": "perp_right_modules", "modules": [m.label for m in gens]}
+    return ModuleFamily(label or "perp-right", spec, _perp_predicate(gens, "right"))
 
 
-def comma_family(
-    kind: str,
-    cfam: ModuleFamily,
-    dfam: ModuleFamily,
-    t: TriangularAlgebra,
-    universe: Sequence[ModuleRep],
-    label: str = "",
-) -> ModuleFamily:
+def comma_family(kind: str, cfam: ModuleFamily, dfam: ModuleFamily, t: TriangularAlgebra) -> ModuleFamily:
     """The U/B/J family as an intrinsic predicate on left T-modules."""
 
     def pred(m: ModuleRep) -> bool:
-        comma = from_T_module(m, t).comma
-        return family_membership(comma, kind, cfam, dfam)
+        return family_membership(from_T_module(m, t).comma, kind, cfam, dfam)
 
-    return ModuleFamily(
-        label or f"{kind}[{cfam.label};{dfam.label}]",
-        {"kind": "comma", "family": kind, "c": cfam.spec, "d": dfam.spec},
-        list(universe),
-        pred,
-    )
-
-
-# -- verdicts ------------------------------------------------------------------
-
-
-@dataclass
-class Verdict:
-    claim: str
-    result: str  # "holds" | "fails" | "out-of-scope"
-    certificates: list[dict] = field(default_factory=list)
-    sub: list["Verdict"] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    universe_hash: str = ""
-
-    @property
-    def holds(self) -> bool:
-        return self.result == "holds"
-
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "result": self.result,
-            "certificates": self.certificates,
-            "data": self.data,
-            "universe_hash": self.universe_hash,
-            "sub": [s.to_dict() for s in self.sub],
-        }
+    spec = {"kind": "comma", "family": kind, "c": cfam.spec, "d": dfam.spec}
+    return ModuleFamily(f"{kind}[{cfam.label};{dfam.label}]", spec, pred)
 
 
 # -- submodule enumeration -----------------------------------------------------
@@ -282,6 +209,20 @@ def _perp_certs(xi: list[int], yi: list[int], universe: Sequence[ModuleRep]) -> 
     return certs
 
 
+def torsion_sequence(
+    x: ModuleFamily, y: ModuleFamily, x_members: Sequence[ModuleRep], m: ModuleRep
+) -> tuple[int, dict]:
+    """dim t(M), and whether t(M) lies in x and M/t(M) in y, for the sequence
+    0 -> t(M) -> M -> M/t(M) -> 0 with t(M) the trace of ``x_members`` in M.
+
+    Returns (dim t(M), {"trace_in_x": ..., "quotient_in_y": ...}): the facts
+    of a ``torsion-sequence`` certificate, which its replay recomputes here.
+    """
+    span = trace_span(x_members, m)
+    trace_in_x = x.contains(submodule(m, span, label="trace"))
+    return span.shape[1], {"trace_in_x": trace_in_x, "quotient_in_y": y.contains(quotient_module(m, span))}
+
+
 def is_torsion_pair(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleRep]) -> Verdict:
     """Torsion-pair test via the trace.
 
@@ -295,21 +236,9 @@ def is_torsion_pair(x: ModuleFamily, y: ModuleFamily, universe: Sequence[ModuleR
     certs = _hom_vanishing_certs(xi, yi, universe)
     x_members = [universe[i] for i in xi]
     for k, m in enumerate(universe):
-        sub, inc = trace_of(x_members, m)
-        t_in_x = x.contains(sub)
-        quot, _ = quotient_module(m, inc.matrix)
-        q_in_y = y.contains(quot)
-        if not (t_in_x and q_in_y):
-            certs.append(
-                {
-                    "clause": "torsion-sequence",
-                    "module": k,
-                    "label": m.label,
-                    "trace_dim": sub.dim,
-                    "trace_in_x": t_in_x,
-                    "quotient_in_y": q_in_y,
-                }
-            )
+        trace_dim, facts = torsion_sequence(x, y, x_members, m)
+        if not all(facts.values()):
+            certs.append({"clause": "torsion-sequence", "module": k, "label": m.label, "trace_dim": trace_dim, **facts})
     certs.extend(_perp_certs(xi, yi, universe))
     return Verdict(
         claim=f"torsion-pair({x.label}, {y.label})",
@@ -332,16 +261,8 @@ def torsion_pair_oracle(x: ModuleFamily, y: ModuleFamily, universe: Sequence[Mod
     yi = y.member_indices(universe)
     certs = _hom_vanishing_certs(xi, yi, universe)
     for k, m in enumerate(universe):
-        found = False
-        for w in all_submodule_bases(m):
-            sub, _ = submodule(m, w)
-            if not x.contains(sub):
-                continue
-            quot, _ = quotient_module(m, w)
-            if y.contains(quot):
-                found = True
-                break
-        if not found:
+        bases = all_submodule_bases(m)
+        if not any(x.contains(submodule(m, w)) and y.contains(quotient_module(m, w)) for w in bases):
             certs.append({"clause": "no-sequence", "module": k, "label": m.label})
     certs.extend(_perp_certs(xi, yi, universe))
     return Verdict(
@@ -402,7 +323,7 @@ def is_torsion_class(
                     key = (j, rows.tobytes())
                     ok = image_in_f.get(key)
                     if ok is None:
-                        ok = image_in_f[key] = f.contains(submodule(n, rows.T)[0])
+                        ok = image_in_f[key] = f.contains(submodule(n, rows.T))
                     if not ok:
                         certs.append({"clause": "image-closure", "source": i, "target": j,
                                       "map": chunk[k].tolist(), "image_dim": r})

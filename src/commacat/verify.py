@@ -20,6 +20,7 @@ raises :class:`MalformedReport` for a missing, mistyped or dangling one.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import TriangularAlgebra
@@ -51,14 +52,13 @@ from .modules import (
     gen_member,
     hom_dim,
     is_isomorphic,
-    quotient_module,
     regular_module,
     submodule,
-    trace_of,
     zero_module,
 )
 from .presentations import (
     Presentation,
+    Verdict,
     d_sigma_member,
     is_partial_silting,
     is_silting,
@@ -66,13 +66,13 @@ from .presentations import (
 )
 from .torsion import (
     ModuleFamily,
-    Verdict,
     comma_family,
     family_gen,
     is_torsion_pair,
     perp_left,
     perp_right,
     perp_right_modules,
+    torsion_sequence,
 )
 
 
@@ -117,22 +117,14 @@ def verify_silting_transfer(
     whether the two sides agree.
     """
     sides = silting_sides(t, a, sigma_a, b, sigma_b, r_universe, s_universe, t_universe)
-    lhs, rhs_a, rhs_b = verdicts = [is_silting(m, pres, u) for _, pres, m, u in sides]
+    lhs, rhs_a, rhs_b = verdicts = [replace(is_silting(m, pres, u), claim=claim) for claim, pres, m, u in sides]
     fa = tensor_over(t.u, a).module
     rhs_gen = gen_member(b, fa)
     rhs = rhs_a.holds and rhs_b.holds and rhs_gen
     return Verdict(
         claim="silting-transfer",
         result="holds" if lhs.holds == rhs else "fails",
-        sub=[
-            Verdict(
-                claim,
-                "holds" if v.holds else "fails",
-                [{"clause": "membership-mismatch", **d} for d in v.disagreements],
-                universe_hash=v.universe_hash,
-            )
-            for (claim, *_), v in zip(sides, verdicts)
-        ],
+        sub=verdicts,
         data={"left_side": lhs.holds, "right_side": rhs, "fa_in_gen_b": rhs_gen, "fa_dim": fa.dim},
         universe_hash=universe_hash(t_universe),
     )
@@ -151,16 +143,13 @@ def verify_partial_silting_transfer(
     """Partial-silting variant: the third clause asks FA to lie in the
     sigma_B class instead of Gen B."""
     sides = silting_sides(t, a, sigma_a, b, sigma_b, r_universe, s_universe, t_universe)
-    lhs, rhs_a, rhs_b = verdicts = [is_partial_silting(m, pres, u) for _, pres, m, u in sides]
+    lhs, rhs_a, rhs_b = verdicts = [replace(is_partial_silting(m, pres, u), claim=claim) for claim, pres, m, u in sides]
     rhs_fa = d_sigma_member(sigma_b, tensor_over(t.u, a).module)
     rhs = rhs_a.holds and rhs_b.holds and rhs_fa
     return Verdict(
         claim="partial-silting-transfer",
         result="holds" if lhs.holds == rhs else "fails",
-        sub=[
-            Verdict(claim, "holds" if v.holds else "fails", list(v.failures), universe_hash=v.universe_hash)
-            for (claim, *_), v in zip(sides, verdicts)
-        ],
+        sub=verdicts,
         data={"left_side": lhs.holds, "right_side": rhs, "fa_in_d_sigma_b": rhs_fa},
         universe_hash=universe_hash(t_universe),
     )
@@ -195,10 +184,10 @@ def perp_transfer_families(
     (U^C_D)^perp.
     """
     kind, perp, other = ("B", perp_right, perp_left) if side == "mono" else ("J", perp_left, perp_right)
-    lhs = perp(comma_family(kind, cfam, dfam, t, t_universe), t_universe)
-    rhs = comma_family("U", perp(cfam, r_universe), perp(dfam, s_universe), t, t_universe)
-    small = comma_family(kind, other(cfam, r_universe), other(dfam, s_universe), t, t_universe)
-    large = other(comma_family("U", cfam, dfam, t, t_universe), t_universe)
+    lhs = perp(comma_family(kind, cfam, dfam, t), t_universe)
+    rhs = comma_family("U", perp(cfam, r_universe), perp(dfam, s_universe), t)
+    small = comma_family(kind, other(cfam, r_universe), other(dfam, s_universe), t)
+    large = other(comma_family("U", cfam, dfam, t), t_universe)
     return lhs, rhs, small, large
 
 
@@ -258,14 +247,13 @@ def comma_pair(
     c2: ModuleFamily,
     d1: ModuleFamily,
     d2: ModuleFamily,
-    t_universe: Sequence[ModuleRep],
 ) -> tuple[ModuleFamily, ModuleFamily, bool]:
     """The comma pair (B^{C1}_{D1}, U^{C2}_{D2}) with its hypothesis S+ in D2
     (mono side), or (U^{C1}_{D1}, J^{C2}_{D2}) with R in C1 (adjoint)."""
     kinds = ("B", "U") if side == "mono" else ("U", "J")
     return (
-        comma_family(kinds[0], c1, d1, t, t_universe),
-        comma_family(kinds[1], c2, d2, t, t_universe),
+        comma_family(kinds[0], c1, d1, t),
+        comma_family(kinds[1], c2, d2, t),
         side_hypothesis(side, t, c1, d2),
     )
 
@@ -289,7 +277,7 @@ def verify_torsion_transfer(
     """
     p_r = is_torsion_pair(c1, c2, r_universe)
     p_s = is_torsion_pair(d1, d2, s_universe)
-    x, y, hyp = comma_pair(side, t, c1, c2, d1, d2, t_universe)
+    x, y, hyp = comma_pair(side, t, c1, c2, d1, d2)
     q = is_torsion_pair(x, y, t_universe)
     left = p_r.holds and p_s.holds
     return Verdict(
@@ -304,15 +292,13 @@ def verify_torsion_transfer(
 # -- closing corollaries -------------------------------------------------------------
 
 
-def corollary_families(
-    a: ModuleRep, b: ModuleRep, r_universe: Sequence[ModuleRep], s_universe: Sequence[ModuleRep]
-) -> tuple[ModuleFamily, ModuleFamily, ModuleFamily, ModuleFamily]:
+def corollary_families(a: ModuleRep, b: ModuleRep) -> tuple[ModuleFamily, ModuleFamily, ModuleFamily, ModuleFamily]:
     """(Gen A, A^perp, Gen B, B^perp): the torsion pairs a silting pair induces."""
     return (
-        family_gen(a, r_universe),
-        perp_right_modules([a], r_universe, label=f"({a.label})^perp"),
-        family_gen(b, s_universe),
-        perp_right_modules([b], s_universe, label=f"({b.label})^perp"),
+        family_gen(a),
+        perp_right_modules([a], label=f"({a.label})^perp"),
+        family_gen(b),
+        perp_right_modules([b], label=f"({b.label})^perp"),
     )
 
 
@@ -360,9 +346,9 @@ def verify_final_corollaries(
     lhs_b = is_silting(pres_b_only.target, pres_b_only, t_universe).holds
     subs.append(_agreement("silting-vs-component-B", lhs_b, is_silting(b, sigma_b, s_universe).holds))
 
-    gen_a, a_perp, gen_b, b_perp = corollary_families(a, b, r_universe, s_universe)
+    families = corollary_families(a, b)
     for side in ("mono", "adjoint"):
-        x, y, hyp = comma_pair(side, t, gen_a, a_perp, gen_b, b_perp, t_universe)
+        x, y, hyp = comma_pair(side, t, *families)
         if (premise_silting or premise_partial) and hyp:
             q = is_torsion_pair(x, y, t_universe)
             subs.append(Verdict(f"induced-torsion-pair-{side}", q.result, sub=[q], data={"hypothesis": True}))
@@ -566,14 +552,9 @@ def _hom_vanishing(cert: dict, env: dict) -> bool:
 
 @_clause("torsion-sequence", module=INDEX, trace_dim=int, trace_in_x=bool, quotient_in_y=bool)
 def _torsion_sequence(cert: dict, env: dict) -> bool:
-    universe = env["universe"]
-    m = universe[cert["module"]]
-    sub, inc = trace_of(env["x"].members(universe), m)
-    if sub.dim != cert["trace_dim"]:
-        return False
-    quot, _ = quotient_module(m, inc.matrix)
-    facts = {"trace_in_x": env["x"].contains(sub), "quotient_in_y": env["y"].contains(quot)}
-    return _records(cert, facts) and not all(facts.values())
+    universe, x = env["universe"], env["x"]
+    trace_dim, facts = torsion_sequence(x, env["y"], x.members(universe), universe[cert["module"]])
+    return trace_dim == cert["trace_dim"] and _records(cert, facts) and not all(facts.values())
 
 
 @_clause("perp-right", "perp-left", module=INDEX, in_perp=bool, in_family=bool)
@@ -617,7 +598,7 @@ def _image_closure(cert: dict, env: dict) -> bool:
     mm = _map(src, tgt, cert["map"])
     if mm is None or not mm.is_valid():
         return False
-    img, _ = submodule(tgt, column_space_basis(src.p, mm.matrix))
+    img = submodule(tgt, column_space_basis(src.p, mm.matrix))
     return img.dim == cert["image_dim"] and not env["family"].contains(img)
 
 

@@ -369,6 +369,22 @@ def test_max_dim_report_replays_without_the_flag(runner, tmp_path):
     assert (replay.exit_code, replay.output) == (0, "all certificates replayed (71 checked)\n")
 
 
+def test_max_dim_bounds_the_torsion_class_checks(runner):
+    # sums and extensions stay within the bound the comma universe was built within
+    report = runner.invoke(main, ["run", "--fixture", "dual-numbers", "--max-dim", "3"])
+    assert report.exit_code == 0, report.output
+    tasks = {t["kind"]: t for t in json.loads(report.stdout)["tasks"]}
+    verdicts = tasks["verify-all"]["verdicts"]
+    bounds = [
+        sub["data"]["dimension_bound"]
+        for v in verdicts if v["claim"].startswith("torsion-class-decomposition")
+        for sub in v["sub"]
+    ]
+    assert bounds == [3] * 6
+    results = [v["result"] for v in verdicts]
+    assert [results.count(r) for r in ("holds", "fails", "out-of-scope")] == [31, 4, 4]
+
+
 @pytest.mark.parametrize("value", [-1, True, "3", None], ids=["negative", "bool", "str", "null"])
 def test_malformed_source_max_dim_is_one_line_exit_2(runner, tmp_path, value):
     report_path = tmp_path / "report.json"

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def test_to_T_inflations(a2):
 def test_to_T_projective_matches_regular_summand(a2):
     # P = (k, k, id) is the regular summand T e11
     treg = regular_module(a2.t)
-    te11, _ = submodule(treg, fp_array(2, [[1, 0], [0, 1], [0, 0]]))
+    te11 = submodule(treg, fp_array(2, [[1, 0], [0, 1], [0, 0]]))
     assert is_isomorphic(a2.t_universe["P"], te11).isomorphic
 
 
@@ -361,14 +362,14 @@ def family_membership_oracle(c, kind, cfam, dfam):
             return False
         if not cfam.contains(c.A):
             return False
-        coker, _ = quotient_module(c.B, column_space_basis(c.p, c.phi), label="B/im(phi)")
+        coker = quotient_module(c.B, column_space_basis(c.p, c.phi), label="B/im(phi)")
         return dfam.contains(coker)
     tp = tilde_phi(c)
     if rank(c.p, tp.matrix) != tp.target.dim:
         return False
     if not dfam.contains(c.B):
         return False
-    return cfam.contains(submodule(c.A, kernel_basis(c.p, tp.matrix))[0])
+    return cfam.contains(submodule(c.A, kernel_basis(c.p, tp.matrix)))
 
 
 class RecordingFamily:
@@ -385,10 +386,10 @@ class RecordingFamily:
 def component_families(universe):
     nonzero = [m for m in universe if m.dim]
     return (
-        [family_all(universe), family_zero(universe)]
-        + [family_gen(m, universe) for m in nonzero]
-        + [family_explicit([m], universe, label=f"{{{m.label}}}") for m in nonzero]
-        + [family_explicit(nonzero[:2], universe, label="first-two")]
+        [family_all(), family_zero()]
+        + [family_gen(m) for m in nonzero]
+        + [replace(family_explicit([m]), label=f"{{{m.label}}}") for m in nonzero]
+        + [replace(family_explicit(nonzero[:2]), label="first-two")]
     )
 
 

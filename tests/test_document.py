@@ -100,6 +100,20 @@ def test_parse_sample():
     assert not doc.families["gen_k"].contains(doc.modules["RR"])
 
 
+def test_perp_family_takes_its_generators_from_the_universe_of_its_family():
+    # Gen(Rk) over {0, Rk} has Rk as a member, so its right perp over {0, RR}
+    # keeps only 0 (Hom(Rk, RR) is the socle); over {0, RR} itself Gen(Rk)
+    # would have no nonzero member and the perp would keep RR too.
+    data = sample_document()
+    data["universes"]["u_k"] = ["zeroR", "Rk"]
+    data["universes"]["u_r"] = ["zeroR", "RR"]
+    data["families"]["gen_k_small"] = {"kind": "gen", "module": "Rk", "universe": "u_k"}
+    data["families"]["perp_k_on_r"] = {"kind": "perp_right", "of": "gen_k_small", "universe": "u_r"}
+    data["tasks"] = [{"kind": "is-torsion-class", "name": "tc", "family": "perp_k_on_r", "universe": "u_r"}]
+    [task] = run_document(parse_document(data))
+    assert task["verdicts"][0]["data"]["members"] == [0]
+
+
 def test_unresolved_reference():
     data = sample_document()
     data["comma_objects"]["bad"] = {"bimodule": "U", "A": "missing", "B": "Sk", "phi": [[0]]}

@@ -1,7 +1,7 @@
 """Hom solves on algebra generators, per diagonal block, in the spin presentation
 of the source block; every reader must agree with the full all-basis-element
 system: hom_space with its canonical kernel basis, hom_dim with its nullity and
-trace_of with the span of the images."""
+trace_span with the span of the images."""
 
 import importlib.util
 from pathlib import Path
@@ -34,7 +34,7 @@ from commacat.modules import (
     hom_space,
     quotient_module,
     regular_module,
-    trace_of,
+    trace_span,
     validate_module,
     zero_module,
 )
@@ -112,7 +112,7 @@ def assert_matches_full_system(m, n):
         assert hom_space(m, n).shape == (0, n.dim, m.dim)
         assert hom_dim(m, n) == 0
     images = [np.zeros((n.dim, 0), dtype=np.int64), *hom_space(m, n)]
-    assert np.array_equal(trace_of([m], n)[1].matrix, column_space_basis(n.p, np.hstack(images)))
+    assert np.array_equal(trace_span([m], n), column_space_basis(n.p, np.hstack(images)))
 
 
 def conjugate(m, g):
@@ -128,7 +128,7 @@ def cyclic_quotient(alg, vec):
     while True:
         grown = column_space_basis(alg.p, np.hstack([span] + [a @ span % alg.p for a in reg.action]))
         if grown.shape[1] == span.shape[1]:
-            return quotient_module(reg, grown, label="q")[0]
+            return quotient_module(reg, grown, label="q")
         span = grown
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from commacat import memo, modules
 from commacat.algebra import Bimodule, FDAlgebra, dual_numbers_algebra, field_algebra, validate_bimodule
 from commacat.comma import CommaObject, RightTModule, validate_comma, validate_right_t
 from commacat.document import parse_document
@@ -36,7 +37,7 @@ from commacat.modules import (
     submodule,
     tensor_map,
     tensor_over,
-    trace_of,
+    trace_span,
     validate_module,
     violated_intertwining,
     zero_module,
@@ -79,8 +80,8 @@ def test_regular_module_a2_decomposes_into_projectives(a2):
     cols_e22 = fp_array(2, [[0], [0], [1]])
     from commacat.modules import submodule
 
-    p1, _ = submodule(treg, cols_e11)
-    p2, _ = submodule(treg, cols_e22)
+    p1 = submodule(treg, cols_e11)
+    p2 = submodule(treg, cols_e22)
     assert is_isomorphic(p1, a2.t_universe["P"]).isomorphic
     assert is_isomorphic(p2, a2.t_universe["S_S"]).isomorphic
     total = direct_sum([p1, p2])
@@ -194,8 +195,8 @@ def test_direct_sum_with_zero_is_the_module(a2):
 def image_kernel_cokernel(f):
     """The image, kernel and cokernel of the map f, as modules."""
     p, img = f.source.p, column_space_basis(f.source.p, f.matrix)
-    return (submodule(f.target, img)[0], submodule(f.source, kernel_basis(p, f.matrix))[0],
-            quotient_module(f.target, img)[0])
+    return (submodule(f.target, img), submodule(f.source, kernel_basis(p, f.matrix)),
+            quotient_module(f.target, img))
 
 
 def test_image_kernel_cokernel_identity_and_zero(a2):
@@ -271,23 +272,21 @@ def test_tensor_right_exactness(dual):
 
 def test_trace_examples(a2):
     t = a2.t_universe
-    sub, inc = trace_of([t["P"]], t["S_S"])
-    assert sub.dim == 0
-    sub, inc = trace_of([t["P"]], t["S_R"])
-    assert sub.dim == 1
-    sub, inc = trace_of([t["P"]], t["P"])
-    assert sub.dim == 2
-    assert inc.is_valid()
+    assert trace_span([t["P"]], t["S_S"]).shape[1] == 0
+    assert trace_span([t["P"]], t["S_R"]).shape[1] == 1
+    span = trace_span([t["P"]], t["P"])
+    assert span.shape[1] == 2
+    # the span is a submodule: its inclusion intertwines the actions
+    assert ModuleMap(submodule(t["P"], span), t["P"], span).is_valid()
 
 
 def test_trace_idempotent_and_monotone(a2):
     t = list(a2.t_universe.values())
     gens = [a2.t_universe["P"], a2.t_universe["S_S"]]
     for m in t:
-        sub, inc = trace_of(gens, m)
+        sub = submodule(m, trace_span(gens, m))
         assert sub.dim <= m.dim
-        again, _ = trace_of(gens, sub)
-        assert again.dim == sub.dim
+        assert trace_span(gens, sub).shape[1] == sub.dim
 
 
 def test_gen_member_examples(a2):
@@ -298,7 +297,7 @@ def test_gen_member_examples(a2):
     for m in t.values():
         assert gen_member(treg, m)
     assert not gen_member(t["S_R"], t["P"])
-    assert trace_of([t["S_R"]], t["P"])[0].dim == 0
+    assert trace_span([t["S_R"]], t["P"]).shape[1] == 0
 
 
 def test_gen_member_matches_epi_oracle(a2):
@@ -316,13 +315,13 @@ def test_is_isomorphic_basic(a2):
     assert not is_isomorphic(t["N"], t["P"]).isomorphic
 
 
-def test_is_isomorphic_cap(a2):
-    from commacat.modules import IsoSearchCapExceeded
-
+def test_is_isomorphic_cap(a2, monkeypatch):
     treg = regular_module(a2.t)
     big = direct_sum([treg] * 5)
+    memo.clear()
+    monkeypatch.setattr(modules, "ISO_CAP", 2)
     with pytest.raises(IsoSearchCapExceeded):
-        is_isomorphic(big, big, cap=2)
+        is_isomorphic(big, big)
 
 
 def exhaustive_isomorphism(m, n, cap=16):
@@ -448,7 +447,10 @@ def test_hom_dimensions_decide_isomorphism_over_one_generator(pair):
     assert not validate_module(m) and not validate_module(n)
     assume(m.p ** hom_dim(m, n) <= 2**16)
     # cap 0: no search runs, so no cap is met
-    assert is_isomorphic(m, n, cap=0).isomorphic == searched_isomorphic(m, n)
+    memo.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modules, "ISO_CAP", 0)
+        assert is_isomorphic(m, n).isomorphic == searched_isomorphic(m, n)
 
 
 def test_p3_doc_modules_of_two_seeds_are_isomorphic_exactly_when_their_jordan_types_agree():
@@ -489,7 +491,7 @@ def test_extensions_of_simples(a2):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_one_middle_term_per_extension_class(p):
+def test_one_middle_term_per_extension_class(p, monkeypatch):
     # over F_p[x]/(x^2), Ext(k, k) has dimension 1 and Ext(k, k + k) dimension 2
     alg = dual_numbers_algebra(p)
     k = ModuleRep(alg, LEFT, 1, [[[1]], [[0]]], label="k")
@@ -500,7 +502,10 @@ def test_one_middle_term_per_extension_class(p):
         assert not res.truncated
         assert len(res.middle_terms) == p**ext_dim
         # a cap keeps the first classes in the same order
-        capped = extension_middle_terms(k, n, cap=p)
+        memo.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "EXT_CAP", p)
+            capped = extension_middle_terms(k, n)
         assert capped.truncated == (ext_dim > 1)
         assert capped.middle_terms == res.middle_terms[:p]
         split, *non_split = res.middle_terms

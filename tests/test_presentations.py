@@ -76,7 +76,7 @@ def test_d_sigma_closed_under_images(a2):
     for m in members:
         for n in univ:
             for h in hom_space(m, n):
-                img, _ = submodule(n, column_space_basis(a2.p, h))
+                img = submodule(n, column_space_basis(a2.p, h))
                 assert d_sigma_member(pres, img)
 
 
@@ -104,7 +104,8 @@ def test_is_silting_fails_with_witness(a2):
     pres = a2.presentations["S_R_from_P"]
     verdict = is_silting(a2.t_universe["S_R"], pres, a2.t_universe_list())
     assert not verdict.holds
-    witnesses = {(d["label"], d["in_d_sigma"], d["in_gen"]) for d in verdict.disagreements}
+    assert {d["clause"] for d in verdict.certificates} == {"membership-mismatch"}
+    witnesses = {(d["label"], d["in_d_sigma"], d["in_gen"]) for d in verdict.certificates}
     assert ("P", True, False) in witnesses
 
 
@@ -121,7 +122,7 @@ def test_partial_silting_examples(a2, dual):
         dual.r_universe["k"], dual.presentations["k_from_x"], dual.r_universe_list()
     )
     assert not verdict.holds
-    assert any(f["clause"] == "self-membership" for f in verdict.failures)
+    assert any(f["clause"] == "self-membership" for f in verdict.certificates)
     verdict = is_partial_silting(
         a2.t_universe["S_R"], a2.presentations["S_R_from_P"], a2.t_universe_list()
     )

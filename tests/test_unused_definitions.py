@@ -7,7 +7,7 @@ decorator registers it (verify's ``@_clause``, or the CLI's
 ``@main.command()``), or when it is on ``TEST_FACING``: API that only the
 tests call, every name of which some test must use.
 
-Four more checks of the same kind: every defaulted parameter of a
+Five more checks of the same kind: every defaulted parameter of a
 module-level function is passed by some call in the package (by keyword, by
 position or through ``*``/``**``) unless its function or the parameter itself
 is test-facing, and is left out by some call in the package or the tests
@@ -17,7 +17,10 @@ the package outside its own body, and every field of a ``NamedTuple`` or
 dataclass is read as an attribute somewhere in the package.  The field check
 matches by name only, so a field is missed when a field or attribute of the
 same name elsewhere is read: an unread ``witness`` field of one result type
-would pass while ``Presentation.witness`` is read.
+would pass while ``Presentation.witness`` is read.  And every position of a
+tuple that a function is annotated to return is read by some call in the
+package: ``a, _ = f()`` reads position 0 only, ``f()[1]`` position 1 only,
+and any other use of the call, a ``return`` included, reads them all.
 """
 
 import ast
@@ -95,15 +98,10 @@ def test_test_facing_names_are_defined_and_used_by_the_tests():
     assert TEST_FACING <= used, f"no test uses: {TEST_FACING - used}"
 
 
-# Defaulted parameters, as "function(parameter)", that only the tests pass: the
-# enumeration chunk size (to cross a chunk boundary), the isomorphism cap (to
-# provoke IsoSearchCapExceeded) and the extension cap (to truncate).  Some test
-# must pass each of them.
-TEST_FACING_PARAMETERS = {
-    "combination_chunks(chunk_size)",
-    "is_isomorphic(cap)",
-    "extension_middle_terms(cap)",
-}
+# Defaulted parameters, as "function(parameter)", that only the tests pass; some
+# test must pass each of them.  None today: the caps are module constants that
+# tests monkeypatch, and extension_middle_terms passes the chunk size.
+TEST_FACING_PARAMETERS: set[str] = set()
 
 
 def _calls(tree: ast.AST) -> list[ast.Call]:
@@ -222,3 +220,39 @@ def test_every_record_field_is_read():
     assert fields
     unread = [f for f in fields if f.rsplit(".", 1)[1] not in read]
     assert not unread, f"fields nothing in src/commacat reads: {unread}"
+
+
+def _tuple_size(fn: ast.FunctionDef) -> int:
+    """n for a function annotated to return ``tuple[T1, ..., Tn]``, else 0."""
+    ret = fn.returns
+    if isinstance(ret, ast.Subscript) and ast.unparse(ret.value) == "tuple" and isinstance(ret.slice, ast.Tuple):
+        elts = ret.slice.elts
+        return 0 if any(isinstance(e, ast.Constant) and e.value is Ellipsis for e in elts) else len(elts)
+    return 0
+
+
+def _positions_read(call: ast.Call, parent: ast.AST, size: int) -> set[int]:
+    """The positions of ``call``'s tuple result that its use in ``parent`` reads."""
+    if isinstance(parent, ast.Assign) and len(parent.targets) == 1 and isinstance(parent.targets[0], ast.Tuple):
+        elts = parent.targets[0].elts
+        if not any(isinstance(e, ast.Starred) for e in elts):
+            return {i for i, e in enumerate(elts) if not (isinstance(e, ast.Name) and e.id == "_")}
+    if (
+        isinstance(parent, ast.Subscript) and parent.value is call
+        and isinstance(parent.slice, ast.Constant) and type(parent.slice.value) is int
+    ):
+        return {parent.slice.value % size}
+    return set(range(size))
+
+
+def test_every_tuple_position_is_read():
+    statements = [stmt for _, stmt in _statements()]
+    parents = {child: node for stmt in statements for node in ast.walk(stmt) for child in ast.iter_child_nodes(node)}
+    unread = []
+    for fn in statements:
+        size = _tuple_size(fn) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) else 0
+        calls = [c for stmt in statements for c in _calls(stmt) if _callee(c) == fn.name] if size else []
+        if calls:
+            read = set().union(*(_positions_read(c, parents[c], size) for c in calls))
+            unread += [f"{fn.name}[{i}]" for i in range(size) if i not in read]
+    assert not unread, f"tuple positions no call in src/commacat reads: {unread}"

@@ -17,8 +17,8 @@ def a2():
     return load_fixture("a2")
 
 
-def _fam(kind, univ):
-    return family_zero(univ) if kind == "zero" else family_all(univ)
+def _fam(kind):
+    return family_zero() if kind == "zero" else family_all()
 
 
 def test_silting_transfer_both_true(a2):
@@ -61,7 +61,7 @@ def test_torsion_transfer_mono_frozen_outcomes(a2):
     for c in (("zero", "all"), ("all", "zero")):
         for d in (("zero", "all"), ("all", "zero")):
             v = verify_torsion_transfer(
-                "mono", a2.t, _fam(c[0], r_u), _fam(c[1], r_u), _fam(d[0], s_u), _fam(d[1], s_u),
+                "mono", a2.t, _fam(c[0]), _fam(c[1]), _fam(d[0]), _fam(d[1]),
                 r_u, s_u, t_u,
             )
             combos[(c, d)] = v
@@ -83,7 +83,7 @@ def test_torsion_transfer_adjoint_frozen_outcomes(a2):
     for c in (("zero", "all"), ("all", "zero")):
         for d in (("zero", "all"), ("all", "zero")):
             v = verify_torsion_transfer(
-                "adjoint", a2.t, _fam(c[0], r_u), _fam(c[1], r_u), _fam(d[0], s_u), _fam(d[1], s_u),
+                "adjoint", a2.t, _fam(c[0]), _fam(c[1]), _fam(d[0]), _fam(d[1]),
                 r_u, s_u, t_u,
             )
             combos[(c, d)] = v
@@ -104,7 +104,7 @@ def test_prop_B_perp_frozen_outcomes(a2):
     outcomes = {}
     for ck in ("zero", "all"):
         for dk in ("zero", "all"):
-            v = verify_perp_transfer("mono", a2.t, _fam(ck, r_u), _fam(dk, s_u), r_u, s_u, t_u)
+            v = verify_perp_transfer("mono", a2.t, _fam(ck), _fam(dk), r_u, s_u, t_u)
             outcomes[(ck, dk)] = v
             # part (1) always holds on the fixture
             assert v.sub[0].holds, (ck, dk)
@@ -123,7 +123,7 @@ def test_prop_J_perp_frozen_outcomes(a2):
     outcomes = {}
     for ck in ("zero", "all"):
         for dk in ("zero", "all"):
-            v = verify_perp_transfer("adjoint", a2.t, _fam(ck, r_u), _fam(dk, s_u), r_u, s_u, t_u)
+            v = verify_perp_transfer("adjoint", a2.t, _fam(ck), _fam(dk), r_u, s_u, t_u)
             outcomes[(ck, dk)] = v
             assert v.sub[0].holds, (ck, dk)
             assert v.sub[1].holds, (ck, dk)
@@ -158,12 +158,12 @@ def test_final_corollaries_a2(a2):
 def test_certificates_replay(a2):
     r_u, s_u, t_u = a2.r_universe_list(), a2.s_universe_list(), a2.t_universe_list()
     v = verify_torsion_transfer(
-        "mono", a2.t, _fam("all", r_u), _fam("zero", r_u), _fam("zero", s_u), _fam("all", s_u),
+        "mono", a2.t, _fam("all"), _fam("zero"), _fam("zero"), _fam("all"),
         r_u, s_u, t_u,
     )
     q = v.sub[2]
-    bfam = comma_family("B", _fam("all", r_u), _fam("zero", s_u), a2.t, t_u)
-    ufam = comma_family("U", _fam("zero", r_u), _fam("all", s_u), a2.t, t_u)
+    bfam = comma_family("B", _fam("all"), _fam("zero"), a2.t)
+    ufam = comma_family("U", _fam("zero"), _fam("all"), a2.t)
     env = {"universe": t_u, "x": bfam, "y": ufam}
     assert q.certificates
     for cert in q.certificates:
