@@ -5,8 +5,9 @@ tasks of a fixture, and writes a deterministic report (text or JSON) to
 stdout.  ``commacat validate`` checks every invariant of a document, or
 replays the certificates of a previously produced report.  A fixture
 report records in its ``source`` the fixture and, when ``--max-dim`` was
-given, the bound its comma universe was built within; the replay rebuilds
-the fixture from exactly that, so a report needs no settings repeated.
+given, that bound (only dual-numbers generates its comma universe within
+it); the replay rebuilds the fixture from exactly that, so a report needs
+no settings repeated.
 
 Exit codes: 0 all tasks executed, 1 output could not be written, 2
 validation failure, 3 task error.
@@ -83,7 +84,7 @@ def main() -> None:
               help="Run the built-in corpus instead of a document.")
 @click.option("--task", "task_names", multiple=True,
               help="Only run tasks with this name or kind (repeatable).")
-@click.option("--max-dim", type=click.IntRange(min=0), default=None, envvar="COMMACAT_MAX_DIM",
+@click.option("--max-dim", type=click.IntRange(min=0), default=None,
               help=f"Total-dimension bound for a fixture's generated comma universe (default {MAX_TOTAL_DIM}).  "
                    "When given, it is recorded in the report's source, and validate --certificate reads it "
                    "from there.")
@@ -92,6 +93,9 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
     """Execute the tasks of DOCUMENT (or of --fixture) and print a report."""
     if not document and not fixture_name:
         click.echo("error: provide a document path or --fixture", err=True)
+        sys.exit(2)
+    if document and fixture_name:
+        click.echo("error: provide a document path or --fixture, not both", err=True)
         sys.exit(2)
     if fixture_name:
         source = {"fixture": fixture_name}

@@ -7,11 +7,14 @@ lexicographic order (column index = u_index * dim A + a_index); vanishing
 on the balancing subspace is a validation invariant, so documents stay
 basis-free.
 
-Comma objects correspond to left modules over T = [[R, 0], [U, S]]:
-(r, u, s) acts on (a, b) by (r a, phi(u (x) a) + s b).  Both directions
-of that correspondence are implemented, and every Hom computation can be
-cross-checked through it.  :func:`hom_comma` solves one closed-form system per
-pair of comma summands: intertwining for f and g, then the square.
+A morphism (A, B, phi) -> (A', B', phi') is a pair (f, g) in Hom_R(A, A') x
+Hom_S(B, B') with g phi = phi' (1_U (x) f), as for modules over a triangular
+matrix ring (Fossum, Griffith and Reiten, LNM 456, 1975; Green, Pacific J.
+Math. 100, 1982), so :func:`hom_comma` solves only that square on the component
+Hom bases of :func:`~commacat.modules.hom_space`.  Comma objects correspond to
+left modules over T = [[R, 0], [U, S]]: (r, u, s) acts on (a, b) by
+(r a, phi(u (x) a) + s b).  Both directions are implemented; Hom between the
+T-modules is its own solve over T's generators, a check of :func:`hom_comma_dim`.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import numpy as np
 
 from .algebra import Bimodule, TriangularAlgebra
 from .linalg import (
+    canonical_rows,
     column_space_basis,
     combination_chunks,
     fp_array,
     has_rank,
-    intertwining_system,
     kernel_basis,
     rank,
     solve_each,
@@ -44,9 +47,7 @@ from .modules import (
     balanced_tensor,
     bimodule_as_left_module,
     bimodule_as_right_module,
-    diagonal_blocks,
     direct_sum,
-    generator_stack,
     hom_coords,
     hom_dim,
     hom_module,
@@ -54,7 +55,6 @@ from .modules import (
     is_isomorphic,
     quotient_module,
     regular_module,
-    scatter_blocks,
     submodule,
     tensor_dim,
     tensor_map,
@@ -62,7 +62,7 @@ from .modules import (
     validate_module,
     zero_module,
 )
-from .memo import ContentKeyed, content_bytes, memo, unpack_bytes
+from .memo import ContentKeyed, content_bytes, memo
 from .presentations import Presentation
 
 
@@ -351,91 +351,42 @@ def right_t_to_module(rt: RightTModule, t: TriangularAlgebra) -> ModuleRep:
 # -- Hom computations ----------------------------------------------------------
 
 
-@memo("comma_groups")
-def _comma_groups(c: CommaObject) -> tuple[tuple[np.ndarray, np.ndarray, tuple], ...]:
-    """The comma summands of c as (A indices, B indices, content): the diagonal blocks of A and of B
-    (:func:`diagonal_blocks`), each A-block joined with every B-block that phi maps U (x) (it) into.
-    The content holds (shape, packed bytes) of the summand's generator stacks and phi.  Memoized."""
-    if c.total_dim == 0:
-        return ()
-    da = c.A.dim
-    a_stack, b_stack = generator_stack(c.A), generator_stack(c.B)
-    cuts = diagonal_blocks(a_stack) + [da + b for b in diagonal_blocks(b_stack)[1:]]
-    # one-hot rows: the block of each index on the line of A's indices, then B's
-    block = np.repeat(np.eye(len(cuts) - 1, dtype=bool), np.diff(cuts), axis=0)
-    phi = c.phi.reshape(c.B.dim, c.bimodule.dim, da)
-    joined = block[da:].T @ phi.any(axis=1) @ block[:da]
-    reach = joined | joined.T | np.eye(len(joined), dtype=bool)
-    while ((closed := reach @ reach) != reach).any():
-        reach = closed
-    root = (block @ reach).argmax(axis=1)  # per index, the first block its block reaches
-    groups = [(np.flatnonzero(root[:da] == r), np.flatnonzero(root[da:] == r)) for r in sorted(set(root.tolist()))]
-    return tuple(
-        (ai, bi, tuple((a.shape, content_bytes(c.p, a)) for a in (a_stack[:, ai[:, None], ai],
-                                                                  b_stack[:, bi[:, None], bi], phi[bi][:, :, ai])))
-        for ai, bi in groups
-    )
-
-
-@memo("comma_block")
-def _comma_block(p: int, target: tuple, source: tuple) -> np.ndarray:
-    """Canonical kernel basis, one frozen row per vector, of the joint system in (vec f, vec g)
-    between two summands packed by :func:`_comma_groups`, on the rows of the algebra generators
-    only: the same kernel under the module law (see ``modules.hom_space``).  Memoized."""
-    unpacked = ([unpack_bytes(p, data, shape) for shape, data in group] for group in (target, source))
-    (ya_stack, yb_stack, phi_y), (xa_stack, xb_stack, phi_x) = unpacked
-    (yb, du, ya), xa, xb = phi_y.shape, xa_stack.shape[1], xb_stack.shape[1]
-    nf, ng, ns = ya * xa, yb * xb, yb * du * xa
-    a_rows = intertwining_system(p, ya_stack, xa_stack)
-    b_rows = intertwining_system(p, yb_stack, xb_stack)
-    # The square g phi_x - phi_y (I_U (x) f): vec(g phi_x) = kron(I, phi_x^T) vec(g),
-    # and entry (r, u, a) of phi_y (I_U (x) f) is sum_b phi_y[r, u, b] f[b, a].
-    square_f = np.einsum("rub,ac->ruabc", phi_y, np.eye(xa, dtype=np.int64)).reshape(ns, nf)
-    square_g = np.kron(np.eye(yb, dtype=np.int64), phi_x.reshape(xb, du * xa).T).reshape(ns, ng)
-    system = np.block([
-        [a_rows, np.zeros((a_rows.shape[0], ng), dtype=np.int64)],
-        [np.zeros((b_rows.shape[0], nf), dtype=np.int64), b_rows],
-        [-square_f, square_g],
-    ])
-    basis = kernel_basis(p, system % p).T.copy()
-    basis.setflags(write=False)
-    return basis
-
-
-def _group_pairs(x: CommaObject, y: CommaObject) -> list[tuple[tuple, tuple, np.ndarray]]:
-    """(source group, target group, kernel rows) for each pair of groups."""
+def _square(x: CommaObject, y: CommaObject) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bases F of Hom_R(x.A, y.A) and G of Hom_S(x.B, y.B) (:func:`hom_space`), and the
+    matrix of the square map on their coefficients, (a, b) -> phi_y (1_U (x) aF) - bG phi_x."""
     if x.bimodule != y.bimodule:
         raise AlgebraMismatch("comma objects over different data")
-    return [(s, t, _comma_block(x.p, t[2], s[2])) for s in _comma_groups(x) for t in _comma_groups(y)]
+    fs, gs = hom_space(x.A, y.A), hom_space(x.B, y.B)
+    width = y.B.dim * x.bimodule.dim * x.A.dim
+    # entry (r, u, a) of phi_y (1_U (x) f) is sum_b phi_y[r, u, b] f[b, a]
+    through_f = np.einsum("rub,hba->hrua", y.phi.reshape(y.B.dim, x.bimodule.dim, y.A.dim), fs)
+    square = np.concatenate([through_f.reshape(len(fs), width), -(gs @ x.phi).reshape(len(gs), width)]).T % x.p
+    return fs, gs, square
 
 
 def hom_comma(x: CommaObject, y: CommaObject) -> tuple[np.ndarray, np.ndarray]:
     """Basis of the morphism space: the canonical kernel basis of the joint
-    system in (vec f, vec g).  Hom is biadditive, so each pair of comma summands
-    (:func:`_comma_groups`) is solved once (table ``comma_block``) and
-    :func:`scatter_blocks` places the kernels.
+    system in (vec f, vec g), from the kernel of the square map on the component
+    Hom bases (:func:`_square`), put in canonical form by :func:`~commacat.linalg.canonical_rows`.
 
     Returns the f parts and the g parts of the basis maps as two frozen int64
     stacks, (h, y.A.dim, x.A.dim) and (h, y.B.dim, x.B.dim).
     """
-    nf = y.A.dim * x.A.dim
-    frame_f = np.arange(nf).reshape(y.A.dim, x.A.dim)
-    frame_g = nf + np.arange(y.B.dim * x.B.dim).reshape(y.B.dim, x.B.dim)
-    parts = [
-        (np.concatenate([frame_f[ya[:, None], xa].ravel(), frame_g[yb[:, None], xb].ravel()]), k)
-        for (xa, xb, _), (ya, yb, _), k in _group_pairs(x, y) if len(k)
-    ]
-    basis = scatter_blocks(nf + y.B.dim * x.B.dim, parts)
-    fs = basis[:, :nf].reshape(len(basis), y.A.dim, x.A.dim)
-    gs = basis[:, nf:].reshape(len(basis), y.B.dim, x.B.dim)
-    fs.setflags(write=False)
-    gs.setflags(write=False)
-    return fs, gs
+    fs, gs, square = _square(x, y)
+    p, nf, ng = x.p, y.A.dim * x.A.dim, y.B.dim * x.B.dim
+    coeffs = kernel_basis(p, square)
+    maps = np.concatenate([coeffs[: len(fs)].T @ fs.reshape(len(fs), nf),
+                           coeffs[len(fs) :].T @ gs.reshape(len(gs), ng)], axis=1) % p
+    basis = canonical_rows(p, maps)
+    return basis[:, :nf].reshape(len(basis), y.A.dim, x.A.dim), basis[:, nf:].reshape(len(basis), y.B.dim, x.B.dim)
 
 
+@memo("hom_comma_dim")
 def hom_comma_dim(x: CommaObject, y: CommaObject) -> int:
-    """dim Hom(x, y): the sum of the group-pair kernel sizes; builds no map."""
-    return sum(len(k) for *_, k in _group_pairs(x, y))
+    """dim Hom(x, y): dim Hom_R + dim Hom_S less the rank of the square map; builds
+    no comma map.  Memoized."""
+    fs, gs, square = _square(x, y)
+    return len(fs) + len(gs) - (rank(x.p, square) if len(square) else 0)
 
 
 def comma_is_isomorphic(x: CommaObject, y: CommaObject) -> IsoResult:

@@ -48,7 +48,7 @@ from .presentations import Presentation, trivial_presentation
 class Fixture:
     name: str
     p: int
-    max_dim: int  # the bound load_fixture received: sums and extensions of torsion-class checks stay within it
+    max_dim: int  # the comma universe's bound (a2: MAX_TOTAL_DIM): torsion-class sums and extensions stay within it
     r: FDAlgebra
     s: FDAlgebra
     u: Bimodule
@@ -77,7 +77,7 @@ class Fixture:
         return list(self.s_universe.values())
 
 
-def a2_fixture(max_total_dim: int) -> Fixture:
+def a2_fixture() -> Fixture:
     p = 2
     r = field_algebra(p, "R")
     s = field_algebra(p, "S")
@@ -111,7 +111,7 @@ def a2_fixture(max_total_dim: int) -> Fixture:
     fixture = Fixture(
         name="a2",
         p=p,
-        max_dim=max_total_dim,
+        max_dim=MAX_TOTAL_DIM,
         r=r,
         s=s,
         u=u,
@@ -204,10 +204,11 @@ def fixture_names() -> list[str]:
 
 
 def load_fixture(name: str, max_total_dim: int = MAX_TOTAL_DIM) -> Fixture:
-    """The fixture ``name``, recording ``max_total_dim`` as its ``max_dim``.
-    Only dual-numbers generates its comma universe within it; a2 lists its own."""
+    """The fixture ``name``.  Only dual-numbers generates its comma universe, within
+    ``max_total_dim``, and records that bound as its ``max_dim``; a2 lists its own
+    universe and ignores it."""
     if name == "a2":
-        return a2_fixture(max_total_dim)
+        return a2_fixture()
     if name == "dual-numbers":
         return dual_numbers_fixture(max_total_dim)
     raise KeyError(f"unknown fixture {name!r}; available: {', '.join(fixture_names())}")

@@ -260,6 +260,16 @@ def inverse(p: int, a: np.ndarray) -> Optional[np.ndarray]:
     return red[:, n:].copy()
 
 
+def canonical_rows(p: int, rows: np.ndarray) -> np.ndarray:
+    """Canonical basis, one frozen row per vector, of the row span of ``rows``: the rows
+    :func:`kernel_basis` gives for a system with that kernel.  A canonical kernel vector
+    ends in its free column, so this is the reduced form of the reversed columns, reversed."""
+    red, pivots = rref(FpMatrix._of(p, rows[:, ::-1]))
+    basis = red[: len(pivots)][::-1, ::-1].copy()
+    basis.setflags(write=False)
+    return basis
+
+
 def column_space_basis(p: int, a: np.ndarray) -> np.ndarray:
     """Canonical basis of the column span (RREF of the transpose, transposed back)."""
     red, pivots = rref(FpMatrix._of(p, a.T))

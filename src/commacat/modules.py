@@ -39,6 +39,7 @@ import numpy as np
 from .algebra import Bimodule, FDAlgebra, frozen_actions, module_law
 from .linalg import (
     FpMatrix,
+    canonical_rows,
     column_space_basis,
     combination_chunks,
     fp_array,
@@ -355,13 +356,10 @@ def _block_pairs(m: ModuleRep, n: ModuleRep) -> list[tuple[int, int, int, int, t
 @memo("hom_lift")
 def _hom_lift(p: int, g: int, rows: int, cols: int, target: bytes, source: bytes) -> np.ndarray:
     """Canonical kernel basis, one frozen row per vector, of a block pair: the
-    lifted maps of :func:`_hom_block` in reduced row form with columns reversed,
-    read back reversed (a canonical kernel vector ends in its free column)."""
+    lifted maps of :func:`_hom_block`, canonicalized by :func:`canonical_rows`."""
     block = _hom_block(p, g, rows, cols, target, source)
     lifted = (block.astype(np.int64) @ _spin(p, g, cols, source)[3] % p).reshape(len(block), rows * cols)
-    basis = rref(FpMatrix._of(p, lifted[:, ::-1]))[0][: len(block)][::-1, ::-1].copy()
-    basis.setflags(write=False)
-    return basis
+    return canonical_rows(p, lifted)
 
 
 @memo("hom_space")

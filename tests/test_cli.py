@@ -28,6 +28,14 @@ def test_run_requires_source(runner):
     assert result.exit_code == 2
 
 
+def test_run_takes_a_document_or_a_fixture_not_both(runner, tmp_path):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text("{}")
+    result = runner.invoke(main, ["run", str(doc_path), "--fixture", "a2"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: provide a document path or --fixture, not both\n"
+
+
 def test_hom_table_a2_json(runner):
     result = runner.invoke(main, ["run", "--fixture", "a2", "--task", "hom-table"])
     assert result.exit_code == 0
@@ -165,15 +173,6 @@ def test_certificate_replay_roundtrip(runner, tmp_path):
     replay = runner.invoke(main, ["validate", "--certificate", str(report_path)])
     assert replay.exit_code == 0, replay.output
     assert "all certificates replayed" in replay.output
-
-
-def test_max_dim_env_var(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("COMMACAT_MAX_DIM", "2")
-    result = runner.invoke(main, ["run", "--fixture", "dual-numbers", "--task", "hom-table"])
-    assert result.exit_code == 0
-    report = json.loads(result.output)
-    # a cap of 2 shrinks the built comma universe
-    assert len(report["tasks"][0]["labels"]) < 19
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -383,6 +382,21 @@ def test_max_dim_bounds_the_torsion_class_checks(runner):
     assert bounds == [3] * 6
     results = [v["result"] for v in verdicts]
     assert [results.count(r) for r in ("holds", "fails", "out-of-scope")] == [31, 4, 4]
+
+
+def test_max_dim_does_not_reach_a2(runner, tmp_path):
+    # a2 lists its universe instead of generating it within the bound, so the
+    # bound changes only the recorded source
+    default = runner.invoke(main, ["run", "--fixture", "a2"])
+    bounded = runner.invoke(main, ["run", "--fixture", "a2", "--max-dim", "0"])
+    assert default.exit_code == bounded.exit_code == 0
+    report = json.loads(bounded.stdout)
+    assert report.pop("source") == {"fixture": "a2", "max_dim": 0}
+    assert report == {k: v for k, v in json.loads(default.stdout).items() if k != "source"}
+    report_path = tmp_path / "report.json"
+    report_path.write_text(bounded.stdout)
+    replay = runner.invoke(main, ["validate", "--certificate", str(report_path)])
+    assert (replay.exit_code, replay.output) == (0, "all certificates replayed (19 checked)\n")
 
 
 @pytest.mark.parametrize("value", [-1, True, "3", None], ids=["negative", "bool", "str", "null"])

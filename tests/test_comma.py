@@ -756,8 +756,9 @@ def test_interleaved_groups(system_universes):
     c = next(c for c in universe if c.A.dim == c.B.dim == 1 and c.phi.any())
     d = next(d for d in universe if d.A.dim == 2 and d.B.dim == 1 and d.phi.any())
     x = comma_sum([c, d], [1, 0])
-    groups = sorted((a.tolist(), b.tolist()) for a, b, _ in comma._comma_groups(x))
-    assert groups == [([0], [1]), ([1, 2], [0])]
+    # B index 0 is d's and B index 1 is c's: phi joins them to A indices 1-2 and 0
+    joined = x.phi.reshape(x.B.dim, x.bimodule.dim, x.A.dim).any(axis=1)
+    assert joined[1, 0] and joined[0, 1:].any() and not joined[1, 1:].any() and not joined[0, 0]
     for y in (x, comma_sum([c, d]), comma_sum([d, c], [1, 0]), *universe):
         assert_matches_probed_system(x, y)
         assert_matches_probed_system(y, x)

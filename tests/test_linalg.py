@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commacat.algebra import Bimodule, FDAlgebra, dual_numbers_algebra, field_algebra
+from commacat.comma import canonical_tensor_comma, functor_p, hom_comma, hom_comma_dim
 from commacat.linalg import (
     MODULUS_LIMIT,
     FpMatrix,
@@ -34,6 +35,7 @@ from commacat.modules import (
     tensor_map,
     tensor_over,
 )
+from tests.test_comma import assert_matches_probed_system
 
 
 def eye(n):
@@ -120,6 +122,13 @@ def test_largest_accepted_modulus_multiplies_exactly():
     assert ModuleMap(moved, quot, proj_m).is_valid()
     for action, got in zip(moved.action, quot.action):
         assert got.tolist() == _python_product(p, proj_m, action, sect)
+    # comma Hom, whose square multiplies phi by the component Hom bases
+    objects = [canonical_tensor_comma(u, moved, "x"), canonical_tensor_comma(u, ra, "y"),
+               functor_p(u, moved, spaces[0])]
+    for x in objects:
+        for y in objects:
+            assert_matches_probed_system(x, y)
+            assert hom_comma_dim(x, y) == len(hom_comma(x, y)[0])
 
 
 def test_entries_reduced():
