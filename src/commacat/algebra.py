@@ -162,18 +162,16 @@ def validate_bimodule(u: Bimodule) -> list[dict]:
 
 
 class TriangularAlgebra(FDAlgebra):
-    """The matrix algebra [[R, 0], [U, S]], keeping its block structure."""
+    """The matrix algebra [[R, 0], [U, S]] of the (S, R)-bimodule U, keeping its block structure."""
 
     __slots__ = ("r", "s", "u", "r_slice", "u_slice", "s_slice")
 
-    def __init__(self, r: FDAlgebra, s: FDAlgebra, u: Bimodule, mul, unit, label: str = "") -> None:
-        super().__init__(r.p, mul, unit, label or "T")
-        self.r = r
-        self.s = s
-        self.u = u
-        self.r_slice = slice(0, r.dim)
-        self.u_slice = slice(r.dim, r.dim + u.dim)
-        self.s_slice = slice(r.dim + u.dim, r.dim + u.dim + s.dim)
+    def __init__(self, u: Bimodule, mul, unit, label: str = "") -> None:
+        super().__init__(u.p, mul, unit, label or "T")
+        self.r, self.s, self.u = u.r_algebra, u.s_algebra, u
+        self.r_slice = slice(0, self.r.dim)
+        self.u_slice = slice(self.r.dim, self.r.dim + u.dim)
+        self.s_slice = slice(self.r.dim + u.dim, self.dim)
 
     def idempotent_r(self) -> np.ndarray:
         e = np.zeros(self.dim, dtype=np.int64)
@@ -186,15 +184,11 @@ class TriangularAlgebra(FDAlgebra):
         return e
 
 
-def triangular_algebra(r: FDAlgebra, s: FDAlgebra, u: Bimodule, label: str = "") -> TriangularAlgebra:
-    """Triangular matrix algebra of R, S and the (S, R)-bimodule U.
-
-    Product rule on triples: (r, u, s)(r', u', s') = (rr', u r' + s u', ss').
-    """
-    if r.p != s.p or u.p != r.p:
-        raise ValueError("prime mismatch between components")
-    if u.s_algebra != s or u.r_algebra != r:
-        raise ValueError("bimodule is not an (S, R)-bimodule over the given algebras")
+def triangular_algebra(u: Bimodule, label: str = "") -> TriangularAlgebra:
+    """Triangular matrix algebra [[R, 0], [U, S]] of the (S, R)-bimodule U; a ValueError
+    names the first violation of R, S or U.  Product rule on triples:
+    (r, u, s)(r', u', s') = (rr', u r' + s u', ss')."""
+    r, s = u.r_algebra, u.s_algebra
     bad = validate_algebra(r) + validate_algebra(s)
     if bad:
         raise ValueError(f"invalid component algebra: {bad[0]}")
@@ -214,7 +208,7 @@ def triangular_algebra(r: FDAlgebra, s: FDAlgebra, u: Bimodule, label: str = "")
     unit = np.zeros(d, dtype=np.int64)
     unit[:dr] = r.unit
     unit[dr + du :] = s.unit
-    t = TriangularAlgebra(r, s, u, mul, unit, label=label)
+    t = TriangularAlgebra(u, mul, unit, label=label)
     bad = validate_algebra(t)
     if bad:
         raise AssertionError(f"triangular construction produced an invalid algebra: {bad[0]}")

@@ -97,6 +97,9 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
     if document and fixture_name:
         click.echo("error: provide a document path or --fixture, not both", err=True)
         sys.exit(2)
+    if document and max_dim is not None:
+        click.echo("error: --max-dim bounds a fixture's comma universe; a document lists its own universes", err=True)
+        sys.exit(2)
     if fixture_name:
         source = {"fixture": fixture_name}
         if max_dim is not None:
@@ -107,7 +110,7 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
         except (TaskError, IsoSearchCapExceeded) as exc:
             click.echo(f"task error: {exc}", err=True)
             sys.exit(3)
-        p = fx.p
+        p = fx.t.p
     else:
         try:
             doc = load_document(document)

@@ -604,18 +604,15 @@ def family_membership(c: CommaObject, kind: str, cfam, dfam) -> bool:
 # -- presentations of p(A, B) ------------------------------------------------------
 
 
-def sigma_for_p(
-    t: TriangularAlgebra, a: ModuleRep, sigma_a: Presentation, b: ModuleRep, sigma_b: Presentation
-) -> Presentation:
-    """Block-diagonal T-presentation of (0, B) + (A, FA) from component ones.
+def sigma_for_p(t: TriangularAlgebra, sigma_a: Presentation, sigma_b: Presentation) -> Presentation:
+    """Block-diagonal T-presentation of (0, B) + (A, FA), for A the R-module
+    ``sigma_a`` presents and B the S-module ``sigma_b`` presents.
 
     The first block presents (0, B) through (0, Q1) -> (0, Q0); the
     second presents (A, FA) through (P1, FP1) -> (P0, FP0), using that
     the tensor functor preserves cokernels.
     """
-    u = t.u
-    if sigma_a.target != a or sigma_b.target != b:
-        raise ValueError("presentations must present the given modules")
+    u, a, b = t.u, sigma_a.target, sigma_b.target
     tq1 = to_T_module(comma_from_components(u, b=sigma_b.sigma.source, label="(0,Q1)"), t)
     tq0 = to_T_module(comma_from_components(u, b=sigma_b.sigma.target, label="(0,Q0)"), t)
     tp1 = to_T_module(canonical_tensor_comma(u, sigma_a.sigma.source, label="(P1,FP1)"), t)
@@ -627,14 +624,10 @@ def sigma_for_p(
     target = direct_sum([
         to_T_module(comma_from_components(u, b=b, label=f"(0,{b.label})"), t),
         to_T_module(canonical_tensor_comma(u, a, label=f"({a.label},F{a.label})"), t),
-    ])
+    ]).relabel(f"(0,{b.label})+({a.label},F{a.label})")
     f_witness_a = tensor_map(u, sigma_a.witness)
     witness_mat = _block_diag(sigma_b.witness.matrix, sigma_a.witness.matrix, f_witness_a.matrix)
-    return Presentation(
-        sigma=ModuleMap(p1, p0, sigma_mat),
-        target=target.relabel(f"(0,{b.label})+({a.label},F{a.label})"),
-        witness=ModuleMap(p0, target, witness_mat),
-    )
+    return Presentation(sigma=ModuleMap(p1, p0, sigma_mat), witness=ModuleMap(p0, target, witness_mat))
 
 
 # -- universe builder ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .algebra import Bimodule, FDAlgebra, TriangularAlgebra, triangular_algebra, validate_algebra, validate_bimodule
+from .algebra import Bimodule, FDAlgebra, TriangularAlgebra, triangular_algebra, validate_algebra
 from .comma import (FAMILY_B, FAMILY_J, FAMILY_U, CommaObject, RightTModule, to_T_module, validate_comma,
                     validate_right_t)
 from .linalg import _check_modulus, fp_array
@@ -50,11 +50,10 @@ class DocumentError(ValueError):
 class Document:
     p: int
     algebras: dict[str, FDAlgebra] = field(default_factory=dict)
-    bimodules: dict[str, Bimodule] = field(default_factory=dict)
+    # one triangular algebra per bimodule, by the bimodule's name: ``doc.triangulars[name].u`` is the bimodule
     triangulars: dict[str, TriangularAlgebra] = field(default_factory=dict)
     modules: dict[str, ModuleRep] = field(default_factory=dict)
     comma_objects: dict[str, CommaObject] = field(default_factory=dict)
-    right_t_modules: dict[str, RightTModule] = field(default_factory=dict)
     presentations: dict[str, Presentation] = field(default_factory=dict)
     families: dict[str, ModuleFamily] = field(default_factory=dict)
     universes: dict[str, list[ModuleRep]] = field(default_factory=dict)
@@ -235,13 +234,9 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
             right = _actions(p, rec, "right_action", path, dim)
             try:
                 u = Bimodule(s_alg, r_alg, dim, left, right, label=name)
+                doc.triangulars[name] = triangular_algebra(u, label=f"T[{name}]")
             except ValueError as exc:
                 raise DocumentError(path, str(exc)) from None
-            bad = validate_bimodule(u)
-            if bad:
-                raise DocumentError(path, f"invalid bimodule: {bad[0]}")
-            doc.bimodules[name] = u
-            doc.triangulars[name] = triangular_algebra(r_alg, s_alg, u, label=f"T[{name}]")
         except DocumentError as exc:
             report(exc)
 
@@ -265,7 +260,7 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
 
     for name, path, rec in entries("comma_objects"):
         try:
-            u = _lookup(doc.bimodules, rec.get("bimodule", ""), path, "bimodule")
+            u = _lookup(doc.triangulars, rec.get("bimodule", ""), path, "bimodule").u
             a = _lookup(doc.modules, rec.get("A", ""), path, "module")
             b = _lookup(doc.modules, rec.get("B", ""), path, "module")
             phi = _matrix(p, rec.get("phi", []), f"{path}.phi")
@@ -284,7 +279,7 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
 
     for name, path, rec in entries("right_t_modules"):
         try:
-            u = _lookup(doc.bimodules, rec.get("bimodule", ""), path, "bimodule")
+            u = _lookup(doc.triangulars, rec.get("bimodule", ""), path, "bimodule").u
             x = _lookup(doc.modules, rec.get("X", ""), path, "module")
             y = _lookup(doc.modules, rec.get("Y", ""), path, "module")
             psi = _matrix(p, rec.get("psi", []), f"{path}.psi")
@@ -297,7 +292,6 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
             bad = validate_right_t(rt)
             if bad:
                 raise DocumentError(path, f"invalid right T-module: {bad[0]}")
-            doc.right_t_modules[name] = rt
         except DocumentError as exc:
             report(exc)
 
@@ -316,7 +310,7 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
                 _require_over(_over([tgt]), _over([m]), f"{path}.{key}")
             sigma = ModuleMap(src, tgt, _matrix(p, rec.get("sigma", []), f"{path}.sigma", (tgt.dim, src.dim)))
             witness = ModuleMap(tgt, mod, _matrix(p, rec.get("witness", []), f"{path}.witness", (mod.dim, tgt.dim)))
-            pres = Presentation(sigma=sigma, target=mod, witness=witness)
+            pres = Presentation(sigma=sigma, witness=witness)
             bad = validate_presentation(pres)
             if bad:
                 raise DocumentError(path, f"not exact: {bad[0]}")
@@ -391,13 +385,12 @@ def _build_family(doc: Document, name: str, rec: dict, path: str) -> ModuleFamil
     elif kind == "comma":
         cfam = _lookup(doc.families, rec.get("c", ""), path, "family")
         dfam = _lookup(doc.families, rec.get("d", ""), path, "family")
-        u = _lookup(doc.bimodules, rec.get("bimodule", ""), path, "bimodule")
+        t = _lookup(doc.triangulars, rec.get("bimodule", ""), path, "bimodule")
         family = rec.get("family", FAMILY_U)
         if family not in (FAMILY_U, FAMILY_B, FAMILY_J):
             raise DocumentError(f"{path}.family", f"comma family must be U, B or J, got {family!r}")
-        _require_over((u.r_algebra, LEFT), doc.family_over[rec.get("c", "")], f"{path}.c")
-        _require_over((u.s_algebra, LEFT), doc.family_over[rec.get("d", "")], f"{path}.d")
-        t = doc.triangulars[u.label]
+        _require_over((t.r, LEFT), doc.family_over[rec.get("c", "")], f"{path}.c")
+        _require_over((t.s, LEFT), doc.family_over[rec.get("d", "")], f"{path}.d")
         _require_over((t, LEFT), over, f"{path}.universe")
         over = (t, LEFT)
         fam = comma_family(family, cfam, dfam, t)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     Bimodule,
-    FDAlgebra,
     TriangularAlgebra,
     dual_numbers_algebra,
     field_algebra,
@@ -46,26 +45,24 @@ from .presentations import Presentation, trivial_presentation
 
 @dataclass
 class Fixture:
+    """A named corpus over T = ``t``, whose bimodule ``t.u`` fixes R, S and p; ``t_universe``
+    is the comma universe as T-modules, built from it under the same names."""
+
     name: str
-    p: int
     max_dim: int  # the comma universe's bound (a2: MAX_TOTAL_DIM): torsion-class sums and extensions stay within it
-    r: FDAlgebra
-    s: FDAlgebra
-    u: Bimodule
     t: TriangularAlgebra
     r_universe: dict[str, ModuleRep]
     s_universe: dict[str, ModuleRep]
     comma_universe: dict[str, CommaObject]
-    t_universe: dict[str, ModuleRep] = field(default_factory=dict)
+    t_universe: dict[str, ModuleRep] = field(init=False)
     right_t_universe: dict[str, RightTModule] = field(default_factory=dict)
     presentations: dict[str, Presentation] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.t_universe:
-            self.t_universe = {
-                name: to_T_module(c, self.t).relabel(name)
-                for name, c in self.comma_universe.items()
-            }
+        self.t_universe = {
+            name: to_T_module(c, self.t).relabel(name)
+            for name, c in self.comma_universe.items()
+        }
 
     def t_universe_list(self) -> list[ModuleRep]:
         return list(self.t_universe.values())
@@ -82,7 +79,7 @@ def a2_fixture() -> Fixture:
     r = field_algebra(p, "R")
     s = field_algebra(p, "S")
     u = scalar_bimodule(s, r, "U")
-    t = triangular_algebra(r, s, u, label="T(A2)")
+    t = triangular_algebra(u, label="T(A2)")
 
     rk = regular_module(r, LEFT).relabel("k")
     sk = regular_module(s, LEFT).relabel("k")
@@ -110,11 +107,7 @@ def a2_fixture() -> Fixture:
 
     fixture = Fixture(
         name="a2",
-        p=p,
         max_dim=MAX_TOTAL_DIM,
-        r=r,
-        s=s,
-        u=u,
         t=t,
         r_universe=r_universe,
         s_universe=s_universe,
@@ -131,7 +124,7 @@ def a2_fixture() -> Fixture:
         "triv_k_S": trivial_presentation(sk),
         "triv_0_R": trivial_presentation(r_universe["0"]),
         "triv_0_S": trivial_presentation(s_universe["0"]),
-        "S_R_from_P": Presentation(sigma=sigma, target=t_univ["S_R"], witness=witness),
+        "S_R_from_P": Presentation(sigma=sigma, witness=witness),
     }
     return fixture
 
@@ -141,7 +134,7 @@ def dual_numbers_fixture(max_total_dim: int) -> Fixture:
     r = dual_numbers_algebra(p, "R")
     s = field_algebra(p, "S")
     u = Bimodule(s, r, 1, [[[1]]], [[[1]], [[0]]], label="U")
-    t = triangular_algebra(r, s, u, label="T(dual)")
+    t = triangular_algebra(u, label="T(dual)")
 
     rr = regular_module(r, LEFT).relabel("R")
     rk = ModuleRep(r, LEFT, 1, [[[1]], [[0]]], label="k")
@@ -174,11 +167,7 @@ def dual_numbers_fixture(max_total_dim: int) -> Fixture:
 
     fixture = Fixture(
         name="dual-numbers",
-        p=p,
         max_dim=max_total_dim,
-        r=r,
-        s=s,
-        u=u,
         t=t,
         r_universe=r_universe,
         s_universe=s_universe,
@@ -190,7 +179,7 @@ def dual_numbers_fixture(max_total_dim: int) -> Fixture:
     sigma = ModuleMap(rr, rr, [[0, 0], [1, 0]])
     witness = ModuleMap(rr, rk, [[1, 0]])
     fixture.presentations = {
-        "k_from_x": Presentation(sigma=sigma, target=rk, witness=witness),
+        "k_from_x": Presentation(sigma=sigma, witness=witness),
         "triv_R": trivial_presentation(rr),
         "triv_k_S": trivial_presentation(sk),
         "triv_0_R": trivial_presentation(r_universe["0"]),

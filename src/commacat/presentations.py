@@ -46,9 +46,15 @@ except ImportError:
 
 
 class Presentation(NamedTuple):
+    """P1 --sigma--> P0 --witness--> M -> 0; the witness fixes the presented module M."""
+
     sigma: ModuleMap  # P1 -> P0, both flagged projective
-    target: ModuleRep  # M
     witness: ModuleMap  # epi P0 -> M with kernel = im(sigma)
+
+    @property
+    def target(self) -> ModuleRep:
+        """M, the module presented."""
+        return self.witness.target
 
     @property
     def p(self) -> int:
@@ -61,8 +67,6 @@ def validate_presentation(s: Presentation) -> list[dict]:
     if s.sigma.target != s.witness.source:
         violations.append({"kind": "chain-mismatch"})
         return violations
-    if s.witness.target != s.target:
-        violations.append({"kind": "target-mismatch"})
     if not s.sigma.is_valid():
         violations.append({"kind": "sigma-not-a-map"})
     if not s.witness.is_valid():
@@ -81,7 +85,6 @@ def trivial_presentation(m: ModuleRep) -> Presentation:
     zero = zero_module(m.algebra, m.side)
     return Presentation(
         sigma=ModuleMap(zero, m, np.zeros((m.dim, 0), dtype=np.int64)),
-        target=m,
         witness=ModuleMap(m, m, np.eye(m.dim, dtype=np.int64)),
     )
 
@@ -182,15 +185,15 @@ class Verdict:
         }
 
 
-def is_silting(m: ModuleRep, s: Presentation, universe: Sequence[ModuleRep]) -> Verdict:
-    """Silting with respect to sigma: the sigma-class equals Gen(m) on the universe.
+def is_silting(s: Presentation, universe: Sequence[ModuleRep]) -> Verdict:
+    """Silting of the module M that ``s`` presents, with respect to sigma: the
+    sigma-class equals Gen(M) on the universe.
 
     The verdict has a ``membership-mismatch`` certificate for every universe
     member where the two predicates disagree, with the direction of the
     disagreement.
     """
-    if s.target != m:
-        raise ValueError("presentation does not present the module")
+    m = s.target
     certs = []
     for idx, x in enumerate(universe):
         in_d = d_sigma_member(s, x)
@@ -203,8 +206,8 @@ def is_silting(m: ModuleRep, s: Presentation, universe: Sequence[ModuleRep]) -> 
     return Verdict(f"silting({m.label})", result, certs, universe_hash=universe_hash(universe))
 
 
-def is_partial_silting(m: ModuleRep, s: Presentation, universe: Sequence[ModuleRep]) -> Verdict:
-    """Partial silting: m is in its own sigma-class.
+def is_partial_silting(s: Presentation, universe: Sequence[ModuleRep]) -> Verdict:
+    """Partial silting of the module M that ``s`` presents: M is in its own sigma-class.
 
     No closure of the class is checked: Hom(sigma, X + Y) is Hom(sigma, X)
     + Hom(sigma, Y), so the class is closed under direct sums, and the
@@ -212,8 +215,7 @@ def is_partial_silting(m: ModuleRep, s: Presentation, universe: Sequence[ModuleR
     and extensions (Angeleri Huegel, Marks and Vitoria, "Silting modules",
     IMRN 2016).  The universe only fixes the verdict's hash.
     """
-    if s.target != m:
-        raise ValueError("presentation does not present the module")
+    m = s.target
     certs = [] if d_sigma_member(s, m) else [{"clause": "self-membership", "label": m.label}]
     result = "holds" if not certs else "fails"
     return Verdict(f"partial-silting({m.label})", result, certs, universe_hash=universe_hash(universe))

@@ -112,7 +112,7 @@ def _basic_family(kind: str) -> ModuleFamily:
 def _decomposition(fx: Fixture, sigma_a: Presentation, sigma_b: Presentation):
     """(sigma_A, sigma_B, sigma_T), sigma_T the T-presentation they give, and
     the classes D[sigma_T], D[sigma_A], D[sigma_B], each with its universe."""
-    pres_t = sigma_for_p(fx.t, sigma_a.target, sigma_a, sigma_b.target, sigma_b)
+    pres_t = sigma_for_p(fx.t, sigma_a, sigma_b)
     t_u, r_u, s_u = fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()
     classes = [
         (family_d_sigma(pres_t, label="D[sigma_T]"), t_u),
@@ -231,17 +231,16 @@ def _claim_presentation_decomposition(fx: Fixture) -> list[Verdict]:
     return verdicts
 
 
-def _case_args(fx: Fixture, a_name: str, sa_name: str, b_name: str, sb_name: str) -> tuple:
-    """The arguments (t, a, sigma_a, b, sigma_b, universes of R, S, T) of a silting-pair verifier."""
-    a, b = fx.r_universe[a_name], fx.s_universe[b_name]
+def _case_args(fx: Fixture, sa_name: str, sb_name: str) -> tuple:
+    """The arguments (t, sigma_a, sigma_b, universes of R, S, T) of a silting-pair verifier."""
     sigma_a, sigma_b = fx.presentations[sa_name], fx.presentations[sb_name]
-    return fx.t, a, sigma_a, b, sigma_b, fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
+    return fx.t, sigma_a, sigma_b, fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
 
 
 def _claim_silting_transfer(fx: Fixture) -> list[Verdict]:
     verdicts = []
     for a_name, sa_name, b_name, sb_name in _FIXTURE_CASES[fx.name]["transfer_cases"]:
-        args = _case_args(fx, a_name, sa_name, b_name, sb_name)
+        args = _case_args(fx, sa_name, sb_name)
         for name, verifier in (
             ("silting-transfer", verify_silting_transfer),
             ("partial-silting-transfer", verify_partial_silting_transfer),
@@ -257,7 +256,7 @@ def _claim_adjunctions(fx: Fixture) -> list[Verdict]:
     certs: dict[str, list] = {"p-q": [], "q-h": []}
     for a in fx.r_universe.values():
         for b in fx.s_universe.values():
-            functors = {"p-q": functor_p(fx.u, a, b), "q-h": functor_h(fx.u, a, b)}
+            functors = {"p-q": functor_p(fx.t.u, a, b), "q-h": functor_h(fx.t.u, a, b)}
             for c in fx.comma_universe.values():
                 for side, functor_ab in functors.items():
                     facts = adjunction_facts(side, functor_ab, a, b, c)
@@ -302,7 +301,7 @@ def _claim_torsion_transfer(fx: Fixture) -> list[Verdict]:
 
 def _claim_final_corollaries(fx: Fixture) -> list[Verdict]:
     a_name, sa_name, b_name, sb_name = _FIXTURE_CASES[fx.name]["corollary_case"]
-    v = verify_final_corollaries(*_case_args(fx, a_name, sa_name, b_name, sb_name))
+    v = verify_final_corollaries(*_case_args(fx, sa_name, sb_name))
     v.data["params"] = {"a": a_name, "sigma_a": sa_name, "b": b_name, "sigma_b": sb_name}
     return [v]
 
@@ -382,10 +381,10 @@ def run_document_task(doc: Document, task: dict, index: int) -> dict:
     if kind in ("is-silting", "is-partial-silting"):
         pres = ref["presentation"]
         if kind == "is-silting":
-            v = is_silting(pres.target, pres, ref["universe"])
+            v = is_silting(pres, ref["universe"])
             found = {"disagreements": [{k: x for k, x in c.items() if k != "clause"} for c in v.certificates]}
         else:
-            v = is_partial_silting(pres.target, pres, ref["universe"])
+            v = is_partial_silting(pres, ref["universe"])
             found = {"failures": v.certificates}
         return {"name": name, "kind": kind, "holds": v.holds, **found, "universe_hash": v.universe_hash}
     if kind == "d-sigma-member":
@@ -393,20 +392,21 @@ def run_document_task(doc: Document, task: dict, index: int) -> dict:
     if kind == "gen-member":
         return {"name": name, "kind": kind, "member": gen_member(ref["generator"], ref["module"])}
     if kind == "silting-transfer":
-        keys = ("bimodule", "a", "sigma_a", "b", "sigma_b", "r_universe", "s_universe", "t_universe")
+        keys = ("bimodule", "sigma_a", "sigma_b", "r_universe", "s_universe", "t_universe")
         v = verify_silting_transfer(*(ref[key] for key in keys))
         return {"name": name, "kind": kind, "verdicts": [v.to_dict()]}
     raise TaskError(f"unknown task kind {kind!r}")
 
 
 def run_document(doc: Document, task_filter: Optional[Sequence[str]] = None) -> list[dict]:
-    out = []
-    for i, task in enumerate(doc.tasks):
-        name = task.get("name", f"task{i}")
-        if task_filter and name not in task_filter and task.get("kind") not in task_filter:
-            continue
-        out.append(run_document_task(doc, task, i))
-    return out
+    """The results of the tasks whose name or kind is in ``task_filter`` (all without one); a TaskError,
+    before any task runs, for a filter value that names no task and no task kind of the document."""
+    keys = [(task.get("name", f"task{i}"), task.get("kind")) for i, task in enumerate(doc.tasks)]
+    for wanted in task_filter or ():
+        if not any(wanted in key for key in keys):
+            raise TaskError(f"unknown document task {wanted!r}: no task of the document has that name or kind")
+    chosen = [i for i, key in enumerate(keys) if not task_filter or any(k in task_filter for k in key)]
+    return [run_document_task(doc, doc.tasks[i], i) for i in chosen]
 
 
 # -- certificate replay -------------------------------------------------------------
@@ -497,12 +497,9 @@ def _silting_sites(fx: Fixture, v: dict, claim: str, clauses: tuple[str, ...]) -
     sigma_a, sigma_b = (_ref(fx, params, key, "presentations", where) for key in ("sigma_a", "sigma_b"))
     if sigma_a.target != a or sigma_b.target != b:
         raise MalformedReport(f"{where}: sigma_a and sigma_b must present a and b")
-    universes = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
-    sides = silting_sides(fx.t, a, sigma_a, b, sigma_b, *universes)
-    return [
-        (sub, {"universe": u, "presentation": pres, "gen_module": m}, clauses)
-        for sub, (_, pres, m, u) in zip(_subs(v, claim, 3), sides)
-    ]
+    sides = silting_sides(fx.t, sigma_a, sigma_b, fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list())
+    subs = _subs(v, claim, 3)
+    return [(sub, {"universe": u, "presentation": pres}, clauses) for sub, (_, pres, u) in zip(subs, sides)]
 
 
 def _replay_silting_transfer(fx: Fixture, v: dict, claim: str) -> list[Site]:

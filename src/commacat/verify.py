@@ -81,45 +81,40 @@ from .torsion import (
 
 def silting_sides(
     t: TriangularAlgebra,
-    a: ModuleRep,
     sigma_a: Presentation,
-    b: ModuleRep,
     sigma_b: Presentation,
     r_universe: Sequence[ModuleRep],
     s_universe: Sequence[ModuleRep],
     t_universe: Sequence[ModuleRep],
-) -> list[tuple[str, Presentation, ModuleRep, Sequence[ModuleRep]]]:
-    """(sub-verdict claim, presentation, presented module, universe) of the
-    three silting conditions: over T with the block presentation of
-    (0, B) + (A, FA), and over R and S for the components."""
-    pres_t = sigma_for_p(t, a, sigma_a, b, sigma_b)
+) -> list[tuple[str, Presentation, Sequence[ModuleRep]]]:
+    """(sub-verdict claim, presentation, universe) of the three silting conditions: over T with the
+    block presentation of (0, B) + (A, FA), and over R and S for A and B, the modules presented."""
     return [
-        ("left-side", pres_t, pres_t.target, t_universe),
-        ("component-A", sigma_a, a, r_universe),
-        ("component-B", sigma_b, b, s_universe),
+        ("left-side", sigma_for_p(t, sigma_a, sigma_b), t_universe),
+        ("component-A", sigma_a, r_universe),
+        ("component-B", sigma_b, s_universe),
     ]
 
 
 def verify_silting_transfer(
     t: TriangularAlgebra,
-    a: ModuleRep,
     sigma_a: Presentation,
-    b: ModuleRep,
     sigma_b: Presentation,
     r_universe: Sequence[ModuleRep],
     s_universe: Sequence[ModuleRep],
     t_universe: Sequence[ModuleRep],
 ) -> Verdict:
-    """Silting of (0, B) + (A, FA) against the three component conditions.
+    """Silting of (0, B) + (A, FA) against the three component conditions,
+    for A and B the modules ``sigma_a`` and ``sigma_b`` present.
 
     Left side: silting over T with the block presentation.  Right side:
     A silting, B silting, and FA generated by B.  The verdict states
     whether the two sides agree.
     """
-    sides = silting_sides(t, a, sigma_a, b, sigma_b, r_universe, s_universe, t_universe)
-    lhs, rhs_a, rhs_b = verdicts = [replace(is_silting(m, pres, u), claim=claim) for claim, pres, m, u in sides]
-    fa = tensor_over(t.u, a).module
-    rhs_gen = gen_member(b, fa)
+    sides = silting_sides(t, sigma_a, sigma_b, r_universe, s_universe, t_universe)
+    lhs, rhs_a, rhs_b = verdicts = [replace(is_silting(pres, u), claim=claim) for claim, pres, u in sides]
+    fa = tensor_over(t.u, sigma_a.target).module
+    rhs_gen = gen_member(sigma_b.target, fa)
     rhs = rhs_a.holds and rhs_b.holds and rhs_gen
     return Verdict(
         claim="silting-transfer",
@@ -132,9 +127,7 @@ def verify_silting_transfer(
 
 def verify_partial_silting_transfer(
     t: TriangularAlgebra,
-    a: ModuleRep,
     sigma_a: Presentation,
-    b: ModuleRep,
     sigma_b: Presentation,
     r_universe: Sequence[ModuleRep],
     s_universe: Sequence[ModuleRep],
@@ -142,9 +135,9 @@ def verify_partial_silting_transfer(
 ) -> Verdict:
     """Partial-silting variant: the third clause asks FA to lie in the
     sigma_B class instead of Gen B."""
-    sides = silting_sides(t, a, sigma_a, b, sigma_b, r_universe, s_universe, t_universe)
-    lhs, rhs_a, rhs_b = verdicts = [replace(is_partial_silting(m, pres, u), claim=claim) for claim, pres, m, u in sides]
-    rhs_fa = d_sigma_member(sigma_b, tensor_over(t.u, a).module)
+    sides = silting_sides(t, sigma_a, sigma_b, r_universe, s_universe, t_universe)
+    lhs, rhs_a, rhs_b = verdicts = [replace(is_partial_silting(pres, u), claim=claim) for claim, pres, u in sides]
+    rhs_fa = d_sigma_member(sigma_b, tensor_over(t.u, sigma_a.target).module)
     rhs = rhs_a.holds and rhs_b.holds and rhs_fa
     return Verdict(
         claim="partial-silting-transfer",
@@ -308,20 +301,19 @@ def _agreement(claim: str, lhs: bool, rhs: bool) -> Verdict:
 
 def verify_final_corollaries(
     t: TriangularAlgebra,
-    a: ModuleRep,
     sigma_a: Presentation,
-    b: ModuleRep,
     sigma_b: Presentation,
     r_universe: Sequence[ModuleRep],
     s_universe: Sequence[ModuleRep],
     t_universe: Sequence[ModuleRep],
 ) -> Verdict:
-    """The closing corollaries: silting reductions and the induced
-    comma torsion pairs from a silting pair (A, B)."""
+    """The closing corollaries: silting reductions and the induced comma torsion
+    pairs from a silting pair (A, B), the modules ``sigma_a`` and ``sigma_b`` present."""
     subs: list[Verdict] = []
-    pres_t = sigma_for_p(t, a, sigma_a, b, sigma_b)
-    premise_silting = is_silting(pres_t.target, pres_t, t_universe).holds
-    premise_partial = is_partial_silting(pres_t.target, pres_t, t_universe).holds
+    a, b = sigma_a.target, sigma_b.target
+    pres_t = sigma_for_p(t, sigma_a, sigma_b)
+    premise_silting = is_silting(pres_t, t_universe).holds
+    premise_partial = is_partial_silting(pres_t, t_universe).holds
 
     s_reg = regular_module(t.s)
     if b.dim == s_reg.dim and is_isomorphic(b, s_reg).isomorphic:
@@ -329,7 +321,7 @@ def verify_final_corollaries(
             ("silting", is_silting, premise_silting),
             ("partial-silting", is_partial_silting, premise_partial),
         ):
-            subs.append(_agreement(f"{name}-vs-component-A", lhs, decide(a, sigma_a, r_universe).holds))
+            subs.append(_agreement(f"{name}-vs-component-A", lhs, decide(sigma_a, r_universe).holds))
     else:
         subs.append(Verdict("silting-vs-component-A", "out-of-scope", [], data={"b_is_regular": False}))
 
@@ -337,14 +329,9 @@ def verify_final_corollaries(
     # choice matters: only the cover R -> 0 makes the zero module silting
     # (its class is then exactly {0} = Gen 0), so that is the one used.
     zero_r = zero_module(t.r)
-    zero_cover = Presentation(
-        sigma=ModuleMap(regular_module(t.r), zero_r, []),
-        target=zero_r,
-        witness=ModuleMap(zero_r, zero_r, []),
-    )
-    pres_b_only = sigma_for_p(t, zero_r, zero_cover, b, sigma_b)
-    lhs_b = is_silting(pres_b_only.target, pres_b_only, t_universe).holds
-    subs.append(_agreement("silting-vs-component-B", lhs_b, is_silting(b, sigma_b, s_universe).holds))
+    zero_cover = Presentation(sigma=ModuleMap(regular_module(t.r), zero_r, []), witness=ModuleMap(zero_r, zero_r, []))
+    lhs_b = is_silting(sigma_for_p(t, zero_cover, sigma_b), t_universe).holds
+    subs.append(_agreement("silting-vs-component-B", lhs_b, is_silting(sigma_b, s_universe).holds))
 
     families = corollary_families(a, b)
     for side in ("mono", "adjoint"):
@@ -510,9 +497,9 @@ def check_certificate(cert: dict, clauses: Sequence[str], env: dict, where: str)
 def recheck_certificate(cert: dict, env: dict) -> bool:
     """Check the fields of one certificate of any clause and re-verify it
     from raw data in ``env``: "universe" (the modules its indices name),
-    "x"/"y" (torsion-pair families), "family" (closure), "presentation" and
-    "gen_module" (silting), "lhs"/"rhs" (perpendicular transfer), or
-    "fixture" (top-level claims)."""
+    "x"/"y" (torsion-pair families), "family" (closure), "presentation"
+    (silting: Gen is of the module it presents), "lhs"/"rhs" (perpendicular
+    transfer), or "fixture" (top-level claims)."""
     return check_certificate(cert, list(CLAUSES), env, "certificate").recheck(cert, env)
 
 
@@ -571,7 +558,8 @@ def _perp(cert: dict, env: dict) -> bool:
 @_clause("membership-mismatch", module=INDEX, in_d_sigma=bool, in_gen=bool)
 def _membership_mismatch(cert: dict, env: dict) -> bool:
     m = env["universe"][cert["module"]]
-    facts = {"in_d_sigma": d_sigma_member(env["presentation"], m), "in_gen": gen_member(env["gen_module"], m)}
+    pres = env["presentation"]
+    facts = {"in_d_sigma": d_sigma_member(pres, m), "in_gen": gen_member(pres.target, m)}
     return _records_mismatch(cert, facts)
 
 
@@ -663,7 +651,7 @@ def _decomposition_mismatch(cert: dict, env: dict) -> bool:
 def _adjunction_mismatch(cert: dict, env: dict) -> bool:
     fx, side = env["fixture"], env["side"]
     a, b, c = fx.r_universe[cert["a"]], fx.s_universe[cert["b"]], fx.comma_universe[cert["comma"]]
-    functor_ab = (functor_p if side == "p-q" else functor_h)(fx.u, a, b)
+    functor_ab = (functor_p if side == "p-q" else functor_h)(fx.t.u, a, b)
     return _records_mismatch(cert, adjunction_facts(side, functor_ab, a, b, c))
 
 

@@ -27,7 +27,7 @@ def test_dual_numbers_valid():
 
 def test_broken_associativity_reported():
     r, s, u = _a2_parts()
-    t = triangular_algebra(r, s, u)
+    t = triangular_algebra(u)
     mul = t.mul.copy()
     mul[1, 1, 0] = 1  # force e_U * e_U = e_R: then (uu)u = 0 but u(uu) = u
     broken = FDAlgebra(2, mul, t.unit)
@@ -52,7 +52,7 @@ def _a2_parts():
 
 def test_triangular_a2_is_path_algebra():
     r, s, u = _a2_parts()
-    t = triangular_algebra(r, s, u)
+    t = triangular_algebra(u)
     assert t.dim == 3
     assert validate_algebra(t) == []
     # basis order (e_R, e_U, e_S); check the path-algebra relations
@@ -74,7 +74,7 @@ def test_triangular_a2_is_path_algebra():
 def test_triangular_zero_bimodule_is_product_algebra():
     r, s, _ = _a2_parts()
     zero_u = Bimodule(s, r, 0, np.zeros((1, 0, 0), dtype=np.int64), np.zeros((1, 0, 0), dtype=np.int64))
-    t = triangular_algebra(r, s, zero_u)
+    t = triangular_algebra(zero_u)
     assert t.dim == 2
     assert validate_algebra(t) == []
     e = np.eye(2, dtype=np.int64)
@@ -88,7 +88,7 @@ def test_triangular_dual_numbers():
     s = field_algebra(2, "S")
     u = Bimodule(s, r, 1, [[[1]]], [[[1]], [[0]]], label="U")
     assert validate_bimodule(u) == []
-    t = triangular_algebra(r, s, u)
+    t = triangular_algebra(u)
     assert t.dim == 4
     assert validate_algebra(t) == []
 

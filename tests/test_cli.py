@@ -112,6 +112,51 @@ def test_run_document_task_filter(runner, tmp_path):
     assert [t["name"] for t in report["tasks"]] == ["homs"]
 
 
+@pytest.mark.parametrize("filters", [["nope"], ["homs", "nope"]], ids=["alone", "beside-a-match"])
+def test_document_task_filter_that_matches_nothing_exits_3(runner, tmp_path, filters):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(sample_document()))
+    result = runner.invoke(main, ["run", str(doc_path), *(arg for f in filters for arg in ("--task", f))])
+    assert (result.exit_code, result.stdout) == (3, "")
+    message = "unknown document task 'nope': no task of the document has that name or kind"
+    assert result.stderr == f"task error: {message}\n"
+
+
+def test_run_document_rejects_max_dim(runner, tmp_path):
+    # a document lists its universes, so there is no comma universe for the bound to reach
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(sample_document()))
+    result = runner.invoke(main, ["run", str(doc_path), "--max-dim", "0"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    message = "--max-dim bounds a fixture's comma universe; a document lists its own universes"
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_bimodule_that_breaks_the_module_law_is_invalid(runner, tmp_path):
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(_set("bimodules", "U", left_action=[[[0]]])(sample_document())))
+    result = runner.invoke(main, ["validate", str(doc_path)])
+    assert result.exit_code == 2
+    assert "INVALID bimodules.U: invalid bimodule: {'kind': 'left-unit'}\n" in result.stdout
+    assert runner.invoke(main, ["run", str(doc_path)]).exit_code == 2
+
+
+def test_replay_rejects_a_presentation_of_another_module(runner, tmp_path):
+    """Transfer parameters name a module beside its presentation, so replay
+    checks that they agree: triv_R presents R, not a = k."""
+    report = json.loads(DUAL_NUMBERS_REPORT.read_text())
+    verify_all = next(t for t in report["tasks"] if t["kind"] == "verify-all")
+    claim = "silting-transfer[a=k,b=k]"
+    verdict = next(v for v in verify_all["verdicts"] if v["claim"] == claim)
+    verdict["data"]["params"]["sigma_a"] = "triv_R"
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    result = runner.invoke(main, ["validate", "--certificate", str(report_path)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    message = f"malformed report: {claim}: data.params: sigma_a and sigma_b must present a and b"
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_run_invalid_document_exit_2(runner, tmp_path):
     data = sample_document()
     data["comma_objects"]["bad"] = {"bimodule": "U", "A": "missing", "B": "Sk", "phi": [[0]]}

@@ -93,17 +93,17 @@ def test_fixture_comma_objects_validate(a2, dual):
 
 def test_phi_balance_violation_detected(dual):
     # phi = id on the full space U (x) R does not vanish on balancing
-    bad = CommaObject(dual.u, dual.r_universe["R"], dual.s_universe["k2"], [[1, 0], [0, 1]])
+    bad = CommaObject(dual.t.u, dual.r_universe["R"], dual.s_universe["k2"], [[1, 0], [0, 1]])
     kinds = {v["kind"] for v in validate_comma(bad)}
     assert "phi-balance" in kinds
 
 
 def test_to_T_inflations(a2):
     t = a2.t
-    b_only = to_T_module(comma_from_components(a2.u, b=a2.s_universe["k"]), t)
+    b_only = to_T_module(comma_from_components(a2.t.u, b=a2.s_universe["k"]), t)
     assert validate_module(b_only) == []
     assert not b_only.action[0].any() and not b_only.action[1].any()
-    a_only = to_T_module(comma_from_components(a2.u, a=a2.r_universe["k"]), t)
+    a_only = to_T_module(comma_from_components(a2.t.u, a=a2.r_universe["k"]), t)
     assert validate_module(a_only) == []
     assert not a_only.action[1].any() and not a_only.action[2].any()
 
@@ -120,7 +120,7 @@ def test_from_T_regular_decomposition(a2):
     assert res.comma.A.dim == 1  # e_R slice is R = k
     assert res.comma.B.dim == 2  # e_S slice is U + S = k^2
     assert res.witness.is_valid()
-    assert rank(a2.p, res.witness.matrix) == 3
+    assert rank(a2.t.p, res.witness.matrix) == 3
 
 
 def test_round_trip_all_fixtures(a2, dual):
@@ -129,7 +129,7 @@ def test_round_trip_all_fixtures(a2, dual):
             m = to_T_module(c, fx.t)
             back = from_T_module(m, fx.t)
             assert back.witness.is_valid(), name
-            assert rank(fx.p, back.witness.matrix) == m.dim, name
+            assert rank(fx.t.p, back.witness.matrix) == m.dim, name
             assert comma_is_isomorphic(back.comma, c).isomorphic, name
         z = from_T_module(zero_module(fx.t), fx.t)
         assert z.comma.total_dim == 0
@@ -158,12 +158,12 @@ def test_comma_is_isomorphic_witnesses(a2, dual):
             assert comma_is_isomorphic(c, c).isomorphic
             res = comma_isomorphism(c, c)
             assert res.is_valid()
-            assert rank(fx.p, res.f.matrix) == c.A.dim
-            assert rank(fx.p, res.g.matrix) == c.B.dim
+            assert rank(fx.t.p, res.f.matrix) == c.A.dim
+            assert rank(fx.t.p, res.g.matrix) == c.B.dim
 
 
 def test_functor_p_shapes(a2):
-    u = a2.u
+    u = a2.t.u
     p0b = functor_p(u, a2.r_universe["0"], a2.s_universe["k"])
     assert p0b.A.dim == 0 and p0b.B.dim == 1 and p0b.phi.shape[1] == 0
     pa0 = functor_p(u, a2.r_universe["k"], a2.s_universe["0"])
@@ -177,10 +177,10 @@ def test_functor_p_additivity(a2, dual):
     for fx in (a2, dual):
         for a in fx.r_universe.values():
             for b in fx.s_universe.values():
-                whole = to_T_module(functor_p(fx.u, a, b), fx.t)
+                whole = to_T_module(functor_p(fx.t.u, a, b), fx.t)
                 parts = direct_sum([
-                    to_T_module(functor_p(fx.u, a, zero_module(fx.s)), fx.t),
-                    to_T_module(functor_p(fx.u, zero_module(fx.r), b), fx.t),
+                    to_T_module(functor_p(fx.t.u, a, zero_module(fx.t.s)), fx.t),
+                    to_T_module(functor_p(fx.t.u, zero_module(fx.t.r), b), fx.t),
                 ])
                 assert is_isomorphic(whole, parts).isomorphic
 
@@ -192,7 +192,7 @@ def test_functor_q(a2):
 
 
 def test_functor_h_shapes(a2):
-    u = a2.u
+    u = a2.t.u
     ha0 = functor_h(u, a2.r_universe["k"], a2.s_universe["0"])
     assert ha0.A.dim == 1 and ha0.B.dim == 0
     h0b = functor_h(u, a2.r_universe["0"], a2.s_universe["k"])
@@ -204,7 +204,7 @@ def test_functor_h_shapes(a2):
 def test_functor_h_valid_on_dual(dual):
     for a in dual.r_universe.values():
         for b in dual.s_universe.values():
-            c = functor_h(dual.u, a, b)
+            c = functor_h(dual.t.u, a, b)
             assert validate_comma(c) == []
 
 
@@ -249,13 +249,13 @@ def test_hom_comma_matches_T_oracle(a2, dual):
 
 
 def test_tilde_phi_shapes(a2):
-    c = comma_from_components(a2.u, a=a2.r_universe["k"])  # (k, 0, 0)
+    c = comma_from_components(a2.t.u, a=a2.r_universe["k"])  # (k, 0, 0)
     tp = tilde_phi(c)
     assert tp.target.dim == 0
-    assert kernel_basis(a2.p, tp.matrix).shape[1] == 1
+    assert kernel_basis(a2.t.p, tp.matrix).shape[1] == 1
     tp = tilde_phi(a2.comma_universe["P"])
     assert tp.target.dim == 1
-    assert rank(a2.p, tp.matrix) == 1
+    assert rank(a2.t.p, tp.matrix) == 1
     tp = tilde_phi(a2.comma_universe["N"])
     assert not tp.matrix.any()
 
@@ -420,9 +420,7 @@ def test_family_membership_matches_the_unmemoized_oracle(name, a2, dual):
 def test_sigma_for_p_zero_presentations(a2):
     pres = sigma_for_p(
         a2.t,
-        a2.r_universe["k"],
         a2.presentations["triv_k_R"],
-        a2.s_universe["k"],
         a2.presentations["triv_k_S"],
     )
     assert validate_presentation(pres) == []
@@ -433,9 +431,7 @@ def test_sigma_for_p_zero_presentations(a2):
 def test_sigma_for_p_dual_numbers(dual):
     pres = sigma_for_p(
         dual.t,
-        dual.r_universe["k"],
         dual.presentations["k_from_x"],
-        dual.s_universe["k"],
         dual.presentations["triv_k_S"],
     )
     assert validate_presentation(pres) == []
@@ -451,9 +447,7 @@ def test_sigma_for_p_dual_numbers(dual):
 def test_sigma_for_p_b_zero(a2):
     pres = sigma_for_p(
         a2.t,
-        a2.r_universe["k"],
         a2.presentations["triv_k_R"],
-        a2.s_universe["0"],
         a2.presentations["triv_0_S"],
     )
     assert validate_presentation(pres) == []
@@ -464,8 +458,8 @@ def test_adjunction_dimension_identities(a2, dual):
     for fx in (a2, dual):
         for a in fx.r_universe.values():
             for b in fx.s_universe.values():
-                pab = functor_p(fx.u, a, b)
-                hab = functor_h(fx.u, a, b)
+                pab = functor_p(fx.t.u, a, b)
+                hab = functor_h(fx.t.u, a, b)
                 for c in fx.comma_universe.values():
                     assert hom_comma_dim(pab, c) == hom_dim(a, c.A) + hom_dim(b, c.B), (
                         fx.name,
@@ -488,11 +482,11 @@ def test_triangle_identity_p_q(a2, dual):
     for fx in (a2, dual):
         for a in fx.r_universe.values():
             for b in fx.s_universe.values():
-                pab = functor_p(fx.u, a, b)
+                pab = functor_p(fx.t.u, a, b)
                 unit_f = identity_map(a)
                 # p(eta): p(A, B) -> p(A, FA + B)
                 eta_g = ModuleMap(b, pab.B, _injection_into_sum(pab, b))
-                peta = functor_p_map(fx.u, unit_f, eta_g)
+                peta = functor_p_map(fx.t.u, unit_f, eta_g)
                 eps = p_counit(pab)
                 comp_f = compose(eps.f, peta.f)
                 comp_g = compose(eps.g, peta.g)
@@ -517,7 +511,7 @@ def test_triangle_identity_q_h(a2, dual):
     for fx in (a2, dual):
         for a in fx.r_universe.values():
             for b in fx.s_universe.values():
-                hab = functor_h(fx.u, a, b)
+                hab = functor_h(fx.t.u, a, b)
                 eta = h_unit(hab)
                 # eps on (A, B): project the h-object components back
                 import numpy as np
@@ -526,7 +520,7 @@ def test_triangle_identity_q_h(a2, dual):
                 proj_a[:, : a.dim] = np.eye(a.dim, dtype=np.int64)
                 eps_f = ModuleMap(hab.A, a, proj_a)
                 eps_g = identity_map(b)
-                heps = functor_h_map(fx.u, eps_f, eps_g)
+                heps = functor_h_map(fx.t.u, eps_f, eps_g)
                 comp_f = compose(heps.f, eta.f)
                 comp_g = compose(heps.g, eta.g)
                 assert np.array_equal(comp_f.matrix, np.eye(hab.A.dim, dtype=np.int64))
@@ -534,7 +528,7 @@ def test_triangle_identity_q_h(a2, dual):
 
 
 def test_comma_universe_builder_reproduces_a2(a2):
-    built = comma_universe(a2.u, a2.r_universe_list(), a2.s_universe_list(), max_total_dim=4)
+    built = comma_universe(a2.t.u, a2.r_universe_list(), a2.s_universe_list(), max_total_dim=4)
     assert len(built) == 5
     for c in built:
         assert any(comma_is_isomorphic(c, ref)[0] for ref in a2.comma_universe.values())
@@ -543,7 +537,7 @@ def test_comma_universe_builder_reproduces_a2(a2):
 def test_componentwise_exactness(a2):
     # a short exact sequence of comma maps is exact iff both component rows are
     cm = a2.comma_universe
-    p = a2.p
+    p = a2.t.p
     inc_f, inc_g = (parts[0] for parts in hom_comma(cm["S_S"], cm["P"]))
     quo_f, quo_g = (parts[0] for parts in hom_comma(cm["P"], cm["S_R"]))
     assert rank(p, inc_f) + rank(p, inc_g) == 1
@@ -662,7 +656,7 @@ def system_universes(a2, dual):
     r_universe = [zero_module(r), ModuleRep(r, LEFT, 1, [[[1]], [[0]]], label="k"), regular_module(r)]
     s_universe = [zero_module(s), regular_module(s), direct_sum([regular_module(s)] * 2)]
     comma = comma_universe(u, r_universe, s_universe, max_total_dim=3)
-    t = triangular_algebra(r, s, u)
+    t = triangular_algebra(u)
     out["f3-dual"] = (comma, [[to_T_module(c, t) for c in comma], r_universe, s_universe])
     return out
 
@@ -824,7 +818,7 @@ def linear_scan_universe(u, r_universe, s_universe, max_total_dim):
 
 @pytest.mark.parametrize("max_total_dim", range(6))
 def test_bucketed_universe_equals_linear_scan(dual, max_total_dim):
-    args = (dual.u, dual.r_universe_list(), dual.s_universe_list(), max_total_dim)
+    args = (dual.t.u, dual.r_universe_list(), dual.s_universe_list(), max_total_dim)
     built, expected = comma_universe(*args), linear_scan_universe(*args)
     assert [(c.label, c.key) for c in built] == [(c.label, c.key) for c in expected]
 
@@ -839,6 +833,6 @@ def test_dual_numbers_universe_build_searches_19_pairs(dual, monkeypatch):
         return result
 
     monkeypatch.setattr(comma, "comma_is_isomorphic", counted)
-    built = comma_universe(dual.u, dual.r_universe_list(), dual.s_universe_list())
+    built = comma_universe(dual.t.u, dual.r_universe_list(), dual.s_universe_list())
     assert [c.key for c in built] == [c.key for c in dual.comma_universe.values()]
     assert results == [True] * 19

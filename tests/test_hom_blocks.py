@@ -55,13 +55,13 @@ def truncated_polynomials(p, k):
 
 def t_a2(p):
     r, s = field_algebra(p, "R"), field_algebra(p, "S")
-    return triangular_algebra(r, s, scalar_bimodule(s, r, "U"), label="T(A2)")
+    return triangular_algebra(scalar_bimodule(s, r, "U"), label="T(A2)")
 
 
 def t_dual(p):
     r, s = dual_numbers_algebra(p, "R"), field_algebra(p, "S")
     u = Bimodule(s, r, 1, [[[1]]], [[[1]], [[0]]], label="U")
-    return triangular_algebra(r, s, u, label="T(dual)")
+    return triangular_algebra(u, label="T(dual)")
 
 
 ALGEBRAS = {

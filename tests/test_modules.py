@@ -153,7 +153,7 @@ def test_hom_additivity(a2):
 def test_hom_coords_recovers_coefficients(name, a2, dual):
     fx = a2 if name == "a2" else dual
     rng = np.random.default_rng(0)
-    p = fx.p
+    p = fx.t.p
     for universe in (fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()):
         for m in universe:
             for n in universe:
@@ -170,18 +170,18 @@ def test_hom_coords_empty_basis_accepts_only_zero(a2):
     t = a2.t_universe
     basis = hom_space(t["S_S"], t["S_R"])
     assert basis.shape == (0, 1, 1)
-    assert hom_coords(a2.p, basis, np.zeros((2, 1, 1), dtype=np.int64)).shape == (0, 2)
+    assert hom_coords(a2.t.p, basis, np.zeros((2, 1, 1), dtype=np.int64)).shape == (0, 2)
     with pytest.raises(AssertionError):
-        hom_coords(a2.p, basis, np.array([[[0]], [[1]]]))
+        hom_coords(a2.t.p, basis, np.array([[[0]], [[1]]]))
 
 
 def test_submodule_rejects_dependent_or_non_invariant_columns(a2):
     treg = regular_module(a2.t)
-    e_r = fp_array(a2.p, [[1], [0], [0]])
+    e_r = fp_array(a2.t.p, [[1], [0], [0]])
     with pytest.raises(ValueError, match="independent"):
-        submodule(treg, fp_array(a2.p, [[1, 1], [0, 0], [0, 0]]))
+        submodule(treg, fp_array(a2.t.p, [[1, 1], [0, 0], [0, 0]]))
     # U moves e_R into e_U, so the span of e_R alone is not a submodule
-    assert (treg.action[1] @ e_r % a2.p).tolist() == [[0], [1], [0]]
+    assert (treg.action[1] @ e_r % a2.t.p).tolist() == [[0], [1], [0]]
     with pytest.raises(ValueError, match="not invariant"):
         submodule(treg, e_r)
 
@@ -221,23 +221,23 @@ def test_kernel_of_projective_cover_is_socle(a2):
 def test_tensor_zero_bimodule(dual):
     from commacat.algebra import Bimodule
 
-    s, r = dual.s, dual.r
+    s, r = dual.t.s, dual.t.r
     zero_u = Bimodule(s, r, 0, np.zeros((1, 0, 0), dtype=np.int64), np.zeros((2, 0, 0), dtype=np.int64))
     res = tensor_over(zero_u, dual.r_universe["R"])
     assert res.module.dim == 0
 
 
 def test_tensor_k_over_k(a2):
-    res = tensor_over(a2.u, a2.r_universe["k"])
+    res = tensor_over(a2.t.u, a2.r_universe["k"])
     assert res.module.dim == 1
 
 
 def test_tensor_balancing_kills_radical(dual):
     # U (x)_R R: the balancing relation kills u (x) x
-    res = tensor_over(dual.u, dual.r_universe["R"])
+    res = tensor_over(dual.t.u, dual.r_universe["R"])
     assert res.module.dim == 1
     # and U (x)_R k is one-dimensional too
-    assert tensor_over(dual.u, dual.r_universe["k"]).module.dim == 1
+    assert tensor_over(dual.t.u, dual.r_universe["k"]).module.dim == 1
 
 
 def test_tensor_map_functorial(dual):
@@ -245,17 +245,17 @@ def test_tensor_map_functorial(dual):
     from commacat.modules import compose, identity_map
 
     f = identity_map(r_univ["R"])
-    tf = tensor_map(dual.u, f)
+    tf = tensor_map(dual.t.u, f)
     assert tf.matrix.tolist() == [[1]]
     # zero map tensors to zero
     z = ModuleMap(r_univ["R"], r_univ["k"], [[0, 0]])
-    assert not tensor_map(dual.u, z).matrix.any()
+    assert not tensor_map(dual.t.u, z).matrix.any()
     # composition: (g . h) tensors to the composition, for h multiplication by 1 + x
     h = ModuleMap(r_univ["R"], r_univ["R"], [[1, 0], [1, 1]])
     g = ModuleMap(r_univ["R"], r_univ["k"], [[1, 0]])
     assert g.is_valid() and h.is_valid()
-    lhs = tensor_map(dual.u, compose(g, h))
-    assert np.array_equal(lhs.matrix, tensor_map(dual.u, g).matrix @ tensor_map(dual.u, h).matrix % dual.p)
+    lhs = tensor_map(dual.t.u, compose(g, h))
+    assert np.array_equal(lhs.matrix, tensor_map(dual.t.u, g).matrix @ tensor_map(dual.t.u, h).matrix % dual.t.p)
 
 
 def test_tensor_right_exactness(dual):
@@ -264,10 +264,10 @@ def test_tensor_right_exactness(dual):
     for m in univ:
         for n in univ:
             for h in hom_space(m, n):
-                if rank(dual.p, h) != n.dim:
+                if rank(dual.t.p, h) != n.dim:
                     continue
-                th = tensor_map(dual.u, ModuleMap(m, n, h))
-                assert rank(dual.p, th.matrix) == th.target.dim
+                th = tensor_map(dual.t.u, ModuleMap(m, n, h))
+                assert rank(dual.t.p, th.matrix) == th.target.dim
 
 
 def test_trace_examples(a2):
@@ -703,8 +703,8 @@ def test_memoized_hom_space_keeps_the_labels_of_the_first_call(a2):
     assert hom_space(m2, n) is first
     # a table that returns a module keeps the labels of the first call's arguments
     k = a2.r_universe["k"]
-    tensor = tensor_over(a2.u, k)
-    again = tensor_over(a2.u, k.relabel("k-copy"))
+    tensor = tensor_over(a2.t.u, k)
+    again = tensor_over(a2.t.u, k.relabel("k-copy"))
     assert again is tensor and again.module.label == f"U*{k.label}"
 
 
@@ -821,7 +821,7 @@ def _law_cases():
     a2, dual = load_fixture("a2"), load_fixture("dual-numbers")
     p3 = parse_document(_p3doc().generate(11))
     big = dual_numbers_algebra(16777213)
-    algebras = [a2.t, dual.r, dual.t, p3.algebras["A"], big]
+    algebras = [a2.t, dual.t.r, dual.t, p3.algebras["A"], big]
     modules = [
         *a2.t_universe_list(), *a2.r_universe_list(), *a2.s_universe_list(),
         *dual.t_universe_list(), *dual.r_universe_list(), *dual.s_universe_list(),
@@ -830,7 +830,7 @@ def _law_cases():
     ]
     commas = [*a2.comma_universe.values(), *dual.comma_universe.values()]
     right_ts = [*a2.right_t_universe.values(), *dual.right_t_universe.values()]
-    return modules, [a2.u, dual.u, *map(_regular_bimodule, algebras)], commas, right_ts
+    return modules, [a2.t.u, dual.t.u, *map(_regular_bimodule, algebras)], commas, right_ts
 
 
 def _perturbed(data, p, array):
@@ -896,16 +896,15 @@ def test_every_action_is_a_frozen_reduced_stack():
     values = []
     for name in fixture_names():
         fx = load_fixture(name)
-        values += [fx.u, *fx.r_universe_list(), *fx.s_universe_list(), *fx.t_universe_list()]
+        values += [fx.t.u, *fx.r_universe_list(), *fx.s_universe_list(), *fx.t_universe_list()]
         values += [m for c in fx.comma_universe.values() for m in (c, c.A, c.B)]
         values += [m for rt in fx.right_t_universe.values() for m in (rt, rt.X, rt.Y)]
         values += [m for pres in fx.presentations.values()
                    for m in (pres.sigma, pres.witness, pres.sigma.source, pres.sigma.target, pres.target)]
     for seed in (11, 12):
         doc = parse_document(_p3doc().generate(seed))
-        values += [*doc.modules.values(), *doc.bimodules.values(), *doc.comma_objects.values()]
-        values += [*doc.right_t_modules.values(), *(m for pres in doc.presentations.values()
-                                                    for m in (pres.sigma, pres.witness))]
+        values += [*doc.modules.values(), *(t.u for t in doc.triangulars.values()), *doc.comma_objects.values()]
+        values += [m for pres in doc.presentations.values() for m in (pres.sigma, pres.witness)]
     assert len(values) > 100
     assert {type(v) for v in values} == {Bimodule, ModuleRep, ModuleMap, CommaObject, RightTModule}
     for v in values:

@@ -76,7 +76,7 @@ def test_d_sigma_closed_under_images(a2):
     for m in members:
         for n in univ:
             for h in hom_space(m, n):
-                img = submodule(n, column_space_basis(a2.p, h))
+                img = submodule(n, column_space_basis(a2.t.p, h))
                 assert d_sigma_member(pres, img)
 
 
@@ -95,14 +95,14 @@ def test_d_sigma_closed_under_extensions(a2):
 def test_is_silting_regular_module(a2):
     treg = regular_module(a2.t)
     pres = trivial_presentation(treg)
-    verdict = is_silting(treg, pres, a2.t_universe_list())
+    verdict = is_silting(pres, a2.t_universe_list())
     assert verdict.holds
     assert verdict.universe_hash
 
 
 def test_is_silting_fails_with_witness(a2):
     pres = a2.presentations["S_R_from_P"]
-    verdict = is_silting(a2.t_universe["S_R"], pres, a2.t_universe_list())
+    verdict = is_silting(pres, a2.t_universe_list())
     assert not verdict.holds
     assert {d["clause"] for d in verdict.certificates} == {"membership-mismatch"}
     witnesses = {(d["label"], d["in_d_sigma"], d["in_gen"]) for d in verdict.certificates}
@@ -111,34 +111,30 @@ def test_is_silting_fails_with_witness(a2):
 
 def test_is_silting_zero_module(a2):
     z = zero_module(a2.t)
-    verdict = is_silting(z, trivial_presentation(z), [z])
+    verdict = is_silting(trivial_presentation(z), [z])
     assert verdict.holds
 
 
 def test_partial_silting_examples(a2, dual):
     treg = regular_module(a2.t)
-    assert is_partial_silting(treg, trivial_presentation(treg), a2.t_universe_list()).holds
-    verdict = is_partial_silting(
-        dual.r_universe["k"], dual.presentations["k_from_x"], dual.r_universe_list()
-    )
+    assert is_partial_silting(trivial_presentation(treg), a2.t_universe_list()).holds
+    verdict = is_partial_silting(dual.presentations["k_from_x"], dual.r_universe_list())
     assert not verdict.holds
     assert any(f["clause"] == "self-membership" for f in verdict.certificates)
-    verdict = is_partial_silting(
-        a2.t_universe["S_R"], a2.presentations["S_R_from_P"], a2.t_universe_list()
-    )
+    verdict = is_partial_silting(a2.presentations["S_R_from_P"], a2.t_universe_list())
     assert verdict.holds
 
 
 def test_silting_implies_partial_silting(a2, dual):
     cases = [
-        (a2, regular_module(a2.t), trivial_presentation(regular_module(a2.t)), a2.t_universe_list()),
-        (a2, a2.t_universe["S_R"], a2.presentations["S_R_from_P"], a2.t_universe_list()),
-        (dual, dual.r_universe["k"], dual.presentations["k_from_x"], dual.r_universe_list()),
-        (dual, dual.r_universe["R"], dual.presentations["triv_R"], dual.r_universe_list()),
+        (trivial_presentation(regular_module(a2.t)), a2.t_universe_list()),
+        (a2.presentations["S_R_from_P"], a2.t_universe_list()),
+        (dual.presentations["k_from_x"], dual.r_universe_list()),
+        (dual.presentations["triv_R"], dual.r_universe_list()),
     ]
-    for fx, m, pres, univ in cases:
-        if is_silting(m, pres, univ).holds:
-            assert is_partial_silting(m, pres, univ).holds
+    for pres, univ in cases:
+        if is_silting(pres, univ).holds:
+            assert is_partial_silting(pres, univ).holds
 
 
 def test_pairwise_sum_closure_extends_to_triples(a2):
@@ -170,7 +166,7 @@ def test_d_sigma_of_a_direct_sum_is_both_summands(name):
     fx = load_fixture(name)
     pres = list(fx.presentations.values())
     pres += [
-        sigma_for_p(fx.t, a.target, a, b.target, b)
+        sigma_for_p(fx.t, a, b)
         for a in pres
         if a.target.algebra == fx.t.r
         for b in pres

@@ -28,7 +28,7 @@ from commacat.verify import (
 
 def _report(name):
     fx = load_fixture(name)
-    return {"tool": "commacat", "p": fx.p, "source": {"fixture": name}, "tasks": run_fixture(fx, ["verify-all"])}
+    return {"tool": "commacat", "p": fx.t.p, "source": {"fixture": name}, "tasks": run_fixture(fx, ["verify-all"])}
 
 
 @pytest.fixture(scope="module")
@@ -127,12 +127,12 @@ def _agreeing_certificate(claim):
         return {"clause": "tensor-oracle-mismatch", "right_module": "XR", "comma": "P", **facts}
     if claim.startswith("presentation-decomposition"):
         sigma_a, sigma_b = fx.presentations["triv_k_R"], fx.presentations["triv_k_S"]
-        pres_t = sigma_for_p(fx.t, sigma_a.target, sigma_a, sigma_b.target, sigma_b)
+        pres_t = sigma_for_p(fx.t, sigma_a, sigma_b)
         facts = decomposition_facts((sigma_a, sigma_b, pres_t), fx.t_universe["P"], fx.t)
         return {"clause": "decomposition-mismatch", "module": "P", **facts}
     if claim == "adjunction-p-q":
         a, b = fx.r_universe["k"], fx.s_universe["k"]
-        facts = adjunction_facts("p-q", functor_p(fx.u, a, b), a, b, c)
+        facts = adjunction_facts("p-q", functor_p(fx.t.u, a, b), a, b, c)
         return {"clause": "adjunction-mismatch", "a": "k", "b": "k", "comma": "P", **facts}
     return {"clause": "roundtrip-failure", "comma": "P", **round_trip_facts(c, fx.t)}
 

@@ -281,7 +281,7 @@ def _closure_families(fx, universe):
         r_pres = [s for s in fx.presentations.values() if s.target.algebra == fx.t.r]
         s_pres = [s for s in fx.presentations.values() if s.target.algebra == fx.t.s]
         pres += [
-            sigma_for_p(fx.t, a.target, a, b.target, b)
+            sigma_for_p(fx.t, a, b)
             for a in r_pres
             for b in s_pres
             if a.target.dim and b.target.dim

@@ -14,7 +14,8 @@ is test-facing, and is left out by some call in the package or the tests
 unless its function is test-facing, so that no default goes unused; every
 method other than a dunder is read somewhere in
 the package outside its own body, and every field of a ``NamedTuple`` or
-dataclass is read as an attribute somewhere in the package.  The field check
+dataclass is read as an attribute somewhere in the package (``obj.field[k] = v``
+writes into the field and does not read it).  The field check
 matches by name only, so a field is missed when a field or attribute of the
 same name elsewhere is read: an unread ``witness`` field of one result type
 would pass while ``Presentation.witness`` is read.  And every position of a
@@ -209,13 +210,21 @@ def _record_fields() -> list[str]:
     ]
 
 
+def _subscript_stores(node: ast.AST) -> set[ast.AST]:
+    """The objects that subscript stores under ``node`` write into: ``t`` of ``t[k] = v``."""
+    return {n.value for n in ast.walk(node) if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)}
+
+
 def test_every_record_field_is_read():
-    read = {
-        n.attr
-        for _, stmt in _statements()
-        for n in ast.walk(stmt)
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-    }
+    """An attribute load that only serves ``obj.field[k] = v`` does not read the field."""
+    read = set()
+    for _, stmt in _statements():
+        written_into = _subscript_stores(stmt)
+        read |= {
+            n.attr
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and n not in written_into
+        }
     fields = _record_fields()
     assert fields
     unread = [f for f in fields if f.rsplit(".", 1)[1] not in read]

@@ -24,9 +24,7 @@ def _fam(kind):
 def test_silting_transfer_both_true(a2):
     v = verify_silting_transfer(
         a2.t,
-        a2.r_universe["k"],
         a2.presentations["triv_k_R"],
-        a2.s_universe["k"],
         a2.presentations["triv_k_S"],
         a2.r_universe_list(),
         a2.s_universe_list(),
@@ -39,9 +37,7 @@ def test_silting_transfer_both_true(a2):
 def test_silting_transfer_both_false(a2):
     v = verify_silting_transfer(
         a2.t,
-        a2.r_universe["k"],
         a2.presentations["triv_k_R"],
-        a2.s_universe["0"],
         a2.presentations["triv_0_S"],
         a2.r_universe_list(),
         a2.s_universe_list(),
@@ -139,9 +135,7 @@ def test_prop_J_perp_frozen_outcomes(a2):
 def test_final_corollaries_a2(a2):
     v = verify_final_corollaries(
         a2.t,
-        a2.r_universe["k"],
         a2.presentations["triv_k_R"],
-        a2.s_universe["k"],
         a2.presentations["triv_k_S"],
         a2.r_universe_list(),
         a2.s_universe_list(),
@@ -174,9 +168,7 @@ def test_partial_transfer_self_membership_cert(a2):
     dual = load_fixture("dual-numbers")
     v = verify_partial_silting_transfer(
         dual.t,
-        dual.r_universe["k"],
         dual.presentations["k_from_x"],
-        dual.s_universe["k"],
         dual.presentations["triv_k_S"],
         dual.r_universe_list(),
         dual.s_universe_list(),
