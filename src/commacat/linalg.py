@@ -260,6 +260,55 @@ def inverse(p: int, a: np.ndarray) -> Optional[np.ndarray]:
     return red[:, n:].copy()
 
 
+def diagonal_blocks(stack: np.ndarray) -> list[int]:
+    """Bounds 0 = b_0 < b_1 < ... < b_k = dim of the finest cut of a (g, dim, dim)
+    stack into contiguous diagonal blocks that every matrix of it shares.
+
+    c is a cut when no matrix has a nonzero entry coupling an index below c
+    with one at or above c.
+    """
+    dim = stack.shape[1]
+    if dim == 0:
+        return [0]
+    coupled = stack.any(axis=0)
+    coupled |= coupled.T
+    # counts[c - 1, -1] - counts[c - 1, c - 1] couplings join rows below c
+    # to columns at or above c
+    counts = coupled.cumsum(0).cumsum(1)
+    cuts = np.flatnonzero(counts[:-1, -1] == counts.diagonal()[:-1]) + 1
+    return [0, *cuts.tolist(), dim]
+
+
+def jordan_frame(p: int, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(S, S^-1), both read-only, for a basis S of Jordan chains of the square
+    matrix x, or None unless x is nilpotent and some diagonal block of x
+    (:func:`diagonal_blocks`) holds more than one chain.
+
+    S has the columns v, xv, ..., x^(k-1)v per chain of length k, longest
+    first, so S^-1 x S is lower-shift Jordan.  Level by level from the top,
+    the tops v in ker x^k are picked whose bottoms x^(k-1)v are pivot columns
+    past the bottoms of longer chains: chains with independent bottoms are
+    independent (Byrnes and Gauger, Linear and Multilinear Algebra 5, 1977).
+    """
+    powers = [np.eye(len(x), dtype=np.int64)]
+    while powers[-1].any() and len(powers) <= len(x):
+        powers.append(powers[-1] @ x % p)
+    if powers[-1].any() or len(x) - rank(p, x) < len(diagonal_blocks(x[None])):
+        return None
+    columns, bottoms = [], np.zeros((len(x), 0), dtype=np.int64)
+    for k in range(len(powers) - 1, 0, -1):
+        tops = kernel_basis(p, powers[k]) if k < len(powers) - 1 else powers[0]
+        b = bottoms.shape[1]
+        pivots = rref(FpMatrix._of(p, np.hstack([bottoms, powers[k - 1] @ tops % p])))[1]
+        tops = tops[:, [c - b for c in pivots[b:]]]
+        bottoms = np.hstack([bottoms, powers[k - 1] @ tops % p])
+        columns += [a @ v % p for v in tops.T for a in powers[:k]]
+    s = np.array(columns).T
+    for a in (s, s_inv := inverse(p, s)):
+        a.setflags(write=False)
+    return s, s_inv
+
+
 def canonical_rows(p: int, rows: np.ndarray) -> np.ndarray:
     """Canonical basis, one frozen row per vector, of the row span of ``rows``: the rows
     :func:`kernel_basis` gives for a system with that kernel.  A canonical kernel vector

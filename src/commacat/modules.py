@@ -22,6 +22,12 @@ spans its images, and only :func:`hom_space` lifts it to a basis: one frozen
 (h, n.dim, m.dim) stack of matrices, which callers compose in one batched
 product and enumerate with :func:`~commacat.linalg.combination_chunks`.
 
+A module given in a random basis is one dense block.  Over an algebra with
+one generator x, a module where x is nilpotent and some block holds two
+Jordan chains is cut in a Jordan basis S (:func:`_frame`), where isomorphic
+summands of all modules share their spins and block solves.  :func:`hom_space`
+and :func:`trace_span` map their results back by S and make them canonical.
+
 Equality contract: algebras, bimodules, modules, maps, comma objects and right
 T-modules are equal exactly when their content keys are (:mod:`commacat.memo`):
 every part and every entry, never the label.  A memoized result is the one
@@ -32,7 +38,7 @@ module labelled ``"U*" + a.label``, not ``U*x``.  The report bytes depend on thi
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,10 +48,12 @@ from .linalg import (
     canonical_rows,
     column_space_basis,
     combination_chunks,
+    diagonal_blocks,
     fp_array,
     has_rank,
     intertwining_system,
     inverse,
+    jordan_frame,
     kernel_basis,
     quotient_space,
     rank,
@@ -194,20 +202,6 @@ def dual_module(s: FDAlgebra) -> ModuleRep:
     return module_dual(regular_module(s, RIGHT)).relabel(f"{s.label or 'S'}+")
 
 
-def identity_map(m: ModuleRep) -> ModuleMap:
-    return ModuleMap(m, m, np.eye(m.dim, dtype=np.int64))
-
-
-def zero_map(m: ModuleRep, n: ModuleRep) -> ModuleMap:
-    return ModuleMap(m, n, np.zeros((n.dim, m.dim), dtype=np.int64))
-
-
-def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
-    if f.target != g.source:
-        raise AlgebraMismatch("maps do not compose")
-    return ModuleMap(f.source, g.target, g.matrix @ f.matrix % f.source.p)
-
-
 # -- hom spaces ------------------------------------------------------------
 
 
@@ -251,30 +245,22 @@ def _generated_subalgebra(algebra: FDAlgebra, gens: Sequence[int]) -> np.ndarray
         span = red[: len(pivots)]
 
 
-def diagonal_blocks(stack: np.ndarray) -> list[int]:
-    """Bounds 0 = b_0 < b_1 < ... < b_k = dim of the finest cut of a (g, dim, dim)
-    stack into contiguous diagonal blocks that every matrix of it shares.
-
-    c is a cut when no matrix has a nonzero entry coupling an index below c
-    with one at or above c.
-    """
-    dim = stack.shape[1]
-    if dim == 0:
-        return [0]
-    coupled = stack.any(axis=0)
-    coupled |= coupled.T
-    # counts[c - 1, -1] - counts[c - 1, c - 1] couplings join rows below c
-    # to columns at or above c
-    counts = coupled.cumsum(0).cumsum(1)
-    cuts = np.flatnonzero(counts[:-1, -1] == counts.diagonal()[:-1]) + 1
-    return [0, *cuts.tolist(), dim]
+@memo("frame")
+def _frame(m: ModuleRep) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The Jordan frame (S, S^-1) of m's generator x (:func:`~commacat.linalg.jordan_frame`),
+    or None when m's algebra has no single generator or x has no frame.  Memoized."""
+    stack = generator_stack(m)
+    return jordan_frame(m.p, stack[0]) if len(stack) == 1 else None
 
 
 @memo("packed_blocks")
 def _packed_blocks(m: ModuleRep) -> tuple[tuple[int, int, bytes], ...]:
-    """The diagonal blocks of m's generator stack, as (start, stop, packed
-    block stack) triples.  Memoized."""
+    """The diagonal blocks of m's generator stack, in its Jordan frame
+    (:func:`_frame`) when it has one, as (start, stop, packed block stack)
+    triples.  Memoized."""
     stack = generator_stack(m)
+    if frame := _frame(m):
+        stack = frame[1] @ stack % m.p @ frame[0] % m.p
     bounds = diagonal_blocks(stack)
     return tuple((a, b, content_bytes(m.p, stack[:, a:b, a:b])) for a, b in zip(bounds, bounds[1:]))
 
@@ -373,14 +359,23 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> np.ndarray:
     docstring), which needs both arguments to satisfy the module law
     (:func:`validate_module`, which documents enforce at load), lifted to its
     canonical basis (:func:`_hom_lift`) and placed by :func:`scatter_blocks`.
+    Maps H found in the Jordan frames of m and n (:func:`_frame`) are mapped
+    back as S_n H S_m^-1 and made canonical again (:func:`canonical_rows`).
 
     Returns the basis as one frozen (h, n.dim, m.dim) int64 stack of
     matrices, reduced mod p.  Memoized.
     """
-    frame = np.arange(n.dim * m.dim).reshape(n.dim, m.dim)
-    parts = [(frame[r0:r1, c0:c1].ravel(), _hom_lift(*key)) for r0, r1, c0, c1, key in _block_pairs(m, n)]
-    basis = scatter_blocks(frame.size, parts)
-    return basis.reshape(len(basis), n.dim, m.dim)
+    cells = np.arange(n.dim * m.dim).reshape(n.dim, m.dim)
+    parts = [(cells[r0:r1, c0:c1].ravel(), _hom_lift(*key)) for r0, r1, c0, c1, key in _block_pairs(m, n)]
+    basis = scatter_blocks(cells.size, parts)
+    basis = basis.reshape(len(basis), n.dim, m.dim)
+    if frame_n := _frame(n):
+        basis = frame_n[0] @ basis % m.p
+    if frame_m := _frame(m):
+        basis = basis @ frame_m[1] % m.p
+    if frame_n or frame_m:
+        basis = canonical_rows(m.p, basis.reshape(len(basis), cells.size)).reshape(basis.shape)
+    return basis
 
 
 @memo("hom_dim")
@@ -541,16 +536,24 @@ def trace_span(generators: Sequence[ModuleRep], m: ModuleRep) -> np.ndarray:
 
     The trace is the span of the images of a Hom-space basis from each
     generator, read as H S (:func:`_hom_block`), which has the span of H;
-    the span of basis images equals the sum of all images.  Each block's
-    columns are written into one array for a single :func:`column_space_basis`.
+    the span of basis images equals the sum of all images.  Each block of m
+    is solved against each distinct source block of all the generators, and
+    the columns, mapped back by S_m where m has a frame (:func:`_frame`), go
+    into one array for a single :func:`column_space_basis`.
     """
-    blocks = [(r0, r1, block) for g in generators for r0, r1, _, _, key in _block_pairs(g, m)
-              if len(block := _hom_block(*key))]
+    for g in generators:
+        _require_compatible(g, m)
+    p, k = m.p, len(generator_indices(m.algebra))
+    sources = dict.fromkeys((c1 - c0, sb) for g in generators for c0, c1, sb in _packed_blocks(g))
+    blocks = [(r0, r1, block) for r0, r1, tb in _packed_blocks(m) for cols, sb in sources
+              if len(block := _hom_block(p, k, r1 - r0, cols, tb, sb))]
     widths = [block.shape[0] * block.shape[2] for *_, block in blocks]
     cols = np.zeros((m.dim, sum(widths)), dtype=np.int64)
     for (r0, r1, block), c, w in zip(blocks, np.cumsum([0] + widths).tolist(), widths):
         cols[r0:r1, c : c + w] = block.transpose(1, 0, 2).reshape(r1 - r0, w)
-    return column_space_basis(m.p, cols)
+    if frame := _frame(m):
+        cols = frame[0] @ cols % p
+    return column_space_basis(p, cols)
 
 
 @memo("gen_member")

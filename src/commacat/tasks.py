@@ -490,14 +490,19 @@ def _replay_torsion_class_decomposition(fx: Fixture, v: dict, claim: str) -> lis
     return [(sub, {"universe": u, "family": fam}, _TORSION_CLASS) for sub, (fam, u) in zip(subs, classes)]
 
 
-def _silting_sites(fx: Fixture, v: dict, claim: str, clauses: tuple[str, ...]) -> list[Site]:
+def _silting_pair(fx: Fixture, v: dict, claim: str) -> tuple[Presentation, Presentation]:
+    """The sigma_a and sigma_b that ``data.params`` names, which must present its a and b."""
     params = _params(v, claim)
     where = f"{claim}: data.params"
     a, b = _ref(fx, params, "a", "r_universe", where), _ref(fx, params, "b", "s_universe", where)
     sigma_a, sigma_b = (_ref(fx, params, key, "presentations", where) for key in ("sigma_a", "sigma_b"))
     if sigma_a.target != a or sigma_b.target != b:
         raise MalformedReport(f"{where}: sigma_a and sigma_b must present a and b")
-    sides = silting_sides(fx.t, sigma_a, sigma_b, fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list())
+    return sigma_a, sigma_b
+
+
+def _silting_sites(fx: Fixture, v: dict, claim: str, clauses: tuple[str, ...]) -> list[Site]:
+    sides = silting_sides(fx.t, *_silting_pair(fx, v, claim), fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list())
     subs = _subs(v, claim, 3)
     return [(sub, {"universe": u, "presentation": pres}, clauses) for sub, (_, pres, u) in zip(subs, sides)]
 
@@ -581,10 +586,7 @@ def _replay_torsion_transfer_adjoint(fx: Fixture, v: dict, claim: str) -> list[S
 
 def _replay_final_corollaries(fx: Fixture, v: dict, claim: str) -> list[Site]:
     """Silting over T reduces to A for B = S and to B for A = 0; a silting pair induces two comma torsion pairs."""
-    params = _params(v, claim)
-    where = f"{claim}: data.params"
-    a, b = _ref(fx, params, "a", "r_universe", where), _ref(fx, params, "b", "s_universe", where)
-    families = corollary_families(a, b)
+    families = corollary_families(*(sigma.target for sigma in _silting_pair(fx, v, claim)))
     t_u = fx.t_universe_list()
     sites = []
     for sub in v.get("sub", []):

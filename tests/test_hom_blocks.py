@@ -4,6 +4,7 @@ system: hom_space with its canonical kernel basis, hom_dim with its nullity and
 trace_span with the span of the images."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,9 @@ from commacat.algebra import (
 )
 from commacat.document import parse_document
 from commacat.fixtures import load_fixture
-from commacat.linalg import column_space_basis, fp_array, intertwining_system, inverse, kernel_basis, rank
+from commacat.linalg import column_space_basis, diagonal_blocks, fp_array, intertwining_system, inverse, kernel_basis, rank
 from commacat.modules import (
     ModuleRep,
-    diagonal_blocks,
     direct_sum,
     extension_middle_terms,
     generator_indices,
@@ -280,18 +280,147 @@ def _p3doc():
 def test_modules_reaching_hom_solves_satisfy_the_module_law(source, monkeypatch):
     """The Hom readers drop the unit and product rows, which the module law
     implies; every module a run hands them must obey it.  hom_comma reaches
-    them through the Hom of its components."""
+    them through the Hom of its components, and every reader cuts a module
+    into blocks through _packed_blocks."""
     seen = {}
-    block_pairs = modules._block_pairs
+    packed_blocks = modules._packed_blocks
 
-    def record_pair(m, n):
-        seen[m] = seen[n] = None
-        return block_pairs(m, n)
+    def record(m):
+        seen[m] = None
+        return packed_blocks(m)
 
-    monkeypatch.setattr(modules, "_block_pairs", record_pair)
+    monkeypatch.setattr(modules, "_packed_blocks", record)
     if source == "p3-doc":
         run_document(parse_document(_p3doc().generate(11)))
     else:
         run_fixture(load_fixture(source))
     assert len(seen) > 20
     assert all(validate_module(m) == [] for m in seen)
+
+
+def jordan_matrix(parts):
+    """Lower-shift nilpotent Jordan matrix with one block per part: x e_i = e_(i+1) within a block."""
+    x = np.zeros((sum(parts), sum(parts)), dtype=np.int64)
+    start = 0
+    for a in parts:
+        x[np.arange(start + 1, start + a), np.arange(start, start + a - 1)] = 1
+        start += a
+    return x
+
+
+def jordan_module(alg, parts):
+    """The module of Jordan type ``parts`` over F_p[x]/(x^k): x^i acts as the i-th power of the shift."""
+    x, actions = jordan_matrix(parts), [np.eye(sum(parts), dtype=np.int64)]
+    for _ in range(alg.dim - 1):
+        actions.append(actions[-1] @ x)
+    return ModuleRep(alg, "left", sum(parts), actions, label="J" + "".join(map(str, parts)))
+
+
+def single_chain_blocks(m):
+    """Every diagonal block of m's one generator matrix holds one chain: rank = size - 1."""
+    x = generator_stack(m)[0]
+    bounds = diagonal_blocks(x[None])
+    return all(rank(m.p, x[a:b, a:b]) == b - a - 1 for a, b in zip(bounds, bounds[1:]))
+
+
+def assert_jordan_frame(m, parts):
+    """m has a frame exactly when some block of it holds two chains, and the
+    frame brings its generator to the Jordan matrix of ``parts``."""
+    frame = modules._frame(m)
+    assert (frame is None) == single_chain_blocks(m)
+    if frame is not None:
+        s, s_inv = frame
+        x = generator_stack(m)[0]
+        np.testing.assert_array_equal(s @ s_inv % m.p, np.eye(m.dim, dtype=np.int64))
+        np.testing.assert_array_equal(s_inv @ x % m.p @ s % m.p, jordan_matrix(parts))
+        assert not s.flags.writeable and not s_inv.flags.writeable
+    return frame is not None
+
+
+def test_jordan_frames_of_the_p3_doc_modules():
+    """Every p3-doc module is a conjugated Jordan type named by its label
+    (J321 has parts 3, 2, 1).  J1, J2, J3 and the modules where x acts as 0
+    keep their given basis, and so does seed 11's J21, whose conjugate comes
+    out block diagonal; the other 29 (seed 11) and 30 (seed 12) get a frame."""
+    generator = _p3doc()
+    for seed, count in [(11, 29), (12, 30)]:
+        doc = parse_document(generator.generate(seed))
+        framed = [name for name, m in doc.modules.items() if assert_jordan_frame(m, generator._parts(name))]
+        assert len(framed) == count
+
+
+@pytest.mark.parametrize("p", [2, 3, LARGEST_P])
+def test_no_frame_without_one_nilpotent_generator_or_two_chains(p):
+    dual = dual_numbers_algebra(p)
+    k = regular_module(field_algebra(p))
+    j2, j1 = jordan_module(dual, (2,)), jordan_module(dual, (1,))
+    g = fp_array(p, [[1, 1, 0], [0, 1, 1], [1, 0, 1 if p != 2 else 0]])
+    assert rank(p, g) == 3
+    mixed = conjugate(direct_sum([j2, j1]), g)
+    assert assert_jordan_frame(mixed, (2, 1))
+    unframed = [k, direct_sum([k, k, k]), j2, direct_sum([j2, j1, j2]), conjugate(j2, fp_array(p, [[1, 2], [0, 1]]))]
+    unframed += [zero_module(dual), direct_sum([j1, j1, j1])]
+    unframed += load_fixture("dual-numbers").t_universe_list() + list(load_fixture("a2").t_universe.values())
+    # x = diag(0, 0, 1) over F_p[x]/(x^2 - x): two dimensional kernel in one block, but not nilpotent
+    idempotent = FDAlgebra(p, [[[1, 0], [0, 1]], [[0, 1], [0, 1]]], [1, 0], label="idempotent")
+    e = conjugate(ModuleRep(idempotent, "left", 3, [np.eye(3, dtype=np.int64), np.diag([0, 0, 1])]), g)
+    assert not validate_module(e)
+    for m in unframed + [e]:
+        assert modules._frame(m) is None, m
+    for a in [mixed, e, j2]:
+        for b in [mixed, j2, j1]:
+            if a.algebra == b.algebra:
+                assert_matches_full_system(a, b)
+
+
+def assert_trace_matches_full_system(generators, n):
+    images = [np.zeros((n.dim, 0), dtype=np.int64)]
+    images += [h for m in generators if m.dim and n.dim for h in full_system_basis(m, n).reshape(-1, n.dim, m.dim)]
+    assert np.array_equal(trace_span(generators, n), column_space_basis(n.p, np.hstack(images)))
+
+
+@st.composite
+def jordan_conjugates(draw, alg):
+    """A Jordan type with parts <= the nilpotency index, conjugated by a random
+    invertible L U (both unitriangular) that is sometimes the identity."""
+    parts = sorted(draw(st.lists(st.integers(1, alg.dim), min_size=0, max_size=4)), reverse=True)
+    m = jordan_module(alg, tuple(parts))
+    if m.dim > 1 and draw(st.booleans()):
+        p, n = alg.p, m.dim
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+        a = np.array(entries, dtype=np.int64).reshape(n, n)
+        low, up = np.tril(a, -1) + np.eye(n, dtype=np.int64), np.triu(a, 1) + np.eye(n, dtype=np.int64)
+        m = conjugate(m, low @ up % p)
+    return m, tuple(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, LARGEST_P]), k=st.integers(2, 4))
+def test_jordan_frames_match_the_full_system(data, p, k):
+    """Over F_p[x]/(x^k), hom_space, hom_dim and trace_span of random conjugates
+    of Jordan types, framed or not, agree with the full intertwining system;
+    a generator list that repeats a module gives the same trace."""
+    alg = truncated_polynomials(p, k)
+    drawn = data.draw(st.lists(jordan_conjugates(alg), min_size=2, max_size=3))
+    for m, parts in drawn:
+        assert not validate_module(m)
+        assert_jordan_frame(m, parts)
+    found = [m for m, _ in drawn]
+    for a in found:
+        for b in found:
+            assert_matches_full_system(a, b)
+    for n in found:
+        assert_trace_matches_full_system([found[0], *found, found[-1]], n)
+
+
+@pytest.mark.parametrize("p", [5, LARGEST_P])
+def test_p3_doc_at_other_moduli_matches_the_closed_forms(p, monkeypatch):
+    """The p3-doc documents of seeds 11 and 12 at max_dim 6 over F_p[x]/(x^3),
+    up to the largest modulus, agree with the generator's closed-form oracles."""
+    generator = _p3doc()
+    monkeypatch.setattr(generator, "P", p)
+    for seed in (11, 12):
+        doc = generator.generate(seed, max_dim=6)
+        assert doc["field"] == {"p": p}
+        report = json.loads(json.dumps({"tasks": run_document(parse_document(doc))}))
+        assert generator.report_errors(doc, report) == []

@@ -29,12 +29,12 @@ from commacat.modules import (
     RIGHT,
     ModuleMap,
     ModuleRep,
-    compose,
     quotient_module,
     regular_module,
     tensor_map,
     tensor_over,
 )
+from tests.maps import compose
 from tests.test_comma import assert_matches_probed_system
 
 

@@ -3,10 +3,12 @@ import sys
 import pytest
 
 from commacat import linalg, memo
+from commacat.document import parse_document
 from commacat.fixtures import load_fixture
 from commacat.linalg import FpMatrix
 from commacat.modules import gen_member
-from commacat.tasks import run_fixture
+from commacat.tasks import run_document, run_fixture
+from tests.test_hom_blocks import _p3doc
 
 
 def test_hom_space_calls_of_a_dual_numbers_run():
@@ -46,6 +48,18 @@ def test_hom_space_calls_of_a_dual_numbers_run():
     # (is_torsion_pair evaluates each family once per universe member)
     assert stats["family_parts"]["hits"] + stats["family_parts"]["misses"] == 1308
     assert stats["family_parts"]["misses"] == stats["family_parts"]["size"] == 57
+
+
+def test_hom_blocks_of_a_p3_doc_run():
+    # Every p3-doc module is a random conjugate of a Jordan type over
+    # F_3[x]/(x^3).  In its Jordan frame its blocks are the canonical J1, J2 and
+    # J3, which all modules share; J2 and J3 keep their conjugated basis (one
+    # chain each, so no frame).  Without frames the seed-11 run posed 1,100
+    # block systems on 33 spun source blocks.
+    run_document(parse_document(_p3doc().generate(11)))
+    stats = memo.memo_stats()
+    assert stats["hom_block"]["misses"] == stats["hom_block"]["size"] == 28
+    assert stats["spin"]["misses"] == stats["spin"]["size"] == 5
 
 
 def test_validated_matrices_of_a_dual_numbers_run(monkeypatch):

@@ -201,7 +201,7 @@ def image_kernel_cokernel(f):
 
 def test_image_kernel_cokernel_identity_and_zero(a2):
     m = a2.t_universe["P"]
-    from commacat.modules import identity_map, zero_map
+    from tests.maps import identity_map, zero_map
 
     image, kernel, cokernel = image_kernel_cokernel(identity_map(m))
     assert image.dim == m.dim and kernel.dim == 0 and cokernel.dim == 0
@@ -242,7 +242,7 @@ def test_tensor_balancing_kills_radical(dual):
 
 def test_tensor_map_functorial(dual):
     r_univ = dual.r_universe
-    from commacat.modules import compose, identity_map
+    from tests.maps import compose, identity_map
 
     f = identity_map(r_univ["R"])
     tf = tensor_map(dual.t.u, f)

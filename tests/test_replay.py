@@ -6,6 +6,7 @@ cases stay cheap; every one exits 2 with one line.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -261,3 +262,19 @@ def test_replay_counts_each_certificate_once(reports, tmp_path, fixture, checked
     result = _replay(tmp_path, fixture, _verdicts(reports[fixture]))
     assert result.exit_code == 0, result.output
     assert result.output == f"all certificates replayed ({checked} checked)\n"
+
+
+def test_final_corollaries_replay_rejects_a_presentation_of_another_module(tmp_path):
+    """The final corollaries name a and b beside sigma_a and sigma_b, and
+    replay checks them as the silting transfers do: triv_R presents R, not k."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "dual-numbers.report.json"
+    report = json.loads(reference.read_text())
+    verdict = next(v for t in report["tasks"] for v in t.get("verdicts", []) if v["claim"] == "final-corollaries")
+    assert verdict["data"]["params"]["sigma_a"] == "triv_R"
+    verdict["data"]["params"]["a"] = "k"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    result = CliRunner().invoke(main, ["validate", "--certificate", str(path)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    message = "malformed report: final-corollaries: data.params: sigma_a and sigma_b must present a and b"
+    assert result.stderr == f"error: {message}\n"

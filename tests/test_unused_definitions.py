@@ -41,9 +41,6 @@ TEST_FACING = {
     "h_unit",
     "gen_member_epi_oracle",
     "d_sigma_member_oracle",
-    "identity_map",
-    "zero_map",
-    "compose",
     "memo_stats",
     "clear",
     "recheck_certificate",
