@@ -8,20 +8,27 @@ transfer statements on all zero/all family combinations, the closing
 corollaries, and the T-module round trip.  Reports are plain dicts with
 deterministic content.
 
-Replay goes through :data:`CLAIMS`, one rule per claim base name (the
-claim up to ``[``).  A rule rebuilds, from the fixture and the verdict's
-parameters and with the constructors the claim itself used, the env of
-each verdict or sub-verdict whose certificates it rechecks; one loop,
-:func:`replay_verify_all`, then checks every certificate against its
-clause in ``verify.CLAUSES``.  A claim without a rule, a certificate no
-rule reaches, or a field that is missing, mistyped or names nothing
-raises :class:`MalformedReport`.  The ``_claim_*`` builders stay
-module-level functions called by name, so that they can be wrapped one
-by one from outside (``perfbench/tracer.py`` does).
+Replay looks each verdict up by its whole claim in :func:`_cases`, which
+lists every claim of a fixture from the same enumerations of cases that
+the ``_claim_*`` builders decide: the decomposition pairs, the silting
+cases, the perp and torsion combos of each side and the corollary case.
+Each claim comes with the fields of ``data`` that name its case, its rule
+and the rule's arguments, which the case has already built from the
+fixture.  A rule returns the env of each verdict or sub-verdict whose
+certificates it rechecks; one loop, :func:`replay_report`, compares the
+recorded fields with the case's and then checks every certificate against
+its clause in ``verify.CLAUSES``.  A claim that is no case of the fixture
+or appears twice in one task, a recorded field that differs from the
+case's, a certificate no rule reaches, or a field that is missing,
+mistyped or names nothing raises :class:`MalformedReport`.  The
+``_claim_*`` builders stay module-level functions called by name, so that
+they can be wrapped one by one from outside (``perfbench/tracer.py``
+does).
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .comma import (
@@ -102,18 +109,19 @@ _SIDES = ("mono", "adjoint")
 
 
 def _basic_family(kind: str) -> ModuleFamily:
-    if kind == "zero":
-        return family_zero()
-    if kind == "all":
-        return family_all()
-    raise TaskError(f"unknown basic family kind {kind!r}")
+    return family_zero() if kind == "zero" else family_all()
+
+
+def _universes(fx: Fixture) -> tuple[list, list, list]:
+    """The R-, S- and T-universes of ``fx``, in the order the verifiers take them."""
+    return fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
 
 
 def _decomposition(fx: Fixture, sigma_a: Presentation, sigma_b: Presentation):
     """(sigma_A, sigma_B, sigma_T), sigma_T the T-presentation they give, and
     the classes D[sigma_T], D[sigma_A], D[sigma_B], each with its universe."""
     pres_t = sigma_for_p(fx.t, sigma_a, sigma_b)
-    t_u, r_u, s_u = fx.t_universe_list(), fx.r_universe_list(), fx.s_universe_list()
+    r_u, s_u, t_u = _universes(fx)
     classes = [
         (family_d_sigma(pres_t, label="D[sigma_T]"), t_u),
         (family_d_sigma(sigma_a, label="D[sigma_A]"), r_u),
@@ -122,10 +130,66 @@ def _decomposition(fx: Fixture, sigma_a: Presentation, sigma_b: Presentation):
     return (sigma_a, sigma_b, pres_t), classes
 
 
+# -- the cases of the claim families with parameters ----------------------------
+# Each case is (claim suffix, the fields of ``data`` that name it, its
+# arguments, already built: a verifier's, or a decomposition's).  The
+# ``_claim_*`` builders decide every case and replay looks each claim up
+# among them, so a case is written down once.
+
+
+def _decomposition_cases(fx: Fixture):
+    for name_a, name_b in _FIXTURE_CASES[fx.name]["decomposition_pairs"]:
+        built = _decomposition(fx, fx.presentations[name_a], fx.presentations[name_b])
+        yield f"[{name_a},{name_b}]", {"sigma_a": name_a, "sigma_b": name_b}, built
+
+
+def _silting_case(fx: Fixture, case: tuple, suffix: str):
+    a, sa_name, b, sb_name = case
+    params = {"a": a, "sigma_a": sa_name, "b": b, "sigma_b": sb_name}
+    return suffix, {"params": params}, (fx.t, fx.presentations[sa_name], fx.presentations[sb_name], *_universes(fx))
+
+
+def _silting_cases(fx: Fixture):
+    return [_silting_case(fx, case, f"[a={case[0]},b={case[2]}]") for case in _FIXTURE_CASES[fx.name]["transfer_cases"]]
+
+
+def _corollary_case(fx: Fixture):
+    return _silting_case(fx, _FIXTURE_CASES[fx.name]["corollary_case"], "")
+
+
+def _perp_cases(fx: Fixture):
+    for side, ck, dk in product(_SIDES, _BASIC_FAMILY_KINDS, _BASIC_FAMILY_KINDS):
+        families = _basic_family(ck), _basic_family(dk)
+        yield f"{side}[c={ck},d={dk}]", {"params": {"c": ck, "d": dk}}, (side, fx.t, *families, *_universes(fx))
+
+
+def _torsion_cases(fx: Fixture):
+    combos = [("zero", "all"), ("all", "zero")]
+    for side, (c1k, c2k), (d1k, d2k) in product(_SIDES, combos, combos):
+        params = {"c1": c1k, "c2": c2k, "d1": d1k, "d2": d2k}
+        families = map(_basic_family, params.values())
+        suffix = f"{side}[c=({c1k},{c2k}),d=({d1k},{d2k})]"
+        yield suffix, {"params": params}, (side, fx.t, *families, *_universes(fx))
+
+
+def _decided(cases, *verifiers: tuple[str, Callable[..., Verdict]]) -> list[Verdict]:
+    """The verdict of each (name, verifier) on each case, named by its claim and
+    recording the fields that name the case."""
+    verdicts = []
+    for suffix, record, args in cases:
+        for name, verifier in verifiers:
+            v = verifier(*args)
+            v.claim = name + suffix
+            v.data.update(record)
+            verdicts.append(v)
+    return verdicts
+
+
 # -- verify-all claims --------------------------------------------------------
 
 
 def _claim_hom_formulas(fx: Fixture) -> list[Verdict]:
+    """Where Hom formula k applies to comma objects (X, Y), it gives dim Hom(X, Y), as do both Hom computations."""
     objs = list(fx.comma_universe.values())
     tmods = [fx.t_universe[c.label] for c in objs]
     verdicts = []
@@ -155,6 +219,8 @@ def _claim_hom_formulas(fx: Fixture) -> list[Verdict]:
 
 
 def _claim_tensor(fx: Fixture) -> list[Verdict]:
+    """Where tensor shape k applies to (X, Y, psi) and (A, B, phi), it gives dim of their tensor product over T;
+    the tensor product over T has one dimension by the main, the brute-force and the algebra construction."""
     verdicts = []
     rts = list(fx.right_t_universe.values())
     objs = list(fx.comma_universe.values())
@@ -197,62 +263,34 @@ def _claim_tensor(fx: Fixture) -> list[Verdict]:
 
 def _claim_presentation_decomposition(fx: Fixture) -> list[Verdict]:
     verdicts = []
-    for name_a, name_b in _FIXTURE_CASES[fx.name]["decomposition_pairs"]:
-        presentations, classes = _decomposition(fx, fx.presentations[name_a], fx.presentations[name_b])
+    for suffix, record, (presentations, classes) in _decomposition_cases(fx):
         certs = []
         for label, m in fx.t_universe.items():
             facts = decomposition_facts(presentations, m, fx.t)
             if disagree(facts):
                 certs.append({"clause": "decomposition-mismatch", "module": label, **facts})
+        result = "holds" if not certs else "fails"
+        t_hash = universe_hash(fx.t_universe_list())
         verdicts.append(
-            Verdict(
-                claim=f"presentation-decomposition[{name_a},{name_b}]",
-                result="holds" if not certs else "fails",
-                certificates=certs,
-                data={"sigma_a": name_a, "sigma_b": name_b},
-                universe_hash=universe_hash(fx.t_universe_list()),
-            )
+            Verdict(f"presentation-decomposition{suffix}", result, certs, data=record, universe_hash=t_hash)
         )
         lhs_tc, rhs_a, rhs_b = subs = [is_torsion_class(fam, u, max_dim=fx.max_dim) for fam, u in classes]
-        agree = lhs_tc.holds == (rhs_a.holds and rhs_b.holds)
-        verdicts.append(
-            Verdict(
-                claim=f"torsion-class-decomposition[{name_a},{name_b}]",
-                result="holds" if agree else "fails",
-                sub=subs,
-                data={
-                    "sigma_a": name_a,
-                    "sigma_b": name_b,
-                    "whole": lhs_tc.holds,
-                    "componentwise": rhs_a.holds and rhs_b.holds,
-                },
-            )
-        )
+        data = {**record, "whole": lhs_tc.holds, "componentwise": rhs_a.holds and rhs_b.holds}
+        result = "holds" if data["whole"] == data["componentwise"] else "fails"
+        verdicts.append(Verdict(f"torsion-class-decomposition{suffix}", result, sub=subs, data=data))
     return verdicts
-
-
-def _case_args(fx: Fixture, sa_name: str, sb_name: str) -> tuple:
-    """The arguments (t, sigma_a, sigma_b, universes of R, S, T) of a silting-pair verifier."""
-    sigma_a, sigma_b = fx.presentations[sa_name], fx.presentations[sb_name]
-    return fx.t, sigma_a, sigma_b, fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
 
 
 def _claim_silting_transfer(fx: Fixture) -> list[Verdict]:
-    verdicts = []
-    for a_name, sa_name, b_name, sb_name in _FIXTURE_CASES[fx.name]["transfer_cases"]:
-        args = _case_args(fx, sa_name, sb_name)
-        for name, verifier in (
-            ("silting-transfer", verify_silting_transfer),
-            ("partial-silting-transfer", verify_partial_silting_transfer),
-        ):
-            v = verifier(*args)
-            v.claim = f"{name}[a={a_name},b={b_name}]"
-            v.data["params"] = {"a": a_name, "sigma_a": sa_name, "b": b_name, "sigma_b": sb_name}
-            verdicts.append(v)
-    return verdicts
+    return _decided(
+        _silting_cases(fx),
+        ("silting-transfer", verify_silting_transfer),
+        ("partial-silting-transfer", verify_partial_silting_transfer),
+    )
 
 
 def _claim_adjunctions(fx: Fixture) -> list[Verdict]:
+    """p -| q -| h: dim Hom(p(A, B), C) = dim Hom(A, C_A) + dim Hom(B, C_B) (p-q), and dually for h (q-h)."""
     certs: dict[str, list] = {"p-q": [], "q-h": []}
     for a in fx.r_universe.values():
         for b in fx.s_universe.values():
@@ -272,41 +310,19 @@ def _claim_adjunctions(fx: Fixture) -> list[Verdict]:
 
 
 def _claim_perp_transfer(fx: Fixture) -> list[Verdict]:
-    verdicts = []
-    r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
-    for side in _SIDES:
-        for ck in _BASIC_FAMILY_KINDS:
-            for dk in _BASIC_FAMILY_KINDS:
-                v = verify_perp_transfer(side, fx.t, _basic_family(ck), _basic_family(dk), r_u, s_u, t_u)
-                v.claim = f"perp-transfer-{side}[c={ck},d={dk}]"
-                v.data["params"] = {"c": ck, "d": dk}
-                verdicts.append(v)
-    return verdicts
+    return _decided(_perp_cases(fx), ("perp-transfer-", verify_perp_transfer))
 
 
 def _claim_torsion_transfer(fx: Fixture) -> list[Verdict]:
-    verdicts = []
-    r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
-    combos = [("zero", "all"), ("all", "zero")]
-    for side in _SIDES:
-        for c1k, c2k in combos:
-            for d1k, d2k in combos:
-                c1, c2, d1, d2 = map(_basic_family, (c1k, c2k, d1k, d2k))
-                v = verify_torsion_transfer(side, fx.t, c1, c2, d1, d2, r_u, s_u, t_u)
-                v.claim = f"torsion-transfer-{side}[c=({c1k},{c2k}),d=({d1k},{d2k})]"
-                v.data["params"] = {"c1": c1k, "c2": c2k, "d1": d1k, "d2": d2k}
-                verdicts.append(v)
-    return verdicts
+    return _decided(_torsion_cases(fx), ("torsion-transfer-", verify_torsion_transfer))
 
 
 def _claim_final_corollaries(fx: Fixture) -> list[Verdict]:
-    a_name, sa_name, b_name, sb_name = _FIXTURE_CASES[fx.name]["corollary_case"]
-    v = verify_final_corollaries(*_case_args(fx, sa_name, sb_name))
-    v.data["params"] = {"a": a_name, "sigma_a": sa_name, "b": b_name, "sigma_b": sb_name}
-    return [v]
+    return _decided([_corollary_case(fx)], ("final-corollaries", verify_final_corollaries))
 
 
 def _claim_round_trip(fx: Fixture) -> list[Verdict]:
+    """Each comma object C goes to a T-module and back to an isomorphic object, through an invertible witness."""
     certs = []
     for name, c in fx.comma_universe.items():
         facts = round_trip_facts(c, fx.t)
@@ -415,32 +431,10 @@ def run_document(doc: Document, task_filter: Optional[Sequence[str]] = None) -> 
 _TORSION_PAIR = ("hom-vanishing", "torsion-sequence", "perp-right", "perp-left")
 _TORSION_CLASS = ("image-closure", "sum-closure", "extension-closure")
 
-# A replay rule maps (fixture, verdict, claim) to its sites: each verdict or
-# sub-verdict whose certificates it rechecks, with the env they are
-# rechecked in and the clauses they may carry.
+# A replay rule maps (fixture, verdict, claim, *case arguments) to its
+# sites: each verdict or sub-verdict whose certificates it rechecks, with the
+# env they are rechecked in and the clauses they may carry.
 Site = tuple[dict, dict, tuple[str, ...]]
-
-
-def _base(claim: str) -> str:
-    return claim.split("[")[0]
-
-
-def _ref(fx: Fixture, obj: dict, key: str, table: str, where: str):
-    """The entry of the fixture table ``table`` that ``obj[key]`` names."""
-    return getattr(fx, table)[check_field(obj, key, table, {"fixture": fx}, where)]
-
-
-def _basic_ref(obj: dict, key: str, where: str) -> ModuleFamily:
-    """The zero or all family that ``obj[key]`` names."""
-    kind = check_field(obj, key, str, {}, where)
-    if kind not in _BASIC_FAMILY_KINDS:
-        raise MalformedReport(f"{where}.{key}: unknown basic family kind {kind!r}")
-    return _basic_family(kind)
-
-
-def _params(v: dict, claim: str) -> dict:
-    """The ``data.params`` object of a transfer or corollary verdict."""
-    return check_field(check_field(v, "data", dict, {}, claim), "params", dict, {}, f"{claim}: data")
 
 
 def _subs(v: dict, claim: str, n: int) -> list[dict]:
@@ -451,83 +445,49 @@ def _subs(v: dict, claim: str, n: int) -> list[dict]:
     return subs
 
 
-def _top(v: dict, fx: Fixture, clause: str, **env) -> list[Site]:
+def _top(fx: Fixture, v: dict, claim: str, clause: str, env: dict) -> list[Site]:
     """The one site of a claim whose certificates sit on the verdict itself."""
     return [(v, {"fixture": fx, **env}, (clause,))]
 
 
-def _replay_hom_formula(fx: Fixture, v: dict, claim: str) -> list[Site]:
-    """Where Hom formula k applies to comma objects (X, Y), it gives dim Hom(X, Y), as do both Hom computations."""
-    return _top(v, fx, "hom-dim-mismatch", kind=int(_base(claim)[-1]))
-
-
-def _replay_tensor_shape(fx: Fixture, v: dict, claim: str) -> list[Site]:
-    """Where tensor shape k applies to (X, Y, psi) and (A, B, phi), it gives dim of their tensor product over T."""
-    return _top(v, fx, "tensor-dim-mismatch", shape=int(_base(claim)[-1]))
-
-
-def _replay_tensor_oracle(fx: Fixture, v: dict, claim: str) -> list[Site]:
-    """The tensor product over T has one dimension by the main, the brute-force and the algebra construction."""
-    return _top(v, fx, "tensor-oracle-mismatch")
-
-
-def _named_decomposition(fx: Fixture, v: dict, claim: str):
-    data = check_field(v, "data", dict, {}, claim)
-    where = f"{claim}: data"
-    return _decomposition(fx, *(_ref(fx, data, key, "presentations", where) for key in ("sigma_a", "sigma_b")))
-
-
-def _replay_presentation_decomposition(fx: Fixture, v: dict, claim: str) -> list[Site]:
+def _replay_presentation_decomposition(fx: Fixture, v: dict, claim: str, presentations, classes) -> list[Site]:
     """A T-module (A, B, phi) lies in D[sigma_T] iff A lies in D[sigma_A] and B in D[sigma_B]."""
-    presentations, _ = _named_decomposition(fx, v, claim)
-    return _top(v, fx, "decomposition-mismatch", presentations=presentations)
+    return _top(fx, v, claim, "decomposition-mismatch", {"presentations": presentations})
 
 
-def _replay_torsion_class_decomposition(fx: Fixture, v: dict, claim: str) -> list[Site]:
+def _replay_torsion_class_decomposition(fx: Fixture, v: dict, claim: str, presentations, classes) -> list[Site]:
     """D[sigma_T] is a torsion class iff D[sigma_A] and D[sigma_B] are."""
-    _, classes = _named_decomposition(fx, v, claim)
     subs = _subs(v, claim, 3)
     return [(sub, {"universe": u, "family": fam}, _TORSION_CLASS) for sub, (fam, u) in zip(subs, classes)]
 
 
-def _silting_pair(fx: Fixture, v: dict, claim: str) -> tuple[Presentation, Presentation]:
-    """The sigma_a and sigma_b that ``data.params`` names, which must present its a and b."""
-    params = _params(v, claim)
-    where = f"{claim}: data.params"
-    a, b = _ref(fx, params, "a", "r_universe", where), _ref(fx, params, "b", "s_universe", where)
-    sigma_a, sigma_b = (_ref(fx, params, key, "presentations", where) for key in ("sigma_a", "sigma_b"))
-    if sigma_a.target != a or sigma_b.target != b:
-        raise MalformedReport(f"{where}: sigma_a and sigma_b must present a and b")
-    return sigma_a, sigma_b
+def _silting_sites(v: dict, claim: str, args: tuple, clauses: tuple[str, ...]) -> list[Site]:
+    sides = zip(_subs(v, claim, 3), silting_sides(*args))
+    return [(sub, {"universe": u, "presentation": pres}, clauses) for sub, (_, pres, u) in sides]
 
 
-def _silting_sites(fx: Fixture, v: dict, claim: str, clauses: tuple[str, ...]) -> list[Site]:
-    sides = silting_sides(fx.t, *_silting_pair(fx, v, claim), fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list())
-    subs = _subs(v, claim, 3)
-    return [(sub, {"universe": u, "presentation": pres}, clauses) for sub, (_, pres, u) in zip(subs, sides)]
-
-
-def _replay_silting_transfer(fx: Fixture, v: dict, claim: str) -> list[Site]:
+def _replay_silting_transfer(fx: Fixture, v: dict, claim: str, *args) -> list[Site]:
     """(0, B) + (A, FA) is silting over T iff A and B are silting and FA lies in Gen B."""
-    return _silting_sites(fx, v, claim, ("membership-mismatch",))
+    return _silting_sites(v, claim, args, ("membership-mismatch",))
 
 
-def _replay_partial_silting_transfer(fx: Fixture, v: dict, claim: str) -> list[Site]:
+def _replay_partial_silting_transfer(fx: Fixture, v: dict, claim: str, *args) -> list[Site]:
     """(0, B) + (A, FA) is partial silting over T iff A and B are and FA lies in D[sigma_B]."""
-    return _silting_sites(fx, v, claim, ("self-membership",))
+    return _silting_sites(v, claim, args, ("self-membership",))
 
 
-def _replay_adjunction(fx: Fixture, v: dict, claim: str) -> list[Site]:
-    """p -| q -| h: dim Hom(p(A, B), C) = dim Hom(A, C_A) + dim Hom(B, C_B) (p-q), and dually for h (q-h)."""
-    return _top(v, fx, "adjunction-mismatch", side=_base(claim)[len("adjunction-"):])
+def _replay_perp_transfer(fx: Fixture, v: dict, claim: str, *args) -> list[Site]:
+    """Mono side: (B^C_D)^perp = U^{C^perp}_{D^perp}, and B^{perp C}_{perp D} = perp(U^C_D) if S+ lies in D.
+    Adjoint side: perp(J^C_D) = U^{perp C}_{perp D}, and J^{C^perp}_{D^perp} = (U^C_D)^perp if R lies in C.
 
+    Fails on mono [c=zero,d=all]: the verifier finds S+ in D = all, and S_R
+    lies in perp(U^0_all) but not in B^{perp 0}_{perp all}.
 
-def _perp_sites(side: str, fx: Fixture, v: dict, claim: str) -> list[Site]:
-    params = _params(v, claim)
-    r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
-    cfam = _basic_ref(params, "c", f"{claim}: data.params")
-    dfam = _basic_ref(params, "d", f"{claim}: data.params")
-    lhs, rhs, small, large = perp_transfer_families(side, fx.t, cfam, dfam, r_u, s_u, t_u)
+    Fails on adjoint [c=all,d=zero]: the verifier finds R in C = all, and
+    S_S lies in (U^all_0)^perp but not in J^{all^perp}_{0^perp}.
+    """
+    lhs, rhs, small, large = perp_transfer_families(*args)
+    t_u = args[-1]
     parts = [(lhs, rhs, "perp-equality"), (small, large, "forward-inclusion"), (large, small, "converse-inclusion")]
     return [
         (sub, {"universe": t_u, "lhs": x, "rhs": y}, (clause,))
@@ -535,30 +495,18 @@ def _perp_sites(side: str, fx: Fixture, v: dict, claim: str) -> list[Site]:
     ]
 
 
-def _replay_perp_transfer_mono(fx: Fixture, v: dict, claim: str) -> list[Site]:
-    """(B^C_D)^perp = U^{C^perp}_{D^perp}, and B^{perp C}_{perp D} = perp(U^C_D) if S+ lies in D.
+def _replay_torsion_transfer(fx: Fixture, v: dict, claim: str, *args) -> list[Site]:
+    """Mono side: (C1, C2) and (D1, D2) are torsion pairs iff (B^{C1}_{D1}, U^{C2}_{D2}) is, if S+ lies in D2.
+    Adjoint side: (C1, C2) and (D1, D2) are torsion pairs iff (U^{C1}_{D1}, J^{C2}_{D2}) is, if R lies in C1.
 
-    Fails on [c=zero,d=all]: the verifier finds S+ in D = all, and S_R lies
-    in perp(U^0_all) but not in B^{perp 0}_{perp all}.
+    Fails on mono [c=(all,zero),d=(zero,all)]: the verifier finds S+ in
+    D2 = all and both component pairs hold, but S_R breaks the comma pair.
+
+    Fails on adjoint [c=(all,zero),d=(zero,all)]: the verifier finds R in
+    C1 = all and both component pairs hold, but S_S breaks the comma pair.
     """
-    return _perp_sites("mono", fx, v, claim)
-
-
-def _replay_perp_transfer_adjoint(fx: Fixture, v: dict, claim: str) -> list[Site]:
-    """perp(J^C_D) = U^{perp C}_{perp D}, and J^{C^perp}_{D^perp} = (U^C_D)^perp if R lies in C.
-
-    Fails on [c=all,d=zero]: the verifier finds R in C = all, and S_S lies
-    in (U^all_0)^perp but not in J^{all^perp}_{0^perp}.
-    """
-    return _perp_sites("adjoint", fx, v, claim)
-
-
-def _torsion_sites(side: str, fx: Fixture, v: dict, claim: str) -> list[Site]:
-    params = _params(v, claim)
-    where = f"{claim}: data.params"
-    r_u, s_u, t_u = fx.r_universe_list(), fx.s_universe_list(), fx.t_universe_list()
-    c1, c2, d1, d2 = (_basic_ref(params, key, where) for key in ("c1", "c2", "d1", "d2"))
-    x, y, _ = comma_pair(side, fx.t, c1, c2, d1, d2)
+    side, t, c1, c2, d1, d2, r_u, s_u, t_u = args
+    x, y, _ = comma_pair(side, t, c1, c2, d1, d2)
     pairs = [(c1, c2, r_u), (d1, d2, s_u), (x, y, t_u)]
     return [
         (sub, {"universe": u, "x": px, "y": py}, _TORSION_PAIR)
@@ -566,42 +514,54 @@ def _torsion_sites(side: str, fx: Fixture, v: dict, claim: str) -> list[Site]:
     ]
 
 
-def _replay_torsion_transfer_mono(fx: Fixture, v: dict, claim: str) -> list[Site]:
-    """(C1, C2) and (D1, D2) are torsion pairs iff (B^{C1}_{D1}, U^{C2}_{D2}) is, if S+ lies in D2.
-
-    Fails on [c=(all,zero),d=(zero,all)]: the verifier finds S+ in D2 = all
-    and both component pairs hold, but S_R breaks the comma pair.
-    """
-    return _torsion_sites("mono", fx, v, claim)
-
-
-def _replay_torsion_transfer_adjoint(fx: Fixture, v: dict, claim: str) -> list[Site]:
-    """(C1, C2) and (D1, D2) are torsion pairs iff (U^{C1}_{D1}, J^{C2}_{D2}) is, if R lies in C1.
-
-    Fails on [c=(all,zero),d=(zero,all)]: the verifier finds R in C1 = all
-    and both component pairs hold, but S_S breaks the comma pair.
-    """
-    return _torsion_sites("adjoint", fx, v, claim)
-
-
-def _replay_final_corollaries(fx: Fixture, v: dict, claim: str) -> list[Site]:
+def _replay_final_corollaries(fx: Fixture, v: dict, claim: str, t, sigma_a, sigma_b, r_u, s_u, t_u) -> list[Site]:
     """Silting over T reduces to A for B = S and to B for A = 0; a silting pair induces two comma torsion pairs."""
-    families = corollary_families(*(sigma.target for sigma in _silting_pair(fx, v, claim)))
-    t_u = fx.t_universe_list()
+    families = corollary_families(sigma_a.target, sigma_b.target)
     sites = []
     for sub in v.get("sub", []):
         for side in _SIDES:
             name = f"induced-torsion-pair-{side}"
             if sub["claim"] == name and sub.get("sub"):
-                x, y, _ = comma_pair(side, fx.t, *families)
+                x, y, _ = comma_pair(side, t, *families)
                 inner = _subs(sub, f"{claim}/{name}", 1)[0]
                 sites.append((inner, {"universe": t_u, "x": x, "y": y}, _TORSION_PAIR))
     return sites
 
 
-def _replay_round_trip(fx: Fixture, v: dict, claim: str) -> list[Site]:
-    """Each comma object C goes to a T-module and back to an isomorphic object, through an invertible witness."""
-    return _top(v, fx, "roundtrip-failure")
+def _cases(fx: Fixture) -> dict[str, tuple[dict, Callable[..., list[Site]], tuple]]:
+    """Each verify-all claim of ``fx``, in the order ``run`` writes them, with
+    the fields of ``data`` that name its case, its replay rule and the case
+    arguments that the rule takes after (fixture, verdict, claim)."""
+    cases = {f"hom-formula-{k}": ({}, _top, ("hom-dim-mismatch", {"kind": k})) for k in range(1, 6)}
+    for k in range(1, 6):
+        cases[f"tensor-shape-{k}"] = ({}, _top, ("tensor-dim-mismatch", {"shape": k}))
+    cases["tensor-oracle-agreement"] = ({}, _top, ("tensor-oracle-mismatch", {}))
+    for suffix, record, args in _decomposition_cases(fx):
+        cases[f"presentation-decomposition{suffix}"] = (record, _replay_presentation_decomposition, args)
+        cases[f"torsion-class-decomposition{suffix}"] = (record, _replay_torsion_class_decomposition, args)
+    for suffix, record, args in _silting_cases(fx):
+        cases[f"silting-transfer{suffix}"] = (record, _replay_silting_transfer, args)
+        cases[f"partial-silting-transfer{suffix}"] = (record, _replay_partial_silting_transfer, args)
+    for side in ("p-q", "q-h"):
+        cases[f"adjunction-{side}"] = ({}, _top, ("adjunction-mismatch", {"side": side}))
+    for suffix, record, args in _perp_cases(fx):
+        cases[f"perp-transfer-{suffix}"] = (record, _replay_perp_transfer, args)
+    for suffix, record, args in _torsion_cases(fx):
+        cases[f"torsion-transfer-{suffix}"] = (record, _replay_torsion_transfer, args)
+    _, record, args = _corollary_case(fx)
+    cases["final-corollaries"] = (record, _replay_final_corollaries, args)
+    cases["t-module-round-trip"] = ({}, _top, ("roundtrip-failure", {}))
+    return cases
+
+
+def _check_record(obj: dict, record: dict, where: str) -> None:
+    """Raise :class:`MalformedReport` unless ``obj`` records each field of ``record`` as it is."""
+    for key, value in record.items():
+        found = check_field(obj, key, type(value), {}, where)
+        if type(value) is dict:
+            _check_record(found, value, f"{where}.{key}")
+        elif found != value:
+            raise MalformedReport(f"{where}.{key}: the fixture's case has {value!r}, the report {found!r}")
 
 
 def _items(obj: dict, key: str, where: str) -> list[dict]:
@@ -615,24 +575,6 @@ def _items(obj: dict, key: str, where: str) -> list[dict]:
     return items
 
 
-CLAIMS: dict[str, Callable[[Fixture, dict, str], list[Site]]] = {
-    **dict.fromkeys([f"hom-formula-{k}" for k in range(1, 6)], _replay_hom_formula),
-    **dict.fromkeys([f"tensor-shape-{k}" for k in range(1, 6)], _replay_tensor_shape),
-    "tensor-oracle-agreement": _replay_tensor_oracle,
-    "presentation-decomposition": _replay_presentation_decomposition,
-    "torsion-class-decomposition": _replay_torsion_class_decomposition,
-    "silting-transfer": _replay_silting_transfer,
-    "partial-silting-transfer": _replay_partial_silting_transfer,
-    **dict.fromkeys(["adjunction-p-q", "adjunction-q-h"], _replay_adjunction),
-    "perp-transfer-mono": _replay_perp_transfer_mono,
-    "perp-transfer-adjoint": _replay_perp_transfer_adjoint,
-    "torsion-transfer-mono": _replay_torsion_transfer_mono,
-    "torsion-transfer-adjoint": _replay_torsion_transfer_adjoint,
-    "final-corollaries": _replay_final_corollaries,
-    "t-module-round-trip": _replay_round_trip,
-}
-
-
 def _tree(v: dict, where: str):
     """(verdict, path, certificates) for each verdict of the tree under ``v``,
     whose lists are checked to be shaped as ``run`` writes them."""
@@ -643,24 +585,36 @@ def _tree(v: dict, where: str):
 
 
 def replay_report(report: dict, fx: Fixture) -> tuple[list[str], int]:
-    """Re-check every certificate of a report through :data:`CLAIMS`.
+    """Re-check every certificate of a report against the fixture's own cases.
 
-    Returns the failure lines (empty means everything replayed) and the
-    number of certificates rechecked.  Raises :class:`MalformedReport` for
-    a list not shaped as ``run`` writes it, a claim without a rule, a
-    certificate that no site of its claim's rule reaches, and a field that
-    is missing, mistyped or names nothing.
+    Each verdict is looked up by its whole claim in :func:`_cases`; the
+    fields of its ``data`` that name the case must equal the case's, and its
+    rule rechecks the certificates with the arguments the case built, never
+    with names read from the report.  Returns the failure lines (empty means
+    everything replayed) and the number of certificates rechecked.  Raises
+    :class:`MalformedReport` for a list not shaped as ``run`` writes it, a
+    claim that is no case of the fixture or that appears twice in one task,
+    a recorded field that differs from its case's, a certificate that no
+    site of its claim's rule reaches, and a field that is missing, mistyped
+    or names nothing.
     """
+    cases = _cases(fx)
     failures: list[str] = []
     checked = 0
     for i, task in enumerate(_items(report, "tasks", "")):
+        seen = set()
         for j, v in enumerate(_items(task, "verdicts", f"tasks[{i}].")):
             claim = check_field(v, "claim", str, {}, f"tasks[{i}].verdicts[{j}]")
+            if claim not in cases:
+                raise MalformedReport(f"{claim}: unknown claim, no case of fixture {fx.name!r}")
+            if claim in seen:
+                raise MalformedReport(f"{claim}: the claim appears twice in tasks[{i}]")
+            seen.add(claim)
+            record, rule, args = cases[claim]
+            if record:
+                _check_record(check_field(v, "data", dict, {}, claim), record, f"{claim}: data")
             nodes = list(_tree(v, claim))
-            rule = CLAIMS.get(_base(claim))
-            if rule is None:
-                raise MalformedReport(f"{claim}: unknown claim, no replay rule")
-            sites = {id(node): (env, clauses) for node, env, clauses in rule(fx, v, claim)}
+            sites = {id(node): (env, clauses) for node, env, clauses in rule(fx, v, claim, *args)}
             for node, where, certs in nodes:
                 if not certs:
                     continue

@@ -7,8 +7,9 @@ value.  The perpendicular and torsion-pair transfers take a ``side``:
 in D, and "adjoint" its mirror for the adjoint-epi family J, under R in
 C.  The families and presentations of a statement come from one
 constructor each (:func:`silting_sides`, :func:`perp_transfer_families`,
-:func:`comma_pair`), which certificate replay in ``tasks`` uses too; so
-do the facts that the top-level claims record (``*_facts``).
+:func:`comma_pair`), which certificate replay in ``tasks`` calls too, on
+the arguments that the fixture's own case built, never on names read from
+the report; so do the facts that the top-level claims record (``*_facts``).
 
 Verdicts carry certificates that name concrete universe members or
 fixture entries and record the facts that witnessed a violation.

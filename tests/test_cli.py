@@ -141,19 +141,35 @@ def test_bimodule_that_breaks_the_module_law_is_invalid(runner, tmp_path):
     assert runner.invoke(main, ["run", str(doc_path)]).exit_code == 2
 
 
-def test_replay_rejects_a_presentation_of_another_module(runner, tmp_path):
-    """Transfer parameters name a module beside its presentation, so replay
-    checks that they agree: triv_R presents R, not a = k."""
+def _replay_edited_reference(runner, tmp_path, claim, edit):
+    """``validate --certificate`` on the reference dual-numbers report, after
+    ``edit`` of the data of its verdict ``claim``."""
     report = json.loads(DUAL_NUMBERS_REPORT.read_text())
     verify_all = next(t for t in report["tasks"] if t["kind"] == "verify-all")
-    claim = "silting-transfer[a=k,b=k]"
-    verdict = next(v for v in verify_all["verdicts"] if v["claim"] == claim)
-    verdict["data"]["params"]["sigma_a"] = "triv_R"
+    edit(next(v for v in verify_all["verdicts"] if v["claim"] == claim)["data"])
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
-    result = runner.invoke(main, ["validate", "--certificate", str(report_path)])
+    return runner.invoke(main, ["validate", "--certificate", str(report_path)])
+
+
+def test_replay_rejects_a_presentation_of_another_module(runner, tmp_path):
+    """Transfer parameters name a module beside its presentation, and replay
+    checks both against the fixture's case: triv_R presents R, not a = k."""
+    claim = "silting-transfer[a=k,b=k]"
+    result = _replay_edited_reference(runner, tmp_path, claim, lambda data: data["params"].update(sigma_a="triv_R"))
     assert (result.exit_code, result.stdout) == (2, "")
-    message = f"malformed report: {claim}: data.params: sigma_a and sigma_b must present a and b"
+    message = f"malformed report: {claim}: data.params.sigma_a: the fixture's case has 'k_from_x', the report 'triv_R'"
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family", ["presentation-decomposition", "torsion-class-decomposition"])
+def test_replay_rejects_a_decomposition_over_the_other_algebra(runner, tmp_path, family):
+    """A decomposition claim whose sigma_a names the S-presentation triv_k_S
+    is one error line and exit 2, not a traceback from mixing the algebras."""
+    claim = f"{family}[k_from_x,triv_k_S]"
+    result = _replay_edited_reference(runner, tmp_path, claim, lambda data: data.update(sigma_a="triv_k_S"))
+    assert (result.exit_code, result.stdout) == (2, "")
+    message = f"malformed report: {claim}: data.sigma_a: the fixture's case has 'k_from_x', the report 'triv_k_S'"
     assert result.stderr == f"error: {message}\n"
 
 
@@ -335,8 +351,8 @@ def test_algebra_or_side_mismatch_is_a_document_error(runner, tmp_path, payload,
         ),
         (
             '{"source": {"fixture": "a2"}, "tasks": [{"kind": "verify-all", "verdicts": '
-            '[{"claim": "torsion-class-decomposition[x,y]"}]}]}',
-            "malformed report: torsion-class-decomposition[x,y]: missing field 'data'",
+            '[{"claim": "torsion-class-decomposition[triv_k_R,triv_k_S]"}]}]}',
+            "malformed report: torsion-class-decomposition[triv_k_R,triv_k_S]: missing field 'data'",
         ),
         (
             '{"source": {"fixture": "a2"}, "tasks": [{"kind": "verify-all", "verdicts": '
@@ -351,7 +367,8 @@ def test_algebra_or_side_mismatch_is_a_document_error(runner, tmp_path, payload,
         (
             '{"source": {"fixture": "a2"}, "tasks": [{"kind": "verify-all", "verdicts": '
             '[{"claim": "perp-transfer-mono[c=zero,d=zero]", "data": {"params": {"c": "some"}}}]}]}',
-            "malformed report: perp-transfer-mono[c=zero,d=zero]: data.params.c: unknown basic family kind",
+            "malformed report: perp-transfer-mono[c=zero,d=zero]: data.params.c: the fixture's case has 'zero', "
+            "the report 'some'",
         ),
     ],
     ids=["array", "not-json", "unknown-fixture", "tasks-int", "task-int", "verdicts-int",

@@ -1,4 +1,4 @@
-"""Certificate replay: the claim and clause tables, and reports it must refuse.
+"""Certificate replay: the fixture's cases and the clause table, and reports it must refuse.
 
 Each refused report is a one-verdict (or few-verdict) report, so that the
 cases stay cheap; every one exits 2 with one line.
@@ -17,7 +17,7 @@ from commacat import tasks, verify
 from commacat.comma import functor_p, sigma_for_p, tensor_shape_predictions
 from commacat.modules import IsoResult
 from commacat.presentations import d_sigma_member
-from commacat.tasks import CLAIMS, run_fixture
+from commacat.tasks import MalformedReport, replay_report, run_fixture
 from commacat.verify import (
     CLAUSES,
     adjunction_facts,
@@ -61,9 +61,10 @@ def _verdict(report, claim):
 
 
 def test_every_claim_and_clause_has_a_table_entry(reports):
-    for report in reports.values():
-        bases = {v["claim"].split("[")[0] for v in _verdicts(report)}
-        assert bases <= set(CLAIMS), bases - set(CLAIMS)
+    for name, report in reports.items():
+        claims = [v["claim"] for v in _verdicts(report)]
+        assert claims == list(tasks._cases(load_fixture(name)))
+        bases = {claim.split("[")[0] for claim in claims}
         clauses = {cert["clause"] for v in _verdicts(report) for cert, _ in _certificates(v)}
         assert clauses <= set(CLAUSES), clauses - set(CLAUSES)
     assert len(bases) == 23
@@ -71,6 +72,10 @@ def test_every_claim_and_clause_has_a_table_entry(reports):
 
 def _bogus(a2):
     return _verdicts(a2) + [{"claim": "bogus", "certificates": [{"clause": "hom-vanishing"}], "sub": []}]
+
+
+def _duplicated(a2):
+    return _verdicts(a2) + [_verdict(a2, "adjunction-q-h")]
 
 
 def _torsion_transfer_missing_sub(a2):
@@ -101,11 +106,13 @@ def _hom_dim_without_mismatch(a2):
     "verdicts, message",
     [
         (_bogus, "malformed report: bogus: unknown claim"),
+        (_duplicated, "malformed report: adjunction-q-h: the claim appears twice in tasks[0]"),
         (_torsion_transfer_missing_sub, "expected 3 sub-verdicts, got 2"),
         (_renamed_silting_sub, "certificates[0]: missing field 'module'"),
         (_hom_dim_without_mismatch, "REPLAY FAIL hom-formula-1: certificates[0]: hom-dim-mismatch did not replay"),
     ],
-    ids=["bogus-claim", "torsion-transfer-missing-sub", "renamed-silting-sub", "hom-dim-without-mismatch"],
+    ids=["bogus-claim", "duplicated-claim", "torsion-transfer-missing-sub", "renamed-silting-sub",
+         "hom-dim-without-mismatch"],
 )
 def test_unchecked_certificates_are_refused(reports, tmp_path, verdicts, message):
     result = _replay(tmp_path, "a2", verdicts(reports["a2"]))
@@ -266,7 +273,8 @@ def test_replay_counts_each_certificate_once(reports, tmp_path, fixture, checked
 
 def test_final_corollaries_replay_rejects_a_presentation_of_another_module(tmp_path):
     """The final corollaries name a and b beside sigma_a and sigma_b, and
-    replay checks them as the silting transfers do: triv_R presents R, not k."""
+    replay checks them against the fixture's case as it does the silting
+    transfers': the case has a = R, which triv_R presents, not k."""
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "dual-numbers.report.json"
     report = json.loads(reference.read_text())
     verdict = next(v for t in report["tasks"] for v in t.get("verdicts", []) if v["claim"] == "final-corollaries")
@@ -276,5 +284,66 @@ def test_final_corollaries_replay_rejects_a_presentation_of_another_module(tmp_p
     path.write_text(json.dumps(report))
     result = CliRunner().invoke(main, ["validate", "--certificate", str(path)])
     assert (result.exit_code, result.stdout) == (2, "")
-    message = "malformed report: final-corollaries: data.params: sigma_a and sigma_b must present a and b"
+    message = "malformed report: final-corollaries: data.params.a: the fixture's case has 'R', the report 'k'"
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fixture", ["a2", "dual-numbers"])
+def test_the_fixture_cases_present_their_modules(fixture):
+    """Replay trusts the fixture's own cases, so they are checked here: each
+    silting case names presentations of its a and b, and each decomposition
+    pair an R-presentation, then an S-presentation."""
+    fx = load_fixture(fixture)
+    cases = tasks._FIXTURE_CASES[fixture]
+    for a, sigma_a, b, sigma_b in [*cases["transfer_cases"], cases["corollary_case"]]:
+        assert fx.presentations[sigma_a].target == fx.r_universe[a]
+        assert fx.presentations[sigma_b].target == fx.s_universe[b]
+    for sigma_a, sigma_b in cases["decomposition_pairs"]:
+        assert fx.presentations[sigma_a].target.algebra == fx.t.r
+        assert fx.presentations[sigma_b].target.algebra == fx.t.s
+
+
+def _swaps(verdicts, fx):
+    """(verdict index, path, value) for each swap of a field that names the
+    case of a verdict for another valid name of its kind, and for each swap of
+    a claim for another claim of its family."""
+    names = {"a": list(fx.r_universe), "b": list(fx.s_universe),
+             "sigma_a": list(fx.presentations), "sigma_b": list(fx.presentations)}
+    fields, claims = [], []
+    for j, v in enumerate(verdicts):
+        path = ("data", "params") if "params" in v["data"] else ("data",)
+        for key, value in v["data"].get("params", v["data"]).items():
+            options = names.get(key, ("zero", "all") if value in ("zero", "all") else ())
+            fields.extend((j, (*path, key), other) for other in options if other != value)
+        family = v["claim"].split("[")[0]
+        claims.extend(
+            (j, ("claim",), w["claim"])
+            for w in verdicts
+            if w is not v and "[" in v["claim"] and w["claim"].split("[")[0] == family
+        )
+    return fields, claims
+
+
+def test_every_swapped_case_is_refused():
+    """A report is replayed against the case its claim names, so no field that
+    names a case and no claim can be swapped for another valid one of the
+    fixture; a swapped presentation over the other algebra used to crash."""
+    text = (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "dual-numbers.report.json").read_text()
+    fx = load_fixture("dual-numbers")
+    verify_all = lambda report: next(t for t in report["tasks"] if t["kind"] == "verify-all")["verdicts"]  # noqa: E731
+    assert replay_report(json.loads(text), fx) == ([], 95)
+    fields, claims = _swaps(verify_all(json.loads(text)), fx)
+    assert (len(fields), len(claims)) == (145, 56)
+    accepted = []
+    for j, path, value in fields + claims:
+        report = json.loads(text)
+        obj = verify_all(report)[j]
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        try:
+            replay_report(report, fx)
+        except MalformedReport:
+            continue
+        accepted.append((j, path, value))
+    assert accepted == []
