@@ -100,30 +100,26 @@ def run(document: Optional[str], fmt: str, fixture_name: Optional[str],
     if document and max_dim is not None:
         click.echo("error: --max-dim bounds a fixture's comma universe; a document lists its own universes", err=True)
         sys.exit(2)
-    if fixture_name:
-        source = {"fixture": fixture_name}
-        if max_dim is not None:
-            source["max_dim"] = max_dim
-        try:
+    try:
+        if fixture_name:
+            source = {"fixture": fixture_name}
+            if max_dim is not None:
+                source["max_dim"] = max_dim
             fx = load_fixture(fixture_name, source.get("max_dim", MAX_TOTAL_DIM))
             results = task_runner.run_fixture(fx, task_names or None)
-        except (TaskError, IsoSearchCapExceeded) as exc:
-            click.echo(f"task error: {exc}", err=True)
-            sys.exit(3)
-        p = fx.t.p
-    else:
-        try:
-            doc = load_document(document)
-        except DocumentError as exc:
-            click.echo(f"validation failure: {exc}", err=True)
-            sys.exit(2)
-        source = {"document": document}
-        p = doc.p
-        try:
+            p = fx.t.p
+        else:
+            try:
+                doc = load_document(document)
+            except DocumentError as exc:
+                click.echo(f"validation failure: {exc}", err=True)
+                sys.exit(2)
+            source = {"document": document}
+            p = doc.p
             results = task_runner.run_document(doc, task_names or None)
-        except (TaskError, IsoSearchCapExceeded) as exc:
-            click.echo(f"task error: {exc}", err=True)
-            sys.exit(3)
+    except (TaskError, IsoSearchCapExceeded) as exc:
+        click.echo(f"task error: {exc}", err=True)
+        sys.exit(3)
     report = {"tool": "commacat", "p": p, "source": source, "tasks": results}
     if fmt == "json":
         json.dump(report, sys.stdout, indent=2, sort_keys=True)

@@ -126,23 +126,6 @@ def validate_comma(c: CommaObject) -> list[dict]:
     return violations
 
 
-class CommaMap:
-    """Pair (f, g) making the square with U (x) f commute."""
-
-    __slots__ = ("source", "target", "f", "g")
-
-    def __init__(self, source: CommaObject, target: CommaObject, f: ModuleMap, g: ModuleMap) -> None:
-        self.source = source
-        self.target = target
-        self.f = f
-        self.g = g
-
-    def is_valid(self) -> bool:
-        p, iu = self.source.p, np.eye(self.source.bimodule.dim, dtype=np.int64)
-        square = np.array_equal(self.g.matrix @ self.source.phi % p, self.target.phi @ np.kron(iu, self.f.matrix) % p)
-        return square and self.f.is_valid() and self.g.is_valid()
-
-
 def comma_from_components(
     u: Bimodule, a: Optional[ModuleRep] = None, b: Optional[ModuleRep] = None, label: str = ""
 ) -> CommaObject:
@@ -158,7 +141,7 @@ def canonical_tensor_comma(u: Bimodule, a: ModuleRep, label: str) -> CommaObject
     return CommaObject(u, a, tensor.module, tensor.projection, label=label)
 
 
-# -- the three functors ------------------------------------------------------
+# -- the functors p and h on objects ------------------------------------------
 
 
 def _block_diag(*mats: np.ndarray) -> np.ndarray:
@@ -179,20 +162,6 @@ def functor_p(u: Bimodule, a: ModuleRep, b: ModuleRep) -> CommaObject:
     return CommaObject(u, a, bsum, phi, label=f"p({a.label},{b.label})")
 
 
-def functor_p_map(u: Bimodule, f: ModuleMap, g: ModuleMap) -> CommaMap:
-    """p on morphisms: (f, Ff + g)."""
-    src = functor_p(u, f.source, g.source)
-    tgt = functor_p(u, f.target, g.target)
-    ff = tensor_map(u, f)
-    gmap = ModuleMap(src.B, tgt.B, _block_diag(ff.matrix, g.matrix))
-    return CommaMap(src, tgt, ModuleMap(src.A, tgt.A, f.matrix), gmap)
-
-
-def functor_q(c: CommaObject) -> tuple[ModuleRep, ModuleRep]:
-    """q(A, B) = (A, B): forget phi."""
-    return c.A, c.B
-
-
 def functor_h(u: Bimodule, a: ModuleRep, b: ModuleRep) -> CommaObject:
     """h(A, B) = (A + Hom_S(U, B), B) with phi the evaluation on the Hom part."""
     hm = hom_module(u, b)
@@ -202,37 +171,6 @@ def functor_h(u: Bimodule, a: ModuleRep, b: ModuleRep) -> CommaObject:
     phi = np.zeros((b.dim, u.dim, da), dtype=np.int64)
     phi[:, :, a.dim :] = hm.basis.transpose(1, 2, 0)
     return CommaObject(u, asum, b, phi.reshape(b.dim, u.dim * da), label=f"h({a.label},{b.label})")
-
-
-def functor_h_map(u: Bimodule, f: ModuleMap, g: ModuleMap) -> CommaMap:
-    """h on morphisms: (f + Hom(U, g), g)."""
-    src = functor_h(u, f.source, g.source)
-    tgt = functor_h(u, f.target, g.target)
-    hm_src = hom_module(u, g.source)
-    hm_tgt = hom_module(u, g.target)
-    hom_part = hom_coords(u.p, hm_tgt.basis, g.matrix @ hm_src.basis % u.p)
-    fmat = _block_diag(f.matrix, hom_part)
-    return CommaMap(src, tgt, ModuleMap(src.A, tgt.A, fmat), ModuleMap(src.B, tgt.B, g.matrix))
-
-
-# -- adjunction unit / counit -------------------------------------------------
-
-
-def p_counit(c: CommaObject) -> CommaMap:
-    """The counit p(q(C)) -> C of the p -| q adjunction."""
-    u = c.bimodule
-    src = functor_p(u, c.A, c.B)
-    tensor = tensor_over(u, c.A)
-    g = np.hstack([c.phi @ tensor.section % c.p, np.eye(c.B.dim, dtype=np.int64)])
-    return CommaMap(src, c, ModuleMap(src.A, c.A, np.eye(c.A.dim, dtype=np.int64)), ModuleMap(src.B, c.B, g))
-
-
-def h_unit(c: CommaObject) -> CommaMap:
-    """The unit C -> h(q(C)) of the q -| h adjunction."""
-    u = c.bimodule
-    tgt = functor_h(u, c.A, c.B)
-    fmat = np.vstack([np.eye(c.A.dim, dtype=np.int64), tilde_phi(c).matrix])
-    return CommaMap(c, tgt, ModuleMap(c.A, tgt.A, fmat), ModuleMap(c.B, tgt.B, np.eye(c.B.dim, dtype=np.int64)))
 
 
 # -- the T-module correspondence ----------------------------------------------

@@ -333,7 +333,7 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
         except DocumentError as exc:
             report(exc)
 
-    tasks = data.get("tasks") or []
+    tasks = data.get("tasks", [])
     if not isinstance(tasks, list):
         raise DocumentError("tasks", "tasks must be a list")
     for i, task in enumerate(tasks):

@@ -563,15 +563,16 @@ def gen_member(t: ModuleRep, x: ModuleRep) -> bool:
     return trace_span([t], x).shape[1] == x.dim
 
 
-def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep, cap: int = ISO_CAP) -> bool:
-    """Brute-force surjection search t^j -> x for j <= dim x."""
+def gen_member_epi_oracle(t: ModuleRep, x: ModuleRep) -> bool:
+    """Brute-force surjection search t^j -> x for j <= dim x; raises
+    IsoSearchCapExceeded past a Hom dimension of ISO_CAP."""
     _require_compatible(t, x)
     if x.dim == 0:
         return True
     for j in range(1, x.dim + 1):
         basis = hom_space(direct_sum([t] * j), x)
-        if len(basis) > cap:
-            raise IsoSearchCapExceeded(f"hom space dimension {len(basis)} exceeds cap {cap}")
+        if len(basis) > ISO_CAP:
+            raise IsoSearchCapExceeded(f"hom space dimension {len(basis)} exceeds cap {ISO_CAP}")
         if has_rank(t.p, basis, x.dim):
             return True
     return False

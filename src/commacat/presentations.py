@@ -111,15 +111,15 @@ def d_sigma_member(s: Presentation, x: ModuleRep) -> bool:
     return _hom_onto(s.sigma, x)
 
 
-def d_sigma_member_oracle(s: Presentation, x: ModuleRep, cap: int = ISO_CAP) -> bool:
+def d_sigma_member_oracle(s: Presentation, x: ModuleRep) -> bool:
     """Enumerative check: every element of Hom(P1, x) lifts through sigma.
 
     Solves the lifting system afresh for each of the p^h maps instead of
     comparing ranks.
     """
     h1 = hom_space(s.sigma.source, x)
-    if len(h1) > cap:
-        raise IsoSearchCapExceeded(f"hom dimension {len(h1)} exceeds cap {cap}")
+    if len(h1) > ISO_CAP:
+        raise IsoSearchCapExceeded(f"hom dimension {len(h1)} exceeds cap {ISO_CAP}")
     p = x.p
     p0 = s.sigma.target
     targets = (t for chunk in combination_chunks(p, h1) for t in chunk)

@@ -495,15 +495,6 @@ def check_certificate(cert: dict, clauses: Sequence[str], env: dict, where: str)
     return entry
 
 
-def recheck_certificate(cert: dict, env: dict) -> bool:
-    """Check the fields of one certificate of any clause and re-verify it
-    from raw data in ``env``: "universe" (the modules its indices name),
-    "x"/"y" (torsion-pair families), "family" (closure), "presentation"
-    (silting: Gen is of the module it presents), "lhs"/"rhs" (perpendicular
-    transfer), or "fixture" (top-level claims)."""
-    return check_certificate(cert, list(CLAUSES), env, "certificate").recheck(cert, env)
-
-
 def _records(cert: dict, facts: dict) -> bool:
     """Whether ``cert`` records exactly ``facts``."""
     return all(cert[key] == value for key, value in facts.items())

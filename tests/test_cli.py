@@ -332,6 +332,19 @@ def test_algebra_or_side_mismatch_is_a_document_error(runner, tmp_path, payload,
     assert f"validation failure: {path}: " in result.stderr
 
 
+@pytest.mark.parametrize("tasks", [{}, 0, False, "", None], ids=["object", "zero", "false", "empty-string", "null"])
+def test_tasks_that_are_not_a_list_are_invalid(runner, tmp_path, tasks):
+    """An absent ``tasks`` section means no tasks; any value but a list is refused."""
+    payload = {**sample_document(), "tasks": tasks}
+    with pytest.raises(DocumentError) as err:
+        parse_document(payload)
+    assert (err.value.path, str(err.value)) == ("tasks", "tasks: tasks must be a list")
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["validate", str(doc_path)])
+    assert (result.exit_code, result.stdout) == (2, "INVALID tasks: tasks must be a list\n")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

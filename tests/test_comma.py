@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from commacat import comma
 from commacat.algebra import Bimodule, dual_numbers_algebra, field_algebra, triangular_algebra
 from commacat.comma import (
-    CommaMap,
     CommaObject,
     RightTModule,
     comma_from_components,
@@ -19,16 +18,11 @@ from commacat.comma import (
     family_membership,
     from_T_module,
     functor_h,
-    functor_h_map,
     functor_p,
-    functor_p_map,
-    functor_q,
-    h_unit,
     hom_comma,
     hom_comma_dim,
     hom_formula,
     hom_formula_applicable,
-    p_counit,
     right_t_to_module,
     sigma_for_p,
     tensor_T,
@@ -70,7 +64,7 @@ from commacat.modules import (
 )
 from commacat.presentations import validate_presentation
 from commacat.torsion import family_all, family_explicit, family_gen, family_zero
-from tests.maps import identity_map
+from tests.maps import CommaMap, functor_h_map, functor_p_map, h_unit, identity_map, p_counit
 
 
 @pytest.fixture(scope="module")
@@ -183,12 +177,6 @@ def test_functor_p_additivity(a2, dual):
                     to_T_module(functor_p(fx.t.u, zero_module(fx.t.r), b), fx.t),
                 ])
                 assert is_isomorphic(whole, parts).isomorphic
-
-
-def test_functor_q(a2):
-    c = a2.comma_universe["P"]
-    qa, qb = functor_q(c)
-    assert qa is c.A and qb is c.B
 
 
 def test_functor_h_shapes(a2):

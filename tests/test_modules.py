@@ -307,6 +307,13 @@ def test_gen_member_matches_epi_oracle(a2):
             assert gen_member(g, x) == gen_member_epi_oracle(g, x)
 
 
+def test_gen_member_epi_oracle_cap(a2, monkeypatch):
+    p = a2.t_universe["P"]
+    monkeypatch.setattr(modules, "ISO_CAP", 0)
+    with pytest.raises(IsoSearchCapExceeded):
+        gen_member_epi_oracle(p, p)
+
+
 def test_is_isomorphic_basic(a2):
     t = a2.t_universe
     assert is_isomorphic(t["P"], t["P"]).isomorphic

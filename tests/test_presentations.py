@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from commacat import presentations
 from commacat.document import parse_document
 from commacat.fixtures import load_fixture
-from commacat.modules import direct_sum, regular_module, zero_module
+from commacat.modules import IsoSearchCapExceeded, direct_sum, hom_dim, regular_module, zero_module
 from commacat.presentations import (
     d_sigma_member,
     d_sigma_member_oracle,
@@ -63,6 +64,14 @@ def test_d_sigma_matches_oracle(a2, dual):
             pres = fx.presentations[pname]
             for m in universe:
                 assert d_sigma_member(pres, m) == d_sigma_member_oracle(pres, m), (pname, m.label)
+
+
+def test_d_sigma_member_oracle_cap(dual, monkeypatch):
+    pres, m = dual.presentations["k_from_x"], dual.r_universe["R"]
+    assert hom_dim(pres.sigma.source, m)
+    monkeypatch.setattr(presentations, "ISO_CAP", 0)
+    with pytest.raises(IsoSearchCapExceeded):
+        d_sigma_member_oracle(pres, m)
 
 
 def test_d_sigma_closed_under_images(a2):

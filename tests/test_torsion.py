@@ -329,7 +329,7 @@ def _closure_cases(name):
 
 @pytest.mark.parametrize("name", ["a2", "dual-numbers", "F_3[x]/(x^3)"])
 def test_image_closure_certificates_match_per_map_loop(name):
-    from commacat.verify import recheck_certificate
+    from tests.maps import recheck_certificate
 
     seen = 0
     for universe, fams in _closure_cases(name):

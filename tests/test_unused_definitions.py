@@ -1,17 +1,21 @@
-"""Every module-level function or class of ``commacat`` is reached.
+"""Every module-level function or class of ``commacat`` is reached by a command.
 
-A static check with ``ast``, like ``test_unused_imports.py``.  A definition
-counts as reached when another top-level statement of ``src/commacat``
-reads its name (so a recursive call or a docstring is not a use), when a
-decorator registers it (verify's ``@_clause``, or the CLI's
-``@main.command()``), or when it is on ``TEST_FACING``: API that only the
-tests call, every name of which some test must use.
+A static check with ``ast``, like ``test_unused_imports.py``.  Reach is
+followed from the roots a command runs: ``cli.entry``, ``cli.main`` and its
+``@main.command()`` functions, verify's ``@_clause`` registrations, and every
+module-level statement that defines nothing.  A definition is reached when a
+reached statement reads its name, and its own body is then followed in turn;
+what only the tests or other unreached code read is not reached.  A
+definition that is not reached must be on ``TEST_FACING``: API that only the
+tests call, every name of which some test must use.  Reads go by name only,
+attribute names included, so ``x.clear()`` anywhere reached also reaches a
+function ``clear``, and a name defined in two modules is reached in both.
 
 Five more checks of the same kind: every defaulted parameter of a
 module-level function is passed by some call in the package (by keyword, by
-position or through ``*``/``**``) unless its function or the parameter itself
-is test-facing, and is left out by some call in the package or the tests
-unless its function is test-facing, so that no default goes unused; every
+position or through ``*``/``**``), or by the tests too where its function is
+test-facing, unless the parameter itself is test-facing, and is left out by
+some call in the package or the tests, so that no default goes unused; every
 method other than a dunder is read somewhere in
 the package outside its own body, and every field of a ``NamedTuple`` or
 dataclass is read as an attribute somewhere in the package (``obj.field[k] = v``
@@ -31,20 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "commacat").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# The paper's functors and units, the independent oracles the fast paths are
-# tested against, and small constructors and checks the tests call directly.
-TEST_FACING = {
-    "functor_p_map",
-    "functor_h_map",
-    "functor_q",
-    "p_counit",
-    "h_unit",
-    "gen_member_epi_oracle",
-    "d_sigma_member_oracle",
-    "memo_stats",
-    "clear",
-    "recheck_certificate",
-}
+# The independent oracles the fast paths are tested against, and the memo
+# registry's statistics and reset, which the tests call directly.
+TEST_FACING = {"gen_member_epi_oracle", "d_sigma_member_oracle", "memo_stats", "clear"}
 
 
 def _names_read(node: ast.AST) -> set[str]:
@@ -73,17 +66,31 @@ def _statements() -> list[tuple[str, ast.stmt]]:
     ]
 
 
+def _is_root(module: str, stmt: ast.stmt) -> bool:
+    """A statement a command runs whatever it reads: any module-level statement
+    that defines nothing, a registered definition, and ``cli.entry`` and ``cli.main``."""
+    return (
+        not isinstance(stmt, DEFINITIONS)
+        or _is_registered(stmt)
+        or module == "cli.py" and stmt.name in ("entry", "main")
+    )
+
+
 def test_every_definition_is_reached():
-    statements = [(module, stmt, _names_read(stmt)) for module, stmt in _statements()]
+    statements = _statements()
+    definitions = [(module, stmt) for module, stmt in statements if isinstance(stmt, DEFINITIONS)]
+    reached = {stmt.name for module, stmt in definitions if _is_root(module, stmt)}
+    frontier = [stmt for module, stmt in statements if _is_root(module, stmt)]
+    while frontier:
+        names = set().union(*(_names_read(stmt) for stmt in frontier)) - reached
+        reached |= names
+        frontier = [stmt for _, stmt in definitions if stmt.name in names]
     unreached = [
         f"{module}: {stmt.name}"
-        for module, stmt, _ in statements
-        if isinstance(stmt, DEFINITIONS)
-        and not _is_registered(stmt)
-        and stmt.name not in TEST_FACING
-        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+        for module, stmt in definitions
+        if stmt.name not in reached and stmt.name not in TEST_FACING
     ]
-    assert not unreached, f"definitions nothing in src/commacat reaches: {unreached}"
+    assert not unreached, f"definitions no command reaches: {unreached}"
 
 
 def test_test_facing_names_are_defined_and_used_by_the_tests():
@@ -144,15 +151,8 @@ def _parameters_where(calls: list[ast.Call], passed: bool) -> set[str]:
     return found
 
 
-def test_every_defaulted_parameter_is_passed():
-    calls = [c for _, stmt in _statements() for c in _calls(stmt)]
-    unpassed = {
-        entry for entry in _parameters_where(calls, passed=False) if entry.split("(")[0] not in TEST_FACING
-    }
-    assert unpassed == TEST_FACING_PARAMETERS, (
-        f"parameters no call in src/commacat passes: {sorted(unpassed - TEST_FACING_PARAMETERS)}; "
-        f"passed after all: {sorted(TEST_FACING_PARAMETERS - unpassed)}"
-    )
+def _package_calls() -> list[ast.Call]:
+    return [c for _, stmt in _statements() for c in _calls(stmt)]
 
 
 def _test_calls() -> list[ast.Call]:
@@ -163,6 +163,19 @@ def _test_calls() -> list[ast.Call]:
     ]
 
 
+def test_every_defaulted_parameter_is_passed():
+    """A parameter of a test-facing function counts as passed when a test passes it."""
+    calls = _package_calls()
+    unpassed = {entry for entry in _parameters_where(calls, passed=False) if entry.split("(")[0] not in TEST_FACING}
+    unpassed |= {
+        entry for entry in _parameters_where(calls + _test_calls(), passed=False) if entry.split("(")[0] in TEST_FACING
+    }
+    assert unpassed == TEST_FACING_PARAMETERS, (
+        f"parameters no call in src/commacat (or, for a test-facing function, in tests/) passes: "
+        f"{sorted(unpassed - TEST_FACING_PARAMETERS)}; passed after all: {sorted(TEST_FACING_PARAMETERS - unpassed)}"
+    )
+
+
 def test_test_facing_parameters_are_passed_by_the_tests():
     assert not TEST_FACING_PARAMETERS & _parameters_where(_test_calls(), passed=False)
 
@@ -170,8 +183,7 @@ def test_test_facing_parameters_are_passed_by_the_tests():
 def test_every_default_is_used():
     """A default that every call in the package and the tests overrides is
     dead: the parameter should be required."""
-    calls = [c for _, stmt in _statements() for c in _calls(stmt)] + _test_calls()
-    always = {entry for entry in _parameters_where(calls, passed=True) if entry.split("(")[0] not in TEST_FACING}
+    always = _parameters_where(_package_calls() + _test_calls(), passed=True)
     assert not always, f"defaults no call in src/commacat or tests/ uses: {sorted(always)}"
 
 

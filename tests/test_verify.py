@@ -3,13 +3,13 @@ import pytest
 from commacat.fixtures import load_fixture
 from commacat.torsion import comma_family, family_all, family_zero
 from commacat.verify import (
-    recheck_certificate,
     verify_final_corollaries,
     verify_partial_silting_transfer,
     verify_perp_transfer,
     verify_silting_transfer,
     verify_torsion_transfer,
 )
+from tests.maps import recheck_certificate
 
 
 @pytest.fixture(scope="module")
