@@ -62,7 +62,8 @@ def _report_to_text(report: dict) -> str:
 def _verdict_lines(v: dict, indent: int) -> list[str]:
     pad = " " * indent
     mark = {"holds": "PASS", "fails": "FAIL", "out-of-scope": "SKIP"}[v["result"]]
-    lines = [f"{pad}[{mark}] {v['claim']}"]
+    partial = " (partial)" if v["data"].get("partial") else ""
+    lines = [f"{pad}[{mark}] {v['claim']}{partial}"]
     for cert in v.get("certificates", []):
         summary = {k: val for k, val in cert.items() if k != "witness" and k != "map"}
         lines.append(f"{pad}  certificate: {json.dumps(summary, sort_keys=True)}")

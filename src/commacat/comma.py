@@ -364,13 +364,23 @@ def tilde_phi(c: CommaObject) -> ModuleMap:
     return ModuleMap(c.A, hm.module, mat)
 
 
+@memo("phi_descends_to_iso")
 def phi_descends_to_iso(c: CommaObject) -> bool:
-    """True when phi induces an isomorphism U (x)_R A -> B."""
+    """True when phi induces an isomorphism U (x)_R A -> B.  Memoized."""
     q_dim = tensor_over(c.bimodule, c.A).module.dim
     return q_dim == c.B.dim and rank(c.p, c.phi) == q_dim
 
 
+@memo("tilde_phi_is_iso")
+def tilde_phi_is_iso(c: CommaObject) -> bool:
+    """True when tilde_phi is an isomorphism A -> Hom_S(U, B).  Memoized."""
+    tp = tilde_phi(c)
+    return tp.target.dim == c.A.dim and rank(c.p, tp.matrix) == c.A.dim
+
+
+@memo("psi_descends_to_iso")
 def psi_descends_to_iso(rt: RightTModule) -> bool:
+    """True when psi induces an isomorphism Y (x)_S U -> X.  Memoized."""
     return tensor_dim(rt.Y, bimodule_as_left_module(rt.bimodule)) == rt.X.dim and rank(rt.p, rt.psi) == rt.X.dim
 
 
@@ -385,8 +395,7 @@ def hom_formula_applicable(kind: int, source: CommaObject, target: CommaObject) 
     if kind == 3:
         return phi_descends_to_iso(source)
     if kind == 4:
-        tp = tilde_phi(target)
-        return tp.target.dim == target.A.dim and rank(target.p, tp.matrix) == target.A.dim
+        return tilde_phi_is_iso(target)
     if kind == 5:
         if source.B.dim != 0:
             return False

@@ -4,11 +4,16 @@ A matrix over F_p is a 2-d int64 array with entries reduced mod p, and a
 stack of matrices, such as a module's action or a Hom-space basis, is one
 (k, rows, cols) int64 array.  The kernels take the modulus beside the array
 (``rank(p, a)``, ``solve(p, m, b)``) and return fresh arrays.  All arithmetic
-is integer arithmetic followed by reduction, so results are exact.  Systems
-reach a few hundred rows (a Hom system of two 8-dimensional modules over a
-3-dimensional algebra is 192x64); everything is dense and deterministic.
-:func:`rref` does Gauss-Jordan elimination with one nonzero scan of the pivot
-column and one masked rank-1 update of all rows it hits per pivot.
+is integer arithmetic followed by reduction, so results are exact, and
+everything is dense and deterministic.  Most systems are tiny: the 3,254
+eliminations of a dual-numbers fixture run average 31 entries (2x2, 4x4 and 1x1
+are the commonest shapes, and 3,040 have at most 64 entries), and the 885 of a
+seeded F_3[x]/(x^3) document average 84 entries, at most 88x8.  So
+:func:`rref` has two regimes, chosen by the entry count alone: a
+matrix of at most :data:`SMALL_RREF_CELLS` entries is eliminated on Python
+``int`` rows, where numpy's fixed cost per operation would dominate, and a
+larger one by Gauss-Jordan elimination in numpy, with one nonzero scan of the
+pivot column and one masked rank-1 update of all rows it hits per pivot.
 
 Entries are stored as int64, so the modulus is validated once per value
 of p (:func:`_check_modulus`, shared with :class:`FDAlgebra`): it must be
@@ -53,6 +58,10 @@ import numpy as np
 MODULUS_LIMIT = 2 ** 24
 # Most combinations one enumeration chunk holds.
 ENUM_CHUNK = 4096
+# Most entries of a matrix that rref eliminates on Python ints rather than in
+# numpy.  On dense random matrices Python rows take a quarter of numpy's time at
+# 4x4 and half at 8x8, about the same at 16x16, and ten times as long at 192x64.
+SMALL_RREF_CELLS = 64
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -149,9 +158,6 @@ class FpMatrix:
     def cols(self) -> int:
         return self._a.shape[1]
 
-    def array(self) -> np.ndarray:
-        return self._a
-
 
 def intertwining_system(p: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The system L_i H = H R_i in the row-major entries of an n x m matrix H.
@@ -172,10 +178,13 @@ def intertwining_system(p: int, left: np.ndarray, right: np.ndarray) -> np.ndarr
 def rref(m: FpMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row-echelon form, as a fresh array, and the tuple of pivot columns.
 
-    The elimination runs on a copy, so ``m`` may wrap a view such as ``a.T``.
+    The elimination runs on a copy, so ``m`` may wrap a view such as ``a.T``;
+    one of at most :data:`SMALL_RREF_CELLS` entries runs on Python ints.
     """
     p, rows, cols = m.p, m.rows, m.cols
-    a = m.array().copy()
+    if rows * cols <= SMALL_RREF_CELLS:
+        return _rref_rows(p, m._a.tolist(), cols)
+    a = m._a.copy()
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -199,6 +208,27 @@ def rref(m: FpMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
+
+
+def _rref_rows(p: int, a: list[list[int]], cols: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """:func:`rref` of the rows ``a``, lists of ``cols`` residues mod p, reduced in place."""
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        for pr in range(r, len(a)):
+            if a[pr][c]:
+                break
+        else:
+            continue
+        row = a[pr]
+        if (inv := pow(row[c], -1, p)) != 1:
+            row = [x * inv % p for x in row]
+        a[pr], a[r] = a[r], row
+        for i, other in enumerate(a):
+            if i != r and (f := other[c]):
+                a[i] = [(x - f * y) % p for x, y in zip(other, row)]
+        pivots.append(c)
+    return np.array(a, dtype=np.int64).reshape(len(a), cols), tuple(pivots)
 
 
 def rank(p: int, a: np.ndarray) -> int:
@@ -226,7 +256,7 @@ def solve(p: int, m: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     if b.shape[0] != rows:
         raise ValueError(f"rhs has {b.shape[0]} rows, expected {rows}")
     red, pivots = rref(FpMatrix._of(p, np.concatenate([m, b], axis=1)))
-    if any(c >= cols for c in pivots):
+    if pivots and pivots[-1] >= cols:
         return None
     x = np.zeros((cols, width), dtype=np.int64)
     x[list(pivots)] = red[: len(pivots), cols:]
@@ -255,7 +285,7 @@ def inverse(p: int, a: np.ndarray) -> Optional[np.ndarray]:
     if a.shape[1] != n:
         return None
     red, pivots = rref(FpMatrix._of(p, np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)))
-    if len(pivots) != n or any(c >= n for c in pivots):
+    if pivots != tuple(range(n)):
         return None
     return red[:, n:].copy()
 

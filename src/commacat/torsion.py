@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import TriangularAlgebra
 from .comma import family_membership, from_T_module
-from .linalg import batched_rref, combination_chunks, rank
+from .linalg import ENUM_CHUNK, batched_rref, combination_chunks, rank
 from .modules import (
     ModuleRep,
     direct_sum,
@@ -282,6 +282,37 @@ def torsion_pair_oracle(x: ModuleFamily, y: ModuleFamily, universe: Sequence[Mod
 MAP_ENUM_CAP = 12
 
 
+def _first_failures(f: ModuleFamily, j: int, n: ModuleRep, batch: list, image_in_f: dict, failed: dict) -> None:
+    """Record in ``failed``, by source index, the ``image-closure`` certificate of
+    the first map whose image is not in ``f``, for each source of ``batch`` that
+    has none yet.  ``batch`` holds (source index, chunk of its maps into ``n``)
+    pairs in enumeration order, ``n`` being the universe member of index ``j``.
+    The transposed maps are reduced by one :func:`batched_rref`, zero-padded to
+    one height, which changes neither their reduced rows nor their rank;
+    ``image_in_f`` memoizes the family's answer per (target index, canonical
+    basis of the image)."""
+    stack = np.zeros((sum(len(c) for _, c in batch), max(c.shape[2] for _, c in batch), n.dim), dtype=np.int64)
+    start = 0
+    for _, chunk in batch:
+        stack[start : start + len(chunk), : chunk.shape[2]] = chunk.transpose(0, 2, 1)
+        start += len(chunk)
+    reduced, ranks = batched_rref(n.p, stack)
+    start = 0
+    for i, chunk in batch:
+        if i not in failed:
+            for k, r in enumerate(ranks[start : start + len(chunk)].tolist()):
+                rows = reduced[start + k, :r]  # the transposed canonical basis of the image
+                key = (j, rows.tobytes())
+                ok = image_in_f.get(key)
+                if ok is None:
+                    ok = image_in_f[key] = f.contains(submodule(n, rows.T))
+                if not ok:
+                    failed[i] = {"clause": "image-closure", "source": i, "target": j,
+                                 "map": chunk[k].tolist(), "image_dim": r}
+                    break
+        start += len(chunk)
+
+
 def is_torsion_class(
     f: ModuleFamily,
     universe: Sequence[ModuleRep],
@@ -298,39 +329,39 @@ def is_torsion_class(
     Many maps share an image, so the image test is memoized per call on
     (target index, canonical basis of the image), across all source
     members: only an image not seen before is built as a submodule and
-    tested.  The bases come from one :func:`batched_rref` of the
-    transposed maps per enumeration chunk, not from one ``rref`` per map.
+    tested.  The bases come from one :func:`batched_rref` per target of the
+    transposed maps of every member into it, at most ``ENUM_CHUNK`` maps
+    per batch (:func:`_first_failures`), not from one ``rref`` per map.
     Maps are still visited in enumeration order and each (source, target)
     pair stops at its first map with a failing image, so an
     ``image-closure`` certificate names the same map as testing every
     image would, and the family predicate is called on a subset of the
-    images it would otherwise see.
+    images it would otherwise see.  Certificates come in (source, target)
+    order.
     """
-    certs = []
     partial = False
     members = [(i, universe[i]) for i in f.member_indices(universe)]
     image_in_f: dict[tuple[int, bytes], bool] = {}
-    for i, m in members:
-        for j, n in enumerate(universe):
+    image_certs = {}
+    for j, n in enumerate(universe):
+        batch: list[tuple[int, np.ndarray]] = []
+        failed: dict[int, dict] = {}
+        for i, m in members:
             basis = hom_space(m, n) if hom_dim(m, n) else np.zeros((0, n.dim, m.dim), dtype=np.int64)
             if len(basis) > MAP_ENUM_CAP:
                 partial = True
                 continue
-            for chunk in combination_chunks(m.p, basis):
-                reduced, ranks = batched_rref(m.p, chunk.transpose(0, 2, 1))
-                for k, r in enumerate(ranks.tolist()):
-                    rows = reduced[k, :r]  # the transposed canonical basis of the image
-                    key = (j, rows.tobytes())
-                    ok = image_in_f.get(key)
-                    if ok is None:
-                        ok = image_in_f[key] = f.contains(submodule(n, rows.T))
-                    if not ok:
-                        certs.append({"clause": "image-closure", "source": i, "target": j,
-                                      "map": chunk[k].tolist(), "image_dim": r})
-                        break
-                else:
-                    continue
-                break  # the pair's first failing map ends its enumeration
+            for chunk in combination_chunks(m.p, basis, ENUM_CHUNK):
+                if sum(len(c) for _, c in batch) + len(chunk) > ENUM_CHUNK:
+                    _first_failures(f, j, n, batch, image_in_f, failed)
+                    batch = []
+                if i in failed:
+                    break  # the pair's first failing map ends its enumeration
+                batch.append((i, chunk))
+        if batch:
+            _first_failures(f, j, n, batch, image_in_f, failed)
+        image_certs.update(((i, j), cert) for i, cert in failed.items())
+    certs = [image_certs[key] for key in sorted(image_certs)]
     for i, m in members:
         for j, n in members:
             if max_dim is not None and m.dim + n.dim > max_dim:

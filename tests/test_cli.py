@@ -84,6 +84,43 @@ def test_verify_all_text_format(runner):
     assert "[FAIL]" in result.output  # the refuted transfer instances
 
 
+def _partial_torsion_class_document():
+    """Over F_3[x]/(x^3), the explicit family {J2111} on the universe J2111, J22: End J2111
+    has dimension 17, past MAP_ENUM_CAP, so that pair is skipped and the
+    torsion-class verdict is partial (test_torsion's Jordan case)."""
+    from tests.test_hom_blocks import truncated_polynomials
+    from tests.test_modules import jordan_module
+
+    alg = truncated_polynomials(3, 3)
+    mods = [jordan_module(alg, parts) for parts in ((2, 1, 1, 1), (2, 2))]
+    return {
+        "field": {"p": 3},
+        "algebras": {"A": {"dim": 3, "mul": alg.mul.tolist(), "unit": [1, 0, 0]}},
+        "modules": {m.label: {"algebra": "A", "side": "left", "dim": m.dim, "action": m.action.tolist()}
+                    for m in mods},
+        "universes": {"u": [m.label for m in mods]},
+        "families": {"j2111": {"kind": "explicit", "modules": ["J2111"], "universe": "u"}},
+        "tasks": [{"kind": "is-torsion-class", "name": "tc", "family": "j2111", "universe": "u"}],
+    }
+
+
+def test_partial_verdict_is_marked_in_text(runner, tmp_path):
+    doc_path = tmp_path / "partial.json"
+    doc_path.write_text(json.dumps(_partial_torsion_class_document()))
+    report = json.loads(runner.invoke(main, ["run", str(doc_path)]).stdout)
+    [verdict] = report["tasks"][0]["verdicts"]
+    assert verdict["data"]["partial"] is True
+    result = runner.invoke(main, ["run", str(doc_path), "--format", "text"])
+    assert result.exit_code == 0, result.output
+    assert "  [FAIL] torsion-class(j2111) (partial)\n" in result.stdout
+
+
+def test_exact_verdicts_are_not_marked_partial(runner):
+    result = runner.invoke(main, ["run", "--fixture", "dual-numbers", "--format", "text"])
+    assert result.exit_code == 0
+    assert "[PASS] torsion-class" in result.stdout and "(partial)" not in result.stdout
+
+
 def test_unknown_task_exits_3(runner):
     result = runner.invoke(main, ["run", "--fixture", "a2", "--task", "bogus"])
     assert result.exit_code == 3

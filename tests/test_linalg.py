@@ -1,16 +1,19 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from commacat import linalg
 from commacat.algebra import Bimodule, FDAlgebra, dual_numbers_algebra, field_algebra
 from commacat.comma import canonical_tensor_comma, functor_p, hom_comma, hom_comma_dim
 from commacat.linalg import (
     MODULUS_LIMIT,
     FpMatrix,
     batched_rref,
+    canonical_rows,
     column_space_basis,
     combination_chunks,
     fp_array,
@@ -552,6 +555,73 @@ def test_rref_matches_python_int_reference(case):
     assert k.shape == (cols, len(free))
     assert k[free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
     assert not (m @ k % p).any()
+
+
+# Both regimes of rref: Python int rows up to SMALL_RREF_CELLS entries, numpy above.
+BOTH_RREF_PATHS = (0, 10 ** 9)
+
+
+@st.composite
+def rref_path_cases(draw):
+    """A modulus and a writable rows x cols matrix on either side of SMALL_RREF_CELLS,
+    often of low rank (a product of factors whose entries are zero about half the time)."""
+    p = draw(st.sampled_from([2, 3, 5, 16777213]))
+    rows = draw(st.integers(min_value=0, max_value=12))
+    cols = draw(st.integers(min_value=0, max_value=12))
+    k = draw(st.integers(min_value=0, max_value=max(rows, cols)))
+    entry = st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1))
+    left = np.array(draw(st.lists(entry, min_size=rows * k, max_size=rows * k)), dtype=np.int64)
+    right = np.array(draw(st.lists(entry, min_size=k * cols, max_size=k * cols)), dtype=np.int64)
+    return p, left.reshape(rows, k) @ right.reshape(k, cols) % p
+
+
+@given(rref_path_cases())
+@example((2, np.zeros((0, 70), dtype=np.int64)))
+@example((3, np.ones((70, 0), dtype=np.int64)))
+@example((5, np.zeros((0, 0), dtype=np.int64)))
+@example((16777213, np.full((9, 9), 16777212, dtype=np.int64)))
+@settings(max_examples=200, deadline=None)
+def test_rref_paths_agree(case):
+    p, a = case
+    before = a.copy()
+    for m in (a, a.T):
+        results = []
+        for limit in BOTH_RREF_PATHS:
+            with mock.patch.object(linalg, "SMALL_RREF_CELLS", limit):
+                red, pivots = rref(FpMatrix._of(p, m))
+            assert red.dtype == np.int64 and red.shape == m.shape
+            assert red.flags.writeable and not np.shares_memory(red, a)
+            results.append((red.tolist(), pivots))
+        assert results[0] == results[1]
+        assert results[0] == reference_rref(p, m.tolist(), m.shape[1])
+    assert same(a, before)
+
+
+@given(rref_path_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernels_agree_on_both_rref_paths(case, data):
+    p, a = case
+    x = np.array(
+        data.draw(st.lists(st.integers(0, p - 1), min_size=a.shape[1] * 2, max_size=a.shape[1] * 2)), dtype=np.int64
+    ).reshape(a.shape[1], 2)
+    square = a[: min(a.shape), : min(a.shape)]
+    results = []
+    for limit in BOTH_RREF_PATHS:
+        with mock.patch.object(linalg, "SMALL_RREF_CELLS", limit):
+            results.append(
+                [
+                    kernel_basis(p, a),
+                    solve(p, a, a @ x % p),
+                    solve(p, a, np.ones((len(a), 1), dtype=np.int64)),
+                    inverse(p, square),
+                    column_space_basis(p, a),
+                    canonical_rows(p, a),
+                    *quotient_space(p, len(a), a),
+                ]
+            )
+    for small, large in zip(*results):
+        assert (small is None) == (large is None)
+        assert small is None or same(small, large)
 
 
 # -- kernel results ---------------------------------------------------------

@@ -50,6 +50,33 @@ def test_hom_space_calls_of_a_dual_numbers_run():
     assert stats["family_parts"]["misses"] == stats["family_parts"]["size"] == 57
 
 
+def test_eliminations_of_a_dual_numbers_run(monkeypatch):
+    # the same counts as the benchmark tracer's linalg.rref.calls (perfbench,
+    # dual-verify) over building the dual-numbers fixture and running it, and
+    # the batched eliminations beside them.  (4,103 rref and 493 batched_rref
+    # calls while is_torsion_class reduced the images of each (member, target)
+    # pair on their own and the shape predicates of the Hom-formula and
+    # tensor claims were decided once per pair rather than once per object.)
+    calls = {"rref": 0, "batched_rref": 0}
+    for fn in calls:
+        original = getattr(linalg, fn)
+
+        def counted(*args, _fn=fn, _original=original):
+            calls[_fn] += 1
+            return _original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "commacat" and getattr(module, fn, None) is original:
+                monkeypatch.setattr(module, fn, counted)
+    run_fixture(load_fixture("dual-numbers"))
+    assert calls == {"rref": 3254, "batched_rref": 89}
+    # the three shape predicates are decided once per object: 19 comma objects
+    # for phi and tilde_phi, 6 right T-modules for psi
+    stats = memo.memo_stats()
+    assert stats["phi_descends_to_iso"]["misses"] == stats["tilde_phi_is_iso"]["misses"] == 19
+    assert stats["psi_descends_to_iso"]["misses"] == 6
+
+
 def test_hom_blocks_of_a_p3_doc_run():
     # Every p3-doc module is a random conjugate of a Jordan type over
     # F_3[x]/(x^3).  In its Jordan frame its blocks are the canonical J1, J2 and
@@ -71,7 +98,9 @@ def test_validated_matrices_of_a_dual_numbers_run(monkeypatch):
     # direct sums built their injections and projections and isomorphism
     # searches their witnesses, 1,392 while the final corollaries built
     # their T-presentation twice when B is S, and 1,382 while submodules and
-    # quotients built their inclusion and projection.)
+    # quotients built their inclusion and projection, and 673 while the Hom-formula
+    # claims built tilde_phi of the target, a ModuleMap, for each of their pairs
+    # rather than once per comma object.)
     count = 0
     validate = linalg.fp_array
 
@@ -90,7 +119,7 @@ def test_validated_matrices_of_a_dual_numbers_run(monkeypatch):
     monkeypatch.setattr(FpMatrix, "__init__", lambda self, *args: inits.append(args))
     run_fixture(load_fixture("dual-numbers"))
     assert not inits
-    assert count == 673
+    assert count == 274
 
 
 def test_cached_false_is_a_hit_and_clear_resets():

@@ -363,3 +363,24 @@ def test_image_closure_first_failure_past_the_first_chunk():
     assert len(first) == ENUM_CHUNK
     assert not any(np.array_equal(a, cert["map"]) for a in first)
     assert any(np.array_equal(a, cert["map"]) for a in next(chunks))
+
+
+@pytest.mark.parametrize("name", ["a2", "dual-numbers", "F_3[x]/(x^3)"])
+def test_image_closure_certificates_match_per_map_loop_in_small_batches(name, monkeypatch):
+    # Five maps a batch and three a chunk: a target's batches split inside one
+    # (source, target) pair, a pair's maps span batches, one batch holds
+    # several pairs, and one pair's chunks meet inside a batch.
+    from commacat import linalg, torsion
+
+    sizes = []
+    reduce = torsion.batched_rref
+
+    def recorded(p, stack):
+        sizes.append(len(stack))
+        return reduce(p, stack)
+
+    monkeypatch.setattr(torsion, "ENUM_CHUNK", 5)
+    monkeypatch.setattr(torsion, "combination_chunks", lambda p, basis, size: linalg.combination_chunks(p, basis, 3))
+    monkeypatch.setattr(torsion, "batched_rref", recorded)
+    test_image_closure_certificates_match_per_map_loop(name)
+    assert max(sizes) <= 5  # a batch holds at most ENUM_CHUNK maps
