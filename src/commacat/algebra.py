@@ -13,29 +13,22 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _check_modulus, int64_array
+from .linalg import fp_array
 from .memo import ContentKeyed, content_bytes
 
 
 class FDAlgebra(ContentKeyed):
-    """Associative unital algebra over F_p given by structure constants."""
+    """Associative unital algebra over F_p given by structure constants: ``mul``
+    (dim, dim, dim) and ``unit`` (dim,), read-only int64 arrays reduced mod p."""
 
     __slots__ = ("p", "dim", "mul", "unit", "label")
 
     def __init__(self, p: int, mul, unit, label: str = "") -> None:
-        _check_modulus(p)
-        m = np.mod(int64_array(mul, "mul"), p)
-        if m.ndim != 3 or m.shape[0] != m.shape[1] or m.shape[1] != m.shape[2]:
-            raise ValueError("structure constants must form a d x d x d tensor")
-        u = np.mod(int64_array(unit, "unit"), p)
-        if u.shape != (m.shape[0],):
-            raise ValueError("unit must be a d-coordinate vector")
-        m.setflags(write=False)
-        u.setflags(write=False)
+        d = len(mul) if np.iterable(mul) else 0
         self.p = p
-        self.dim = int(m.shape[0])
-        self.mul = m
-        self.unit = u
+        self.dim = d
+        self.mul = fp_array(p, mul, "mul", (d, d, d))
+        self.unit = fp_array(p, unit, "unit", (d,))
         self.label = label
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,21 +73,6 @@ def validate_algebra(a: FDAlgebra) -> list[dict]:
     return violations
 
 
-def frozen_actions(p: int, count: int, dim: int, action) -> np.ndarray:
-    """``action`` (anything :func:`int64_array` takes) as a read-only (count, dim,
-    dim) int64 stack reduced mod p: one dim x dim matrix per basis element of an
-    algebra of dimension ``count``.  Raises ValueError on any other count or shape."""
-    a = int64_array(action, "action")
-    if a.ndim == 0 or len(a) != count:
-        raise ValueError("one action matrix per algebra basis element required")
-    # an empty stack may come as nested empty lists of any depth
-    if a.shape != (count, dim, dim) and (a.size or count * dim):
-        raise ValueError("action matrices must be dim x dim over the algebra's field")
-    a = np.mod(a.reshape(count, dim, dim), p)
-    a.setflags(write=False)
-    return a
-
-
 def module_law(p: int, mul: np.ndarray, unit: np.ndarray, stack: np.ndarray) -> tuple[bool, list[list[int]]]:
     """The module law for a (d, n, n) stack of action matrices A_k.
 
@@ -129,8 +107,8 @@ class Bimodule(ContentKeyed):
         self.s_algebra = s_algebra
         self.r_algebra = r_algebra
         self.dim = dim
-        self.left_action = frozen_actions(s_algebra.p, s_algebra.dim, dim, left_action)
-        self.right_action = frozen_actions(s_algebra.p, r_algebra.dim, dim, right_action)
+        self.left_action = fp_array(s_algebra.p, left_action, "left_action", (s_algebra.dim, dim, dim))
+        self.right_action = fp_array(s_algebra.p, right_action, "right_action", (r_algebra.dim, dim, dim))
         self.label = label
 
     @property

@@ -78,12 +78,7 @@ class CommaObject(ContentKeyed):
             raise AlgebraMismatch("A component must be a left module over R")
         if b.algebra != bimodule.s_algebra or b.side != LEFT:
             raise AlgebraMismatch("B component must be a left module over S")
-        shape = (b.dim, bimodule.dim * a.dim)
-        phi = fp_array(bimodule.p, phi, "phi", shape)
-        if phi.shape != shape:
-            raise ValueError(
-                f"phi must be {shape[0]} x {shape[1]} over F_{bimodule.p}, got {phi.shape[0]} x {phi.shape[1]}"
-            )
+        phi = fp_array(bimodule.p, phi, "phi", (b.dim, bimodule.dim * a.dim))
         self.bimodule = bimodule
         self.A = a
         self.B = b
@@ -236,10 +231,7 @@ class RightTModule(ContentKeyed):
             raise AlgebraMismatch("X component must be a right module over R")
         if y.algebra != bimodule.s_algebra or y.side != RIGHT:
             raise AlgebraMismatch("Y component must be a right module over S")
-        shape = (x.dim, y.dim * bimodule.dim)
-        psi = fp_array(bimodule.p, psi, "psi", shape)
-        if psi.shape != shape:
-            raise ValueError("psi must be dim X x (dim Y * dim U)")
+        psi = fp_array(bimodule.p, psi, "psi", (x.dim, y.dim * bimodule.dim))
         self.bimodule = bimodule
         self.X = x
         self.Y = y

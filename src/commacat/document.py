@@ -67,14 +67,9 @@ class Document:
 def _matrix(p: int, data: Any, path: str, shape: Optional[tuple[int, int]] = None) -> np.ndarray:
     """``data`` as a matrix over F_p (:func:`~commacat.linalg.fp_array`), of ``shape`` if given."""
     try:
-        m = fp_array(p, data, shape=shape)
+        return fp_array(p, data, shape=shape)
     except (ValueError, TypeError) as exc:
         raise DocumentError(path, f"malformed matrix: {exc}") from None
-    if shape is not None and m.shape[0] != shape[0]:
-        raise DocumentError(path, f"expected {shape[0]} rows, got {m.shape[0]}")
-    if shape is not None and m.shape[1] != shape[1]:
-        raise DocumentError(path, f"expected {shape[1]} columns, got {m.shape[1]}")
-    return m
 
 
 def _dim(rec: dict, path: str) -> int:
@@ -84,12 +79,14 @@ def _dim(rec: dict, path: str) -> int:
     return dim
 
 
-def _actions(p: int, rec: dict, key: str, path: str, dim: int) -> np.ndarray:
-    """The dim x dim matrices stored under ``key``, as one int64 stack."""
+def _actions(p: int, rec: dict, key: str, path: str, count: int, dim: int) -> np.ndarray:
+    """The ``count`` dim x dim matrices stored under ``key``, as one int64 stack."""
     data = rec.get(key, [])
     if not isinstance(data, list):
         raise DocumentError(f"{path}.{key}", f"expected a list of matrices, got {type(data).__name__}")
     mats = [_matrix(p, m, f"{path}.{key}[{i}]", (dim, dim)) for i, m in enumerate(data)]
+    if len(mats) != count:
+        raise DocumentError(path, f"need {count} action matrices, got {len(mats)}")
     return np.array(mats, dtype=np.int64).reshape(len(mats), dim, dim)
 
 
@@ -230,8 +227,8 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
             s_alg = _lookup(doc.algebras, rec.get("s_algebra", ""), path, "algebra")
             r_alg = _lookup(doc.algebras, rec.get("r_algebra", ""), path, "algebra")
             dim = _dim(rec, path)
-            left = _actions(p, rec, "left_action", path, dim)
-            right = _actions(p, rec, "right_action", path, dim)
+            left = _actions(p, rec, "left_action", path, s_alg.dim, dim)
+            right = _actions(p, rec, "right_action", path, r_alg.dim, dim)
             try:
                 u = Bimodule(s_alg, r_alg, dim, left, right, label=name)
                 doc.triangulars[name] = triangular_algebra(u, label=f"T[{name}]")
@@ -247,10 +244,7 @@ def parse_document(data: Any, collect: Optional[list] = None) -> Document:
             if side not in (LEFT, RIGHT):
                 raise DocumentError(path, f"side must be 'left' or 'right', got {side!r}")
             dim = _dim(rec, path)
-            action = _actions(p, rec, "action", path, dim)
-            if len(action) != alg.dim:
-                raise DocumentError(path, f"need {alg.dim} action matrices, got {len(action)}")
-            mod = ModuleRep(alg, side, dim, action, label=name)
+            mod = ModuleRep(alg, side, dim, _actions(p, rec, "action", path, alg.dim, dim), label=name)
             bad = validate_module(mod)
             if bad:
                 raise DocumentError(path, f"invalid module: {bad[0]}")

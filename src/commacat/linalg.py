@@ -16,22 +16,23 @@ larger one by Gauss-Jordan elimination in numpy, with one nonzero scan of the
 pivot column and one masked rank-1 update of all rows it hits per pivot.
 
 Entries are stored as int64, so the modulus is validated once per value
-of p (:func:`_check_modulus`, shared with :class:`FDAlgebra`): it must be
+of p (:func:`_check_modulus`, shared with the document parser): it must be
 prime and below 2**24.  Below that bound a dot product of up to 2**15
 terms of size (p-1)**2 stays below 2**63, so no product overflows, but a
 product of unreduced products can: chained products reduce between them,
 as in ``a @ b % p @ c % p``.
 
-Validation happens once, at the boundary: :func:`fp_array` checks the
-modulus, that each entry is an exact integer in int64 range
-(:func:`int64_array`, shared with :class:`FDAlgebra`, the action stacks and
-the certificate schema) and the shape, reduces the entries and freezes the
-result.  Maps, comma objects and right T-modules validate their matrix
-through it, whether it comes from a document, a certificate or a
-computation.  Results this module computes are reduced by construction,
-since its arithmetic applies ``% p`` itself.  A result cut out of a larger
-array (:func:`inverse`, :func:`column_space_basis`) is copied, so a small
-matrix never keeps a larger array alive.
+Validation happens once, at the boundary: :func:`fp_array` alone turns outside
+entries into F_p data.  It checks the modulus, that each entry is an exact
+integer in int64 range (:func:`int64_array`, else only called on report input,
+which has no p) and the full shape, then reduces and freezes the result.  Its
+callers are the constructors of algebras (``mul`` and ``unit``), modules and
+bimodules (action stacks), maps, comma objects and right T-modules, and the
+document parser, to name a matrix's path; none checks a shape again.  Results
+this module computes are reduced by construction, since its arithmetic applies
+``% p`` itself.  A result cut out of a larger array (:func:`inverse`,
+:func:`column_space_basis`) is copied, so a small matrix never keeps a larger
+array alive.
 
 :class:`FpMatrix` is only the argument of :func:`rref`: the benchmark tracer
 (``perfbench/tracer.py``) reads the shape of every traced elimination off
@@ -66,7 +67,8 @@ SMALL_RREF_CELLS = 64
 
 @functools.lru_cache(maxsize=64, typed=True)
 def _check_modulus(p: int) -> None:
-    """Raise ValueError unless p is a prime for which int64 arithmetic is exact."""
+    """Raise ValueError unless p is a prime for which int64 arithmetic is exact.  The
+    cache is typed: keyed by value alone, 3.0 would hit the entry of 3 (3 == 3.0)."""
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {p!r}")
     if p >= MODULUS_LIMIT:
@@ -84,52 +86,51 @@ def _check_modulus(p: int) -> None:
 _INT64 = np.iinfo(np.int64)
 
 
-def _check_int64(entries, name: str) -> None:
-    # An explicit stack, not recursion: too deep a nesting is then rejected by its shape
-    stack = [entries]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, (list, tuple, np.ndarray)):
-            if set(map(type, x)) <= {int}:  # a row of Python ints: only its extremes can be out of range
-                x = [min(x), max(x)] if len(x) else []
-            stack.extend(reversed(x))
-        elif isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not _INT64.min <= x <= _INT64.max:
-            raise ValueError(f"{name}: entry {x!r} is not an exact integer in int64 range")
-
-
 def int64_array(entries, name: str = "entries") -> np.ndarray:
     """``entries`` (nested lists or an array) as an int64 array.
 
     Raises ValueError, naming ``name``, unless every entry is an exact
     integer (not a bool, not a float) in int64 range, so that nothing is
     truncated, wrapped or overflows.  An integer array that int64 holds
-    (signed, or unsigned below 64 bits) is not checked entry by entry.
+    (signed, or unsigned below 64 bits) is not checked entry by entry, and a
+    row of Python ints by its extremes.  An explicit stack, not recursion,
+    walks the entries, so too deep a nesting is rejected by its shape.
     """
     if isinstance(entries, np.ndarray) and (
         entries.dtype.kind == "i" or entries.dtype.kind == "u" and entries.dtype.itemsize < 8
     ):
         return entries.astype(np.int64, copy=False)
-    _check_int64(entries, name)
+    stack = [entries]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (list, tuple, np.ndarray)):
+            if set(map(type, x)) <= {int}:
+                x = [min(x), max(x)] if len(x) else []
+            stack.extend(reversed(x))
+        elif isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not _INT64.min <= x <= _INT64.max:
+            raise ValueError(f"{name}: entry {x!r} is not an exact integer in int64 range")
     return np.asarray(entries, dtype=np.int64)
 
 
-def fp_array(p: int, entries, name: str = "entries", shape: Optional[tuple[int, int]] = None) -> np.ndarray:
-    """``entries`` (nested lists or an array) as a matrix over F_p: a fresh
-    read-only 2-d int64 array, reduced mod p.
+def fp_array(p: int, entries, name: str = "entries", shape: Optional[tuple[int, ...]] = None) -> np.ndarray:
+    """``entries`` (nested lists or an array) as a fresh read-only int64 array,
+    reduced mod p, of ``shape`` (any rank), or else a 2-d array of rows.
 
-    Raises ValueError unless p is a modulus :func:`_check_modulus` accepts,
-    every entry passes :func:`int64_array` (which names ``name``) and the
-    entries form a 2-d array of rows.  The empty 1-d array is the 0x0 matrix;
-    given ``shape``, an array with no entries takes that shape when it has no
-    entries either.
+    Raises ValueError, naming ``name``, unless p is a modulus
+    :func:`_check_modulus` accepts, every entry passes :func:`int64_array` and
+    the shape matches in full.  ``[]`` is the 0x0 matrix; entries that hold no
+    number, however they nest, take a ``shape`` that holds none either.
     """
     _check_modulus(p)
     a = int64_array(entries, name)
-    if a.ndim == 1 and not a.size:
-        a = a.reshape(0, 0)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array of rows")
-    if shape is not None and not a.size and not shape[0] * shape[1]:
+    if shape is None:
+        if a.ndim == 1 and not a.size:
+            a = a.reshape(0, 0)
+        if a.ndim != 2:
+            raise ValueError(f"{name} must be a 2-d array of rows")
+    elif a.shape != shape:
+        if a.size or 0 not in shape:
+            raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
         a = a.reshape(shape)
     a = np.mod(a, p)
     a.setflags(write=False)

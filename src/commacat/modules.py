@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Bimodule, FDAlgebra, frozen_actions, module_law
+from .algebra import Bimodule, FDAlgebra, module_law
 from .linalg import (
     FpMatrix,
     canonical_rows,
@@ -100,7 +100,7 @@ class ModuleRep(ContentKeyed):
         self.algebra = algebra
         self.side = side
         self.dim = dim
-        self.action = frozen_actions(algebra.p, algebra.dim, dim, action)
+        self.action = fp_array(algebra.p, action, "action", (algebra.dim, dim, dim))
         self.label = label
 
     @property
@@ -135,12 +135,7 @@ class ModuleMap(ContentKeyed):
 
     def __init__(self, source: ModuleRep, target: ModuleRep, matrix) -> None:
         _require_compatible(source, target)
-        shape = (target.dim, source.dim)
-        matrix = fp_array(source.p, matrix, "map matrix", shape)
-        if matrix.shape != shape:
-            raise ValueError(
-                f"map matrix must be {target.dim} x {source.dim}, got {matrix.shape[0]} x {matrix.shape[1]}"
-            )
+        matrix = fp_array(source.p, matrix, "map matrix", (target.dim, source.dim))
         self.source = source
         self.target = target
         self.matrix = matrix

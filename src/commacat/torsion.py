@@ -82,7 +82,9 @@ def family_d_sigma(pres: Presentation, label: str = "") -> ModuleFamily:
     return ModuleFamily(label or "D_sigma", spec, lambda m: d_sigma_member(pres, m))
 
 
-def _perp_predicate(generators: list[ModuleRep], side: str) -> Callable[[ModuleRep], bool]:
+def perp_predicate(generators: Sequence[ModuleRep], side: str) -> Callable[[ModuleRep], bool]:
+    """Membership in the right (no nonzero map from a generator) or left (none to one)
+    perpendicular class of ``generators``, for families, certificates and replay."""
     if side == "right":
         return lambda m: all(hom_dim(g, m) == 0 for g in generators)
     return lambda m: all(hom_dim(m, g) == 0 for g in generators)
@@ -91,19 +93,19 @@ def _perp_predicate(generators: list[ModuleRep], side: str) -> Callable[[ModuleR
 def perp_right(f: ModuleFamily, universe: Sequence[ModuleRep]) -> ModuleFamily:
     """Modules with no nonzero map from a member of ``f`` in ``universe``."""
     spec = {"kind": "perp_right", "of": f.spec}
-    return ModuleFamily(f"({f.label})^perp", spec, _perp_predicate(f.members(universe), "right"))
+    return ModuleFamily(f"({f.label})^perp", spec, perp_predicate(f.members(universe), "right"))
 
 
 def perp_left(f: ModuleFamily, universe: Sequence[ModuleRep]) -> ModuleFamily:
     """Modules with no nonzero map to a member of ``f`` in ``universe``."""
     spec = {"kind": "perp_left", "of": f.spec}
-    return ModuleFamily(f"perp^({f.label})", spec, _perp_predicate(f.members(universe), "left"))
+    return ModuleFamily(f"perp^({f.label})", spec, perp_predicate(f.members(universe), "left"))
 
 
 def perp_right_modules(mods: Sequence[ModuleRep], label: str = "") -> ModuleFamily:
     gens = list(mods)
     spec = {"kind": "perp_right_modules", "modules": [m.label for m in gens]}
-    return ModuleFamily(label or "perp-right", spec, _perp_predicate(gens, "right"))
+    return ModuleFamily(label or "perp-right", spec, perp_predicate(gens, "right"))
 
 
 def comma_family(kind: str, cfam: ModuleFamily, dfam: ModuleFamily, t: TriangularAlgebra) -> ModuleFamily:
@@ -120,23 +122,15 @@ def comma_family(kind: str, cfam: ModuleFamily, dfam: ModuleFamily, t: Triangula
 
 
 def all_subspace_bases(p: int, n: int) -> list[np.ndarray]:
-    """Every subspace of F_p^n exactly once, as the columns of its canonical RREF basis."""
+    """Every subspace of F_p^n exactly once, as the columns of its canonical RREF basis:
+    per pivot pattern, its unit rows plus each combination of units at its free entries."""
     out = [np.zeros((n, 0), dtype=np.int64)]
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
-            free_positions = [
-                (i, j)
-                for i in range(k)
-                for j in range(n)
-                if j > pivots[i] and j not in pivots
-            ]
-            for values in itertools.product(range(p), repeat=len(free_positions)):
-                rows = np.zeros((k, n), dtype=np.int64)
-                for i in range(k):
-                    rows[i, pivots[i]] = 1
-                for (i, j), v in zip(free_positions, values):
-                    rows[i, j] = v
-                out.append(rows.T)
+            free = [i * n + j for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+            base = np.eye(n, dtype=np.int64)[list(pivots)]
+            for chunk in combination_chunks(p, np.eye(k * n, dtype=np.int64)[free].reshape(-1, k, n)):
+                out.extend((base + chunk).transpose(0, 2, 1))
     return out
 
 
@@ -178,11 +172,11 @@ def _hom_vanishing_certs(xi: list[int], yi: list[int], universe: Sequence[Module
 
 def _perp_certs(xi: list[int], yi: list[int], universe: Sequence[ModuleRep]) -> list[dict]:
     certs = []
-    x_members = [universe[i] for i in xi]
-    y_members = [universe[i] for i in yi]
+    in_x_perp = perp_predicate([universe[i] for i in xi], "right")
+    in_perp_y = perp_predicate([universe[i] for i in yi], "left")
     x_set, y_set = set(xi), set(yi)
     for k, m in enumerate(universe):
-        in_pr = all(hom_dim(g, m) == 0 for g in x_members)
+        in_pr = in_x_perp(m)
         in_y = k in y_set
         if in_pr != in_y:
             certs.append(
@@ -194,7 +188,7 @@ def _perp_certs(xi: list[int], yi: list[int], universe: Sequence[ModuleRep]) -> 
                     "in_family": in_y,
                 }
             )
-        in_pl = all(hom_dim(m, g) == 0 for g in y_members)
+        in_pl = in_perp_y(m)
         in_x = k in x_set
         if in_pl != in_x:
             certs.append(
@@ -347,10 +341,11 @@ def is_torsion_class(
         batch: list[tuple[int, np.ndarray]] = []
         failed: dict[int, dict] = {}
         for i, m in members:
-            basis = hom_space(m, n) if hom_dim(m, n) else np.zeros((0, n.dim, m.dim), dtype=np.int64)
-            if len(basis) > MAP_ENUM_CAP:
+            h = hom_dim(m, n)
+            if h > MAP_ENUM_CAP:
                 partial = True
                 continue
+            basis = hom_space(m, n) if h else np.zeros((0, n.dim, m.dim), dtype=np.int64)
             for chunk in combination_chunks(m.p, basis, ENUM_CHUNK):
                 if sum(len(c) for _, c in batch) + len(chunk) > ENUM_CHUNK:
                     _first_failures(f, j, n, batch, image_in_f, failed)

@@ -71,6 +71,7 @@ from .torsion import (
     family_gen,
     is_torsion_pair,
     perp_left,
+    perp_predicate,
     perp_right,
     perp_right_modules,
     torsion_sequence,
@@ -541,9 +542,9 @@ def _perp(cert: dict, env: dict) -> bool:
     universe, x, y = env["universe"], env["x"], env["y"]
     m = universe[cert["module"]]
     if cert["clause"] == "perp-right":
-        facts = {"in_perp": all(hom_dim(g, m) == 0 for g in x.members(universe)), "in_family": y.contains(m)}
+        facts = {"in_perp": perp_predicate(x.members(universe), "right")(m), "in_family": y.contains(m)}
     else:
-        facts = {"in_perp": all(hom_dim(m, g) == 0 for g in y.members(universe)), "in_family": x.contains(m)}
+        facts = {"in_perp": perp_predicate(y.members(universe), "left")(m), "in_family": x.contains(m)}
     return _records_mismatch(cert, facts)
 
 

@@ -279,6 +279,25 @@ def test_matrix_entries_must_be_exact_int64_integers(mutate, path, message):
     assert message in err.value.message
 
 
+@pytest.mark.parametrize(
+    "mutate, path, message",
+    [
+        (_set("modules", "Rk", action=[[[1]]]), "modules.Rk", "need 2 action matrices, got 1"),
+        (_set("modules", "zeroR", action=[]), "modules.zeroR", "need 2 action matrices, got 0"),
+        (_set("bimodules", "U", left_action=[[[1]], [[1]]]), "bimodules.U", "need 1 action matrices, got 2"),
+        (_set("bimodules", "U", right_action=[[[1]]]), "bimodules.U", "need 2 action matrices, got 1"),
+        # entry-free, so only the count can refuse it
+        (_set("bimodules", "U", dim=0, left_action=[], right_action=[[], []]), "bimodules.U",
+         "need 1 action matrices, got 0"),
+    ],
+    ids=["module", "zero-module", "bimodule-left", "bimodule-right", "zero-bimodule"],
+)
+def test_a_wrong_action_count_is_refused_at_its_entry(mutate, path, message):
+    with pytest.raises(DocumentError) as err:
+        parse_document(mutate(sample_document()))
+    assert (err.value.path, err.value.message) == (path, message)
+
+
 def _paths(value, path=()):
     """The path of every entry inside a JSON value."""
     children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()

@@ -147,10 +147,27 @@ def test_fp_array_shapes():
     assert fp_array(2, []).shape == (0, 0)
     assert fp_array(2, [], shape=(0, 3)).shape == (0, 3)
     assert fp_array(2, [[], []], shape=(2, 0)).shape == (2, 0)
-    # an array with entries keeps its shape; the caller compares it
-    assert fp_array(2, [[1]], shape=(2, 2)).shape == (1, 1)
-    assert fp_array(2, [], shape=(2, 2)).shape == (0, 0)
-    for bad in ([1, 2], [[[1]]], 5):
+    # entries that hold no number take a shape of any rank that holds none
+    assert fp_array(2, [], shape=(2, 0, 0)).shape == (2, 0, 0)
+    assert fp_array(2, [[[]]], shape=(0, 3)).shape == (0, 3)
+    assert fp_array(2, np.zeros((0, 1), dtype=np.int64), shape=(1, 0)).shape == (1, 0)
+    stack = fp_array(5, [[[1, 7]], [[-1, 0]]], "action", (2, 1, 2))
+    assert stack.tolist() == [[[1, 2]], [[4, 0]]] and not stack.flags.writeable
+    assert fp_array(3, [1, 5], "unit", (2,)).tolist() == [1, 2]
+    # a shape is checked in full, and the error names the field
+    for entries, shape in [
+        ([[1]], (2, 2)),
+        ([], (2, 2)),
+        ([[1, 0], [0, 1]], (2, 1)),
+        ([[[0]]], (1, 1)),
+        (np.zeros((1, 3, 3), dtype=np.int64), (2, 3, 3)),
+        (1, (1,)),
+        ([1], ()),
+    ]:
+        with pytest.raises(ValueError) as err:
+            fp_array(2, entries, "action", shape)
+        assert str(err.value) == f"action must have shape {shape}, got {np.shape(entries)}"
+    for bad in ([1, 2], [[[1]]], [[[]]], 5):
         with pytest.raises(ValueError, match="2-d array of rows"):
             fp_array(2, bad)
     with pytest.raises(ValueError):

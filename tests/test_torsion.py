@@ -39,6 +39,34 @@ def test_subspace_count():
     assert len(all_subspace_bases(3, 2)) == 6
 
 
+def _subspace_bases_loop(p, n):
+    """Reference: every canonical RREF basis, its free entries filled by one
+    ``itertools.product`` loop per pivot pattern."""
+    import itertools
+
+    import numpy as np
+
+    out = [np.zeros((n, 0), dtype=np.int64)]
+    for k in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free_positions = [(i, j) for i in range(k) for j in range(n) if j > pivots[i] and j not in pivots]
+            for values in itertools.product(range(p), repeat=len(free_positions)):
+                rows = np.zeros((k, n), dtype=np.int64)
+                for i in range(k):
+                    rows[i, pivots[i]] = 1
+                for (i, j), v in zip(free_positions, values):
+                    rows[i, j] = v
+                out.append(rows.T)
+    return out
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_subspace_bases_match_the_product_loop_in_order(p, n):
+    got, want = all_subspace_bases(p, n), _subspace_bases_loop(p, n)
+    assert [w.tolist() for w in got] == [w.tolist() for w in want]
+    assert all(w.shape == (n, v.shape[1]) for w, v in zip(got, want))
+
+
 def test_submodules_of_projective(a2):
     # P = (k, k, id) has exactly 0, socle S_S, P
     subs = all_submodule_bases(a2.t_universe["P"])
@@ -363,6 +391,23 @@ def test_image_closure_first_failure_past_the_first_chunk():
     assert len(first) == ENUM_CHUNK
     assert not any(np.array_equal(a, cert["map"]) for a in first)
     assert any(np.array_equal(a, cert["map"]) for a in next(chunks))
+
+
+def test_torsion_class_builds_no_hom_basis_past_the_enumeration_cap(monkeypatch):
+    # End J2111 has dimension 17, past MAP_ENUM_CAP: its Hom dimension marks
+    # the verdict partial before any basis of it is built
+    from commacat import torsion
+    from commacat.modules import hom_dim
+
+    universe, fams = _jordan_closure_case()
+    src, tgt = universe
+    assert hom_dim(src, src) > MAP_ENUM_CAP >= hom_dim(src, tgt)
+    built = []
+    build = torsion.hom_space
+    monkeypatch.setattr(torsion, "hom_space", lambda m, n: built.append((m, n)) or build(m, n))
+    verdict = is_torsion_class(fams[0], universe, max_dim=0)
+    assert verdict.data["partial"]
+    assert (src, tgt) in built and (src, src) not in built
 
 
 @pytest.mark.parametrize("name", ["a2", "dual-numbers", "F_3[x]/(x^3)"])
